@@ -33,6 +33,7 @@ from homotrace.dgcore import (
     endomorphism_algebra,
     endomorphism_bundle,
     make_algebra,
+    algebra_from_operators,
 )
 from homotrace.transfer import (
     ConfigurationPoint,
@@ -73,7 +74,6 @@ from homotrace.traces import (
 )
 from homotrace.instances import (
     Instance,
-    InstanceSpec,
     matrix_instance,
     t1_instance,
     torus_instance,

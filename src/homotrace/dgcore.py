@@ -1,37 +1,44 @@
 """Dg algebras, dg modules with actions, axiom validation, and splittings.
 
-A ``DgAlgebra`` carries its product both as structure constants over a
-homogeneous basis and as a graded map A (x) A -> A.  A ``DgModuleBundle``
-couples an algebra to a module via the action rho (one graded map per
-basis operator).  ``Splitting`` realizes the decomposition of the module
-into its cohomology part and an acyclic part, with contracting homotopy,
-in either projector or Laplacian normalization.
+A ``DgAlgebra`` carries its product as structure constants over a
+homogeneous basis.  ``algebra_from_operators`` derives those constants,
+the unit and the differential from a basis of operators on a dg module.
+A ``DgModuleBundle`` couples an algebra to a module via the action rho
+(one graded map per basis operator).  ``Splitting`` realizes the
+decomposition of the module into its cohomology part and an acyclic part,
+with contracting homotopy, in either projector or Laplacian normalization.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from homotrace.errors import ShapeError, SpectralGapError
+from homotrace.errors import (
+    ClosureError,
+    InputError,
+    ShapeError,
+    SpectralGapError,
+)
 from homotrace.glinalg import (
+    AMBIGUITY_BAND,
     GradedMap,
     GradedVectorSpace,
     compose,
+    float_rank,
     identity_matrix,
     invert_exact,
     kernel_image_split,
     max_abs,
     rref,
+    solve_exact,
     supercommutator,
-    tensor_layout,
-    tensor_space,
     zeros_matrix,
 )
-from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, one_scalar, zero_scalar
+from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, one_scalar
 
 ASSOCIATIVITY_SAMPLE_CAP = 4000
 
@@ -42,7 +49,6 @@ class DgAlgebra:
 
     space: GradedVectorSpace
     differential: GradedMap
-    product: GradedMap
     mul: tuple[tuple[np.ndarray, ...], ...]
     unit: np.ndarray
     mode: str
@@ -65,9 +71,6 @@ class DgAlgebra:
                 return d, k - off
             off += n
         raise IndexError(k)
-
-    def graded_to_flat(self, degree: int, index: int) -> int:
-        return self.flat_offsets()[degree] + index
 
     def basis_degree(self, k: int) -> int:
         return self.flat_to_graded(k)[0]
@@ -123,37 +126,147 @@ def _nz(x) -> bool:
 def make_algebra(space: GradedVectorSpace, differential: GradedMap,
                  mul_table: list[list[np.ndarray]], unit: np.ndarray,
                  mode: str) -> DgAlgebra:
-    """Assemble the algebra, deriving the product graded map from the table."""
-    n = space.total_dim
-    off = {}
-    o = 0
-    for d, nd in space.dims:
-        off[d] = o
-        o += nd
-    aa = tensor_space(space, space)
-    layout = tensor_layout(space, space)
-    blocks: dict[int, np.ndarray] = {}
-    for tot, parts in layout.items():
-        rows, cols = space.dim(tot), aa.dim(tot)
-        if rows == 0 or cols == 0:
-            continue
-        m = zeros_matrix(rows, cols, mode)
-        for p, q, offset in parts:
-            np_, nq = space.dim(p), space.dim(q)
-            for i in range(np_):
-                for j in range(nq):
-                    vec = mul_table[off[p] + i][off[q] + j]
-                    m[:, offset + i * nq + j] = vec[off[tot]:off[tot] + rows]
-        blocks[tot] = m
-    product = GradedMap.build(aa, space, 0, blocks, mode)
+    """Assemble the algebra from its structure constants (frozen copies)."""
     frozen = tuple(tuple(_freeze_vec(v) for v in row) for row in mul_table)
-    return DgAlgebra(space, differential, product, frozen, _freeze_vec(unit), mode)
+    return DgAlgebra(space, differential, frozen, _freeze_vec(unit), mode)
 
 
 def _freeze_vec(v: np.ndarray) -> np.ndarray:
     v = np.array(v, copy=True)
     v.setflags(write=False)
     return v
+
+
+def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
+                           maps: list[GradedMap], names: list[str], mode: str,
+                           tol: float = DEFAULT_TOL
+                           ) -> tuple[DgAlgebra, tuple[GradedMap, ...]]:
+    """The dg algebra whose basis is the given homogeneous operators on (space, q).
+
+    The basis is ordered by (degree, input order); returns the algebra and
+    the operators in that order (the action rho).  Every product, the
+    identity and every {Q, op} is expanded over the operators of its own
+    degree, with one elimination (exact) or one factorization (float) per
+    degree.  An operator outside the span raises ClosureError naming it;
+    linearly dependent operators raise InputError.  In float mode ``tol``
+    decides the rank, and the expansion residual may reach
+    AMBIGUITY_BAND * tol.
+    """
+    order = sorted(range(len(maps)), key=lambda k: maps[k].degree)
+    rho = tuple(maps[k] for k in order)
+    rho_names = [names[k] for k in order]
+    by_deg: dict[int, list[GradedMap]] = {}
+    labels: dict[int, list[str]] = {}
+    for m, name in zip(rho, rho_names):
+        by_deg.setdefault(m.degree, []).append(m)
+        labels.setdefault(m.degree, []).append(name)
+    aspace = GradedVectorSpace.make({g: len(v) for g, v in by_deg.items()},
+                                    labels)
+    n = len(rho)
+
+    def operators():
+        for i in range(n):
+            for j in range(n):
+                yield (f"product {rho_names[i]}*{rho_names[j]}",
+                       compose(rho[i], rho[j]))
+        yield "the identity operator", GradedMap.identity(space, mode)
+        for k in range(n):
+            yield f"differential of {rho_names[k]}", supercommutator(q, rho[k])
+
+    if mode == EXACT:
+        coeffs = _expand_exact(space, by_deg, operators())
+    else:
+        coeffs = _expand_float(space, by_deg, operators(), tol)
+
+    off, o = {}, 0
+    for g, dim in aspace.dims:
+        off[g], o = o, o + dim
+
+    def flat(degree: int, c: np.ndarray) -> np.ndarray:
+        v = zeros_matrix(n, 1, mode)[:, 0]
+        if c.size:
+            v[off[degree]:off[degree] + c.size] = c
+        return v
+
+    mul_table = [[flat(rho[i].degree + rho[j].degree, coeffs[i * n + j])
+                  for j in range(n)] for i in range(n)]
+    unit = flat(0, coeffs[n * n])
+    diffs = coeffs[n * n + 1:]
+    blocks = {g: np.stack(diffs[off[g]:off[g] + dim], axis=1)
+              for g, dim in aspace.dims if aspace.dim(g + 1)}
+    differential = GradedMap.build(aspace, aspace, 1, blocks, mode)
+    return make_algebra(aspace, differential, mul_table, unit, mode), rho
+
+
+def _columns(space: GradedVectorSpace, degree: int, ops: list[GradedMap],
+             mode: str) -> np.ndarray:
+    """One column per operator of the given degree: its entries, block by block."""
+    rows = sum(space.dim(d + degree) * n for d, n in space.dims)
+    out = zeros_matrix(rows, len(ops), mode)
+    for c, m in enumerate(ops):
+        cells = [m.block(d).reshape(-1) for d, _ in space.dims
+                 if space.dim(d + degree)]
+        if cells:
+            out[:, c] = np.concatenate(cells)
+    return out
+
+
+def _dependent(degree: int) -> InputError:
+    return InputError(
+        f"the declared operators of degree {degree} are linearly dependent")
+
+
+def _expand_exact(space: GradedVectorSpace, by_deg: dict[int, list[GradedMap]],
+                  operators) -> list[np.ndarray]:
+    """Coefficients of each (label, operator) over the basis of its degree,
+    all operators of one degree solved in one elimination."""
+    labels: list[str] = []
+    jobs: dict[int, list[tuple[int, GradedMap]]] = {}
+    for label, m in operators:
+        jobs.setdefault(m.degree, []).append((len(labels), m))
+        labels.append(label)
+    out: list[np.ndarray] = [None] * len(labels)
+    escaped: list[int] = []
+    for g in sorted(set(by_deg) | set(jobs)):
+        todo = jobs.get(g, [])
+        basis = _columns(space, g, by_deg.get(g, []), EXACT)
+        rhs = _columns(space, g, [m for _, m in todo], EXACT)
+        try:
+            x, unsolved = solve_exact(basis, rhs)
+        except ShapeError as exc:
+            raise _dependent(g) from exc
+        escaped += [todo[j][0] for j in unsolved]
+        for j, (idx, _) in enumerate(todo):
+            out[idx] = x[:, j]
+    if escaped:
+        raise ClosureError(f"{labels[min(escaped)]} is not in the span of "
+                           "the declared operators")
+    return out
+
+
+def _expand_float(space: GradedVectorSpace, by_deg: dict[int, list[GradedMap]],
+                  operators, tol: float) -> list[np.ndarray]:
+    """Coefficients of each (label, operator) over the basis of its degree,
+    through a pseudo-inverse factored once per degree; operators are
+    expanded one at a time as they are produced."""
+    factors = {}
+    for g, ops in by_deg.items():
+        basis = _columns(space, g, ops, FLOAT)
+        u, s, vh = np.linalg.svd(basis, full_matrices=False)
+        if float_rank(s, tol) < len(ops):
+            raise _dependent(g)
+        factors[g] = (basis, vh.conj().T @ (u.conj().T / s[:, None]))
+    out = []
+    for label, m in operators:
+        v = _columns(space, m.degree, [m], FLOAT)[:, 0]
+        basis, pinv = factors.get(
+            m.degree, (np.zeros((v.size, 0)), np.zeros((0, v.size))))
+        x = pinv @ v
+        if v.size and np.max(np.abs(basis @ x - v)) > AMBIGUITY_BAND * tol:
+            raise ClosureError(
+                f"{label} is not in the span of the declared operators")
+        out.append(x)
+    return out
 
 
 @dataclass(frozen=True)
@@ -665,16 +778,6 @@ class EndoAlgebra:
     maps: tuple[GradedMap, ...]
     entries: tuple[tuple[int, int, int, int], ...]
 
-    def as_map(self, coeffs: np.ndarray) -> GradedMap:
-        acc = None
-        for k, c in enumerate(coeffs):
-            if _nz(c):
-                term = self.maps[k].scale(c)
-                acc = term if acc is None else acc + term
-        if acc is None:
-            return GradedMap.zero(self.space, self.space, 0, self.algebra.mode)
-        return acc
-
     def expand(self, m: GradedMap) -> np.ndarray:
         """Flat coefficients of a homogeneous endomorphism over the basis."""
         out = self.algebra._zero_vec()
@@ -743,46 +846,22 @@ def endomorphism_algebra(space: GradedVectorSpace, q: GradedMap | None,
         for i in range(space.dim(p)):
             unit[pos[(p, i, p, i)]] = one_scalar(mode)
 
-    diff_blocks: dict[int, np.ndarray] = {}
-    if q is not None:
-        cols: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for k, (sd, i, td, j) in enumerate(order):
-            g = td - sd
-            dmap = supercommutator(q, maps[k])
-            vec = zero_vec()
-            for (sd2, i2, td2, j2), k2 in pos.items():
-                if td2 - sd2 != g + 1:
-                    continue
-                vec[k2] = dmap.block(sd2)[j2, i2] if space.dim(sd2) and \
-                    space.dim(td2) else zero_scalar(mode)
-            cols.setdefault(g, []).append((_index_in_degree(order, k), vec))
-        off = {}
-        o = 0
-        for g in sorted(dims):
-            off[g] = o
-            o += dims[g]
-        for g, colvals in cols.items():
-            if dims.get(g + 1, 0) == 0:
-                continue
-            m = zeros_matrix(dims[g + 1], dims[g], mode)
-            for col_idx, vec in colvals:
-                m[:, col_idx] = vec[off[g + 1]:off[g + 1] + dims[g + 1]]
-            diff_blocks[g] = m
-    differential = GradedMap.build(aspace, aspace, 1, diff_blocks, mode)
-    algebra = make_algebra(aspace, differential, mul_table, unit, mode)
-    return EndoAlgebra(algebra=algebra, space=space, maps=tuple(maps),
+    algebra = make_algebra(aspace, GradedMap.zero(aspace, aspace, 1, mode),
+                           mul_table, unit, mode)
+    endo = EndoAlgebra(algebra=algebra, space=space, maps=tuple(maps),
                        entries=tuple(order))
-
-
-def _index_in_degree(order: list[tuple[int, int, int, int]], k: int) -> int:
-    sd, i, td, j = order[k]
-    g = td - sd
-    idx = 0
-    for kk in range(k):
-        sd2, _, td2, _ = order[kk]
-        if td2 - sd2 == g:
-            idx += 1
-    return idx
+    if q is None:
+        return endo
+    off = algebra.flat_offsets()
+    blocks = {}
+    for g, dim in aspace.dims:
+        rows = aspace.dim(g + 1)
+        if rows:
+            blocks[g] = np.stack(
+                [endo.expand(supercommutator(q, maps[off[g] + i]))
+                 [off[g + 1]:off[g + 1] + rows] for i in range(dim)], axis=1)
+    differential = GradedMap.build(aspace, aspace, 1, blocks, mode)
+    return replace(endo, algebra=replace(algebra, differential=differential))
 
 
 def endomorphism_bundle(space: GradedVectorSpace, q: GradedMap,

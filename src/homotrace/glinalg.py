@@ -241,22 +241,6 @@ class GradedMap:
     def max_abs(self) -> float:
         return max((max_abs(m) for _, m in self.blocks), default=0.0)
 
-    def conj_transpose(self) -> "GradedMap":
-        """Adjoint w.r.t. the standard bases (entrywise conjugate transpose)."""
-        from homotrace.scalars import conj_scalar
-        blocks = {}
-        for d, m in self.blocks:
-            rows, cols = m.shape
-            mt = zeros_matrix(cols, rows, self.mode)
-            for i in range(rows):
-                for j in range(cols):
-                    mt[j, i] = conj_scalar(m[i, j])
-            blocks[d + self.degree] = mt
-        return GradedMap.build(self.target, self.source, -self.degree, blocks, self.mode)
-
-    def apply(self, degree: int, vector: np.ndarray) -> np.ndarray:
-        return self.block(degree) @ vector
-
     def supertrace(self):
         """Sum over degrees of (-1)^d tr(diagonal block); needs degree 0."""
         if self.degree != 0:
@@ -387,17 +371,23 @@ def invert_exact(matrix: np.ndarray) -> np.ndarray:
     return r[:, n:]
 
 
-def solve_exact(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """One solution of matrix @ x = rhs over exact scalars, or None."""
-    rows, cols = matrix.shape
-    aug = np.concatenate([matrix, rhs.reshape(rows, 1)], axis=1)
-    r, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = zeros_matrix(cols, 1, EXACT)[:, 0]
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, cols]
-    return x
+def solve_exact(matrix: np.ndarray, rhs: np.ndarray
+                ) -> tuple[np.ndarray, list[int]]:
+    """Solve matrix @ X = rhs over exact scalars with one elimination.
+
+    ``rhs`` holds one right-hand side per column.  The columns of
+    ``matrix`` must be linearly independent (ShapeError otherwise), so each
+    solvable column has exactly one solution.  Returns X and the indices
+    of the columns of ``rhs`` outside the column span of ``matrix``; their
+    columns of X are meaningless.
+    """
+    cols = matrix.shape[1]
+    r, pivots = rref(np.concatenate([matrix, rhs], axis=1))
+    rank = sum(1 for p in pivots if p < cols)
+    if rank < cols:
+        raise ShapeError("matrix columns are linearly dependent")
+    unsolved = [j for j in range(rhs.shape[1]) if any(r[rank:, cols + j])]
+    return np.array(r[:cols, cols:]), unsolved
 
 
 def float_rank(svals: np.ndarray, tol: float) -> int:

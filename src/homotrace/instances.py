@@ -25,6 +25,7 @@ import numpy as np
 from homotrace.dgcore import (
     DgModuleBundle,
     Splitting,
+    algebra_from_operators,
     build_splitting_hodge,
     build_splitting_projector,
     check_splitting,
@@ -47,40 +48,6 @@ MAX_TOTAL_DIM = 64
 MAX_RANDOM_DIM = 12
 DEFAULT_ORDER_CAP = 2
 DEFAULT_CLOSURE_BOUND = 48
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Parameters for the CLI generator; bounds validated on construction."""
-
-    kind: str  # "matrix" | "torus" | "random"
-    scalar: str = EXACT
-    dims: tuple[tuple[int, int], ...] = ()
-    preset: str | None = None
-    truncation: int = 1
-    tau: tuple[Fraction, Fraction] = (Fraction(0), Fraction(1))
-    seed: int = 0
-    order_cap: int = DEFAULT_ORDER_CAP
-    nilpotency: int = 2
-
-    def __post_init__(self):
-        if self.kind not in ("matrix", "torus", "random"):
-            raise InputError(f"unknown instance kind {self.kind!r}")
-        if self.kind == "torus":
-            total = 2 * (2 * self.truncation + 1) ** 2
-            if self.truncation < 1:
-                raise InputError("truncation must be >= 1")
-        elif self.kind == "random":
-            total = sum(n for _, n in self.dims)
-            if total > MAX_RANDOM_DIM:
-                raise InputError(
-                    f"random instances are capped at total dimension "
-                    f"{MAX_RANDOM_DIM}, got {total}")
-        else:
-            total = sum(n for _, n in self.dims)
-        if total > MAX_TOTAL_DIM:
-            raise InputError(
-                f"total dimension {total} exceeds the cap {MAX_TOTAL_DIM}")
 
 
 @dataclass
@@ -183,9 +150,12 @@ def torus_instance(truncation: int, tau: complex | tuple = 1j,
     diagonally and preserve the truncation exactly).  Named elements give
     the constant-coefficient derivative powers up to the order cap.
     """
-    spec = InstanceSpec(kind="torus", scalar=FLOAT, truncation=truncation,
-                        order_cap=order_cap)
-    n_side = 2 * truncation + 1
+    total = 2 * (2 * truncation + 1) ** 2
+    if truncation < 1:
+        raise InputError("truncation must be >= 1")
+    if total > MAX_TOTAL_DIM:
+        raise InputError(
+            f"total dimension {total} exceeds the cap {MAX_TOTAL_DIM}")
     if isinstance(tau, tuple):
         tau = complex(float(tau[0]), float(tau[1]))
     tau = complex(tau)
@@ -260,8 +230,8 @@ def torus_element(instance: Instance, order: int) -> tuple[int, np.ndarray]:
 # Random exact instances
 
 
-def _random_square_zero(rng: random.Random, space: GradedVectorSpace,
-                        levels: int) -> GradedMap:
+def _random_square_zero(rng: random.Random, space: GradedVectorSpace
+                        ) -> GradedMap:
     """Q from a random two-role basis split (sources map to targets only),
     conjugated by a random rational change of basis."""
     role = {d: [rng.random() < 0.5 for _ in range(n)] for d, n in space.dims}
@@ -375,15 +345,16 @@ def to_float_instance(instance: Instance, tol: float = DEFAULT_TOL) -> Instance:
 
 
 def random_instance(seed: int, dims: dict[int, int],
-                    nilpotency: int = 2,
                     closure_bound: int = DEFAULT_CLOSURE_BOUND) -> Instance:
     """Deterministic exact bundle from a seed: random square-zero Q and a
     random unital operator subalgebra closed under d and product."""
-    spec = InstanceSpec(kind="random", dims=tuple(sorted(dims.items())),
-                        seed=seed, nilpotency=nilpotency)
+    total = sum(dims.values())
+    if total > MAX_RANDOM_DIM:
+        raise InputError(f"random instances are capped at total dimension "
+                         f"{MAX_RANDOM_DIM}, got {total}")
     rng = random.Random(seed)
     space = GradedVectorSpace.make(dims)
-    q = _random_square_zero(rng, space, nilpotency)
+    q = _random_square_zero(rng, space)
 
     degrees = space.degrees()
     gens = []
@@ -399,51 +370,15 @@ def random_instance(seed: int, dims: dict[int, int],
         gens.append(GradedMap.build(space, space, d_tgt - d_src,
                                     {d_src: b}, EXACT))
     basis_maps = _closure(space, q, gens, closure_bound)
-
-    # group by degree, deterministic order
-    by_degree: dict[int, list[GradedMap]] = {}
+    names, count = [], {}
     for m in basis_maps:
-        by_degree.setdefault(m.degree, []).append(m)
-    adims = {g: len(v) for g, v in by_degree.items()}
-    alabels = {g: [f"b{g}_{i}" for i in range(len(v))]
-               for g, v in by_degree.items()}
-    aspace = GradedVectorSpace.make(adims, alabels)
-    ordered: list[GradedMap] = []
-    for g in sorted(by_degree):
-        ordered.extend(by_degree[g])
-    n = len(ordered)
-    flat_cols = np.stack([_flatten(space, m) for m in ordered], axis=1)
-
-    from homotrace.glinalg import solve_exact, supercommutator
-
-    def expand(m: GradedMap) -> np.ndarray:
-        sol = solve_exact(flat_cols, _flatten(space, m))
-        if sol is None:
-            raise ClosureError("operator escaped the closed span")
-        return sol
-
-    mul_table = [[expand(compose(ordered[i], ordered[j])) for j in range(n)]
-                 for i in range(n)]
-    unit = expand(GradedMap.identity(space, EXACT))
-    off = {}
-    o = 0
-    for g in sorted(adims):
-        off[g] = o
-        o += adims[g]
-    diff_blocks = {}
-    for g in sorted(adims):
-        if adims.get(g + 1, 0) == 0:
-            continue
-        mcols = zeros_matrix(adims[g + 1], adims[g], EXACT)
-        for i in range(adims[g]):
-            vec = expand(supercommutator(q, ordered[off[g] + i]))
-            mcols[:, i] = vec[off[g + 1]:off[g + 1] + adims[g + 1]]
-        diff_blocks[g] = mcols
-    differential = GradedMap.build(aspace, aspace, 1, diff_blocks, EXACT)
-    algebra = make_algebra(aspace, differential, mul_table, unit, EXACT)
-    bundle = DgModuleBundle(algebra=algebra, space=space, q=q,
-                            rho=tuple(ordered), mode=EXACT)
+        i = count.get(m.degree, 0)
+        count[m.degree] = i + 1
+        names.append(f"b{m.degree}_{i}")
+    algebra, rho = algebra_from_operators(space, q, basis_maps, names, EXACT)
+    bundle = DgModuleBundle(algebra=algebra, space=space, q=q, rho=rho,
+                            mode=EXACT)
     splitting = build_splitting_projector(space, q)
     return _validated(bundle, splitting, _identity_element(bundle),
                       {"kind": "random", "seed": seed, "dims": dict(dims),
-                       "algebra_dim": n})
+                       "algebra_dim": len(rho)})

@@ -2,31 +2,27 @@
 
 Exact rationals are encoded as numerator/denominator strings, Gaussian
 rationals as {"re", "im"} string pairs, floats as JSON numbers (repr
-round-trip), complex values as [re, im] pairs.  Products are stored
-optionally; when absent they are recomputed by composing the named
-operators and expanding in the operator basis, and generation fails if an
-operator escapes the span.
+round-trip), complex values as [re, im] pairs.  Files carry the operators
+only ("products" and "splitting" stay null): loading derives the
+structure constants, unit and differential from the operators
+(``algebra_from_operators``) and fails if one escapes their span.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
-
 from homotrace.dgcore import (
     DgModuleBundle,
+    algebra_from_operators,
     build_splitting_hodge,
     build_splitting_projector,
-    make_algebra,
 )
-from homotrace.errors import ClosureError, InputError
+from homotrace.errors import InputError
 from homotrace.glinalg import (
     GradedMap,
     GradedVectorSpace,
     compose,
-    solve_exact,
-    supercommutator,
     zeros_matrix,
 )
 from homotrace.hochschild import HochschildChain
@@ -111,18 +107,6 @@ def _map_from_triplets(space: GradedVectorSpace, degree: int, trips: list,
     return GradedMap.build(space, space, degree, blocks, mode)
 
 
-def _expand_in_span(flat_cols: np.ndarray, vec: np.ndarray, mode: str,
-                    tol: float):
-    if mode == EXACT:
-        return solve_exact(flat_cols, vec)
-    sol, res, _, _ = np.linalg.lstsq(flat_cols.astype(complex),
-                                     vec.astype(complex), rcond=None)
-    err = np.max(np.abs(flat_cols @ sol - vec)) if vec.size else 0.0
-    if err > 100 * tol:
-        return None
-    return sol
-
-
 def instance_from_dict(data: dict, tol: float = DEFAULT_TOL) -> Instance:
     if data.get("format") != INSTANCE_FORMAT:
         raise InputError(f"not an instance file (format {data.get('format')!r})")
@@ -138,91 +122,16 @@ def instance_from_dict(data: dict, tol: float = DEFAULT_TOL) -> Instance:
     if not compose(q, q).is_zero(None if mode == EXACT else tol):
         raise InputError("Q-squared: differential does not square to zero")
 
-    names, degrees, maps = [], [], []
+    if data.get("products"):
+        raise InputError("explicit products in files are not supported; "
+                         "omit the field to derive them from the operators")
+    names, maps = [], []
     for name, deg, trips in data["algebra"]:
         names.append(name)
-        degrees.append(int(deg))
         maps.append(_map_from_triplets(space, int(deg), trips, mode))
-    by_deg: dict[int, list[int]] = {}
-    for idx, g in enumerate(degrees):
-        by_deg.setdefault(g, []).append(idx)
-    adims = {g: len(v) for g, v in by_deg.items()}
-    alabels = {g: [names[i] for i in v] for g, v in by_deg.items()}
-    aspace = GradedVectorSpace.make(adims, alabels)
-    order: list[int] = []
-    for g in sorted(by_deg):
-        order.extend(by_deg[g])
-    ordered_maps = [maps[i] for i in order]
-    ordered_names = [names[i] for i in order]
-    n = len(order)
-
-    from homotrace.instances import _flatten
-    if mode == EXACT:
-        flat_cols = np.stack([_flatten(space, m) for m in ordered_maps], axis=1)
-    else:
-        flat_cols = np.stack(
-            [np.asarray([complex(x) for x in _flatten(space, m)])
-             for m in ordered_maps], axis=1)
-
-    def expand_map(m: GradedMap, what: str) -> np.ndarray:
-        vec = _flatten(space, m)
-        if mode == FLOAT:
-            vec = np.asarray([complex(x) for x in vec])
-        sol = _expand_in_span(flat_cols, vec, mode, tol)
-        if sol is None:
-            raise ClosureError(
-                f"{what} is not in the span of the declared operators")
-        return sol
-
-    explicit = {}
-    for row in (data.get("products") or []):
-        ni, nj, coords = row
-        vec = np.zeros(n, dtype=complex) if mode == FLOAT else \
-            zeros_matrix(n, 1, EXACT)[:, 0]
-        for bname, enc in coords:
-            if bname not in ordered_names:
-                raise InputError(f"unknown operator {bname!r} in products")
-            vec[ordered_names.index(bname)] = decode_value(enc, mode)
-        explicit[(ni, nj)] = vec
-
-    mul_table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            key = (ordered_names[i], ordered_names[j])
-            if key in explicit:
-                row.append(explicit[key])
-            else:
-                row.append(expand_map(compose(ordered_maps[i], ordered_maps[j]),
-                                      f"product {key[0]}*{key[1]}"))
-        mul_table.append(row)
-    unit = expand_map(GradedMap.identity(space, mode), "the identity operator")
-
-    off = {}
-    o = 0
-    for g in sorted(adims):
-        off[g] = o
-        o += adims[g]
-    diff_blocks = {}
-    for g in sorted(adims):
-        if adims.get(g + 1, 0) == 0:
-            for i in range(adims[g]):
-                d_map = supercommutator(q, ordered_maps[off[g] + i])
-                if not d_map.is_zero(None if mode == EXACT else tol):
-                    raise ClosureError(
-                        f"differential of {ordered_names[off[g] + i]} leaves "
-                        "the declared degrees")
-            continue
-        blk = zeros_matrix(adims[g + 1], adims[g], mode)
-        for i in range(adims[g]):
-            vec = expand_map(supercommutator(q, ordered_maps[off[g] + i]),
-                             f"differential of {ordered_names[off[g] + i]}")
-            blk[:, i] = vec[off[g + 1]:off[g + 1] + adims[g + 1]]
-        diff_blocks[g] = blk
-    differential = GradedMap.build(aspace, aspace, 1, diff_blocks, mode)
-    algebra = make_algebra(aspace, differential, mul_table, unit, mode)
-    bundle = DgModuleBundle(algebra=algebra, space=space, q=q,
-                            rho=tuple(ordered_maps), mode=mode)
+    algebra, rho = algebra_from_operators(space, q, maps, names, mode, tol)
+    bundle = DgModuleBundle(algebra=algebra, space=space, q=q, rho=rho,
+                            mode=mode)
 
     if data.get("splitting"):
         raise InputError("explicit splittings in files are not supported yet; "
@@ -236,9 +145,10 @@ def instance_from_dict(data: dict, tol: float = DEFAULT_TOL) -> Instance:
     for name, deg, coords in (data.get("elements") or []):
         vec = algebra._zero_vec()
         for bname, enc in coords:
-            if bname not in ordered_names:
+            k = algebra.flat_by_name(bname)
+            if k is None:
                 raise InputError(f"unknown operator {bname!r} in element {name!r}")
-            vec[ordered_names.index(bname)] = decode_value(enc, mode)
+            vec[k] = decode_value(enc, mode)
         elements[name] = (int(deg), vec)
     meta = dict(data.get("meta") or {})
     return _validated(bundle, splitting, elements, meta,

@@ -73,8 +73,7 @@ def transferred_trace(chain: HochschildChain, f: AInfinityMorphism):
     endo = target_algebra(f)
     relevant = HochschildChain.zero(chain.algebra)
     for flats, c in chain.terms.items():
-        if chain.algebra is not None and \
-                sum(chain.algebra.basis_degree(x) for x in flats) == len(flats) - 1:
+        if sum(chain.algebra.basis_degree(x) for x in flats) == len(flats) - 1:
             relevant.add_term(flats, c)
     return canonical_supertrace(push_chain(relevant, f), endo)
 

@@ -1,9 +1,11 @@
 """Chain complex identities: the differential, the cyclic structure, and the
 transferred push-forward as a chain map."""
 
+import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +20,8 @@ from homotrace.hochschild import (
     push_chain,
     target_algebra,
 )
-from homotrace.instances import random_instance
+from homotrace.instances import random_instance, to_float_instance
+from homotrace.scalars import DEFAULT_TOL
 from homotrace.traces import canonical_supertrace
 from homotrace.transfer import transferred_morphism
 
@@ -191,6 +194,22 @@ def test_chain_map_property_random_instances():
             rep = chain_map_defect(
                 HochschildChain.of(alg, random_term(rng, alg, k)), f)
             assert rep.passed
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known defect: in float mode the push-forward is not a chain map "
+    "on random seed 7 (47 of 399 basis chains of length <= 3 fail, worst "
+    "defect coefficient 50.9); the exact instance passes on all of them")
+def test_chain_map_float_random_instance():
+    inst = to_float_instance(random_instance(7, {0: 2, 1: 2}))
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    alg = inst.bundle.algebra
+    failed = [flats for k in (1, 2, 3)
+              for flats in itertools.product(range(alg.n_basis), repeat=k)
+              if not chain_map_defect(HochschildChain.of(alg, flats), f,
+                                      DEFAULT_TOL).passed]
+    assert failed == []
 
 
 def test_chain_map_property_torus(torus1, torus_morphism):

@@ -8,7 +8,6 @@ import pytest
 from homotrace.dgcore import cohomology, euler_characteristic, validate_bundle
 from homotrace.errors import CapError, InputError
 from homotrace.instances import (
-    InstanceSpec,
     matrix_instance,
     random_instance,
     to_float_instance,
@@ -73,11 +72,11 @@ def test_random_instance_dimension_bound():
         random_instance(1, {0: 8, 1: 8})
 
 
-def test_instance_spec_bounds():
+def test_torus_instance_bounds():
     with pytest.raises(InputError):
-        InstanceSpec(kind="torus", truncation=4)  # 2*(9)^2 = 162 > 64
+        torus_instance(4)  # 2*(9)^2 = 162 > 64
     with pytest.raises(InputError):
-        InstanceSpec(kind="nonsense")
+        torus_instance(0)
 
 
 def test_torus_mode_counts_and_cohomology():

@@ -1,12 +1,13 @@
 """File formats: round trips, product recomputation, rejection of bad input."""
 
 import json
+import re
 
 import pytest
 
-from homotrace.errors import InputError
+from homotrace.errors import ClosureError, InputError
 from homotrace.hochschild import HochschildChain
-from homotrace.instances import random_instance
+from homotrace.instances import random_instance, to_float_instance
 from homotrace.serialize import (
     instance_to_dict,
     load_chains,
@@ -67,6 +68,20 @@ def test_random_instance_round_trip(tmp_path):
         assert f0.on_basis((i,)).equals(f1.on_basis((i,)))
 
 
+def test_float_random_round_trip(tmp_path):
+    """A float file written from a random instance loads again, and each
+    product has coefficients only in its own degree."""
+    path = tmp_path / "r7f.json"
+    save_instance(to_float_instance(random_instance(7, {0: 2, 1: 2})),
+                  str(path))
+    alg = load_instance(str(path)).bundle.algebra
+    for i in range(alg.n_basis):
+        for j in range(alg.n_basis):
+            degree = alg.basis_degree(i) + alg.basis_degree(j)
+            assert all(c == 0 for k, c in enumerate(alg.mul_flat(i, j))
+                       if alg.basis_degree(k) != degree)
+
+
 def test_rejects_wrong_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format": "other/1"}))
@@ -88,16 +103,33 @@ def test_rejects_broken_differential(tmp_path, t1):
         load_instance(str(path))
 
 
-def test_rejects_unclosed_algebra(tmp_path, t1):
-    data = instance_to_dict(t1)
-    # keep only a single non-unital operator: products escape the span
-    keep = [row for row in data["algebra"] if row[0] == "E[e2<-e1]"]
-    data["algebra"] = keep
+def _t1_dict(t1, mode: str) -> dict:
+    data = instance_to_dict(t1 if mode == "exact" else to_float_instance(t1))
     data["elements"] = []
+    return data
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_rejects_unclosed_algebra(tmp_path, t1, mode):
+    data = _t1_dict(t1, mode)
+    # E[e2<-e1] E[e1<-e2] = E[e2<-e2], which is not declared
+    data["algebra"] = [row for row in data["algebra"]
+                       if row[0] in ("E[e2<-e1]", "E[e1<-e2]")]
     path = tmp_path / "unclosed.json"
     path.write_text(json.dumps(data))
-    from homotrace.errors import ClosureError
-    with pytest.raises(ClosureError):
+    with pytest.raises(ClosureError,
+                       match=re.escape("product E[e2<-e1]*E[e1<-e2]")):
+        load_instance(str(path))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_rejects_dependent_operators(tmp_path, t1, mode):
+    data = _t1_dict(t1, mode)
+    _, deg, trips = data["algebra"][1]
+    data["algebra"].append(["copy", deg, trips])
+    path = tmp_path / "dependent.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(InputError, match="linearly dependent"):
         load_instance(str(path))
 
 
