@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from homotrace.dgcore import check_splitting, cohomology, validate_bundle
 from homotrace.errors import HomotraceError, InputError, QuadratureBudgetError
+from homotrace.glinalg import AMBIGUITY_BAND
 from homotrace.hochschild import HochschildChain, chain_map_defect
 from homotrace.instances import (
     Instance,
@@ -112,7 +113,7 @@ def _verify_checks(inst: Instance, args) -> list[dict]:
             else:
                 worst = max(worst, defect.max_abs())
     if tol is not None:
-        ok = worst <= 100 * tol
+        ok = worst <= AMBIGUITY_BAND * tol
     checks.append({"name": f"ainfinity/defects-k<= {args.max_arity}",
                    "passed": ok,
                    "detail": "" if tol is None else f"max {worst:.3e}"})

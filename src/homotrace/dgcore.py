@@ -644,13 +644,13 @@ def build_splitting_hodge(space: GradedVectorSpace, q: GradedMap,
         scale = max(1.0, float(vals[-1]) if nd else 1.0)
         for v in vals:
             rel = abs(float(v)) / scale
-            if tol < rel <= 100 * tol:
+            if tol < rel <= AMBIGUITY_BAND * tol:
                 raise SpectralGapError(
                     f"Laplacian eigenvalue {v:.3e} in degree {d} is too close "
                     f"to zero to classify at tolerance {tol:.1e}")
         eig[d] = (vals, vecs)
         for v in vals:
-            if abs(float(v)) / scale > 100 * tol:
+            if abs(float(v)) / scale > AMBIGUITY_BAND * tol:
                 lambda1 = float(v) if lambda1 is None else min(lambda1, float(v))
 
     pi0_b, pi1_b, kappa_b, delta_b, hom_b = {}, {}, {}, {}, {}

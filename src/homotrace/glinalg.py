@@ -319,6 +319,22 @@ def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
     return GradedMap.build(src, tgt, deg, blocks, mode)
 
 
+def bar_signs(degrees) -> list[tuple[int, int]]:
+    """Koszul signs of the shifted bar word b_1 ... b_m, one pair per slot.
+
+    sigma_i = (-1)^(sum_{l<i} (deg b_l - 1)) is the passage sign of an odd
+    map moved to slot i (the differential insertion); sigma_i (-1)^(deg
+    b_i) is the sign of cutting after slot i (the merge b_i b_{i+1}, or
+    the split into b_1..b_i and b_{i+1}..b_m).
+    """
+    out, sigma = [], 1
+    for d in degrees:
+        own = sigma if d % 2 == 0 else -sigma
+        out.append((sigma, own))
+        sigma = -own
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Plain-matrix elimination helpers
 

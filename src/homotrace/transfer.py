@@ -6,15 +6,19 @@ it in closed form or by adaptive quadrature over the compactified gap
 cube (chart t = sigma/(1-sigma)), and checks the transferred morphism's
 coherence relations.
 
-Sign conventions are frozen (see the sign table below) and verified
-exhaustively by the test suite in exact arithmetic:
+Signs.  In chain order the transferred component is
 
-* top-coefficient Koszul factor eps(k, degrees) =
-  (-1)^(k-1) * (-1)^(sum_{j>=2} (j-1) deg a_j)
-* the coherence relation carries suffix-Koszul signs on differential
-  terms, (-1)^(i-1) on slot merges (merged slot is a_{i+1} a_i: the later
-  input acts after the earlier one), and
-  (-1)^((i-1)(1 + sum_{j>i} deg a_j)) on the split/composition terms.
+  f_m(b_1, ..., b_m) = p rho(b_1) h rho(b_2) ... h rho(b_m) i
+
+(``AInfinityMorphism.on_basis``), with no sign of its own.  Moving Q
+through it with {Q, h} = 1 - ip, pQ = 0 and Qi = 0 gives the bar relation
+f b - b f = 0 with the two Koszul signs of ``glinalg.bar_signs``, the same
+ones the Hochschild differential uses (``ainfinity_defect``).  The integral
+over the gap cube gives the word acting right to left, a_1 first
+(``transfer_closed``, ``transfer_quadrature``), times its top-coefficient
+sign eps(k, degrees) = (-1)^(k-1) * (-1)^(sum_{j>=2} (j-1) deg a_j); that
+is the only normalisation, and ``on_basis`` reverses the word and divides
+it out.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import numpy as np
 
 from homotrace.dgcore import DgModuleBundle, Splitting
 from homotrace.errors import ShapeError
-from homotrace.glinalg import GradedMap, GradedVectorSpace, compose
+from homotrace.glinalg import GradedMap, GradedVectorSpace, bar_signs, compose
 from homotrace.quadrature import DEFAULT_BUDGET, DEFAULT_ORDER, integrate_cube
 from homotrace.scalars import EXACT, FLOAT, one_scalar
 
@@ -121,29 +125,18 @@ class PropagatorCache:
         if t < 0:
             raise ShapeError(f"propagator needs t >= 0, got {t}")
         space = self.space
+        if math.isinf(t):
+            return self.pi0, GradedMap.zero(space, space, -1, FLOAT)
         if self.kind == "projector":
-            if math.isinf(t):
-                even = self.pi0
-                odd = GradedMap.zero(space, space, -1, FLOAT)
-            else:
-                w = math.exp(-t)
-                even = self.pi0 + self.pi1.scale(complex(w))
-                odd = self.kappa.scale(complex(-w))
-            return even, odd
+            w = math.exp(-t)
+            return (self.pi0 + self.pi1.scale(complex(w)),
+                    self.kappa.scale(complex(-w)))
         blocks = {}
         for d, (vals, vecs) in self.eig.items():
-            if math.isinf(t):
-                w = np.array([1.0 if v <= 0 else 0.0 for v in vals])
-            else:
-                w = np.exp(-t * np.clip(vals, 0.0, None))
+            w = np.exp(-t * np.clip(vals, 0.0, None))
             blocks[d] = vecs @ np.diag(w.astype(complex)) @ vecs.conj().T
         even = GradedMap.build(space, space, 0, blocks, FLOAT)
-        if math.isinf(t):
-            # decay kills the odd part: exp(-inf Delta) kappa = pi0 kappa = 0
-            odd = GradedMap.zero(space, space, -1, FLOAT)
-        else:
-            odd = compose(even, self.kappa).scale(complex(-1.0))
-        return even, odd
+        return even, compose(even, self.kappa).scale(complex(-1.0))
 
 
 def _to_float(f: GradedMap) -> GradedMap:
@@ -355,16 +348,24 @@ class AInfinityMorphism:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def on_basis(self, flats: tuple[int, ...]) -> GradedMap:
+        """f_m(b_1, ..., b_m) = p rho(b_1) h ... h rho(b_m) i, in chain order.
+
+        The integral gives the word acting right to left with its top
+        coefficient sign eps; both are undone here.
+        """
         got = self._cache.get(flats)
         if got is None:
+            word = list(reversed(flats))
             if self.method == "quadrature" and self.bundle.mode == FLOAT:
                 got, est = transfer_quadrature(
-                    list(flats), self.splitting, self.bundle,
-                    rel_tol=self.rel_tol, budget=self.budget,
-                    max_arity=max(4, len(flats)))
+                    word, self.splitting, self.bundle, rel_tol=self.rel_tol,
+                    budget=self.budget, max_arity=max(4, len(flats)))
                 self.quad_error += est
             else:
-                got = transfer_closed(list(flats), self.splitting, self.bundle)
+                got = transfer_closed(word, self.splitting, self.bundle)
+            a = self.bundle.algebra
+            got = got.scale(_epsilon([a.basis_degree(x) for x in word],
+                                     self.bundle.mode))
             self._cache[flats] = got
         return got
 
@@ -406,41 +407,29 @@ def transferred_morphism(bundle: DgModuleBundle, splitting: Splitting,
 
 def ainfinity_defect(f: AInfinityMorphism, inputs,
                      bundle: DgModuleBundle | None = None) -> GradedMap:
-    """Full coherence defect of the transferred components; zero iff the
-    relation at this arity holds on these inputs.
+    """The bar relation of f on the word b_1 ... b_m; zero iff it holds.
 
-    Terms: suffix-signed differential insertions, (-1)^(i-1)-signed
-    adjacent merges (merged slot a_{i+1} a_i), minus the signed
-    compositions F_{k-i} o F_i over the splits.
+    Moving Q through p rho(b_1) h ... h rho(b_m) i with {Q, h} = 1 - ip,
+    pQ = 0 and Qi = 0 gives, with (sigma_i, cut_i) from ``bar_signs``:
+
+      sum_i sigma_i f(.., d b_i, ..)
+        + sum_{i<m} cut_i [f(.., b_i b_{i+1}, ..) - f(b_1..b_i) f(b_{i+1}..b_m)]
     """
     bundle = bundle or f.bundle
     slots = [as_slot(bundle, x) for x in inputs]
-    k = len(slots)
-    degs = [s.degree for s in slots]
-    m0 = f.m0
-    out_deg = sum(degs) + 2 - k
-    total = GradedMap.zero(m0, m0, out_deg, bundle.mode)
-
-    for i in range(k):
-        suffix = sum(degs[i + 1:]) % 2
-        new_slots = list(slots)
-        new_slots[i] = _slot_diff(bundle, slots[i])
-        term = f.value(new_slots)
-        total = total + term.scale(one_scalar(bundle.mode) * ((-1) ** suffix))
-
-    for i in range(k - 1):
-        merged = _slot_mul(bundle, slots[i + 1], slots[i])
-        new_slots = slots[:i] + [merged] + slots[i + 2:]
-        term = f.value(new_slots)
-        total = total + term.scale(one_scalar(bundle.mode) * ((-1) ** i))
-
-    for i in range(1, k):
-        suffix = sum(degs[i:]) % 2
-        sign = (-1) ** ((i - 1) * (1 + suffix) % 2)
-        left = f.value(slots[i:])
-        right = f.value(slots[:i])
-        total = total - compose(left, right).scale(
-            one_scalar(bundle.mode) * sign)
+    m = len(slots)
+    one = one_scalar(bundle.mode)
+    total = GradedMap.zero(f.m0, f.m0, sum(s.degree for s in slots) + 2 - m,
+                           bundle.mode)
+    signs = bar_signs([s.degree for s in slots])
+    for i, (sigma, _) in enumerate(signs):
+        word = slots[:i] + [_slot_diff(bundle, slots[i])] + slots[i + 1:]
+        total = total + f.value(word).scale(one * sigma)
+    for i, (_, cut) in enumerate(signs[:-1]):
+        merged = _slot_mul(bundle, slots[i], slots[i + 1])
+        term = f.value(slots[:i] + [merged] + slots[i + 2:]) - compose(
+            f.value(slots[:i + 1]), f.value(slots[i + 1:]))
+        total = total + term.scale(one * cut)
     return total
 
 

@@ -19,6 +19,7 @@ from homotrace.hochschild import (
     hochschild_boundary,
     target_algebra,
 )
+from homotrace.instances import random_instance
 from homotrace.scalars import EXACT
 from homotrace.traces import (
     antisymmetrized_supertrace,
@@ -129,6 +130,24 @@ def test_trace_vanishes_on_boundaries_exact(t1, t1_morphism):
         if tested >= 60:
             break
     assert tested >= 40
+
+
+def test_trace_vanishes_on_boundaries_r11():
+    """The exact benchmark instance, whose cohomology has odd components."""
+    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
+    alg = inst.bundle.algebra
+    func = trace_functional(transferred_morphism(inst.bundle, inst.splitting))
+    rng = random.Random(11)
+    failed, tested = [], 0
+    while tested < 200:
+        k = rng.randint(2, 4)
+        flats = tuple(rng.randrange(alg.n_basis) for _ in range(k))
+        if sum(alg.basis_degree(x) for x in flats) != k - 2:
+            continue
+        tested += 1
+        if trace_defect(HochschildChain.of(alg, flats), func) != 0:
+            failed.append(flats)
+    assert failed == []
 
 
 def test_trace_vanishes_on_boundaries_float(torus1, torus_morphism):

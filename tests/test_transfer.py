@@ -11,7 +11,7 @@ import pytest
 from homotrace.errors import ShapeError
 from homotrace.glinalg import GradedMap, compose
 from homotrace.instances import random_instance, t1_instance, to_float_instance
-from homotrace.scalars import EXACT
+from homotrace.scalars import DEFAULT_TOL, EXACT
 from homotrace.transfer import (
     ConfigurationPoint,
     Slot,
@@ -36,6 +36,16 @@ def test_propagator_limits(t1):
     assert odd.is_zero()
     with pytest.raises(ShapeError):
         propagator(-1.0, s)
+
+
+def test_propagator_limit_at_infinity_is_pi0_laplacian():
+    """P(inf) is the splitting's pi0 for the Laplacian kind too."""
+    inst = to_float_instance(random_instance(9, {0: 2, 1: 2, 2: 1}))
+    s = inst.splitting
+    assert s.kind == "laplacian"
+    even, odd = propagator(math.inf, s)
+    assert (even - s.pi0).max_abs() <= DEFAULT_TOL
+    assert odd.is_zero()
 
 
 def test_propagator_generic_t_matches_series(t1):
@@ -107,6 +117,31 @@ def test_ainfinity_defect_zero_on_random_instances():
             for _ in range(15):
                 tup = [rng.randrange(n) for _ in range(k)]
                 assert ainfinity_defect(f, tup).is_zero()
+
+
+def test_on_basis_is_chain_order_component(t1, t1_morphism):
+    """f_m(b_1, ..., b_m) = p rho(b_1) h ... h rho(b_m) i, with no sign."""
+    s, rho = t1.splitting, t1.bundle.rho_flat
+    n = t1.bundle.algebra.n_basis
+    for flats in itertools.product(range(n), repeat=2):
+        a, b = flats
+        expect = compose(compose(compose(compose(
+            s.project, rho(a)), s.homotopy), rho(b)), s.include)
+        assert t1_morphism.on_basis(flats).equals(expect)
+
+
+def test_ainfinity_defect_detects_a_flipped_component(t1):
+    """Flipping the sign of one nonzero arity-2 component breaks the
+    relation, so a zero defect is not vacuous."""
+    f = transferred_morphism(t1.bundle, t1.splitting)
+    n = t1.bundle.algebra.n_basis
+    pairs = [p for p in itertools.product(range(n), repeat=2)
+             if not f.on_basis(p).is_zero()]
+    assert pairs
+    flipped = pairs[0]
+    f._cache[flipped] = f.on_basis(flipped).scale(Fraction(-1))
+    assert any(not ainfinity_defect(f, list(t)).is_zero()
+               for k in (2, 3) for t in itertools.product(range(n), repeat=k))
 
 
 def test_arity_one_defect_is_projected_chain_defect(t1, t1_morphism):
