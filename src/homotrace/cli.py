@@ -13,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 
-from homotrace.dgcore import check_splitting, cohomology, validate_bundle
+from homotrace.dgcore import cohomology
 from homotrace.errors import HomotraceError, InputError, QuadratureBudgetError
 from homotrace.glinalg import AMBIGUITY_BAND
 from homotrace.hochschild import HochschildChain, chain_map_defect
@@ -89,11 +89,10 @@ def _verify_checks(inst: Instance, args) -> list[dict]:
     rng = random.Random(args.seed)
     checks: list[dict] = []
 
-    rep = validate_bundle(inst.bundle, tol)
+    rep, srep = inst.validation
     for c in rep.checks:
         checks.append({"name": f"dg/{c.name}", "passed": c.passed,
                        "detail": c.witness or ""})
-    srep = check_splitting(inst.bundle.space, inst.bundle.q, inst.splitting, tol)
     for c in srep.checks:
         checks.append({"name": f"splitting/{c.name}", "passed": c.passed,
                        "detail": ""})
@@ -139,7 +138,7 @@ def _verify_checks(inst: Instance, args) -> list[dict]:
         if tol is None:
             ok = ok and not val
         else:
-            ok = ok and abs(complex(val)) <= 1e-8
+            ok = ok and abs(complex(val)) <= AMBIGUITY_BAND * tol
         tested += 1
         if tested >= 50:
             break
@@ -160,13 +159,14 @@ def _verify_checks(inst: Instance, args) -> list[dict]:
         if tol is None:
             ok = ok and ups == ind
         else:
-            ok = ok and abs(complex(ups) - complex(ind)) <= 1e-8
+            ok = ok and abs(complex(ups) - complex(ind)) <= AMBIGUITY_BAND * tol
     checks.append({"name": "traces/cohomology-oracle", "passed": ok,
                    "detail": ""})
 
     if inst.mode == FLOAT:
         ok = True
         detail = ""
+        rel_tol = AMBIGUITY_BAND * tol
         try:
             for k in (2, 3):
                 for _ in range(2):
@@ -174,9 +174,9 @@ def _verify_checks(inst: Instance, args) -> list[dict]:
                     closed = transfer_closed(tup, inst.splitting, inst.bundle)
                     quad, est = transfer_quadrature(
                         tup, inst.splitting, inst.bundle,
-                        rel_tol=1e-8, budget=args.quad_budget)
+                        rel_tol=rel_tol, budget=args.quad_budget)
                     rel = (quad - closed).max_abs() / (1.0 + closed.max_abs())
-                    if rel > 1e-6:
+                    if rel > AMBIGUITY_BAND * rel_tol:
                         ok = False
                         detail = f"relative error {rel:.3e}"
         except QuadratureBudgetError as exc:

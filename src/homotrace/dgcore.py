@@ -1,10 +1,11 @@
 """Dg algebras, dg modules with actions, axiom validation, and splittings.
 
-A ``DgAlgebra`` carries its product as structure constants over a
-homogeneous basis.  ``algebra_from_operators`` derives those constants,
-the unit and the differential from a basis of operators on a dg module.
-A ``DgModuleBundle`` couples an algebra to a module via the action rho
-(one graded map per basis operator).  ``Splitting`` realizes the
+A ``DgAlgebra`` carries its product as one structure-constant tensor over
+a homogeneous basis.  ``algebra_from_operators`` derives the tensor, the
+unit and the differential from a basis of operators on a dg module, and
+``validate_bundle`` checks the algebra axioms on every basis pair and
+triple.  A ``DgModuleBundle`` couples an algebra to a module via the action
+rho (one graded map per basis operator).  ``Splitting`` realizes the
 decomposition of the module into its cohomology part and an acyclic part,
 with contracting homotopy, in either projector or Laplacian normalization.
 """
@@ -12,6 +13,7 @@ with contracting homotopy, in either projector or Laplacian normalization.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -38,18 +40,19 @@ from homotrace.glinalg import (
     supercommutator,
     zeros_matrix,
 )
-from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, one_scalar
-
-ASSOCIATIVITY_SAMPLE_CAP = 4000
+from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, one_scalar,
+                               scalar_is_zero)
 
 
 @dataclass(frozen=True)
 class DgAlgebra:
-    """Unital dg algebra over a homogeneous named basis."""
+    """Unital dg algebra over a homogeneous named basis; ``mul`` is the
+    read-only (n, n, n) structure-constant tensor, mul[i, j] holding the
+    coefficients of e_i e_j over the flat basis."""
 
     space: GradedVectorSpace
     differential: GradedMap
-    mul: tuple[tuple[np.ndarray, ...], ...]
+    mul: np.ndarray
     unit: np.ndarray
     mode: str
 
@@ -87,7 +90,7 @@ class DgAlgebra:
 
     def mul_flat(self, i: int, j: int) -> np.ndarray:
         """Coefficients of e_i * e_j over the flat basis."""
-        return self.mul[i][j]
+        return self.mul[i, j]
 
     def diff_flat(self, i: int) -> np.ndarray:
         """Coefficients of d(e_i) over the flat basis."""
@@ -109,32 +112,21 @@ class DgAlgebra:
 
     def mul_vectors(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = self._zero_vec()
-        for i in range(self.n_basis):
-            if not _nz(a[i]):
-                continue
-            for j in range(self.n_basis):
-                if not _nz(b[j]):
-                    continue
-                out = out + (a[i] * b[j]) * self.mul[i][j]
+        right = np.flatnonzero(b)
+        for i in np.flatnonzero(a):
+            for j in right:
+                out = out + (a[i] * b[j]) * self.mul[i, j]
         return out
 
 
-def _nz(x) -> bool:
-    return bool(x) if not isinstance(x, complex) else x != 0
-
-
 def make_algebra(space: GradedVectorSpace, differential: GradedMap,
-                 mul_table: list[list[np.ndarray]], unit: np.ndarray,
-                 mode: str) -> DgAlgebra:
-    """Assemble the algebra from its structure constants (frozen copies)."""
-    frozen = tuple(tuple(_freeze_vec(v) for v in row) for row in mul_table)
-    return DgAlgebra(space, differential, frozen, _freeze_vec(unit), mode)
-
-
-def _freeze_vec(v: np.ndarray) -> np.ndarray:
-    v = np.array(v, copy=True)
-    v.setflags(write=False)
-    return v
+                 mul: np.ndarray, unit: np.ndarray, mode: str) -> DgAlgebra:
+    """Assemble the algebra from its (n, n, n) structure-constant tensor
+    and unit vector (read-only copies)."""
+    mul, unit = np.array(mul), np.array(unit)
+    mul.setflags(write=False)
+    unit.setflags(write=False)
+    return DgAlgebra(space, differential, mul, unit, mode)
 
 
 def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
@@ -188,14 +180,14 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
             v[off[degree]:off[degree] + c.size] = c
         return v
 
-    mul_table = [[flat(rho[i].degree + rho[j].degree, coeffs[i * n + j])
-                  for j in range(n)] for i in range(n)]
+    mul = np.stack([flat(rho[i].degree + rho[j].degree, coeffs[i * n + j])
+                    for i in range(n) for j in range(n)]).reshape(n, n, n)
     unit = flat(0, coeffs[n * n])
     diffs = coeffs[n * n + 1:]
     blocks = {g: np.stack(diffs[off[g]:off[g] + dim], axis=1)
               for g, dim in aspace.dims if aspace.dim(g + 1)}
     differential = GradedMap.build(aspace, aspace, 1, blocks, mode)
-    return make_algebra(aspace, differential, mul_table, unit, mode), rho
+    return make_algebra(aspace, differential, mul, unit, mode), rho
 
 
 def _columns(space: GradedVectorSpace, degree: int, ops: list[GradedMap],
@@ -286,9 +278,7 @@ class DgModuleBundle:
         """rho of a (flat) coefficient vector; degree of the combination."""
         deg = None
         acc = None
-        for k in range(self.algebra.n_basis):
-            if not _nz(coeffs[k]):
-                continue
+        for k in np.flatnonzero(coeffs):
             d = self.algebra.basis_degree(k)
             if deg is None:
                 deg = d
@@ -335,16 +325,14 @@ class ValidationReport:
         return out
 
 
-def _vec_zero(v: np.ndarray, tol: float | None) -> bool:
-    if tol is None:
-        return all(not _nz(x) for x in v)
-    return all(abs(complex(x)) <= tol for x in v)
-
-
-def validate_bundle(bundle: DgModuleBundle, tol: float | None = None,
-                    associativity_cap: int = ASSOCIATIVITY_SAMPLE_CAP
+def validate_bundle(bundle: DgModuleBundle, tol: float | None = None
                     ) -> ValidationReport:
-    """Check every dg-module axiom; failures are data, not errors."""
+    """Check every dg-module axiom; failures are data, not errors.
+
+    Leibniz, associativity and the unit hold on every basis pair or triple
+    (the witness is the first failing one), exactly or, with ``tol``, to
+    ``tol`` relative to the largest coefficient on either side (at least 1).
+    """
     if bundle.mode == FLOAT and tol is None:
         tol = DEFAULT_TOL
     a = bundle.algebra
@@ -363,50 +351,21 @@ def validate_bundle(bundle: DgModuleBundle, tol: float | None = None,
     checks.append(CheckResult("algebra-differential-squared", dd.is_zero(tol),
                               None if dd.is_zero(tol) else "d_A^2 != 0"))
 
-    n = a.n_basis
-    leib_wit = None
-    for i in range(n):
-        if leib_wit:
-            break
-        di = a.diff_flat(i)
-        sgn_i = (-1) ** (a.basis_degree(i) % 2)
-        for j in range(n):
-            dj = a.diff_flat(j)
-            lhs = _diff_vector(a, a.mul_flat(i, j))
-            rhs = a.mul_vectors(di, _unit_vec(a, j)) \
-                + sgn_i * a.mul_vectors(_unit_vec(a, i), dj)
-            if not _vec_zero(lhs - rhs, tol):
-                leib_wit = f"({a.basis_name(i)}, {a.basis_name(j)})"
-                break
-    checks.append(CheckResult("leibniz", leib_wit is None, leib_wit))
+    def names(key):
+        return key and "(" + ", ".join(map(a.basis_name, key)) + ")"
 
-    assoc_wit = None
-    triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
-    if len(triples) > associativity_cap:
-        rng = random.Random(0)
-        triples = rng.sample(triples, associativity_cap)
-    for i, j, k in triples:
-        lhs = a.mul_vectors(a.mul_flat(i, j), _unit_vec(a, k))
-        rhs = a.mul_vectors(_unit_vec(a, i), a.mul_flat(j, k))
-        if not _vec_zero(lhs - rhs, tol):
-            assoc_wit = f"({a.basis_name(i)}, {a.basis_name(j)}, {a.basis_name(k)})"
-            break
-    checks.append(CheckResult("associativity", assoc_wit is None, assoc_wit))
+    leib, assoc, unit = _algebra_failures(a, tol)
+    checks.append(CheckResult("leibniz", leib is None, names(leib)))
+    checks.append(CheckResult("associativity", assoc is None, names(assoc)))
 
-    unit_wit = None
-    for i in range(n):
-        left = a.mul_vectors(a.unit, _unit_vec(a, i))
-        right = a.mul_vectors(_unit_vec(a, i), a.unit)
-        e = _unit_vec(a, i)
-        if not (_vec_zero(left - e, tol) and _vec_zero(right - e, tol)):
-            unit_wit = a.basis_name(i)
-            break
+    unit_wit = None if unit is None else a.basis_name(unit)
     if unit_wit is None:
         rho_unit = bundle.unit_map()
         if not rho_unit.equals(GradedMap.identity(bundle.space, bundle.mode), tol):
             unit_wit = "rho(unit) != id"
     checks.append(CheckResult("unit", unit_wit is None, unit_wit))
 
+    n = a.n_basis
     chain_wit = None
     for i in range(n):
         lhs = bundle.rho_vector(a.diff_flat(i))
@@ -435,18 +394,72 @@ def _col_nz(m: np.ndarray, j: int, tol: float | None) -> bool:
     return any(abs(complex(m[i, j])) > (tol or 0) for i in range(m.shape[0]))
 
 
-def _unit_vec(a: DgAlgebra, k: int) -> np.ndarray:
-    v = a._zero_vec()
-    v[k] = one_scalar(a.mode)
-    return v
+def _algebra_failures(a: DgAlgebra, tol: float | None) -> tuple:
+    """The first failing basis pair (i, j) of the Leibniz rule, triple
+    (i, j, k) of associativity and element i of the unit law, or None.
+    Each side is contracted over the nonzero structure constants and
+    differential entries into a dict keyed by basis indices and output."""
+    n = a.n_basis
+    mul = _entries(a.mul)                    # e_i e_j = ... + c e_m
+    left = [[] for _ in range(n)]            # left[i]: (j, m, c)
+    right = [[] for _ in range(n)]           # right[j]: (i, m, c)
+    for i, j, m, c in mul:
+        left[i].append((j, m, c))
+        right[j].append((i, m, c))
+    d_of = [_entries(a.diff_flat(i)) for i in range(n)]  # d(e_i): (m, x)
+    sign = [(-1) ** (a.basis_degree(i) % 2) for i in range(n)]
+
+    # d(e_i e_j) = d(e_i) e_j + (-1)^|i| e_i d(e_j)
+    lhs, rhs = defaultdict(int), defaultdict(int)
+    for i, j, m, c in mul:
+        for l, x in d_of[m]:
+            lhs[i, j, l] += c * x
+    for i in range(n):
+        for m, x in d_of[i]:
+            for j, l, c in left[m]:
+                rhs[i, j, l] += x * c
+            for h, l, c in right[m]:
+                rhs[h, i, l] += sign[h] * c * x
+    leibniz = _first_mismatch(lhs, rhs, tol)
+
+    # (e_i e_j) e_k = e_i (e_j e_k), as (e_i e_j) e_k and e_h (e_i e_j)
+    lhs, rhs = defaultdict(int), defaultdict(int)
+    for i, j, m, c in mul:
+        for k, l, x in left[m]:
+            lhs[i, j, k, l] += c * x
+        for h, l, x in right[m]:
+            rhs[h, i, j, l] += x * c
+    assoc = _first_mismatch(lhs, rhs, tol)
+
+    # 1 e_i = e_i (side 0) and e_i 1 = e_i (side 1)
+    lhs = defaultdict(int)
+    for m, u in _entries(a.unit):
+        for i, l, c in left[m]:
+            lhs[i, 0, l] += u * c
+        for i, l, c in right[m]:
+            lhs[i, 1, l] += c * u
+    one = one_scalar(a.mode)
+    unit = _first_mismatch(lhs, {(i, s, i): one for i in range(n)
+                                 for s in (0, 1)}, tol)
+    return leibniz and leibniz[:2], assoc and assoc[:3], unit and unit[0]
 
 
-def _diff_vector(a: DgAlgebra, coeffs: np.ndarray) -> np.ndarray:
-    out = a._zero_vec()
-    for k in range(a.n_basis):
-        if _nz(coeffs[k]):
-            out = out + coeffs[k] * a.diff_flat(k)
-    return out
+def _entries(t: np.ndarray) -> list[tuple]:
+    """(index..., value) of every nonzero entry, in index order."""
+    idx = np.nonzero(t)
+    return list(zip(*(x.tolist() for x in idx), t[idx].tolist()))
+
+
+def _first_mismatch(lhs: dict, rhs: dict, tol: float | None) -> tuple | None:
+    """The smallest key at which the two sides differ: exactly when tol is
+    None, else by more than tol times the largest entry of either side
+    (at least 1)."""
+    if tol is not None:
+        tol *= max([1.0] + [abs(complex(v))
+                            for v in (*lhs.values(), *rhs.values())])
+    return min((key for key in lhs.keys() | rhs.keys()
+                if not scalar_is_zero(lhs.get(key, 0) - rhs.get(key, 0), tol)),
+               default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -823,31 +836,21 @@ def endomorphism_algebra(space: GradedVectorSpace, q: GradedMap | None,
 
     n = len(order)
     pos = {key: k for k, key in enumerate(order)}
-
-    def zero_vec():
-        v = np.empty(n, dtype=object) if mode == EXACT else np.zeros(n, dtype=complex)
-        if mode == EXACT:
-            v[...] = Fraction(0)
-        return v
-
-    mul_table: list[list[np.ndarray]] = []
+    one = one_scalar(mode)
+    mul = zeros_matrix(n * n, n, mode).reshape(n, n, n)
     for a_idx, (sd_a, i_a, td_a, j_a) in enumerate(order):
-        row = []
         for b_idx, (sd_b, i_b, td_b, j_b) in enumerate(order):
-            v = zero_vec()
             # composition order[a] after order[b]
             if (td_b, j_b) == (sd_a, i_a):
-                v[pos[(sd_b, i_b, td_a, j_a)]] = one_scalar(mode)
-            row.append(v)
-        mul_table.append(row)
+                mul[a_idx, b_idx, pos[(sd_b, i_b, td_a, j_a)]] = one
 
-    unit = zero_vec()
+    unit = zeros_matrix(n, 1, mode)[:, 0]
     for p in degrees:
         for i in range(space.dim(p)):
-            unit[pos[(p, i, p, i)]] = one_scalar(mode)
+            unit[pos[(p, i, p, i)]] = one
 
     algebra = make_algebra(aspace, GradedMap.zero(aspace, aspace, 1, mode),
-                           mul_table, unit, mode)
+                           mul, unit, mode)
     endo = EndoAlgebra(algebra=algebra, space=space, maps=tuple(maps),
                        entries=tuple(order))
     if q is None:

@@ -25,6 +25,7 @@ import numpy as np
 from homotrace.dgcore import (
     DgModuleBundle,
     Splitting,
+    ValidationReport,
     algebra_from_operators,
     build_splitting_hodge,
     build_splitting_projector,
@@ -57,6 +58,7 @@ class Instance:
     bundle: DgModuleBundle
     splitting: Splitting
     elements: dict[str, tuple[int, np.ndarray]]  # name -> (degree, flat coeffs)
+    validation: tuple[ValidationReport, ValidationReport]  # bundle, splitting
     meta: dict = field(default_factory=dict)
 
     @property
@@ -87,7 +89,7 @@ def _validated(bundle: DgModuleBundle, splitting: Splitting,
         names = ", ".join(c.name for c in srep.failures())
         raise ShapeError(f"generated splitting fails validation: {names}")
     return Instance(bundle=bundle, splitting=splitting, elements=elements,
-                    meta=meta)
+                    meta=meta, validation=(rep, srep))
 
 
 def _identity_element(bundle: DgModuleBundle) -> dict:
@@ -188,18 +190,12 @@ def torus_instance(truncation: int, tau: complex | tuple = 1j,
             m[i, i] = 1.0
             blocks[d] = m
         maps.append(GradedMap.build(space, space, 0, blocks, FLOAT))
-    mul_table = []
-    for i in range(n_modes):
-        row = []
-        for j in range(n_modes):
-            v = np.zeros(n_modes, dtype=complex)
-            if i == j:
-                v[i] = 1.0
-            row.append(v)
-        mul_table.append(row)
+    mul = np.zeros((n_modes,) * 3, dtype=complex)
+    diag = np.arange(n_modes)
+    mul[diag, diag, diag] = 1.0
     unit = np.ones(n_modes, dtype=complex)
     differential = GradedMap.zero(aspace, aspace, 1, FLOAT)
-    algebra = make_algebra(aspace, differential, mul_table, unit, FLOAT)
+    algebra = make_algebra(aspace, differential, mul, unit, FLOAT)
     bundle = DgModuleBundle(algebra=algebra, space=space, q=q,
                             rho=tuple(maps), mode=FLOAT)
     splitting = build_splitting_hodge(space, q, tol=tol)
@@ -327,17 +323,14 @@ def to_float_instance(instance: Instance, tol: float = DEFAULT_TOL) -> Instance:
     if bundle.mode == FLOAT:
         return instance
     a = bundle.algebra
-    mul_table = [[np.array([complex(x) for x in a.mul[i][j]], dtype=complex)
-                  for j in range(a.n_basis)] for i in range(a.n_basis)]
-    unit = np.array([complex(x) for x in a.unit], dtype=complex)
-    algebra = make_algebra(a.space, _to_float(a.differential), mul_table,
-                           unit, FLOAT)
+    algebra = make_algebra(a.space, _to_float(a.differential),
+                           a.mul.astype(complex), a.unit.astype(complex), FLOAT)
     fbundle = DgModuleBundle(algebra=algebra, space=bundle.space,
                              q=_to_float(bundle.q),
                              rho=tuple(_to_float(r) for r in bundle.rho),
                              mode=FLOAT)
     splitting = build_splitting_hodge(bundle.space, fbundle.q, tol=tol)
-    elements = {name: (deg, np.array([complex(x) for x in vec], dtype=complex))
+    elements = {name: (deg, vec.astype(complex))
                 for name, (deg, vec) in instance.elements.items()}
     meta = dict(instance.meta)
     meta["scalar"] = FLOAT

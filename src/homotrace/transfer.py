@@ -68,10 +68,8 @@ def _slot_rho(bundle: DgModuleBundle, slot: Slot) -> GradedMap:
 def _slot_diff(bundle: DgModuleBundle, slot: Slot) -> Slot:
     a = bundle.algebra
     out = a._zero_vec()
-    for k in range(a.n_basis):
-        c = slot.coeffs[k]
-        if c:
-            out = out + c * a.diff_flat(k)
+    for k in np.flatnonzero(slot.coeffs):
+        out = out + slot.coeffs[k] * a.diff_flat(k)
     return Slot(slot.degree + 1, out)
 
 

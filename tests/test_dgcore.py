@@ -1,10 +1,14 @@
 """Dg validation, cohomology, and both splitting constructions."""
 
+import dataclasses
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from homotrace.dgcore import (
     build_splitting_hodge,
@@ -13,6 +17,7 @@ from homotrace.dgcore import (
     cohomology,
     endomorphism_bundle,
     euler_characteristic,
+    make_algebra,
     validate_bundle,
 )
 from homotrace.errors import ShapeError
@@ -20,10 +25,13 @@ from homotrace.glinalg import (
     GradedMap,
     GradedVectorSpace,
     compose,
+    identity_matrix,
     matrix_from_rows,
     supercommutator,
 )
-from homotrace.scalars import EXACT
+from homotrace.instances import matrix_instance, random_instance, \
+    to_float_instance
+from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT
 from homotrace.transfer import _to_float
 
 
@@ -63,6 +71,119 @@ def test_validate_catches_broken_unit(t1):
     rep = validate_bundle(bad)
     assert not rep.ok
     assert any(c.name == "unit" for c in rep.failures())
+
+
+def _with_constant(bundle, index, delta):
+    """The bundle with one structure constant changed by delta."""
+    a = bundle.algebra
+    mul = np.array(a.mul)
+    mul[index] += delta
+    algebra = make_algebra(a.space, a.differential, mul, a.unit, a.mode)
+    return dataclasses.replace(bundle, algebra=algebra)
+
+
+def _first_failure(lhs, rhs, tol, key_len):
+    """Dense reference of a check's witness: the first index prefix of
+    length key_len at which lhs and rhs differ, exactly or beyond tol
+    relative to their largest entry."""
+    if tol is None:
+        bad = lhs != rhs
+    else:
+        scale = max(1.0, np.abs(lhs.astype(complex)).max(initial=0.0),
+                    np.abs(rhs.astype(complex)).max(initial=0.0))
+        bad = np.abs((lhs - rhs).astype(complex)) > tol * scale
+    rows = np.argwhere(bad.reshape(bad.shape[:key_len] + (-1,)).any(axis=-1))
+    return tuple(int(x) for x in rows[0]) if len(rows) else None
+
+
+def _dense_witnesses(alg, tol):
+    """First failing pair, triple and element of the Leibniz rule,
+    associativity and the unit law, from dense einsum contractions."""
+    n = alg.n_basis
+    m = np.array(alg.mul)
+    d = np.stack([alg.diff_flat(i) for i in range(n)])   # row i: d(e_i)
+    sign = np.array([(-1) ** (alg.basis_degree(i) % 2) for i in range(n)])
+    leibniz = _first_failure(
+        np.einsum("ijm,ml->ijl", m, d),
+        np.einsum("im,mjl->ijl", d, m)
+        + sign[:, None, None] * np.einsum("jm,iml->ijl", d, m), tol, 2)
+    assoc = _first_failure(np.einsum("ijm,mkl->ijkl", m, m),
+                           np.einsum("jkm,iml->ijkl", m, m), tol, 3)
+    u = np.array(alg.unit)
+    eye = identity_matrix(n, alg.mode)
+    unit = _first_failure(
+        np.stack([np.einsum("m,mil->il", u, m), np.einsum("m,iml->il", u, m)],
+                 axis=1),
+        np.stack([eye, eye], axis=1), tol, 1)
+    return leibniz, assoc, unit
+
+
+def _witness(alg, key):
+    if key is None:
+        return None
+    return "(" + ", ".join(alg.basis_name(k) for k in key) + ")"
+
+
+def test_associativity_checked_on_every_triple():
+    """All 18 triples this constant breaks lie outside a seeded sample of
+    4000 of m32's 15 625 triples; checking every triple catches it at the
+    first of them."""
+    m32 = matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)])
+    a = m32.bundle.algebra
+    # E[d0_2<-d1_0] E[d1_0<-d0_1] gains a spurious E[d0_1<-d0_0] term
+    index = tuple(a.flat_by_name(x) for x in (
+        "E[d0_2<-d1_0]", "E[d1_0<-d0_1]", "E[d0_1<-d0_0]"))
+    bad = _with_constant(m32.bundle, index, Fraction(1))
+    m = np.array(bad.algebra.mul, dtype=complex)
+    first = _first_failure(np.einsum("ijm,mkl->ijkl", m, m),
+                           np.einsum("jkm,iml->ijkl", m, m), DEFAULT_TOL, 3)
+    assert first is not None
+    failed = {c.name: c for c in validate_bundle(bad).failures()}
+    assert failed["associativity"].witness == _witness(a, first)
+
+
+@functools.lru_cache(maxsize=None)
+def _random_bundle(seed, dims, mode):
+    inst = random_instance(seed, dict(dims))
+    return (inst if mode == EXACT else to_float_instance(inst)).bundle
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 40),
+       dims=st.sampled_from([((0, 1), (1, 1)), ((0, 2), (1, 1)),
+                             ((0, 1), (1, 2)), ((0, 2), (1, 2)),
+                             ((0, 1), (1, 1), (2, 1))]),
+       mode=st.sampled_from([EXACT, FLOAT]),
+       perturb=st.none() | st.tuples(st.integers(0, 728),
+                                     st.sampled_from([1, -2, Fraction(1, 3)])))
+def test_algebra_axioms_match_dense_reference(seed, dims, mode, perturb):
+    """Leibniz, associativity and unit verdicts and witnesses equal those
+    of a dense einsum reference, with and without one changed constant."""
+    bundle = _random_bundle(seed, dims, mode)
+    alg = bundle.algebra
+    n = alg.n_basis
+    assume(n <= 9)
+    if perturb is not None:
+        # a position inside degree |i| + |j|, so e_i e_j stays homogeneous
+        deg = [alg.basis_degree(k) for k in range(n)]
+        slots = [(i, j, k) for i in range(n) for j in range(n)
+                 for k in range(n) if deg[k] == deg[i] + deg[j]]
+        assume(slots)
+        pick, delta = perturb
+        bundle = _with_constant(bundle, slots[pick % len(slots)],
+                                delta if mode == EXACT else complex(delta))
+        alg = bundle.algebra
+    tol = None if mode == EXACT else DEFAULT_TOL
+    leibniz, assoc, unit = _dense_witnesses(alg, tol)
+    checks = {c.name: c for c in validate_bundle(bundle).checks}
+    assert checks["leibniz"].witness == _witness(alg, leibniz)
+    assert checks["associativity"].witness == _witness(alg, assoc)
+    assert checks["leibniz"].passed == (leibniz is None)
+    assert checks["associativity"].passed == (assoc is None)
+    if unit is not None:
+        assert checks["unit"].witness == alg.basis_name(unit[0])
+    else:
+        assert checks["unit"].passed
 
 
 def test_cohomology_t1():

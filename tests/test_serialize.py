@@ -1,10 +1,14 @@
 """File formats: round trips, product recomputation, rejection of bad input."""
 
+import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
+from homotrace import cli
+from homotrace.dgcore import validate_bundle
 from homotrace.errors import ClosureError, InputError
 from homotrace.hochschild import HochschildChain
 from homotrace.instances import random_instance, to_float_instance
@@ -80,6 +84,36 @@ def test_float_random_round_trip(tmp_path):
             degree = alg.basis_degree(i) + alg.basis_degree(j)
             assert all(c == 0 for k, c in enumerate(alg.mul_flat(i, j))
                        if alg.basis_degree(k) != degree)
+
+
+
+@pytest.fixture(scope="module")
+def r11f_path(tmp_path_factory):
+    """The file of `gen --kind random --seed 11 --dims 2,3,2 --mode float`."""
+    path = tmp_path_factory.mktemp("r11f") / "r11f.json"
+    save_instance(to_float_instance(random_instance(11, {0: 2, 1: 3, 2: 2})),
+                  str(path))
+    return str(path)
+
+
+def test_float_random_file_verifies(r11f_path, capsys):
+    """The constants re-derived on load reach about 1.5e3 and their products
+    2.5e4, so associativity holds only to about 2e-10 in absolute terms:
+    round-off, which the relative tolerance accepts."""
+    assert cli.main(["verify", "--instance", r11f_path]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_float_validation_catches_small_relative_change(r11f_path):
+    """A 1e-8 relative change to the largest structure constant of that
+    file still fails associativity."""
+    bundle = load_instance(r11f_path).bundle
+    mul = np.array(bundle.algebra.mul)
+    index = np.unravel_index(np.argmax(np.abs(mul)), mul.shape)
+    mul[index] *= 1 + 1e-8
+    bad = dataclasses.replace(
+        bundle, algebra=dataclasses.replace(bundle.algebra, mul=mul))
+    assert "associativity" in [c.name for c in validate_bundle(bad).failures()]
 
 
 def test_rejects_wrong_format(tmp_path):
