@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from homotrace.errors import RankAmbiguousError, ShapeError
-from homotrace.scalars import EXACT, FLOAT, zero_scalar, one_scalar
+from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, zero_scalar, one_scalar
 
 # Float rank decisions are "ambiguous" when a normalized singular value
 # falls in (tol, AMBIGUITY_BAND * tol].
@@ -478,7 +478,6 @@ def kernel_image_split(f: GradedMap, tol: float | None = None) -> SplitBases:
     """
     mode = f.mode
     if mode == FLOAT and tol is None:
-        from homotrace.scalars import DEFAULT_TOL
         tol = DEFAULT_TOL
     ker_d, kerc_d, im_d, imc_d = {}, {}, {}, {}
     ker_b, kerc_b, im_b, imc_b = {}, {}, {}, {}

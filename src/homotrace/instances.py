@@ -323,12 +323,17 @@ def to_float_instance(instance: Instance, tol: float = DEFAULT_TOL) -> Instance:
     if bundle.mode == FLOAT:
         return instance
     a = bundle.algebra
-    algebra = make_algebra(a.space, _to_float(a.differential),
-                           a.mul.astype(complex), a.unit.astype(complex), FLOAT)
-    fbundle = DgModuleBundle(algebra=algebra, space=bundle.space,
-                             q=_to_float(bundle.q),
-                             rho=tuple(_to_float(r) for r in bundle.rho),
-                             mode=FLOAT)
+    try:
+        algebra = make_algebra(a.space, _to_float(a.differential),
+                               a.mul.astype(complex), a.unit.astype(complex),
+                               FLOAT)
+        fbundle = DgModuleBundle(algebra=algebra, space=bundle.space,
+                                 q=_to_float(bundle.q),
+                                 rho=tuple(_to_float(r) for r in bundle.rho),
+                                 mode=FLOAT)
+    except OverflowError as exc:
+        raise InputError(f"a coefficient is outside the double range: {exc}"
+                         ) from exc
     splitting = build_splitting_hodge(bundle.space, fbundle.q, tol=tol)
     elements = {name: (deg, vec.astype(complex))
                 for name, (deg, vec) in instance.elements.items()}

@@ -9,6 +9,7 @@ the embedded half-order rule on the same cell.  Summation order is fixed
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,12 +65,15 @@ def integrate_cube(f, dim: int, rel_tol: float = 1e-9,
     """Integrate the vector-valued ``f`` over (0,1)^dim.
 
     Returns (value, error estimate); raises QuadratureBudgetError carrying
-    the best estimate if the budget runs out before the tolerance holds.
+    the best estimate if the budget runs out before the tolerance holds, or
+    at once, naming the cell, if a cell's value or error estimate is not
+    finite (refining it would only burn the budget).
     """
     if dim == 0:
         return f(np.zeros(0)), 0.0
     evals_per_cell = order ** dim + (order // 2) ** dim
     used = 0
+    value = None
 
     def make_cell(lo: np.ndarray, hi: np.ndarray) -> _Cell:
         nonlocal used
@@ -77,6 +81,11 @@ def integrate_cube(f, dim: int, rel_tol: float = 1e-9,
         full = _tensor_rule(f, lo, hi, order)
         coarse = _tensor_rule(f, lo, hi, order // 2)
         err = float(np.max(np.abs(full - coarse))) if full.size else 0.0
+        if not math.isfinite(err):
+            raise QuadratureBudgetError(
+                f"non-finite estimate {err} on the cell lo={lo.tolist()} "
+                f"hi={hi.tolist()} after {used} evaluations",
+                best=full if value is None else value, estimate=err)
         return _Cell(neg_err=-err, corner=tuple(lo.tolist()),
                      lo=lo, hi=hi, value=full, err=err)
 

@@ -1,7 +1,8 @@
 """Homotopy transfer of a module action to an A-infinity morphism.
 
 The engine evaluates the operator-valued connection form built from the
-propagator exp[-dt kappa - t pi1] (or its Laplacian variant), integrates
+propagator exp[-dt kappa - t Delta], Delta = {Q, kappa} (pi1 in projector
+kind), whose heat kernel it reads off the splitting's spectrum, integrates
 it in closed form or by adaptive quadrature over the compactified gap
 cube (chart t = sigma/(1-sigma)), and checks the transferred morphism's
 coherence relations.
@@ -29,10 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from homotrace.dgcore import DgModuleBundle, Splitting
-from homotrace.errors import ShapeError
-from homotrace.glinalg import GradedMap, GradedVectorSpace, bar_signs, compose
+from homotrace.errors import QuadratureBudgetError, ShapeError
+from homotrace.glinalg import (AMBIGUITY_BAND, GradedMap, GradedVectorSpace,
+                               bar_signs, compose)
 from homotrace.quadrature import DEFAULT_BUDGET, DEFAULT_ORDER, integrate_cube
-from homotrace.scalars import EXACT, FLOAT, one_scalar
+from homotrace.scalars import DEFAULT_TOL, FLOAT, one_scalar
 
 # ---------------------------------------------------------------------------
 # Slots: homogeneous inputs normalized to (degree, coefficient vector)
@@ -59,10 +61,6 @@ def as_slot(bundle: DgModuleBundle, item) -> Slot:
     if isinstance(item, (int, np.integer)):
         return Slot.basis(bundle, int(item))
     raise ShapeError(f"cannot interpret {item!r} as an algebra element")
-
-
-def _slot_rho(bundle: DgModuleBundle, slot: Slot) -> GradedMap:
-    return bundle.rho_vector(slot.coeffs)
 
 
 def _slot_diff(bundle: DgModuleBundle, slot: Slot) -> Slot:
@@ -93,74 +91,74 @@ class ConfigurationPoint:
             if not (t >= 0.0):
                 raise ShapeError(f"gap {t} is negative")
 
-    @staticmethod
-    def from_sigma(sigma) -> "ConfigurationPoint":
-        return ConfigurationPoint(tuple(
-            math.inf if s >= 1.0 else s / (1.0 - s) for s in sigma))
-
-    def sigma(self) -> tuple[float, ...]:
-        return tuple(1.0 if math.isinf(t) else t / (1.0 + t) for t in self.gaps)
-
 
 class PropagatorCache:
-    """Per-splitting data for fast propagator evaluation (float arithmetic)."""
+    """The gap propagator of one splitting, in float arithmetic.
+
+    From the splitting's spectrum Delta_d = L_d diag(lam_d) R_d, both kinds
+    use one formula: even(t) = exp(-t Delta) = L diag(e^(-t lam)) R and
+    odd(t) = -even(t) kappa = -L diag(e^(-t lam)) (R kappa), with R kappa
+    formed once.  In the projector kind lam is 0 or 1, so even(t) =
+    pi0 + e^-t pi1 and odd(t) = -e^-t kappa.
+    """
 
     def __init__(self, splitting: Splitting):
-        self.kind = splitting.kind
-        self.space = splitting.pi0.source
         self.pi0 = _to_float(splitting.pi0)
-        self.pi1 = _to_float(splitting.pi1)
-        self.kappa = _to_float(splitting.kappa)
-        if splitting.kind == "laplacian":
-            self.eig = {}
-            for d in self.space.degrees():
-                m = splitting.delta.block(d)
-                h = np.asarray(m, dtype=complex)
-                vals, vecs = np.linalg.eigh((h + h.conj().T) / 2)
-                self.eig[d] = (vals, vecs)
+        self.heat = _heat_factors(splitting, FLOAT)
 
     def value(self, t: float) -> tuple[GradedMap, GradedMap]:
-        if t < 0:
-            raise ShapeError(f"propagator needs t >= 0, got {t}")
-        space = self.space
-        if math.isinf(t):
-            return self.pi0, GradedMap.zero(space, space, -1, FLOAT)
-        if self.kind == "projector":
-            w = math.exp(-t)
-            return (self.pi0 + self.pi1.scale(complex(w)),
-                    self.kappa.scale(complex(-w)))
-        blocks = {}
-        for d, (vals, vecs) in self.eig.items():
-            w = np.exp(-t * np.clip(vals, 0.0, None))
-            blocks[d] = vecs @ np.diag(w.astype(complex)) @ vecs.conj().T
-        even = GradedMap.build(space, space, 0, blocks, FLOAT)
-        return even, compose(even, self.kappa).scale(complex(-1.0))
+        return _heat_kernel(self.heat, self.pi0.source, t, FLOAT)
+
+
+def _heat_factors(splitting: Splitting, mode: str) -> tuple[dict, dict]:
+    """The spectrum in ``mode``, and R_(d-1) kappa_d per source degree d of
+    kappa with its harmonic rows set to zero (pi0 kappa = 0), so that
+    odd(inf) = 0 exactly."""
+    spec, kappa = splitting.spectrum, splitting.kappa
+    if mode != splitting.mode:
+        spec = {d: (l.astype(complex), lam.astype(float), r.astype(complex))
+                for d, (l, lam, r) in spec.items()}
+        kappa = _to_float(kappa)
+    r_kappa = {}
+    for d, k in kappa.blocks:
+        _, lam, r = spec[d - 1]
+        r_kappa[d] = r @ k
+        r_kappa[d][lam == 0] = 0
+    return spec, r_kappa
+
+
+def _heat_kernel(factors: tuple[dict, dict], space: GradedVectorSpace,
+                 t: float, mode: str) -> tuple[GradedMap, GradedMap]:
+    """(even(t), odd(t)).  At t = 0 and t = inf the weights e^(-t lam) are
+    booleans (all 1; 1 where lam = 0), exact in either arithmetic."""
+    if t < 0:
+        raise ShapeError(f"propagator needs t >= 0, got {t}")
+    spec, r_kappa = factors
+    limit = t == 0 or math.isinf(t)
+    lw = {d: l * ((lam == 0) | (t == 0) if limit else np.exp(-t * lam))
+          for d, (l, lam, _) in spec.items()}
+    even = {d: lw[d] @ r for d, (_, _, r) in spec.items()}
+    odd = {d: -(lw[d - 1] @ x) for d, x in r_kappa.items()}
+    return (GradedMap.build(space, space, 0, even, mode),
+            GradedMap.build(space, space, -1, odd, mode))
 
 
 def _to_float(f: GradedMap) -> GradedMap:
     if f.mode == FLOAT:
         return f
-    blocks = {}
-    for d, m in f.blocks:
-        blocks[d] = np.array([[complex(x) for x in row] for row in m],
-                             dtype=complex).reshape(m.shape)
+    blocks = {d: m.astype(complex) for d, m in f.blocks}
     return GradedMap.build(f.source, f.target, f.degree, blocks, FLOAT)
 
 
 def propagator(t: float, splitting: Splitting) -> tuple[GradedMap, GradedMap]:
-    """Even part and dt-coefficient of the gap propagator at gap length t.
-
-    Projector kind: (pi0 + e^-t pi1, -e^-t kappa); Laplacian kind:
-    (exp(-t Delta), -exp(-t Delta) kappa).  At t = inf: (pi0, 0).  Exact
-    for t in {0, inf} in exact mode, float otherwise.
+    """Even part and dt-coefficient of the gap propagator at gap length t:
+    (exp(-t Delta), -exp(-t Delta) kappa), by the one formula of
+    ``PropagatorCache``.  (id, -kappa) at t = 0 and (pi0, 0) at t = inf;
+    exact there in exact mode, float otherwise.
     """
-    if t in (0, 0.0) and splitting.mode == EXACT:
-        space = splitting.pi0.source
-        return (GradedMap.identity(space, EXACT), splitting.kappa.scale(-1))
-    if t == math.inf and splitting.mode == EXACT:
-        space = splitting.pi0.source
-        return (splitting.pi0, GradedMap.zero(space, space, -1, EXACT))
-    return PropagatorCache(splitting).value(float(t))
+    mode = splitting.mode if t in (0, math.inf) else FLOAT
+    return _heat_kernel(_heat_factors(splitting, mode), splitting.pi0.source,
+                        float(t), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -188,9 +186,6 @@ class OperatorForm:
         space = any_map.source
         return GradedMap.zero(space, space, 0, FLOAT)
 
-    def top(self) -> GradedMap:
-        return self.component(range(self.arity - 1))
-
 
 def operator_form(inputs, point: ConfigurationPoint, splitting: Splitting,
                   bundle: DgModuleBundle,
@@ -207,7 +202,7 @@ def operator_form(inputs, point: ConfigurationPoint, splitting: Splitting,
         raise ShapeError(f"{k} inputs need {k - 1} gaps, got {len(point.gaps)}")
     if cache is None:
         cache = PropagatorCache(splitting)
-    rhos = [_to_float(_slot_rho(bundle, s)) for s in slots]
+    rhos = [_to_float(bundle.rho_vector(s.coeffs)) for s in slots]
     pi0 = cache.pi0
     terms: list[tuple[frozenset, GradedMap]] = [
         (frozenset(), compose(pi0, rhos[k - 1]))]
@@ -249,15 +244,16 @@ def transfer_closed(inputs, splitting: Splitting,
     if k < 1:
         raise ShapeError("transfer needs at least one input")
     h = splitting.homotopy
-    acc = compose(splitting.project, _slot_rho(bundle, slots[k - 1]))
+    acc = compose(splitting.project, bundle.rho_vector(slots[k - 1].coeffs))
     for j in range(k - 2, -1, -1):
-        acc = compose(compose(acc, h), _slot_rho(bundle, slots[j]))
+        acc = compose(compose(acc, h), bundle.rho_vector(slots[j].coeffs))
     acc = compose(acc, splitting.include)
     return acc.scale(_epsilon([s.degree for s in slots], bundle.mode))
 
 
 def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
-                        rel_tol: float = 1e-8, order: int = DEFAULT_ORDER,
+                        rel_tol: float = AMBIGUITY_BAND * DEFAULT_TOL,
+                        order: int = DEFAULT_ORDER,
                         budget: int = DEFAULT_BUDGET, max_arity: int = 4
                         ) -> tuple[GradedMap, float]:
     """Transferred component by adaptive quadrature over the open gap cube.
@@ -271,7 +267,7 @@ def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
     if k > max_arity:
         raise ShapeError(f"arity {k} above configured maximum {max_arity}")
     cache = PropagatorCache(splitting)
-    rhos = [_to_float(_slot_rho(bundle, s)) for s in slots]
+    rhos = [_to_float(bundle.rho_vector(s.coeffs)) for s in slots]
     pi0 = cache.pi0
     include = _to_float(splitting.include)
     project = _to_float(splitting.project)
@@ -279,7 +275,6 @@ def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
     out_degree = sum(s.degree for s in slots) + 1 - k
 
     shapes = [(d, m0.dim(d), m0.dim(d + out_degree)) for d in m0.degrees()]
-    size = sum(r * c for _, c, r in shapes)
 
     if k == 1:
         val = compose(compose(project, rhos[0]), include)
@@ -297,25 +292,16 @@ def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
         t_vals = sigma / (1.0 - sigma)
         jac = float(np.prod(1.0 / (1.0 - sigma) ** 2))
         g = compose(compose(project, top_at(t_vals)), include)
-        flat = np.zeros(size, dtype=complex)
-        off = 0
-        for d, cols, rows in shapes:
-            if rows and cols:
-                flat[off:off + rows * cols] = np.asarray(
-                    g.block(d), dtype=complex).ravel()
-            off += rows * cols
-        return flat * jac
+        return np.concatenate([np.zeros(0, dtype=complex)] + [
+            g.block(d).ravel() for d, _, _ in shapes]) * jac
 
     def unflatten(vec: np.ndarray) -> GradedMap:
-        blocks = {}
-        off = 0
+        blocks, off = {}, 0
         for d, cols, rows in shapes:
-            if rows and cols:
-                blocks[d] = vec[off:off + rows * cols].reshape(rows, cols)
+            blocks[d] = vec[off:off + rows * cols].reshape(rows, cols)
             off += rows * cols
         return GradedMap.build(m0, m0, out_degree, blocks, FLOAT)
 
-    from homotrace.errors import QuadratureBudgetError
     try:
         vec, est = integrate_cube(integrand, k - 1, rel_tol=rel_tol,
                                   order=order, budget=budget)
@@ -340,7 +326,7 @@ class AInfinityMorphism:
     bundle: DgModuleBundle
     splitting: Splitting
     method: str = "closed"
-    rel_tol: float = 1e-8
+    rel_tol: float = AMBIGUITY_BAND * DEFAULT_TOL
     budget: int = DEFAULT_BUDGET
     quad_error: float = 0.0
     _cache: dict = field(default_factory=dict, repr=False)
@@ -397,7 +383,8 @@ class AInfinityMorphism:
 
 
 def transferred_morphism(bundle: DgModuleBundle, splitting: Splitting,
-                         method: str = "closed", rel_tol: float = 1e-8,
+                         method: str = "closed",
+                         rel_tol: float = AMBIGUITY_BAND * DEFAULT_TOL,
                          budget: int = DEFAULT_BUDGET) -> AInfinityMorphism:
     return AInfinityMorphism(bundle=bundle, splitting=splitting, method=method,
                              rel_tol=rel_tol, budget=budget)

@@ -82,6 +82,18 @@ def _with_constant(bundle, index, delta):
     return dataclasses.replace(bundle, algebra=algebra)
 
 
+def test_off_degree_constant_fails_action_multiplicative():
+    """A constant putting e_i e_j outside degree |i| + |j| is a failed
+    check with the pair as witness, not an error."""
+    bundle = random_instance(2, {0: 1, 1: 1}).bundle
+    a = bundle.algebra
+    assert a.basis_degree(0) + a.basis_degree(0) != a.basis_degree(2)
+    bad = _with_constant(bundle, (0, 0, 2), Fraction(1))
+    failed = {c.name: c for c in validate_bundle(bad).failures()}
+    name = a.basis_name(0)
+    assert failed["action-multiplicative"].witness == f"({name}, {name})"
+
+
 def _first_failure(lhs, rhs, tol, key_len):
     """Dense reference of a check's witness: the first index prefix of
     length key_len at which lhs and rhs differ, exactly or beyond tol

@@ -133,6 +133,14 @@ def test_float_conversion_validates(t1):
     assert f.splitting.kind == "laplacian"
 
 
+def test_float_conversion_rejects_out_of_range_coefficient():
+    """A coefficient beyond the double range is bad input."""
+    inst = matrix_instance({0: 1, 1: 1},
+                           q_entries=[("d0_0", "d1_0", 2 ** 1100)])
+    with pytest.raises(InputError, match="double range"):
+        to_float_instance(inst)
+
+
 def test_unknown_element_errors(t1):
     with pytest.raises(InputError):
         t1.element("nonexistent")

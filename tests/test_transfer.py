@@ -1,19 +1,26 @@
 """The transfer engine: propagator, connection form, closed vs quadrature,
 coherence relations, almost-closedness."""
 
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from homotrace.dgcore import build_splitting_hodge, check_splitting
 from homotrace.errors import ShapeError
-from homotrace.glinalg import GradedMap, compose
-from homotrace.instances import random_instance, t1_instance, to_float_instance
-from homotrace.scalars import DEFAULT_TOL, EXACT
+from homotrace.glinalg import GradedMap, compose, supercommutator
+from homotrace.instances import (random_instance, t1_instance, to_float_instance,
+                                 torus_instance)
+from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT
 from homotrace.transfer import (
     ConfigurationPoint,
+    PropagatorCache,
     Slot,
     ainfinity_defect,
     almost_closed_check,
@@ -64,6 +71,84 @@ def test_propagator_generic_t_matches_series(t1):
     assert evenf.equals(even, 1e-12)
     assert oddf.equals(compose(evenf, _to_float(t1f.splitting.kappa)).scale(
         complex(-1)), 1e-12)
+
+
+_FLOAT_INSTANCES = {
+    "T1": lambda: to_float_instance(t1_instance()),
+    "r7": lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
+    "torus1": lambda: torus_instance(1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _float_instance(name):
+    return _FLOAT_INSTANCES[name]()
+
+
+def _inner_product(space, seed):
+    """A seeded Hermitian positive-definite inner product A A^H + n I per
+    degree."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for d in space.degrees():
+        n = space.dim(d)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        out[d] = a @ a.conj().T + n * np.eye(n)
+    return out
+
+
+def _expm(a):
+    """exp(a) by scaling and squaring a Taylor series."""
+    norm = np.abs(a).sum(axis=1).max(initial=0.0)
+    s = max(0, int(math.ceil(math.log2(norm))) + 1) if norm else 0
+    a = a / 2 ** s
+    term = out = np.eye(len(a), dtype=complex)
+    for k in range(1, 20):
+        term = term @ a / k
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(_FLOAT_INSTANCES)),
+       seed=st.integers(0, 2 ** 16),
+       t=st.floats(0.05, 4.0))
+def test_heat_kernel_with_random_inner_product(name, seed, t):
+    """P(0) = id, P(inf) = pi0 and P(t) = exp(-t {Q, kappa}) for Hodge
+    splittings of seeded random inner products; the reference exponentiates
+    {Q, kappa} itself, not the stored spectrum."""
+    inst = _float_instance(name)
+    space, q = inst.bundle.space, inst.bundle.q
+    s = build_splitting_hodge(space, q, _inner_product(space, seed))
+    assert check_splitting(space, q, s).ok
+    cache = PropagatorCache(s)
+    even, odd = cache.value(0.0)
+    assert even.equals(GradedMap.identity(space, FLOAT), DEFAULT_TOL)
+    assert odd.equals(s.kappa.scale(-1.0), DEFAULT_TOL)
+    even, odd = cache.value(math.inf)
+    assert even.equals(s.pi0, DEFAULT_TOL)
+    assert odd.is_zero()
+    laplacian = supercommutator(q, s.kappa)
+    even, odd = cache.value(t)
+    expect = GradedMap.build(space, space, 0, {
+        d: _expm(-t * np.asarray(laplacian.block(d))) for d in space.degrees()},
+        FLOAT)
+    assert even.equals(expect, 1e-9)
+    assert odd.equals(compose(expect, s.kappa).scale(-1.0), 1e-9)
+
+
+def test_quadrature_matches_closed_form_with_inner_product():
+    """Quadrature matches the closed form under a non-identity inner
+    product, where Delta is not Hermitian in the module basis."""
+    t1f = _float_instance("T1")
+    space = t1f.bundle.space
+    s = build_splitting_hodge(space, t1f.bundle.q, _inner_product(space, 0))
+    closed = transfer_closed([8, 2], s, t1f.bundle)
+    assert closed.max_abs() > 1e-3
+    quad, _ = transfer_quadrature([8, 2], s, t1f.bundle, budget=20000)
+    assert (quad - closed).max_abs() <= 1e-8 * closed.max_abs()
 
 
 def test_transfer_closed_arity_one(t1, t1_morphism):
