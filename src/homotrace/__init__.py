@@ -11,11 +11,9 @@ complex floating arithmetic.
 from homotrace.glinalg import (
     GradedVectorSpace,
     GradedMap,
-    SplitBases,
     compose,
     tensor_map,
     supercommutator,
-    kernel_image_split,
 )
 from homotrace.dgcore import (
     DgAlgebra,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -52,6 +53,27 @@ def _parse_tau(text: str) -> tuple[Fraction, Fraction]:
         return Fraction(re_s), Fraction(im_s)
     except ValueError as exc:
         raise InputError(f"bad --tau value {text!r} (want re,im)") from exc
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def cmd_gen(args) -> int:
@@ -258,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--tau", default="0,1", help="torus modulus re,im (rationals)")
     g.add_argument("--order-cap", type=int, default=2)
     g.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
-    g.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
+    g.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOL)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", "-o", required=True)
     g.add_argument("--output", choices=["text", "json"], default="text")
@@ -266,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run every identity check on an instance")
     v.add_argument("--instance", required=True)
-    v.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
-    v.add_argument("--max-arity", type=int, default=4)
+    v.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOL)
+    v.add_argument("--max-arity", type=_positive_int, default=4)
     v.add_argument("--quad-budget", type=int, default=10 ** 6)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", choices=["text", "json"], default="text")
@@ -279,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--cyclic", type=int, default=None, metavar="LEVEL")
     t.add_argument("--method", choices=["closed", "quadrature"],
                    default="closed")
-    t.add_argument("--tolerance", type=float, default=DEFAULT_TOL)
+    t.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOL)
     t.add_argument("--quad-budget", type=int, default=10 ** 6)
     t.add_argument("--output", choices=["text", "json"], default="text")
     t.set_defaults(func=cmd_trace)

@@ -28,14 +28,14 @@ from homotrace.errors import (
 )
 from homotrace.glinalg import (
     AMBIGUITY_BAND,
+    ExactSpan,
     GradedMap,
     GradedVectorSpace,
     compose,
     float_rank,
     invert_exact,
-    kernel_image_split,
     max_abs,
-    rref,
+    nullspace_and_pivots,
     solve_exact,
     supercommutator,
     zeros_matrix,
@@ -541,15 +541,11 @@ def build_splitting_projector(space: GradedVectorSpace, q: GradedMap,
     w_bases: dict[int, np.ndarray] = {}
     b_bases: dict[int, np.ndarray] = {}
     for d in degrees:
-        nd = space.dim(d)
-        split = kernel_image_split(
-            GradedMap.build(space, space, 1, {d: q.block(d)}, EXACT)
-            if nd else GradedMap.zero(space, space, 1, EXACT))
-        zcols = split.kernel[1].block(d) if split.kernel[0].dim(d) else \
-            zeros_matrix(nd, 0, EXACT)
-        wcols = split.kernel_complement[1].block(d) \
-            if split.kernel_complement[0].dim(d) else zeros_matrix(nd, 0, EXACT)
-        z_bases[d], w_bases[d] = zcols, wcols
+        z, pivots = nullspace_and_pivots(q.block(d))
+        w = zeros_matrix(space.dim(d), len(pivots), EXACT)
+        for k, c in enumerate(pivots):
+            w[c, k] = Fraction(1)
+        z_bases[d], w_bases[d] = z, w
     for d in degrees:
         prev = d - 1
         if prev in w_bases and w_bases[prev].shape[1]:
@@ -557,19 +553,15 @@ def build_splitting_projector(space: GradedVectorSpace, q: GradedMap,
         else:
             b_bases[d] = zeros_matrix(space.dim(d), 0, EXACT)
 
+    # cohomology representatives: the cocycles independent of the
+    # coboundaries and of the cocycles kept before them
     h_bases: dict[int, np.ndarray] = {}
     for d in degrees:
         z, b = z_bases[d], b_bases[d]
-        chosen = []
-        current = b
-        for c in range(z.shape[1]):
-            trial = np.concatenate([current, z[:, c:c + 1]], axis=1)
-            _, pivots = rref(trial)
-            if len(pivots) == trial.shape[1]:
-                chosen.append(c)
-                current = trial
-        h = z[:, chosen] if chosen else zeros_matrix(space.dim(d), 0, EXACT)
-        h_bases[d] = h
+        span = ExactSpan()
+        for c in range(b.shape[1]):
+            span.add(b[:, c])
+        h_bases[d] = z[:, [c for c in range(z.shape[1]) if span.add(z[:, c])]]
 
     if rng is not None:
         for d in degrees:

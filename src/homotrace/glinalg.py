@@ -1,9 +1,14 @@
-"""Graded vector spaces, degree-homogeneous maps, and exact/float linear algebra.
+"""Graded vector spaces, degree-homogeneous maps, and exact elimination.
 
 Matrices are dense numpy arrays: ``object`` dtype holding Fractions (or
 GaussianRationals) in exact mode, ``complex128`` in float mode.  Maps are
 stored block-per-source-degree; missing blocks are zero.  All values are
 immutable after construction.
+
+Exact elimination is ``rref`` and what is read off one run of it (null
+space with its pivots, inverse, block solve).  Every greedy "keep it if it
+is independent of what is kept" choice goes through ``ExactSpan``.  Float
+rank decisions go through ``float_rank`` and the session tolerance.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from homotrace.errors import RankAmbiguousError, ShapeError
-from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, zero_scalar, one_scalar
+from homotrace.scalars import EXACT, zero_scalar, one_scalar
 
 # Float rank decisions are "ambiguous" when a normalized singular value
 # falls in (tol, AMBIGUITY_BAND * tol].
@@ -362,9 +367,11 @@ def rref(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return m, pivots
 
 
-def exact_nullspace(matrix: np.ndarray) -> np.ndarray:
-    """Columns form a deterministic basis of ker(matrix); exact scalars."""
-    rows, cols = matrix.shape
+def nullspace_and_pivots(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """A deterministic basis of ker(matrix), as columns, and the pivot
+    columns of the same elimination; exact scalars.  The standard vectors
+    at the pivots span a complement of the kernel."""
+    cols = matrix.shape[1]
     r, pivots = rref(matrix)
     free = [c for c in range(cols) if c not in pivots]
     basis = zeros_matrix(cols, len(free), EXACT)
@@ -372,7 +379,39 @@ def exact_nullspace(matrix: np.ndarray) -> np.ndarray:
         basis[fc, k] = Fraction(1)
         for i, pc in enumerate(pivots):
             basis[pc, k] = -r[i, fc]
-    return basis
+    return basis, pivots
+
+
+def exact_nullspace(matrix: np.ndarray) -> np.ndarray:
+    """Columns form a deterministic basis of ker(matrix); exact scalars."""
+    return nullspace_and_pivots(matrix)[0]
+
+
+class ExactSpan:
+    """The span of the exact vectors kept so far, grown one candidate at a time.
+
+    Each kept vector is stored reduced: 1 at its own pivot and 0 at the
+    pivots of the vectors kept before it.  ``add`` therefore decides
+    independence with one pass over the stored rows, and keeping every
+    candidate that ``add`` accepts, in order, picks the same vectors as
+    the pivot columns of one elimination of all the candidates.
+    """
+
+    def __init__(self):
+        self._rows: list[tuple[int, np.ndarray]] = []
+
+    def add(self, vec: np.ndarray) -> bool:
+        """Keep ``vec`` if it lies outside the span; report whether it did."""
+        v = np.asarray(vec)
+        for p, row in self._rows:
+            if v[p]:
+                v = v - v[p] * row
+        nonzero = np.flatnonzero(v)
+        if not nonzero.size:
+            return False
+        p = int(nonzero[0])
+        self._rows.append((p, v * (1 / v[p])))
+        return True
 
 
 def invert_exact(matrix: np.ndarray) -> np.ndarray:
@@ -421,103 +460,3 @@ def float_rank(svals: np.ndarray, tol: float) -> int:
                 f"singular value {s:.3e} sits in the ambiguity band "
                 f"({tol:.1e}, {AMBIGUITY_BAND * tol:.1e}] relative to scale")
     return rank
-
-
-@dataclass(frozen=True)
-class SplitBases:
-    """Deterministic bases splitting source = ker + complement, target = im + complement.
-
-    Each part is (space, inclusion GradedMap into the original space).
-    """
-
-    kernel: tuple[GradedVectorSpace, GradedMap]
-    kernel_complement: tuple[GradedVectorSpace, GradedMap]
-    image: tuple[GradedVectorSpace, GradedMap]
-    image_complement: tuple[GradedVectorSpace, GradedMap]
-
-
-def _extend_to_basis(cols: np.ndarray, mode: str, tol: float | None) -> np.ndarray:
-    """Standard basis vectors (pivot order) extending the given independent columns."""
-    n = cols.shape[0]
-    if mode == EXACT:
-        chosen = []
-        current = cols
-        for j in range(n):
-            e = zeros_matrix(n, 1, EXACT)
-            e[j, 0] = Fraction(1)
-            trial = np.concatenate([current, e], axis=1)
-            _, pivots = rref(trial)
-            if len(pivots) == trial.shape[1]:
-                chosen.append(j)
-                current = trial
-        out = zeros_matrix(n, len(chosen), EXACT)
-        for k, j in enumerate(chosen):
-            out[j, k] = Fraction(1)
-        return out
-    chosen = []
-    current = cols
-    for j in range(n):
-        e = np.zeros((n, 1), dtype=complex)
-        e[j, 0] = 1.0
-        trial = np.concatenate([current, e], axis=1)
-        svals = np.linalg.svd(trial, compute_uv=False)
-        if float_rank(svals, tol) == trial.shape[1]:
-            chosen.append(j)
-            current = trial
-    out = np.zeros((n, len(chosen)), dtype=complex)
-    for k, j in enumerate(chosen):
-        out[j, k] = 1.0
-    return out
-
-
-def kernel_image_split(f: GradedMap, tol: float | None = None) -> SplitBases:
-    """Kernel, image, and deterministic complements of a graded map.
-
-    Exact mode: rational row reduction, pivot columns in order.  Float
-    mode: SVD rank decisions through the session tolerance ``tol``.
-    """
-    mode = f.mode
-    if mode == FLOAT and tol is None:
-        tol = DEFAULT_TOL
-    ker_d, kerc_d, im_d, imc_d = {}, {}, {}, {}
-    ker_b, kerc_b, im_b, imc_b = {}, {}, {}, {}
-    for d in f.source.degrees():
-        a = f.block(d)
-        rows, cols = a.shape
-        if mode == EXACT:
-            _, pivots = rref(a)
-            null = exact_nullspace(a)
-            imcols = a[:, pivots] if pivots else zeros_matrix(rows, 0, EXACT)
-            kercomp = zeros_matrix(cols, len(pivots), EXACT)
-            for k, c in enumerate(pivots):
-                kercomp[c, k] = Fraction(1)
-        else:
-            if rows == 0 or cols == 0:
-                rank = 0
-                u = np.zeros((rows, rows), dtype=complex)
-                vh = np.zeros((cols, cols), dtype=complex)
-            else:
-                u, s, vh = np.linalg.svd(a)
-                rank = float_rank(s, tol)
-            null = vh.conj().T[:, rank:]
-            imcols = u[:, :rank]
-            kercomp = vh.conj().T[:, :rank]
-        ker_d[d], kerc_d[d] = null.shape[1], kercomp.shape[1]
-        ker_b[d], kerc_b[d] = null, kercomp
-        td = d + f.degree
-        imcomp = _extend_to_basis(imcols, mode, tol)
-        im_d[td], imc_d[td] = imcols.shape[1], imcomp.shape[1]
-        im_b[td], imc_b[td] = imcols, imcomp
-
-    def pack(dims: dict[int, int], mats: dict[int, np.ndarray],
-             ambient: GradedVectorSpace) -> tuple[GradedVectorSpace, GradedMap]:
-        space = GradedVectorSpace.make(dims)
-        blocks = {d: m for d, m in mats.items() if m.shape[1] > 0}
-        return space, GradedMap.build(space, ambient, 0, blocks, mode)
-
-    return SplitBases(
-        kernel=pack(ker_d, ker_b, f.source),
-        kernel_complement=pack(kerc_d, kerc_b, f.source),
-        image=pack(im_d, im_b, f.target),
-        image_complement=pack(imc_d, imc_b, f.target),
-    )

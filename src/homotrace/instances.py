@@ -36,11 +36,11 @@ from homotrace.dgcore import (
 )
 from homotrace.errors import CapError, ClosureError, InputError, ShapeError
 from homotrace.glinalg import (
+    ExactSpan,
     GradedMap,
     GradedVectorSpace,
     compose,
     invert_exact,
-    rref,
     zeros_matrix,
 )
 from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, one_scalar
@@ -155,6 +155,8 @@ def torus_instance(truncation: int, tau: complex | tuple = 1j,
     total = 2 * (2 * truncation + 1) ** 2
     if truncation < 1:
         raise InputError("truncation must be >= 1")
+    if order_cap < 1:
+        raise InputError("order cap below 1 leaves no derivative operators")
     if total > MAX_TOTAL_DIM:
         raise InputError(
             f"total dimension {total} exceeds the cap {MAX_TOTAL_DIM}")
@@ -205,8 +207,6 @@ def torus_instance(truncation: int, tau: complex | tuple = 1j,
         vec = np.array([lam[mn] ** order for mn in modes], dtype=complex)
         name = "ddz" if order == 1 else f"ddz{order}"
         elements[name] = (0, vec)
-    if order_cap < 1:
-        raise CapError("order cap below 1 leaves no derivative operators")
     meta = {"kind": "torus", "truncation": truncation,
             "tau": [tau.real, tau.imag], "order_cap": order_cap,
             "modes_per_degree": n_modes}
@@ -262,41 +262,23 @@ def _random_square_zero(rng: random.Random, space: GradedVectorSpace
     return compose(smap, compose(q, simap))
 
 
-def _flatten(space: GradedVectorSpace, m: GradedMap) -> np.ndarray:
-    cells = []
-    for d in space.degrees():
-        for td in space.degrees():
-            blk = m.block(d) if td == d + m.degree else None
-            rows, cols = space.dim(td), space.dim(d)
-            if rows == 0 or cols == 0:
-                continue
-            if blk is not None and blk.shape == (rows, cols):
-                cells.append(np.array(blk).reshape(-1))
-            else:
-                z = zeros_matrix(rows, cols, EXACT)
-                cells.append(z.reshape(-1))
-    return np.concatenate(cells) if cells else np.empty(0, dtype=object)
-
-
 def _closure(space: GradedVectorSpace, q: GradedMap,
              generators: list[GradedMap], bound: int) -> list[GradedMap]:
-    """Unital span closure under composition and {Q, .}; exact row reduction."""
+    """Unital span closure under composition and {Q, .}; exact.
+
+    Operators of different degrees are independent, so independence is
+    decided in one span per degree, on the concatenated blocks.
+    """
     from homotrace.glinalg import supercommutator
 
     basis: list[GradedMap] = []
-    flat_rows: list[np.ndarray] = []
+    spans: dict[int, ExactSpan] = {}
 
     def try_add(m: GradedMap) -> bool:
-        if m.is_zero():
+        vec = np.concatenate([m.block(d).reshape(-1) for d in space.degrees()])
+        if not spans.setdefault(m.degree, ExactSpan()).add(vec):
             return False
-        vec = _flatten(space, m)
-        if flat_rows:
-            stacked = np.stack(flat_rows + [vec], axis=1)
-            _, pivots = rref(stacked)
-            if len(pivots) <= len(flat_rows):
-                return False
         basis.append(m)
-        flat_rows.append(vec)
         if len(basis) > bound:
             raise ClosureError(
                 f"algebra closure exceeded the dimension bound {bound}")
@@ -311,7 +293,6 @@ def _closure(space: GradedVectorSpace, q: GradedMap,
             for b in list(basis):
                 queue.append(compose(b, m))
                 queue.append(compose(m, b))
-    # degree-homogeneous check (construction keeps generators homogeneous)
     return basis
 
 
@@ -347,6 +328,8 @@ def random_instance(seed: int, dims: dict[int, int],
     """Deterministic exact bundle from a seed: random square-zero Q and a
     random unital operator subalgebra closed under d and product."""
     total = sum(dims.values())
+    if not any(n > 0 for n in dims.values()):
+        raise InputError("random instances need a positive dimension")
     if total > MAX_RANDOM_DIM:
         raise InputError(f"random instances are capped at total dimension "
                          f"{MAX_RANDOM_DIM}, got {total}")

@@ -59,7 +59,7 @@ class _Cell:
     err: float = 0.0
 
 
-def integrate_cube(f, dim: int, rel_tol: float = 1e-9,
+def integrate_cube(f, dim: int, *, rel_tol: float,
                    order: int = DEFAULT_ORDER,
                    budget: int = DEFAULT_BUDGET) -> tuple[np.ndarray, float]:
     """Integrate the vector-valued ``f`` over (0,1)^dim.

@@ -11,6 +11,7 @@ structure constants, unit and differential from the operators
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from homotrace.dgcore import (
     DgModuleBundle,
@@ -18,7 +19,7 @@ from homotrace.dgcore import (
     build_splitting_hodge,
     build_splitting_projector,
 )
-from homotrace.errors import InputError
+from homotrace.errors import InputError, ShapeError
 from homotrace.glinalg import (
     GradedMap,
     GradedVectorSpace,
@@ -88,6 +89,25 @@ def save_instance(instance: Instance, path: str) -> None:
         fh.write("\n")
 
 
+@contextmanager
+def _reading(what: str):
+    """A field that is missing or of the wrong shape is bad input."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            ZeroDivisionError, ShapeError) as exc:
+        raise InputError(f"malformed {what}: {type(exc).__name__}: {exc}"
+                         ) from exc
+
+
+def _check_format(data, fmt: str, what: str) -> None:
+    if not isinstance(data, dict):
+        raise InputError(f"not {what} (the top level is a JSON "
+                         f"{type(data).__name__}, not an object)")
+    if data.get("format") != fmt:
+        raise InputError(f"not {what} (format {data.get('format')!r})")
+
+
 def _map_from_triplets(space: GradedVectorSpace, degree: int, trips: list,
                        mode: str) -> GradedMap:
     pos = {}
@@ -108,49 +128,52 @@ def _map_from_triplets(space: GradedVectorSpace, degree: int, trips: list,
 
 
 def instance_from_dict(data: dict, tol: float = DEFAULT_TOL) -> Instance:
-    if data.get("format") != INSTANCE_FORMAT:
-        raise InputError(f"not an instance file (format {data.get('format')!r})")
+    _check_format(data, INSTANCE_FORMAT, "an instance file")
     mode = data.get("scalar")
     if mode not in (EXACT, FLOAT):
         raise InputError(f"unknown scalar mode {mode!r}")
-    dims, labels = {}, {}
-    for d, n, labs in data["module"]:
-        dims[int(d)] = int(n)
-        labels[int(d)] = list(labs)
-    space = GradedVectorSpace.make(dims, labels)
-    q = _map_from_triplets(space, 1, data["Q"], mode)
-    if not compose(q, q).is_zero(None if mode == EXACT else tol):
-        raise InputError("Q-squared: differential does not square to zero")
-
     if data.get("products"):
         raise InputError("explicit products in files are not supported; "
                          "omit the field to derive them from the operators")
-    names, maps = [], []
-    for name, deg, trips in data["algebra"]:
-        names.append(name)
-        maps.append(_map_from_triplets(space, int(deg), trips, mode))
-    algebra, rho = algebra_from_operators(space, q, maps, names, mode, tol)
-    bundle = DgModuleBundle(algebra=algebra, space=space, q=q, rho=rho,
-                            mode=mode)
-
     if data.get("splitting"):
         raise InputError("explicit splittings in files are not supported yet; "
                          "omit the field to derive one")
+    with _reading("instance file"):
+        dims, labels = {}, {}
+        for d, n, labs in data["module"]:
+            dims[int(d)] = int(n)
+            labels[int(d)] = list(labs)
+        space = GradedVectorSpace.make(dims, labels)
+        q = _map_from_triplets(space, 1, data["Q"], mode)
+        names, maps = [], []
+        for name, deg, trips in data["algebra"]:
+            names.append(name)
+            maps.append(_map_from_triplets(space, int(deg), trips, mode))
+        raw_elements = [
+            (name, int(deg), [(bname, decode_value(enc, mode))
+                              for bname, enc in coords])
+            for name, deg, coords in (data.get("elements") or [])]
+        meta = dict(data.get("meta") or {})
+    if not compose(q, q).is_zero(None if mode == EXACT else tol):
+        raise InputError("Q-squared: differential does not square to zero")
+
+    algebra, rho = algebra_from_operators(space, q, maps, names, mode, tol)
+    bundle = DgModuleBundle(algebra=algebra, space=space, q=q, rho=rho,
+                            mode=mode)
     if mode == EXACT:
         splitting = build_splitting_projector(space, q)
     else:
         splitting = build_splitting_hodge(space, q, tol=tol)
 
     elements = {}
-    for name, deg, coords in (data.get("elements") or []):
+    for name, deg, coords in raw_elements:
         vec = algebra._zero_vec()
-        for bname, enc in coords:
+        for bname, value in coords:
             k = algebra.flat_by_name(bname)
             if k is None:
                 raise InputError(f"unknown operator {bname!r} in element {name!r}")
-            vec[k] = decode_value(enc, mode)
-        elements[name] = (int(deg), vec)
-    meta = dict(data.get("meta") or {})
+            vec[k] = value
+        elements[name] = (deg, vec)
     return _validated(bundle, splitting, elements, meta,
                       None if mode == EXACT else tol)
 
@@ -187,26 +210,26 @@ def load_chains(path: str, instance: Instance
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read chain file {path}: {exc}") from exc
-    if data.get("format") != CHAINS_FORMAT:
-        raise InputError(f"not a chain file (format {data.get('format')!r})")
+    _check_format(data, CHAINS_FORMAT, "a chain file")
     algebra = instance.bundle.algebra
     out = []
-    for entry in data["chains"]:
-        name = entry.get("name") or f"chain{len(out)}"
-        chain = HochschildChain.zero(algebra)
-        for term in entry["terms"]:
-            coeff = decode_value(term["coeff"], instance.mode)
-            slot_vecs = []
-            for slot_name in term["slots"]:
-                _, vec = instance.element(slot_name)
-                slot_vecs.append(vec)
-            stack = [((), coeff)]
-            for vec in slot_vecs:
-                stack = [(fl + (idx,), c * v) for fl, c in stack
-                         for idx, v in enumerate(vec) if v]
-                if not stack:
-                    break
-            for fl, c in stack:
-                chain.add_term(fl, c)
-        out.append((name, chain))
+    with _reading("chain file"):
+        for entry in data["chains"]:
+            name = entry.get("name") or f"chain{len(out)}"
+            chain = HochschildChain.zero(algebra)
+            for term in entry["terms"]:
+                coeff = decode_value(term["coeff"], instance.mode)
+                slot_vecs = []
+                for slot_name in term["slots"]:
+                    _, vec = instance.element(slot_name)
+                    slot_vecs.append(vec)
+                stack = [((), coeff)]
+                for vec in slot_vecs:
+                    stack = [(fl + (idx,), c * v) for fl, c in stack
+                             for idx, v in enumerate(vec) if v]
+                    if not stack:
+                        break
+                for fl, c in stack:
+                    chain.add_term(fl, c)
+            out.append((name, chain))
     return out

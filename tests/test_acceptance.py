@@ -426,7 +426,7 @@ def test_criterion_9_reproducibility(tmp_path, capsys):
         assert cli_main(["trace", "--instance", ipath, "--chain", str(cpath),
                          "--cyclic", "1", "--output", "json"]) == 0
         trace_out = capsys.readouterr().out
-        instance_bytes = open(ipath).read()
+        instance_bytes = (workdir / "instance.json").read_text()
         outputs.append((gen_out, instance_bytes, verify_out, trace_out))
     assert outputs[0] == outputs[1]
     _report("AC9", "(gen, verify, trace reports byte-identical)")

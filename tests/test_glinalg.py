@@ -1,4 +1,4 @@
-"""Graded linear algebra: composition, Koszul tensor, kernels and complements."""
+"""Graded linear algebra: composition, Koszul tensor, exact elimination and spans."""
 
 from fractions import Fraction
 
@@ -9,16 +9,20 @@ from hypothesis import strategies as st
 
 from homotrace.errors import RankAmbiguousError, ShapeError
 from homotrace.glinalg import (
+    ExactSpan,
     GradedMap,
     GradedVectorSpace,
     compose,
-    kernel_image_split,
+    exact_nullspace,
+    float_rank,
     matrix_from_rows,
+    nullspace_and_pivots,
+    rref,
     supercommutator,
     tensor_map,
     zeros_matrix,
 )
-from homotrace.scalars import EXACT, FLOAT
+from homotrace.scalars import EXACT
 
 
 def space(dims):
@@ -125,49 +129,75 @@ def test_supercommutator_identities():
     assert supercommutator(f, ident).is_zero()
 
 
-def test_kernel_image_split_t1_degree0():
-    """The 2 -> 1 block [1 0]: kernel spanned by e2, image by f."""
-    v = GradedVectorSpace.make({0: 2, 1: 1}, {0: ["e1", "e2"], 1: ["f"]})
-    q = GradedMap.build(v, v, 1, {0: matrix_from_rows([[1, 0]], EXACT)}, EXACT)
-    sb = kernel_image_split(q)
-    assert sb.kernel[0].dim(0) == 1
-    assert list(sb.kernel[1].block(0).ravel()) == [0, 1]
-    assert sb.image[0].dim(1) == 1
-    assert list(sb.image[1].block(1).ravel()) == [1]
+def test_nullspace_t1_degree0():
+    """The 2 -> 1 block [1 0]: kernel spanned by e2, pivot at e1."""
+    null, pivots = nullspace_and_pivots(matrix_from_rows([[1, 0]], EXACT))
+    assert list(null.ravel()) == [0, 1]
+    assert pivots == [0]
+    assert (exact_nullspace(matrix_from_rows([[1, 0]], EXACT)) == null).all()
 
 
-def test_kernel_image_split_zero_and_identity():
-    v = space({0: 3})
-    z = GradedMap.zero(v, v, 0, EXACT)
-    sb = kernel_image_split(z)
-    assert sb.kernel[0].dim(0) == 3 and sb.image[0].dim(0) == 0
-    i = GradedMap.identity(v, EXACT)
-    sb = kernel_image_split(i)
-    assert sb.kernel[0].dim(0) == 0 and sb.image[0].dim(0) == 3
+def test_nullspace_zero_and_identity():
+    assert exact_nullspace(zeros_matrix(3, 3, EXACT)).shape == (3, 3)
+    assert exact_nullspace(zeros_matrix(0, 3, EXACT)).shape == (3, 3)
+    assert exact_nullspace(matrix_from_rows(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]], EXACT)).shape == (3, 0)
 
 
-@given(small_dims, st.integers(0, 1), st.integers(0, 9999))
+@given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 9999))
 @settings(max_examples=40, deadline=None)
-def test_kernel_image_dimensions_and_injectivity(dims, degree, seed):
+def test_nullspace_rank_nullity(rows, cols, seed):
     import random
     rng = random.Random(seed)
-    v = space(dims)
-    f = random_gmap(rng, v, v, degree)
-    sb = kernel_image_split(f)
-    for d in v.degrees():
-        assert sb.kernel[0].dim(d) + sb.image[0].dim(d + degree) == v.dim(d)
-        # f restricted to the kernel complement is injective
-        restricted = compose(f, sb.kernel_complement[1])
-        sub = kernel_image_split(restricted)
-        assert sub.kernel[0].dim(d) == 0
+    a = zeros_matrix(rows, cols, EXACT)
+    for i in range(rows):
+        for j in range(cols):
+            a[i, j] = Fraction(rng.randint(-2, 2))
+    null, pivots = nullspace_and_pivots(a)
+    assert null.shape == (cols, cols - len(pivots))
+    assert len(pivots) == len(rref(a)[1])
+    assert all(x == 0 for x in (a @ null).flat)
+    # the kernel basis is independent
+    assert len(rref(null)[1]) == null.shape[1]
+
+
+def _greedy_by_rref(columns):
+    """Reference: keep a column when the stack of kept columns plus it has
+    full column rank, one elimination per candidate."""
+    kept = []
+    for j, col in enumerate(columns):
+        trial = np.stack([columns[k] for k in kept] + [col], axis=1)
+        if len(rref(trial)[1]) == trial.shape[1]:
+            kept.append(j)
+    return kept
+
+
+@given(st.integers(1, 6), st.lists(st.integers(0, 3), min_size=1, max_size=9),
+       st.integers(0, 9999))
+@settings(max_examples=100, deadline=None)
+def test_exact_span_matches_per_candidate_rref(length, kinds, seed):
+    """Kind 0 is a zero column, 1 a combination of earlier columns, 2 and 3
+    random columns with small entries."""
+    import random
+    rng = random.Random(seed)
+    columns = []
+    for kind in kinds:
+        col = zeros_matrix(length, 1, EXACT)[:, 0]
+        if kind == 1 and columns:
+            for c in rng.sample(columns, min(2, len(columns))):
+                col = col + Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * c
+        elif kind >= 2:
+            for i in range(length):
+                col[i] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+        columns.append(col)
+    span = ExactSpan()
+    chosen = [j for j, col in enumerate(columns) if span.add(col)]
+    assert chosen == _greedy_by_rref(columns)
 
 
 def test_float_rank_ambiguity_raises():
-    v = space({0: 2})
-    m = np.array([[1.0, 0.0], [0.0, 1e-9]], dtype=complex)
-    f = GradedMap.build(v, v, 0, {0: m}, FLOAT)
     with pytest.raises(RankAmbiguousError):
-        kernel_image_split(f, tol=1e-10)
+        float_rank(np.array([1.0, 1e-9]), 1e-10)
 
 
 def test_supertrace():

@@ -23,7 +23,7 @@ from homotrace.hochschild import (
 )
 from homotrace.instances import random_instance, to_float_instance
 from homotrace.scalars import DEFAULT_TOL
-from homotrace.traces import canonical_supertrace
+from homotrace.traces import canonical_supertrace, trace_defect, trace_functional
 from homotrace.transfer import transferred_morphism
 
 
@@ -222,6 +222,31 @@ def test_chain_map_exhaustive_short_chains(seed, shear_seed):
                                           shear_seed=shear_seed)
     f = transferred_morphism(inst.bundle, splitting)
     assert _short_chain_failures(inst, f) == []
+
+
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=3).filter(
+           lambda ns: 0 < sum(ns) <= 4),
+       st.integers(0, 10 ** 4), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_chain_map_and_trace_on_random_instances(ns, seed, shear):
+    """Exactly: push_chain is a chain map on every basis chain of length
+    <= 2, and the transferred trace vanishes on the boundary of every basis
+    chain of length 2-3 and internal degree k - 2, for the default
+    splitting and a sheared one."""
+    inst = random_instance(seed, {d: n for d, n in enumerate(ns) if n})
+    splitting = (build_splitting_projector(inst.bundle.space, inst.bundle.q,
+                                           shear_seed=seed)
+                 if shear else inst.splitting)
+    f = transferred_morphism(inst.bundle, splitting)
+    alg = inst.bundle.algebra
+    for k in (1, 2):
+        for flats in itertools.product(range(alg.n_basis), repeat=k):
+            assert chain_map_defect(HochschildChain.of(alg, flats), f).passed
+    func = trace_functional(f)
+    for k in (2, 3):
+        for flats in itertools.product(range(alg.n_basis), repeat=k):
+            if sum(alg.basis_degree(x) for x in flats) == k - 2:
+                assert trace_defect(HochschildChain.of(alg, flats), func) == 0
 
 
 def test_chain_map_property_torus(torus1, torus_morphism):

@@ -1,6 +1,8 @@
 """Instance generators: validation, determinism, torus structure, bounds."""
 
 import cmath
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from homotrace.instances import (
     torus_element,
     torus_instance,
 )
+from homotrace.serialize import instance_to_dict
 from homotrace.traces import transferred_trace
 from homotrace.hochschild import HochschildChain
 from homotrace.transfer import transferred_morphism
@@ -112,6 +115,25 @@ def test_torus_derivative_traces_to_zero(torus1, torus_morphism):
     for i, c in enumerate(vec):
         chain.add_term((i,), c)
     assert abs(complex(transferred_trace(chain, torus_morphism))) <= 1e-10
+
+
+def test_torus_order_cap_below_one_is_input_error():
+    with pytest.raises(InputError, match="order cap"):
+        torus_instance(1, order_cap=0)
+
+
+@pytest.mark.parametrize("seed, dims, digest", [
+    (11, {0: 2, 1: 3, 2: 2},
+     "4fed6008668efec7156e7be4298dde70f127c8b6addd21e3c67c10873f2d125d"),
+    (7, {0: 2, 1: 2},
+     "5526ce106f993a65205329c044520bfaaf32adb247e4a420045fd735d431360b"),
+], ids=["r11", "r7"])
+def test_random_instance_file_is_unchanged(seed, dims, digest):
+    """Golden digests of the instance files of the benchmark's random
+    instances, taken before the closure moved to one span per degree."""
+    text = json.dumps(instance_to_dict(random_instance(seed, dims)),
+                      sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_torus_order_cap():
