@@ -34,8 +34,9 @@ class CapError(HomotraceError):
     """A generator was asked for an operator beyond its order cap."""
 
 
-class ClosureError(HomotraceError):
-    """Algebra closure computation exceeded its dimension bound."""
+class ClosureError(InputError):
+    """Declared operators do not span a closed algebra with unit, or its
+    closure computation exceeded its dimension bound."""
 
 
 class QuadratureBudgetError(HomotraceError):

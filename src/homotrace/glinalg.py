@@ -221,9 +221,6 @@ class GradedMap:
         blocks = {d: m * c for d, m in self.blocks}
         return GradedMap.build(self.source, self.target, self.degree, blocks, self.mode)
 
-    def __matmul__(self, other: "GradedMap") -> "GradedMap":
-        return compose(self, other)
-
     def _check_parallel(self, other: "GradedMap") -> None:
         if (self.source.dims != other.source.dims
                 or self.target.dims != other.target.dims

@@ -82,15 +82,6 @@ class HochschildChain:
         return HochschildChain(self.algebra,
                                {t: v * c for t, v in self.terms.items()})
 
-    def term_degree(self, flats: tuple[int, ...]) -> int:
-        """Total degree: internal sum minus (slots - 1)."""
-        a = self.algebra
-        return sum(a.basis_degree(f) for f in flats) - (len(flats) - 1)
-
-    def internal_degree(self, flats: tuple[int, ...]) -> int:
-        a = self.algebra
-        return sum(a.basis_degree(f) for f in flats)
-
     def max_coeff(self) -> float:
         return max((abs(complex(c)) for c in self.terms.values()), default=0.0)
 

@@ -10,7 +10,6 @@ epsilon.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 DEFAULT_TOL = 1e-10
 
@@ -116,9 +115,6 @@ class GaussianRational:
         if self.im == 0:
             return str(self.re)
         return f"{self.re}+{self.im}i"
-
-
-ExactScalar = Union[Fraction, GaussianRational]
 
 
 def conj_scalar(x):

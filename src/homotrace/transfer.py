@@ -2,10 +2,12 @@
 
 The engine evaluates the operator-valued connection form built from the
 propagator exp[-dt kappa - t Delta], Delta = {Q, kappa} (pi1 in projector
-kind), whose heat kernel it reads off the splitting's spectrum, integrates
-it in closed form or by adaptive quadrature over the compactified gap
-cube (chart t = sigma/(1-sigma)), and checks the transferred morphism's
-coherence relations.
+kind), whose heat kernel it reads off the splitting's spectrum, and checks
+the transferred morphism's coherence relations.  The form's top component
+integrates to the word p rho h rho ... h rho i: in closed form, or by
+adaptive quadrature over the compactified gap cube (chart t =
+sigma/(1-sigma)) of the same word with each h replaced by the heat kernel
+L diag(e^(-t lam)) (R kappa), whose integral over t in (0, inf) is h.
 
 Signs.  In chain order the transferred component is
 
@@ -258,42 +260,55 @@ def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
                         ) -> tuple[GradedMap, float]:
     """Transferred component by adaptive quadrature over the open gap cube.
 
-    Integrates the top form component in sigma coordinates (t =
-    sigma/(1-sigma), Jacobian 1/(1-sigma)^2 per axis) and conjugates onto
-    the cohomology space.  Returns (value, error estimate).
+    The integrand is the word of ``transfer_closed`` with each h replaced
+    by the heat kernel L diag(e^(-t lam)) (R kappa):
+
+      eps * A_(k-1) diag(e^(-t_(k-1) lam)) ... diag(e^(-t_1 lam)) A_0,
+
+    with A_0 = (R kappa) rho(a_1) i, A_j = (R kappa) rho(a_(j+1)) L and
+    A_(k-1) = p rho(a_k) L composed once.  Its integral over the gaps t in
+    (0, inf)^(k-1) is the closed form.  The integrand is evaluated on the
+    unit cube in sigma (t = sigma/(1-sigma), Jacobian 1/(1-sigma)^2 per
+    axis), a whole rule of nodes per call.  Returns (value, error
+    estimate).
     """
     slots = [as_slot(bundle, x) for x in inputs]
     k = len(slots)
     if k > max_arity:
         raise ShapeError(f"arity {k} above configured maximum {max_arity}")
-    cache = PropagatorCache(splitting)
     rhos = [_to_float(bundle.rho_vector(s.coeffs)) for s in slots]
-    pi0 = cache.pi0
     include = _to_float(splitting.include)
     project = _to_float(splitting.project)
+    if k == 1:
+        return compose(compose(project, rhos[0]), include), 0.0
+
+    spec, r_kappa = _heat_factors(splitting, FLOAT)
+    space = splitting.pi0.source
+    ell = GradedMap.build(space, space, 0,
+                          {d: l for d, (l, _, _) in spec.items()}, FLOAT)
+    rk = GradedMap.build(space, space, -1, r_kappa, FLOAT)
+    factors = ([compose(compose(rk, rhos[0]), include)]
+               + [compose(compose(rk, rho), ell) for rho in rhos[1:-1]]
+               + [compose(compose(project, rhos[-1]), ell)])
+    lams = {d: lam for d, (_, lam, _) in spec.items()}
+    eps = _epsilon([s.degree for s in slots], FLOAT)
     m0 = splitting.m0
     out_degree = sum(s.degree for s in slots) + 1 - k
-
     shapes = [(d, m0.dim(d), m0.dim(d + out_degree)) for d in m0.degrees()]
 
-    if k == 1:
-        val = compose(compose(project, rhos[0]), include)
-        return val, 0.0
-
-    def top_at(t_vals: np.ndarray) -> GradedMap:
-        acc = compose(pi0, rhos[k - 1])
-        for j in range(k - 2, -1, -1):
-            _, odd = cache.value(float(t_vals[j]))
-            sign = (-1) ** ((acc.degree % 2) + (k - 2 - j))
-            acc = compose(compose(acc, odd).scale(complex(sign)), rhos[j])
-        return acc
-
     def integrand(sigma: np.ndarray) -> np.ndarray:
-        t_vals = sigma / (1.0 - sigma)
-        jac = float(np.prod(1.0 / (1.0 - sigma) ** 2))
-        g = compose(compose(project, top_at(t_vals)), include)
-        return np.concatenate([np.zeros(0, dtype=complex)] + [
-            g.block(d).ravel() for d, _, _ in shapes]) * jac
+        t = sigma / (1.0 - sigma)
+        scale = eps * np.prod(1.0 / (1.0 - sigma) ** 2, axis=1)
+        cols = []
+        for d, _, _ in shapes:
+            x, e = factors[0].block(d), d + factors[0].degree
+            for j, a in enumerate(factors[1:]):
+                heat = np.exp(-t[:, j, None] * lams.get(e, np.zeros(0)))
+                x = a.block(e) @ (heat[:, :, None] * x)
+                e += a.degree
+            cols.append(x.reshape(len(sigma), -1))
+        return np.concatenate([np.zeros((len(sigma), 0))] + cols,
+                              axis=1) * scale[:, None]
 
     def unflatten(vec: np.ndarray) -> GradedMap:
         blocks, off = {}, 0

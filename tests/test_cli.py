@@ -125,19 +125,25 @@ def test_gen_respects_dims_bound(tmp_path, capsys):
     ("verify", [1, 2], None),
     ("verify", {"format": "homotrace-instance/1", "scalar": "exact",
                 "module": [[0, 2, ["a"]]], "Q": [], "algebra": []}, None),
+    ("verify", lambda t1: {**t1, "algebra": []}, None),
     ("trace", None, {"format": "homotrace-chains/1"}),
     ("trace", None, {"format": "homotrace-chains/1", "chains": [
         {"name": "c", "terms": [{"coeff": "x", "slots": ["Id"]}]}]}),
     ("gen", None, None),
 ], ids=["no-module", "short-module-entry", "top-level-list",
-        "label-count", "no-chains", "bad-coefficient", "zero-dims"])
+        "label-count", "unclosed-algebra", "no-chains", "bad-coefficient",
+        "zero-dims"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, instance, chains):
     """A malformed file or an empty --dims is bad input: exit 2 with one
-    'input error:' line, never a traceback."""
+    'input error:' line, never a traceback.  ``instance`` is a file's
+    content, None for the T1 file, or an edit of the T1 file's content."""
     ipath = tmp_path / "instance.json"
-    if instance is None:
+    if instance is None or callable(instance):
         assert run(["gen", "--kind", "matrix", "--preset", "T1",
                     "-o", str(ipath)]) == 0
+        if instance is not None:
+            edited = instance(json.loads(ipath.read_text()))
+            ipath.write_text(json.dumps(edited))
     else:
         ipath.write_text(json.dumps(instance))
     cpath = tmp_path / "chains.json"

@@ -257,6 +257,37 @@ def test_quadrature_matches_closed_form_t1_float():
     assert checked >= 4
 
 
+@pytest.mark.parametrize("name, seed, arities, count", [
+    ("T1", None, (2, 3), 2),
+    ("r7", None, (2, 3, 4), 56),
+    ("T1", 0, (2, 3), 12),
+    ("T1", 1, (2, 3), 12),
+], ids=["T1f", "r7f", "T1f-inner-0", "T1f-inner-1"])
+def test_quadrature_matches_closed_form_on_every_nonzero_tuple(
+        name, seed, arities, count):
+    """Quadrature agrees with the closed form to relative 1e-8 on every
+    basis tuple whose closed form exceeds 1e-6, for the instance's own
+    splitting or the Hodge splitting of a seeded inner product."""
+    inst = _float_instance(name)
+    s = inst.splitting
+    if seed is not None:
+        space = inst.bundle.space
+        s = build_splitting_hodge(space, inst.bundle.q,
+                                  _inner_product(space, seed))
+    n = inst.bundle.algebra.n_basis
+    checked = 0
+    for k in arities:
+        for tup in itertools.product(range(n), repeat=k):
+            closed = transfer_closed(list(tup), s, inst.bundle)
+            if closed.max_abs() <= 1e-6:
+                continue
+            quad, _ = transfer_quadrature(list(tup), s, inst.bundle,
+                                          rel_tol=1e-9)
+            assert (quad - closed).max_abs() <= 1e-8 * closed.max_abs(), tup
+            checked += 1
+    assert checked == count
+
+
 def test_quadrature_arity_one_exact(t1):
     t1f = to_float_instance(t1_instance())
     val, est = transfer_quadrature([3], t1f.splitting, t1f.bundle)
