@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--instance", required=True)
     v.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOL)
     v.add_argument("--max-arity", type=_positive_int, default=4)
-    v.add_argument("--quad-budget", type=int, default=10 ** 6)
+    v.add_argument("--quad-budget", type=_positive_int, default=10 ** 6)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", choices=["text", "json"], default="text")
     v.set_defaults(func=cmd_verify)
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--method", choices=["closed", "quadrature"],
                    default="closed")
     t.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOL)
-    t.add_argument("--quad-budget", type=int, default=10 ** 6)
+    t.add_argument("--quad-budget", type=_positive_int, default=10 ** 6)
     t.add_argument("--output", choices=["text", "json"], default="text")
     t.set_defaults(func=cmd_trace)
     return p

@@ -17,15 +17,16 @@ Signs.  In chain order the transferred component is
 through it with {Q, h} = 1 - ip, pQ = 0 and Qi = 0 gives the bar relation
 f b - b f = 0 with the two Koszul signs of ``glinalg.bar_signs``, the same
 ones the Hochschild differential uses (``ainfinity_defect``).  The integral
-over the gap cube gives the word acting right to left, a_1 first
-(``transfer_closed``, ``transfer_quadrature``), times its top-coefficient
-sign eps(k, degrees) = (-1)^(k-1) * (-1)^(sum_{j>=2} (j-1) deg a_j); that
-is the only normalisation, and ``on_basis`` reverses the word and divides
-it out.
+over the gap cube gives the word acting right to left, a_1 first, times its
+top-coefficient sign eps(k, degrees) = (-1)^(k-1) * (-1)^(sum_{j>=2} (j-1)
+deg a_j).  eps belongs only to the two word-order functions
+``transfer_closed`` and ``transfer_quadrature``: each is eps times f_k on
+the reversed word.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -238,19 +239,15 @@ def transfer_closed(inputs, splitting: Splitting,
     """Fully integrated transferred component, in closed form.
 
     F_k(a_1,...,a_k) = eps * project . rho(a_k) . h . rho(a_{k-1}) . h ...
-    h . rho(a_1) . include, with h the normalized homotopy.  Exact in
-    exact mode; degree sum(deg a_i) + 1 - k on the cohomology space.
+    h . rho(a_1) . include, with h the normalized homotopy: eps times the
+    chain-order component on the reversed word.  Exact in exact mode;
+    degree sum(deg a_i) + 1 - k on the cohomology space.
     """
     slots = [as_slot(bundle, x) for x in inputs]
-    k = len(slots)
-    if k < 1:
+    if not slots:
         raise ShapeError("transfer needs at least one input")
-    h = splitting.homotopy
-    acc = compose(splitting.project, bundle.rho_vector(slots[k - 1].coeffs))
-    for j in range(k - 2, -1, -1):
-        acc = compose(compose(acc, h), bundle.rho_vector(slots[j].coeffs))
-    acc = compose(acc, splitting.include)
-    return acc.scale(_epsilon([s.degree for s in slots], bundle.mode))
+    eps = _epsilon([s.degree for s in slots], bundle.mode)
+    return AInfinityMorphism(bundle, splitting).value(slots[::-1]).scale(eps)
 
 
 def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
@@ -258,28 +255,33 @@ def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
                         order: int = DEFAULT_ORDER,
                         budget: int = DEFAULT_BUDGET, max_arity: int = 4
                         ) -> tuple[GradedMap, float]:
-    """Transferred component by adaptive quadrature over the open gap cube.
+    """Transferred component by adaptive quadrature over the open gap cube:
+    the word of ``transfer_closed``, eps applied to rho(a_1), integrated
+    by ``_quadrature``.  Returns (value, error estimate)."""
+    slots = [as_slot(bundle, x) for x in inputs]
+    if len(slots) > max_arity:
+        raise ShapeError(f"arity {len(slots)} above maximum {max_arity}")
+    rhos = [_to_float(bundle.rho_vector(s.coeffs)) for s in slots]
+    rhos[0] = rhos[0].scale(_epsilon([s.degree for s in slots], FLOAT))
+    return _quadrature(rhos[::-1], splitting, rel_tol, order, budget)
 
-    The integrand is the word of ``transfer_closed`` with each h replaced
-    by the heat kernel L diag(e^(-t lam)) (R kappa):
 
-      eps * A_(k-1) diag(e^(-t_(k-1) lam)) ... diag(e^(-t_1 lam)) A_0,
+def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
+                order: int, budget: int) -> tuple[GradedMap, float]:
+    """p rho_1 h ... h rho_k i, rhos in chain order, with each h replaced by
+    the heat kernel L diag(e^(-t lam)) (R kappa):
 
-    with A_0 = (R kappa) rho(a_1) i, A_j = (R kappa) rho(a_(j+1)) L and
-    A_(k-1) = p rho(a_k) L composed once.  Its integral over the gaps t in
+      A_(k-1) diag(e^(-t_(k-1) lam)) ... diag(e^(-t_1 lam)) A_0,
+
+    with A_0 = (R kappa) rho_k i, A_j = (R kappa) rho_(k-j) L and
+    A_(k-1) = p rho_1 L composed once.  Its integral over the gaps t in
     (0, inf)^(k-1) is the closed form.  The integrand is evaluated on the
     unit cube in sigma (t = sigma/(1-sigma), Jacobian 1/(1-sigma)^2 per
-    axis), a whole rule of nodes per call.  Returns (value, error
-    estimate).
+    axis), a whole rule of nodes per call.  Returns (value, error estimate).
     """
-    slots = [as_slot(bundle, x) for x in inputs]
-    k = len(slots)
-    if k > max_arity:
-        raise ShapeError(f"arity {k} above configured maximum {max_arity}")
-    rhos = [_to_float(bundle.rho_vector(s.coeffs)) for s in slots]
     include = _to_float(splitting.include)
     project = _to_float(splitting.project)
-    if k == 1:
+    if len(rhos) == 1:
         return compose(compose(project, rhos[0]), include), 0.0
 
     spec, r_kappa = _heat_factors(splitting, FLOAT)
@@ -287,18 +289,17 @@ def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
     ell = GradedMap.build(space, space, 0,
                           {d: l for d, (l, _, _) in spec.items()}, FLOAT)
     rk = GradedMap.build(space, space, -1, r_kappa, FLOAT)
-    factors = ([compose(compose(rk, rhos[0]), include)]
-               + [compose(compose(rk, rho), ell) for rho in rhos[1:-1]]
-               + [compose(compose(project, rhos[-1]), ell)])
+    factors = ([compose(compose(rk, rhos[-1]), include)]
+               + [compose(compose(rk, rho), ell) for rho in rhos[-2:0:-1]]
+               + [compose(compose(project, rhos[0]), ell)])
     lams = {d: lam for d, (_, lam, _) in spec.items()}
-    eps = _epsilon([s.degree for s in slots], FLOAT)
     m0 = splitting.m0
-    out_degree = sum(s.degree for s in slots) + 1 - k
+    out_degree = sum(f.degree for f in factors)
     shapes = [(d, m0.dim(d), m0.dim(d + out_degree)) for d in m0.degrees()]
 
     def integrand(sigma: np.ndarray) -> np.ndarray:
         t = sigma / (1.0 - sigma)
-        scale = eps * np.prod(1.0 / (1.0 - sigma) ** 2, axis=1)
+        scale = np.prod(1.0 / (1.0 - sigma) ** 2, axis=1)
         cols = []
         for d, _, _ in shapes:
             x, e = factors[0].block(d), d + factors[0].degree
@@ -318,7 +319,7 @@ def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
         return GradedMap.build(m0, m0, out_degree, blocks, FLOAT)
 
     try:
-        vec, est = integrate_cube(integrand, k - 1, rel_tol=rel_tol,
+        vec, est = integrate_cube(integrand, len(rhos) - 1, rel_tol=rel_tol,
                                   order=order, budget=budget)
     except QuadratureBudgetError as exc:
         raise QuadratureBudgetError(str(exc), best=unflatten(exc.best),
@@ -345,52 +346,51 @@ class AInfinityMorphism:
     budget: int = DEFAULT_BUDGET
     quad_error: float = 0.0
     _cache: dict = field(default_factory=dict, repr=False)
+    _words: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        if self.method not in ("closed", "quadrature") or (
+                self.method == "quadrature" and self.bundle.mode != FLOAT):
+            raise ShapeError(f"cannot evaluate method {self.method!r} on a "
+                             f"{self.bundle.mode} bundle")
 
     def on_basis(self, flats: tuple[int, ...]) -> GradedMap:
-        """f_m(b_1, ..., b_m) = p rho(b_1) h ... h rho(b_m) i, in chain order.
-
-        The integral gives the word acting right to left with its top
-        coefficient sign eps; both are undone here.
-        """
+        """f_m(b_1, ..., b_m) = p rho(b_1) h ... h rho(b_m) i, in chain order,
+        with no sign of its own: one step past the stored word of b_1 ...
+        b_(m-1) in closed form, or by quadrature."""
         got = self._cache.get(flats)
         if got is None:
-            word = list(reversed(flats))
-            if self.method == "quadrature" and self.bundle.mode == FLOAT:
-                got, est = transfer_quadrature(
-                    word, self.splitting, self.bundle, rel_tol=self.rel_tol,
-                    budget=self.budget, max_arity=max(4, len(flats)))
+            if self.method == "quadrature":
+                got, est = _quadrature(
+                    [self.bundle.rho_flat(b) for b in flats], self.splitting,
+                    self.rel_tol, DEFAULT_ORDER, self.budget)
                 self.quad_error += est
             else:
-                got = transfer_closed(word, self.splitting, self.bundle)
-            a = self.bundle.algebra
-            got = got.scale(_epsilon([a.basis_degree(x) for x in word],
-                                     self.bundle.mode))
+                got = compose(self._word(flats), self.splitting.include)
             self._cache[flats] = got
+        return got
+
+    def _word(self, flats: tuple[int, ...]) -> GradedMap:
+        """p rho(b_1) h ... h rho(b_j), kept per prefix."""
+        got = self._words.get(flats)
+        if got is None:
+            s = self.splitting
+            head = (compose(self._word(flats[:-1]), s.homotopy)
+                    if len(flats) > 1 else s.project)
+            got = self._words[flats] = compose(
+                head, self.bundle.rho_flat(flats[-1]))
         return got
 
     def value(self, slots: list) -> GradedMap:
         """Multilinear evaluation; expands element slots over the basis."""
         slots = [as_slot(self.bundle, s) for s in slots]
-        n = self.bundle.algebra.n_basis
-        out = None
-        stack: list[tuple[tuple[int, ...], object]] = [((), None)]
-        for s in slots:
-            new = []
-            for flats, coeff in stack:
-                for k in range(n):
-                    c = s.coeffs[k]
-                    if not c:
-                        continue
-                    new.append((flats + (k,), c if coeff is None else coeff * c))
-            stack = new
-        for flats, coeff in stack:
-            term = self.on_basis(flats).scale(coeff)
-            out = term if out is None else out + term
-        if out is None:
-            m0 = self.splitting.m0
-            deg = sum(s.degree for s in slots) + 1 - len(slots)
-            return GradedMap.zero(m0, m0, deg, self.bundle.mode)
-        return out
+        deg = sum(s.degree for s in slots) + 1 - len(slots)
+        terms = (self.on_basis(flats).scale(
+            math.prod(s.coeffs[k] for s, k in zip(slots, flats)))
+            for flats in itertools.product(
+                *(np.flatnonzero(s.coeffs).tolist() for s in slots)))
+        return sum(terms, GradedMap.zero(self.m0, self.m0, deg,
+                                         self.bundle.mode))
 
     @property
     def m0(self) -> GradedVectorSpace:

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from homotrace.cli import main
+from homotrace.glinalg import AMBIGUITY_BAND
+from homotrace.scalars import DEFAULT_TOL, FLOAT, decode_value
 
 
 def run(args):
@@ -97,20 +99,32 @@ def test_corrupted_instance_names_q_squared(tmp_path, capsys):
 
 
 def test_trace_quadrature_provenance(tmp_path, capsys):
+    """``--method quadrature`` labels its values and gives the closed-form
+    values, plain and cyclic, within the session tolerance band."""
     ipath = str(tmp_path / "torus.json")
     run(["gen", "--kind", "torus", "--N", "1", "-o", ipath])
     cpath = tmp_path / "chains.json"
     cpath.write_text(json.dumps({
         "format": "homotrace-chains/1",
         "chains": [{"name": "pair", "terms": [
-            {"coeff": 1.0, "slots": ["Id", "Id"]}]}],
+            {"coeff": 1.0, "slots": ["Id", "Id"]}]},
+            {"name": "triple", "terms": [
+                {"coeff": 1.0, "slots": ["Id", "Id", "Id"]}]}],
     }))
     capsys.readouterr()
-    assert run(["trace", "--instance", ipath, "--chain", str(cpath),
-                "--method", "quadrature", "--output", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["results"][0]["provenance"] == "quadrature"
-    assert "error" in data["results"][0]
+    results = {}
+    for method in ("closed", "quadrature"):
+        assert run(["trace", "--instance", ipath, "--chain", str(cpath),
+                    "--method", method, "--cyclic", "1",
+                    "--output", "json"]) == 0
+        results[method] = json.loads(capsys.readouterr().out)["results"]
+    assert results["quadrature"][0]["provenance"] == "quadrature"
+    assert "error" in results["quadrature"][0]
+    for quad, closed in zip(results["quadrature"], results["closed"]):
+        for key in ("value", "cyclic_value"):
+            diff = (decode_value(quad[key], FLOAT)
+                    - decode_value(closed[key], FLOAT))
+            assert abs(diff) <= AMBIGUITY_BAND * DEFAULT_TOL
 
 
 def test_gen_respects_dims_bound(tmp_path, capsys):
@@ -167,8 +181,14 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, instance, chains):
     ["gen", "--kind", "torus", "--tolerance", "0"],
     ["trace", "--chain", "c.json", "--tolerance", "nan"],
     ["verify", "--tolerance", "abc"],
+    ["verify", "--quad-budget", "0"],
+    ["verify", "--quad-budget", "-5"],
+    ["trace", "--chain", "c.json", "--quad-budget", "0"],
+    ["trace", "--chain", "c.json", "--quad-budget", "-5"],
 ], ids=["max-arity-0", "max-arity-neg", "verify-tol-neg", "gen-tol-neg",
-        "gen-tol-zero", "trace-tol-nan", "tol-not-a-number"])
+        "gen-tol-zero", "trace-tol-nan", "tol-not-a-number",
+        "verify-quad-budget-0", "verify-quad-budget-neg",
+        "trace-quad-budget-0", "trace-quad-budget-neg"])
 def test_bad_numeric_flag_exits_2_before_work(tmp_path, capsys, argv):
     """The flag is rejected while the command line is read: no file is
     opened or written."""

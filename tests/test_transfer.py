@@ -204,15 +204,60 @@ def test_ainfinity_defect_zero_on_random_instances():
                 assert ainfinity_defect(f, tup).is_zero()
 
 
-def test_on_basis_is_chain_order_component(t1, t1_morphism):
-    """f_m(b_1, ..., b_m) = p rho(b_1) h ... h rho(b_m) i, with no sign."""
-    s, rho = t1.splitting, t1.bundle.rho_flat
-    n = t1.bundle.algebra.n_basis
-    for flats in itertools.product(range(n), repeat=2):
-        a, b = flats
-        expect = compose(compose(compose(compose(
-            s.project, rho(a)), s.homotopy), rho(b)), s.include)
-        assert t1_morphism.on_basis(flats).equals(expect)
+def test_on_basis_is_chain_order_component(t1):
+    """f_m(b_1, ..., b_m) = p rho(b_1) h ... h rho(b_m) i, with no sign, on
+    every basis tuple of arity 1-3.  Longest tuples come first, so the
+    stored prefixes are both filled by longer words and read by shorter
+    ones; the Hodge splitting of T1f is compared at the session tolerance."""
+    t1f = _float_instance("T1")
+    space = t1f.bundle.space
+    hodge = build_splitting_hodge(space, t1f.bundle.q,
+                                  _inner_product(space, 0))
+    r3 = random_instance(3, {0: 2, 1: 1, 2: 1})
+    r9 = random_instance(9, {0: 2, 1: 2})
+    for inst, s, tol in [(t1, t1.splitting, None), (r3, r3.splitting, None),
+                         (r9, r9.splitting, None), (t1f, hodge, DEFAULT_TOL)]:
+        f = transferred_morphism(inst.bundle, s)
+        rho = inst.bundle.rho_flat
+        for k in (3, 2, 1):
+            for flats in itertools.product(range(inst.bundle.algebra.n_basis),
+                                           repeat=k):
+                expect = compose(s.project, rho(flats[0]))
+                for b in flats[1:]:
+                    expect = compose(compose(expect, s.homotopy), rho(b))
+                assert f.on_basis(flats).equals(compose(expect, s.include),
+                                                tol), flats
+
+
+def test_transferred_morphism_rejects_methods_it_cannot_evaluate(t1):
+    """An unknown method, or quadrature on an exact bundle, is refused
+    instead of falling back to the closed form."""
+    t1f = _float_instance("T1")
+    for inst, method in [(t1f, "bogus"), (t1, "bogus"), (t1, "quadrature")]:
+        with pytest.raises(ShapeError):
+            transferred_morphism(inst.bundle, inst.splitting, method=method)
+
+
+def test_quadrature_morphism_matches_closed_on_basis():
+    """The morphism's quadrature method agrees with its closed form to
+    relative 1e-8 on every basis tuple of arity 2-3 of T1f whose closed
+    value exceeds 1e-6, in chain order and without a sign."""
+    t1f = _float_instance("T1")
+    closed = transferred_morphism(t1f.bundle, t1f.splitting)
+    quad = transferred_morphism(t1f.bundle, t1f.splitting,
+                                method="quadrature", rel_tol=1e-9)
+    checked = 0
+    for k in (2, 3):
+        for flats in itertools.product(range(t1f.bundle.algebra.n_basis),
+                                       repeat=k):
+            want = closed.on_basis(flats)
+            if want.max_abs() <= 1e-6:
+                continue
+            got = quad.on_basis(flats)
+            assert (got - want).max_abs() <= 1e-8 * want.max_abs(), flats
+            checked += 1
+    assert checked == 2
+    assert 0 < quad.quad_error <= 1e-8
 
 
 def test_ainfinity_defect_detects_a_flipped_component(t1):
