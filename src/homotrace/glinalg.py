@@ -5,6 +5,13 @@ GaussianRationals) in exact mode, ``complex128`` in float mode.  Maps are
 stored block-per-source-degree; missing blocks are zero.  All values are
 immutable after construction.
 
+The kernels pay only for nonzero work.  Composition, sums and differences
+walk the stored blocks and skip absent ones; an exact product multiplies
+only nonzero entry pairs (``_exact_product``), because each Fraction
+operation is a Python call.  Float blocks stay in numpy: products are
+``@`` and the zero tests and magnitudes are array reductions, so a NaN
+entry is never read as zero.
+
 Exact elimination is ``rref`` and what is read off one run of it (null
 space with its pivots, inverse, block solve).  Every greedy "keep it if it
 is independent of what is kept" choice goes through ``ExactSpan``.  Float
@@ -13,6 +20,7 @@ rank decisions go through ``float_rank`` and the session tolerance.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -57,17 +65,48 @@ def matrix_from_rows(rows, mode: str) -> np.ndarray:
 
 
 def max_abs(a: np.ndarray) -> float:
+    """Largest entry magnitude; NaN if any entry is NaN.
+
+    Float magnitudes are ``hypot(re, im)``, which is Python's
+    ``abs(complex)`` bit for bit; numpy's complex ``abs`` differs from it
+    in the last place.
+    """
     if a.size == 0:
         return 0.0
-    return float(max(abs(complex(x)) for x in a.flat))
+    if a.dtype == object:
+        return float(max(abs(complex(x)) for x in a.flat))
+    return float(np.max(np.hypot(a.real, a.imag)))
+
+
+def _any_nonzero(a: np.ndarray) -> bool:
+    if a.dtype == object:
+        return any(bool(x) for x in a.flat)
+    return bool(a.any())
 
 
 def matrices_equal(a: np.ndarray, b: np.ndarray, tol: float | None) -> bool:
     if a.shape != b.shape:
         return False
     if tol is None:
-        return all(x == y for x, y in zip(a.flat, b.flat))
+        if a.dtype == object or b.dtype == object:
+            return all(x == y for x, y in zip(a.flat, b.flat))
+        return bool(np.array_equal(a, b))
     return max_abs(a - b) <= tol
+
+
+def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on object-dtype blocks, summed over nonzero entry pairs only."""
+    out = zeros_matrix(a.shape[0], b.shape[1], EXACT)
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
+    for i, row in enumerate(a.tolist()):
+        acc: dict[int, object] = {}
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_rows[k]:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+        for j, v in acc.items():
+            out[i, j] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -155,7 +194,11 @@ def tensor_layout(v: GradedVectorSpace, w: GradedVectorSpace
 
 @dataclass(frozen=True)
 class GradedMap:
-    """Degree-homogeneous linear map; block per source degree."""
+    """Degree-homogeneous linear map; block per source degree.
+
+    ``build`` stores only blocks with a nonzero entry, so a map with no
+    stored block is exactly zero.
+    """
 
     source: GradedVectorSpace
     target: GradedVectorSpace
@@ -173,7 +216,7 @@ class GradedMap:
                 raise ShapeError(
                     f"block at source degree {d} has shape {m.shape}, "
                     f"expected {(rows, cols)}", degree=d)
-            if rows and cols and any(bool(x) for x in m.flat):
+            if rows and cols and _any_nonzero(m):
                 stored[d] = _freeze(np.array(m, copy=True))
         return GradedMap(source, target, degree,
                          tuple(sorted(stored.items())), mode)
@@ -203,15 +246,20 @@ class GradedMap:
             if not self.blocks:
                 return GradedMap(other.source, other.target, other.degree,
                                  other.blocks, other.mode)
-        self._check_parallel(other)
-        blocks = {d: self.block(d) + other.block(d) for d in self.source.degrees()}
-        return GradedMap.build(self.source, self.target, self.degree, blocks, self.mode)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
         if self.degree != other.degree and (not self.blocks or not other.blocks):
             return self + other.scale(-one_scalar(other.mode))
+        return self._combine(other, operator.sub)
+
+    def _combine(self, other: "GradedMap", op) -> "GradedMap":
+        """op blockwise over the stored blocks; an absent block is the scalar
+        0, which gives the same entries as a zero block would."""
         self._check_parallel(other)
-        blocks = {d: self.block(d) - other.block(d) for d in self.source.degrees()}
+        mine, theirs = dict(self.blocks), dict(other.blocks)
+        blocks = {d: op(mine.get(d, 0), theirs.get(d, 0))
+                  for d in mine.keys() | theirs.keys()}
         return GradedMap.build(self.source, self.target, self.degree, blocks, self.mode)
 
     def __neg__(self) -> "GradedMap":
@@ -228,8 +276,9 @@ class GradedMap:
             raise ShapeError("maps are not parallel (source/target/degree differ)")
 
     def is_zero(self, tol: float | None = None) -> bool:
-        return all(matrices_equal(m, zeros_matrix(*m.shape, self.mode), tol)
-                   for _, m in self.blocks)
+        if tol is None:
+            return not self.blocks
+        return all(max_abs(m) <= tol for _, m in self.blocks)
 
     def equals(self, other: "GradedMap", tol: float | None = None) -> bool:
         if (self.source.dims != other.source.dims
@@ -241,7 +290,7 @@ class GradedMap:
         return (self - other).is_zero(tol)
 
     def max_abs(self) -> float:
-        return max((max_abs(m) for _, m in self.blocks), default=0.0)
+        return float(np.max([max_abs(m) for _, m in self.blocks], initial=0.0))
 
     def supertrace(self):
         """Sum over degrees of (-1)^d tr(diagonal block); needs degree 0."""
@@ -268,15 +317,13 @@ def compose(f: GradedMap, g: GradedMap) -> GradedMap:
                 raise ShapeError(
                     f"composition mismatch in degree {d}: "
                     f"{g.target.dim(d)} vs {f.source.dim(d)}", degree=d)
+    f_blocks = dict(f.blocks)
     blocks = {}
-    for d in g.source.degrees():
-        mid = d + g.degree
-        if f.source.dim(mid) == 0:
-            continue
-        out_rows = f.target.dim(mid + f.degree)
-        if out_rows == 0:
-            continue
-        blocks[d] = f.block(mid) @ g.block(d)
+    for d, gm in g.blocks:
+        fm = f_blocks.get(d + g.degree)
+        if fm is not None:
+            exact = fm.dtype == object or gm.dtype == object
+            blocks[d] = _exact_product(fm, gm) if exact else fm @ gm
     return GradedMap.build(g.source, f.target, f.degree + g.degree, blocks, f.mode)
 
 

@@ -213,6 +213,15 @@ def push_chain(chain: HochschildChain, f: AInfinityMorphism) -> HochschildChain:
     slot, each ordered partition mapping blockwise through the transferred
     components; exact chain map for the total differential.
     """
+    return _push(chain, f, _compositions)
+
+
+def _push(chain: HochschildChain, f: AInfinityMorphism, partitions
+          ) -> HochschildChain:
+    """``push_chain`` restricted to the ordered partitions ``partitions(k)``
+    of each length-k term.  Every partition adds to the output terms of its
+    own length only, so a restriction computes those terms exactly as the
+    full push does."""
     src = chain.algebra
     if src.space.dims != f.bundle.algebra.space.dims:
         raise ShapeError("chain algebra does not match the morphism's source")
@@ -225,7 +234,7 @@ def push_chain(chain: HochschildChain, f: AInfinityMorphism) -> HochschildChain:
             for _ in range(r):
                 rot, step = cyclic_shift_term(src, rot)
                 cc = cc * step
-            for comp in _compositions(k):
+            for comp in partitions(k):
                 if comp[0] <= r:
                     continue
                 stack: list[tuple[tuple[int, ...], object]] = [((), cc)]

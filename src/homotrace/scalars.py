@@ -9,6 +9,7 @@ epsilon.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 
 DEFAULT_TOL = 1e-10
@@ -142,7 +143,11 @@ def encode_value(x) -> object:
 
 
 def decode_value(obj, mode: str):
-    """Inverse of encode_value; mode decides the target scalar type."""
+    """Inverse of encode_value; mode decides the target scalar type.
+
+    Float values must be finite: NaN, infinities and numbers beyond the
+    double range raise ValueError.
+    """
     if mode == EXACT:
         if isinstance(obj, str):
             return Fraction(obj)
@@ -152,16 +157,26 @@ def decode_value(obj, mode: str):
             return GaussianRational(Fraction(obj["re"]), Fraction(obj["im"]))
         raise ValueError(f"not an exact scalar encoding: {obj!r}")
     if mode == FLOAT:
-        if isinstance(obj, (int, float)):
-            return complex(obj)
-        if isinstance(obj, (list, tuple)) and len(obj) == 2:
-            return complex(obj[0], obj[1])
-        if isinstance(obj, str):
-            return complex(float(Fraction(obj)))
-        if isinstance(obj, dict):
-            return complex(float(Fraction(obj["re"])), float(Fraction(obj["im"])))
-        raise ValueError(f"not a float scalar encoding: {obj!r}")
+        try:
+            z = _decode_float(obj)
+        except OverflowError as exc:
+            raise ValueError(f"float scalar out of range: {obj!r}") from exc
+        if not cmath.isfinite(z):
+            raise ValueError(f"non-finite float scalar: {obj!r}")
+        return z
     raise ValueError(f"unknown scalar mode {mode!r}")
+
+
+def _decode_float(obj) -> complex:
+    if isinstance(obj, (int, float)):
+        return complex(obj)
+    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        return complex(obj[0], obj[1])
+    if isinstance(obj, str):
+        return complex(float(Fraction(obj)))
+    if isinstance(obj, dict):
+        return complex(float(Fraction(obj["re"])), float(Fraction(obj["im"])))
+    raise ValueError(f"not a float scalar encoding: {obj!r}")
 
 
 def zero_scalar(mode: str):

@@ -19,6 +19,7 @@ from homotrace.errors import ShapeError
 from homotrace.glinalg import GradedMap, compose, supercommutator
 from homotrace.hochschild import (
     HochschildChain,
+    _push,
     boundary_parts,
     cyclic_shift_term,
     push_chain,
@@ -68,14 +69,16 @@ def transferred_trace(chain: HochschildChain, f: AInfinityMorphism):
     """The canonical supertrace pulled back through the push-forward.
 
     Only terms of total chain degree 0 (internal degree = slots - 1)
-    contribute; the value is linear in the chain.
+    contribute; the value is linear in the chain.  The canonical supertrace
+    reads only single-slot terms, and those come only from the single-block
+    partition, so only that partition is pushed.
     """
     endo = target_algebra(f)
     relevant = HochschildChain.zero(chain.algebra)
     for flats, c in chain.terms.items():
         if sum(chain.algebra.basis_degree(x) for x in flats) == len(flats) - 1:
             relevant.add_term(flats, c)
-    return canonical_supertrace(push_chain(relevant, f), endo)
+    return canonical_supertrace(_push(relevant, f, lambda k: [(k,)]), endo)
 
 
 @dataclass(frozen=True)

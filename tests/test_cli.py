@@ -208,3 +208,47 @@ def test_torus_order_cap_zero_exits_2(tmp_path, capsys):
                 "-o", str(tmp_path / "x.json")]) == 2
     assert "order cap" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def _set_q_entry(t1f, value):
+    t1f["Q"][0][2] = value
+
+
+def _set_operator_entry(t1f, value):
+    t1f["algebra"][0][2][0][2] = value
+
+
+def _set_element_coordinate(t1f, value):
+    t1f["elements"][0][2][0][1] = value
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10 ** 400],
+                         ids=["NaN", "Infinity", "beyond-double"])
+@pytest.mark.parametrize("where", ["Q", "operator", "element", "chain"])
+def test_non_finite_scalar_exits_2(tmp_path, capsys, where, value):
+    """A JSON NaN, Infinity or a number beyond the double range in a float
+    file is bad input: exit 2 with one 'input error:' line, never a
+    traceback or a failed check."""
+    ipath = tmp_path / "t1f.json"
+    assert run(["gen", "--kind", "matrix", "--preset", "T1", "--mode", "float",
+                "-o", str(ipath)]) == 0
+    coeff = 1.0
+    if where == "chain":
+        coeff = value
+    else:
+        data = json.loads(ipath.read_text())
+        {"Q": _set_q_entry, "operator": _set_operator_entry,
+         "element": _set_element_coordinate}[where](data, value)
+        ipath.write_text(json.dumps(data))
+    cpath = tmp_path / "chains.json"
+    cpath.write_text(json.dumps({
+        "format": "homotrace-chains/1",
+        "chains": [{"name": "c", "terms": [{"coeff": coeff, "slots": ["Id"]}]}],
+    }))
+    capsys.readouterr()
+    assert run(["trace", "--instance", str(ipath), "--chain", str(cpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error:") == 1 and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    if where != "chain":
+        assert run(["verify", "--instance", str(ipath)]) == 2

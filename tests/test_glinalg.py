@@ -15,14 +15,16 @@ from homotrace.glinalg import (
     compose,
     exact_nullspace,
     float_rank,
+    matrices_equal,
     matrix_from_rows,
+    max_abs,
     nullspace_and_pivots,
     rref,
     supercommutator,
     tensor_map,
     zeros_matrix,
 )
-from homotrace.scalars import EXACT
+from homotrace.scalars import EXACT, FLOAT, GaussianRational
 
 
 def space(dims):
@@ -204,3 +206,98 @@ def test_supertrace():
     v = space({0: 2, 1: 1})
     i = GradedMap.identity(v, EXACT)
     assert i.supertrace() == 1
+
+
+def sparse_gmap(rng, src, tgt, degree, gaussian, density):
+    """Random exact map: some blocks absent, the rest with about ``density``
+    nonzero entries, Fractions or GaussianRationals."""
+    blocks = {}
+    for d in src.degrees():
+        rows, cols = tgt.dim(d + degree), src.dim(d)
+        if not (rows and cols) or rng.random() < 0.3:
+            continue
+        m = zeros_matrix(rows, cols, EXACT)
+        for i in range(rows):
+            for j in range(cols):
+                if rng.random() < density:
+                    re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    m[i, j] = (GaussianRational(re, rng.randint(-2, 2))
+                               if gaussian else re)
+        blocks[d] = m
+    return GradedMap.build(src, tgt, degree, blocks, EXACT)
+
+
+def assert_blocks_equal(got, expected):
+    """``expected`` maps every source degree to a dense block; ``got`` must
+    equal it entry for entry and store no zero block."""
+    for d, ref in expected.items():
+        blk = got.block(d)
+        assert blk.shape == ref.shape
+        assert all(x == y for x, y in zip(blk.flat, ref.flat)), d
+    assert all(any(bool(x) for x in m.flat) for _, m in got.blocks)
+
+
+@given(small_dims, st.integers(-1, 1), st.integers(-1, 1), st.booleans(),
+       st.sampled_from([0.0, 0.2, 0.5, 1.0]), st.integers(0, 9999))
+@settings(max_examples=100, deadline=None)
+def test_exact_kernels_match_dense_reference(dims, d1, d2, gaussian, density,
+                                             seed):
+    """compose, + and - on sparse exact maps with absent blocks equal the
+    dense object-dtype ``@``, ``+`` and ``-`` over every source degree."""
+    import random
+    rng = random.Random(seed)
+    v = space(dims)
+    f = sparse_gmap(rng, v, v, d1, gaussian, density)
+    g = sparse_gmap(rng, v, v, d2, gaussian, density)
+    f2 = sparse_gmap(rng, v, v, d1, gaussian, density)
+
+    product = {}
+    for d in v.degrees():
+        rows, mid = v.dim(d + d1 + d2), v.dim(d + d2)
+        if rows and mid:
+            product[d] = f.block(d + d2) @ g.block(d)
+        elif rows:
+            product[d] = zeros_matrix(rows, v.dim(d), EXACT)
+    assert_blocks_equal(compose(f, g), product)
+    for op, result in ((np.add, f + f2), (np.subtract, f - f2)):
+        expected = {d: op(f.block(d), f2.block(d)) for d in v.degrees()
+                    if v.dim(d + d1)}
+        assert_blocks_equal(result, expected)
+
+
+finite_complex = st.one_of(
+    st.just(0j), st.just(complex(-0.0, 0.0)),
+    st.complex_numbers(max_magnitude=1e150, allow_nan=False,
+                       allow_infinity=False))
+
+
+@given(st.integers(1, 3), st.lists(finite_complex, min_size=1, max_size=9))
+@settings(max_examples=100, deadline=None)
+def test_float_reductions_match_per_entry_reference(rows, entries):
+    """On finite blocks the numpy reductions give what a loop over the
+    entries gives: the same largest magnitude, the same zero test."""
+    cols = -(-len(entries) // rows)
+    block = np.zeros(rows * cols, dtype=complex)
+    block[:len(entries)] = entries
+    block = block.reshape(rows, cols)
+    assert max_abs(block) == max(abs(complex(x)) for x in block.flat)
+    src, tgt = space({0: cols}), space({0: rows})
+    stored = GradedMap.build(src, tgt, 0, {0: block}, FLOAT).blocks
+    assert bool(stored) == any(bool(x) for x in block.flat)
+
+
+def test_nan_block_is_never_zero():
+    """A NaN entry makes a block unmeasurably large, wherever it sits: it is
+    not zero at any tolerance, and it is the map's magnitude."""
+    nan = float("nan")
+    block = np.array([[1e-20, nan]], dtype=complex)
+    assert np.isnan(max_abs(block))
+    assert not matrices_equal(block, zeros_matrix(1, 2, FLOAT), 1e-9)
+    src, tgt = space({0: 2}), space({0: 1})
+    m = GradedMap.build(src, tgt, 0, {0: block}, FLOAT)
+    assert not m.is_zero(1e-9)
+    assert not m.equals(GradedMap.zero(src, tgt, 0, FLOAT), 1e-9)
+    v = space({0: 1, 1: 1})
+    two = GradedMap.build(v, v, 0, {0: np.array([[1.0 + 0j]]),
+                                    1: np.array([[complex(nan, 0.0)]])}, FLOAT)
+    assert np.isnan(two.max_abs())

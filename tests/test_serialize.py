@@ -87,6 +87,25 @@ def test_float_random_round_trip(tmp_path):
 
 
 
+@pytest.mark.parametrize("gen_args", [
+    ["--kind", "matrix", "--preset", "T1"],
+    ["--kind", "random", "--seed", "7", "--dims", "2,2"],
+], ids=["T1f", "r7f"])
+def test_float_file_round_trip_keeps_verify_report(tmp_path, capsys, gen_args):
+    """A float file saved again after loading gives the same verify report."""
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert cli.main(["gen", *gen_args, "--mode", "float",
+                     "-o", str(first)]) == 0
+    save_instance(load_instance(str(first)), str(second))
+    reports = []
+    for path in (first, second):
+        capsys.readouterr()
+        assert cli.main(["verify", "--instance", str(path),
+                         "--output", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
 @pytest.fixture(scope="module")
 def r11f_path(tmp_path_factory):
     """The file of `gen --kind random --seed 11 --dims 2,3,2 --mode float`."""

@@ -17,6 +17,7 @@ from homotrace.hochschild import (
     HochschildChain,
     cyclic_shift,
     hochschild_boundary,
+    push_chain,
     target_algebra,
 )
 from homotrace.instances import random_instance
@@ -113,6 +114,25 @@ def test_transferred_trace_oracle_equivalence(t1, t1_morphism):
         ups = transferred_trace(HochschildChain.of(alg, (k,)), t1_morphism)
         ind = supertrace_on_cohomology(t1.bundle.rho_flat(k), coh)
         assert ups == ind
+
+
+@pytest.mark.parametrize("name", ["t1", "r11"])
+def test_transferred_trace_is_supertrace_of_full_push(t1, name):
+    """Pushing only the single-block partition gives the canonical
+    supertrace of the full push-forward, on seeded chains of total degree 0."""
+    inst = t1 if name == "t1" else random_instance(11, {0: 2, 1: 3, 2: 2})
+    alg = inst.bundle.algebra
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    rng = random.Random(name)
+    for _ in range(10):
+        chain = HochschildChain.zero(alg)
+        while len(chain.terms) < 4:
+            k = rng.randint(1, 3)
+            flats = tuple(rng.randrange(alg.n_basis) for _ in range(k))
+            if sum(alg.basis_degree(x) for x in flats) == k - 1:
+                chain.add_term(flats, Fraction(rng.randint(-3, 3)))
+        full = canonical_supertrace(push_chain(chain, f), target_algebra(f))
+        assert transferred_trace(chain, f) == full
 
 
 def test_trace_vanishes_on_boundaries_exact(t1, t1_morphism):
