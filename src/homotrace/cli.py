@@ -237,13 +237,13 @@ def cmd_trace(args) -> int:
                              budget=args.quad_budget)
     results = []
     for name, chain in chains:
-        before = f.quad_error
+        f.reads.clear()
         value = transferred_trace(chain, f)
         entry = {"chain": name, "value": encode_value(value),
                  "provenance": "closed-form" if method == "closed"
                  else "quadrature"}
         if inst.mode == FLOAT and method == "quadrature":
-            entry["error"] = f.quad_error - before
+            entry["error"] = f.error_of(f.reads)
         if args.cyclic is not None:
             cy = transferred_cyclic_trace(chain, f, args.cyclic)
             entry["cyclic_level"] = args.cyclic

@@ -31,6 +31,7 @@ from homotrace.glinalg import (
     ExactSpan,
     GradedMap,
     GradedVectorSpace,
+    clear_denominators,
     compose,
     float_rank,
     invert_exact,
@@ -59,13 +60,6 @@ class DgAlgebra:
     @property
     def n_basis(self) -> int:
         return self.space.total_dim
-
-    def flat_offsets(self) -> dict[int, int]:
-        off, out = 0, {}
-        for d, n in self.space.dims:
-            out[d] = off
-            off += n
-        return out
 
     def flat_to_graded(self, k: int) -> tuple[int, int]:
         off = 0
@@ -98,7 +92,7 @@ class DgAlgebra:
         col = self.differential.block(d)[:, idx] if self.space.dim(d) else None
         out = self._zero_vec()
         if col is not None and self.space.dim(d + 1):
-            off = self.flat_offsets().get(d + 1)
+            off = self.space.offsets().get(d + 1)
             if off is not None:
                 out[off:off + self.space.dim(d + 1)] = col
         return out
@@ -170,9 +164,7 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     else:
         coeffs = _expand_float(space, by_deg, operators(), tol)
 
-    off, o = {}, 0
-    for g, dim in aspace.dims:
-        off[g], o = o, o + dim
+    off = aspace.offsets()
 
     def flat(degree: int, c: np.ndarray) -> np.ndarray:
         v = zeros_matrix(n, 1, mode)[:, 0]
@@ -332,6 +324,12 @@ def validate_bundle(bundle: DgModuleBundle, tol: float | None = None
     Leibniz, associativity and the unit hold on every basis pair or triple
     (the witness is the first failing one), exactly or, with ``tol``, to
     ``tol`` relative to the largest coefficient on either side (at least 1).
+    rho(e_i e_j) = rho(e_i) rho(e_j) is checked on every pair, exactly or
+    to ``tol`` per pair.  Exact checks clear denominators first: the
+    structure constants, the algebra differential, the unit and the
+    stacked rho are each multiplied by the least common multiple of their
+    denominators, so both sides of every identity carry the same scale and
+    the sums run over integers (int64 where a bound allows it).
     """
     if bundle.mode == FLOAT and tol is None:
         tol = DEFAULT_TOL
@@ -354,7 +352,8 @@ def validate_bundle(bundle: DgModuleBundle, tol: float | None = None
     def names(key):
         return key and "(" + ", ".join(map(a.basis_name, key)) + ")"
 
-    leib, assoc, unit = _algebra_failures(a, tol)
+    mul = clear_denominators(a.mul) if tol is None else (a.mul, 1, None)
+    leib, assoc, unit = _algebra_failures(a, mul[:2], tol)
     checks.append(CheckResult("leibniz", leib is None, names(leib)))
     checks.append(CheckResult("associativity", assoc is None, names(assoc)))
 
@@ -375,20 +374,9 @@ def validate_bundle(bundle: DgModuleBundle, tol: float | None = None
             break
     checks.append(CheckResult("action-chain-map", chain_wit is None, chain_wit))
 
-    mult_wit = None
-    for i in range(n):
-        if mult_wit:
-            break
-        for j in range(n):
-            try:
-                lhs = bundle.rho_vector(a.mul_flat(i, j))
-            except ShapeError:  # e_i e_j has terms in several degrees
-                lhs = None
-            rhs = compose(bundle.rho_flat(i), bundle.rho_flat(j))
-            if lhs is None or not lhs.equals(rhs, tol):
-                mult_wit = f"({a.basis_name(i)}, {a.basis_name(j)})"
-                break
-    checks.append(CheckResult("action-multiplicative", mult_wit is None, mult_wit))
+    mult = _multiplicative_failure(bundle, mul, tol)
+    checks.append(CheckResult("action-multiplicative", mult is None,
+                              names(mult)))
 
     return ValidationReport(tuple(checks))
 
@@ -397,19 +385,76 @@ def _col_nz(m: np.ndarray, j: int, tol: float | None) -> bool:
     return any(abs(complex(m[i, j])) > (tol or 0) for i in range(m.shape[0]))
 
 
-def _algebra_failures(a: DgAlgebra, tol: float | None) -> tuple:
+def _multiplicative_failure(bundle: DgModuleBundle, scaled: tuple,
+                            tol: float | None) -> tuple[int, int] | None:
+    """The first basis pair (i, j), in row-major order, with rho(e_i e_j) !=
+    rho(e_i) rho(e_j), or None.
+
+    rho is stacked into dense module matrices, and for each left factor i
+    the sums sum_m mul[i, j, m] rho_m are compared with rho_i rho_j for
+    every j in one contraction, on the rows where either side can be
+    nonzero.  A product e_i e_j with terms outside degree |i| + |j| fails
+    too: those terms land in blocks where rho_i rho_j is zero, and rho is
+    injective on each degree (``algebra_from_operators`` rejects
+    dependent operators).  ``scaled`` is (dm mul, dm, bound) from
+    ``clear_denominators`` for exact comparisons, (mul, 1, None) with
+    ``tol``.  Exact comparisons run on integers: rho is scaled by its
+    common denominator dr too, which puts dm dr^2 on both sides, in int64
+    when a bound on every product and sum allows it, else in Python ints.
+    With ``tol`` each pair's largest entry difference must be at most tol.
+    """
+    a, space = bundle.algebra, bundle.space
+    n, size = a.n_basis, space.total_dim
+    mul, dm, top_m = scaled
+    nz = mul.astype(bool)
+    rho, dr = np.empty((n, size, size), dtype=a.mul.dtype), 1
+    for k, m in enumerate(bundle.rho):
+        rho[k] = m.dense()
+    if tol is None:
+        rho, dr, top_r = clear_denominators(rho)
+        if (top_m is not None and top_r is not None
+                and n * top_m * top_r * dr + size * top_r * top_r * dm
+                < 2 ** 63):
+            mul, rho = mul.astype(np.int64), rho.astype(np.int64)
+    live = rho.astype(bool).any(axis=2)      # the nonzero rows of each rho_m
+    for i in range(n):
+        used = np.flatnonzero(nz[i].any(axis=0))
+        rows = np.flatnonzero(live[i] | live[used].any(axis=0))
+        part = rho[np.ix_(used, rows)].reshape(len(used), len(rows) * size)
+        diff = (mul[i][:, used] @ (part * dr)
+                - np.matmul(rho[i, rows] * dm, rho).reshape(n, -1))
+        bad = (diff.astype(bool).any(axis=1) if tol is None
+               else np.array([not max_abs(row) <= tol for row in diff]))
+        if bad.any():
+            return i, int(np.argmax(bad))
+    return None
+
+
+def _algebra_failures(a: DgAlgebra, scaled: tuple, tol: float | None
+                      ) -> tuple:
     """The first failing basis pair (i, j) of the Leibniz rule, triple
     (i, j, k) of associativity and element i of the unit law, or None.
     Each side is contracted over the nonzero structure constants and
-    differential entries into a dict keyed by basis indices and output."""
+    differential entries into a dict keyed by basis indices and output.
+    ``scaled`` is (dm mul, dm) for exact comparisons, (mul, 1) with
+    ``tol``; the differential and the unit are then scaled by their common
+    denominators too, which scales both sides of an identity alike, so the
+    sums run on integers."""
     n = a.n_basis
-    mul = _entries(a.mul)                    # e_i e_j = ... + c e_m
+    mul, dm = scaled
+    diff = a.differential.dense().T          # row i: d(e_i)
+    unit, one = a.unit, one_scalar(a.mode)
+    if tol is None:
+        diff = clear_denominators(diff)[0]
+        unit, du, _ = clear_denominators(unit)
+        one = dm * du
+    mul = _entries(mul)                      # e_i e_j = ... + c e_m
     left = [[] for _ in range(n)]            # left[i]: (j, m, c)
     right = [[] for _ in range(n)]           # right[j]: (i, m, c)
     for i, j, m, c in mul:
         left[i].append((j, m, c))
         right[j].append((i, m, c))
-    d_of = [_entries(a.diff_flat(i)) for i in range(n)]  # d(e_i): (m, x)
+    d_of = [_entries(row) for row in diff]   # d(e_i): (m, x)
     sign = [(-1) ** (a.basis_degree(i) % 2) for i in range(n)]
 
     # d(e_i e_j) = d(e_i) e_j + (-1)^|i| e_i d(e_j)
@@ -436,12 +481,11 @@ def _algebra_failures(a: DgAlgebra, tol: float | None) -> tuple:
 
     # 1 e_i = e_i (side 0) and e_i 1 = e_i (side 1)
     lhs = defaultdict(int)
-    for m, u in _entries(a.unit):
+    for m, u in _entries(unit):
         for i, l, c in left[m]:
             lhs[i, 0, l] += u * c
         for i, l, c in right[m]:
             lhs[i, 1, l] += c * u
-    one = one_scalar(a.mode)
     unit = _first_mismatch(lhs, {(i, s, i): one for i in range(n)
                                  for s in (0, 1)}, tol)
     return leibniz and leibniz[:2], assoc and assoc[:3], unit and unit[0]
@@ -842,7 +886,7 @@ def endomorphism_algebra(space: GradedVectorSpace, q: GradedMap | None,
                        entries=tuple(order))
     if q is None:
         return endo
-    off = algebra.flat_offsets()
+    off = aspace.offsets()
     blocks = {}
     for g, dim in aspace.dims:
         rows = aspace.dim(g + 1)

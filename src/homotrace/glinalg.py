@@ -13,13 +13,16 @@ operation is a Python call.  Float blocks stay in numpy: products are
 entry is never read as zero.
 
 Exact elimination is ``rref`` and what is read off one run of it (null
-space with its pivots, inverse, block solve).  Every greedy "keep it if it
+space with its pivots, inverse, block solve).  ``rref`` pays only for
+nonzero work too: each step updates a row on the nonzero columns of the
+pivot row alone.  Every greedy "keep it if it
 is independent of what is kept" choice goes through ``ExactSpan``.  Float
 rank decisions go through ``float_rank`` and the session tolerance.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from homotrace.errors import RankAmbiguousError, ShapeError
-from homotrace.scalars import EXACT, zero_scalar, one_scalar
+from homotrace.scalars import EXACT, GaussianRational, one_scalar, zero_scalar
 
 # Float rank decisions are "ambiguous" when a normalized singular value
 # falls in (tol, AMBIGUITY_BAND * tol].
@@ -142,6 +145,13 @@ class GradedVectorSpace:
 
     def degrees(self) -> list[int]:
         return [d for d, _ in self.dims]
+
+    def offsets(self) -> dict[int, int]:
+        """Degree -> index of its first vector in the flat basis."""
+        out, off = {}, 0
+        for d, n in self.dims:
+            out[d], off = off, off + n
+        return out
 
     @property
     def total_dim(self) -> int:
@@ -292,6 +302,16 @@ class GradedMap:
     def max_abs(self) -> float:
         return float(np.max([max_abs(m) for _, m in self.blocks], initial=0.0))
 
+    def dense(self) -> np.ndarray:
+        """The map as one matrix between the flat bases (absent blocks 0)."""
+        src, tgt = self.source.offsets(), self.target.offsets()
+        out = zeros_matrix(self.target.total_dim, self.source.total_dim,
+                           self.mode)
+        for d, m in self.blocks:
+            r, c = tgt[d + self.degree], src[d]
+            out[r:r + m.shape[0], c:c + m.shape[1]] = m
+        return out
+
     def supertrace(self):
         """Sum over degrees of (-1)^d tr(diagonal block); needs degree 0."""
         if self.degree != 0:
@@ -389,7 +409,11 @@ def bar_signs(degrees) -> list[tuple[int, int]]:
 
 
 def rref(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over exact scalars; returns (R, pivot columns)."""
+    """Reduced row echelon form over exact scalars; returns (R, pivot columns).
+
+    Each elimination step touches only the nonzero columns of the pivot
+    row; the other entries of a row would change by zero.
+    """
     m = np.array(matrix, copy=True)
     rows, cols = m.shape
     pivots: list[int] = []
@@ -402,10 +426,11 @@ def rref(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
             continue
         if pr != r:
             m[[r, pr]] = m[[pr, r]]
-        m[r] = m[r] * (1 / m[r, c])
+        nz = np.flatnonzero(m[r])
+        m[r, nz] = m[r, nz] * (1 / m[r, c])
         for i in range(rows):
             if i != r and m[i, c]:
-                m[i] = m[i] - m[i, c] * m[r]
+                m[i, nz] = m[i, nz] - m[i, c] * m[r, nz]
         pivots.append(c)
         r += 1
     return m, pivots
@@ -487,6 +512,23 @@ def solve_exact(matrix: np.ndarray, rhs: np.ndarray
         raise ShapeError("matrix columns are linearly dependent")
     unsolved = [j for j in range(rhs.shape[1]) if any(r[rank:, cols + j])]
     return np.array(r[:cols, cols:]), unsolved
+
+
+def clear_denominators(t: np.ndarray) -> tuple[np.ndarray, int, int | None]:
+    """(D t, D, bound) for D the least common multiple of the denominators
+    of the exact array t.  D t holds Python ints, or GaussianRationals with
+    integer parts where t holds GaussianRationals; bound is the largest
+    |entry| of D t, or None when it holds a GaussianRational."""
+    idx = np.nonzero(t.astype(bool))  # np.nonzero tests objects twice
+    vals = t[idx].tolist()
+    gauss = [isinstance(x, GaussianRational) for x in vals]
+    d = math.lcm(*(math.lcm(x.re.denominator, x.im.denominator) if g
+                   else x.denominator for x, g in zip(vals, gauss)))
+    ints = [x * d if g else x.numerator * (d // x.denominator)
+            for x, g in zip(vals, gauss)]
+    out = np.zeros(t.shape, dtype=object)
+    out[idx] = ints
+    return out, d, None if any(gauss) else max(map(abs, ints), default=0)
 
 
 def float_rank(svals: np.ndarray, tol: float) -> int:

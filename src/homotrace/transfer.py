@@ -335,8 +335,12 @@ def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
 class AInfinityMorphism:
     """Transferred components, evaluated on demand and cached per basis tuple.
 
-    ``method`` selects closed-form or quadrature evaluation; quadrature
-    error estimates accumulate in ``quad_error``.
+    ``method`` selects closed-form or quadrature evaluation.  Each cached
+    component keeps its quadrature error estimate under the same key (0 in
+    closed form), and ``reads`` collects the basis tuples ``on_basis``
+    returned, cached or not, until the caller clears it;
+    ``error_of(f.reads)`` is then the error carried by the values computed
+    since.
     """
 
     bundle: DgModuleBundle
@@ -344,8 +348,9 @@ class AInfinityMorphism:
     method: str = "closed"
     rel_tol: float = AMBIGUITY_BAND * DEFAULT_TOL
     budget: int = DEFAULT_BUDGET
-    quad_error: float = 0.0
+    reads: set = field(default_factory=set, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
+    _errors: dict = field(default_factory=dict, repr=False)
     _words: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -364,11 +369,22 @@ class AInfinityMorphism:
                 got, est = _quadrature(
                     [self.bundle.rho_flat(b) for b in flats], self.splitting,
                     self.rel_tol, DEFAULT_ORDER, self.budget)
-                self.quad_error += est
             else:
                 got = compose(self._word(flats), self.splitting.include)
-            self._cache[flats] = got
+                est = 0.0
+            self._cache[flats], self._errors[flats] = got, est
+        self.reads.add(flats)
         return got
+
+    @property
+    def quad_error(self) -> float:
+        """The summed error estimates of every component evaluated so far."""
+        return sum(self._errors.values())
+
+    def error_of(self, components) -> float:
+        """The summed error estimates of the given evaluated components,
+        in basis-tuple order."""
+        return sum(self._errors[flats] for flats in sorted(components))
 
     def _word(self, flats: tuple[int, ...]) -> GradedMap:
         """p rho(b_1) h ... h rho(b_j), kept per prefix."""

@@ -127,6 +127,34 @@ def test_trace_quadrature_provenance(tmp_path, capsys):
             assert abs(diff) <= AMBIGUITY_BAND * DEFAULT_TOL
 
 
+def test_quadrature_error_does_not_depend_on_chain_order(tmp_path, capsys):
+    """A chain's quadrature error sums the estimates of the components its
+    value uses, whether an earlier chain already evaluated them or not:
+    reversing the chain file gives every chain the same error, and two
+    chains with the same terms carry the same error."""
+    ipath = str(tmp_path / "r7f.json")
+    assert run(["gen", "--kind", "random", "--seed", "7", "--dims", "2,2",
+                "--mode", "float", "-o", ipath]) == 0
+    terms = [("3", ["b0_1"]), ("2", ["b1_0", "b0_3"]),
+             ("-2", ["b1_1", "b1_0", "b0_1"]),
+             ("2", ["b1_0", "b0_1", "b-1_0"])]
+    chains = [{"name": name, "terms": [{"coeff": c, "slots": s}
+                                       for c, s in terms[:k]]}
+              for name, k in (("short", 2), ("full", 4), ("again", 4))]
+    errors = []
+    for order in (chains, chains[::-1]):
+        cpath = tmp_path / "chains.json"
+        cpath.write_text(json.dumps({"format": "homotrace-chains/1",
+                                     "chains": order}))
+        capsys.readouterr()
+        assert run(["trace", "--instance", ipath, "--chain", str(cpath),
+                    "--method", "quadrature", "--output", "json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        errors.append({r["chain"]: r["error"] for r in results})
+    assert errors[0] == errors[1]
+    assert errors[0]["full"] == errors[0]["again"] > errors[0]["short"] > 0
+
+
 def test_gen_respects_dims_bound(tmp_path, capsys):
     assert run(["gen", "--kind", "torus", "--N", "4",
                 "-o", str(tmp_path / "x.json")]) == 2

@@ -31,7 +31,7 @@ from homotrace.glinalg import (
 )
 from homotrace.instances import matrix_instance, random_instance, \
     to_float_instance
-from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT
+from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, GaussianRational
 from homotrace.transfer import _to_float
 
 
@@ -196,6 +196,72 @@ def test_algebra_axioms_match_dense_reference(seed, dims, mode, perturb):
         assert checks["unit"].witness == alg.basis_name(unit[0])
     else:
         assert checks["unit"].passed
+
+
+def _multiplicative_reference(bundle, tol):
+    """The first pair (i, j) with rho(e_i e_j) != rho(e_i) rho(e_j), pair by
+    pair through ``rho_vector`` and ``compose``; a product with terms in
+    several degrees fails."""
+    a = bundle.algebra
+    for i in range(a.n_basis):
+        for j in range(a.n_basis):
+            try:
+                lhs = bundle.rho_vector(a.mul_flat(i, j))
+            except ShapeError:
+                return i, j
+            if not lhs.equals(compose(bundle.rho_flat(i), bundle.rho_flat(j)),
+                              tol):
+                return i, j
+    return None
+
+
+def _rebased(bundle, c):
+    """The same action on the basis c_k e_k: rho_k c_k and constants
+    mul[i, j, m] c_i c_j / c_m (the differential is left as it is)."""
+    a = bundle.algebra
+    c = np.array(c, dtype=object)
+    mul = np.array(a.mul) * c[:, None, None] * c[None, :, None] / c
+    algebra = make_algebra(a.space, a.differential, mul, np.array(a.unit) / c,
+                           a.mode)
+    rho = tuple(m.scale(x) for m, x in zip(bundle.rho, c))
+    return dataclasses.replace(bundle, algebra=algebra, rho=rho)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 40),
+       dims=st.sampled_from([((0, 1), (1, 1)), ((0, 2), (1, 1)),
+                             ((0, 1), (1, 2)), ((0, 1), (1, 1), (2, 1))]),
+       kind=st.sampled_from(["fraction", "gaussian", "float", "beyond-int64"]),
+       perturb=st.none() | st.tuples(st.integers(0, 10 ** 6),
+                                     st.sampled_from([1, -2, Fraction(1, 3)])))
+def test_action_multiplicative_matches_per_pair_reference(seed, dims, kind,
+                                                          perturb):
+    """The one contraction gives the per-pair verdict and witness, with
+    Fraction, GaussianRational and float entries, and with cleared
+    constants too large for int64; the changed constant may put e_i e_j
+    in several degrees."""
+    bundle = _random_bundle(seed, dims, FLOAT if kind == "float" else EXACT)
+    n = bundle.algebra.n_basis
+    assume(n <= 9)
+    if kind == "gaussian":
+        bundle = _rebased(bundle, [GaussianRational(1, k % 3 + 1)
+                                   for k in range(n)])
+    elif kind == "beyond-int64":
+        bundle = _rebased(bundle, [Fraction(2 ** 64 + k, 2 * k + 1)
+                                   for k in range(n)])
+        assert max(abs(x) for m in bundle.rho for _, b in m.blocks
+                   for x in b.flat) >= 2 ** 63
+    if perturb is not None:
+        pick, delta = perturb
+        bundle = _with_constant(bundle, np.unravel_index(pick % n ** 3,
+                                                         (n, n, n)),
+                                complex(delta) if kind == "float" else delta)
+    tol = DEFAULT_TOL if kind == "float" else None
+    want = _multiplicative_reference(bundle, tol)
+    check = {c.name: c for c in validate_bundle(bundle).checks}[
+        "action-multiplicative"]
+    assert check.passed == (want is None)
+    assert check.witness == _witness(bundle.algebra, want)
 
 
 def test_cohomology_t1():

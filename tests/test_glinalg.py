@@ -20,6 +20,7 @@ from homotrace.glinalg import (
     max_abs,
     nullspace_and_pivots,
     rref,
+    solve_exact,
     supercommutator,
     tensor_map,
     zeros_matrix,
@@ -208,22 +209,27 @@ def test_supertrace():
     assert i.supertrace() == 1
 
 
+def sparse_matrix(rng, rows, cols, gaussian, density):
+    """Random exact matrix with about ``density`` nonzero entries,
+    Fractions or GaussianRationals."""
+    m = zeros_matrix(rows, cols, EXACT)
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                m[i, j] = (GaussianRational(re, rng.randint(-2, 2))
+                           if gaussian else re)
+    return m
+
+
 def sparse_gmap(rng, src, tgt, degree, gaussian, density):
-    """Random exact map: some blocks absent, the rest with about ``density``
-    nonzero entries, Fractions or GaussianRationals."""
+    """Random exact map: some blocks absent, the rest ``sparse_matrix``."""
     blocks = {}
     for d in src.degrees():
         rows, cols = tgt.dim(d + degree), src.dim(d)
         if not (rows and cols) or rng.random() < 0.3:
             continue
-        m = zeros_matrix(rows, cols, EXACT)
-        for i in range(rows):
-            for j in range(cols):
-                if rng.random() < density:
-                    re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                    m[i, j] = (GaussianRational(re, rng.randint(-2, 2))
-                               if gaussian else re)
-        blocks[d] = m
+        blocks[d] = sparse_matrix(rng, rows, cols, gaussian, density)
     return GradedMap.build(src, tgt, degree, blocks, EXACT)
 
 
@@ -263,6 +269,58 @@ def test_exact_kernels_match_dense_reference(dims, d1, d2, gaussian, density,
         expected = {d: op(f.block(d), f2.block(d)) for d in v.degrees()
                     if v.dim(d + d1)}
         assert_blocks_equal(result, expected)
+
+
+def dense_rref(matrix):
+    """Reference elimination: the steps of ``rref``, each updating whole
+    rows."""
+    m = np.array(matrix, copy=True)
+    rows, cols = m.shape
+    pivots, r = [], 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i, c]), None)
+        if pr is None:
+            continue
+        m[[r, pr]] = m[[pr, r]]
+        m[r] = m[r] * (1 / m[r, c])
+        for i in range(rows):
+            if i != r and m[i, c]:
+                m[i] = m[i] - m[i, c] * m[r]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def assert_entries_equal(got, want):
+    assert got.shape == want.shape
+    assert all(x == y for x, y in zip(got.flat, want.flat))
+
+
+@given(st.integers(1, 5), st.integers(1, 7), st.integers(0, 4), st.booleans(),
+       st.sampled_from([0.1, 0.3, 0.6, 1.0]), st.integers(0, 9999))
+@settings(max_examples=100, deadline=None)
+def test_rref_and_solve_match_dense_elimination(rows, cols, rhs_cols, gaussian,
+                                                density, seed):
+    """On sparse Fraction and GaussianRational matrices, ``rref`` and
+    ``solve_exact`` give the echelon form, pivots, solutions and unsolved
+    columns of an elimination that updates whole rows."""
+    import random
+    rng = random.Random(seed)
+    a = sparse_matrix(rng, rows, cols, gaussian, density)
+    got, pivots = rref(a)
+    want, want_pivots = dense_rref(a)
+    assert pivots == want_pivots
+    assert_entries_equal(got, want)
+
+    basis = a[:, pivots]
+    rhs = sparse_matrix(rng, rows, rhs_cols, gaussian, density)
+    x, unsolved = solve_exact(basis, rhs)
+    rank = len(pivots)
+    r, _ = dense_rref(np.concatenate([basis, rhs], axis=1))
+    assert_entries_equal(x, r[:rank, rank:])
+    assert unsolved == [j for j in range(rhs_cols) if any(r[rank:, rank + j])]
 
 
 finite_complex = st.one_of(

@@ -1,8 +1,12 @@
-"""The runnable experiments in scripts/ keep up with the package API."""
+"""The runnable experiments in scripts/ and the benchmark harness in bench/
+keep up with the package API."""
 
+import json
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -12,3 +16,18 @@ def test_splitting_experiments_runs():
         [sys.executable, "scripts/splitting_experiments.py"], cwd=ROOT,
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("workload",
+                         ["exact-cli", "float-cli", "float-quadrature"])
+def test_bench_workload_runs(workload):
+    """One set-up and one pass of each workload, every output correct."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed",
+         "0", "--seconds", "0", "--trace", "0"], cwd=ROOT,
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["attempted"] > 0
+    assert result["correct"] is True
+    assert result["failed"] == 0
