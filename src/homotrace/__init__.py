@@ -20,7 +20,6 @@ from homotrace.dgcore import (
     DgModuleBundle,
     EndoAlgebra,
     Splitting,
-    CohomologyData,
     ValidationReport,
     validate_bundle,
     check_splitting,
@@ -50,7 +49,6 @@ from homotrace.hochschild import (
     HochschildChain,
     ChainMapReport,
     hochschild_boundary,
-    boundary_parts,
     cyclic_shift,
     cyclic_shift_term,
     cyclic_project,
@@ -59,12 +57,10 @@ from homotrace.hochschild import (
     target_algebra,
 )
 from homotrace.traces import (
-    TraceFunctional,
     supertrace_on_cohomology,
     canonical_supertrace,
     projected_supertrace,
     transferred_trace,
-    trace_functional,
     trace_defect,
     cyclic_trace,
     transferred_cyclic_trace,

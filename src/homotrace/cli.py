@@ -14,7 +14,6 @@ import random
 import sys
 from fractions import Fraction
 
-from homotrace.dgcore import cohomology
 from homotrace.errors import HomotraceError, InputError, QuadratureBudgetError
 from homotrace.glinalg import AMBIGUITY_BAND
 from homotrace.hochschild import HochschildChain, chain_map_defect
@@ -31,7 +30,6 @@ from homotrace.serialize import load_chains, load_instance, save_instance
 from homotrace.traces import (
     supertrace_on_cohomology,
     trace_defect,
-    trace_functional,
     transferred_cyclic_trace,
     transferred_trace,
 )
@@ -148,7 +146,6 @@ def _verify_checks(inst: Instance, args) -> list[dict]:
         ok = ok and repc.passed
     checks.append({"name": "hochschild/chain-map", "passed": ok, "detail": ""})
 
-    func = trace_functional(f)
     ok = True
     tested = 0
     for _ in range(4000):
@@ -156,7 +153,7 @@ def _verify_checks(inst: Instance, args) -> list[dict]:
         flats = tuple(rng.randrange(n) for _ in range(k))
         if sum(alg.basis_degree(x) for x in flats) != k - 2:
             continue
-        val = trace_defect(HochschildChain.of(alg, flats), func)
+        val = trace_defect(HochschildChain.of(alg, flats), f)
         if tol is None:
             ok = ok and not val
         else:
@@ -167,8 +164,6 @@ def _verify_checks(inst: Instance, args) -> list[dict]:
     checks.append({"name": "traces/boundary-vanishing", "passed": ok,
                    "detail": f"{tested} samples"})
 
-    coh = cohomology(inst.bundle.space, inst.bundle.q,
-                     None if inst.mode == EXACT else args.tolerance)
     ok = True
     for k in range(n):
         if alg.basis_degree(k) != 0:
@@ -177,7 +172,8 @@ def _verify_checks(inst: Instance, args) -> list[dict]:
         if any(bool(x) for x in dv):
             continue
         ups = transferred_trace(HochschildChain.of(alg, (k,)), f)
-        ind = supertrace_on_cohomology(inst.bundle.rho_flat(k), coh)
+        ind = supertrace_on_cohomology(inst.bundle.rho_flat(k),
+                                       inst.splitting)
         if tol is None:
             ok = ok and ups == ind
         else:

@@ -31,6 +31,7 @@ from homotrace.glinalg import (
     ExactSpan,
     GradedMap,
     GradedVectorSpace,
+    bar_signs,
     clear_denominators,
     compose,
     float_rank,
@@ -89,20 +90,32 @@ class DgAlgebra:
     def diff_flat(self, i: int) -> np.ndarray:
         """Coefficients of d(e_i) over the flat basis."""
         d, idx = self.flat_to_graded(i)
-        col = self.differential.block(d)[:, idx] if self.space.dim(d) else None
         out = self._zero_vec()
-        if col is not None and self.space.dim(d + 1):
-            off = self.space.offsets().get(d + 1)
-            if off is not None:
-                out[off:off + self.space.dim(d + 1)] = col
+        off = self.space.offsets().get(d + 1)
+        if off is not None:
+            out[off:off + self.space.dim(d + 1)] = \
+                self.differential.block(d)[:, idx]
         return out
 
+    def bar_terms(self, flats: tuple[int, ...]):
+        """(word, coeff) for each term sigma_i d(b_i), then each merge
+        cut_i b_i b_(i+1), of the bar differential on the basis word
+        ``flats`` (signs from ``glinalg.bar_signs``); nonzero entries only."""
+        signs = bar_signs([self.basis_degree(b) for b in flats])
+        blocks = dict(self.differential.blocks)
+        offsets = self.space.offsets()
+        for i, (sigma, _) in enumerate(signs):
+            d, idx = self.flat_to_graded(flats[i])
+            if d in blocks:
+                for r, c in _entries(blocks[d][:, idx]):
+                    yield (flats[:i] + (offsets[d + 1] + r,) + flats[i + 1:],
+                           c * sigma)
+        for i, (_, cut) in enumerate(signs[:-1]):
+            for k, c in _entries(self.mul[flats[i], flats[i + 1]]):
+                yield flats[:i] + (k,) + flats[i + 2:], c * cut
+
     def _zero_vec(self) -> np.ndarray:
-        v = np.empty(self.n_basis, dtype=object) if self.mode == EXACT \
-            else np.zeros(self.n_basis, dtype=complex)
-        if self.mode == EXACT:
-            v[...] = Fraction(0)
-        return v
+        return zeros_matrix(1, self.n_basis, self.mode)[0]
 
     def mul_vectors(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = self._zero_vec()
@@ -308,14 +321,6 @@ class ValidationReport:
     def failures(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
 
-    def lines(self) -> list[str]:
-        out = []
-        for c in self.checks:
-            status = "pass" if c.passed else "FAIL"
-            tail = f"  [{c.witness}]" if c.witness and not c.passed else ""
-            out.append(f"{status}  {c.name}{tail}")
-        return out
-
 
 def validate_bundle(bundle: DgModuleBundle, tol: float | None = None
                     ) -> ValidationReport:
@@ -511,17 +516,6 @@ def _first_mismatch(lhs: dict, rhs: dict, tol: float | None) -> tuple | None:
 
 # ---------------------------------------------------------------------------
 # Cohomology and splittings
-
-
-@dataclass(frozen=True)
-class CohomologyData:
-    space: GradedVectorSpace
-    include: GradedMap
-    project: GradedMap
-    euler: int
-
-    def dims(self) -> dict[int, int]:
-        return dict(self.space.dims)
 
 
 @dataclass(frozen=True)
@@ -786,17 +780,13 @@ def check_splitting(space: GradedVectorSpace, q: GradedMap, splitting: Splitting
 
 
 def cohomology(space: GradedVectorSpace, q: GradedMap,
-               tol: float | None = None) -> CohomologyData:
-    """Per-degree cohomology with representative cocycles and class coordinates."""
+               tol: float | None = None) -> Splitting:
+    """The splitting onto cohomology: projector kind in exact arithmetic,
+    Hodge in float; ``m0`` holds the per-degree cohomology dimensions."""
     if not compose(q, q).is_zero(tol if q.mode == FLOAT else None):
         raise ShapeError("Q^2 != 0")
-    if q.mode == EXACT:
-        s = build_splitting_projector(space, q)
-    else:
-        s = build_splitting_hodge(space, q, tol=tol or DEFAULT_TOL)
-    euler = s.m0.euler_characteristic()
-    return CohomologyData(space=s.m0, include=s.include, project=s.project,
-                          euler=euler)
+    return (build_splitting_projector(space, q) if q.mode == EXACT
+            else build_splitting_hodge(space, q, tol=tol or DEFAULT_TOL))
 
 
 def euler_characteristic(space: GradedVectorSpace,
@@ -804,7 +794,7 @@ def euler_characteristic(space: GradedVectorSpace,
     """Alternating dimension sum; with Q, the cohomology variant (equal value)."""
     if q is None:
         return space.euler_characteristic()
-    return cohomology(space, q).euler
+    return cohomology(space, q).m0.euler_characteristic()
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,15 @@ on the word with Koszul passage signs only (``glinalg.bar_signs``):
   merge:     (b_i, b_{i+1}) -> b_i b_{i+1}          sigma_i (-1)^(deg b_i)
   rotation:  last slot to the front, passage sign
 
-The wrap-around term of the differential is merge-after-rotation.  The
+The internal and merge terms of a basis word are the bar terms of
+``DgAlgebra.bar_terms``, the one source that the A-infinity check reads
+too; the differential adds the wrap-around term, merge-after-rotation.  The
 push-forward applies the transferred components f_m(b_1, ..., b_m) =
 p rho(b_1) h ... h rho(b_m) i (``AInfinityMorphism.on_basis``) blockwise to
 every rotation whose leading block contains the first slot.  On shifted
 words these components have degree 0, so they add no sign; the
 push-forward is a chain map because f satisfies the bar relation with the
-same two signs (``transfer.ainfinity_defect``).  The test suite checks, in
+same bar terms (``transfer.ainfinity_defect``).  The test suite checks, in
 exact arithmetic, that the differential squares to zero, matches the
 ungraded textbook signs and descends to the cyclic quotient, and that the
 push-forward is a chain map on every basis chain of length <= 3 of several
@@ -33,7 +35,6 @@ import numpy as np
 
 from homotrace.dgcore import DgAlgebra, EndoAlgebra, endomorphism_algebra
 from homotrace.errors import ShapeError
-from homotrace.glinalg import bar_signs
 from homotrace.scalars import EXACT, one_scalar
 from homotrace.transfer import AInfinityMorphism
 
@@ -99,17 +100,6 @@ class HochschildChain:
         return " + ".join(parts) if parts else "0"
 
 
-def _degs(algebra: DgAlgebra, flats: tuple[int, ...]) -> list[int]:
-    return [algebra.basis_degree(f) for f in flats]
-
-
-def _expand_slot(chain_out: HochschildChain, flats_before: tuple[int, ...],
-                 vec: np.ndarray, flats_after: tuple[int, ...], coeff) -> None:
-    for idx, c in enumerate(vec):
-        if c:
-            chain_out.add_term(flats_before + (idx,) + flats_after, coeff * c)
-
-
 def cyclic_shift_term(algebra: DgAlgebra, flats: tuple[int, ...]
                       ) -> tuple[tuple[int, ...], int]:
     """One signed cyclic rotation: last slot to the front.
@@ -120,7 +110,7 @@ def cyclic_shift_term(algebra: DgAlgebra, flats: tuple[int, ...]
     k = len(flats)
     if k == 1:
         return flats, 1
-    degs = _degs(algebra, flats)
+    degs = [algebra.basis_degree(f) for f in flats]
     exponent = (degs[-1] + 1) * (sum(degs[:-1]) + (k - 1))
     return (flats[-1],) + flats[:-1], (-1) ** (exponent % 2)
 
@@ -155,33 +145,21 @@ def cyclic_project(chain: HochschildChain) -> HochschildChain:
     return out
 
 
-def boundary_parts(chain: HochschildChain
-                   ) -> tuple[HochschildChain, HochschildChain]:
-    """(merge-and-wrap part, internal part) of the total differential."""
+def hochschild_boundary(chain: HochschildChain) -> HochschildChain:
+    """Total differential: the bar terms of each word (internal and merges)
+    plus the wrap-around merge; squares to zero."""
     a = chain.algebra
-    hoch = HochschildChain.zero(a)
-    internal = HochschildChain.zero(a)
+    out = HochschildChain.zero(a)
     for flats, coeff in chain.terms.items():
-        k = len(flats)
-        for i, (passage, cut) in enumerate(bar_signs(_degs(a, flats))):
-            _expand_slot(internal, flats[:i], a.diff_flat(flats[i]),
-                         flats[i + 1:], coeff * passage)
-            if i < k - 1:
-                _expand_slot(hoch, flats[:i],
-                             a.mul_flat(flats[i], flats[i + 1]),
-                             flats[i + 2:], coeff * cut)
-        if k >= 2:
+        for word, c in a.bar_terms(flats):
+            out.add_term(word, coeff * c)
+        if len(flats) >= 2:
             rot, rs = cyclic_shift_term(a, flats)
             own = -1 if a.basis_degree(rot[0]) % 2 else 1
-            _expand_slot(hoch, (), a.mul_flat(rot[0], rot[1]), rot[2:],
-                         coeff * rs * own)
-    return hoch, internal
-
-
-def hochschild_boundary(chain: HochschildChain) -> HochschildChain:
-    """Total differential (merges + wrap-around + internal); squares to zero."""
-    hoch, internal = boundary_parts(chain)
-    return hoch + internal
+            merged = a.mul_flat(rot[0], rot[1])
+            for k in np.flatnonzero(merged).tolist():
+                out.add_term((k,) + rot[2:], coeff * rs * own * merged[k])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,25 +11,22 @@ canonical cocycle shape; its weights on all-even slots are +1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
-from homotrace.dgcore import CohomologyData, EndoAlgebra, Splitting
+from homotrace.dgcore import EndoAlgebra, Splitting
 from homotrace.errors import ShapeError
 from homotrace.glinalg import GradedMap, compose, supercommutator
 from homotrace.hochschild import (
     HochschildChain,
+    _compositions,
     _push,
-    boundary_parts,
     cyclic_shift_term,
-    push_chain,
+    hochschild_boundary,
     target_algebra,
 )
 from homotrace.scalars import zero_scalar
 from homotrace.transfer import AInfinityMorphism
 
 
-def supertrace_on_cohomology(op: GradedMap, coh: CohomologyData,
+def supertrace_on_cohomology(op: GradedMap, splitting: Splitting,
                              q: GradedMap | None = None,
                              tol: float | None = None):
     """Alternating trace of the induced action on cohomology.
@@ -40,7 +37,7 @@ def supertrace_on_cohomology(op: GradedMap, coh: CohomologyData,
         raise ShapeError("supertrace on cohomology needs a degree-0 operator")
     if q is not None and not supercommutator(q, op).is_zero(tol):
         raise ShapeError("operator does not commute with the differential")
-    induced = compose(coh.project, compose(op, coh.include))
+    induced = compose(splitting.project, compose(op, splitting.include))
     return induced.supertrace()
 
 
@@ -81,26 +78,9 @@ def transferred_trace(chain: HochschildChain, f: AInfinityMorphism):
     return canonical_supertrace(_push(relevant, f, lambda k: [(k,)]), endo)
 
 
-@dataclass(frozen=True)
-class TraceFunctional:
-    """A family of tensor-length components evaluated on chains."""
-
-    provenance: str  # "canonical" | "pulled-back" | "direct"
-    evaluate: Callable[[HochschildChain], object]
-
-    def __call__(self, chain: HochschildChain):
-        return self.evaluate(chain)
-
-
-def trace_functional(f: AInfinityMorphism) -> TraceFunctional:
-    return TraceFunctional(provenance="pulled-back",
-                           evaluate=lambda chain: transferred_trace(chain, f))
-
-
-def trace_defect(alpha: HochschildChain, trace: TraceFunctional):
-    """Value of the trace on the total boundary of alpha; zero for a trace."""
-    hoch, internal = boundary_parts(alpha)
-    return trace(hoch) + trace(internal)
+def trace_defect(alpha: HochschildChain, f: AInfinityMorphism):
+    """Transferred trace of the total boundary of alpha; zero for a trace."""
+    return transferred_trace(hochschild_boundary(alpha), f)
 
 
 def cyclic_trace(chain: HochschildChain, endo: EndoAlgebra, level: int):
@@ -133,18 +113,16 @@ def cyclic_trace(chain: HochschildChain, endo: EndoAlgebra, level: int):
 
 def transferred_cyclic_trace(chain: HochschildChain, f: AInfinityMorphism,
                              level: int):
-    """Pull-back of the cyclic trace through the push-forward."""
-    endo = target_algebra(f)
-    pushed = push_chain(chain, f)
-    k = 2 * level + 1
-    filtered = HochschildChain.zero(pushed.algebra)
-    for flats, c in pushed.terms.items():
-        if len(flats) == k:
-            filtered.add_term(flats, c)
-    return cyclic_trace(filtered, endo, level)
+    """Pull-back of the cyclic trace through the push-forward.  The cyclic
+    trace reads only terms of tensor length 2*level + 1, and those come only
+    from partitions into that many blocks, so only those are pushed."""
+    blocks = 2 * level + 1
+    pushed = _push(chain, f, lambda k: [c for c in _compositions(k)
+                                        if len(c) == blocks])
+    return cyclic_trace(pushed, target_algebra(f), level)
 
 
-def antisymmetrized_supertrace(ops: list[GradedMap], coh: CohomologyData,
+def antisymmetrized_supertrace(ops: list[GradedMap], splitting: Splitting,
                                q: GradedMap | None = None,
                                tol: float | None = None):
     """Cohomological supertrace of the cyclic-orbit-signed product of three
@@ -156,7 +134,7 @@ def antisymmetrized_supertrace(ops: list[GradedMap], coh: CohomologyData,
             raise ShapeError("operators must have degree 0")
         if q is not None and not supercommutator(q, op).is_zero(tol):
             raise ShapeError("operators must commute with the differential")
-    induced = [compose(coh.project, compose(op, coh.include)) for op in ops]
+    induced = [compose(splitting.project, compose(op, splitting.include)) for op in ops]
     total = zero_scalar(ops[0].mode)
     order = [0, 1, 2]
     for _ in range(3):

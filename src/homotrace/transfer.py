@@ -15,9 +15,11 @@ Signs.  In chain order the transferred component is
 
 (``AInfinityMorphism.on_basis``), with no sign of its own.  Moving Q
 through it with {Q, h} = 1 - ip, pQ = 0 and Qi = 0 gives the bar relation
-f b - b f = 0 with the two Koszul signs of ``glinalg.bar_signs``, the same
-ones the Hochschild differential uses (``ainfinity_defect``).  The integral
-over the gap cube gives the word acting right to left, a_1 first, times its
+f b - b f = 0 with the two Koszul signs of ``glinalg.bar_signs``
+(``ainfinity_defect``).  Its d and merge terms come from
+``DgAlgebra.bar_terms``, the one source of the bar terms of a basis word,
+which the Hochschild differential expands too.  The integral over the gap
+cube gives the word acting right to left, a_1 first, times its
 top-coefficient sign eps(k, degrees) = (-1)^(k-1) * (-1)^(sum_{j>=2} (j-1)
 deg a_j).  eps belongs only to the two word-order functions
 ``transfer_closed`` and ``transfer_quadrature``: each is eps times f_k on
@@ -72,11 +74,6 @@ def _slot_diff(bundle: DgModuleBundle, slot: Slot) -> Slot:
     for k in np.flatnonzero(slot.coeffs):
         out = out + slot.coeffs[k] * a.diff_flat(k)
     return Slot(slot.degree + 1, out)
-
-
-def _slot_mul(bundle: DgModuleBundle, x: Slot, y: Slot) -> Slot:
-    return Slot(x.degree + y.degree,
-                bundle.algebra.mul_vectors(x.coeffs, y.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -421,31 +418,30 @@ def transferred_morphism(bundle: DgModuleBundle, splitting: Splitting,
                              rel_tol=rel_tol, budget=budget)
 
 
-def ainfinity_defect(f: AInfinityMorphism, inputs,
-                     bundle: DgModuleBundle | None = None) -> GradedMap:
-    """The bar relation of f on the word b_1 ... b_m; zero iff it holds.
+def ainfinity_defect(f: AInfinityMorphism, inputs) -> GradedMap:
+    """The bar relation of f on the basis word b_1 ... b_m; zero iff it holds.
 
     Moving Q through p rho(b_1) h ... h rho(b_m) i with {Q, h} = 1 - ip,
-    pQ = 0 and Qi = 0 gives, with (sigma_i, cut_i) from ``bar_signs``:
+    pQ = 0 and Qi = 0 gives f applied to the bar terms of the word
+    (``DgAlgebra.bar_terms``) minus the cuts, with cut_i from ``bar_signs``:
 
-      sum_i sigma_i f(.., d b_i, ..)
-        + sum_{i<m} cut_i [f(.., b_i b_{i+1}, ..) - f(b_1..b_i) f(b_{i+1}..b_m)]
+      sum_i sigma_i f(.., d b_i, ..) + sum_{i<m} cut_i f(.., b_i b_{i+1}, ..)
+        - sum_{i<m} cut_i f(b_1..b_i) f(b_{i+1}..b_m)
+
+    ``inputs`` are flat basis indices; any other input raises ShapeError.
     """
-    bundle = bundle or f.bundle
-    slots = [as_slot(bundle, x) for x in inputs]
-    m = len(slots)
-    one = one_scalar(bundle.mode)
-    total = GradedMap.zero(f.m0, f.m0, sum(s.degree for s in slots) + 2 - m,
-                           bundle.mode)
-    signs = bar_signs([s.degree for s in slots])
-    for i, (sigma, _) in enumerate(signs):
-        word = slots[:i] + [_slot_diff(bundle, slots[i])] + slots[i + 1:]
-        total = total + f.value(word).scale(one * sigma)
-    for i, (_, cut) in enumerate(signs[:-1]):
-        merged = _slot_mul(bundle, slots[i], slots[i + 1])
-        term = f.value(slots[:i] + [merged] + slots[i + 2:]) - compose(
-            f.value(slots[:i + 1]), f.value(slots[i + 1:]))
-        total = total + term.scale(one * cut)
+    a = f.bundle.algebra
+    if not all(isinstance(b, (int, np.integer)) and 0 <= b < a.n_basis
+               for b in inputs):
+        raise ShapeError(f"ainfinity_defect takes basis indices, got {inputs!r}")
+    word = tuple(int(b) for b in inputs)
+    degrees = [a.basis_degree(b) for b in word]
+    total = GradedMap.zero(f.m0, f.m0, sum(degrees) + 2 - len(word), a.mode)
+    for w, c in a.bar_terms(word):
+        total = total + f.on_basis(w).scale(c)
+    for i, (_, cut) in enumerate(bar_signs(degrees)[:-1]):
+        total = total - compose(f.on_basis(word[:i + 1]),
+                                f.on_basis(word[i + 1:])).scale(cut)
     return total
 
 

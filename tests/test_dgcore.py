@@ -267,8 +267,8 @@ def test_action_multiplicative_matches_per_pair_reference(seed, dims, kind,
 def test_cohomology_t1():
     v, q = t1_space_q()
     coh = cohomology(v, q)
-    assert coh.dims() == {0: 1}
-    assert coh.euler == 1
+    assert dict(coh.m0.dims) == {0: 1}
+    assert coh.m0.euler_characteristic() == 1
     # representative is the class of e2
     rep = coh.include.block(0)
     assert list(rep.ravel()) == [0, 1]
@@ -278,8 +278,8 @@ def test_cohomology_zero_differential():
     v = GradedVectorSpace.make({0: 2, 1: 3})
     q = GradedMap.zero(v, v, 1, EXACT)
     coh = cohomology(v, q)
-    assert coh.dims() == {0: 2, 1: 3}
-    assert coh.euler == -1
+    assert dict(coh.m0.dims) == {0: 2, 1: 3}
+    assert coh.m0.euler_characteristic() == -1
 
 
 def test_cohomology_rejects_non_square_zero():

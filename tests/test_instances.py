@@ -89,8 +89,8 @@ def test_torus_mode_counts_and_cohomology():
         assert tor.meta["modes_per_degree"] == per
         assert tor.bundle.space.total_dim == 2 * per
         coh = cohomology(tor.bundle.space, tor.bundle.q, 1e-10)
-        assert coh.dims() == {0: 1, 1: 1}
-        assert coh.euler == 0
+        assert dict(coh.m0.dims) == {0: 1, 1: 1}
+        assert coh.m0.euler_characteristic() == 0
 
 
 def test_torus_spectrum_square_modulus():

@@ -31,3 +31,13 @@ def test_bench_workload_runs(workload):
     assert result["attempted"] > 0
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_bench_traced_run():
+    """A traced run wraps package functions and methods by name, so it
+    fails when one of them is renamed or deleted."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "float-cli", "--seed",
+         "0", "--seconds", "0", "--trace", "1"], cwd=ROOT,
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

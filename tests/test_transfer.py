@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from homotrace.dgcore import build_splitting_hodge, check_splitting
 from homotrace.errors import ShapeError
-from homotrace.glinalg import GradedMap, compose, supercommutator
+from homotrace.glinalg import GradedMap, bar_signs, compose, supercommutator
 from homotrace.instances import (random_instance, t1_instance, to_float_instance,
                                  torus_instance)
 from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT
@@ -272,6 +272,54 @@ def test_ainfinity_defect_detects_a_flipped_component(t1):
     f._cache[flipped] = f.on_basis(flipped).scale(Fraction(-1))
     assert any(not ainfinity_defect(f, list(t)).is_zero()
                for k in (2, 3) for t in itertools.product(range(n), repeat=k))
+
+
+def _slot_formula_defect(f, word):
+    """Reference: the bar relation by slot arithmetic, with d b_i and
+    b_i b_(i+1) as dense vectors over the flat basis, expanded again by
+    ``f.value``."""
+    alg = f.bundle.algebra
+    slots = [Slot.basis(f.bundle, b) for b in word]
+    signs = bar_signs([s.degree for s in slots])
+    total = GradedMap.zero(f.m0, f.m0,
+                           sum(s.degree for s in slots) + 2 - len(word),
+                           alg.mode)
+    for i, (sigma, _) in enumerate(signs):
+        diff = Slot(slots[i].degree + 1, alg.diff_flat(word[i]))
+        total = total + f.value(
+            slots[:i] + [diff] + slots[i + 1:]).scale(sigma)
+    for i, (_, cut) in enumerate(signs[:-1]):
+        merged = Slot(slots[i].degree + slots[i + 1].degree,
+                      alg.mul_flat(word[i], word[i + 1]))
+        term = f.value(slots[:i] + [merged] + slots[i + 2:]) - compose(
+            f.value(slots[:i + 1]), f.value(slots[i + 1:]))
+        total = total + term.scale(cut)
+    return total
+
+
+@pytest.mark.parametrize("name", ["T1", "r11"])
+def test_ainfinity_defect_matches_slot_formula(name, t1):
+    """With one nonzero arity-2 component flipped, so that the defect is
+    not zero, the bar-term defect equals the slot-arithmetic reference on
+    every basis word of length <= 3, exactly.  r11 has cohomology in odd
+    degree.  A ``Slot`` input is refused."""
+    inst = t1 if name == "T1" else random_instance(11, {0: 2, 1: 3, 2: 2})
+    assert name == "T1" or any(d % 2 and n
+                               for d, n in inst.splitting.m0.dims)
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    n = inst.bundle.algebra.n_basis
+    flipped = next(p for p in itertools.product(range(n), repeat=2)
+                   if not f.on_basis(p).is_zero())
+    f._cache[flipped] = f.on_basis(flipped).scale(Fraction(-1))
+    nonzero = 0
+    for k in (1, 2, 3):
+        for word in itertools.product(range(n), repeat=k):
+            got = ainfinity_defect(f, word)
+            assert got.equals(_slot_formula_defect(f, word)), word
+            nonzero += not got.is_zero()
+    assert nonzero > 0
+    with pytest.raises(ShapeError):
+        ainfinity_defect(f, [Slot.basis(inst.bundle, 0)])
 
 
 def test_arity_one_defect_is_projected_chain_defect(t1, t1_morphism):
