@@ -14,6 +14,9 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
+
+from homotrace.dgcore import build_splitting_hodge, build_splitting_projector
 from homotrace.errors import HomotraceError, InputError, QuadratureBudgetError
 from homotrace.glinalg import AMBIGUITY_BAND
 from homotrace.hochschild import HochschildChain, chain_map_defect
@@ -164,20 +167,19 @@ def _verify_checks(inst: Instance, args) -> list[dict]:
     checks.append({"name": "traces/boundary-vanishing", "passed": ok,
                    "detail": f"{tested} samples"})
 
+    # the oracle reads cohomology through a splitting of its own
+    space, q = inst.bundle.space, inst.bundle.q
+    other = (build_splitting_projector(space, q, shear_seed=1) if tol is None
+             else build_splitting_hodge(space, q, {d: np.diag(np.arange(
+                 1.0, dim + 1)) for d, dim in space.dims}, tol))
     ok = True
     for k in range(n):
-        if alg.basis_degree(k) != 0:
-            continue
-        dv = alg.diff_flat(k)
-        if any(bool(x) for x in dv):
+        if alg.basis_degree(k) != 0 or any(bool(x) for x in alg.diff_flat(k)):
             continue
         ups = transferred_trace(HochschildChain.of(alg, (k,)), f)
-        ind = supertrace_on_cohomology(inst.bundle.rho_flat(k),
-                                       inst.splitting)
-        if tol is None:
-            ok = ok and ups == ind
-        else:
-            ok = ok and abs(complex(ups) - complex(ind)) <= AMBIGUITY_BAND * tol
+        ind = supertrace_on_cohomology(inst.bundle.rho_flat(k), other)
+        ok = ok and (ups == ind if tol is None else abs(
+            complex(ups) - complex(ind)) <= AMBIGUITY_BAND * tol)
     checks.append({"name": "traces/cohomology-oracle", "passed": ok,
                    "detail": ""})
 

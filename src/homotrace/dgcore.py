@@ -2,13 +2,15 @@
 
 A ``DgAlgebra`` carries its product as one structure-constant tensor over
 a homogeneous basis.  ``algebra_from_operators`` derives the tensor, the
-unit and the differential from a basis of operators on a dg module, and
-``validate_bundle`` checks the algebra axioms on every basis pair and
-triple.  A ``DgModuleBundle`` couples an algebra to a module via the action
-rho (one graded map per basis operator).  ``Splitting`` realizes the
-decomposition of the module into its cohomology part and an acyclic part,
-with contracting homotopy, in either projector or Laplacian normalization,
-and carries the spectrum of {Q, kappa} that the propagator reads.
+unit and the differential from a basis of operators on a dg module (float
+coordinates from n_g pivot entries per degree, closure proved by the full
+residual at AMBIGUITY_BAND * tol), and ``validate_bundle`` checks the
+algebra axioms on every basis pair and triple.  A ``DgModuleBundle``
+couples an algebra to a module via the action rho (one graded map per
+basis operator).  ``Splitting`` realizes the decomposition of the module
+into its cohomology part and an acyclic part, with contracting homotopy,
+in either projector or Laplacian normalization, and carries the spectrum
+of {Q, kappa} that the propagator reads.
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ from homotrace.glinalg import (
     bar_signs,
     clear_denominators,
     compose,
-    float_rank,
     invert_exact,
     max_abs,
     nullspace_and_pivots,
+    pivot_rows,
     solve_exact,
+    stack_dense,
     supercommutator,
     zeros_matrix,
 )
@@ -145,67 +148,47 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     The basis is ordered by (degree, input order); returns the algebra and
     the operators in that order (the action rho).  Every product, the
     identity and every {Q, op} is expanded over the operators of its own
-    degree, with one elimination (exact) or one factorization (float) per
-    degree.  An operator outside the span raises ClosureError naming it;
-    linearly dependent operators raise InputError.  In float mode ``tol``
-    decides the rank, and the expansion residual may reach
-    AMBIGUITY_BAND * tol.
+    degree: exact, by one elimination per degree, which also proves
+    closure; float, from its values at n_g pivot entries per degree
+    (``_expand_pivots``), after which closure is proved on every entry to
+    the absolute residual AMBIGUITY_BAND * tol.  The first operator
+    outside the span (products in row-major order, the identity, each
+    {Q, op}) raises ClosureError naming it; linearly dependent operators
+    raise InputError (in float, ``tol`` decides the rank).
     """
     order = sorted(range(len(maps)), key=lambda k: maps[k].degree)
     rho = tuple(maps[k] for k in order)
     rho_names = [names[k] for k in order]
-    by_deg: dict[int, list[GradedMap]] = {}
-    labels: dict[int, list[str]] = {}
+    labels = defaultdict(list)
     for m, name in zip(rho, rho_names):
-        by_deg.setdefault(m.degree, []).append(m)
-        labels.setdefault(m.degree, []).append(name)
-    aspace = GradedVectorSpace.make({g: len(v) for g, v in by_deg.items()},
+        labels[m.degree].append(name)
+    aspace = GradedVectorSpace.make({g: len(v) for g, v in labels.items()},
                                     labels)
-    n = len(rho)
-
-    def operators():
-        for i in range(n):
-            for j in range(n):
-                yield (f"product {rho_names[i]}*{rho_names[j]}",
-                       compose(rho[i], rho[j]))
-        yield "the identity operator", GradedMap.identity(space, mode)
-        for k in range(n):
-            yield f"differential of {rho_names[k]}", supercommutator(q, rho[k])
-
-    if mode == EXACT:
-        coeffs = _expand_exact(space, by_deg, operators())
-    else:
-        coeffs = _expand_float(space, by_deg, operators(), tol)
-
-    off = aspace.offsets()
-
-    def flat(degree: int, c: np.ndarray) -> np.ndarray:
-        v = zeros_matrix(n, 1, mode)[:, 0]
-        if c.size:
-            v[off[degree]:off[degree] + c.size] = c
-        return v
-
-    mul = np.stack([flat(rho[i].degree + rho[j].degree, coeffs[i * n + j])
-                    for i in range(n) for j in range(n)]).reshape(n, n, n)
-    unit = flat(0, coeffs[n * n])
-    diffs = coeffs[n * n + 1:]
-    blocks = {g: np.stack(diffs[off[g]:off[g] + dim], axis=1)
+    n, off = len(rho), aspace.offsets()
+    vals = (_expand_exact(space, q, rho, rho_names) if mode == EXACT
+            else _expand_pivots(space, q, rho, rho_names, tol))
+    dmat = vals[n * n + 1:]                  # row k: d(e_k)
+    blocks = {g: dmat[off[g]:off[g] + dim,
+                      off[g + 1]:off[g + 1] + aspace.dim(g + 1)].T
               for g, dim in aspace.dims if aspace.dim(g + 1)}
     differential = GradedMap.build(aspace, aspace, 1, blocks, mode)
-    return make_algebra(aspace, differential, mul, unit, mode), rho
+    return make_algebra(aspace, differential, vals[:n * n].reshape(n, n, n),
+                        vals[n * n], mode), rho
 
 
-def _columns(space: GradedVectorSpace, degree: int, ops: list[GradedMap],
-             mode: str) -> np.ndarray:
-    """One column per operator of the given degree: its entries, block by block."""
+def _columns(space: GradedVectorSpace, degree: int, ops: list[GradedMap]
+             ) -> tuple[list[int], np.ndarray]:
+    """The indices of the operators of the given degree, and one column per
+    such operator: its entries, block by block."""
+    idx = [t for t, m in enumerate(ops) if m.degree == degree]
     rows = sum(space.dim(d + degree) * n for d, n in space.dims)
-    out = zeros_matrix(rows, len(ops), mode)
-    for c, m in enumerate(ops):
-        cells = [m.block(d).reshape(-1) for d, _ in space.dims
+    out = zeros_matrix(rows, len(idx), EXACT)
+    for c, t in enumerate(idx):
+        cells = [ops[t].block(d).reshape(-1) for d, _ in space.dims
                  if space.dim(d + degree)]
         if cells:
             out[:, c] = np.concatenate(cells)
-    return out
+    return idx, out
 
 
 def _dependent(degree: int) -> InputError:
@@ -213,57 +196,77 @@ def _dependent(degree: int) -> InputError:
         f"the declared operators of degree {degree} are linearly dependent")
 
 
-def _expand_exact(space: GradedVectorSpace, by_deg: dict[int, list[GradedMap]],
-                  operators) -> list[np.ndarray]:
-    """Coefficients of each (label, operator) over the basis of its degree,
-    all operators of one degree solved in one elimination."""
-    labels: list[str] = []
-    jobs: dict[int, list[tuple[int, GradedMap]]] = {}
-    for label, m in operators:
-        jobs.setdefault(m.degree, []).append((len(labels), m))
-        labels.append(label)
-    out: list[np.ndarray] = [None] * len(labels)
+def _escaped(row: int, names: list[str]) -> ClosureError:
+    """Row i n + j is rho_i rho_j, n^2 the identity, n^2 + 1 + k {Q, rho_k}."""
+    n = len(names)
+    label = (f"product {names[row // n]}*{names[row % n]}" if row < n * n
+             else "the identity operator" if row == n * n
+             else f"differential of {names[row - n * n - 1]}")
+    return ClosureError(f"{label} is not in the span of the declared "
+                        "operators")
+
+
+def _expand_exact(space: GradedVectorSpace, q: GradedMap,
+                  rho: tuple[GradedMap, ...], names: list[str]) -> np.ndarray:
+    """Each product, the identity and each {Q, op} over the flat basis,
+    one row each; the rows of one degree are solved in one elimination."""
+    ops = [compose(a, b) for a in rho for b in rho] + [GradedMap.identity(
+        space, EXACT)] + [supercommutator(q, m) for m in rho]
+    out = zeros_matrix(len(ops), len(rho), EXACT)
     escaped: list[int] = []
-    for g in sorted(set(by_deg) | set(jobs)):
-        todo = jobs.get(g, [])
-        basis = _columns(space, g, by_deg.get(g, []), EXACT)
-        rhs = _columns(space, g, [m for _, m in todo], EXACT)
+    for g in sorted({m.degree for m in (*rho, *ops)}):
+        at, basis = _columns(space, g, rho)
+        idx, rhs = _columns(space, g, ops)
         try:
             x, unsolved = solve_exact(basis, rhs)
         except ShapeError as exc:
             raise _dependent(g) from exc
-        escaped += [todo[j][0] for j in unsolved]
-        for j, (idx, _) in enumerate(todo):
-            out[idx] = x[:, j]
+        escaped += [idx[j] for j in unsolved]
+        out[np.ix_(idx, at)] = x.T
     if escaped:
-        raise ClosureError(f"{labels[min(escaped)]} is not in the span of "
-                           "the declared operators")
+        raise _escaped(min(escaped), names)
     return out
 
 
-def _expand_float(space: GradedVectorSpace, by_deg: dict[int, list[GradedMap]],
-                  operators, tol: float) -> list[np.ndarray]:
-    """Coefficients of each (label, operator) over the basis of its degree,
-    through a pseudo-inverse factored once per degree; operators are
-    expanded one at a time as they are produced."""
-    factors = {}
-    for g, ops in by_deg.items():
-        basis = _columns(space, g, ops, FLOAT)
-        u, s, vh = np.linalg.svd(basis, full_matrices=False)
-        if float_rank(s, tol) < len(ops):
-            raise _dependent(g)
-        factors[g] = (basis, vh.conj().T @ (u.conj().T / s[:, None]))
-    out = []
-    for label, m in operators:
-        v = _columns(space, m.degree, [m], FLOAT)[:, 0]
-        basis, pinv = factors.get(
-            m.degree, (np.zeros((v.size, 0)), np.zeros((0, v.size))))
-        x = pinv @ v
-        if v.size and np.max(np.abs(basis @ x - v)) > AMBIGUITY_BAND * tol:
-            raise ClosureError(
-                f"{label} is not in the span of the declared operators")
-        out.append(x)
-    return out
+def _expand_pivots(space: GradedVectorSpace, q: GradedMap,
+                   rho: tuple[GradedMap, ...], names: list[str],
+                   tol: float) -> np.ndarray:
+    """The rows of ``_expand_exact`` in float.  The n_g operators of degree
+    g are factored once at n_g of their nonzero entries, picked by
+    Gaussian elimination with partial pivoting (Golub & Van Loan, 3.4);
+    entry (r, c) of rho_i rho_j or {Q, rho_k} is row r of the left factor
+    times column c of the right, so no product is formed.  Each expansion
+    must then match its operator on every entry: the products one left
+    factor at a time (``_multiplicative_failure``)."""
+    n, dense = len(rho), stack_dense(rho, space, FLOAT)
+    deg = [m.degree for m in rho]            # sorted
+    qd, sign = q.dense(), (-1.0) ** np.array(deg)
+    vals = np.zeros((n * n + 1 + n, n), dtype=complex)
+    for g in sorted(set(deg)):
+        at = slice(deg.index(g), deg.index(g) + deg.count(g))
+        rows, cols = np.nonzero(dense[at].astype(bool).any(axis=0))
+        live = dense[at, rows, cols].T           # the nonzero entries
+        try:
+            piv = pivot_rows(live, tol)
+        except ShapeError as exc:
+            raise _dependent(g) from exc
+        for p, r, c in zip(range(at.start, at.stop), rows[piv], cols[piv]):
+            left, right = dense[:, r], dense[:, :, c]   # row r, column c
+            vals[:n * n, p] = (left @ right.T).reshape(-1)
+            vals[n * n, p] = r == c
+            vals[n * n + 1:, p] = right @ qd[r] - sign * (left @ qd[:, c])
+        vals[:, at] = np.linalg.solve(live[piv], vals[:, at].T).T
+    bound = AMBIGUITY_BAND * tol
+    bad = _multiplicative_failure(
+        dense, (vals[:n * n].reshape(n, n, n), 1, None), bound)
+    if bad:
+        raise _escaped(bad[0] * n + bad[1], names)
+    for t, row in enumerate(vals[n * n:]):
+        target = qd @ dense[t - 1] - sign[t - 1] * dense[t - 1] @ qd if t \
+            else np.eye(len(qd))
+        if not max_abs(np.tensordot(row, dense, 1) - target) <= bound:
+            raise _escaped(n * n + t, names)
+    return vals
 
 
 @dataclass(frozen=True)
@@ -379,7 +382,8 @@ def validate_bundle(bundle: DgModuleBundle, tol: float | None = None
             break
     checks.append(CheckResult("action-chain-map", chain_wit is None, chain_wit))
 
-    mult = _multiplicative_failure(bundle, mul, tol)
+    mult = _multiplicative_failure(
+        stack_dense(bundle.rho, bundle.space, bundle.mode), mul, tol)
     checks.append(CheckResult("action-multiplicative", mult is None,
                               names(mult)))
 
@@ -390,31 +394,27 @@ def _col_nz(m: np.ndarray, j: int, tol: float | None) -> bool:
     return any(abs(complex(m[i, j])) > (tol or 0) for i in range(m.shape[0]))
 
 
-def _multiplicative_failure(bundle: DgModuleBundle, scaled: tuple,
+def _multiplicative_failure(rho: np.ndarray, scaled: tuple,
                             tol: float | None) -> tuple[int, int] | None:
     """The first basis pair (i, j), in row-major order, with rho(e_i e_j) !=
     rho(e_i) rho(e_j), or None.
 
-    rho is stacked into dense module matrices, and for each left factor i
-    the sums sum_m mul[i, j, m] rho_m are compared with rho_i rho_j for
-    every j in one contraction, on the rows where either side can be
-    nonzero.  A product e_i e_j with terms outside degree |i| + |j| fails
-    too: those terms land in blocks where rho_i rho_j is zero, and rho is
-    injective on each degree (``algebra_from_operators`` rejects
-    dependent operators).  ``scaled`` is (dm mul, dm, bound) from
+    rho is the dense (n, size, size) stack of the module matrices.  For
+    each left factor i the sums sum_m mul[i, j, m] rho_m are compared with
+    rho_i rho_j for every j in one contraction, on the rows where either
+    side can be nonzero.  A product e_i e_j with terms outside degree
+    |i| + |j| fails too: those terms land in blocks where rho_i rho_j is
+    zero, and rho is injective on each degree (``algebra_from_operators``
+    rejects dependent operators).  ``scaled`` is (dm mul, dm, bound) from
     ``clear_denominators`` for exact comparisons, (mul, 1, None) with
     ``tol``.  Exact comparisons run on integers: rho is scaled by its
     common denominator dr too, which puts dm dr^2 on both sides, in int64
     when a bound on every product and sum allows it, else in Python ints.
     With ``tol`` each pair's largest entry difference must be at most tol.
     """
-    a, space = bundle.algebra, bundle.space
-    n, size = a.n_basis, space.total_dim
+    n, size = rho.shape[:2]
     mul, dm, top_m = scaled
-    nz = mul.astype(bool)
-    rho, dr = np.empty((n, size, size), dtype=a.mul.dtype), 1
-    for k, m in enumerate(bundle.rho):
-        rho[k] = m.dense()
+    nz, dr = mul.astype(bool), 1
     if tol is None:
         rho, dr, top_r = clear_denominators(rho)
         if (top_m is not None and top_r is not None

@@ -327,6 +327,16 @@ class GradedMap:
         return total
 
 
+def stack_dense(maps, space: GradedVectorSpace, mode: str) -> np.ndarray:
+    """Maps on ``space`` as one dense (len(maps), size, size) array."""
+    size = space.total_dim
+    out = np.empty((len(maps), size, size),
+                   dtype=object if mode == EXACT else complex)
+    for k, m in enumerate(maps):
+        out[k] = m.dense()
+    return out
+
+
 def compose(f: GradedMap, g: GradedMap) -> GradedMap:
     """f after g; degree adds."""
     if f.mode != g.mode:
@@ -546,3 +556,18 @@ def float_rank(svals: np.ndarray, tol: float) -> int:
                 f"singular value {s:.3e} sits in the ambiguity band "
                 f"({tol:.1e}, {AMBIGUITY_BAND * tol:.1e}] relative to scale")
     return rank
+
+
+def pivot_rows(matrix: np.ndarray, tol: float) -> list[int]:
+    """One row per column of a float matrix, picked by Gaussian elimination
+    with partial pivoting (Golub & Van Loan, 3.4), so the square block on
+    those rows is invertible.  The columns must be linearly independent by
+    ``float_rank`` (ShapeError otherwise)."""
+    if float_rank(np.linalg.svd(matrix, compute_uv=False), tol) < \
+            matrix.shape[1]:
+        raise ShapeError("matrix columns are linearly dependent")
+    work, rows = np.array(matrix, dtype=complex), []
+    for j in range(matrix.shape[1]):
+        rows.append(int(np.argmax(np.abs(work[:, j]))))
+        work -= np.outer(work[:, j] / work[rows[-1], j], work[rows[-1]])
+    return rows

@@ -1,11 +1,13 @@
 """Command-line surface: generation, verification, traces, exit codes."""
 
+import dataclasses
 import json
 
 import pytest
 
-from homotrace.cli import main
-from homotrace.glinalg import AMBIGUITY_BAND
+from homotrace.cli import _verify_checks, build_parser, main
+from homotrace.glinalg import AMBIGUITY_BAND, GradedMap
+from homotrace.instances import to_float_instance
 from homotrace.scalars import DEFAULT_TOL, FLOAT, decode_value
 
 
@@ -280,3 +282,20 @@ def test_non_finite_scalar_exits_2(tmp_path, capsys, where, value):
     assert "Traceback" not in err
     if where != "chain":
         assert run(["verify", "--instance", str(ipath)]) == 2
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_cohomology_oracle_uses_its_own_splitting(t1, mode):
+    """An instance whose splitting projects twice as far in degree 0 fails
+    the oracle: the transferred trace reads that splitting, the oracle
+    another one."""
+    inst = t1 if mode == "exact" else to_float_instance(t1)
+    p = inst.splitting.project
+    doubled = GradedMap.build(p.source, p.target, 0, {
+        d: b * (2 if d == 0 else 1) for d, b in p.blocks}, p.mode)
+    bad = dataclasses.replace(inst, splitting=dataclasses.replace(
+        inst.splitting, project=doubled))
+    args = build_parser().parse_args(["verify", "--instance", "unused"])
+    for case, passed in ((inst, True), (bad, False)):
+        checks = {c["name"]: c["passed"] for c in _verify_checks(case, args)}
+        assert checks["traces/cohomology-oracle"] is passed

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homotrace.dgcore import (
+    algebra_from_operators,
     build_splitting_hodge,
     build_splitting_projector,
     check_splitting,
@@ -20,8 +22,9 @@ from homotrace.dgcore import (
     make_algebra,
     validate_bundle,
 )
-from homotrace.errors import ShapeError
+from homotrace.errors import ClosureError, ShapeError
 from homotrace.glinalg import (
+    AMBIGUITY_BAND,
     GradedMap,
     GradedVectorSpace,
     compose,
@@ -262,6 +265,93 @@ def test_action_multiplicative_matches_per_pair_reference(seed, dims, kind,
         "action-multiplicative"]
     assert check.passed == (want is None)
     assert check.witness == _witness(bundle.algebra, want)
+
+
+def _lstsq_reference(space, q, rho, names, tol):
+    """Float expansion through formed products and a pseudo-inverse per
+    degree, as loading did before pivot entries: every product (row-major),
+    the identity and every {Q, op} over the operators of its degree, each
+    accepted at residual AMBIGUITY_BAND * tol.  ``rho`` is sorted by
+    degree.  Returns the rows (products, unit, d(e_k)) over the flat basis,
+    or the label of the first operator outside the span."""
+    n = len(rho)
+    ops = [(f"product {names[i]}*{names[j]}", compose(rho[i], rho[j]))
+           for i in range(n) for j in range(n)]
+    ops.append(("the identity operator", GradedMap.identity(space, FLOAT)))
+    ops += [(f"differential of {names[k]}", supercommutator(q, rho[k]))
+            for k in range(n)]
+    out = np.zeros((len(ops), n), dtype=complex)
+    for row, (label, m) in enumerate(ops):
+        at = [k for k in range(n) if rho[k].degree == m.degree]
+        v = m.dense().reshape(-1)            # zero entries change no solve
+        basis = np.array([rho[k].dense().reshape(-1) for k in at]
+                         ).reshape(len(at), v.size).T
+        u, s, vh = np.linalg.svd(basis, full_matrices=False)
+        x = vh.conj().T @ (u.conj().T @ v / s)
+        if np.max(np.abs(basis @ x - v)) > AMBIGUITY_BAND * tol:
+            return label
+        out[row, at] = x
+    return out
+
+
+def _recombined(seed, dims, cond):
+    """The operators of a float random bundle, each degree's recombined by
+    a seeded complex matrix U diag(s) V^H with s spread from 1 to 1/cond
+    (U, V unitary), with names."""
+    bundle = _random_bundle(seed, dims, FLOAT)
+    rng = np.random.default_rng(seed)
+    maps, names = [], []
+    for g in sorted({m.degree for m in bundle.rho}):
+        ops = [m for m in bundle.rho if m.degree == g]
+        shape = (len(ops),) * 2
+        u, v = (np.linalg.qr(rng.normal(size=shape)
+                             + 1j * rng.normal(size=shape))[0] for _ in "uv")
+        mix = u * np.geomspace(1.0, 1.0 / cond, len(ops)) @ v.conj().T
+        for a in range(len(ops)):
+            maps.append(functools.reduce(GradedMap.__add__, [
+                m.scale(mix[k, a]) for k, m in enumerate(ops)]))
+            names.append(f"b{g}_{a}")
+    return bundle, maps, names
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 40),
+       dims=st.sampled_from([((0, 1), (1, 1)), ((0, 2), (1, 1)),
+                             ((0, 1), (1, 2)), ((0, 2), (1, 2)),
+                             ((0, 3), (1, 1)), ((0, 1), (1, 3)),
+                             ((0, 1), (1, 1), (2, 1))]),
+       cond=st.sampled_from([2.0, 1e3, 1e4, 1e5, 1e6]))
+def test_pivot_expansion_matches_lstsq_reference(seed, dims, cond):
+    """Constants, unit and differential read off pivot entries equal the
+    pseudo-inverse expansion to AMBIGUITY_BAND * tol relative, and with
+    any one operator dropped both name the same first operator outside
+    the span, or none.  Degrees hold up to 4 operators, recombined with
+    condition number up to 1e6 (the operator basis then reaches about
+    4e7, still above the float_rank band).  Operator sets whose reference
+    residual already exceeds the bound are skipped: the reference does
+    not load them either."""
+    bundle, maps, names = _recombined(seed, dims, cond)
+    n = len(maps)
+    assume(n <= 10 and max(Counter(m.degree for m in maps).values()) <= 4)
+    space, q, tol = bundle.space, bundle.q, DEFAULT_TOL
+    ref = _lstsq_reference(space, q, maps, names, tol)
+    assume(not isinstance(ref, str))         # round-off above the bound
+    alg = algebra_from_operators(space, q, maps, names, FLOAT, tol)[0]
+    got = np.concatenate([alg.mul.reshape(n * n, n), [alg.unit],
+                          alg.differential.dense().T])
+    assert np.max(np.abs(got - ref)) <= AMBIGUITY_BAND * tol * max(
+        1.0, np.max(np.abs(ref)))
+    for k in range(n):
+        kept, kept_names = maps[:k] + maps[k + 1:], names[:k] + names[k + 1:]
+        want = _lstsq_reference(space, q, kept, kept_names, tol)
+        try:
+            algebra_from_operators(space, q, kept, kept_names, FLOAT, tol)
+            raised = None
+        except ClosureError as exc:
+            raised = str(exc)
+        assert raised == (None if not isinstance(want, str) else
+                          f"{want} is not in the span of the declared "
+                          "operators")
 
 
 def test_cohomology_t1():

@@ -19,6 +19,7 @@ from homotrace.glinalg import (
     matrix_from_rows,
     max_abs,
     nullspace_and_pivots,
+    pivot_rows,
     rref,
     solve_exact,
     supercommutator,
@@ -201,6 +202,21 @@ def test_exact_span_matches_per_candidate_rref(length, kinds, seed):
 def test_float_rank_ambiguity_raises():
     with pytest.raises(RankAmbiguousError):
         float_rank(np.array([1.0, 1e-9]), 1e-10)
+
+
+def test_pivot_rows_partial_pivoting():
+    """Each column's pivot is its largest entry left after eliminating the
+    earlier pivots; dependent or ambiguous columns raise."""
+    m = np.array([[1, 3], [2, 1], [0.5, 2.875]], dtype=complex)
+    # column 0 pivots on 2; column 1 is then (2.5, 0, 2.625), so row 2
+    # wins although row 0 holds the larger entry before elimination
+    assert pivot_rows(m, 1e-10) == [1, 2]
+    assert pivot_rows(m[:, ::-1], 1e-10) == [0, 1]
+    with pytest.raises(ShapeError):
+        pivot_rows(np.array([[1, 2], [2, 4]], dtype=complex), 1e-10)
+    with pytest.raises(RankAmbiguousError):
+        pivot_rows(np.array([[1, 0], [0, 1e-9]], dtype=complex), 1e-10)
+    assert pivot_rows(np.zeros((3, 0), dtype=complex), 1e-10) == []
 
 
 def test_supertrace():

@@ -3,15 +3,18 @@
 import dataclasses
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from homotrace import cli
+from homotrace import cli, dgcore, glinalg, serialize
 from homotrace.dgcore import validate_bundle
 from homotrace.errors import ClosureError, InputError
 from homotrace.hochschild import HochschildChain
-from homotrace.instances import random_instance, to_float_instance
+from homotrace.instances import random_instance, to_float_instance, \
+    torus_instance
+from homotrace.scalars import DEFAULT_TOL
 from homotrace.serialize import (
     instance_to_dict,
     load_chains,
@@ -87,6 +90,53 @@ def test_float_random_round_trip(tmp_path):
 
 
 
+@pytest.fixture(scope="module")
+def torus2():
+    return torus_instance(2, (Fraction(0), Fraction(1)))
+
+
+@pytest.mark.parametrize("which", ["T1", "r7", "torus2"])
+def test_float_load_keeps_the_constants(tmp_path, t1, torus2, which):
+    """Constants re-derived from a float file have the nonzero pattern of
+    the instance it was written from and its values to DEFAULT_TOL
+    relative to the largest: round-off adds no terms."""
+    source = {"T1": t1, "r7": random_instance(7, {0: 2, 1: 2}),
+              "torus2": torus2}[which]
+    path = tmp_path / "f.json"
+    save_instance(to_float_instance(source), str(path))
+    got = load_instance(str(path)).bundle.algebra.mul
+    want = source.bundle.algebra.mul.astype(complex)
+    assert np.array_equal(got != 0, want != 0)
+    assert np.max(np.abs(got - want)) <= DEFAULT_TOL * np.max(np.abs(want))
+
+
+def test_float_load_forms_no_product_per_pair(tmp_path, torus2, monkeypatch):
+    """Loading the torus N=2 file composes fewer maps inside
+    ``algebra_from_operators`` than the 25^2 products of its operators:
+    the constants are read off pivot entries, not off formed products."""
+    path = tmp_path / "torus2.json"
+    save_instance(torus2, str(path))
+    calls, inside = [0], [False]
+    compose, build = glinalg.compose, serialize.algebra_from_operators
+
+    def counted(f, g):
+        calls[0] += inside[0]
+        return compose(f, g)
+
+    def building(*args):
+        inside[0] = True
+        try:
+            return build(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(glinalg, "compose", counted)
+    monkeypatch.setattr(dgcore, "compose", counted)
+    monkeypatch.setattr(serialize, "algebra_from_operators", building)
+    assert load_instance(str(path)).bundle.algebra.n_basis == 25
+    assert calls[0] < 25 ** 2
+
+
 @pytest.mark.parametrize("gen_args", [
     ["--kind", "matrix", "--preset", "T1"],
     ["--kind", "random", "--seed", "7", "--dims", "2,2"],
@@ -117,7 +167,7 @@ def r11f_path(tmp_path_factory):
 
 def test_float_random_file_verifies(r11f_path, capsys):
     """The constants re-derived on load reach about 1.5e3 and their products
-    2.5e4, so associativity holds only to about 2e-10 in absolute terms:
+    2.5e4, so associativity holds only to about 2e-12 in absolute terms:
     round-off, which the relative tolerance accepts."""
     assert cli.main(["verify", "--instance", r11f_path]) == 0
     assert "FAIL" not in capsys.readouterr().out
@@ -172,6 +222,33 @@ def test_rejects_unclosed_algebra(tmp_path, t1, mode):
     path.write_text(json.dumps(data))
     with pytest.raises(ClosureError,
                        match=re.escape("product E[e2<-e1]*E[e1<-e2]")):
+        load_instance(str(path))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_rejects_span_without_identity(tmp_path, t1, mode):
+    data = _t1_dict(t1, mode)
+    # one idempotent on a 2-dimensional module
+    data["module"], data["Q"] = [[0, 2, ["e1", "e2"]]], []
+    data["algebra"] = [row for row in data["algebra"]
+                       if row[0] == "E[e1<-e1]"]
+    path = tmp_path / "no-identity.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ClosureError, match="^the identity operator "):
+        load_instance(str(path))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_rejects_span_not_closed_under_q(tmp_path, t1, mode):
+    data = _t1_dict(t1, mode)
+    # orthogonal idempotents summing to the identity; {Q, E[e1<-e1]} =
+    # E[f<-e1] has degree 1, where nothing is declared
+    data["algebra"] = [row for row in data["algebra"]
+                       if row[0] in ("E[e1<-e1]", "E[e2<-e2]", "E[f<-f]")]
+    path = tmp_path / "not-closed-under-q.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ClosureError,
+                       match=re.escape("differential of E[e1<-e1] ")):
         load_instance(str(path))
 
 
