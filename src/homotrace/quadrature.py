@@ -4,9 +4,10 @@ Cells are refined dyadically on the axis of largest extent, worst
 estimated error first.  Error estimates compare the full-order rule with
 the embedded half-order rule on the same cell.  The integrand is batched:
 each rule evaluates all its nodes on a cell in one call, and the cell's
-value is the weight vector times the returned value array.  Summation
-order is fixed (cells sorted by corner), so results are reproducible for a
-fixed scheme.
+value is the weight vector times the returned value array.  Running
+totals of value and error follow each split; the returned value and error
+are summed in a fixed order (cells sorted by corner), so results are
+reproducible for a fixed scheme.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from homotrace.errors import QuadratureBudgetError
 
 DEFAULT_ORDER = 16
 DEFAULT_BUDGET = 10 ** 6
+_UNIT = np.finfo(float).eps / 2  # unit round-off of one float addition
 
 
 def _rule(order: int, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -63,7 +65,7 @@ def integrate_cube(f, dim: int, *, rel_tol: float,
     evals_per_cell = order ** dim + (order // 2) ** dim
     rules = _rule(order, dim), _rule(order // 2, dim)
     used = 0
-    value = None
+    heap: list[_Cell] = []
 
     def make_cell(lo: np.ndarray, hi: np.ndarray) -> _Cell:
         nonlocal used
@@ -74,29 +76,52 @@ def integrate_cube(f, dim: int, *, rel_tol: float,
             raise QuadratureBudgetError(
                 f"non-finite estimate {err} on the cell lo={lo.tolist()} "
                 f"hi={hi.tolist()} after {used} evaluations",
-                best=full if value is None else value, estimate=err)
+                best=_corner_sum(heap)[0] if heap else full, estimate=err)
         return _Cell(neg_err=-err, corner=tuple(lo.tolist()),
                      lo=lo, hi=hi, value=full, err=err)
 
-    heap: list[_Cell] = [make_cell(np.zeros(dim), np.ones(dim))]
+    heap.append(make_cell(np.zeros(dim), np.ones(dim)))
+    # Running totals over the cells in the heap; the corner-sorted sum is
+    # taken only when they may have converged, and at exit.  ``drift``
+    # bounds the round-off of the running error, so round-off cannot hold
+    # off the sorted sum once the error has fallen below the tolerance.
+    value, total_err = heap[0].value, heap[0].err
+    drift = 0.0
     while True:
-        cells = sorted(heap, key=lambda c: c.corner)
-        value = cells[0].value
-        for c in cells[1:]:
-            value = value + c.value
-        total_err = sum(c.err for c in cells)
-        scale = max(1.0, float(np.max(np.abs(value))) if value.size else 0.0)
-        if total_err <= rel_tol * scale:
-            return value, total_err
+        if total_err - drift <= rel_tol * _scale(value):
+            value, total_err = _corner_sum(heap)
+            drift = 2 * _UNIT * len(heap) * total_err
+            if total_err <= rel_tol * _scale(value):
+                return value, total_err
         if used + 2 * evals_per_cell > budget:
+            value, total_err = _corner_sum(heap)
             raise QuadratureBudgetError(
                 f"evaluation budget {budget} exhausted at estimate "
                 f"{total_err:.3e}", best=value, estimate=total_err)
-        worst = heapq.heappop(heap)
+        worst = heap[0]
         axis = int(np.argmax(worst.hi - worst.lo))
         mid = (worst.lo[axis] + worst.hi[axis]) / 2.0
         lo2, hi1 = worst.lo.copy(), worst.hi.copy()
         lo2[axis] = mid
         hi1[axis] = mid
-        heapq.heappush(heap, make_cell(worst.lo, hi1))
-        heapq.heappush(heap, make_cell(lo2, worst.hi))
+        low, high = make_cell(worst.lo, hi1), make_cell(lo2, worst.hi)
+        heapq.heapreplace(heap, low)
+        heapq.heappush(heap, high)
+        value = value - worst.value + low.value + high.value
+        before = total_err
+        total_err = total_err - worst.err + low.err + high.err
+        drift += 3 * _UNIT * max(before, total_err)
+
+
+def _scale(value: np.ndarray) -> float:
+    """The tolerance scale max(1, |value|_max)."""
+    return max(1.0, float(np.max(np.abs(value))) if value.size else 0.0)
+
+
+def _corner_sum(cells: list[_Cell]) -> tuple[np.ndarray, float]:
+    """The summed value and error of the cells, in corner order."""
+    cells = sorted(cells, key=lambda c: c.corner)
+    value = cells[0].value
+    for c in cells[1:]:
+        value = value + c.value
+    return value, sum(c.err for c in cells)

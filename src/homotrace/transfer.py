@@ -6,8 +6,9 @@ kind), whose heat kernel it reads off the splitting's spectrum, and checks
 the transferred morphism's coherence relations.  The form's top component
 integrates to the word p rho h rho ... h rho i: in closed form, or by
 adaptive quadrature over the compactified gap cube (chart t =
-sigma/(1-sigma)) of the same word with each h replaced by the heat kernel
-L diag(e^(-t lam)) (R kappa), whose integral over t in (0, inf) is h.
+-ln(1-sigma)/mu, mu the spectral gap) of the same word with each h
+replaced by the heat kernel L diag(e^(-t lam)) (R kappa), whose integral
+over t in (0, inf) is h.
 
 Signs.  In chain order the transferred component is
 
@@ -250,7 +251,7 @@ def transfer_closed(inputs, splitting: Splitting,
 def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
                         rel_tol: float = AMBIGUITY_BAND * DEFAULT_TOL,
                         order: int = DEFAULT_ORDER,
-                        budget: int = DEFAULT_BUDGET, max_arity: int = 4
+                        budget: int = DEFAULT_BUDGET, max_arity: int = 5
                         ) -> tuple[GradedMap, float]:
     """Transferred component by adaptive quadrature over the open gap cube:
     the word of ``transfer_closed``, eps applied to rho(a_1), integrated
@@ -273,8 +274,13 @@ def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
     with A_0 = (R kappa) rho_k i, A_j = (R kappa) rho_(k-j) L and
     A_(k-1) = p rho_1 L composed once.  Its integral over the gaps t in
     (0, inf)^(k-1) is the closed form.  The integrand is evaluated on the
-    unit cube in sigma (t = sigma/(1-sigma), Jacobian 1/(1-sigma)^2 per
-    axis), a whole rule of nodes per call.  Returns (value, error estimate).
+    unit cube in sigma, a whole rule of nodes per call, in the spectral
+    chart t = -ln(1-sigma)/mu with mu = ``splitting.lambda1`` (1 when no
+    lam is positive, where R kappa is zero).  Each heat weight times the
+    Jacobian 1/(mu (1-sigma)) is then (1-sigma)^(lam/mu - 1)/mu, bounded
+    on the closed cube since lam/mu >= 1, and a polynomial when every
+    lam/mu is an integer; it is set to 0 where lam = 0, whose rows of
+    R kappa are zero.  Returns (value, error estimate).
     """
     include = _to_float(splitting.include)
     project = _to_float(splitting.project)
@@ -289,24 +295,27 @@ def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
     factors = ([compose(compose(rk, rhos[-1]), include)]
                + [compose(compose(rk, rho), ell) for rho in rhos[-2:0:-1]]
                + [compose(compose(project, rhos[0]), ell)])
-    lams = {d: lam for d, (_, lam, _) in spec.items()}
+    mu = splitting.lambda1 or 1.0
+    # per degree: (exponent lam/mu - 1, factor 1/mu) where lam > 0, (0, 0)
+    # where lam = 0, so no weight is unbounded
+    powers = {d: (np.where(lam > 0, lam / mu - 1.0, 0.0), (lam > 0) / mu)
+              for d, (_, lam, _) in spec.items()}
     m0 = splitting.m0
     out_degree = sum(f.degree for f in factors)
     shapes = [(d, m0.dim(d), m0.dim(d + out_degree)) for d in m0.degrees()]
 
     def integrand(sigma: np.ndarray) -> np.ndarray:
-        t = sigma / (1.0 - sigma)
-        scale = np.prod(1.0 / (1.0 - sigma) ** 2, axis=1)
+        rest = 1.0 - sigma
         cols = []
         for d, _, _ in shapes:
             x, e = factors[0].block(d), d + factors[0].degree
             for j, a in enumerate(factors[1:]):
-                heat = np.exp(-t[:, j, None] * lams.get(e, np.zeros(0)))
+                power, factor = powers.get(e, (np.zeros(0), np.zeros(0)))
+                heat = rest[:, j, None] ** power * factor
                 x = a.block(e) @ (heat[:, :, None] * x)
                 e += a.degree
             cols.append(x.reshape(len(sigma), -1))
-        return np.concatenate([np.zeros((len(sigma), 0))] + cols,
-                              axis=1) * scale[:, None]
+        return np.concatenate([np.zeros((len(sigma), 0))] + cols, axis=1)
 
     def unflatten(vec: np.ndarray) -> GradedMap:
         blocks, off = {}, 0

@@ -1,6 +1,7 @@
 """Adaptive cube quadrature: the batched tensor rule and failure reporting."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -64,3 +65,19 @@ def test_non_finite_estimate_fails_fast():
         integrate_cube(f, 1, rel_tol=1e-9, budget=10 ** 5)
     assert math.isnan(info.value.estimate)
     assert calls <= 3 * 2
+
+
+def test_cost_grows_linearly_with_the_cells():
+    """A dim-1 integrand that never converges costs less than 16 times as
+    much at 8 times the budget: each split updates running totals instead
+    of summing every cell again."""
+    def seconds(cells):
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(QuadratureBudgetError):
+                integrate_cube(np.sqrt, 1, rel_tol=1e-30, budget=24 * cells)
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    assert seconds(4000) < 16 * seconds(500)

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from homotrace.dgcore import build_splitting_hodge, check_splitting
 from homotrace.errors import ShapeError
 from homotrace.glinalg import GradedMap, bar_signs, compose, supercommutator
-from homotrace.instances import (random_instance, t1_instance, to_float_instance,
-                                 torus_instance)
+from homotrace.instances import (matrix_instance, random_instance, t1_instance,
+                                 to_float_instance, torus_instance)
 from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT
 from homotrace.transfer import (
     ConfigurationPoint,
@@ -381,6 +381,57 @@ def test_quadrature_matches_closed_form_on_every_nonzero_tuple(
     assert checked == count
 
 
+def test_quadrature_converges_on_t1_arity_four():
+    """T1f's spectrum {0, 1} makes every heat weight a polynomial in the
+    spectral chart, so (8, 7, 7, 3) converges within the default budget."""
+    t1f = _float_instance("T1")
+    quad, _ = transfer_quadrature([8, 7, 7, 3], t1f.splitting, t1f.bundle,
+                                  rel_tol=1e-9)
+    closed = transfer_closed([8, 7, 7, 3], t1f.splitting, t1f.bundle)
+    assert closed.max_abs() > 1e-6
+    assert (quad - closed).max_abs() <= 1e-8 * closed.max_abs()
+
+
+@pytest.mark.parametrize("name", ["T1", "r7"])
+@pytest.mark.parametrize("seed", [None, 0])
+def test_quadrature_matches_closed_form_at_arity_five(name, seed):
+    """Arity 5, the default cap, agrees with the closed form to relative
+    1e-8 on seeded samples of the basis words whose closed form exceeds
+    1e-6.  Words are grown from nonzero prefixes p rho(b_1) h ... rho(b_j),
+    since every extension of a zero prefix is zero."""
+    inst = _float_instance(name)
+    s = inst.splitting
+    if seed is not None:
+        space = inst.bundle.space
+        s = build_splitting_hodge(space, inst.bundle.q,
+                                  _inner_product(space, seed))
+    f = transferred_morphism(inst.bundle, s)
+    n = inst.bundle.algebra.n_basis
+    words = [()]
+    for _ in range(4):
+        words = [w + (b,) for w in words for b in range(n)
+                 if f._word(w + (b,)).max_abs() > 0]
+    nonzero = [w + (b,) for w in words for b in range(n)
+               if f.on_basis(w + (b,)).max_abs() > 1e-6]
+    assert nonzero
+    for word in random.Random(0).sample(nonzero, min(3, len(nonzero))):
+        tup = list(word[::-1])
+        closed = transfer_closed(tup, s, inst.bundle)
+        quad, _ = transfer_quadrature(tup, s, inst.bundle, rel_tol=1e-9)
+        assert (quad - closed).max_abs() <= 1e-8 * closed.max_abs(), tup
+
+
+def test_quadrature_without_positive_eigenvalue_is_zero():
+    """With Q = 0 no eigenvalue is positive and R kappa is zero: the
+    chart scale falls back to 1 and the component is the zero map, with
+    no division by zero."""
+    inst = to_float_instance(matrix_instance({0: 2, 1: 1}))
+    assert inst.splitting.lambda1 is None
+    with np.errstate(divide="raise", invalid="raise"):
+        quad, est = transfer_quadrature([0, 1], inst.splitting, inst.bundle)
+    assert quad.is_zero() and est == 0.0
+
+
 def test_quadrature_arity_one_exact(t1):
     t1f = to_float_instance(t1_instance())
     val, est = transfer_quadrature([3], t1f.splitting, t1f.bundle)
@@ -396,18 +447,21 @@ def test_quadrature_rejects_large_arity(t1):
 
 
 def test_quadrature_budget_error_carries_best_estimate():
+    """torus N=1 under a seeded inner product has eigenvalues 4.4 to 72,
+    whose ratios are not integers, so its weights are not polynomials and
+    a 60-evaluation budget runs out."""
     from homotrace.errors import QuadratureBudgetError
-    from homotrace.glinalg import GradedMap
 
-    t1f = to_float_instance(t1_instance())
-    alg = t1f.bundle.algebra
-    tup = [alg.flat_by_name("E[f<-e2]"), alg.flat_by_name("E[e2<-e1]")]
+    torus = _float_instance("torus1")
+    space = torus.bundle.space
+    s = build_splitting_hodge(space, torus.bundle.q, _inner_product(space, 0))
+    tup = [1, 1]
     with pytest.raises(QuadratureBudgetError) as info:
-        transfer_quadrature(tup, t1f.splitting, t1f.bundle, rel_tol=1e-14,
-                            order=4, budget=60)
+        transfer_quadrature(tup, s, torus.bundle, rel_tol=1e-14, order=4,
+                            budget=60)
     assert isinstance(info.value.best, GradedMap)
     assert info.value.estimate is not None
-    closed = transfer_closed(tup, t1f.splitting, t1f.bundle)
+    closed = transfer_closed(tup, s, torus.bundle)
     assert (info.value.best - closed).max_abs() <= 1e-3
 
 
