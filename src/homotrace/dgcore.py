@@ -1,16 +1,17 @@
 """Dg algebras, dg modules with actions, axiom validation, and splittings.
 
 A ``DgAlgebra`` carries its product as one structure-constant tensor over
-a homogeneous basis.  ``algebra_from_operators`` derives the tensor, the
-unit and the differential from a basis of operators on a dg module (float
-coordinates from n_g pivot entries per degree, closure proved by the full
-residual at AMBIGUITY_BAND * tol), and ``validate_bundle`` checks the
-algebra axioms on every basis pair and triple.  A ``DgModuleBundle``
-couples an algebra to a module via the action rho (one graded map per
-basis operator).  ``Splitting`` realizes the decomposition of the module
-into its cohomology part and an acyclic part, with contracting homotopy,
-in either projector or Laplacian normalization, and carries the spectrum
-of {Q, kappa} that the propagator reads.
+a homogeneous basis.  A ``DgModuleBundle`` couples an algebra to a module
+via the action rho (one graded map per basis operator) and computes the
+residuals of the three action identities once.  ``algebra_from_operators``
+derives the tensor, the unit and the differential from a basis of
+operators on a dg module (float coordinates from n_g pivot entries per
+degree) and proves closure from those residuals; ``validate_bundle``
+checks the algebra axioms on every basis pair and triple and reads the
+action checks off the same residuals.  ``Splitting`` realizes the
+decomposition of the module into its cohomology part and an acyclic part,
+with contracting homotopy, in either projector or Laplacian normalization,
+and carries the spectrum of {Q, kappa} that the propagator reads.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -141,19 +143,18 @@ def make_algebra(space: GradedVectorSpace, differential: GradedMap,
 
 def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
                            maps: list[GradedMap], names: list[str], mode: str,
-                           tol: float = DEFAULT_TOL
-                           ) -> tuple[DgAlgebra, tuple[GradedMap, ...]]:
-    """The dg algebra whose basis is the given homogeneous operators on (space, q).
+                           tol: float = DEFAULT_TOL) -> DgModuleBundle:
+    """The bundle of the dg algebra whose basis is the given homogeneous
+    operators on (space, q), with rho those operators ordered by (degree,
+    input order).
 
-    The basis is ordered by (degree, input order); returns the algebra and
-    the operators in that order (the action rho).  Every product, the
-    identity and every {Q, op} is expanded over the operators of its own
-    degree: exact, by one elimination per degree, which also proves
-    closure; float, from its values at n_g pivot entries per degree
-    (``_expand_pivots``), after which closure is proved on every entry to
-    the absolute residual AMBIGUITY_BAND * tol.  The first operator
-    outside the span (products in row-major order, the identity, each
-    {Q, op}) raises ClosureError naming it; linearly dependent operators
+    Every product, the identity and every {Q, op} is expanded over the
+    operators of its own degree: exact, by one elimination per degree;
+    float, from its values at n_g pivot entries per degree
+    (``_expand_pivots``).  The bundle's ``residuals`` then prove closure:
+    the first operator outside the span (products in row-major order, the
+    identity, each {Q, op}), nonzero (exact) or above AMBIGUITY_BAND * tol
+    (float), raises ClosureError naming it.  Linearly dependent operators
     raise InputError (in float, ``tol`` decides the rank).
     """
     order = sorted(range(len(maps)), key=lambda k: maps[k].degree)
@@ -165,15 +166,21 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     aspace = GradedVectorSpace.make({g: len(v) for g, v in labels.items()},
                                     labels)
     n, off = len(rho), aspace.offsets()
-    vals = (_expand_exact(space, q, rho, rho_names) if mode == EXACT
-            else _expand_pivots(space, q, rho, rho_names, tol))
+    vals = (_expand_exact(space, q, rho) if mode == EXACT
+            else _expand_pivots(space, q, rho, tol))
     dmat = vals[n * n + 1:]                  # row k: d(e_k)
     blocks = {g: dmat[off[g]:off[g] + dim,
                       off[g + 1]:off[g + 1] + aspace.dim(g + 1)].T
               for g, dim in aspace.dims if aspace.dim(g + 1)}
     differential = GradedMap.build(aspace, aspace, 1, blocks, mode)
-    return make_algebra(aspace, differential, vals[:n * n].reshape(n, n, n),
-                        vals[n * n], mode), rho
+    bundle = DgModuleBundle(make_algebra(
+        aspace, differential, vals[:n * n].reshape(n, n, n), vals[n * n],
+        mode), space, q, rho, mode)
+    bad = _first_failure(bundle.residuals,
+                         None if mode == EXACT else AMBIGUITY_BAND * tol)
+    if bad is not None:
+        raise _escaped(bad, rho_names)
+    return bundle
 
 
 def _columns(space: GradedVectorSpace, degree: int, ops: list[GradedMap]
@@ -207,37 +214,31 @@ def _escaped(row: int, names: list[str]) -> ClosureError:
 
 
 def _expand_exact(space: GradedVectorSpace, q: GradedMap,
-                  rho: tuple[GradedMap, ...], names: list[str]) -> np.ndarray:
+                  rho: tuple[GradedMap, ...]) -> np.ndarray:
     """Each product, the identity and each {Q, op} over the flat basis,
-    one row each; the rows of one degree are solved in one elimination."""
+    one row each; the rows of one degree are solved in one elimination
+    (rows outside the span get meaningless coefficients)."""
     ops = [compose(a, b) for a in rho for b in rho] + [GradedMap.identity(
         space, EXACT)] + [supercommutator(q, m) for m in rho]
     out = zeros_matrix(len(ops), len(rho), EXACT)
-    escaped: list[int] = []
     for g in sorted({m.degree for m in (*rho, *ops)}):
         at, basis = _columns(space, g, rho)
         idx, rhs = _columns(space, g, ops)
         try:
-            x, unsolved = solve_exact(basis, rhs)
+            x = solve_exact(basis, rhs)[0]
         except ShapeError as exc:
             raise _dependent(g) from exc
-        escaped += [idx[j] for j in unsolved]
         out[np.ix_(idx, at)] = x.T
-    if escaped:
-        raise _escaped(min(escaped), names)
     return out
 
 
 def _expand_pivots(space: GradedVectorSpace, q: GradedMap,
-                   rho: tuple[GradedMap, ...], names: list[str],
-                   tol: float) -> np.ndarray:
+                   rho: tuple[GradedMap, ...], tol: float) -> np.ndarray:
     """The rows of ``_expand_exact`` in float.  The n_g operators of degree
     g are factored once at n_g of their nonzero entries, picked by
     Gaussian elimination with partial pivoting (Golub & Van Loan, 3.4);
     entry (r, c) of rho_i rho_j or {Q, rho_k} is row r of the left factor
-    times column c of the right, so no product is formed.  Each expansion
-    must then match its operator on every entry: the products one left
-    factor at a time (``_multiplicative_failure``)."""
+    times column c of the right, so no product is formed."""
     n, dense = len(rho), stack_dense(rho, space, FLOAT)
     deg = [m.degree for m in rho]            # sorted
     qd, sign = q.dense(), (-1.0) ** np.array(deg)
@@ -256,16 +257,6 @@ def _expand_pivots(space: GradedVectorSpace, q: GradedMap,
             vals[n * n, p] = r == c
             vals[n * n + 1:, p] = right @ qd[r] - sign * (left @ qd[:, c])
         vals[:, at] = np.linalg.solve(live[piv], vals[:, at].T).T
-    bound = AMBIGUITY_BAND * tol
-    bad = _multiplicative_failure(
-        dense, (vals[:n * n].reshape(n, n, n), 1, None), bound)
-    if bad:
-        raise _escaped(bad[0] * n + bad[1], names)
-    for t, row in enumerate(vals[n * n:]):
-        target = qd @ dense[t - 1] - sign[t - 1] * dense[t - 1] @ qd if t \
-            else np.eye(len(qd))
-        if not max_abs(np.tensordot(row, dense, 1) - target) <= bound:
-            raise _escaped(n * n + t, names)
     return vals
 
 
@@ -282,6 +273,14 @@ class DgModuleBundle:
     def rho_flat(self, k: int) -> GradedMap:
         return self.rho[k]
 
+    @cached_property
+    def residuals(self) -> np.ndarray:
+        """The action identities in the rows of ``_escaped``: rho(e_i e_j)
+        against rho_i rho_j, rho(unit) against the identity, rho(d e_k)
+        against {Q, rho_k}.  Float rows hold the largest entry difference
+        (NaN kept), exact rows whether the sides differ.  Computed once."""
+        return _action_residuals(self)
+
     def rho_vector(self, coeffs: np.ndarray) -> GradedMap:
         """rho of a (flat) coefficient vector; degree of the combination."""
         deg = None
@@ -297,9 +296,6 @@ class DgModuleBundle:
         if acc is None:
             return GradedMap.zero(self.space, self.space, 0, self.mode)
         return acc
-
-    def unit_map(self) -> GradedMap:
-        return self.rho_vector(self.algebra.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +328,13 @@ def validate_bundle(bundle: DgModuleBundle, tol: float | None = None
     Leibniz, associativity and the unit hold on every basis pair or triple
     (the witness is the first failing one), exactly or, with ``tol``, to
     ``tol`` relative to the largest coefficient on either side (at least 1).
-    rho(e_i e_j) = rho(e_i) rho(e_j) is checked on every pair, exactly or
-    to ``tol`` per pair.  Exact checks clear denominators first: the
-    structure constants, the algebra differential, the unit and the
-    stacked rho are each multiplied by the least common multiple of their
-    denominators, so both sides of every identity carry the same scale and
-    the sums run over integers (int64 where a bound allows it).
+    Exact checks clear denominators first: the structure constants, the
+    algebra differential and the unit are each multiplied by the least
+    common multiple of their denominators, so both sides of every identity
+    carry the same scale and the sums run over integers.  rho(unit) = id,
+    the chain-map identity of each rho_k and rho(e_i e_j) = rho(e_i)
+    rho(e_j) on every pair are read off ``bundle.residuals``, exactly or to
+    ``tol`` per row; the witness is the first failing basis element or pair.
     """
     if bundle.mode == FLOAT and tol is None:
         tol = DEFAULT_TOL
@@ -345,12 +342,9 @@ def validate_bundle(bundle: DgModuleBundle, tol: float | None = None
     checks: list[CheckResult] = []
 
     qq = compose(bundle.q, bundle.q)
-    wit = None
-    if not qq.is_zero(tol):
-        d = next(d for d, m in qq.blocks if max_abs(m) > (tol or 0))
-        idx = next(j for j in range(bundle.space.dim(d))
-                   if _col_nz(qq.block(d), j, tol))
-        wit = bundle.space.label(d, idx)
+    wit = next((bundle.space.label(d, j) for d, m in qq.blocks
+                for j in range(m.shape[1]) if max_abs(m[:, j]) > (tol or 0)),
+               None)
     checks.append(CheckResult("Q-squared", qq.is_zero(tol), wit))
 
     dd = compose(a.differential, a.differential)
@@ -360,96 +354,97 @@ def validate_bundle(bundle: DgModuleBundle, tol: float | None = None
     def names(key):
         return key and "(" + ", ".join(map(a.basis_name, key)) + ")"
 
-    mul = clear_denominators(a.mul) if tol is None else (a.mul, 1, None)
-    leib, assoc, unit = _algebra_failures(a, mul[:2], tol)
+    leib, assoc, unit = _algebra_failures(a, tol)
     checks.append(CheckResult("leibniz", leib is None, names(leib)))
     checks.append(CheckResult("associativity", assoc is None, names(assoc)))
 
+    n, res = a.n_basis, bundle.residuals
     unit_wit = None if unit is None else a.basis_name(unit)
-    if unit_wit is None:
-        rho_unit = bundle.unit_map()
-        if not rho_unit.equals(GradedMap.identity(bundle.space, bundle.mode), tol):
-            unit_wit = "rho(unit) != id"
+    if unit is None and _first_failure(res[n * n:n * n + 1], tol) is not None:
+        unit_wit = "rho(unit) != id"
     checks.append(CheckResult("unit", unit_wit is None, unit_wit))
 
-    n = a.n_basis
-    chain_wit = None
-    for i in range(n):
-        lhs = bundle.rho_vector(a.diff_flat(i))
-        rhs = supercommutator(bundle.q, bundle.rho_flat(i))
-        if not lhs.equals(rhs, tol):
-            chain_wit = a.basis_name(i)
-            break
-    checks.append(CheckResult("action-chain-map", chain_wit is None, chain_wit))
+    chain = _first_failure(res[n * n + 1:], tol)
+    checks.append(CheckResult("action-chain-map", chain is None,
+                              None if chain is None else a.basis_name(chain)))
 
-    mult = _multiplicative_failure(
-        stack_dense(bundle.rho, bundle.space, bundle.mode), mul, tol)
+    mult = _first_failure(res[:n * n], tol)
     checks.append(CheckResult("action-multiplicative", mult is None,
-                              names(mult)))
+                              names(None if mult is None else divmod(mult, n))))
 
     return ValidationReport(tuple(checks))
 
 
-def _col_nz(m: np.ndarray, j: int, tol: float | None) -> bool:
-    return any(abs(complex(m[i, j])) > (tol or 0) for i in range(m.shape[0]))
+def _first_failure(residuals: np.ndarray, tol: float | None) -> int | None:
+    """The first row of ``DgModuleBundle.residuals`` that fails: nonzero
+    when tol is None, else above tol (NaN fails)."""
+    bad = np.flatnonzero(residuals if tol is None else ~(residuals <= tol))
+    return int(bad[0]) if bad.size else None
 
 
-def _multiplicative_failure(rho: np.ndarray, scaled: tuple,
-                            tol: float | None) -> tuple[int, int] | None:
-    """The first basis pair (i, j), in row-major order, with rho(e_i e_j) !=
-    rho(e_i) rho(e_j), or None.
-
-    rho is the dense (n, size, size) stack of the module matrices.  For
-    each left factor i the sums sum_m mul[i, j, m] rho_m are compared with
-    rho_i rho_j for every j in one contraction, on the rows where either
-    side can be nonzero.  A product e_i e_j with terms outside degree
-    |i| + |j| fails too: those terms land in blocks where rho_i rho_j is
-    zero, and rho is injective on each degree (``algebra_from_operators``
-    rejects dependent operators).  ``scaled`` is (dm mul, dm, bound) from
-    ``clear_denominators`` for exact comparisons, (mul, 1, None) with
-    ``tol``.  Exact comparisons run on integers: rho is scaled by its
-    common denominator dr too, which puts dm dr^2 on both sides, in int64
-    when a bound on every product and sum allows it, else in Python ints.
-    With ``tol`` each pair's largest entry difference must be at most tol.
-    """
-    n, size = rho.shape[:2]
-    mul, dm, top_m = scaled
-    nz, dr = mul.astype(bool), 1
-    if tol is None:
-        rho, dr, top_r = clear_denominators(rho)
-        if (top_m is not None and top_r is not None
-                and n * top_m * top_r * dr + size * top_r * top_r * dm
-                < 2 ** 63):
-            mul, rho = mul.astype(np.int64), rho.astype(np.int64)
+def _action_residuals(bundle: DgModuleBundle) -> np.ndarray:
+    """``DgModuleBundle.residuals``.  rho is the dense (n, size, size)
+    stack of the module matrices.  For each left factor i the sums
+    sum_m mul[i, j, m] rho_m are compared with rho_i rho_j for every j in
+    one contraction, on the rows where either side can be nonzero; a
+    product with terms outside degree |i| + |j| fails too, since rho is
+    injective on each degree.  The unit and differential rows follow one
+    at a time.  Exact residuals run on integers: each array is scaled by
+    the least common multiple of its denominators and each side of an
+    identity by the other side's scales; the products run in int64 when a
+    bound on every product and sum allows it, the other rows in Python
+    ints."""
+    a, exact = bundle.algebra, bundle.mode == EXACT
+    n, size = a.n_basis, bundle.space.total_dim
+    parts = (a.mul, stack_dense(bundle.rho, bundle.space, bundle.mode),
+             a.unit, a.differential.dense().T, bundle.q.dense())
+    ((mul, dm, top_m), (rho, dr, top_r), (unit, du, _), (diff, dd, _),
+     (q, dq, _)) = [clear_denominators(t) if exact else (t, 1, None)
+                    for t in parts]
+    pm, pr = ((mul.astype(np.int64), rho.astype(np.int64))
+              if top_m is not None and top_r is not None
+              and n * top_m * top_r * dr + size * top_r * top_r * dm < 2 ** 63
+              else (mul, rho))
+    used_by = mul.astype(bool).any(axis=1)   # used_by[i, m]: some mul[i, j, m]
     live = rho.astype(bool).any(axis=2)      # the nonzero rows of each rho_m
+    out = np.empty(n * n + 1 + n, dtype=bool if exact else float)
     for i in range(n):
-        used = np.flatnonzero(nz[i].any(axis=0))
+        used = np.flatnonzero(used_by[i])
         rows = np.flatnonzero(live[i] | live[used].any(axis=0))
-        part = rho[np.ix_(used, rows)].reshape(len(used), len(rows) * size)
-        diff = (mul[i][:, used] @ (part * dr)
-                - np.matmul(rho[i, rows] * dm, rho).reshape(n, -1))
-        bad = (diff.astype(bool).any(axis=1) if tol is None
-               else np.array([not max_abs(row) <= tol for row in diff]))
-        if bad.any():
-            return i, int(np.argmax(bad))
-    return None
+        part = pr[np.ix_(used, rows)].reshape(len(used), len(rows) * size)
+        got = (pm[i][:, used] @ (part * dr)
+               - np.matmul(pr[i, rows] * dm, pr).reshape(n, -1))
+        out[i * n:i * n + n] = (
+            got.astype(bool).any(axis=1) if exact else
+            np.max(np.hypot(got.real, got.imag), axis=1, initial=0.0))
+
+    def row(coeffs: np.ndarray, scale, target: np.ndarray):
+        got = sum((c * rho[m] for m, c in _entries(coeffs)),
+                  np.zeros((size, size), dtype=rho.dtype)) * scale - target
+        return got.astype(bool).any() if exact else max_abs(got)
+
+    out[n * n] = row(unit, 1, np.eye(size, dtype=rho.dtype) * (du * dr))
+    for k in range(n):
+        sign = (-1) ** (a.basis_degree(k) % 2)
+        out[n * n + 1 + k] = row(diff[k], dq,
+                                 (q @ rho[k] - sign * rho[k] @ q) * dd)
+    out.setflags(write=False)
+    return out
 
 
-def _algebra_failures(a: DgAlgebra, scaled: tuple, tol: float | None
-                      ) -> tuple:
+def _algebra_failures(a: DgAlgebra, tol: float | None) -> tuple:
     """The first failing basis pair (i, j) of the Leibniz rule, triple
     (i, j, k) of associativity and element i of the unit law, or None.
     Each side is contracted over the nonzero structure constants and
     differential entries into a dict keyed by basis indices and output.
-    ``scaled`` is (dm mul, dm) for exact comparisons, (mul, 1) with
-    ``tol``; the differential and the unit are then scaled by their common
-    denominators too, which scales both sides of an identity alike, so the
-    sums run on integers."""
+    Without ``tol`` the structure constants, the differential and the unit
+    are scaled by their common denominators, which scales both sides of an
+    identity alike, so the sums run on integers."""
     n = a.n_basis
-    mul, dm = scaled
-    diff = a.differential.dense().T          # row i: d(e_i)
+    mul, diff = a.mul, a.differential.dense().T  # row i: d(e_i)
     unit, one = a.unit, one_scalar(a.mode)
     if tol is None:
+        mul, dm, _ = clear_denominators(mul)
         diff = clear_denominators(diff)[0]
         unit, du, _ = clear_denominators(unit)
         one = dm * du

@@ -356,10 +356,8 @@ def random_instance(seed: int, dims: dict[int, int],
         i = count.get(m.degree, 0)
         count[m.degree] = i + 1
         names.append(f"b{m.degree}_{i}")
-    algebra, rho = algebra_from_operators(space, q, basis_maps, names, EXACT)
-    bundle = DgModuleBundle(algebra=algebra, space=space, q=q, rho=rho,
-                            mode=EXACT)
+    bundle = algebra_from_operators(space, q, basis_maps, names, EXACT)
     splitting = build_splitting_projector(space, q)
     return _validated(bundle, splitting, _identity_element(bundle),
                       {"kind": "random", "seed": seed, "dims": dict(dims),
-                       "algebra_dim": len(rho)})
+                       "algebra_dim": len(bundle.rho)})

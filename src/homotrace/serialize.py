@@ -14,7 +14,6 @@ import json
 from contextlib import contextmanager
 
 from homotrace.dgcore import (
-    DgModuleBundle,
     algebra_from_operators,
     build_splitting_hodge,
     build_splitting_projector,
@@ -157,9 +156,8 @@ def instance_from_dict(data: dict, tol: float = DEFAULT_TOL) -> Instance:
     if not compose(q, q).is_zero(None if mode == EXACT else tol):
         raise InputError("Q-squared: differential does not square to zero")
 
-    algebra, rho = algebra_from_operators(space, q, maps, names, mode, tol)
-    bundle = DgModuleBundle(algebra=algebra, space=space, q=q, rho=rho,
-                            mode=mode)
+    bundle = algebra_from_operators(space, q, maps, names, mode, tol)
+    algebra = bundle.algebra
     if mode == EXACT:
         splitting = build_splitting_projector(space, q)
     else:

@@ -36,11 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from homotrace.dgcore import DgModuleBundle, Splitting
-from homotrace.errors import QuadratureBudgetError, ShapeError
+from homotrace.errors import InputError, QuadratureBudgetError, ShapeError
 from homotrace.glinalg import (AMBIGUITY_BAND, GradedMap, GradedVectorSpace,
                                bar_signs, compose)
 from homotrace.quadrature import DEFAULT_BUDGET, DEFAULT_ORDER, integrate_cube
 from homotrace.scalars import DEFAULT_TOL, FLOAT, one_scalar
+
+MAX_QUAD_ARITY = 5    # 6 slots start at one dim-5 cell of about 1e6 nodes
 
 # ---------------------------------------------------------------------------
 # Slots: homogeneous inputs normalized to (degree, coefficient vector)
@@ -251,7 +253,8 @@ def transfer_closed(inputs, splitting: Splitting,
 def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
                         rel_tol: float = AMBIGUITY_BAND * DEFAULT_TOL,
                         order: int = DEFAULT_ORDER,
-                        budget: int = DEFAULT_BUDGET, max_arity: int = 5
+                        budget: int = DEFAULT_BUDGET,
+                        max_arity: int = MAX_QUAD_ARITY
                         ) -> tuple[GradedMap, float]:
     """Transferred component by adaptive quadrature over the open gap cube:
     the word of ``transfer_closed``, eps applied to rho(a_1), integrated
@@ -368,10 +371,14 @@ class AInfinityMorphism:
     def on_basis(self, flats: tuple[int, ...]) -> GradedMap:
         """f_m(b_1, ..., b_m) = p rho(b_1) h ... h rho(b_m) i, in chain order,
         with no sign of its own: one step past the stored word of b_1 ...
-        b_(m-1) in closed form, or by quadrature."""
+        b_(m-1) in closed form, or by quadrature up to MAX_QUAD_ARITY
+        slots (InputError above)."""
         got = self._cache.get(flats)
         if got is None:
             if self.method == "quadrature":
+                if len(flats) > MAX_QUAD_ARITY:
+                    raise InputError(f"quadrature takes at most "
+                                     f"{MAX_QUAD_ARITY} slots, not {len(flats)}")
                 got, est = _quadrature(
                     [self.bundle.rho_flat(b) for b in flats], self.splitting,
                     self.rel_tol, DEFAULT_ORDER, self.budget)

@@ -184,7 +184,8 @@ def test_criterion_4_oracle_equivalence():
         for i, c in enumerate(alg.unit):
             ident.add_term((i,), c)
         ups_id = transferred_trace(ident, f)
-        theta1 = projected_supertrace(inst.bundle.unit_map(), inst.splitting)
+        theta1 = projected_supertrace(inst.bundle.rho_vector(alg.unit),
+                                      inst.splitting)
         if tol is None:
             assert ups_id == theta1 == coh.m0.euler_characteristic()
         else:
@@ -375,8 +376,8 @@ def test_criterion_8_cyclic_pullback_consistency():
             for k in nz:
                 ch3.add_term((i, j, k), ident[i] * ident[j] * ident[k])
     lhs = transferred_cyclic_trace(ch3, f, 1)
-    rhs = antisymmetrized_supertrace([t1.bundle.unit_map()] * 3, coh,
-                                     q=t1.bundle.q)
+    rhs = antisymmetrized_supertrace(
+        [t1.bundle.rho_vector(t1.bundle.algebra.unit)] * 3, coh, q=t1.bundle.q)
     assert lhs == rhs == 3 * coh.m0.euler_characteristic()
     _report("AC8b", f"(both sides equal {lhs} = 3*chi)")
 

@@ -1,14 +1,20 @@
 """Command-line surface: generation, verification, traces, exit codes."""
 
 import dataclasses
+import hashlib
+import itertools
 import json
+import random
 
 import pytest
 
+from homotrace import transfer
 from homotrace.cli import _verify_checks, build_parser, main
 from homotrace.glinalg import AMBIGUITY_BAND, GradedMap
-from homotrace.instances import to_float_instance
+from homotrace.instances import (matrix_instance, random_instance,
+                                 t1_instance, to_float_instance)
 from homotrace.scalars import DEFAULT_TOL, FLOAT, decode_value
+from homotrace.serialize import instance_to_dict, save_instance
 
 
 def run(args):
@@ -157,6 +163,30 @@ def test_quadrature_error_does_not_depend_on_chain_order(tmp_path, capsys):
     assert errors[0]["full"] == errors[0]["again"] > errors[0]["short"] > 0
 
 
+def test_trace_quadrature_caps_the_arity(tmp_path, capsys, monkeypatch):
+    """A 6-slot chain term under ``--method quadrature`` is bad input: exit
+    2 with one 'input error:' line, before any integration."""
+    ipath = tmp_path / "t1f.json"
+    assert run(["gen", "--kind", "matrix", "--preset", "T1", "--mode", "float",
+                "-o", str(ipath)]) == 0
+    cpath = tmp_path / "chains.json"
+    cpath.write_text(json.dumps({
+        "format": "homotrace-chains/1",
+        "chains": [{"name": "six", "terms": [
+            {"coeff": 1.0, "slots": ["E[f<-e1]"] * 5 + ["E[e1<-e1]"]}]}],
+    }))
+
+    def integrate(*args, **kwargs):
+        raise AssertionError("integrate_cube called")
+
+    monkeypatch.setattr(transfer, "integrate_cube", integrate)
+    capsys.readouterr()
+    assert run(["trace", "--instance", str(ipath), "--chain", str(cpath),
+                "--method", "quadrature"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error:") == 1 and len(err.splitlines()) == 1
+
+
 def test_gen_respects_dims_bound(tmp_path, capsys):
     assert run(["gen", "--kind", "torus", "--N", "4",
                 "-o", str(tmp_path / "x.json")]) == 2
@@ -299,3 +329,82 @@ def test_cohomology_oracle_uses_its_own_splitting(t1, mode):
     for case, passed in ((inst, True), (bad, False)):
         checks = {c["name"]: c["passed"] for c in _verify_checks(case, args)}
         assert checks["traces/cohomology-oracle"] is passed
+
+
+@pytest.mark.parametrize("eps, code, err", [
+    (1e-11, 1, "check failure: generated instance fails validation: "
+               "action-multiplicative"),
+    (3e-10, 1, "check failure: generated instance fails validation: "
+               "leibniz, associativity, action-chain-map, "
+               "action-multiplicative"),
+    (3e-9, 2, "input error: product b0_1*b0_1 is not in the span of the "
+              "declared operators"),
+    (1e-7, 2, "input error: product b-1_0*b1_0 is not in the span of the "
+              "declared operators"),
+])
+def test_float_closure_thresholds(tmp_path, capsys, eps, code, err):
+    """An off-pattern entry d0_0 -> d0_1 of size eps on b0_1 of the r7f
+    file: while the residuals stay within AMBIGUITY_BAND * tol the file
+    loads but fails validation at tol (exit 1); beyond that bound the
+    operators escape their span (exit 2)."""
+    data = instance_to_dict(to_float_instance(random_instance(7, {0: 2, 1: 2})))
+    b01 = next(op for op in data["algebra"] if op[0] == "b0_1")
+    b01[2].append(["d0_0", "d0_1", eps])
+    ipath = tmp_path / "r7f.json"
+    ipath.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["verify", "--instance", str(ipath)]) == code
+    assert capsys.readouterr().err.splitlines() == [err]
+
+
+def _digest_chains(inst) -> dict:
+    """Three chains, each with two seeded terms per length 1-3 of degree
+    slots - 1 (the terms ``transferred_trace`` keeps) and two length-3
+    terms of degree 0 (the level-1 cyclic trace)."""
+    alg = inst.bundle.algebra
+    degs = [alg.basis_degree(k) for k in range(alg.n_basis)]
+    rng = random.Random(0)
+    chains = []
+    for c in range(3):
+        terms = []
+        for length, degree in ((1, 0), (2, 1), (3, 2), (3, 0)):
+            pool = [t for t in itertools.product(range(alg.n_basis),
+                                                 repeat=length)
+                    if sum(degs[k] for k in t) == degree]
+            for flats in rng.sample(pool, min(2, len(pool))):
+                terms.append({"coeff": str(rng.choice((-2, -1, 1, 2, 3))),
+                              "slots": [alg.basis_name(b) for b in flats]})
+        chains.append({"name": f"chain{c}", "terms": terms})
+    return {"format": "homotrace-chains/1", "chains": chains}
+
+
+@pytest.mark.parametrize("build, verify_digest, trace_digest", [
+    (t1_instance,
+     "6f0d8daa0590a7f425cdf72dd9a5b3940f113d24c0aeda7b2d4ac576d998b9d2",
+     "269818b18d2d4e581e98e29ad741b864a6cdc04d4ddc844e8db23b5d2592f636"),
+    (lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+     "1701af628bcb164318d5dcbb8320d045c5241f960fc7686155112c50717da494",
+     "4150b0aba47194a6cbcfe33a9dcce90fe4b0eaaf7f4b2a991b1ba5e7e562e65f"),
+    (lambda: matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]),
+     "c7bfa9956b501e288c23a6975b7a2053b3712b65bca6d2562d0321f2da076d10",
+     "b7381130cafe4d557dd4977bfd76b096aa95a4b78cd5bd0bd85d70725015f98e"),
+], ids=["T1", "r11", "m32"])
+def test_exact_reports_are_unchanged(tmp_path, capsys, build, verify_digest,
+                                     trace_digest):
+    """Golden digests of the exact ``verify --seed 0`` and ``trace --cyclic
+    1`` JSON reports, taken before the load and ``validate_bundle`` shared
+    one residual pass."""
+    inst = build()
+    ipath, cpath = tmp_path / "i.json", tmp_path / "c.json"
+    save_instance(inst, str(ipath))
+    cpath.write_text(json.dumps(_digest_chains(inst)))
+    capsys.readouterr()
+    digests = []
+    for argv in (["verify", "--instance", str(ipath), "--seed", "0",
+                  "--output", "json"],
+                 ["trace", "--instance", str(ipath), "--chain", str(cpath),
+                  "--cyclic", "1", "--output", "json"]):
+        assert run(argv) == 0
+        digests.append(hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest())
+    assert digests == [verify_digest, trace_digest]

@@ -242,7 +242,10 @@ def test_action_multiplicative_matches_per_pair_reference(seed, dims, kind,
     """The one contraction gives the per-pair verdict and witness, with
     Fraction, GaussianRational and float entries, and with cleared
     constants too large for int64; the changed constant may put e_i e_j
-    in several degrees."""
+    in several degrees.  The chain-map and rho(unit) rows of the same
+    residuals agree with ``rho_vector`` and ``supercommutator`` per basis
+    element (rebasing leaves the differential as it is, so the chain map
+    can fail)."""
     bundle = _random_bundle(seed, dims, FLOAT if kind == "float" else EXACT)
     n = bundle.algebra.n_basis
     assume(n <= 9)
@@ -261,10 +264,19 @@ def test_action_multiplicative_matches_per_pair_reference(seed, dims, kind,
                                 complex(delta) if kind == "float" else delta)
     tol = DEFAULT_TOL if kind == "float" else None
     want = _multiplicative_reference(bundle, tol)
-    check = {c.name: c for c in validate_bundle(bundle).checks}[
-        "action-multiplicative"]
+    checks = {c.name: c for c in validate_bundle(bundle).checks}
+    check = checks["action-multiplicative"]
     assert check.passed == (want is None)
     assert check.witness == _witness(bundle.algebra, want)
+    a = bundle.algebra
+    chain = next((a.basis_name(k) for k in range(a.n_basis)
+                  if not bundle.rho_vector(a.diff_flat(k)).equals(
+                      supercommutator(bundle.q, bundle.rho_flat(k)), tol)),
+                 None)
+    assert checks["action-chain-map"].witness == chain
+    if checks["unit"].witness in (None, "rho(unit) != id"):
+        assert checks["unit"].passed == bundle.rho_vector(a.unit).equals(
+            GradedMap.identity(bundle.space, bundle.mode), tol)
 
 
 def _lstsq_reference(space, q, rho, names, tol):
@@ -336,7 +348,7 @@ def test_pivot_expansion_matches_lstsq_reference(seed, dims, cond):
     space, q, tol = bundle.space, bundle.q, DEFAULT_TOL
     ref = _lstsq_reference(space, q, maps, names, tol)
     assume(not isinstance(ref, str))         # round-off above the bound
-    alg = algebra_from_operators(space, q, maps, names, FLOAT, tol)[0]
+    alg = algebra_from_operators(space, q, maps, names, FLOAT, tol).algebra
     got = np.concatenate([alg.mul.reshape(n * n, n), [alg.unit],
                           alg.differential.dense().T])
     assert np.max(np.abs(got - ref)) <= AMBIGUITY_BAND * tol * max(

@@ -137,6 +137,27 @@ def test_float_load_forms_no_product_per_pair(tmp_path, torus2, monkeypatch):
     assert calls[0] < 25 ** 2
 
 
+@pytest.mark.parametrize("which", ["torus2", "r11"])
+def test_one_residual_pass_per_load(tmp_path, torus2, monkeypatch, which):
+    """Loading the float torus N=2 file or the exact r11 file computes the
+    action residuals once, and ``validate_bundle`` on the loaded bundle
+    computes none."""
+    inst = torus2 if which == "torus2" else random_instance(
+        11, {0: 2, 1: 3, 2: 2})
+    path = tmp_path / "instance.json"
+    save_instance(inst, str(path))
+    computed, compute = [], dgcore._action_residuals
+
+    def counted(bundle):
+        computed.append(bundle)
+        return compute(bundle)
+
+    monkeypatch.setattr(dgcore, "_action_residuals", counted)
+    bundle = load_instance(str(path)).bundle
+    assert validate_bundle(bundle).ok
+    assert computed == [bundle] and computed[0] is bundle
+
+
 @pytest.mark.parametrize("gen_args", [
     ["--kind", "matrix", "--preset", "T1"],
     ["--kind", "random", "--seed", "7", "--dims", "2,2"],

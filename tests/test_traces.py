@@ -269,7 +269,7 @@ def test_cyclic_trace_kills_boundaries_even_space():
 
 def test_antisymmetrized_supertrace_identity(t1):
     coh = cohomology(t1.bundle.space, t1.bundle.q)
-    ident = t1.bundle.unit_map()
+    ident = t1.bundle.rho_vector(t1.bundle.algebra.unit)
     val = antisymmetrized_supertrace([ident] * 3, coh, q=t1.bundle.q)
     assert val == 3  # three cyclic orders, each contributing chi = 1
 
