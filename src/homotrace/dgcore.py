@@ -5,8 +5,8 @@ a homogeneous basis.  A ``DgModuleBundle`` couples an algebra to a module
 via the action rho (one graded map per basis operator) and computes the
 residuals of the three action identities once.  ``algebra_from_operators``
 derives the tensor, the unit and the differential from a basis of
-operators on a dg module (float coordinates from n_g pivot entries per
-degree) and proves closure from those residuals; ``validate_bundle``
+operators on a dg module, reading them off n_g pivot entries per degree
+in both modes, and proves closure from those residuals; ``validate_bundle``
 checks the algebra axioms on every basis pair and triple and reads the
 action checks off the same residuals.  ``Splitting`` realizes the
 decomposition of the module into its cohomology part and an acyclic part,
@@ -42,7 +42,6 @@ from homotrace.glinalg import (
     max_abs,
     nullspace_and_pivots,
     pivot_rows,
-    solve_exact,
     stack_dense,
     supercommutator,
     zeros_matrix,
@@ -149,13 +148,14 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     input order).
 
     Every product, the identity and every {Q, op} is expanded over the
-    operators of its own degree: exact, by one elimination per degree;
-    float, from its values at n_g pivot entries per degree
-    (``_expand_pivots``).  The bundle's ``residuals`` then prove closure:
-    the first operator outside the span (products in row-major order, the
-    identity, each {Q, op}), nonzero (exact) or above AMBIGUITY_BAND * tol
-    (float), raises ClosureError naming it.  Linearly dependent operators
-    raise InputError (in float, ``tol`` decides the rank).
+    operators of its own degree from its values at n_g pivot entries of
+    that degree, in both modes (``_expand_pivots``; exact pivots come from
+    exact elimination, float ones from partial pivoting).  The bundle's
+    ``residuals`` then prove closure: the first operator outside the span
+    (products in row-major order, the identity, each {Q, op}), nonzero
+    (exact) or above AMBIGUITY_BAND * tol (float), raises ClosureError
+    naming it.  Linearly dependent operators raise InputError (in float,
+    ``tol`` decides the rank).
     """
     order = sorted(range(len(maps)), key=lambda k: maps[k].degree)
     rho = tuple(maps[k] for k in order)
@@ -166,8 +166,7 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     aspace = GradedVectorSpace.make({g: len(v) for g, v in labels.items()},
                                     labels)
     n, off = len(rho), aspace.offsets()
-    vals = (_expand_exact(space, q, rho) if mode == EXACT
-            else _expand_pivots(space, q, rho, tol))
+    vals = _expand_pivots(space, q, rho, mode, tol)
     dmat = vals[n * n + 1:]                  # row k: d(e_k)
     blocks = {g: dmat[off[g]:off[g] + dim,
                       off[g + 1]:off[g + 1] + aspace.dim(g + 1)].T
@@ -183,26 +182,6 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     return bundle
 
 
-def _columns(space: GradedVectorSpace, degree: int, ops: list[GradedMap]
-             ) -> tuple[list[int], np.ndarray]:
-    """The indices of the operators of the given degree, and one column per
-    such operator: its entries, block by block."""
-    idx = [t for t, m in enumerate(ops) if m.degree == degree]
-    rows = sum(space.dim(d + degree) * n for d, n in space.dims)
-    out = zeros_matrix(rows, len(idx), EXACT)
-    for c, t in enumerate(idx):
-        cells = [ops[t].block(d).reshape(-1) for d, _ in space.dims
-                 if space.dim(d + degree)]
-        if cells:
-            out[:, c] = np.concatenate(cells)
-    return idx, out
-
-
-def _dependent(degree: int) -> InputError:
-    return InputError(
-        f"the declared operators of degree {degree} are linearly dependent")
-
-
 def _escaped(row: int, names: list[str]) -> ClosureError:
     """Row i n + j is rho_i rho_j, n^2 the identity, n^2 + 1 + k {Q, rho_k}."""
     n = len(names)
@@ -213,36 +192,23 @@ def _escaped(row: int, names: list[str]) -> ClosureError:
                         "operators")
 
 
-def _expand_exact(space: GradedVectorSpace, q: GradedMap,
-                  rho: tuple[GradedMap, ...]) -> np.ndarray:
-    """Each product, the identity and each {Q, op} over the flat basis,
-    one row each; the rows of one degree are solved in one elimination
-    (rows outside the span get meaningless coefficients)."""
-    ops = [compose(a, b) for a in rho for b in rho] + [GradedMap.identity(
-        space, EXACT)] + [supercommutator(q, m) for m in rho]
-    out = zeros_matrix(len(ops), len(rho), EXACT)
-    for g in sorted({m.degree for m in (*rho, *ops)}):
-        at, basis = _columns(space, g, rho)
-        idx, rhs = _columns(space, g, ops)
-        try:
-            x = solve_exact(basis, rhs)[0]
-        except ShapeError as exc:
-            raise _dependent(g) from exc
-        out[np.ix_(idx, at)] = x.T
-    return out
-
-
 def _expand_pivots(space: GradedVectorSpace, q: GradedMap,
-                   rho: tuple[GradedMap, ...], tol: float) -> np.ndarray:
-    """The rows of ``_expand_exact`` in float.  The n_g operators of degree
-    g are factored once at n_g of their nonzero entries, picked by
-    Gaussian elimination with partial pivoting (Golub & Van Loan, 3.4);
-    entry (r, c) of rho_i rho_j or {Q, rho_k} is row r of the left factor
-    times column c of the right, so no product is formed."""
-    n, dense = len(rho), stack_dense(rho, space, FLOAT)
+                   rho: tuple[GradedMap, ...], mode: str, tol: float
+                   ) -> np.ndarray:
+    """Each product, the identity and each {Q, op} over the flat basis, in
+    the rows of ``_escaped`` (meaningless outside the span).  The n_g
+    operators of degree g are factored once at n_g of their nonzero entries
+    (``glinalg.pivot_rows``); entry (r, c) of rho_i rho_j or {Q, rho_k} is
+    row r of the left factor times column c of the right, so no product is
+    formed.  Float solves every row at the pivots; exact evaluates the rows
+    of degree g alone, in integers (one ``clear_denominators`` of the rho
+    stack and of Q), times the once-inverted pivot block."""
+    n, dense, qd = len(rho), stack_dense(rho, space, mode), q.dense()
     deg = [m.degree for m in rho]            # sorted
-    qd, sign = q.dense(), (-1.0) ** np.array(deg)
-    vals = np.zeros((n * n + 1 + n, n), dtype=complex)
+    sign = 1 - 2 * (np.array(deg) % 2)       # (-1)^|k|
+    vals = zeros_matrix(n * n + 1 + n, n, mode)
+    if mode == EXACT:
+        (ints, dr, _), (qd, dq, _) = map(clear_denominators, (dense, qd))
     for g in sorted(set(deg)):
         at = slice(deg.index(g), deg.index(g) + deg.count(g))
         rows, cols = np.nonzero(dense[at].astype(bool).any(axis=0))
@@ -250,13 +216,32 @@ def _expand_pivots(space: GradedVectorSpace, q: GradedMap,
         try:
             piv = pivot_rows(live, tol)
         except ShapeError as exc:
-            raise _dependent(g) from exc
-        for p, r, c in zip(range(at.start, at.stop), rows[piv], cols[piv]):
-            left, right = dense[:, r], dense[:, :, c]   # row r, column c
-            vals[:n * n, p] = (left @ right.T).reshape(-1)
-            vals[n * n, p] = r == c
-            vals[n * n + 1:, p] = right @ qd[r] - sign * (left @ qd[:, c])
-        vals[:, at] = np.linalg.solve(live[piv], vals[:, at].T).T
+            raise InputError(f"the declared operators of degree {g} are "
+                             "linearly dependent") from exc
+        if mode == FLOAT:
+            for p, r, c in zip(range(at.start, at.stop), rows[piv], cols[piv]):
+                left, right = dense[:, r], dense[:, :, c]   # row r, column c
+                vals[:n * n, p] = (left @ right.T).reshape(-1)
+                vals[n * n, p] = r == c
+                vals[n * n + 1:, p] = right @ qd[r] - sign * (left @ qd[:, c])
+            vals[:, at] = np.linalg.solve(live[piv], vals[:, at].T).T
+            continue
+        # rows of degree g and the identity (0 off degree 0) at the pivots,
+        # over dr^2 dq; left[op, p] is row r_p of op, right[op, p] column c_p
+        r, c = rows[piv], cols[piv]
+        left, right = ints[:, r], ints[:, :, c].transpose(0, 2, 1)
+        i, j = np.nonzero(np.add.outer(deg, deg) == g)
+        k = np.flatnonzero(np.add(deg, 1) == g)
+        inv, d, _ = clear_denominators(invert_exact(live[piv]))
+        got = np.concatenate([
+            (left[i] * right[j]).sum(axis=2) * dq,
+            [(r == c).astype(object) * (dr * dr * dq)],
+            ((right[k] * qd[r]).sum(axis=2) - sign[k, None]
+             * (left[k] * qd[:, c].T).sum(axis=2)) * dr]) @ inv.T
+        sel = np.concatenate([i * n + j, [n * n], n * n + 1 + k])
+        nz = np.nonzero(got.astype(bool))
+        vals[sel[nz[0]], at.start + nz[1]] = \
+            got[nz] * Fraction(1, d * dr * dr * dq)
     return vals
 
 

@@ -13,11 +13,11 @@ operation is a Python call.  Float blocks stay in numpy: products are
 entry is never read as zero.
 
 Exact elimination is ``rref`` and what is read off one run of it (null
-space with its pivots, inverse, block solve).  ``rref`` pays only for
-nonzero work too: each step updates a row on the nonzero columns of the
-pivot row alone.  Every greedy "keep it if it
-is independent of what is kept" choice goes through ``ExactSpan``.  Float
-rank decisions go through ``float_rank`` and the session tolerance.
+space with its pivots, pivot rows, inverse, block solve).  ``rref`` pays
+only for nonzero work too: each step updates a row on the nonzero columns
+of the pivot row alone.  Every greedy "keep it if it is independent of
+what is kept" choice goes through ``ExactSpan``.  Float rank decisions go
+through ``float_rank`` and the session tolerance.
 """
 
 from __future__ import annotations
@@ -559,15 +559,19 @@ def float_rank(svals: np.ndarray, tol: float) -> int:
 
 
 def pivot_rows(matrix: np.ndarray, tol: float) -> list[int]:
-    """One row per column of a float matrix, picked by Gaussian elimination
-    with partial pivoting (Golub & Van Loan, 3.4), so the square block on
-    those rows is invertible.  The columns must be linearly independent by
+    """One row per column, picked so the square block on those rows is
+    invertible: exact, the pivot columns of ``rref`` of the transpose;
+    float, by Gaussian elimination with partial pivoting (Golub & Van Loan,
+    3.4).  The columns must be linearly independent, exactly or by
     ``float_rank`` (ShapeError otherwise)."""
-    if float_rank(np.linalg.svd(matrix, compute_uv=False), tol) < \
-            matrix.shape[1]:
+    rows: list[int] = []
+    if matrix.dtype == object:
+        rows = rref(matrix.T)[1]
+    elif float_rank(np.linalg.svd(matrix, compute_uv=False), tol) == matrix.shape[1]:
+        work = np.array(matrix, dtype=complex)
+        for j in range(matrix.shape[1]):
+            rows.append(int(np.argmax(np.abs(work[:, j]))))
+            work -= np.outer(work[:, j] / work[rows[-1], j], work[rows[-1]])
+    if len(rows) < matrix.shape[1]:
         raise ShapeError("matrix columns are linearly dependent")
-    work, rows = np.array(matrix, dtype=complex), []
-    for j in range(matrix.shape[1]):
-        rows.append(int(np.argmax(np.abs(work[:, j]))))
-        work -= np.outer(work[:, j] / work[rows[-1], j], work[rows[-1]])
     return rows

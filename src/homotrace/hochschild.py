@@ -115,6 +115,15 @@ def cyclic_shift_term(algebra: DgAlgebra, flats: tuple[int, ...]
     return (flats[-1],) + flats[:-1], (-1) ** (exponent % 2)
 
 
+def _signed_rotations(algebra: DgAlgebra, flats: tuple[int, ...]):
+    """The len(flats) rotations of a word, each with its sign relative to it."""
+    sign = 1
+    for _ in flats:
+        yield flats, sign
+        flats, step = cyclic_shift_term(algebra, flats)
+        sign *= step
+
+
 def cyclic_shift(chain: HochschildChain) -> HochschildChain:
     out = HochschildChain.zero(chain.algebra)
     for flats, c in chain.terms.items():
@@ -207,11 +216,8 @@ def _push(chain: HochschildChain, f: AInfinityMorphism, partitions
     out = HochschildChain.zero(endo.algebra)
     for flats, coeff in chain.terms.items():
         k = len(flats)
-        for r in range(k):
-            rot, cc = flats, coeff
-            for _ in range(r):
-                rot, step = cyclic_shift_term(src, rot)
-                cc = cc * step
+        for r, (rot, sign) in enumerate(_signed_rotations(src, flats)):
+            cc = coeff * sign
             for comp in partitions(k):
                 if comp[0] <= r:
                     continue

@@ -56,13 +56,17 @@ def integrate_cube(f, dim: int, *, rel_tol: float,
     ``f`` maps a ``(nodes, dim)`` array of points to a ``(nodes, m)`` array
     of values; it is called once per rule on a cell, twice per cell.
     Returns (value, error estimate); raises QuadratureBudgetError carrying
-    the best estimate if the budget runs out before the tolerance holds, or
+    the best estimate if the budget runs out before the tolerance holds
+    (``best`` None, before any evaluation, if one cell exceeds it), or
     at once, naming the cell, if a cell's value or error estimate is not
     finite (refining it would only burn the budget).
     """
     if dim == 0:
         return f(np.zeros((1, 0)))[0], 0.0
     evals_per_cell = order ** dim + (order // 2) ** dim
+    if evals_per_cell > budget:
+        raise QuadratureBudgetError(f"evaluation budget {budget} is below "
+                                    f"one cell ({evals_per_cell} evaluations)")
     rules = _rule(order, dim), _rule(order // 2, dim)
     used = 0
     heap: list[_Cell] = []

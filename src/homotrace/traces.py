@@ -11,6 +11,8 @@ canonical cocycle shape; its weights on all-even slots are +1.
 
 from __future__ import annotations
 
+from functools import reduce
+
 from homotrace.dgcore import EndoAlgebra, Splitting
 from homotrace.errors import ShapeError
 from homotrace.glinalg import GradedMap, compose, supercommutator
@@ -18,7 +20,7 @@ from homotrace.hochschild import (
     HochschildChain,
     _compositions,
     _push,
-    cyclic_shift_term,
+    _signed_rotations,
     hochschild_boundary,
     target_algebra,
 )
@@ -41,8 +43,7 @@ def supertrace_on_cohomology(op: GradedMap, splitting: Splitting,
     return induced.supertrace()
 
 
-def canonical_supertrace(chain: HochschildChain, endo: EndoAlgebra,
-                         ):
+def canonical_supertrace(chain: HochschildChain, endo: EndoAlgebra):
     """Nonzero only on single-slot degree-0 terms: even trace minus odd trace."""
     total = zero_scalar(chain.algebra.mode)
     for flats, c in chain.terms.items():
@@ -63,19 +64,23 @@ def projected_supertrace(op: GradedMap, splitting: Splitting):
 
 
 def transferred_trace(chain: HochschildChain, f: AInfinityMorphism):
-    """The canonical supertrace pulled back through the push-forward.
-
-    Only terms of total chain degree 0 (internal degree = slots - 1)
-    contribute; the value is linear in the chain.  The canonical supertrace
-    reads only single-slot terms, and those come only from the single-block
-    partition, so only that partition is pushed.
-    """
-    endo = target_algebra(f)
-    relevant = HochschildChain.zero(chain.algebra)
+    """The canonical supertrace pulled back through the push-forward: the
+    sum of c sign str f_k(rotation) over the k signed rotations of each
+    term of internal degree slots - 1, the single-slot terms of the
+    push-forward and the only ones the canonical supertrace reads; nothing
+    is expanded over End(M0).  A zero supertrace adds nothing, not even the
+    Gaussian type of its coefficient."""
+    src = chain.algebra
+    if src.space.dims != f.bundle.algebra.space.dims:
+        raise ShapeError("chain algebra does not match the morphism's source")
+    total = zero_scalar(src.mode)
     for flats, c in chain.terms.items():
-        if sum(chain.algebra.basis_degree(x) for x in flats) == len(flats) - 1:
-            relevant.add_term(flats, c)
-    return canonical_supertrace(_push(relevant, f, lambda k: [(k,)]), endo)
+        if sum(src.basis_degree(x) for x in flats) != len(flats) - 1:
+            continue
+        for rot, sign in _signed_rotations(src, flats):
+            if st := f.on_basis(rot).supertrace():
+                total = total + c * sign * st
+    return total
 
 
 def trace_defect(alpha: HochschildChain, f: AInfinityMorphism):
@@ -100,14 +105,9 @@ def cyclic_trace(chain: HochschildChain, endo: EndoAlgebra, level: int):
                 f"got {len(flats)}")
         if sum(alg.basis_degree(x) for x in flats) != 0:
             continue
-        cur, sign = flats, 1
-        for _ in range(k):
-            m = endo.maps[cur[0]]
-            for idx in cur[1:]:
-                m = compose(m, endo.maps[idx])
+        for cur, sign in _signed_rotations(alg, flats):
+            m = reduce(compose, (endo.maps[idx] for idx in cur))
             total = total + c * sign * m.supertrace()
-            cur, step = cyclic_shift_term(alg, cur)
-            sign *= step
     return total
 
 

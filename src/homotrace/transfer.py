@@ -331,8 +331,9 @@ def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
         vec, est = integrate_cube(integrand, len(rhos) - 1, rel_tol=rel_tol,
                                   order=order, budget=budget)
     except QuadratureBudgetError as exc:
-        raise QuadratureBudgetError(str(exc), best=unflatten(exc.best),
-                                    estimate=exc.estimate) from exc
+        raise QuadratureBudgetError(
+            str(exc), best=None if exc.best is None else unflatten(exc.best),
+            estimate=exc.estimate) from exc
     return unflatten(vec), est
 
 

@@ -187,6 +187,27 @@ def test_trace_quadrature_caps_the_arity(tmp_path, capsys, monkeypatch):
     assert err.count("input error:") == 1 and len(err.splitlines()) == 1
 
 
+def test_trace_quadrature_budget_below_one_cell(tmp_path, capsys):
+    """A 3-slot chain term integrates over the square, whose first cell
+    takes 16^2 + 8^2 = 320 evaluations: under ``--quad-budget 100`` the
+    trace is a failed check, exit 1 with one 'check failure:' line."""
+    ipath = tmp_path / "t1f.json"
+    assert run(["gen", "--kind", "matrix", "--preset", "T1", "--mode", "float",
+                "-o", str(ipath)]) == 0
+    cpath = tmp_path / "chains.json"
+    cpath.write_text(json.dumps({
+        "format": "homotrace-chains/1",
+        "chains": [{"name": "three", "terms": [
+            {"coeff": 1.0, "slots": ["E[e1<-e1]", "E[f<-e1]", "E[f<-e1]"]}]}],
+    }))
+    capsys.readouterr()
+    assert run(["trace", "--instance", str(ipath), "--chain", str(cpath),
+                "--method", "quadrature", "--quad-budget", "100"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("check failure:") == 1 and len(err.splitlines()) == 1
+    assert "320" in err
+
+
 def test_gen_respects_dims_bound(tmp_path, capsys):
     assert run(["gen", "--kind", "torus", "--N", "4",
                 "-o", str(tmp_path / "x.json")]) == 2

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homotrace.dgcore import (
+    _expand_pivots,
     algebra_from_operators,
     build_splitting_hodge,
     build_splitting_projector,
@@ -30,10 +31,12 @@ from homotrace.glinalg import (
     compose,
     identity_matrix,
     matrix_from_rows,
+    solve_exact,
     supercommutator,
+    zeros_matrix,
 )
 from homotrace.instances import matrix_instance, random_instance, \
-    to_float_instance
+    t1_instance, to_float_instance
 from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, GaussianRational
 from homotrace.transfer import _to_float
 
@@ -364,6 +367,63 @@ def test_pivot_expansion_matches_lstsq_reference(seed, dims, cond):
         assert raised == (None if not isinstance(want, str) else
                           f"{want} is not in the span of the declared "
                           "operators")
+
+
+def _elimination_reference(space, q, rho):
+    """The rows of ``_expand_pivots`` by the exact load's former route:
+    every product, the identity and every {Q, op} formed, and the entries
+    of each degree's rows solved against that degree's operators in one
+    ``solve_exact``; every row must lie in the span."""
+    ops = ([compose(a, b) for a in rho for b in rho]
+           + [GradedMap.identity(space, EXACT)]
+           + [supercommutator(q, m) for m in rho])
+    out = zeros_matrix(len(ops), len(rho), EXACT)
+    for g in sorted({m.degree for m in rho}):
+        at = [t for t, m in enumerate(rho) if m.degree == g]
+        rows = [t for t, m in enumerate(ops) if m.degree == g]
+        if not rows:
+            continue
+        x, unsolved = solve_exact(
+            np.stack([rho[t].dense().reshape(-1) for t in at], axis=1),
+            np.stack([ops[t].dense().reshape(-1) for t in rows], axis=1))
+        assert unsolved == []
+        out[np.ix_(rows, at)] = x.T
+    return out
+
+
+def _gaussian_t1():
+    """T1 with one operator of each degree scaled by a Gaussian rational."""
+    bundle = t1_instance().bundle
+    rho = list(bundle.rho)
+    for g, c in ((-1, GaussianRational(1, 2)), (0, GaussianRational(0, -3)),
+                 (1, GaussianRational(Fraction(1, 2), 1))):
+        k = next(k for k, m in enumerate(rho) if m.degree == g)
+        rho[k] = rho[k].scale(c)
+    return dataclasses.replace(bundle, rho=tuple(rho))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: t1_instance().bundle,
+    lambda: random_instance(11, {0: 2, 1: 3, 2: 2}).bundle,
+    lambda: matrix_instance({0: 3, 1: 2},
+                            q_entries=[("d0_0", "d1_0", 1)]).bundle,
+    lambda: random_instance(42, {0: 2, 1: 3, 2: 2}).bundle,
+    _gaussian_t1,
+], ids=["T1", "r11", "m32", "r42", "T1-gaussian"])
+def test_exact_pivot_expansion_matches_elimination(build):
+    """Exact constants, unit and differential read off pivot entries equal
+    the per-degree elimination of every formed product, identity and {Q,
+    op}, entry for entry, over Q and over Q(i)."""
+    bundle = build()
+    got = _expand_pivots(bundle.space, bundle.q, bundle.rho, EXACT,
+                         DEFAULT_TOL)
+    want = _elimination_reference(bundle.space, bundle.q, bundle.rho)
+    assert got.shape == want.shape
+    assert all(x == y for x, y in zip(got.flat, want.flat))
+    names = [f"b{k}" for k in range(len(bundle.rho))]
+    loaded = algebra_from_operators(bundle.space, bundle.q, list(bundle.rho),
+                                    names, EXACT)
+    assert validate_bundle(loaded).ok
 
 
 def test_cohomology_t1():

@@ -35,6 +35,18 @@ def test_one_cell_is_exact_on_a_vector_monomial(dim):
     assert calls == [(16 ** dim, dim), (8 ** dim, dim)]
 
 
+def test_budget_below_one_cell_evaluates_nothing():
+    """A budget of 10 is below the 16^2 + 8^2 evaluations of one dim-2
+    cell: the integration raises before ``f`` is called, with no best
+    estimate."""
+    def f(points):
+        raise AssertionError("f called")
+
+    with pytest.raises(QuadratureBudgetError) as info:
+        integrate_cube(f, 2, rel_tol=1e-9, budget=10)
+    assert info.value.best is None
+
+
 def test_tensor_rule_keeps_each_axis_on_its_interval():
     """On the box [0,1] x [0,2] x [0,3] the monomial's integral changes
     under any exchange of axes."""

@@ -110,12 +110,11 @@ def test_float_load_keeps_the_constants(tmp_path, t1, torus2, which):
     assert np.max(np.abs(got - want)) <= DEFAULT_TOL * np.max(np.abs(want))
 
 
-def test_float_load_forms_no_product_per_pair(tmp_path, torus2, monkeypatch):
-    """Loading the torus N=2 file composes fewer maps inside
-    ``algebra_from_operators`` than the 25^2 products of its operators:
-    the constants are read off pivot entries, not off formed products."""
-    path = tmp_path / "torus2.json"
-    save_instance(torus2, str(path))
+def _composes_inside_load(inst, path, monkeypatch) -> tuple[int, int]:
+    """The number of operators of the instance loaded from ``path`` (saved
+    there first), and how many maps ``algebra_from_operators`` composed
+    while loading it."""
+    save_instance(inst, str(path))
     calls, inside = [0], [False]
     compose, build = glinalg.compose, serialize.algebra_from_operators
 
@@ -133,8 +132,25 @@ def test_float_load_forms_no_product_per_pair(tmp_path, torus2, monkeypatch):
     monkeypatch.setattr(glinalg, "compose", counted)
     monkeypatch.setattr(dgcore, "compose", counted)
     monkeypatch.setattr(serialize, "algebra_from_operators", building)
-    assert load_instance(str(path)).bundle.algebra.n_basis == 25
-    assert calls[0] < 25 ** 2
+    return load_instance(str(path)).bundle.algebra.n_basis, calls[0]
+
+
+def test_float_load_forms_no_product_per_pair(tmp_path, torus2, monkeypatch):
+    """Loading the torus N=2 file composes fewer maps inside
+    ``algebra_from_operators`` than the 25^2 products of its operators:
+    the constants are read off pivot entries, not off formed products."""
+    n, calls = _composes_inside_load(torus2, tmp_path / "torus2.json",
+                                     monkeypatch)
+    assert n == 25 and calls < 25 ** 2
+
+
+def test_exact_load_forms_no_product_per_pair(tmp_path, monkeypatch):
+    """The exact r11 file loads with fewer than 17^2 compositions inside
+    ``algebra_from_operators``: exact constants are read off pivot entries
+    too."""
+    n, calls = _composes_inside_load(random_instance(11, {0: 2, 1: 3, 2: 2}),
+                                     tmp_path / "r11.json", monkeypatch)
+    assert n == 17 and calls < 17 ** 2
 
 
 @pytest.mark.parametrize("which", ["torus2", "r11"])
