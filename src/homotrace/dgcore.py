@@ -8,10 +8,10 @@ derives the tensor, the unit and the differential from a basis of
 operators on a dg module, reading them off n_g pivot entries per degree
 in both modes, and proves closure from those residuals; ``validate_bundle``
 checks the algebra axioms on every basis pair and triple and reads the
-action checks off the same residuals.  ``Splitting`` realizes the
-decomposition of the module into its cohomology part and an acyclic part,
-with contracting homotopy, in either projector or Laplacian normalization,
-and carries the spectrum of {Q, kappa} that the propagator reads.
+action checks off the same residuals.  A ``Splitting`` of the module into
+its cohomology part and an acyclic part is (kind, kappa, spectrum of
+{Q, kappa}), in projector or Laplacian normalization; m0, include,
+project, pi0, pi1 and the normalized homotopy are read off the spectrum.
 """
 
 from __future__ import annotations
@@ -500,37 +500,81 @@ def _first_mismatch(lhs: dict, rhs: dict, tol: float | None) -> tuple | None:
 
 @dataclass(frozen=True)
 class Splitting:
-    """Module = cohomology part + acyclic part, with contracting homotopy.
+    """Module = cohomology part + acyclic part, with contracting homotopy,
+    as (kind, kappa, spectrum); the mode and the module space are kappa's.
 
-    Invariants (validated by ``check_splitting``): pi0 + pi1 = id, both
-    idempotent and commuting with Q, Q pi0 = pi0 Q = 0; kappa has degree
-    -1 with kappa^2 = 0, kappa pi0 = pi0 kappa = 0; {Q, kappa} = Delta, which
-    is pi1 (projector kind) or the Laplacian (laplacian kind).  ``homotopy``
-    is the normalized homotopy with {Q, homotopy} = pi1 in both kinds.
+    ``spectrum[d] = (L, lam, R)`` with Delta_d = {Q, kappa}_d = L diag(lam)
+    R, R L = 1 and lam exactly 0 on cohomology, so exp(-t Delta) = L
+    diag(e^(-t lam)) R in both kinds.  Projector kind (exact): L = [h | b |
+    w] (cocycle representatives, coboundaries, complement), R = L^-1, lam
+    0 on h and 1 on b, w, so Delta = pi1.  Laplacian kind (float): L =
+    C^-1 V, R = V^H C, with C the inner product's Cholesky factor and V
+    orthonormal eigenvectors of C Delta C^-1.
 
-    ``spectrum[d] = (L, lam, R)`` with Delta_d = L diag(lam) R, R L = 1 and
-    lam exactly 0 on cohomology, so exp(-t Delta) = L diag(e^(-t lam)) R in
-    both kinds.  Projector: L = [h | b | w] (cocycle representatives,
-    coboundaries, complement), R = L^-1, lam 0 on h and 1 on b, w.
-    Laplacian: L = C^-1 V, R = V^H C, with C the inner product's Cholesky
-    factor and V orthonormal eigenvectors of C Delta C^-1.
+    Read off the spectrum once: ``m0`` (lam = 0 per degree), ``include`` =
+    L[:, lam = 0], ``project`` = R[lam = 0], ``pi0`` = include project,
+    ``pi1`` = 1 - pi0 and ``homotopy`` = L diag(1/lam) R kappa (0 where
+    lam = 0), with {Q, homotopy} = pi1 in both kinds; it is kappa in the
+    projector kind.  ``check_splitting`` validates: pi0, pi1 complementary
+    idempotents commuting with Q, Q pi0 = pi0 Q = 0, kappa^2 = 0 and
+    kappa pi0 = pi0 kappa = 0, and the same side conditions on homotopy.
     """
 
-    pi0: GradedMap
-    pi1: GradedMap
-    kappa: GradedMap
     kind: str  # "projector" | "laplacian"
-    m0: GradedVectorSpace
-    include: GradedMap
-    project: GradedMap
-    homotopy: GradedMap
-    mode: str
+    kappa: GradedMap
     spectrum: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    @property
+    def mode(self) -> str:
+        return self.kappa.mode
+
+    @cached_property
+    def _harmonic(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Per degree, the columns of L and the rows of R where lam = 0."""
+        return {d: (l[:, lam == 0], r[lam == 0])
+                for d, (l, lam, r) in self.spectrum.items()}
+
+    @cached_property
+    def m0(self) -> GradedVectorSpace:
+        dims = {d: len(r) for d, (_, r) in self._harmonic.items()}
+        return GradedVectorSpace.make(dims, {
+            d: [f"h{d}_{i}" for i in range(n)] for d, n in dims.items()})
+
+    @cached_property
+    def include(self) -> GradedMap:
+        return GradedMap.build(self.m0, self.kappa.source, 0, {
+            d: l for d, (l, _) in self._harmonic.items()}, self.mode)
+
+    @cached_property
+    def project(self) -> GradedMap:
+        return GradedMap.build(self.kappa.source, self.m0, 0, {
+            d: r for d, (_, r) in self._harmonic.items()}, self.mode)
+
+    @cached_property
+    def pi0(self) -> GradedMap:
+        space = self.kappa.source
+        return GradedMap.build(space, space, 0, {
+            d: l @ r for d, (l, r) in self._harmonic.items()}, self.mode)
+
+    @cached_property
+    def pi1(self) -> GradedMap:
+        return GradedMap.identity(self.kappa.source, self.mode) - self.pi0
+
+    @cached_property
+    def homotopy(self) -> GradedMap:
+        blocks = {}
+        for d, k in self.kappa.blocks:         # kappa: degree d -> d - 1
+            l, lam, r = self.spectrum[d - 1]
+            inv = np.divide(1, lam, out=np.zeros_like(lam), where=lam != 0)
+            blocks[d] = ((l * inv) @ r) @ k
+        space = self.kappa.source
+        return GradedMap.build(space, space, -1, blocks, self.mode)
 
     @property
     def delta(self) -> GradedMap:
         """Delta = {Q, kappa}, as L diag(lam) R per degree."""
-        return GradedMap.build(self.pi0.source, self.pi0.source, 0, {
+        space = self.kappa.source
+        return GradedMap.build(space, space, 0, {
             d: (l * lam) @ r for d, (l, lam, r) in self.spectrum.items()},
             self.mode)
 
@@ -543,7 +587,9 @@ class Splitting:
 
 def build_splitting_projector(space: GradedVectorSpace, q: GradedMap,
                               shear_seed: int | None = None) -> Splitting:
-    """Deterministic exact splitting from row reduction.
+    """Deterministic exact splitting from row reduction: per degree the
+    spectrum L = [h | b | w], lam, R = L^-1 and kappa = w_(d-1) R_b, where
+    b = Q w_(d-1).
 
     ``shear_seed`` perturbs the complement choices (still valid) to
     produce distinct splittings of the same complex.
@@ -591,45 +637,20 @@ def build_splitting_projector(space: GradedVectorSpace, q: GradedMap,
                 s2 = _small_int_matrix(rng, z.shape[1], w.shape[1])
                 w_bases[d] = w + z @ s2
 
-    pi0_blocks, kappa_blocks = {}, {}
-    include_blocks, project_blocks = {}, {}
-    m0_dims = {}
-    t_parts: dict[int, tuple[int, int, int]] = {}
-    spectrum = {}
+    spectrum, kappa_blocks = {}, {}
     for d in degrees:
         h, b, w = h_bases[d], b_bases[d], w_bases[d]
-        nd = space.dim(d)
-        t = np.concatenate([h, b, w], axis=1) if nd else zeros_matrix(0, 0, EXACT)
-        ti = invert_exact(t) if nd else t
-        t_parts[d] = (h.shape[1], b.shape[1], w.shape[1])
-        nh = h.shape[1]
-        m0_dims[d] = nh
-        lam = np.array([Fraction(int(i >= nh)) for i in range(nd)], dtype=object)
+        nh, nb = h.shape[1], b.shape[1]
+        t = np.concatenate([h, b, w], axis=1)
+        ti = invert_exact(t)
+        lam = np.array([Fraction(int(i >= nh)) for i in range(t.shape[1])],
+                       dtype=object)
         spectrum[d] = (t, lam, ti)
-        pi0_blocks[d] = t[:, :nh] @ ti[:nh, :]
-        if nh:
-            include_blocks[d] = h
-            project_blocks[d] = ti[:nh, :]
-    for d in degrees:
-        prev = d - 1
-        nh, nb, nw = t_parts[d]
-        if nb == 0 or prev not in t_parts:
-            continue
-        nw_prev = t_parts[prev][2]
-        if nw_prev == 0:
-            continue
-        kappa_blocks[d] = w_bases[prev] @ spectrum[d][2][nh:nh + nb, :]
-
-    m0 = GradedVectorSpace.make(
-        m0_dims, {d: [f"h{d}_{i}" for i in range(n)] for d, n in m0_dims.items()})
-    pi0 = GradedMap.build(space, space, 0, pi0_blocks, EXACT)
-    pi1 = GradedMap.identity(space, EXACT) - pi0
-    kappa = GradedMap.build(space, space, -1, kappa_blocks, EXACT)
-    include = GradedMap.build(m0, space, 0, include_blocks, EXACT)
-    project = GradedMap.build(space, m0, 0, project_blocks, EXACT)
-    return Splitting(pi0=pi0, pi1=pi1, kappa=kappa, kind="projector", m0=m0,
-                     include=include, project=project, homotopy=kappa, mode=EXACT,
-                     spectrum=spectrum)
+        if nb:
+            kappa_blocks[d] = w_bases[d - 1] @ ti[nh:nh + nb, :]
+    return Splitting("projector",
+                     GradedMap.build(space, space, -1, kappa_blocks, EXACT),
+                     spectrum)
 
 
 def _small_int_matrix(rng: random.Random, rows: int, cols: int) -> np.ndarray:
@@ -643,12 +664,10 @@ def _small_int_matrix(rng: random.Random, rows: int, cols: int) -> np.ndarray:
 def build_splitting_hodge(space: GradedVectorSpace, q: GradedMap,
                           inner_product: dict[int, np.ndarray] | None = None,
                           tol: float = DEFAULT_TOL) -> Splitting:
-    """Splitting from Hodge theory: adjoint, Laplacian, harmonic projection.
-
-    The returned splitting is in laplacian kind with kappa the adjoint of
-    Q and {Q, kappa} the Laplacian; ``homotopy`` is the Green-normalized
-    homotopy satisfying the projector-kind identity.
-    """
+    """Splitting from Hodge theory, in laplacian kind: kappa is the adjoint
+    of Q and the spectrum is the eigendecomposition of the Laplacian
+    {Q, kappa}; the harmonic part and the Green-normalized homotopy are
+    read off it (``Splitting``)."""
     if q.mode != FLOAT:
         raise ShapeError("Hodge splitting is float-mode only")
     degrees = space.degrees()
@@ -669,8 +688,7 @@ def build_splitting_hodge(space: GradedVectorSpace, q: GradedMap,
     q_t = {d: chol[d + 1] @ q.block(d) @ np.linalg.inv(chol[d])
            for d in degrees if space.dim(d + 1)}
 
-    spectrum, pi0_b, kappa_b, hom_b = {}, {}, {}, {}
-    include_b, project_b, m0_dims = {}, {}, {}
+    spectrum, kappa_b = {}, {}
     for d in degrees:
         nd = space.dim(d)
         delta_t = np.zeros((nd, nd), dtype=complex)
@@ -679,42 +697,20 @@ def build_splitting_hodge(space: GradedVectorSpace, q: GradedMap,
         if (d - 1) in q_t:
             delta_t += q_t[d - 1] @ q_t[d - 1].conj().T
         vals, vecs = np.linalg.eigh((delta_t + delta_t.conj().T) / 2)
-        scale = max(1.0, float(vals[-1]) if nd else 1.0)
-        rel = np.abs(vals) / scale
+        rel = np.abs(vals) / max(1.0, float(vals[-1]))
         ambiguous = vals[(rel > tol) & (rel <= AMBIGUITY_BAND * tol)]
         if ambiguous.size:
             raise SpectralGapError(
                 f"Laplacian eigenvalue {ambiguous[0]:.3e} in degree {d} is too "
                 f"close to zero to classify at tolerance {tol:.1e}")
-        harmonic = rel <= tol
-        lam = np.where(harmonic, 0.0, vals)
-        left, right = np.linalg.inv(chol[d]) @ vecs, vecs.conj().T @ chol[d]
-        spectrum[d] = (left, lam, right)
-        pi0_b[d] = left[:, harmonic] @ right[harmonic]
-        m0_dims[d] = int(harmonic.sum())
-        include_b[d] = left[:, harmonic]
-        project_b[d] = right[harmonic]
-        if d in q_t:  # kappa and the Green-normalized homotopy into degree d
-            kappa_b[d + 1] = (np.linalg.inv(chol[d]) @ q_t[d].conj().T
-                              @ chol[d + 1])
-            inv = np.divide(1.0, lam, out=np.zeros(nd), where=~harmonic)
-            hom_b[d + 1] = ((left * inv) @ right) @ kappa_b[d + 1]
-
-    m0 = GradedVectorSpace.make(
-        m0_dims, {d: [f"h{d}_{i}" for i in range(n)] for d, n in m0_dims.items()})
-    pi0 = GradedMap.build(space, space, 0, pi0_b, FLOAT)
-    return Splitting(
-        pi0=pi0,
-        pi1=GradedMap.identity(space, FLOAT) - pi0,
-        kappa=GradedMap.build(space, space, -1, kappa_b, FLOAT),
-        kind="laplacian",
-        m0=m0,
-        include=GradedMap.build(m0, space, 0, include_b, FLOAT),
-        project=GradedMap.build(space, m0, 0, project_b, FLOAT),
-        homotopy=GradedMap.build(space, space, -1, hom_b, FLOAT),
-        mode=FLOAT,
-        spectrum=spectrum,
-    )
+        inv = np.linalg.inv(chol[d])
+        spectrum[d] = (inv @ vecs, np.where(rel <= tol, 0.0, vals),
+                       vecs.conj().T @ chol[d])
+        if d in q_t:  # kappa into degree d
+            kappa_b[d + 1] = inv @ q_t[d].conj().T @ chol[d + 1]
+    return Splitting("laplacian",
+                     GradedMap.build(space, space, -1, kappa_b, FLOAT),
+                     spectrum)
 
 
 def check_splitting(space: GradedVectorSpace, q: GradedMap, splitting: Splitting,

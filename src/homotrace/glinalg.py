@@ -505,25 +505,6 @@ def invert_exact(matrix: np.ndarray) -> np.ndarray:
     return r[:, n:]
 
 
-def solve_exact(matrix: np.ndarray, rhs: np.ndarray
-                ) -> tuple[np.ndarray, list[int]]:
-    """Solve matrix @ X = rhs over exact scalars with one elimination.
-
-    ``rhs`` holds one right-hand side per column.  The columns of
-    ``matrix`` must be linearly independent (ShapeError otherwise), so each
-    solvable column has exactly one solution.  Returns X and the indices
-    of the columns of ``rhs`` outside the column span of ``matrix``; their
-    columns of X are meaningless.
-    """
-    cols = matrix.shape[1]
-    r, pivots = rref(np.concatenate([matrix, rhs], axis=1))
-    rank = sum(1 for p in pivots if p < cols)
-    if rank < cols:
-        raise ShapeError("matrix columns are linearly dependent")
-    unsolved = [j for j in range(rhs.shape[1]) if any(r[rank:, cols + j])]
-    return np.array(r[:cols, cols:]), unsolved
-
-
 def clear_denominators(t: np.ndarray) -> tuple[np.ndarray, int, int | None]:
     """(D t, D, bound) for D the least common multiple of the denominators
     of the exact array t.  D t holds Python ints, or GaussianRationals with

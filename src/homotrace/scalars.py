@@ -128,7 +128,10 @@ def conj_scalar(x):
 
 
 def encode_value(x) -> object:
-    """JSON-stable encoding: exact values as strings, floats round-trip via repr."""
+    """JSON-stable encoding: exact values as strings (a Gaussian rational
+    with zero imaginary part as its rational), floats round-trip via repr."""
+    if isinstance(x, GaussianRational) and x.im == 0:
+        x = x.re
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, GaussianRational):

@@ -13,11 +13,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 
-from homotrace.dgcore import (
-    algebra_from_operators,
-    build_splitting_hodge,
-    build_splitting_projector,
-)
+from homotrace.dgcore import algebra_from_operators, cohomology
 from homotrace.errors import InputError, ShapeError
 from homotrace.glinalg import (
     GradedMap,
@@ -158,10 +154,7 @@ def instance_from_dict(data: dict, tol: float = DEFAULT_TOL) -> Instance:
 
     bundle = algebra_from_operators(space, q, maps, names, mode, tol)
     algebra = bundle.algebra
-    if mode == EXACT:
-        splitting = build_splitting_projector(space, q)
-    else:
-        splitting = build_splitting_hodge(space, q, tol=tol)
+    splitting = cohomology(space, q, tol)
 
     elements = {}
     for name, deg, coords in raw_elements:

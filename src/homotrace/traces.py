@@ -68,8 +68,7 @@ def transferred_trace(chain: HochschildChain, f: AInfinityMorphism):
     sum of c sign str f_k(rotation) over the k signed rotations of each
     term of internal degree slots - 1, the single-slot terms of the
     push-forward and the only ones the canonical supertrace reads; nothing
-    is expanded over End(M0).  A zero supertrace adds nothing, not even the
-    Gaussian type of its coefficient."""
+    is expanded over End(M0)."""
     src = chain.algebra
     if src.space.dims != f.bundle.algebra.space.dims:
         raise ShapeError("chain algebra does not match the morphism's source")

@@ -106,11 +106,11 @@ class PropagatorCache:
     """
 
     def __init__(self, splitting: Splitting):
-        self.pi0 = _to_float(splitting.pi0)
+        self.space, self.pi0 = splitting.kappa.source, _to_float(splitting.pi0)
         self.heat = _heat_factors(splitting, FLOAT)
 
     def value(self, t: float) -> tuple[GradedMap, GradedMap]:
-        return _heat_kernel(self.heat, self.pi0.source, t, FLOAT)
+        return _heat_kernel(self.heat, self.space, t, FLOAT)
 
 
 def _heat_factors(splitting: Splitting, mode: str) -> tuple[dict, dict]:
@@ -160,7 +160,7 @@ def propagator(t: float, splitting: Splitting) -> tuple[GradedMap, GradedMap]:
     exact there in exact mode, float otherwise.
     """
     mode = splitting.mode if t in (0, math.inf) else FLOAT
-    return _heat_kernel(_heat_factors(splitting, mode), splitting.pi0.source,
+    return _heat_kernel(_heat_factors(splitting, mode), splitting.kappa.source,
                         float(t), mode)
 
 
@@ -291,7 +291,7 @@ def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
         return compose(compose(project, rhos[0]), include), 0.0
 
     spec, r_kappa = _heat_factors(splitting, FLOAT)
-    space = splitting.pi0.source
+    space = splitting.kappa.source
     ell = GradedMap.build(space, space, 0,
                           {d: l for d, (l, _, _) in spec.items()}, FLOAT)
     rk = GradedMap.build(space, space, -1, r_kappa, FLOAT)

@@ -10,7 +10,7 @@ import pytest
 
 from homotrace import transfer
 from homotrace.cli import _verify_checks, build_parser, main
-from homotrace.glinalg import AMBIGUITY_BAND, GradedMap
+from homotrace.glinalg import AMBIGUITY_BAND
 from homotrace.instances import (matrix_instance, random_instance,
                                  t1_instance, to_float_instance)
 from homotrace.scalars import DEFAULT_TOL, FLOAT, decode_value
@@ -339,13 +339,17 @@ def test_non_finite_scalar_exits_2(tmp_path, capsys, where, value):
 def test_cohomology_oracle_uses_its_own_splitting(t1, mode):
     """An instance whose splitting projects twice as far in degree 0 fails
     the oracle: the transferred trace reads that splitting, the oracle
-    another one."""
+    another one.  Doubling the harmonic rows of R in degree 0 doubles
+    ``project`` there."""
     inst = t1 if mode == "exact" else to_float_instance(t1)
-    p = inst.splitting.project
-    doubled = GradedMap.build(p.source, p.target, 0, {
-        d: b * (2 if d == 0 else 1) for d, b in p.blocks}, p.mode)
+    spectrum = dict(inst.splitting.spectrum)
+    left, lam, right = spectrum[0]
+    right = right.copy()
+    right[lam == 0] *= 2
+    spectrum[0] = (left, lam, right)
     bad = dataclasses.replace(inst, splitting=dataclasses.replace(
-        inst.splitting, project=doubled))
+        inst.splitting, spectrum=spectrum))
+    assert bad.splitting.project.equals(inst.splitting.project.scale(2))
     args = build_parser().parse_args(["verify", "--instance", "unused"])
     for case, passed in ((inst, True), (bad, False)):
         checks = {c["name"]: c["passed"] for c in _verify_checks(case, args)}
@@ -429,3 +433,23 @@ def test_exact_reports_are_unchanged(tmp_path, capsys, build, verify_digest,
         digests.append(hashlib.sha256(
             capsys.readouterr().out.encode()).hexdigest())
     assert digests == [verify_digest, trace_digest]
+
+
+def test_real_gaussian_trace_prints_a_rational(tmp_path, capsys):
+    """An exact trace value over Q(i) with zero imaginary part prints as a
+    rational string, whatever arithmetic produced it: on T1 with
+    E[e2<-e2] scaled by i, the chain coefficient -i gives str = 1."""
+    data = instance_to_dict(t1_instance())
+    i, minus_i = {"re": "0", "im": "1"}, {"re": "0", "im": "-1"}
+    next(op for op in data["algebra"] if op[0] == "E[e2<-e2]")[2][0][2] = i
+    next(c for c in data["elements"][0][2] if c[0] == "E[e2<-e2]")[1] = minus_i
+    ipath, cpath = tmp_path / "i.json", tmp_path / "c.json"
+    ipath.write_text(json.dumps(data))
+    cpath.write_text(json.dumps({
+        "format": "homotrace-chains/1",
+        "chains": [{"name": "c", "terms": [{"coeff": minus_i,
+                                             "slots": ["E[e2<-e2]"]}]}]}))
+    capsys.readouterr()
+    assert run(["trace", "--instance", str(ipath), "--chain", str(cpath),
+                "--output", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"][0]["value"] == "1"

@@ -31,12 +31,12 @@ from homotrace.glinalg import (
     compose,
     identity_matrix,
     matrix_from_rows,
-    solve_exact,
+    rref,
     supercommutator,
     zeros_matrix,
 )
 from homotrace.instances import matrix_instance, random_instance, \
-    t1_instance, to_float_instance
+    t1_instance, to_float_instance, torus_instance
 from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, GaussianRational
 from homotrace.transfer import _to_float
 
@@ -373,7 +373,8 @@ def _elimination_reference(space, q, rho):
     """The rows of ``_expand_pivots`` by the exact load's former route:
     every product, the identity and every {Q, op} formed, and the entries
     of each degree's rows solved against that degree's operators in one
-    ``solve_exact``; every row must lie in the span."""
+    ``rref`` of [operators | rows]; the operators must be independent and
+    every row must lie in their span (no pivot past the operators)."""
     ops = ([compose(a, b) for a in rho for b in rho]
            + [GradedMap.identity(space, EXACT)]
            + [supercommutator(q, m) for m in rho])
@@ -383,11 +384,11 @@ def _elimination_reference(space, q, rho):
         rows = [t for t, m in enumerate(ops) if m.degree == g]
         if not rows:
             continue
-        x, unsolved = solve_exact(
-            np.stack([rho[t].dense().reshape(-1) for t in at], axis=1),
-            np.stack([ops[t].dense().reshape(-1) for t in rows], axis=1))
-        assert unsolved == []
-        out[np.ix_(rows, at)] = x.T
+        cols = [rho[t] for t in at] + [ops[t] for t in rows]
+        r, pivots = rref(np.stack([m.dense().reshape(-1) for m in cols],
+                                  axis=1))
+        assert pivots == list(range(len(at)))
+        out[np.ix_(rows, at)] = r[:len(at), len(at):].T
     return out
 
 
@@ -525,6 +526,102 @@ def test_hodge_green_homotopy_reduces_to_projector_mode():
     assert compose(h, h).is_zero(1e-12)
     assert compose(h, s.pi0).is_zero(1e-12)
     assert compose(s.pi0, h).is_zero(1e-12)
+
+
+def _stored_fields_reference(s):
+    """pi0, pi1, include, project, homotopy and m0 as the builders stored
+    them when a splitting carried all ten fields, from its kappa and
+    spectrum: the projector kind from the first nh columns of L = [h | b |
+    w] and rows of R, with homotopy = kappa; the laplacian kind from the
+    harmonic columns and rows, with the Green homotopy L diag(1/lam) R
+    kappa formed into each target degree."""
+    space, mode = s.kappa.source, s.kappa.mode
+    pi0_b, inc_b, proj_b, hom_b, m0_dims = {}, {}, {}, {}, {}
+    for d, (left, lam, right) in s.spectrum.items():
+        if s.kind == "projector":
+            nh = sum(1 for v in lam if v == 0)
+            pi0_b[d] = left[:, :nh] @ right[:nh, :]
+            if nh:
+                inc_b[d], proj_b[d] = left[:, :nh], right[:nh, :]
+        else:
+            harmonic = lam == 0
+            nh = int(harmonic.sum())
+            pi0_b[d] = left[:, harmonic] @ right[harmonic]
+            inc_b[d], proj_b[d] = left[:, harmonic], right[harmonic]
+            if space.dim(d + 1):
+                inv = np.divide(1.0, lam, out=np.zeros(len(lam)),
+                                where=~harmonic)
+                hom_b[d + 1] = ((left * inv) @ right) @ s.kappa.block(d + 1)
+        m0_dims[d] = nh
+    m0 = GradedVectorSpace.make(m0_dims, {
+        d: [f"h{d}_{i}" for i in range(n)] for d, n in m0_dims.items()})
+    pi0 = GradedMap.build(space, space, 0, pi0_b, mode)
+    return {"pi0": pi0, "pi1": GradedMap.identity(space, mode) - pi0,
+            "include": GradedMap.build(m0, space, 0, inc_b, mode),
+            "project": GradedMap.build(space, m0, 0, proj_b, mode),
+            "homotopy": (s.kappa if s.kind == "projector" else
+                         GradedMap.build(space, space, -1, hom_b, mode)),
+            "m0": m0}
+
+
+def _same_bits(a, b) -> bool:
+    """Equal spaces, degree and stored blocks; float blocks byte for byte,
+    exact ones entry by entry with the same scalar types."""
+    if isinstance(a, GradedVectorSpace):
+        return a == b
+    if (a.source, a.target, a.degree, a.mode) != (b.source, b.target,
+                                                  b.degree, b.mode):
+        return False
+    if [d for d, _ in a.blocks] != [d for d, _ in b.blocks]:
+        return False
+    for (_, x), (_, y) in zip(a.blocks, b.blocks):
+        if x.dtype != y.dtype or x.shape != y.shape:
+            return False
+        if x.dtype != object and x.tobytes() != y.tobytes():
+            return False
+        if x.dtype == object and not all(
+                type(u) is type(v) and u == v for u, v in zip(x.flat, y.flat)):
+            return False
+    return True
+
+
+_SPLITTING_CASES = {
+    "T1": t1_instance,
+    "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+    "m32": lambda: matrix_instance({0: 3, 1: 2},
+                                   q_entries=[("d0_0", "d1_0", 1)]),
+    "T1f": lambda: to_float_instance(t1_instance()),
+    "r7f": lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
+    "torus1": lambda: torus_instance(1),
+}
+
+
+@pytest.mark.parametrize("case, option", [
+    *((c, seed) for c in ("T1", "r11", "m32") for seed in (None, 1, 2)),
+    *((c, ip) for c in ("T1f", "r7f", "torus1")
+      for ip in ("identity", "seeded"))])
+def test_splitting_fields_read_off_spectrum_match_stored(case, option):
+    """Every field the splitting reads off (kind, kappa, spectrum) is bit
+    for bit what the builders stored before, for projector splittings at
+    three shears and Hodge splittings under the identity and a seeded
+    inner product; the projector's homotopy is kappa itself."""
+    bundle = _SPLITTING_CASES[case]().bundle
+    if bundle.mode == EXACT:
+        s = build_splitting_projector(bundle.space, bundle.q, option)
+    else:
+        rng = np.random.default_rng(0)
+        inner = {}
+        for d, n in bundle.space.dims:
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            inner[d] = a @ a.conj().T + n * np.eye(n)
+        s = build_splitting_hodge(bundle.space, bundle.q,
+                                  None if option == "identity" else inner)
+    assert [f.name for f in dataclasses.fields(s)] == ["kind", "kappa",
+                                                       "spectrum"]
+    for name, want in _stored_fields_reference(s).items():
+        assert _same_bits(getattr(s, name), want), name
+    if s.kind == "projector":
+        assert _same_bits(s.homotopy, s.kappa)
 
 
 def test_heat_decay_bound(torus1):

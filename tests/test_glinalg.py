@@ -21,7 +21,6 @@ from homotrace.glinalg import (
     nullspace_and_pivots,
     pivot_rows,
     rref,
-    solve_exact,
     supercommutator,
     tensor_map,
     zeros_matrix,
@@ -314,14 +313,12 @@ def assert_entries_equal(got, want):
     assert all(x == y for x, y in zip(got.flat, want.flat))
 
 
-@given(st.integers(1, 5), st.integers(1, 7), st.integers(0, 4), st.booleans(),
+@given(st.integers(1, 5), st.integers(1, 7), st.booleans(),
        st.sampled_from([0.1, 0.3, 0.6, 1.0]), st.integers(0, 9999))
 @settings(max_examples=100, deadline=None)
-def test_rref_and_solve_match_dense_elimination(rows, cols, rhs_cols, gaussian,
-                                                density, seed):
-    """On sparse Fraction and GaussianRational matrices, ``rref`` and
-    ``solve_exact`` give the echelon form, pivots, solutions and unsolved
-    columns of an elimination that updates whole rows."""
+def test_rref_matches_dense_elimination(rows, cols, gaussian, density, seed):
+    """On sparse Fraction and GaussianRational matrices, ``rref`` gives the
+    echelon form and pivots of an elimination that updates whole rows."""
     import random
     rng = random.Random(seed)
     a = sparse_matrix(rng, rows, cols, gaussian, density)
@@ -329,14 +326,6 @@ def test_rref_and_solve_match_dense_elimination(rows, cols, rhs_cols, gaussian,
     want, want_pivots = dense_rref(a)
     assert pivots == want_pivots
     assert_entries_equal(got, want)
-
-    basis = a[:, pivots]
-    rhs = sparse_matrix(rng, rows, rhs_cols, gaussian, density)
-    x, unsolved = solve_exact(basis, rhs)
-    rank = len(pivots)
-    r, _ = dense_rref(np.concatenate([basis, rhs], axis=1))
-    assert_entries_equal(x, r[:rank, rank:])
-    assert unsolved == [j for j in range(rhs_cols) if any(r[rank:, rank + j])]
 
 
 finite_complex = st.one_of(

@@ -55,6 +55,14 @@ def test_exact_encoding_round_trip(a, b):
     assert decode_value(encode_value(g), EXACT) == g
 
 
+def test_real_gaussian_encodes_as_its_rational():
+    """The JSON type of an exact value depends on the value, not on the
+    arithmetic that produced it."""
+    assert encode_value(GaussianRational(1, 0)) == "1"
+    assert encode_value(GaussianRational(Fraction(-3, 4))) == "-3/4"
+    assert encode_value(GaussianRational(0, 2)) == {"re": "0", "im": "2"}
+
+
 @given(st.floats(-1e6, 1e6, allow_nan=False), st.floats(-1e6, 1e6, allow_nan=False))
 @settings(max_examples=30, deadline=None)
 def test_float_encoding_round_trip(re, im):

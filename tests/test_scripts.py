@@ -11,9 +11,11 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_splitting_experiments_runs():
+@pytest.mark.parametrize("script", ["splitting_experiments.py",
+                                    "convergence_study.py"])
+def test_script_runs(script):
     done = subprocess.run(
-        [sys.executable, "scripts/splitting_experiments.py"], cwd=ROOT,
+        [sys.executable, f"scripts/{script}"], cwd=ROOT,
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
