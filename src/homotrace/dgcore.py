@@ -54,7 +54,10 @@ from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, one_scalar,
 class DgAlgebra:
     """Unital dg algebra over a homogeneous named basis; ``mul`` is the
     read-only (n, n, n) structure-constant tensor, mul[i, j] holding the
-    coefficients of e_i e_j over the flat basis."""
+    coefficients of e_i e_j over the flat basis.  The per-basis tables
+    (``graded_index``, ``product_terms``, ``differential_terms``,
+    ``name_index``) are read off ``space``, ``mul`` and ``differential``
+    once per algebra."""
 
     space: GradedVectorSpace
     differential: GradedMap
@@ -66,26 +69,37 @@ class DgAlgebra:
     def n_basis(self) -> int:
         return self.space.total_dim
 
-    def flat_to_graded(self, k: int) -> tuple[int, int]:
-        off = 0
-        for d, n in self.space.dims:
-            if k < off + n:
-                return d, k - off
-            off += n
-        raise IndexError(k)
+    @cached_property
+    def graded_index(self) -> tuple[tuple[int, int], ...]:
+        """(degree, index within the degree) of each flat index."""
+        return tuple((d, i) for d, n in self.space.dims for i in range(n))
+
+    @cached_property
+    def product_terms(self) -> list[list[list[tuple]]]:
+        """product_terms[i][j]: (k, c) per nonzero coefficient of e_i e_j."""
+        out = [[[] for _ in range(self.n_basis)] for _ in range(self.n_basis)]
+        for i, j, k, c in _entries(self.mul):
+            out[i][j].append((k, c))
+        return out
+
+    @cached_property
+    def differential_terms(self) -> list[list[tuple]]:
+        """differential_terms[i]: (k, c) per nonzero coefficient of d(e_i)."""
+        return [_entries(row) for row in self.differential.dense().T]
+
+    @cached_property
+    def name_index(self) -> dict[str, int]:
+        """Flat index of each basis name (its first, if a name repeats)."""
+        return {self.basis_name(k): k for k in reversed(range(self.n_basis))}
 
     def basis_degree(self, k: int) -> int:
-        return self.flat_to_graded(k)[0]
+        return self.graded_index[k][0]
 
     def basis_name(self, k: int) -> str:
-        d, i = self.flat_to_graded(k)
-        return self.space.label(d, i)
+        return self.space.label(*self.graded_index[k])
 
     def flat_by_name(self, name: str) -> int | None:
-        for k in range(self.n_basis):
-            if self.basis_name(k) == name:
-                return k
-        return None
+        return self.name_index.get(name)
 
     def mul_flat(self, i: int, j: int) -> np.ndarray:
         """Coefficients of e_i * e_j over the flat basis."""
@@ -93,7 +107,7 @@ class DgAlgebra:
 
     def diff_flat(self, i: int) -> np.ndarray:
         """Coefficients of d(e_i) over the flat basis."""
-        d, idx = self.flat_to_graded(i)
+        d, idx = self.graded_index[i]
         out = self._zero_vec()
         off = self.space.offsets().get(d + 1)
         if off is not None:
@@ -106,16 +120,11 @@ class DgAlgebra:
         cut_i b_i b_(i+1), of the bar differential on the basis word
         ``flats`` (signs from ``glinalg.bar_signs``); nonzero entries only."""
         signs = bar_signs([self.basis_degree(b) for b in flats])
-        blocks = dict(self.differential.blocks)
-        offsets = self.space.offsets()
         for i, (sigma, _) in enumerate(signs):
-            d, idx = self.flat_to_graded(flats[i])
-            if d in blocks:
-                for r, c in _entries(blocks[d][:, idx]):
-                    yield (flats[:i] + (offsets[d + 1] + r,) + flats[i + 1:],
-                           c * sigma)
+            for k, c in self.differential_terms[flats[i]]:
+                yield flats[:i] + (k,) + flats[i + 1:], c * sigma
         for i, (_, cut) in enumerate(signs[:-1]):
-            for k, c in _entries(self.mul[flats[i], flats[i + 1]]):
+            for k, c in self.product_terms[flats[i]][flats[i + 1]]:
                 yield flats[:i] + (k,) + flats[i + 2:], c * cut
 
     def _zero_vec(self) -> np.ndarray:
@@ -759,10 +768,11 @@ def cohomology(space: GradedVectorSpace, q: GradedMap,
                tol: float | None = None) -> Splitting:
     """The splitting onto cohomology: projector kind in exact arithmetic,
     Hodge in float; ``m0`` holds the per-degree cohomology dimensions."""
-    if not compose(q, q).is_zero(tol if q.mode == FLOAT else None):
+    if q.mode == EXACT:   # the projector builder checks Q^2 itself
+        return build_splitting_projector(space, q)
+    if not compose(q, q).is_zero(tol):
         raise ShapeError("Q^2 != 0")
-    return (build_splitting_projector(space, q) if q.mode == EXACT
-            else build_splitting_hodge(space, q, tol=tol or DEFAULT_TOL))
+    return build_splitting_hodge(space, q, tol=tol or DEFAULT_TOL)
 
 
 def euler_characteristic(space: GradedVectorSpace,

@@ -8,9 +8,13 @@ immutable after construction.
 The kernels pay only for nonzero work.  Composition, sums and differences
 walk the stored blocks and skip absent ones; an exact product multiplies
 only nonzero entry pairs (``_exact_product``), because each Fraction
-operation is a Python call.  Float blocks stay in numpy: products are
-``@`` and the zero tests and magnitudes are array reductions, so a NaN
-entry is never read as zero.
+operation is a Python call.  Exact ``compose`` builds its result in that
+one pass: a sum that cancels to zero is not written, and a product block
+with no nonzero sum is not stored, so the result needs neither
+``GradedMap.build``'s copy nor its entry-by-entry zero scan.  Float blocks
+stay in numpy: products are ``@``, assembled by ``build``, and the zero
+tests and magnitudes are array reductions, so a NaN entry is never read
+as zero.
 
 Exact elimination is ``rref`` and what is read off one run of it (null
 space with its pivots, pivot rows, inverse, block solve).  ``rref`` pays
@@ -97,9 +101,11 @@ def matrices_equal(a: np.ndarray, b: np.ndarray, tol: float | None) -> bool:
     return max_abs(a - b) <= tol
 
 
-def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b on object-dtype blocks, summed over nonzero entry pairs only."""
-    out = zeros_matrix(a.shape[0], b.shape[1], EXACT)
+def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """a @ b on object-dtype blocks, summed over nonzero entry pairs only
+    and frozen; None when every entry is zero.  Sums that cancel to zero
+    are not stored."""
+    out, nonzero = zeros_matrix(a.shape[0], b.shape[1], EXACT), False
     b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
     for i, row in enumerate(a.tolist()):
         acc: dict[int, object] = {}
@@ -108,8 +114,9 @@ def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 for j, y in b_rows[k]:
                     acc[j] = acc[j] + x * y if j in acc else x * y
         for j, v in acc.items():
-            out[i, j] = v
-    return out
+            if v:
+                out[i, j], nonzero = v, True
+    return _freeze(out) if nonzero else None
 
 
 @dataclass(frozen=True)
@@ -347,14 +354,15 @@ def compose(f: GradedMap, g: GradedMap) -> GradedMap:
                 raise ShapeError(
                     f"composition mismatch in degree {d}: "
                     f"{g.target.dim(d)} vs {f.source.dim(d)}", degree=d)
-    f_blocks = dict(f.blocks)
-    blocks = {}
-    for d, gm in g.blocks:
-        fm = f_blocks.get(d + g.degree)
-        if fm is not None:
-            exact = fm.dtype == object or gm.dtype == object
-            blocks[d] = _exact_product(fm, gm) if exact else fm @ gm
-    return GradedMap.build(g.source, f.target, f.degree + g.degree, blocks, f.mode)
+    f_blocks, degree = dict(f.blocks), f.degree + g.degree
+    pairs = [(d, f_blocks[d + g.degree], gm) for d, gm in g.blocks
+             if d + g.degree in f_blocks]
+    if f.mode != EXACT:
+        return GradedMap.build(g.source, f.target, degree,
+                               {d: fm @ gm for d, fm, gm in pairs}, f.mode)
+    blocks = ((d, _exact_product(fm, gm)) for d, fm, gm in pairs)
+    return GradedMap(g.source, f.target, degree, tuple(
+        (d, m) for d, m in blocks if m is not None), f.mode)
 
 
 def supercommutator(f: GradedMap, g: GradedMap) -> GradedMap:

@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from homotrace.dgcore import DgAlgebra, EndoAlgebra, endomorphism_algebra
 from homotrace.errors import ShapeError
 from homotrace.scalars import EXACT, one_scalar
@@ -165,9 +163,8 @@ def hochschild_boundary(chain: HochschildChain) -> HochschildChain:
         if len(flats) >= 2:
             rot, rs = cyclic_shift_term(a, flats)
             own = -1 if a.basis_degree(rot[0]) % 2 else 1
-            merged = a.mul_flat(rot[0], rot[1])
-            for k in np.flatnonzero(merged).tolist():
-                out.add_term((k,) + rot[2:], coeff * rs * own * merged[k])
+            for k, c in a.product_terms[rot[0]][rot[1]]:
+                out.add_term((k,) + rot[2:], coeff * rs * own * c)
     return out
 
 

@@ -8,7 +8,10 @@ integrates to the word p rho h rho ... h rho i: in closed form, or by
 adaptive quadrature over the compactified gap cube (chart t =
 -ln(1-sigma)/mu, mu the spectral gap) of the same word with each h
 replaced by the heat kernel L diag(e^(-t lam)) (R kappa), whose integral
-over t in (0, inf) is h.
+over t in (0, inf) is h.  The closed form is built from factors kept per
+morphism: the step h rho(b) of a basis element grows a stored prefix p
+rho(b_1) h ... rho(b_j) by one compose, and its tail h rho(b) i closes a
+prefix into a component with one more.
 
 Signs.  In chain order the transferred component is
 
@@ -362,6 +365,8 @@ class AInfinityMorphism:
     _cache: dict = field(default_factory=dict, repr=False)
     _errors: dict = field(default_factory=dict, repr=False)
     _words: dict = field(default_factory=dict, repr=False)
+    _steps: dict = field(default_factory=dict, repr=False)
+    _tails: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.method not in ("closed", "quadrature") or (
@@ -371,9 +376,10 @@ class AInfinityMorphism:
 
     def on_basis(self, flats: tuple[int, ...]) -> GradedMap:
         """f_m(b_1, ..., b_m) = p rho(b_1) h ... h rho(b_m) i, in chain order,
-        with no sign of its own: one step past the stored word of b_1 ...
-        b_(m-1) in closed form, or by quadrature up to MAX_QUAD_ARITY
-        slots (InputError above)."""
+        with no sign of its own: in closed form the stored word of b_1 ...
+        b_(m-1) times the tail h rho(b_m) i of b_m, one compose (p rho(b) i
+        for m = 1); by quadrature up to MAX_QUAD_ARITY slots (InputError
+        above)."""
         got = self._cache.get(flats)
         if got is None:
             if self.method == "quadrature":
@@ -383,9 +389,12 @@ class AInfinityMorphism:
                 got, est = _quadrature(
                     [self.bundle.rho_flat(b) for b in flats], self.splitting,
                     self.rel_tol, DEFAULT_ORDER, self.budget)
+            elif len(flats) == 1:
+                got, est = compose(self._word(flats),
+                                   self.splitting.include), 0.0
             else:
-                got = compose(self._word(flats), self.splitting.include)
-                est = 0.0
+                got, est = compose(self._word(flats[:-1]),
+                                   self._tail(flats[-1])), 0.0
             self._cache[flats], self._errors[flats] = got, est
         self.reads.add(flats)
         return got
@@ -401,15 +410,27 @@ class AInfinityMorphism:
         return sum(self._errors[flats] for flats in sorted(components))
 
     def _word(self, flats: tuple[int, ...]) -> GradedMap:
-        """p rho(b_1) h ... h rho(b_j), kept per prefix."""
-        got = self._words.get(flats)
-        if got is None:
-            s = self.splitting
-            head = (compose(self._word(flats[:-1]), s.homotopy)
-                    if len(flats) > 1 else s.project)
-            got = self._words[flats] = compose(
-                head, self.bundle.rho_flat(flats[-1]))
-        return got
+        """p rho(b_1) h ... h rho(b_j), kept per prefix: p rho(b_1), then
+        the stored prefix times the step h rho(b_j), one compose each."""
+        if flats not in self._words:
+            self._words[flats] = (
+                compose(self._word(flats[:-1]), self._step(flats[-1]))
+                if len(flats) > 1 else
+                compose(self.splitting.project, self.bundle.rho_flat(flats[0])))
+        return self._words[flats]
+
+    def _step(self, b: int) -> GradedMap:
+        """h rho(b), kept per basis element."""
+        if b not in self._steps:
+            self._steps[b] = compose(self.splitting.homotopy,
+                                     self.bundle.rho_flat(b))
+        return self._steps[b]
+
+    def _tail(self, b: int) -> GradedMap:
+        """h rho(b) i, kept per basis element."""
+        if b not in self._tails:
+            self._tails[b] = compose(self._step(b), self.splitting.include)
+        return self._tails[b]
 
     def value(self, slots: list) -> GradedMap:
         """Multilinear evaluation; expands element slots over the basis."""

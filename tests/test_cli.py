@@ -14,7 +14,8 @@ from homotrace.glinalg import AMBIGUITY_BAND
 from homotrace.instances import (matrix_instance, random_instance,
                                  t1_instance, to_float_instance)
 from homotrace.scalars import DEFAULT_TOL, FLOAT, decode_value
-from homotrace.serialize import instance_to_dict, save_instance
+from homotrace.serialize import (instance_from_dict, instance_to_dict,
+                                 save_instance)
 
 
 def run(args):
@@ -413,12 +414,16 @@ def _digest_chains(inst) -> dict:
     (lambda: matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]),
      "c7bfa9956b501e288c23a6975b7a2053b3712b65bca6d2562d0321f2da076d10",
      "b7381130cafe4d557dd4977bfd76b096aa95a4b78cd5bd0bd85d70725015f98e"),
-], ids=["T1", "r11", "m32"])
+    (lambda: instance_from_dict(_t1_gaussian_dict()),
+     "6f0d8daa0590a7f425cdf72dd9a5b3940f113d24c0aeda7b2d4ac576d998b9d2",
+     "0849ba8f954174e5a39adc74a9cbd290b87454792112d9842660cb4e14e20194"),
+], ids=["T1", "r11", "m32", "T1-gaussian"])
 def test_exact_reports_are_unchanged(tmp_path, capsys, build, verify_digest,
                                      trace_digest):
     """Golden digests of the exact ``verify --seed 0`` and ``trace --cyclic
     1`` JSON reports, taken before the load and ``validate_bundle`` shared
-    one residual pass."""
+    one residual pass (T1-gaussian, over Q(i): before the transfer kept
+    per-basis steps and tails)."""
     inst = build()
     ipath, cpath = tmp_path / "i.json", tmp_path / "c.json"
     save_instance(inst, str(ipath))
@@ -435,14 +440,23 @@ def test_exact_reports_are_unchanged(tmp_path, capsys, build, verify_digest,
     assert digests == [verify_digest, trace_digest]
 
 
+def _t1_gaussian_dict() -> dict:
+    """The T1 file with the operator E[e2<-e2] scaled by i and its
+    coefficient in the element that holds it by -i."""
+    data = instance_to_dict(t1_instance())
+    next(op for op in data["algebra"] if op[0] == "E[e2<-e2]")[2][0][2] = {
+        "re": "0", "im": "1"}
+    next(c for c in data["elements"][0][2] if c[0] == "E[e2<-e2]")[1] = {
+        "re": "0", "im": "-1"}
+    return data
+
+
 def test_real_gaussian_trace_prints_a_rational(tmp_path, capsys):
     """An exact trace value over Q(i) with zero imaginary part prints as a
     rational string, whatever arithmetic produced it: on T1 with
     E[e2<-e2] scaled by i, the chain coefficient -i gives str = 1."""
-    data = instance_to_dict(t1_instance())
-    i, minus_i = {"re": "0", "im": "1"}, {"re": "0", "im": "-1"}
-    next(op for op in data["algebra"] if op[0] == "E[e2<-e2]")[2][0][2] = i
-    next(c for c in data["elements"][0][2] if c[0] == "E[e2<-e2]")[1] = minus_i
+    data = _t1_gaussian_dict()
+    minus_i = {"re": "0", "im": "-1"}
     ipath, cpath = tmp_path / "i.json", tmp_path / "c.json"
     ipath.write_text(json.dumps(data))
     cpath.write_text(json.dumps({

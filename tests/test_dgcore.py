@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homotrace.dgcore import (
+    _entries,
     _expand_pivots,
     algebra_from_operators,
     build_splitting_hodge,
@@ -446,13 +447,19 @@ def test_cohomology_zero_differential():
 
 
 def test_cohomology_rejects_non_square_zero():
+    """The same ShapeError in both modes: from the projector builder in
+    exact mode, from ``cohomology`` itself in float."""
     v = GradedVectorSpace.make({0: 1, 1: 1, 2: 1})
     q = GradedMap.build(v, v, 1, {
         0: matrix_from_rows([[1]], EXACT),
         1: matrix_from_rows([[1]], EXACT),
     }, EXACT)
-    with pytest.raises(ShapeError):
+    with pytest.raises(ShapeError, match=r"^Q\^2 != 0$"):
         cohomology(v, q)
+    qf = GradedMap.build(v, v, 1, {d: m.astype(complex) for d, m in q.blocks},
+                         FLOAT)
+    with pytest.raises(ShapeError, match=r"^Q\^2 != 0$"):
+        cohomology(v, qf, DEFAULT_TOL)
 
 
 def test_euler_characteristic_variants():
@@ -622,6 +629,46 @@ def test_splitting_fields_read_off_spectrum_match_stored(case, option):
         assert _same_bits(getattr(s, name), want), name
     if s.kind == "projector":
         assert _same_bits(s.homotopy, s.kappa)
+
+
+def _table_algebra(case: str):
+    if case == "End(T1)":
+        t1 = t1_instance().bundle
+        return endomorphism_bundle(t1.space, t1.q, EXACT).algebra
+    if case == "T1-gaussian":      # structure constants in Q(i)
+        b = _gaussian_t1()
+        return algebra_from_operators(b.space, b.q, list(b.rho), [
+            f"b{k}" for k in range(len(b.rho))], EXACT).algebra
+    return _SPLITTING_CASES[case]().bundle.algebra
+
+
+@pytest.mark.parametrize("case", ["T1", "r11", "m32", "End(T1)", "T1-gaussian",
+                                  "T1f", "r7f", "torus1"])
+def test_algebra_tables_match_their_definitions(case):
+    """The per-basis tables of a DgAlgebra equal the definitions they
+    replace: the scan over the graded dims, the nonzero entries of each
+    mul[i, j] and of each diff_flat(i), and the scan over the names."""
+    alg = _table_algebra(case)
+    n = alg.n_basis
+
+    def scan(k):
+        off = 0
+        for d, dim in alg.space.dims:
+            if k < off + dim:
+                return d, k - off
+            off += dim
+        raise IndexError(k)
+
+    assert alg.graded_index == tuple(scan(k) for k in range(n))
+    names = [alg.space.label(*scan(k)) for k in range(n)]
+    for i in range(n):
+        assert alg.basis_degree(i) == scan(i)[0]
+        assert alg.basis_name(i) == names[i]
+        assert alg.flat_by_name(names[i]) == names.index(names[i])
+        assert alg.differential_terms[i] == _entries(alg.diff_flat(i))
+        for j in range(n):
+            assert alg.product_terms[i][j] == _entries(alg.mul[i, j])
+    assert alg.flat_by_name("no such name") is None
 
 
 def test_heat_decay_bound(torus1):

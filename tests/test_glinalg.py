@@ -286,6 +286,27 @@ def test_exact_kernels_match_dense_reference(dims, d1, d2, gaussian, density,
         assert_blocks_equal(result, expected)
 
 
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_exact_compose_stores_only_nonzero_blocks(gaussian):
+    """An exact compose whose products all cancel stores no block; one that
+    cancels in one degree only stores the other degree's block, read-only."""
+    v = GradedVectorSpace.make({0: 2, 1: 2})
+    c = GaussianRational(Fraction(1, 2), 3) if gaussian else Fraction(1, 2)
+    rows = [[c, c], [1, 1]]
+    f = GradedMap.build(v, v, 0, {d: matrix_from_rows(rows, EXACT)
+                                  for d in (0, 1)}, EXACT)
+    kill = matrix_from_rows([[1, 0], [-1, 0]], EXACT)
+    g = GradedMap.build(v, v, 0, {0: kill}, EXACT)
+    zero = compose(f, g)
+    assert zero.blocks == () and zero.is_zero()
+    keep = matrix_from_rows([[1, 0], [0, 0]], EXACT)
+    half = compose(f, GradedMap.build(v, v, 0, {0: kill, 1: keep}, EXACT))
+    assert [d for d, _ in half.blocks] == [1]
+    assert not half.blocks[0][1].flags.writeable
+    assert half.equals(GradedMap.build(v, v, 0, {1: matrix_from_rows(
+        [[c, 0], [1, 0]], EXACT)}, EXACT))
+
+
 def dense_rref(matrix):
     """Reference elimination: the steps of ``rref``, each updating whole
     rows."""

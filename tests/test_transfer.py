@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homotrace import transfer
 from homotrace.dgcore import build_splitting_hodge, check_splitting
 from homotrace.errors import ShapeError
 from homotrace.glinalg import GradedMap, bar_signs, compose, supercommutator
@@ -206,17 +207,24 @@ def test_ainfinity_defect_zero_on_random_instances():
 
 def test_on_basis_is_chain_order_component(t1):
     """f_m(b_1, ..., b_m) = p rho(b_1) h ... h rho(b_m) i, with no sign, on
-    every basis tuple of arity 1-3.  Longest tuples come first, so the
-    stored prefixes are both filled by longer words and read by shorter
-    ones; the Hodge splitting of T1f is compared at the session tolerance."""
-    t1f = _float_instance("T1")
+    every basis tuple of arity 1-3, against the plain left fold of that
+    word.  Longest tuples come first, so the stored prefixes, steps and
+    tails are both filled by longer words and read by shorter ones.  Exact
+    instances (T1, r11, m32 and two more random ones) compare exactly;
+    T1f, r7f and T1f under a seeded Hodge splitting at the session
+    tolerance."""
+    t1f, r7f = _float_instance("T1"), _float_instance("r7")
     space = t1f.bundle.space
     hodge = build_splitting_hodge(space, t1f.bundle.q,
                                   _inner_product(space, 0))
-    r3 = random_instance(3, {0: 2, 1: 1, 2: 1})
-    r9 = random_instance(9, {0: 2, 1: 2})
-    for inst, s, tol in [(t1, t1.splitting, None), (r3, r3.splitting, None),
-                         (r9, r9.splitting, None), (t1f, hodge, DEFAULT_TOL)]:
+    exact = [t1, random_instance(11, {0: 2, 1: 3, 2: 2}),
+             matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]),
+             random_instance(3, {0: 2, 1: 1, 2: 1}),
+             random_instance(9, {0: 2, 1: 2})]
+    for inst, s, tol in [*((x, x.splitting, None) for x in exact),
+                         (t1f, t1f.splitting, DEFAULT_TOL),
+                         (r7f, r7f.splitting, DEFAULT_TOL),
+                         (t1f, hodge, DEFAULT_TOL)]:
         f = transferred_morphism(inst.bundle, s)
         rho = inst.bundle.rho_flat
         for k in (3, 2, 1):
@@ -227,6 +235,31 @@ def test_on_basis_is_chain_order_component(t1):
                     expect = compose(compose(expect, s.homotopy), rho(b))
                 assert f.on_basis(flats).equals(compose(expect, s.include),
                                                 tol), flats
+
+
+def test_on_basis_miss_with_stored_prefix_is_one_compose(monkeypatch):
+    """Once the prefix b_1 b_2 is stored (by evaluating b_1 b_2 b_0) and
+    the tail h rho(b_3) i is (by any pair ending in b_3), a miss on
+    b_1 b_2 b_3 costs exactly one compose, and a hit none."""
+    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    n = inst.bundle.algebra.n_basis
+    for pair in itertools.product(range(n), repeat=2):
+        f.on_basis(pair)
+        f.on_basis(pair + (0,))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(transfer, "compose", counting)
+    for flats in itertools.product(range(n), range(n), range(1, n)):
+        f.on_basis(flats)
+        assert len(calls) == 1, flats
+        f.on_basis(flats)
+        assert len(calls) == 1, flats
+        calls.clear()
 
 
 def test_transferred_morphism_rejects_methods_it_cannot_evaluate(t1):
