@@ -74,7 +74,7 @@ def main():
                              t1f.splitting, t1f.bundle)
         merged = operator_form(
             [Slot(alg.basis_degree(a1) + alg.basis_degree(a2),
-                  alg.mul_flat(a2, a1))],
+                  alg.mul[a2, a1])],
             ConfigurationPoint(()), t1f.splitting, t1f.bundle)
         d_merge = (form.component(()) - merged.component(())).max_abs()
         form_inf = operator_form([a1, a2], ConfigurationPoint((1.0 / eps,)),

@@ -1,17 +1,21 @@
 """Dg algebras, dg modules with actions, axiom validation, and splittings.
 
 A ``DgAlgebra`` carries its product as one structure-constant tensor over
-a homogeneous basis.  A ``DgModuleBundle`` couples an algebra to a module
-via the action rho (one graded map per basis operator) and computes the
-residuals of the three action identities once.  ``algebra_from_operators``
-derives the tensor, the unit and the differential from a basis of
-operators on a dg module, reading them off n_g pivot entries per degree
-in both modes, and proves closure from those residuals; ``validate_bundle``
-checks the algebra axioms on every basis pair and triple and reads the
-action checks off the same residuals.  A ``Splitting`` of the module into
-its cohomology part and an acyclic part is (kind, kappa, spectrum of
-{Q, kappa}), in projector or Laplacian normalization; m0, include,
-project, pi0, pi1 and the normalized homotopy are read off the spectrum.
+a homogeneous basis; in exact mode it clears the denominators of the
+tensor, the differential and the unit once (``integer_view``), and every
+integer check reads that view.  A ``DgModuleBundle`` couples an algebra
+to a module via the action rho (one graded map per basis operator) and
+computes the residuals of the three action identities once.
+``algebra_from_operators`` derives the tensor, the unit and the
+differential from a basis of operators on a dg module, reading them off
+n_g pivot entries per degree in both modes, and proves closure from those
+residuals; ``validate_bundle`` checks the algebra axioms on every basis
+pair and triple, each law as one join over the nonzero entries
+(``glinalg.first_unequal``), and reads the action checks off the same
+residuals.  A ``Splitting`` of the module into its cohomology part and an
+acyclic part is (kind, kappa, spectrum of {Q, kappa}), in projector or
+Laplacian normalization; m0, include, project, pi0, pi1 and the
+normalized homotopy are read off the spectrum.
 """
 
 from __future__ import annotations
@@ -38,7 +42,10 @@ from homotrace.glinalg import (
     bar_signs,
     clear_denominators,
     compose,
+    first_unequal,
     invert_exact,
+    join,
+    magnitudes,
     max_abs,
     nullspace_and_pivots,
     pivot_rows,
@@ -46,8 +53,7 @@ from homotrace.glinalg import (
     supercommutator,
     zeros_matrix,
 )
-from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, one_scalar,
-                               scalar_is_zero)
+from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, one_scalar
 
 
 @dataclass(frozen=True)
@@ -75,10 +81,19 @@ class DgAlgebra:
         return tuple((d, i) for d, n in self.space.dims for i in range(n))
 
     @cached_property
+    def integer_view(self) -> tuple[tuple[np.ndarray, int, int | None], ...]:
+        """The structure constants, the differential as rows (row i: d(e_i))
+        and the unit, each as ``glinalg.clear_denominators`` gives it: (D t,
+        D, bound).  Exact mode only; cleared once per algebra."""
+        return tuple(clear_denominators(t) for t in (
+            self.mul, self.differential.dense().T, self.unit))
+
+    @cached_property
     def product_terms(self) -> list[list[list[tuple]]]:
         """product_terms[i][j]: (k, c) per nonzero coefficient of e_i e_j."""
         out = [[[] for _ in range(self.n_basis)] for _ in range(self.n_basis)]
-        for i, j, k, c in _entries(self.mul):
+        support = self.integer_view[0][0] if self.mode == EXACT else self.mul
+        for i, j, k, c in _entries(self.mul, support):
             out[i][j].append((k, c))
         return out
 
@@ -100,10 +115,6 @@ class DgAlgebra:
 
     def flat_by_name(self, name: str) -> int | None:
         return self.name_index.get(name)
-
-    def mul_flat(self, i: int, j: int) -> np.ndarray:
-        """Coefficients of e_i * e_j over the flat basis."""
-        return self.mul[i, j]
 
     def diff_flat(self, i: int) -> np.ndarray:
         """Coefficients of d(e_i) over the flat basis."""
@@ -322,13 +333,16 @@ def validate_bundle(bundle: DgModuleBundle, tol: float | None = None
     Leibniz, associativity and the unit hold on every basis pair or triple
     (the witness is the first failing one), exactly or, with ``tol``, to
     ``tol`` relative to the largest coefficient on either side (at least 1).
-    Exact checks clear denominators first: the structure constants, the
-    algebra differential and the unit are each multiplied by the least
-    common multiple of their denominators, so both sides of every identity
-    carry the same scale and the sums run over integers.  rho(unit) = id,
-    the chain-map identity of each rho_k and rho(e_i e_j) = rho(e_i)
-    rho(e_j) on every pair are read off ``bundle.residuals``, exactly or to
-    ``tol`` per row; the witness is the first failing basis element or pair.
+    Each law is one join over the nonzero structure constants and
+    differential entries, summed per output key (``_algebra_failures``).
+    Exact checks read the algebra's ``integer_view``: the structure
+    constants, the algebra differential and the unit, each multiplied by
+    the least common multiple of its denominators, so both sides of every
+    identity carry the same scale and the sums run over integers.
+    rho(unit) = id, the chain-map identity of each rho_k and rho(e_i e_j) =
+    rho(e_i) rho(e_j) on every pair are read off ``bundle.residuals``,
+    exactly or to ``tol`` per row; the witness is the first failing basis
+    element or pair.
     """
     if bundle.mode == FLOAT and tol is None:
         tol = DEFAULT_TOL
@@ -387,41 +401,45 @@ def _action_residuals(bundle: DgModuleBundle) -> np.ndarray:
     the least common multiple of its denominators and each side of an
     identity by the other side's scales; the products run in int64 when a
     bound on every product and sum allows it, the other rows in Python
-    ints."""
+    ints.  The algebra's arrays are its ``integer_view``.  Float residuals
+    are computed with overflow ignored: an inf or NaN row fails."""
     a, exact = bundle.algebra, bundle.mode == EXACT
     n, size = a.n_basis, bundle.space.total_dim
-    parts = (a.mul, stack_dense(bundle.rho, bundle.space, bundle.mode),
-             a.unit, a.differential.dense().T, bundle.q.dense())
-    ((mul, dm, top_m), (rho, dr, top_r), (unit, du, _), (diff, dd, _),
-     (q, dq, _)) = [clear_denominators(t) if exact else (t, 1, None)
-                    for t in parts]
+    (mul, dm, top_m), (diff, dd, _), (unit, du, _) = (
+        a.integer_view if exact else [(t, 1, None) for t in (
+            a.mul, a.differential.dense().T, a.unit)])
+    (rho, dr, top_r), (q, dq, _) = [
+        clear_denominators(t) if exact else (t, 1, None) for t in (
+            stack_dense(bundle.rho, bundle.space, bundle.mode),
+            bundle.q.dense())]
     pm, pr = ((mul.astype(np.int64), rho.astype(np.int64))
               if top_m is not None and top_r is not None
               and n * top_m * top_r * dr + size * top_r * top_r * dm < 2 ** 63
               else (mul, rho))
-    used_by = mul.astype(bool).any(axis=1)   # used_by[i, m]: some mul[i, j, m]
+    used_by = pm.astype(bool).any(axis=1)    # used_by[i, m]: some mul[i, j, m]
     live = rho.astype(bool).any(axis=2)      # the nonzero rows of each rho_m
     out = np.empty(n * n + 1 + n, dtype=bool if exact else float)
-    for i in range(n):
-        used = np.flatnonzero(used_by[i])
-        rows = np.flatnonzero(live[i] | live[used].any(axis=0))
-        part = pr[np.ix_(used, rows)].reshape(len(used), len(rows) * size)
-        got = (pm[i][:, used] @ (part * dr)
-               - np.matmul(pr[i, rows] * dm, pr).reshape(n, -1))
-        out[i * n:i * n + n] = (
-            got.astype(bool).any(axis=1) if exact else
-            np.max(np.hypot(got.real, got.imag), axis=1, initial=0.0))
 
     def row(coeffs: np.ndarray, scale, target: np.ndarray):
         got = sum((c * rho[m] for m, c in _entries(coeffs)),
                   np.zeros((size, size), dtype=rho.dtype)) * scale - target
         return got.astype(bool).any() if exact else max_abs(got)
 
-    out[n * n] = row(unit, 1, np.eye(size, dtype=rho.dtype) * (du * dr))
-    for k in range(n):
-        sign = (-1) ** (a.basis_degree(k) % 2)
-        out[n * n + 1 + k] = row(diff[k], dq,
-                                 (q @ rho[k] - sign * rho[k] @ q) * dd)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            used = np.flatnonzero(used_by[i])
+            rows = np.flatnonzero(live[i] | live[used].any(axis=0))
+            part = pr[np.ix_(used, rows)].reshape(len(used), len(rows) * size)
+            got = (pm[i][:, used] @ (part * dr)
+                   - np.matmul(pr[i, rows] * dm, pr).reshape(n, -1))
+            out[i * n:i * n + n] = (
+                got.astype(bool).any(axis=1) if exact else
+                np.max(magnitudes(got), axis=1, initial=0.0))
+        out[n * n] = row(unit, 1, np.eye(size, dtype=rho.dtype) * (du * dr))
+        for k in range(n):
+            sign = (-1) ** (a.basis_degree(k) % 2)
+            out[n * n + 1 + k] = row(diff[k], dq,
+                                     (q @ rho[k] - sign * rho[k] @ q) * dd)
     out.setflags(write=False)
     return out
 
@@ -429,78 +447,71 @@ def _action_residuals(bundle: DgModuleBundle) -> np.ndarray:
 def _algebra_failures(a: DgAlgebra, tol: float | None) -> tuple:
     """The first failing basis pair (i, j) of the Leibniz rule, triple
     (i, j, k) of associativity and element i of the unit law, or None.
-    Each side is contracted over the nonzero structure constants and
-    differential entries into a dict keyed by basis indices and output.
-    Without ``tol`` the structure constants, the differential and the unit
-    are scaled by their common denominators, which scales both sides of an
-    identity alike, so the sums run on integers."""
+    Each identity is one join over the nonzero entries: every pair of
+    structure constants or differential entries that meet on a basis
+    index is a term, and ``glinalg.first_unequal`` sums the terms per
+    output key.  Without ``tol`` the sums run on ``integer_view``, whose
+    scales D multiply both sides of an identity alike, in int64 when a
+    bound on every sum allows it and in Python ints (or GaussianRationals)
+    otherwise; with ``tol`` on the stored values, overflow read as a
+    failing inf or NaN."""
     n = a.n_basis
-    mul, diff = a.mul, a.differential.dense().T  # row i: d(e_i)
-    unit, one = a.unit, one_scalar(a.mode)
     if tol is None:
-        mul, dm, _ = clear_denominators(mul)
-        diff = clear_denominators(diff)[0]
-        unit, du, _ = clear_denominators(unit)
-        one = dm * du
-    mul = _entries(mul)                      # e_i e_j = ... + c e_m
-    left = [[] for _ in range(n)]            # left[i]: (j, m, c)
-    right = [[] for _ in range(n)]           # right[j]: (i, m, c)
-    for i, j, m, c in mul:
-        left[i].append((j, m, c))
-        right[j].append((i, m, c))
-    d_of = [_entries(row) for row in diff]   # d(e_i): (m, x)
-    sign = [(-1) ** (a.basis_degree(i) % 2) for i in range(n)]
+        (mul, dm, tm), (diff, _, td), (unit, du, tu) = a.integer_view
+        one, top = dm * du, None if None in (tm, td, tu) else max(tm, td, tu)
+        dtype = (np.int64 if top is not None
+                 and 3 * n * top * top + one < 2 ** 63 else object)
+    else:
+        mul, diff, unit = a.mul, a.differential.dense().T, a.unit
+        one, dtype = one_scalar(a.mode), a.mul.dtype
+    (i, j, m), c = _coo(mul, dtype)              # e_i e_j = ... + c e_m
+    (di, dl), x = _coo(diff, dtype)              # d(e_di) = ... + x e_dl
+    (um,), u = _coo(unit, dtype)
+    by_j = np.argsort(j, kind="stable")
+    sign = np.array([(-1) ** (a.basis_degree(k) % 2) for k in range(n)]
+                    ).astype(dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # d(e_i e_j) = d(e_i) e_j + (-1)^|i| e_i d(e_j)
+        p, q = join(m, di)
+        r, s = join(dl, i)
+        t, w = join(dl, j[by_j])
+        w = by_j[w]
+        leibniz = first_unequal((n, n, n), [
+            ((i[p], j[p], dl[q]), c[p] * x[q])], [
+            ((di[r], j[s], m[s]), x[r] * c[s]),
+            ((i[w], di[t], m[w]), sign[i[w]] * c[w] * x[t])], tol)
 
-    # d(e_i e_j) = d(e_i) e_j + (-1)^|i| e_i d(e_j)
-    lhs, rhs = defaultdict(int), defaultdict(int)
-    for i, j, m, c in mul:
-        for l, x in d_of[m]:
-            lhs[i, j, l] += c * x
-    for i in range(n):
-        for m, x in d_of[i]:
-            for j, l, c in left[m]:
-                rhs[i, j, l] += x * c
-            for h, l, c in right[m]:
-                rhs[h, i, l] += sign[h] * c * x
-    leibniz = _first_mismatch(lhs, rhs, tol)
+        # (e_i e_j) e_k = e_i (e_j e_k)
+        p, q = join(m, i)
+        r, s = join(m, j[by_j])
+        s = by_j[s]
+        assoc = first_unequal((n, n, n, n), [
+            ((i[p], j[p], j[q], m[q]), c[p] * c[q])], [
+            ((i[s], i[r], j[r], m[s]), c[s] * c[r])], tol)
 
-    # (e_i e_j) e_k = e_i (e_j e_k), as (e_i e_j) e_k and e_h (e_i e_j)
-    lhs, rhs = defaultdict(int), defaultdict(int)
-    for i, j, m, c in mul:
-        for k, l, x in left[m]:
-            lhs[i, j, k, l] += c * x
-        for h, l, x in right[m]:
-            rhs[h, i, j, l] += x * c
-    assoc = _first_mismatch(lhs, rhs, tol)
-
-    # 1 e_i = e_i (side 0) and e_i 1 = e_i (side 1)
-    lhs = defaultdict(int)
-    for m, u in _entries(unit):
-        for i, l, c in left[m]:
-            lhs[i, 0, l] += u * c
-        for i, l, c in right[m]:
-            lhs[i, 1, l] += c * u
-    unit = _first_mismatch(lhs, {(i, s, i): one for i in range(n)
-                                 for s in (0, 1)}, tol)
+        # 1 e_i = e_i (side 0) and e_i 1 = e_i (side 1)
+        p, q = join(um, i)
+        r, s = join(um, j[by_j])
+        s = by_j[s]
+        k, ones = np.arange(n), np.full(n, one, dtype)
+        unit = first_unequal((n, 2, n), [
+            ((j[q], 0, m[q]), u[p] * c[q]), ((i[s], 1, m[s]), c[s] * u[r])],
+            [((k, 0, k), ones), ((k, 1, k), ones)], tol)
     return leibniz and leibniz[:2], assoc and assoc[:3], unit and unit[0]
 
 
-def _entries(t: np.ndarray) -> list[tuple]:
-    """(index..., value) of every nonzero entry, in index order."""
+def _coo(t: np.ndarray, dtype) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The indices and values, as ``dtype``, of the nonzero entries of t."""
+    t = t.astype(dtype)
     idx = np.nonzero(t)
+    return idx, t[idx]
+
+
+def _entries(t: np.ndarray, support: np.ndarray | None = None) -> list[tuple]:
+    """(index..., value) of every nonzero entry, in index order; the zero
+    test reads ``support``, an array of the same zero pattern, when given."""
+    idx = np.nonzero(t if support is None else support)
     return list(zip(*(x.tolist() for x in idx), t[idx].tolist()))
-
-
-def _first_mismatch(lhs: dict, rhs: dict, tol: float | None) -> tuple | None:
-    """The smallest key at which the two sides differ: exactly when tol is
-    None, else by more than tol times the largest entry of either side
-    (at least 1)."""
-    if tol is not None:
-        tol *= max([1.0] + [abs(complex(v))
-                            for v in (*lhs.values(), *rhs.values())])
-    return min((key for key in lhs.keys() | rhs.keys()
-                if not scalar_is_zero(lhs.get(key, 0) - rhs.get(key, 0), tol)),
-               default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ with no nonzero sum is not stored, so the result needs neither
 ``GradedMap.build``'s copy nor its entry-by-entry zero scan.  Float blocks
 stay in numpy: products are ``@``, assembled by ``build``, and the zero
 tests and magnitudes are array reductions, so a NaN entry is never read
-as zero.
+as zero.  A map with no stored block is exactly zero, so callers carry
+the rule past this boundary by testing ``blocks``: the transfer forms no
+step or tail after a zero prefix, and the coherence defect and the
+push-forward end a term at its first zero component.
 
 Exact elimination is ``rref`` and what is read off one run of it (null
 space with its pivots, pivot rows, inverse, block solve).  ``rref`` pays
@@ -22,6 +25,14 @@ only for nonzero work too: each step updates a row on the nonzero columns
 of the pivot row alone.  Every greedy "keep it if it is independent of
 what is kept" choice goes through ``ExactSpan``.  Float rank decisions go
 through ``float_rank`` and the session tolerance.
+
+Sparse identities between sums of products are joins over nonzero
+entries: ``join`` pairs the entries of two coordinate lists that meet on
+an index, and ``first_unequal`` sorts the terms of both sides by flat key
+once and sums them per key with one ``np.add.reduceat``, on int64, object
+(Python ints, Fractions, GaussianRationals) or complex arrays alike.  The
+algebra axioms run this way on a dg algebra's cleared integer view
+(``dgcore.DgAlgebra.integer_view``).
 """
 
 from __future__ import annotations
@@ -78,11 +89,16 @@ def max_abs(a: np.ndarray) -> float:
     ``abs(complex)`` bit for bit; numpy's complex ``abs`` differs from it
     in the last place.
     """
-    if a.size == 0:
-        return 0.0
+    return float(np.max(magnitudes(a), initial=0.0))
+
+
+def magnitudes(a: np.ndarray) -> np.ndarray:
+    """|x| of every entry as floats: ``abs(complex(x))`` on exact entries,
+    ``hypot(re, im)`` on float ones."""
     if a.dtype == object:
-        return float(max(abs(complex(x)) for x in a.flat))
-    return float(np.max(np.hypot(a.real, a.imag)))
+        return np.array([abs(complex(x)) for x in a.flat],
+                        dtype=float).reshape(a.shape)
+    return np.hypot(a.real, a.imag)
 
 
 def _any_nonzero(a: np.ndarray) -> bool:
@@ -528,6 +544,49 @@ def clear_denominators(t: np.ndarray) -> tuple[np.ndarray, int, int | None]:
     out = np.zeros(t.shape, dtype=object)
     out[idx] = ints
     return out, d, None if any(gauss) else max(map(abs, ints), default=0)
+
+
+def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (a, b) with left[a] == right[b], for ``right`` sorted:
+    each entry of ``left`` meets the run of its value in ``right``; pairs
+    in order of a, then b."""
+    lo = np.searchsorted(right, left, "left")
+    count = np.searchsorted(right, left, "right") - lo
+    a = np.repeat(np.arange(len(left)), count)
+    return a, np.arange(len(a)) + np.repeat(lo + count - np.cumsum(count),
+                                            count)
+
+
+def first_unequal(shape: tuple[int, ...], lhs: list, rhs: list,
+                  tol: float | None) -> tuple[int, ...] | None:
+    """The smallest index of ``shape`` at which two sums differ: exactly
+    when tol is None, else by more than tol times the largest sum of
+    either side (at least 1; a NaN sum is left out of that scale, and
+    fails).  Each side is a list of (index arrays, values) terms, each
+    term adding its value at its index.  The terms of both sides are
+    sorted by flat key, once, and summed per key by one np.add.reduceat
+    into two columns."""
+    parts = [(np.ravel_multi_index(idx, shape), v, side)
+             for side, terms in enumerate((lhs, rhs)) for idx, v in terms]
+    keys = np.concatenate([k for k, _, _ in parts])
+    if not keys.size:
+        return None
+    vals = np.zeros((len(keys), 2),
+                    dtype=np.result_type(*(v for _, v, _ in parts)))
+    off = 0
+    for k, v, side in parts:
+        vals[off:off + len(k), side] = v
+        off += len(k)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    sums = np.add.reduceat(vals[order], starts, axis=0)
+    diff = sums[:, 0] - sums[:, 1]
+    bad = (diff.astype(bool) if tol is None else ~(magnitudes(diff) <= tol * (
+        np.fmax.reduce(magnitudes(sums).ravel(), initial=1.0))))
+    hit = np.flatnonzero(bad)
+    return (tuple(map(int, np.unravel_index(keys[starts[hit[0]]], shape)))
+            if hit.size else None)
 
 
 def float_rank(svals: np.ndarray, tol: float) -> int:

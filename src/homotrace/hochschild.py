@@ -205,7 +205,9 @@ def _push(chain: HochschildChain, f: AInfinityMorphism, partitions
     """``push_chain`` restricted to the ordered partitions ``partitions(k)``
     of each length-k term.  Every partition adds to the output terms of its
     own length only, so a restriction computes those terms exactly as the
-    full push does."""
+    full push does.  Each block reads the nonzero End(M0) coordinates of
+    its component (``AInfinityMorphism.coordinates``, expanded once per
+    morphism), and a partition ends at its first zero block."""
     src = chain.algebra
     if src.space.dims != f.bundle.algebra.space.dims:
         raise ShapeError("chain algebra does not match the morphism's source")
@@ -221,10 +223,10 @@ def _push(chain: HochschildChain, f: AInfinityMorphism, partitions
                 stack: list[tuple[tuple[int, ...], object]] = [((), cc)]
                 pos = 0
                 for size in comp:
-                    vec = endo.expand(f.on_basis(rot[pos:pos + size]))
+                    coords = f.coordinates(rot[pos:pos + size], endo)
                     pos += size
                     stack = [(fl + (idx,), c2 * v) for fl, c2 in stack
-                             for idx, v in enumerate(vec) if v]
+                             for idx, v in coords]
                     if not stack:
                         break
                 for fl, c2 in stack:

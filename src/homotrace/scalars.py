@@ -188,10 +188,3 @@ def zero_scalar(mode: str):
 
 def one_scalar(mode: str):
     return Fraction(1) if mode == EXACT else 1 + 0j
-
-
-def scalar_is_zero(x, tol: float | None) -> bool:
-    """Exact zero test when tol is None, |x| <= tol otherwise."""
-    if tol is None:
-        return not bool(x)
-    return abs(complex(x)) <= tol

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from homotrace.dgcore import DgModuleBundle, Splitting
+from homotrace.dgcore import DgModuleBundle, EndoAlgebra, Splitting
 from homotrace.errors import InputError, QuadratureBudgetError, ShapeError
 from homotrace.glinalg import (AMBIGUITY_BAND, GradedMap, GradedVectorSpace,
                                bar_signs, compose)
@@ -363,6 +363,7 @@ class AInfinityMorphism:
     budget: int = DEFAULT_BUDGET
     reads: set = field(default_factory=set, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
+    _coords: dict = field(default_factory=dict, repr=False, init=False)
     _errors: dict = field(default_factory=dict, repr=False)
     _words: dict = field(default_factory=dict, repr=False)
     _steps: dict = field(default_factory=dict, repr=False)
@@ -378,10 +379,11 @@ class AInfinityMorphism:
         """f_m(b_1, ..., b_m) = p rho(b_1) h ... h rho(b_m) i, in chain order,
         with no sign of its own: in closed form the stored word of b_1 ...
         b_(m-1) times the tail h rho(b_m) i of b_m, one compose (p rho(b) i
-        for m = 1); by quadrature up to MAX_QUAD_ARITY slots (InputError
-        above)."""
+        for m = 1), and no compose and no tail when that word is zero; by
+        quadrature up to MAX_QUAD_ARITY slots (InputError above)."""
         got = self._cache.get(flats)
         if got is None:
+            est = 0.0
             if self.method == "quadrature":
                 if len(flats) > MAX_QUAD_ARITY:
                     raise InputError(f"quadrature takes at most "
@@ -390,13 +392,28 @@ class AInfinityMorphism:
                     [self.bundle.rho_flat(b) for b in flats], self.splitting,
                     self.rel_tol, DEFAULT_ORDER, self.budget)
             elif len(flats) == 1:
-                got, est = compose(self._word(flats),
-                                   self.splitting.include), 0.0
+                got = compose(self._word(flats), self.splitting.include)
             else:
-                got, est = compose(self._word(flats[:-1]),
-                                   self._tail(flats[-1])), 0.0
+                prefix = self._word(flats[:-1])
+                got = (compose(prefix, self._tail(flats[-1])) if prefix.blocks
+                       else self._zero(prefix, flats[-1], self.m0))
             self._cache[flats], self._errors[flats] = got, est
         self.reads.add(flats)
+        return got
+
+    def coordinates(self, flats: tuple[int, ...], endo: EndoAlgebra) -> list:
+        """The nonzero coordinates (k, c) of f_m(b_1, ..., b_m) over the
+        basis of ``endo``, End(M0): kept beside the component, so expanded
+        once per morphism, and never for a zero component.  The tuple is
+        recorded in ``reads`` as ``on_basis`` records it."""
+        got = self._coords.get(flats)
+        if got is None:
+            m = self.on_basis(flats)
+            got = self._coords[flats] = [
+                (k, c) for k, c in enumerate(endo.expand(m)) if c
+            ] if m.blocks else []
+        else:
+            self.reads.add(flats)
         return got
 
     @property
@@ -411,13 +428,25 @@ class AInfinityMorphism:
 
     def _word(self, flats: tuple[int, ...]) -> GradedMap:
         """p rho(b_1) h ... h rho(b_j), kept per prefix: p rho(b_1), then
-        the stored prefix times the step h rho(b_j), one compose each."""
+        the stored prefix times the step h rho(b_j), one compose each; a
+        zero prefix gives a zero word without forming the step."""
         if flats not in self._words:
-            self._words[flats] = (
-                compose(self._word(flats[:-1]), self._step(flats[-1]))
-                if len(flats) > 1 else
-                compose(self.splitting.project, self.bundle.rho_flat(flats[0])))
+            if len(flats) == 1:
+                word = compose(self.splitting.project,
+                               self.bundle.rho_flat(flats[0]))
+            else:
+                prefix = self._word(flats[:-1])
+                word = (compose(prefix, self._step(flats[-1])) if prefix.blocks
+                        else self._zero(prefix, flats[-1], prefix.source))
+            self._words[flats] = word
         return self._words[flats]
+
+    def _zero(self, prefix: GradedMap, b: int,
+              source: GradedVectorSpace) -> GradedMap:
+        """A zero prefix times the step (source: the module) or the tail
+        (source: M0) of b: zero, of the degree of that composite."""
+        return GradedMap.zero(source, prefix.target, prefix.degree - 1
+                              + self.bundle.rho_flat(b).degree, prefix.mode)
 
     def _step(self, b: int) -> GradedMap:
         """h rho(b), kept per basis element."""
@@ -467,6 +496,8 @@ def ainfinity_defect(f: AInfinityMorphism, inputs) -> GradedMap:
         - sum_{i<m} cut_i f(b_1..b_i) f(b_{i+1}..b_m)
 
     ``inputs`` are flat basis indices; any other input raises ShapeError.
+    A zero component ends its term: a zero bar term is not added, and a cut
+    whose left side is zero neither reads its right side nor composes.
     """
     a = f.bundle.algebra
     if not all(isinstance(b, (int, np.integer)) and 0 <= b < a.n_basis
@@ -476,10 +507,13 @@ def ainfinity_defect(f: AInfinityMorphism, inputs) -> GradedMap:
     degrees = [a.basis_degree(b) for b in word]
     total = GradedMap.zero(f.m0, f.m0, sum(degrees) + 2 - len(word), a.mode)
     for w, c in a.bar_terms(word):
-        total = total + f.on_basis(w).scale(c)
+        if (got := f.on_basis(w)).blocks:
+            total = total + got.scale(c)
     for i, (_, cut) in enumerate(bar_signs(degrees)[:-1]):
-        total = total - compose(f.on_basis(word[:i + 1]),
-                                f.on_basis(word[i + 1:])).scale(cut)
+        if not (left := f.on_basis(word[:i + 1])).blocks:
+            continue
+        if (right := f.on_basis(word[i + 1:])).blocks:
+            total = total - compose(left, right).scale(cut)
     return total
 
 

@@ -280,7 +280,7 @@ def test_criterion_7_boundary_stratum_limits():
                              inst.splitting, inst.bundle)
         merged = operator_form(
             [Slot(alg.basis_degree(a1) + alg.basis_degree(a2),
-                  alg.mul_flat(a2, a1))],
+                  alg.mul[a2, a1])],
             ConfigurationPoint(()), inst.splitting, inst.bundle)
         d_merge = (form.component(()) - merged.component(())).max_abs()
         form_inf = operator_form([a1, a2], ConfigurationPoint((1.0 / eps,)),
@@ -305,7 +305,7 @@ def test_criterion_7_boundary_stratum_limits():
         form = operator_form(list(tup), ConfigurationPoint((eps, t2)),
                              inst.splitting, inst.bundle)
         merged_slot = Slot(alg.basis_degree(tup[0]) + alg.basis_degree(tup[1]),
-                           alg.mul_flat(tup[1], tup[0]))
+                           alg.mul[tup[1], tup[0]])
         mform = operator_form([merged_slot, tup[2]], ConfigurationPoint((t2,)),
                               inst.splitting, inst.bundle)
         d = (form.component({1}) - mform.component({0})).max_abs()

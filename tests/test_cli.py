@@ -214,6 +214,18 @@ def test_gen_respects_dims_bound(tmp_path, capsys):
                 "-o", str(tmp_path / "x.json")]) == 2
 
 
+def test_overflowing_float_instance_fails_with_one_line(tmp_path, capsys):
+    """Random seed 48 with dims 3,3,3 overflows doubles in its own axiom
+    checks: the run exits 1 with its one check-failure line, and numpy
+    warns about none of the overflows (warnings are errors here)."""
+    assert run(["gen", "--kind", "random", "--seed", "48", "--dims", "3,3,3",
+                "--mode", "float", "-o", str(tmp_path / "x.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "check failure: generated instance fails validation: "
+        "algebra-differential-squared, leibniz, associativity, "
+        "action-chain-map, action-multiplicative"]
+
+
 @pytest.mark.parametrize("command, instance, chains", [
     ("verify", {"format": "homotrace-instance/1", "scalar": "exact"}, None),
     ("verify", {"format": "homotrace-instance/1", "scalar": "exact",

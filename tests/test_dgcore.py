@@ -3,7 +3,7 @@
 import dataclasses
 import functools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homotrace.dgcore import (
+    _algebra_failures,
     _entries,
     _expand_pivots,
     algebra_from_operators,
@@ -29,6 +30,7 @@ from homotrace.glinalg import (
     AMBIGUITY_BAND,
     GradedMap,
     GradedVectorSpace,
+    clear_denominators,
     compose,
     identity_matrix,
     matrix_from_rows,
@@ -38,7 +40,8 @@ from homotrace.glinalg import (
 )
 from homotrace.instances import matrix_instance, random_instance, \
     t1_instance, to_float_instance, torus_instance
-from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, GaussianRational
+from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, GaussianRational,
+                               one_scalar)
 from homotrace.transfer import _to_float
 
 
@@ -213,7 +216,7 @@ def _multiplicative_reference(bundle, tol):
     for i in range(a.n_basis):
         for j in range(a.n_basis):
             try:
-                lhs = bundle.rho_vector(a.mul_flat(i, j))
+                lhs = bundle.rho_vector(a.mul[i, j])
             except ShapeError:
                 return i, j
             if not lhs.equals(compose(bundle.rho_flat(i), bundle.rho_flat(j)),
@@ -632,6 +635,8 @@ def test_splitting_fields_read_off_spectrum_match_stored(case, option):
 
 
 def _table_algebra(case: str):
+    if case == "r42":              # cleared constants beyond int64
+        return random_instance(42, {0: 2, 1: 3, 2: 2}).bundle.algebra
     if case == "End(T1)":
         t1 = t1_instance().bundle
         return endomorphism_bundle(t1.space, t1.q, EXACT).algebra
@@ -669,6 +674,114 @@ def test_algebra_tables_match_their_definitions(case):
         for j in range(n):
             assert alg.product_terms[i][j] == _entries(alg.mul[i, j])
     assert alg.flat_by_name("no such name") is None
+
+
+def _dict_algebra_failures(a, tol):
+    """The dict-based axiom check that the join of ``_algebra_failures``
+    replaced, kept as its oracle: each side of an identity contracted over
+    the nonzero structure constants and differential entries into a dict
+    keyed by basis indices and output, and the smallest key at which the
+    sides differ (exactly, or beyond tol times the largest value of either
+    side, at least 1).  Without tol on the cleared integers."""
+    n = a.n_basis
+    mul, diff = a.mul, a.differential.dense().T  # row i: d(e_i)
+    unit, one = a.unit, one_scalar(a.mode)
+    if tol is None:
+        mul, dm, _ = clear_denominators(mul)
+        diff = clear_denominators(diff)[0]
+        unit, du, _ = clear_denominators(unit)
+        one = dm * du
+    mul = _entries(mul)
+    left = [[] for _ in range(n)]            # left[i]: (j, m, c)
+    right = [[] for _ in range(n)]           # right[j]: (i, m, c)
+    for i, j, m, c in mul:
+        left[i].append((j, m, c))
+        right[j].append((i, m, c))
+    d_of = [_entries(row) for row in diff]   # d(e_i): (m, x)
+    sign = [(-1) ** (a.basis_degree(i) % 2) for i in range(n)]
+
+    def differ(x, scaled):
+        return bool(x) if tol is None else not abs(complex(x)) <= scaled
+
+    def first_mismatch(lhs, rhs):
+        scaled = tol and tol * max([1.0] + [abs(complex(v)) for v in (
+            *lhs.values(), *rhs.values())])
+        return min((key for key in lhs.keys() | rhs.keys()
+                    if differ(lhs.get(key, 0) - rhs.get(key, 0), scaled)),
+                   default=None)
+
+    lhs, rhs = defaultdict(int), defaultdict(int)
+    for i, j, m, c in mul:
+        for l, x in d_of[m]:
+            lhs[i, j, l] += c * x
+    for i in range(n):
+        for m, x in d_of[i]:
+            for j, l, c in left[m]:
+                rhs[i, j, l] += x * c
+            for h, l, c in right[m]:
+                rhs[h, i, l] += sign[h] * c * x
+    leibniz = first_mismatch(lhs, rhs)
+
+    lhs, rhs = defaultdict(int), defaultdict(int)
+    for i, j, m, c in mul:
+        for k, l, x in left[m]:
+            lhs[i, j, k, l] += c * x
+        for h, l, x in right[m]:
+            rhs[h, i, j, l] += x * c
+    assoc = first_mismatch(lhs, rhs)
+
+    lhs = defaultdict(int)
+    for m, u in _entries(unit):
+        for i, l, c in left[m]:
+            lhs[i, 0, l] += u * c
+        for i, l, c in right[m]:
+            lhs[i, 1, l] += c * u
+    unit = first_mismatch(lhs, {(i, s, i): one for i in range(n)
+                                for s in (0, 1)})
+    return leibniz and leibniz[:2], assoc and assoc[:3], unit and unit[0]
+
+
+def _perturbed_algebras(a):
+    """Copies of the algebra with its first nonzero structure constant, its
+    first nonzero unit coordinate or an entry of its differential (where
+    the algebra has two adjacent degrees) raised by 1."""
+    one = one_scalar(a.mode)
+    mul, unit = np.array(a.mul), np.array(a.unit)
+    mul[tuple(np.argwhere(mul.astype(bool))[0])] += one
+    unit[np.flatnonzero(unit)[0]] += one
+    copies = [make_algebra(a.space, a.differential, mul, a.unit, a.mode),
+              make_algebra(a.space, a.differential, a.mul, unit, a.mode)]
+    for g in a.space.degrees()[:-1]:
+        if a.space.dim(g + 1):
+            blocks = dict(a.differential.blocks)
+            blocks[g] = np.array(a.differential.block(g))
+            blocks[g][-1, 0] += one
+            copies.append(make_algebra(a.space, GradedMap.build(
+                a.space, a.space, 1, blocks, a.mode), a.mul, a.unit, a.mode))
+            break
+    return copies
+
+
+@pytest.mark.parametrize("case", ["T1", "r11", "m32", "T1-gaussian", "T1f",
+                                  "r7f", "torus1", "r42"])
+def test_algebra_axiom_join_matches_dict_oracle(case):
+    """The join returns the dict oracle's (leibniz, associativity, unit)
+    witnesses on each instance and on copies with one structure constant,
+    the unit or one differential entry (not on torus1, all in degree 0)
+    raised by 1, every copy failing some law.  r42's cleared constants
+    exceed int64, so its sums run on Python ints (only its
+    structure-constant copy is checked: the oracle takes about 0.5 s
+    there); T1-gaussian's run on GaussianRationals."""
+    alg = _table_algebra(case)
+    tol = None if alg.mode == EXACT else DEFAULT_TOL
+    copies = _perturbed_algebras(alg)[:1 if case == "r42" else None]
+    assert len(copies) == {"r42": 1, "torus1": 2}.get(case, 3)
+    for a in [alg, *copies]:
+        assert _algebra_failures(a, tol) == _dict_algebra_failures(a, tol)
+    assert all(_algebra_failures(a, tol) != (None, None, None)
+               for a in copies)
+    if case == "r42":
+        assert alg.integer_view[0][2] >= 2 ** 63
 
 
 def test_heat_decay_bound(torus1):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homotrace.dgcore import build_splitting_projector
+from homotrace.dgcore import EndoAlgebra, build_splitting_projector
 from homotrace.hochschild import (
     HochschildChain,
     chain_map_defect,
@@ -58,9 +58,9 @@ def test_degree_zero_pair_gives_commutator(t1):
     assert alg.basis_degree(a) == alg.basis_degree(b) == 0
     total = hochschild_boundary(HochschildChain.of(alg, (a, b)))
     expect = HochschildChain.zero(alg)
-    for idx, v in enumerate(alg.mul_flat(a, b)):
+    for idx, v in enumerate(alg.mul[a, b]):
         expect.add_term((idx,), v)
-    for idx, v in enumerate(alg.mul_flat(b, a)):
+    for idx, v in enumerate(alg.mul[b, a]):
         expect.add_term((idx,), -v)
     for idx, v in enumerate(alg.diff_flat(a)):
         expect.add_term((idx, b), v)
@@ -263,6 +263,34 @@ def test_chain_map_property_torus(torus1, torus_morphism):
             HochschildChain.of(alg, random_term(rng, alg, k)),
             torus_morphism, tol=1e-8)
         assert rep.passed
+
+
+def test_push_expands_each_nonzero_word_once(monkeypatch):
+    """Pushing 20 seeded r11 chains twice through a fresh morphism expands
+    a component over End(M0) only when it is nonzero, and each nonzero
+    word read at most once; the chains also read zero words."""
+    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    alg = inst.bundle.algebra
+    rng = random.Random(0)
+    chains = [HochschildChain.of(alg, tuple(
+        rng.randrange(alg.n_basis) for _ in range(rng.randint(1, 4))))
+        for _ in range(20)]
+    expanded, expand = [], EndoAlgebra.expand
+
+    def counted(self, m):
+        expanded.append(m)
+        return expand(self, m)
+
+    monkeypatch.setattr(EndoAlgebra, "expand", counted)
+    for _ in range(2):
+        for chain in chains:
+            push_chain(chain, f)
+    monkeypatch.undo()
+    nonzero = {w for w in f.reads if f.on_basis(w).blocks}
+    assert all(m.blocks for m in expanded)
+    assert len(expanded) == len(nonzero) > 0
+    assert len(f.reads) > len(nonzero)
 
 
 def test_push_matches_rotation_sum_for_traces(t1, t1_morphism):

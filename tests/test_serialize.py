@@ -12,8 +12,8 @@ from homotrace import cli, dgcore, glinalg, serialize
 from homotrace.dgcore import validate_bundle
 from homotrace.errors import ClosureError, InputError
 from homotrace.hochschild import HochschildChain
-from homotrace.instances import random_instance, to_float_instance, \
-    torus_instance
+from homotrace.instances import matrix_instance, random_instance, \
+    to_float_instance, torus_instance
 from homotrace.scalars import DEFAULT_TOL
 from homotrace.serialize import (
     instance_to_dict,
@@ -38,7 +38,7 @@ def test_exact_round_trip(tmp_path, t1):
     for i in range(b0.algebra.n_basis):
         assert b0.rho_flat(i).equals(b1.rho_flat(i))
         for j in range(b0.algebra.n_basis):
-            assert all(b0.algebra.mul_flat(i, j) == b1.algebra.mul_flat(i, j))
+            assert all(b0.algebra.mul[i, j] == b1.algebra.mul[i, j])
 
 
 def test_float_round_trip(tmp_path, torus1):
@@ -85,7 +85,7 @@ def test_float_random_round_trip(tmp_path):
     for i in range(alg.n_basis):
         for j in range(alg.n_basis):
             degree = alg.basis_degree(i) + alg.basis_degree(j)
-            assert all(c == 0 for k, c in enumerate(alg.mul_flat(i, j))
+            assert all(c == 0 for k, c in enumerate(alg.mul[i, j])
                        if alg.basis_degree(k) != degree)
 
 
@@ -172,6 +172,25 @@ def test_one_residual_pass_per_load(tmp_path, torus2, monkeypatch, which):
     bundle = load_instance(str(path)).bundle
     assert validate_bundle(bundle).ok
     assert computed == [bundle] and computed[0] is bundle
+
+
+def test_exact_load_clears_the_structure_constants_once(tmp_path,
+                                                       monkeypatch):
+    """An exact m32 load (algebra dim 25) clears the denominators of its
+    (25, 25, 25) structure-constant tensor once: the action residuals and
+    the axiom join both read the algebra's integer view."""
+    path = tmp_path / "m32.json"
+    save_instance(matrix_instance({0: 3, 1: 2},
+                                  q_entries=[("d0_0", "d1_0", 1)]), str(path))
+    shapes, clear = [], dgcore.clear_denominators
+
+    def counted(t):
+        shapes.append(t.shape)
+        return clear(t)
+
+    monkeypatch.setattr(dgcore, "clear_denominators", counted)
+    assert load_instance(str(path)).bundle.algebra.n_basis == 25
+    assert shapes.count((25, 25, 25)) == 1
 
 
 @pytest.mark.parametrize("gen_args", [

@@ -184,9 +184,9 @@ def test_commutator_of_closed_operators_traces_to_zero(t1, t1_morphism):
               and not any(bool(x) for x in alg.diff_flat(k))]
     for a, b in itertools.product(closed, repeat=2):
         comm = HochschildChain.zero(alg)
-        for idx, v in enumerate(alg.mul_flat(a, b)):
+        for idx, v in enumerate(alg.mul[a, b]):
             comm.add_term((idx,), v)
-        for idx, v in enumerate(alg.mul_flat(b, a)):
+        for idx, v in enumerate(alg.mul[b, a]):
             comm.add_term((idx,), -v)
         assert transferred_trace(comm, t1_morphism) == 0
 

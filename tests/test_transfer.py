@@ -240,14 +240,15 @@ def test_on_basis_is_chain_order_component(t1):
 def test_on_basis_miss_with_stored_prefix_is_one_compose(monkeypatch):
     """Once the prefix b_1 b_2 is stored (by evaluating b_1 b_2 b_0) and
     the tail h rho(b_3) i is (by any pair ending in b_3), a miss on
-    b_1 b_2 b_3 costs exactly one compose, and a hit none."""
+    b_1 b_2 b_3 costs one compose when the prefix is nonzero and none when
+    it is zero, and a hit none."""
     inst = random_instance(11, {0: 2, 1: 3, 2: 2})
     f = transferred_morphism(inst.bundle, inst.splitting)
     n = inst.bundle.algebra.n_basis
     for pair in itertools.product(range(n), repeat=2):
         f.on_basis(pair)
         f.on_basis(pair + (0,))
-    calls = []
+    calls, seen = [], set()
 
     def counting(*args):
         calls.append(args)
@@ -255,11 +256,44 @@ def test_on_basis_miss_with_stored_prefix_is_one_compose(monkeypatch):
 
     monkeypatch.setattr(transfer, "compose", counting)
     for flats in itertools.product(range(n), range(n), range(1, n)):
+        want = 1 if f._word(flats[:2]).blocks else 0
+        seen.add(want)
         f.on_basis(flats)
-        assert len(calls) == 1, flats
+        assert len(calls) == want, flats
         f.on_basis(flats)
-        assert len(calls) == 1, flats
+        assert len(calls) == want, flats
         calls.clear()
+    assert seen == {0, 1}
+
+
+def test_ainfinity_defect_composes_no_cut_with_a_zero_side(monkeypatch):
+    """On 200 seeded r11 words of arity 2-4, once the components are
+    stored, the only composes of ``ainfinity_defect`` are its cuts f(b_1
+    .. b_i) f(b_(i+1) .. b_m) with two nonzero sides: one per such cut,
+    and none for the cuts with a zero side, which the words include."""
+    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    n = inst.bundle.algebra.n_basis
+    rng = random.Random(0)
+    words = [tuple(rng.randrange(n) for _ in range(rng.randint(2, 4)))
+             for _ in range(200)]
+    for word in words:
+        assert ainfinity_defect(f, word).is_zero()
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return compose(*args)
+
+    monkeypatch.setattr(transfer, "compose", counting)
+    for word in words:
+        assert ainfinity_defect(f, word).is_zero()
+    monkeypatch.undo()
+    sides = [(f.on_basis(w[:i]).blocks, f.on_basis(w[i:]).blocks)
+             for w in words for i in range(1, len(w))]
+    assert all(a.blocks and b.blocks for a, b in calls)
+    assert len(calls) == sum(1 for left, right in sides if left and right)
+    assert any(not (left and right) for left, right in sides)
 
 
 def test_transferred_morphism_rejects_methods_it_cannot_evaluate(t1):
@@ -323,7 +357,7 @@ def _slot_formula_defect(f, word):
             slots[:i] + [diff] + slots[i + 1:]).scale(sigma)
     for i, (_, cut) in enumerate(signs[:-1]):
         merged = Slot(slots[i].degree + slots[i + 1].degree,
-                      alg.mul_flat(word[i], word[i + 1]))
+                      alg.mul[word[i], word[i + 1]])
         term = f.value(slots[:i] + [merged] + slots[i + 2:]) - compose(
             f.value(slots[:i + 1]), f.value(slots[i + 1:]))
         total = total + term.scale(cut)
@@ -528,7 +562,7 @@ def _stratum_diffs(inst, a1, a2, eps):
     form = operator_form([a1, a2], ConfigurationPoint((eps,)), inst.splitting,
                          inst.bundle)
     merged_slot = Slot(alg.basis_degree(a1) + alg.basis_degree(a2),
-                       alg.mul_flat(a2, a1))
+                       alg.mul[a2, a1])
     merged = operator_form([merged_slot], ConfigurationPoint(()),
                            inst.splitting, inst.bundle)
     d_merge = (form.component(()) - merged.component(())).max_abs()
@@ -569,7 +603,7 @@ def test_boundary_strata_arity_three_merge():
         form = operator_form(list(tup), ConfigurationPoint((eps, t2)),
                              t1f.splitting, t1f.bundle)
         merged_slot = Slot(alg.basis_degree(tup[0]) + alg.basis_degree(tup[1]),
-                           alg.mul_flat(tup[1], tup[0]))
+                           alg.mul[tup[1], tup[0]])
         mform = operator_form([merged_slot, tup[2]], ConfigurationPoint((t2,)),
                               t1f.splitting, t1f.bundle)
         diffs.append((form.component({1}) - mform.component({0})).max_abs())
