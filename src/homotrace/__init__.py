@@ -12,7 +12,6 @@ from homotrace.glinalg import (
     GradedVectorSpace,
     GradedMap,
     compose,
-    tensor_map,
     supercommutator,
 )
 from homotrace.dgcore import (

@@ -2,16 +2,16 @@
 
 A ``DgAlgebra`` carries its product as one structure-constant tensor over
 a homogeneous basis; in exact mode it clears the denominators of the
-tensor, the differential and the unit once (``integer_view``), and every
-integer check reads that view.  A ``DgModuleBundle`` couples an algebra
-to a module via the action rho (one graded map per basis operator) and
-computes the residuals of the three action identities once.
-``algebra_from_operators`` derives the tensor, the unit and the
-differential from a basis of operators on a dg module, reading them off
-n_g pivot entries per degree in both modes, and proves closure from those
-residuals; ``validate_bundle`` checks the algebra axioms on every basis
-pair and triple, each law as one join over the nonzero entries
-(``glinalg.first_unequal``), and reads the action checks off the same
+tensor, the differential and the unit once (``integer_view``).  A
+``DgModuleBundle`` couples an algebra to a module via the action rho (one
+graded map per basis operator), and its ``residuals`` check the three
+action identities as one join over the nonzero entries of rho and Q.
+``algebra_from_operators`` reads those entries once into a
+``ModuleView`` (cleared once in exact mode), reads the tensor, the unit
+and the differential off n_g pivot entries per degree of that view, and
+proves closure from the residuals, which read the same view.
+``validate_bundle`` checks each algebra axiom as one join over nonzero
+entries (``glinalg.first_unequal``) and reads the action checks off the
 residuals.  A ``Splitting`` of the module into its cohomology part and an
 acyclic part is (kind, kappa, spectrum of {Q, kappa}), in projector or
 Laplacian normalization; m0, include, project, pi0, pi1 and the
@@ -21,7 +21,7 @@ normalized homotopy are read off the spectrum.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
+from collections import defaultdict, namedtuple
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -42,14 +42,18 @@ from homotrace.glinalg import (
     bar_signs,
     clear_denominators,
     compose,
+    coo,
+    entries,
     first_unequal,
+    int_dtype,
     invert_exact,
     join,
+    key_sums,
     magnitudes,
     max_abs,
     nullspace_and_pivots,
-    pivot_rows,
-    stack_dense,
+    sparse_pivots,
+    stored_entries,
     supercommutator,
     zeros_matrix,
 )
@@ -93,14 +97,14 @@ class DgAlgebra:
         """product_terms[i][j]: (k, c) per nonzero coefficient of e_i e_j."""
         out = [[[] for _ in range(self.n_basis)] for _ in range(self.n_basis)]
         support = self.integer_view[0][0] if self.mode == EXACT else self.mul
-        for i, j, k, c in _entries(self.mul, support):
+        for i, j, k, c in entries(self.mul, support):
             out[i][j].append((k, c))
         return out
 
     @cached_property
     def differential_terms(self) -> list[list[tuple]]:
         """differential_terms[i]: (k, c) per nonzero coefficient of d(e_i)."""
-        return [_entries(row) for row in self.differential.dense().T]
+        return [entries(row) for row in self.differential.dense().T]
 
     @cached_property
     def name_index(self) -> dict[str, int]:
@@ -142,12 +146,7 @@ class DgAlgebra:
         return zeros_matrix(1, self.n_basis, self.mode)[0]
 
     def mul_vectors(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = self._zero_vec()
-        right = np.flatnonzero(b)
-        for i in np.flatnonzero(a):
-            for j in right:
-                out = out + (a[i] * b[j]) * self.mul[i, j]
-        return out
+        return np.tensordot(np.outer(a, b), self.mul)
 
 
 def make_algebra(space: GradedVectorSpace, differential: GradedMap,
@@ -167,11 +166,11 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     operators on (space, q), with rho those operators ordered by (degree,
     input order).
 
+    The nonzero entries of rho and Q are read once (``module_view``).
     Every product, the identity and every {Q, op} is expanded over the
-    operators of its own degree from its values at n_g pivot entries of
-    that degree, in both modes (``_expand_pivots``; exact pivots come from
-    exact elimination, float ones from partial pivoting).  The bundle's
-    ``residuals`` then prove closure: the first operator outside the span
+    operators of its degree from its sums at n_g pivot entries of that
+    degree (``_expand_pivots``), and the bundle's ``residuals``, read off
+    the same view, prove closure: the first operator outside the span
     (products in row-major order, the identity, each {Q, op}), nonzero
     (exact) or above AMBIGUITY_BAND * tol (float), raises ClosureError
     naming it.  Linearly dependent operators raise InputError (in float,
@@ -186,7 +185,8 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     aspace = GradedVectorSpace.make({g: len(v) for g, v in labels.items()},
                                     labels)
     n, off = len(rho), aspace.offsets()
-    vals = _expand_pivots(space, q, rho, mode, tol)
+    view = module_view(space, q, rho, mode)
+    vals = _expand_pivots(view, tol)
     dmat = vals[n * n + 1:]                  # row k: d(e_k)
     blocks = {g: dmat[off[g]:off[g] + dim,
                       off[g + 1]:off[g + 1] + aspace.dim(g + 1)].T
@@ -195,6 +195,7 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     bundle = DgModuleBundle(make_algebra(
         aspace, differential, vals[:n * n].reshape(n, n, n), vals[n * n],
         mode), space, q, rho, mode)
+    vars(bundle)["_view"] = view             # lent to the residuals once
     bad = _first_failure(bundle.residuals,
                          None if mode == EXACT else AMBIGUITY_BAND * tol)
     if bad is not None:
@@ -212,56 +213,88 @@ def _escaped(row: int, names: list[str]) -> ClosureError:
                         "operators")
 
 
-def _expand_pivots(space: GradedVectorSpace, q: GradedMap,
-                   rho: tuple[GradedMap, ...], mode: str, tol: float
-                   ) -> np.ndarray:
+ModuleView = namedtuple("ModuleView", "mode size degrees op pos val ints "
+                        "d top keys sums bound")
+ModuleView.__doc__ = """The nonzero entries of rho and Q and the module side
+of each action identity, read once (``module_view``).  Entry e of rho is
+entry ``pos[e]`` = r * size + c of rho_``op[e]``, in (op, r, c) order,
+with value ``val[e]``; exact ``ints`` are the values times ``d``, the
+least common multiple of the denominators of rho's and Q's entries, and
+``top`` bounds them.  ``sums[t]`` is entry (r, c) of rho_i rho_j (row
+i n + j), of the identity (row n^2) or of {Q, rho_k} (row n^2 + 1 + k)
+at ``keys[t]`` = row * size^2 + r * size + c, times d^2 and bounded by
+``bound``.  In float mode d is 1 and the bounds are None."""
+
+
+def module_view(space: GradedVectorSpace, q: GradedMap,
+                rho: tuple[GradedMap, ...], mode: str) -> ModuleView:
+    """The ``ModuleView`` of rho (sorted by degree) and Q.  Q is operator n
+    here, so the sums are one join of the entries with themselves
+    (``glinalg.key_sums``), in int64 when the bound allows it."""
+    size, n, deg = space.total_dim, len(rho), [m.degree for m in rho]
+    (op, row, col), val = stored_entries((*rho, q))
+    ints, d, top = (clear_denominators(val) if mode == EXACT
+                    else (val, 1, None))
+    bound = None if top is None else 2 * size * top * top + d * d
+    dtype = complex if mode == FLOAT else int_dtype(bound)
+    # the row of _escaped and the sign of each product of two operators:
+    # rho_i rho_j, Q rho_k and -(-1)^|k| rho_k Q (Q Q is left out)
+    k = np.arange(n + 1)
+    line = k[:, None] * n + k
+    line[n], line[:, n] = n * n + 1 + k, n * n + 1 + k
+    sign = np.ones((n + 1, n + 1), dtype=int)
+    sign[:n, n] = 2 * (np.array(deg, dtype=int) % 2) - 1
+    a, b = join(col, row)                     # left[r, s] right[s, c]
+    keep = np.flatnonzero(op[a] + op[b] < 2 * n)
+    a, b = a[keep], b[keep]
+    x, diag = ints.astype(dtype), np.arange(size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        keys, sums = key_sums([
+            ((line[op[a], op[b]] * size + row[a]) * size + col[b],
+             sign[op[a], op[b]] * x[a] * x[b]),
+            ((n * n * size + diag) * size + diag,
+             np.full(size, d * d, dtype))], [])
+    r = np.searchsorted(op, n)                # Q's entries come last
+    return ModuleView(mode, size, tuple(deg), op[:r], row[:r] * size + col[:r],
+                      val[:r], ints[:r], d, top, keys, sums[:, 0], bound)
+
+
+def _expand_pivots(view: ModuleView, tol: float) -> np.ndarray:
     """Each product, the identity and each {Q, op} over the flat basis, in
     the rows of ``_escaped`` (meaningless outside the span).  The n_g
     operators of degree g are factored once at n_g of their nonzero entries
-    (``glinalg.pivot_rows``); entry (r, c) of rho_i rho_j or {Q, rho_k} is
-    row r of the left factor times column c of the right, so no product is
-    formed.  Float solves every row at the pivots; exact evaluates the rows
-    of degree g alone, in integers (one ``clear_denominators`` of the rho
-    stack and of Q), times the once-inverted pivot block."""
-    n, dense, qd = len(rho), stack_dense(rho, space, mode), q.dense()
-    deg = [m.degree for m in rho]            # sorted
-    sign = 1 - 2 * (np.array(deg) % 2)       # (-1)^|k|
+    (``glinalg.sparse_pivots``), where the view's sums give every row, so no
+    product is formed.  Float solves at the pivots; exact multiplies the
+    nonzero rows of degree g by the once-inverted pivot block."""
+    deg, mode = view.degrees, view.mode
+    n = len(deg)
     vals = zeros_matrix(n * n + 1 + n, n, mode)
-    if mode == EXACT:
-        (ints, dr, _), (qd, dq, _) = map(clear_denominators, (dense, qd))
+    pivot, blocks = np.zeros(n, dtype=int), []
     for g in sorted(set(deg)):
         at = slice(deg.index(g), deg.index(g) + deg.count(g))
-        rows, cols = np.nonzero(dense[at].astype(bool).any(axis=0))
-        live = dense[at, rows, cols].T           # the nonzero entries
+        lo, hi = np.searchsorted(view.op, (at.start, at.stop))
         try:
-            piv = pivot_rows(live, tol)
+            pivot[at], block = sparse_pivots(
+                view.pos[lo:hi], view.op[lo:hi] - at.start, view.val[lo:hi],
+                at.stop - at.start, mode, tol)
         except ShapeError as exc:
             raise InputError(f"the declared operators of degree {g} are "
                              "linearly dependent") from exc
+        blocks.append((at, block))
+    got = np.zeros((n * n + 1 + n, n), dtype=view.sums.dtype)
+    rows, pos = np.unravel_index(view.keys, (len(got), view.size ** 2))
+    a, b = join(pos, pivot)
+    got[rows[a], b] = view.sums[a]            # each row at each pivot
+    for at, block in blocks:
         if mode == FLOAT:
-            for p, r, c in zip(range(at.start, at.stop), rows[piv], cols[piv]):
-                left, right = dense[:, r], dense[:, :, c]   # row r, column c
-                vals[:n * n, p] = (left @ right.T).reshape(-1)
-                vals[n * n, p] = r == c
-                vals[n * n + 1:, p] = right @ qd[r] - sign * (left @ qd[:, c])
-            vals[:, at] = np.linalg.solve(live[piv], vals[:, at].T).T
+            vals[:, at] = np.linalg.solve(block, got[:, at].T).T
             continue
-        # rows of degree g and the identity (0 off degree 0) at the pivots,
-        # over dr^2 dq; left[op, p] is row r_p of op, right[op, p] column c_p
-        r, c = rows[piv], cols[piv]
-        left, right = ints[:, r], ints[:, :, c].transpose(0, 2, 1)
-        i, j = np.nonzero(np.add.outer(deg, deg) == g)
-        k = np.flatnonzero(np.add(deg, 1) == g)
-        inv, d, _ = clear_denominators(invert_exact(live[piv]))
-        got = np.concatenate([
-            (left[i] * right[j]).sum(axis=2) * dq,
-            [(r == c).astype(object) * (dr * dr * dq)],
-            ((right[k] * qd[r]).sum(axis=2) - sign[k, None]
-             * (left[k] * qd[:, c].T).sum(axis=2)) * dr]) @ inv.T
-        sel = np.concatenate([i * n + j, [n * n], n * n + 1 + k])
-        nz = np.nonzero(got.astype(bool))
-        vals[sel[nz[0]], at.start + nz[1]] = \
-            got[nz] * Fraction(1, d * dr * dr * dq)
+        rows = np.flatnonzero(got[:, at].astype(bool).any(axis=1))
+        inv, d, _ = clear_denominators(invert_exact(block))
+        part = got[rows, at].astype(object) @ inv.T
+        nz = np.nonzero(part.astype(bool))
+        vals[rows[nz[0]], at.start + nz[1]] = part[nz] * Fraction(
+            1, d * view.d * view.d)
     return vals
 
 
@@ -282,8 +315,9 @@ class DgModuleBundle:
     def residuals(self) -> np.ndarray:
         """The action identities in the rows of ``_escaped``: rho(e_i e_j)
         against rho_i rho_j, rho(unit) against the identity, rho(d e_k)
-        against {Q, rho_k}.  Float rows hold the largest entry difference
-        (NaN kept), exact rows whether the sides differ.  Computed once."""
+        against {Q, rho_k}, as one join over the nonzero entries of rho and
+        Q.  Float rows hold the largest entry difference (NaN kept), exact
+        rows whether the sides differ.  Computed once."""
         return _action_residuals(self)
 
     def rho_vector(self, coeffs: np.ndarray) -> GradedMap:
@@ -334,15 +368,12 @@ def validate_bundle(bundle: DgModuleBundle, tol: float | None = None
     (the witness is the first failing one), exactly or, with ``tol``, to
     ``tol`` relative to the largest coefficient on either side (at least 1).
     Each law is one join over the nonzero structure constants and
-    differential entries, summed per output key (``_algebra_failures``).
-    Exact checks read the algebra's ``integer_view``: the structure
-    constants, the algebra differential and the unit, each multiplied by
-    the least common multiple of its denominators, so both sides of every
-    identity carry the same scale and the sums run over integers.
-    rho(unit) = id, the chain-map identity of each rho_k and rho(e_i e_j) =
-    rho(e_i) rho(e_j) on every pair are read off ``bundle.residuals``,
-    exactly or to ``tol`` per row; the witness is the first failing basis
-    element or pair.
+    differential entries (``_algebra_failures``), exact ones on the
+    cleared ``integer_view``.  rho(unit) = id, the chain-map identity of
+    each rho_k and rho(e_i e_j) = rho(e_i) rho(e_j) on every pair are read
+    off ``bundle.residuals``, one join over the nonzero entries of rho
+    and Q, exactly or to ``tol`` per row; the witness is the first failing
+    basis element or pair.
     """
     if bundle.mode == FLOAT and tol is None:
         tol = DEFAULT_TOL
@@ -391,55 +422,49 @@ def _first_failure(residuals: np.ndarray, tol: float | None) -> int | None:
 
 
 def _action_residuals(bundle: DgModuleBundle) -> np.ndarray:
-    """``DgModuleBundle.residuals``.  rho is the dense (n, size, size)
-    stack of the module matrices.  For each left factor i the sums
-    sum_m mul[i, j, m] rho_m are compared with rho_i rho_j for every j in
-    one contraction, on the rows where either side can be nonzero; a
-    product with terms outside degree |i| + |j| fails too, since rho is
-    injective on each degree.  The unit and differential rows follow one
-    at a time.  Exact residuals run on integers: each array is scaled by
-    the least common multiple of its denominators and each side of an
-    identity by the other side's scales; the products run in int64 when a
-    bound on every product and sum allows it, the other rows in Python
-    ints.  The algebra's arrays are its ``integer_view``.  Float residuals
-    are computed with overflow ignored: an inf or NaN row fails."""
+    """``DgModuleBundle.residuals``, as one join over the nonzero entries:
+    each structure constant, unit coordinate and differential entry t[m]
+    meets the entries of rho_m, and ``glinalg.key_sums`` adds these terms
+    per (row, r, c) against the module side of the ``ModuleView`` that the
+    bundle's load lent it (read here otherwise, and not kept).  A product
+    with terms outside degree |i| + |j| fails too, since rho is injective
+    on each degree.  Exact sums run on the ``integer_view`` and the view's
+    integers, each side times the other's scales, in int64 when a bound
+    allows it; float rows are computed with overflow ignored, so an inf or
+    NaN row fails."""
+    view = vars(bundle).pop("_view", None) or module_view(
+        bundle.space, bundle.q, bundle.rho, bundle.mode)
     a, exact = bundle.algebra, bundle.mode == EXACT
-    n, size = a.n_basis, bundle.space.total_dim
-    (mul, dm, top_m), (diff, dd, _), (unit, du, _) = (
-        a.integer_view if exact else [(t, 1, None) for t in (
-            a.mul, a.differential.dense().T, a.unit)])
-    (rho, dr, top_r), (q, dq, _) = [
-        clear_denominators(t) if exact else (t, 1, None) for t in (
-            stack_dense(bundle.rho, bundle.space, bundle.mode),
-            bundle.q.dense())]
-    pm, pr = ((mul.astype(np.int64), rho.astype(np.int64))
-              if top_m is not None and top_r is not None
-              and n * top_m * top_r * dr + size * top_r * top_r * dm < 2 ** 63
-              else (mul, rho))
-    used_by = pm.astype(bool).any(axis=1)    # used_by[i, m]: some mul[i, j, m]
-    live = rho.astype(bool).any(axis=2)      # the nonzero rows of each rho_m
-    out = np.empty(n * n + 1 + n, dtype=bool if exact else float)
-
-    def row(coeffs: np.ndarray, scale, target: np.ndarray):
-        got = sum((c * rho[m] for m, c in _entries(coeffs)),
-                  np.zeros((size, size), dtype=rho.dtype)) * scale - target
-        return got.astype(bool).any() if exact else max_abs(got)
-
+    n, sq = a.n_basis, view.size * view.size
+    if exact:
+        (mul, dm, tm), (diff, dd, td), (unit, du, tu) = a.integer_view
+        lift, scales = view.d, (dm, du, dd)
+        dtype = int_dtype(None if None in (tm, td, tu, view.bound) else
+                          n * max(tm, td, tu) * view.top * lift
+                          + view.bound * max(scales))
+    else:
+        mul, diff, unit = a.mul, a.differential.dense().T, a.unit
+        dtype, lift, scales = complex, 1, (1, 1, 1)
+    # coefficient c of rho_m in row t: rho(e_i e_j), rho(unit), rho(d e_k)
+    (t, m), c = coo(np.concatenate([mul.reshape(n * n, n), unit[None],
+                                     diff]), dtype)
+    p, e = join(m, view.op)
+    rhs = view.sums.astype(dtype)
+    cut = np.searchsorted(view.keys, (n * n * sq, (n * n + 1) * sq))
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            used = np.flatnonzero(used_by[i])
-            rows = np.flatnonzero(live[i] | live[used].any(axis=0))
-            part = pr[np.ix_(used, rows)].reshape(len(used), len(rows) * size)
-            got = (pm[i][:, used] @ (part * dr)
-                   - np.matmul(pr[i, rows] * dm, pr).reshape(n, -1))
-            out[i * n:i * n + n] = (
-                got.astype(bool).any(axis=1) if exact else
-                np.max(magnitudes(got), axis=1, initial=0.0))
-        out[n * n] = row(unit, 1, np.eye(size, dtype=rho.dtype) * (du * dr))
-        for k in range(n):
-            sign = (-1) ** (a.basis_degree(k) % 2)
-            out[n * n + 1 + k] = row(diff[k], dq,
-                                     (q @ rho[k] - sign * rho[k] @ q) * dd)
+        keys, sums = key_sums(
+            [(t[p] * sq + view.pos[e],
+              c[p] * view.ints[e].astype(dtype) * lift)],
+            [(view.keys[lo:hi], rhs[lo:hi] * scale)
+             for lo, hi, scale in zip((0, *cut), (*cut, None), scales)])
+        gap = sums[:, 0] - sums[:, 1]
+    row = np.unravel_index(keys, (n * n + 1 + n, sq))[0]
+    out = np.zeros(n * n + 1 + n, dtype=bool if exact else float)
+    if exact:
+        out[row[gap.astype(bool)]] = True
+    else:
+        starts = np.flatnonzero(np.diff(row, prepend=-1))
+        out[row[starts]] = np.maximum.reduceat(magnitudes(gap), starts)
     out.setflags(write=False)
     return out
 
@@ -458,24 +483,22 @@ def _algebra_failures(a: DgAlgebra, tol: float | None) -> tuple:
     n = a.n_basis
     if tol is None:
         (mul, dm, tm), (diff, _, td), (unit, du, tu) = a.integer_view
-        one, top = dm * du, None if None in (tm, td, tu) else max(tm, td, tu)
-        dtype = (np.int64 if top is not None
-                 and 3 * n * top * top + one < 2 ** 63 else object)
+        one = dm * du
+        dtype = int_dtype(None if None in (tm, td, tu) else
+                          3 * n * max(tm, td, tu) ** 2 + one)
     else:
         mul, diff, unit = a.mul, a.differential.dense().T, a.unit
         one, dtype = one_scalar(a.mode), a.mul.dtype
-    (i, j, m), c = _coo(mul, dtype)              # e_i e_j = ... + c e_m
-    (di, dl), x = _coo(diff, dtype)              # d(e_di) = ... + x e_dl
-    (um,), u = _coo(unit, dtype)
-    by_j = np.argsort(j, kind="stable")
+    (i, j, m), c = coo(mul, dtype)              # e_i e_j = ... + c e_m
+    (di, dl), x = coo(diff, dtype)              # d(e_di) = ... + x e_dl
+    (um,), u = coo(unit, dtype)
     sign = np.array([(-1) ** (a.basis_degree(k) % 2) for k in range(n)]
                     ).astype(dtype)
     with np.errstate(over="ignore", invalid="ignore"):
         # d(e_i e_j) = d(e_i) e_j + (-1)^|i| e_i d(e_j)
         p, q = join(m, di)
         r, s = join(dl, i)
-        t, w = join(dl, j[by_j])
-        w = by_j[w]
+        t, w = join(dl, j)
         leibniz = first_unequal((n, n, n), [
             ((i[p], j[p], dl[q]), c[p] * x[q])], [
             ((di[r], j[s], m[s]), x[r] * c[s]),
@@ -483,35 +506,19 @@ def _algebra_failures(a: DgAlgebra, tol: float | None) -> tuple:
 
         # (e_i e_j) e_k = e_i (e_j e_k)
         p, q = join(m, i)
-        r, s = join(m, j[by_j])
-        s = by_j[s]
+        r, s = join(m, j)
         assoc = first_unequal((n, n, n, n), [
             ((i[p], j[p], j[q], m[q]), c[p] * c[q])], [
             ((i[s], i[r], j[r], m[s]), c[s] * c[r])], tol)
 
         # 1 e_i = e_i (side 0) and e_i 1 = e_i (side 1)
         p, q = join(um, i)
-        r, s = join(um, j[by_j])
-        s = by_j[s]
+        r, s = join(um, j)
         k, ones = np.arange(n), np.full(n, one, dtype)
         unit = first_unequal((n, 2, n), [
             ((j[q], 0, m[q]), u[p] * c[q]), ((i[s], 1, m[s]), c[s] * u[r])],
             [((k, 0, k), ones), ((k, 1, k), ones)], tol)
     return leibniz and leibniz[:2], assoc and assoc[:3], unit and unit[0]
-
-
-def _coo(t: np.ndarray, dtype) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """The indices and values, as ``dtype``, of the nonzero entries of t."""
-    t = t.astype(dtype)
-    idx = np.nonzero(t)
-    return idx, t[idx]
-
-
-def _entries(t: np.ndarray, support: np.ndarray | None = None) -> list[tuple]:
-    """(index..., value) of every nonzero entry, in index order; the zero
-    test reads ``support``, an array of the same zero pattern, when given."""
-    idx = np.nonzero(t if support is None else support)
-    return list(zip(*(x.tolist() for x in idx), t[idx].tolist()))
 
 
 # ---------------------------------------------------------------------------

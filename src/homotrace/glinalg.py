@@ -27,12 +27,13 @@ what is kept" choice goes through ``ExactSpan``.  Float rank decisions go
 through ``float_rank`` and the session tolerance.
 
 Sparse identities between sums of products are joins over nonzero
-entries: ``join`` pairs the entries of two coordinate lists that meet on
-an index, and ``first_unequal`` sorts the terms of both sides by flat key
-once and sums them per key with one ``np.add.reduceat``, on int64, object
-(Python ints, Fractions, GaussianRationals) or complex arrays alike.  The
-algebra axioms run this way on a dg algebra's cleared integer view
-(``dgcore.DgAlgebra.integer_view``).
+entries (``stored_entries`` and ``coo`` read them): ``join`` pairs the
+entries of two coordinate lists that meet on an index, and ``key_sums``
+sorts the terms of both sides by flat key once and sums them per key with
+one ``np.add.reduceat``, on int64, object (Python ints, Fractions,
+GaussianRationals) or complex arrays alike; ``first_unequal`` reads the
+first key where the sides differ.  The algebra axioms and the action
+identities of a dg module run this way (``dgcore``).
 """
 
 from __future__ import annotations
@@ -105,16 +106,6 @@ def _any_nonzero(a: np.ndarray) -> bool:
     if a.dtype == object:
         return any(bool(x) for x in a.flat)
     return bool(a.any())
-
-
-def matrices_equal(a: np.ndarray, b: np.ndarray, tol: float | None) -> bool:
-    if a.shape != b.shape:
-        return False
-    if tol is None:
-        if a.dtype == object or b.dtype == object:
-            return all(x == y for x, y in zip(a.flat, b.flat))
-        return bool(np.array_equal(a, b))
-    return max_abs(a - b) <= tol
 
 
 def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -194,35 +185,6 @@ class GradedVectorSpace:
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** (d % 2) * n for d, n in self.dims)
-
-
-def tensor_space(v: GradedVectorSpace, w: GradedVectorSpace) -> GradedVectorSpace:
-    """(V (x) W)_n = direct sum over p+q=n of V_p (x) W_q, blocks ordered by p."""
-    dims: dict[int, int] = {}
-    labels: dict[int, list[str]] = {}
-    for p, np_ in v.dims:
-        for q, nq in w.dims:
-            n = p + q
-            dims[n] = dims.get(n, 0) + np_ * nq
-            labs = labels.setdefault(n, [])
-            for i in range(np_):
-                for j in range(nq):
-                    labs.append(f"{v.label(p, i)}*{w.label(q, j)}")
-    return GradedVectorSpace.make(dims, labels)
-
-
-def tensor_layout(v: GradedVectorSpace, w: GradedVectorSpace
-                  ) -> dict[int, list[tuple[int, int, int]]]:
-    """Per total degree: ordered (p, q, offset) blocks inside tensor_space(v, w)."""
-    layout: dict[int, list[tuple[int, int, int]]] = {}
-    offsets: dict[int, int] = {}
-    for p, np_ in v.dims:
-        for q, nq in w.dims:
-            n = p + q
-            off = offsets.get(n, 0)
-            layout.setdefault(n, []).append((p, q, off))
-            offsets[n] = off + np_ * nq
-    return layout
 
 
 @dataclass(frozen=True)
@@ -350,16 +312,6 @@ class GradedMap:
         return total
 
 
-def stack_dense(maps, space: GradedVectorSpace, mode: str) -> np.ndarray:
-    """Maps on ``space`` as one dense (len(maps), size, size) array."""
-    size = space.total_dim
-    out = np.empty((len(maps), size, size),
-                   dtype=object if mode == EXACT else complex)
-    for k, m in enumerate(maps):
-        out[k] = m.dense()
-    return out
-
-
 def compose(f: GradedMap, g: GradedMap) -> GradedMap:
     """f after g; degree adds."""
     if f.mode != g.mode:
@@ -389,37 +341,6 @@ def supercommutator(f: GradedMap, g: GradedMap) -> GradedMap:
         raise ShapeError("supercommutator needs endomorphisms of the same space")
     sign = (-1) ** ((f.degree % 2) * (g.degree % 2))
     return compose(f, g) - compose(g, f).scale(sign * one_scalar(f.mode))
-
-
-def tensor_map(f: GradedMap, g: GradedMap) -> GradedMap:
-    """(f (x) g)(x (x) y) = (-1)^{|g| |x|} f(x) (x) g(y) on homogeneous x."""
-    if f.mode != g.mode:
-        raise ShapeError("cannot tensor maps of different scalar modes")
-    mode = f.mode
-    src = tensor_space(f.source, g.source)
-    tgt = tensor_space(f.target, g.target)
-    src_layout = tensor_layout(f.source, g.source)
-    tgt_layout = tensor_layout(f.target, g.target)
-    deg = f.degree + g.degree
-    blocks: dict[int, np.ndarray] = {}
-    for n, src_blocks in src_layout.items():
-        rows, cols = tgt.dim(n + deg), src.dim(n)
-        if rows == 0 or cols == 0:
-            continue
-        out = zeros_matrix(rows, cols, mode)
-        tgt_offsets = {(p, q): off for p, q, off in tgt_layout.get(n + deg, [])}
-        for p, q, off in src_blocks:
-            fp, gq = f.block(p), g.block(q)
-            if fp.size == 0 or gq.size == 0:
-                continue
-            t_off = tgt_offsets.get((p + f.degree, q + g.degree))
-            if t_off is None:
-                continue
-            sign = (-1) ** ((g.degree % 2) * (p % 2))
-            kron = np.kron(fp, gq) * (sign * one_scalar(mode))
-            out[t_off:t_off + kron.shape[0], off:off + kron.shape[1]] = kron
-        blocks[n] = out
-    return GradedMap.build(src, tgt, deg, blocks, mode)
 
 
 def bar_signs(degrees) -> list[tuple[int, int]]:
@@ -546,15 +467,71 @@ def clear_denominators(t: np.ndarray) -> tuple[np.ndarray, int, int | None]:
     return out, d, None if any(gauss) else max(map(abs, ints), default=0)
 
 
+def coo(t: np.ndarray, dtype) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The indices and values, as ``dtype``, of the nonzero entries of t;
+    only those values are converted."""
+    idx = np.nonzero(t.astype(bool))
+    return idx, t[idx].astype(dtype)
+
+
+def entries(t: np.ndarray, support: np.ndarray | None = None) -> list[tuple]:
+    """(index..., value) of every nonzero entry, in index order; the zero
+    test reads ``support``, an array of the same zero pattern, when given."""
+    idx = np.nonzero(t if support is None else support)
+    return list(zip(*(x.tolist() for x in idx), t[idx].tolist()))
+
+
+def stored_entries(maps) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """(map, row, column) over the flat bases and the value of every
+    nonzero entry of the maps' stored blocks, in that order (a map's
+    blocks follow its source degrees, so its rows ascend)."""
+    idx, vals = [np.zeros(0, dtype=int)] * 3, [np.zeros(0)]
+    for k, m in enumerate(maps):
+        src, tgt = m.source.offsets(), m.target.offsets()
+        for d, block in m.blocks:
+            r, c = np.nonzero(block.astype(bool))
+            idx += [np.full(len(r), k), r + tgt[d + m.degree], c + src[d]]
+            vals.append(block[r, c])
+    return (tuple(np.concatenate(idx[t::3]) for t in range(3)),
+            np.concatenate(vals))
+
+
 def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs (a, b) with left[a] == right[b], for ``right`` sorted:
-    each entry of ``left`` meets the run of its value in ``right``; pairs
-    in order of a, then b."""
+    """Index pairs (a, b) with left[a] == right[b]: each entry of ``left``
+    meets the run of its value in ``right`` sorted stably; pairs in order
+    of a, then b."""
+    order = np.argsort(right, kind="stable")
+    right = right[order]
     lo = np.searchsorted(right, left, "left")
     count = np.searchsorted(right, left, "right") - lo
     a = np.repeat(np.arange(len(left)), count)
-    return a, np.arange(len(a)) + np.repeat(lo + count - np.cumsum(count),
-                                            count)
+    return a, order[np.arange(len(a)) + np.repeat(
+        lo + count - np.cumsum(count), count)]
+
+
+def key_sums(lhs: list, rhs: list) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys that the terms of two sides reach, sorted, and the
+    sum of each side per key as the two columns of one array.  Each side
+    is a list of (flat keys, values) terms, each term adding its value at
+    its key.  The terms of both sides are sorted by key, once (stably, so
+    a key's terms keep their order), and summed per key by one
+    np.add.reduceat."""
+    parts = [(k, v, side) for side, terms in enumerate((lhs, rhs))
+             for k, v in terms]
+    keys = np.concatenate([k for k, _, _ in parts])
+    vals = np.zeros((len(keys), 2),
+                    dtype=np.result_type(*(v for _, v, _ in parts)))
+    off = 0
+    for k, v, side in parts:
+        vals[off:off + len(k), side] = v
+        off += len(k)
+    if not keys.size:
+        return keys, vals
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    sums = np.add.reduceat(vals[order], starts, axis=0)
+    return keys[starts], sums
 
 
 def first_unequal(shape: tuple[int, ...], lhs: list, rhs: list,
@@ -563,29 +540,15 @@ def first_unequal(shape: tuple[int, ...], lhs: list, rhs: list,
     when tol is None, else by more than tol times the largest sum of
     either side (at least 1; a NaN sum is left out of that scale, and
     fails).  Each side is a list of (index arrays, values) terms, each
-    term adding its value at its index.  The terms of both sides are
-    sorted by flat key, once, and summed per key by one np.add.reduceat
-    into two columns."""
-    parts = [(np.ravel_multi_index(idx, shape), v, side)
-             for side, terms in enumerate((lhs, rhs)) for idx, v in terms]
-    keys = np.concatenate([k for k, _, _ in parts])
-    if not keys.size:
-        return None
-    vals = np.zeros((len(keys), 2),
-                    dtype=np.result_type(*(v for _, v, _ in parts)))
-    off = 0
-    for k, v, side in parts:
-        vals[off:off + len(k), side] = v
-        off += len(k)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    sums = np.add.reduceat(vals[order], starts, axis=0)
+    term adding its value at its index; ``key_sums`` sums them per flat
+    key."""
+    keys, sums = key_sums(*([(np.ravel_multi_index(idx, shape), v)
+                             for idx, v in side] for side in (lhs, rhs)))
     diff = sums[:, 0] - sums[:, 1]
     bad = (diff.astype(bool) if tol is None else ~(magnitudes(diff) <= tol * (
         np.fmax.reduce(magnitudes(sums).ravel(), initial=1.0))))
     hit = np.flatnonzero(bad)
-    return (tuple(map(int, np.unravel_index(keys[starts[hit[0]]], shape)))
+    return (tuple(map(int, np.unravel_index(keys[hit[0]], shape)))
             if hit.size else None)
 
 
@@ -623,3 +586,23 @@ def pivot_rows(matrix: np.ndarray, tol: float) -> list[int]:
     if len(rows) < matrix.shape[1]:
         raise ShapeError("matrix columns are linearly dependent")
     return rows
+
+
+def sparse_pivots(pos: np.ndarray, col: np.ndarray, val: np.ndarray,
+                  cols: int, mode: str, tol: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """``pivot_rows`` of the matrix whose column col[e] holds val[e] at row
+    pos[e], on the distinct positions in ascending order: the pivot
+    positions and the square block on them."""
+    keys = pos[np.argsort(pos, kind="stable")]
+    keys = keys[np.searchsorted(keys, keys) == np.arange(len(keys))]
+    m = zeros_matrix(len(keys), cols, mode)
+    m[np.searchsorted(keys, pos), col] = val
+    piv = pivot_rows(m, tol)
+    return keys[piv], m[piv]
+
+
+def int_dtype(bound: int | None) -> type:
+    """int64 for integer sums bounded by ``bound`` when it fits, else
+    object (bound None: GaussianRationals)."""
+    return np.int64 if bound is not None and bound < 2 ** 63 else object

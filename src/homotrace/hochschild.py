@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from homotrace.dgcore import DgAlgebra, EndoAlgebra, endomorphism_algebra
 from homotrace.errors import ShapeError
@@ -172,13 +173,14 @@ def hochschild_boundary(chain: HochschildChain) -> HochschildChain:
 # Push-forward along the transferred morphism
 
 
-def _compositions(k: int):
+@cache
+def _compositions(k: int) -> tuple[tuple[int, ...], ...]:
+    """The ordered partitions of k, by first part and then the rest;
+    generated once per k."""
     if k == 0:
-        yield ()
-        return
-    for first in range(1, k + 1):
-        for rest in _compositions(k - first):
-            yield (first,) + rest
+        return ((),)
+    return tuple((first,) + rest for first in range(1, k + 1)
+                 for rest in _compositions(k - first))
 
 
 def target_algebra(f: AInfinityMorphism) -> EndoAlgebra:

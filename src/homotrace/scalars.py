@@ -118,15 +118,6 @@ class GaussianRational:
         return f"{self.re}+{self.im}i"
 
 
-def conj_scalar(x):
-    """Complex conjugate that works across both scalar modes."""
-    if isinstance(x, GaussianRational):
-        return x.conjugate()
-    if isinstance(x, complex):
-        return x.conjugate()
-    return x
-
-
 def encode_value(x) -> object:
     """JSON-stable encoding: exact values as strings (a Gaussian rational
     with zero imaginary part as its rational), floats round-trip via repr."""

@@ -416,11 +416,6 @@ class AInfinityMorphism:
             self.reads.add(flats)
         return got
 
-    @property
-    def quad_error(self) -> float:
-        """The summed error estimates of every component evaluated so far."""
-        return sum(self._errors.values())
-
     def error_of(self, components) -> float:
         """The summed error estimates of the given evaluated components,
         in basis-tuple order."""

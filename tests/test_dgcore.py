@@ -11,9 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from homotrace import dgcore
 from homotrace.dgcore import (
+    _action_residuals,
     _algebra_failures,
-    _entries,
     _expand_pivots,
     algebra_from_operators,
     build_splitting_hodge,
@@ -23,6 +24,7 @@ from homotrace.dgcore import (
     endomorphism_bundle,
     euler_characteristic,
     make_algebra,
+    module_view,
     validate_bundle,
 )
 from homotrace.errors import ClosureError, ShapeError
@@ -32,8 +34,11 @@ from homotrace.glinalg import (
     GradedVectorSpace,
     clear_denominators,
     compose,
+    entries,
     identity_matrix,
+    magnitudes,
     matrix_from_rows,
+    max_abs,
     rref,
     supercommutator,
     zeros_matrix,
@@ -420,8 +425,8 @@ def test_exact_pivot_expansion_matches_elimination(build):
     the per-degree elimination of every formed product, identity and {Q,
     op}, entry for entry, over Q and over Q(i)."""
     bundle = build()
-    got = _expand_pivots(bundle.space, bundle.q, bundle.rho, EXACT,
-                         DEFAULT_TOL)
+    got = _expand_pivots(module_view(bundle.space, bundle.q, bundle.rho,
+                                     EXACT), DEFAULT_TOL)
     want = _elimination_reference(bundle.space, bundle.q, bundle.rho)
     assert got.shape == want.shape
     assert all(x == y for x, y in zip(got.flat, want.flat))
@@ -670,9 +675,9 @@ def test_algebra_tables_match_their_definitions(case):
         assert alg.basis_degree(i) == scan(i)[0]
         assert alg.basis_name(i) == names[i]
         assert alg.flat_by_name(names[i]) == names.index(names[i])
-        assert alg.differential_terms[i] == _entries(alg.diff_flat(i))
+        assert alg.differential_terms[i] == entries(alg.diff_flat(i))
         for j in range(n):
-            assert alg.product_terms[i][j] == _entries(alg.mul[i, j])
+            assert alg.product_terms[i][j] == entries(alg.mul[i, j])
     assert alg.flat_by_name("no such name") is None
 
 
@@ -691,13 +696,13 @@ def _dict_algebra_failures(a, tol):
         diff = clear_denominators(diff)[0]
         unit, du, _ = clear_denominators(unit)
         one = dm * du
-    mul = _entries(mul)
+    mul = entries(mul)
     left = [[] for _ in range(n)]            # left[i]: (j, m, c)
     right = [[] for _ in range(n)]           # right[j]: (i, m, c)
     for i, j, m, c in mul:
         left[i].append((j, m, c))
         right[j].append((i, m, c))
-    d_of = [_entries(row) for row in diff]   # d(e_i): (m, x)
+    d_of = [entries(row) for row in diff]    # d(e_i): (m, x)
     sign = [(-1) ** (a.basis_degree(i) % 2) for i in range(n)]
 
     def differ(x, scaled):
@@ -731,7 +736,7 @@ def _dict_algebra_failures(a, tol):
     assoc = first_mismatch(lhs, rhs)
 
     lhs = defaultdict(int)
-    for m, u in _entries(unit):
+    for m, u in entries(unit):
         for i, l, c in left[m]:
             lhs[i, 0, l] += u * c
         for i, l, c in right[m]:
@@ -782,6 +787,110 @@ def test_algebra_axiom_join_matches_dict_oracle(case):
                for a in copies)
     if case == "r42":
         assert alg.integer_view[0][2] >= 2 ** 63
+
+
+def _dense_action_residuals(bundle):
+    """The dense contraction that the join of ``_action_residuals``
+    replaced, kept as its oracle: rho as one dense (n, size, size) stack,
+    and for each left factor i the sums sum_m mul[i, j, m] rho_m against
+    rho_i rho_j for every j in one contraction, on the rows where either
+    side can be nonzero; then the unit row and the differential rows one
+    at a time.  Exact residuals run on Python ints, each array scaled by
+    the least common multiple of its denominators and each side of an
+    identity by the other side's scales."""
+    a, exact = bundle.algebra, bundle.mode == EXACT
+    n, size = a.n_basis, bundle.space.total_dim
+    stack = np.empty((n, size, size), dtype=object if exact else complex)
+    for k, m in enumerate(bundle.rho):
+        stack[k] = m.dense()
+    (mul, dm, _), (diff, dd, _), (unit, du, _) = (
+        a.integer_view if exact else [(t, 1, None) for t in (
+            a.mul, a.differential.dense().T, a.unit)])
+    (rho, dr, _), (q, dq, _) = [
+        clear_denominators(t) if exact else (t, 1, None)
+        for t in (stack, bundle.q.dense())]
+    used_by = mul.astype(bool).any(axis=1)   # used_by[i, m]: some mul[i, j, m]
+    live = rho.astype(bool).any(axis=2)      # the nonzero rows of each rho_m
+    out = np.empty(n * n + 1 + n, dtype=bool if exact else float)
+
+    def row(coeffs, scale, target):
+        got = sum((c * rho[m] for m, c in entries(coeffs)),
+                  np.zeros((size, size), dtype=rho.dtype)) * scale - target
+        return got.astype(bool).any() if exact else max_abs(got)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n):
+            used = np.flatnonzero(used_by[i])
+            rows = np.flatnonzero(live[i] | live[used].any(axis=0))
+            part = rho[np.ix_(used, rows)].reshape(len(used), len(rows) * size)
+            got = (mul[i][:, used] @ (part * dr)
+                   - np.matmul(rho[i, rows] * dm, rho).reshape(n, -1))
+            out[i * n:i * n + n] = (
+                got.astype(bool).any(axis=1) if exact else
+                np.max(magnitudes(got), axis=1, initial=0.0))
+        out[n * n] = row(unit, 1, np.eye(size, dtype=rho.dtype) * (du * dr))
+        for k in range(n):
+            sign = (-1) ** (a.basis_degree(k) % 2)
+            out[n * n + 1 + k] = row(diff[k], dq,
+                                     (q @ rho[k] - sign * rho[k] @ q) * dd)
+    return out
+
+
+def _residual_bundle(case: str):
+    if case == "T1-gaussian":      # loaded, so its constants are in Q(i)
+        b = _gaussian_t1()
+        return algebra_from_operators(b.space, b.q, list(b.rho), [
+            f"b{k}" for k in range(len(b.rho))], EXACT)
+    if case == "r42":              # cleared constants beyond int64
+        return random_instance(42, {0: 2, 1: 3, 2: 2}).bundle
+    if case == "torus2":
+        return torus_instance(2, (Fraction(0), Fraction(1))).bundle
+    return _SPLITTING_CASES[case]().bundle
+
+
+def _raised_rho(bundle):
+    """The bundle with the first nonzero stored entry of its first nonzero
+    operator raised by 1."""
+    k = next(k for k, m in enumerate(bundle.rho) if m.blocks)
+    m = bundle.rho[k]
+    d, block = m.blocks[0]
+    block = np.array(block)
+    block[tuple(np.argwhere(block.astype(bool))[0])] += one_scalar(m.mode)
+    raised = GradedMap.build(m.source, m.target, m.degree,
+                             {**dict(m.blocks), d: block}, m.mode)
+    return dataclasses.replace(
+        bundle, rho=bundle.rho[:k] + (raised,) + bundle.rho[k + 1:])
+
+
+@pytest.mark.parametrize("case", ["T1", "r11", "m32", "r42", "T1-gaussian",
+                                  "T1f", "r7f", "torus1", "torus2"])
+def test_action_residual_join_matches_dense_oracle(case):
+    """The join gives the dense contraction's residuals on each instance and
+    on copies with one structure constant, unit coordinate, differential
+    entry (where two degrees are adjacent) or rho entry raised by 1, each
+    copy failing some row: exact rows equal, float rows equal to round-off
+    (NaN where the oracle has NaN), and ``_first_failure`` picks the same
+    row, exactly or at both float thresholds.  r42's cleared constants
+    exceed int64, so its sums run on Python ints; T1-gaussian's run on
+    GaussianRationals."""
+    first_row = dgcore._first_failure
+    bundle = _residual_bundle(case)
+    copies = [dataclasses.replace(bundle, algebra=alg)
+              for alg in _perturbed_algebras(bundle.algebra)]
+    copies.append(_raised_rho(bundle))
+    exact = bundle.mode == EXACT
+    for b in [bundle, *copies]:
+        got, want = _action_residuals(b), _dense_action_residuals(b)
+        if exact:
+            assert got.dtype == bool and np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12,
+                               equal_nan=True)
+        for tol in ((None,) if exact else (DEFAULT_TOL,
+                                           AMBIGUITY_BAND * DEFAULT_TOL)):
+            assert first_row(got, tol) == first_row(want, tol)
+    assert all(first_row(_action_residuals(b), None if exact else DEFAULT_TOL)
+               is not None for b in copies)
 
 
 def test_heat_decay_bound(torus1):

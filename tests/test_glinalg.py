@@ -1,4 +1,4 @@
-"""Graded linear algebra: composition, Koszul tensor, exact elimination and spans."""
+"""Graded linear algebra: composition, exact elimination and spans."""
 
 from fractions import Fraction
 
@@ -15,14 +15,12 @@ from homotrace.glinalg import (
     compose,
     exact_nullspace,
     float_rank,
-    matrices_equal,
     matrix_from_rows,
     max_abs,
     nullspace_and_pivots,
     pivot_rows,
     rref,
     supercommutator,
-    tensor_map,
     zeros_matrix,
 )
 from homotrace.scalars import EXACT, FLOAT, GaussianRational
@@ -77,48 +75,6 @@ def test_compose_shape_mismatch_names_spaces():
     g = GradedMap.zero(w, w, 0, EXACT)
     with pytest.raises(ShapeError):
         compose(f, g)
-
-
-@given(small_dims, st.integers(0, 1), st.integers(0, 1), st.integers(0, 9999))
-@settings(max_examples=40, deadline=None)
-def test_koszul_interchange(dims, d1, d2, seed):
-    """(f(x)g)(f'(x)g') = (-1)^{|g||f'|} (ff')(x)(gg') as matrices."""
-    import random
-    rng = random.Random(seed)
-    v = space(dims)
-    f = random_gmap(rng, v, v, d1)
-    g = random_gmap(rng, v, v, d2)
-    fp = random_gmap(rng, v, v, 1)
-    gp = random_gmap(rng, v, v, 0)
-    lhs = compose(tensor_map(f, g), tensor_map(fp, gp))
-    sign = (-1) ** ((g.degree % 2) * (fp.degree % 2))
-    rhs = tensor_map(compose(f, fp), compose(g, gp)).scale(Fraction(sign))
-    assert lhs.equals(rhs)
-
-
-def test_tensor_identity():
-    v = space({0: 2, 1: 1})
-    i = GradedMap.identity(v, EXACT)
-    ii = tensor_map(i, i)
-    from homotrace.glinalg import tensor_space
-    assert ii.equals(GradedMap.identity(tensor_space(v, v), EXACT))
-
-
-def test_tensor_sign_on_odd_vector():
-    """deg-1 (x) deg-1 maps acting on a deg-1 (x) deg-0 vector pick up -1."""
-    v = space({0: 1, 1: 1, 2: 1})
-    blocks = {0: matrix_from_rows([[1]], EXACT), 1: matrix_from_rows([[1]], EXACT)}
-    f = GradedMap.build(v, v, 1, blocks, EXACT)
-    fg = tensor_map(f, f)
-    # total degree 1 sector of v(x)v is ordered (0,1) then (1,0)
-    col = fg.block(1)
-    # the (1,0) source block maps with sign (-1)^{1*1} = -1
-    from homotrace.glinalg import tensor_layout
-    layout = tensor_layout(v, v)
-    offs = {(p, q): off for p, q, off in layout[1]}
-    out_offs = {(p, q): off for p, q, off in layout[3]}
-    assert col[out_offs[(1, 2)], offs[(0, 1)]] == 1
-    assert col[out_offs[(2, 1)], offs[(1, 0)]] == -1
 
 
 def test_supercommutator_identities():
@@ -376,7 +332,6 @@ def test_nan_block_is_never_zero():
     nan = float("nan")
     block = np.array([[1e-20, nan]], dtype=complex)
     assert np.isnan(max_abs(block))
-    assert not matrices_equal(block, zeros_matrix(1, 2, FLOAT), 1e-9)
     src, tgt = space({0: 2}), space({0: 1})
     m = GradedMap.build(src, tgt, 0, {0: block}, FLOAT)
     assert not m.is_zero(1e-9)

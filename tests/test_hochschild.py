@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from homotrace.dgcore import EndoAlgebra, build_splitting_projector
 from homotrace.hochschild import (
     HochschildChain,
+    _compositions,
     chain_map_defect,
     cyclic_project,
     cyclic_shift,
@@ -320,3 +321,23 @@ def test_push_matches_rotation_sum_for_traces(t1, t1_morphism):
         if checked >= 25:
             break
     assert checked >= 10
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_compositions_are_every_ordered_partition_once(k):
+    """The ordered partitions of k are one cached tuple per k, equal to a
+    brute-force enumeration by cut points: every subset of the k - 1 gaps
+    between k units cuts them into one ordered partition."""
+    brute = set()
+    for cuts in itertools.product((False, True), repeat=max(k - 1, 0)):
+        parts, size = [], 1
+        for cut in cuts:
+            if cut:
+                parts.append(size)
+                size = 0
+            size += 1
+        brute.add(tuple(parts + [size]) if k else ())
+    got = _compositions(k)
+    assert isinstance(got, tuple) and _compositions(k) is got
+    assert len(got) == len(set(got)) == len(brute)
+    assert set(got) == brute

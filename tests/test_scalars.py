@@ -10,7 +10,6 @@ from homotrace.scalars import (
     EXACT,
     FLOAT,
     GaussianRational,
-    conj_scalar,
     decode_value,
     encode_value,
 )
@@ -39,12 +38,6 @@ def test_gaussian_basics():
     assert bool(GaussianRational(0, 0)) is False
     with pytest.raises(ZeroDivisionError):
         GaussianRational(1) / GaussianRational(0)
-
-
-def test_conj_scalar_modes():
-    assert conj_scalar(Fraction(2, 3)) == Fraction(2, 3)
-    assert conj_scalar(1 + 2j) == 1 - 2j
-    assert conj_scalar(GaussianRational(1, 2)) == GaussianRational(1, -2)
 
 
 @given(rationals, rationals)

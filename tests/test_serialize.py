@@ -193,6 +193,28 @@ def test_exact_load_clears_the_structure_constants_once(tmp_path,
     assert shapes.count((25, 25, 25)) == 1
 
 
+def test_exact_load_clears_rho_and_q_once(tmp_path, monkeypatch):
+    """An exact m32 load passes every stored entry of rho and of Q through
+    ``clear_denominators`` in one call: the pivot expansion and the action
+    residuals read one view of rho and Q.  Entries are followed by object
+    identity, since they stay alive through the load."""
+    path = tmp_path / "m32.json"
+    save_instance(matrix_instance({0: 3, 1: 2},
+                                  q_entries=[("d0_0", "d1_0", 1)]), str(path))
+    seen, clear = [], dgcore.clear_denominators
+
+    def counted(t):
+        seen.append({id(x) for x in np.asarray(t).flat})
+        return clear(t)
+
+    monkeypatch.setattr(dgcore, "clear_denominators", counted)
+    bundle = load_instance(str(path)).bundle
+    stored = [x for m in (*bundle.rho, bundle.q) for _, block in m.blocks
+              for x in block.flat if x]
+    assert len(stored) == 25 + 1
+    assert [sum(id(x) in ids for ids in seen) for x in stored] == [1] * 26
+
+
 @pytest.mark.parametrize("gen_args", [
     ["--kind", "matrix", "--preset", "T1"],
     ["--kind", "random", "--seed", "7", "--dims", "2,2"],

@@ -324,7 +324,7 @@ def test_quadrature_morphism_matches_closed_on_basis():
             assert (got - want).max_abs() <= 1e-8 * want.max_abs(), flats
             checked += 1
     assert checked == 2
-    assert 0 < quad.quad_error <= 1e-8
+    assert 0 < quad.error_of(quad.reads) <= 1e-8
 
 
 def test_ainfinity_defect_detects_a_flipped_component(t1):
