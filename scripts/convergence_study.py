@@ -2,11 +2,16 @@
 """Convergence experiments for the integrated transfer components.
 
 Prints three tables:
-  1. quadrature vs closed form across quadrature orders and arities,
+  1. quadrature vs closed form across quadrature orders and arities, on a
+     random float instance with eigenvalue ratio lam/mu = 3.67: quadrature
+     integrates the heat weights (1-s)^(lam/mu - 1)/mu once, over one gap,
+     and carries that integral's error through the product of the gap
+     factors at every arity (where every lam/mu is an integer, as on the
+     other generated instances, each order is exact),
   2. boundary-stratum restriction error as the gap approaches 0 / infinity,
   3. finite-difference closedness residual versus step size.
 
-Deterministic; takes about 0.5 s on a 2-vCPU Xeon machine.
+Deterministic; takes about 2 s on a 2-vCPU Xeon machine.
 """
 
 import math
@@ -41,12 +46,12 @@ def pick_nonzero_tuples(inst, arity, want=3):
 
 
 def main():
-    inst = to_float_instance(random_instance(7, {0: 2, 1: 2}))
-    print("== quadrature vs closed form (random float instance, dim 4) ==")
+    inst = to_float_instance(random_instance(11, {0: 2, 1: 3, 2: 2}))
+    print("== quadrature vs closed form (random float instance, dim 7) ==")
     print(f"{'arity':>6} {'order':>6} {'rel error':>12} {'estimate':>12}")
     from homotrace.errors import QuadratureBudgetError
 
-    for arity in (2, 3):
+    for arity in (2, 3, 4):
         tuples = pick_nonzero_tuples(inst, arity)
         for order in (4, 8, 16):
             worst = 0.0

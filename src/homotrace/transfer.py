@@ -5,13 +5,16 @@ propagator exp[-dt kappa - t Delta], Delta = {Q, kappa} (pi1 in projector
 kind), whose heat kernel it reads off the splitting's spectrum, and checks
 the transferred morphism's coherence relations.  The form's top component
 integrates to the word p rho h rho ... h rho i: in closed form, or by
-adaptive quadrature over the compactified gap cube (chart t =
--ln(1-sigma)/mu, mu the spectral gap) of the same word with each h
-replaced by the heat kernel L diag(e^(-t lam)) (R kappa), whose integral
-over t in (0, inf) is h.  The closed form is built from factors kept per
-morphism: the step h rho(b) of a basis element grows a stored prefix p
-rho(b_1) h ... rho(b_j) by one compose, and its tail h rho(b) i closes a
-prefix into a component with one more.
+quadrature over the gap cube of the same word with each h replaced by the
+heat kernel L diag(e^(-t lam)) (R kappa), whose integral over t in
+(0, inf) is h.  Each gap appears in one heat kernel only, so by Fubini the
+cube integral is the word with each h replaced by L G (R kappa), G the
+integral of diag(e^(-t lam)): one adaptive Gauss-Legendre integral over
+the compactified gap (chart t = -ln(1-sigma)/mu, mu the spectral gap), at
+any arity.  The closed form is built from factors kept per morphism: the
+step h rho(b) of a basis element grows a stored prefix p rho(b_1) h ...
+rho(b_j) by one compose, and its tail h rho(b) i closes a prefix into a
+component with one more.
 
 Signs.  In chain order the transferred component is
 
@@ -39,13 +42,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from homotrace.dgcore import DgModuleBundle, EndoAlgebra, Splitting
-from homotrace.errors import InputError, QuadratureBudgetError, ShapeError
+from homotrace.errors import QuadratureBudgetError, ShapeError
 from homotrace.glinalg import (AMBIGUITY_BAND, GradedMap, GradedVectorSpace,
                                bar_signs, compose)
-from homotrace.quadrature import DEFAULT_BUDGET, DEFAULT_ORDER, integrate_cube
+from homotrace.quadrature import (DEFAULT_BUDGET, DEFAULT_ORDER,
+                                  integrate_interval)
 from homotrace.scalars import DEFAULT_TOL, FLOAT, one_scalar
-
-MAX_QUAD_ARITY = 5    # 6 slots start at one dim-5 cell of about 1e6 nodes
 
 # ---------------------------------------------------------------------------
 # Slots: homogeneous inputs normalized to (degree, coefficient vector)
@@ -256,15 +258,12 @@ def transfer_closed(inputs, splitting: Splitting,
 def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
                         rel_tol: float = AMBIGUITY_BAND * DEFAULT_TOL,
                         order: int = DEFAULT_ORDER,
-                        budget: int = DEFAULT_BUDGET,
-                        max_arity: int = MAX_QUAD_ARITY
+                        budget: int = DEFAULT_BUDGET
                         ) -> tuple[GradedMap, float]:
-    """Transferred component by adaptive quadrature over the open gap cube:
-    the word of ``transfer_closed``, eps applied to rho(a_1), integrated
-    by ``_quadrature``.  Returns (value, error estimate)."""
+    """Transferred component by quadrature over the open gap cube: the
+    word of ``transfer_closed``, eps applied to rho(a_1), integrated by
+    ``_quadrature``.  Returns (value, error estimate)."""
     slots = [as_slot(bundle, x) for x in inputs]
-    if len(slots) > max_arity:
-        raise ShapeError(f"arity {len(slots)} above maximum {max_arity}")
     rhos = [_to_float(bundle.rho_vector(s.coeffs)) for s in slots]
     rhos[0] = rhos[0].scale(_epsilon([s.degree for s in slots], FLOAT))
     return _quadrature(rhos[::-1], splitting, rel_tol, order, budget)
@@ -273,20 +272,21 @@ def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
 def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
                 order: int, budget: int) -> tuple[GradedMap, float]:
     """p rho_1 h ... h rho_k i, rhos in chain order, with each h replaced by
-    the heat kernel L diag(e^(-t lam)) (R kappa):
-
-      A_(k-1) diag(e^(-t_(k-1) lam)) ... diag(e^(-t_1 lam)) A_0,
-
-    with A_0 = (R kappa) rho_k i, A_j = (R kappa) rho_(k-j) L and
-    A_(k-1) = p rho_1 L composed once.  Its integral over the gaps t in
-    (0, inf)^(k-1) is the closed form.  The integrand is evaluated on the
-    unit cube in sigma, a whole rule of nodes per call, in the spectral
-    chart t = -ln(1-sigma)/mu with mu = ``splitting.lambda1`` (1 when no
-    lam is positive, where R kappa is zero).  Each heat weight times the
-    Jacobian 1/(mu (1-sigma)) is then (1-sigma)^(lam/mu - 1)/mu, bounded
-    on the closed cube since lam/mu >= 1, and a polynomial when every
-    lam/mu is an integer; it is set to 0 where lam = 0, whose rows of
-    R kappa are zero.  Returns (value, error estimate).
+    the heat kernel L diag(e^(-t lam)) (R kappa) and integrated over the
+    gaps t in (0, inf)^(k-1).  Each gap appears in one heat weight only, so
+    by Fubini the integral is A_(k-1) G ... G A_0 with G = int_0^inf
+    diag(e^(-t lam)) dt, A_0 = (R kappa) rho_k i, A_j = (R kappa)
+    rho_(k-j) L and A_(k-1) = p rho_1 L.  G is integrated by
+    ``integrate_interval``, never read off as 1/lam, in the spectral chart
+    t = -ln(1-sigma)/mu with mu = ``splitting.lambda1`` (1 when no lam is
+    positive, where R kappa is zero).  Each heat weight times the Jacobian
+    1/(mu (1-sigma)) is then (1-sigma)^(lam/mu - 1)/mu, bounded on [0, 1]
+    since lam/mu >= 1, and a polynomial when lam/mu is an integer; it is
+    set to 0 where lam = 0, whose rows of R kappa are zero.  Returns
+    (value, error estimate): for the error e of G per entry, g = max G and
+    induced inf-norms, the bound ((g+e)^(k-1) - g^(k-1)) prod ||A_j|| on
+    the inf-norm, so on every entry, of the difference to the integral.  A
+    budget error carries the product and the bound for its best G.
     """
     include = _to_float(splitting.include)
     project = _to_float(splitting.project)
@@ -301,43 +301,35 @@ def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
     factors = ([compose(compose(rk, rhos[-1]), include)]
                + [compose(compose(rk, rho), ell) for rho in rhos[-2:0:-1]]
                + [compose(compose(project, rhos[0]), ell)])
+    # induced inf-norms: largest absolute row sum, each row in one block
+    norms = math.prod(max((np.abs(m).sum(axis=1).max() for _, m in a.blocks),
+                          default=0.0) for a in factors)
     mu = splitting.lambda1 or 1.0
-    # per degree: (exponent lam/mu - 1, factor 1/mu) where lam > 0, (0, 0)
-    # where lam = 0, so no weight is unbounded
-    powers = {d: (np.where(lam > 0, lam / mu - 1.0, 0.0), (lam > 0) / mu)
-              for d, (_, lam, _) in spec.items()}
-    m0 = splitting.m0
-    out_degree = sum(f.degree for f in factors)
-    shapes = [(d, m0.dim(d), m0.dim(d + out_degree)) for d in m0.degrees()]
+    lams = [lam for _, lam, _ in spec.values()]
+    lam = np.concatenate(lams)
+    # exponent lam/mu - 1 and factor 1/mu where lam > 0, (0, 0) where
+    # lam = 0, so no weight is unbounded
+    power, factor = np.where(lam > 0, lam / mu - 1.0, 0.0), (lam > 0) / mu
 
-    def integrand(sigma: np.ndarray) -> np.ndarray:
-        rest = 1.0 - sigma
-        cols = []
-        for d, _, _ in shapes:
-            x, e = factors[0].block(d), d + factors[0].degree
-            for j, a in enumerate(factors[1:]):
-                power, factor = powers.get(e, (np.zeros(0), np.zeros(0)))
-                heat = rest[:, j, None] ** power * factor
-                x = a.block(e) @ (heat[:, :, None] * x)
-                e += a.degree
-            cols.append(x.reshape(len(sigma), -1))
-        return np.concatenate([np.zeros((len(sigma), 0))] + cols, axis=1)
-
-    def unflatten(vec: np.ndarray) -> GradedMap:
-        blocks, off = {}, 0
-        for d, cols, rows in shapes:
-            blocks[d] = vec[off:off + rows * cols].reshape(rows, cols)
-            off += rows * cols
-        return GradedMap.build(m0, m0, out_degree, blocks, FLOAT)
+    def integrated(g: np.ndarray, err: float) -> tuple[GradedMap, float]:
+        parts = np.split(g, np.cumsum([len(x) for x in lams])[:-1])
+        heat = GradedMap.build(space, space, 0, {
+            d: np.diag(x) for d, x in zip(spec, parts)}, FLOAT)
+        value = factors[0]
+        for a in factors[1:]:
+            value = compose(a, compose(heat, value))
+        top, k = float(np.max(g)), len(factors) - 1
+        return value, float(((top + err) ** k - top ** k) * norms)
 
     try:
-        vec, est = integrate_cube(integrand, len(rhos) - 1, rel_tol=rel_tol,
-                                  order=order, budget=budget)
+        g, err = integrate_interval(
+            lambda sigma: (1.0 - sigma)[:, None] ** power * factor,
+            rel_tol=rel_tol, order=order, budget=budget)
     except QuadratureBudgetError as exc:
-        raise QuadratureBudgetError(
-            str(exc), best=None if exc.best is None else unflatten(exc.best),
-            estimate=exc.estimate) from exc
-    return unflatten(vec), est
+        best, est = ((None, exc.estimate) if exc.best is None
+                     else integrated(exc.best, exc.estimate))
+        raise QuadratureBudgetError(str(exc), best=best, estimate=est) from exc
+    return integrated(g, err)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +372,11 @@ class AInfinityMorphism:
         with no sign of its own: in closed form the stored word of b_1 ...
         b_(m-1) times the tail h rho(b_m) i of b_m, one compose (p rho(b) i
         for m = 1), and no compose and no tail when that word is zero; by
-        quadrature up to MAX_QUAD_ARITY slots (InputError above)."""
+        ``_quadrature`` at any arity."""
         got = self._cache.get(flats)
         if got is None:
             est = 0.0
             if self.method == "quadrature":
-                if len(flats) > MAX_QUAD_ARITY:
-                    raise InputError(f"quadrature takes at most "
-                                     f"{MAX_QUAD_ARITY} slots, not {len(flats)}")
                 got, est = _quadrature(
                     [self.bundle.rho_flat(b) for b in flats], self.splitting,
                     self.rel_tol, DEFAULT_ORDER, self.budget)

@@ -1,4 +1,5 @@
-"""Adaptive cube quadrature: the batched tensor rule and failure reporting."""
+"""Adaptive Gauss-Legendre quadrature on (0, 1): the batched rule and
+failure reporting."""
 
 import math
 import time
@@ -6,60 +7,39 @@ import time
 import numpy as np
 import pytest
 
-from homotrace.errors import QuadratureBudgetError
-from homotrace.quadrature import _rule, _tensor_rule, integrate_cube
+from homotrace.errors import QuadratureBudgetError, ShapeError
+from homotrace.instances import t1_instance, to_float_instance
+from homotrace.quadrature import integrate_interval
+from homotrace.transfer import transfer_quadrature
 
 
-def _monomial(points):
-    """[1, x^1 y^3 z^5] on the leading axes of each point, one row each."""
-    powers = np.prod(points ** np.array([1, 3, 5][:points.shape[1]]), axis=1)
-    return np.stack([np.ones(len(points)), powers], axis=1)
+def _never(nodes):
+    raise AssertionError("f called")
 
 
-@pytest.mark.parametrize("dim", [1, 2, 3])
-def test_one_cell_is_exact_on_a_vector_monomial(dim):
-    """Both rules integrate degree <= 15 exactly, so one cell converges
-    within a one-cell budget; the distinct powers per axis pin how nodes
-    pair with weights."""
+def test_one_cell_is_exact_on_a_vector_monomial():
+    """Both rules integrate degree <= 15 exactly, so one cell of 16 + 8
+    nodes converges within a one-cell budget; each power x^0 .. x^15 in
+    its own column pins how nodes pair with weights."""
     calls = []
 
-    def f(points):
-        calls.append(points.shape)
-        return _monomial(points)
+    def f(nodes):
+        calls.append(nodes.shape)
+        return nodes[:, None] ** np.arange(16)
 
-    value, est = integrate_cube(f, dim, rel_tol=1e-12,
-                                budget=16 ** dim + 8 ** dim)
-    expect = 1.0 / math.prod([2, 4, 6][:dim])
-    assert np.abs(value - [1.0, expect]).max() <= 1e-14
+    value, est = integrate_interval(f, rel_tol=1e-12, budget=16 + 8)
+    assert np.abs(value - 1.0 / np.arange(1, 17)).max() <= 1e-14
     assert est <= 1e-14
-    assert calls == [(16 ** dim, dim), (8 ** dim, dim)]
+    assert calls == [(16,), (8,)]
 
 
 def test_budget_below_one_cell_evaluates_nothing():
-    """A budget of 10 is below the 16^2 + 8^2 evaluations of one dim-2
-    cell: the integration raises before ``f`` is called, with no best
-    estimate."""
-    def f(points):
-        raise AssertionError("f called")
-
-    with pytest.raises(QuadratureBudgetError) as info:
-        integrate_cube(f, 2, rel_tol=1e-9, budget=10)
+    """A budget of 23 is below the 16 + 8 evaluations of one cell: the
+    integration raises before ``f`` is called, with no best estimate."""
+    with pytest.raises(QuadratureBudgetError, match=r"\(24 evaluations\)"
+                       ) as info:
+        integrate_interval(_never, rel_tol=1e-9, budget=23)
     assert info.value.best is None
-
-
-def test_tensor_rule_keeps_each_axis_on_its_interval():
-    """On the box [0,1] x [0,2] x [0,3] the monomial's integral changes
-    under any exchange of axes."""
-    value = _tensor_rule(_monomial, np.zeros(3), np.array([1.0, 2.0, 3.0]),
-                         _rule(16, 3))
-    expect = (1 / 2) * (2 ** 4 / 4) * (3 ** 6 / 6)
-    assert np.abs(value - [6.0, expect]).max() <= 1e-12 * expect
-
-
-def test_dimension_zero_is_one_point():
-    value, est = integrate_cube(lambda p: np.full((len(p), 2), 3.0), 0,
-                                rel_tol=1e-9)
-    assert value.tolist() == [3.0, 3.0] and est == 0.0
 
 
 def test_non_finite_estimate_fails_fast():
@@ -67,29 +47,42 @@ def test_non_finite_estimate_fails_fast():
     of refining until the budget runs out."""
     calls = 0
 
-    def f(points):
+    def f(nodes):
         nonlocal calls
         calls += 1
-        return np.where(points[:, :1] > 0.5, math.nan, 1.0)
+        return np.where(nodes[:, None] > 0.5, math.nan, 1.0)
 
-    with pytest.raises(QuadratureBudgetError, match=r"lo=\[0\.0\] hi=\[1\.0\]"
+    with pytest.raises(QuadratureBudgetError, match=r"cell \(0\.0, 1\.0\)"
                        ) as info:
-        integrate_cube(f, 1, rel_tol=1e-9, budget=10 ** 5)
+        integrate_interval(f, rel_tol=1e-9, budget=10 ** 5)
     assert math.isnan(info.value.estimate)
-    assert calls <= 3 * 2
+    assert calls == 2
 
 
 def test_cost_grows_linearly_with_the_cells():
-    """A dim-1 integrand that never converges costs less than 16 times as
-    much at 8 times the budget: each split updates running totals instead
-    of summing every cell again."""
+    """An integrand that never converges costs less than 16 times as much
+    at 8 times the budget: each split updates running totals instead of
+    summing every cell again."""
     def seconds(cells):
         best = math.inf
         for _ in range(3):
             start = time.perf_counter()
             with pytest.raises(QuadratureBudgetError):
-                integrate_cube(np.sqrt, 1, rel_tol=1e-30, budget=24 * cells)
+                integrate_interval(lambda x: np.sqrt(x)[:, None],
+                                   rel_tol=1e-30, budget=24 * cells)
             best = min(best, time.perf_counter() - start)
         return best
 
     assert seconds(4000) < 16 * seconds(500)
+
+
+@pytest.mark.parametrize("order", [1, 0, -2])
+def test_order_below_two_is_a_shape_error(order):
+    """The embedded rule of ``order // 2`` nodes needs a node: a lower
+    order is refused by name, directly and through the transfer, and
+    never reaches numpy's Gauss-Legendre nodes."""
+    with pytest.raises(ShapeError, match=f"order {order} "):
+        integrate_interval(_never, rel_tol=1e-9, order=order)
+    t1f = to_float_instance(t1_instance())
+    with pytest.raises(ShapeError, match=f"order {order} "):
+        transfer_quadrature([8, 3], t1f.splitting, t1f.bundle, order=order)
