@@ -48,17 +48,12 @@ from homotrace.hochschild import (
     HochschildChain,
     ChainMapReport,
     hochschild_boundary,
-    cyclic_shift,
     cyclic_shift_term,
-    cyclic_project,
     push_chain,
     chain_map_defect,
-    target_algebra,
 )
 from homotrace.traces import (
     supertrace_on_cohomology,
-    canonical_supertrace,
-    projected_supertrace,
     transferred_trace,
     trace_defect,
     cyclic_trace,

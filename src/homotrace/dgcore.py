@@ -6,10 +6,14 @@ tensor, the differential and the unit once (``integer_view``).  A
 ``DgModuleBundle`` couples an algebra to a module via the action rho (one
 graded map per basis operator), and its ``residuals`` check the three
 action identities as one join over the nonzero entries of rho and Q.
-``algebra_from_operators`` reads those entries once into a
-``ModuleView`` (cleared once in exact mode), reads the tensor, the unit
-and the differential off n_g pivot entries per degree of that view, and
-proves closure from the residuals, which read the same view.
+``algebra_from_operators`` is the one way a bundle is built from
+operators (file loads and the matrix, torus and random generators): it
+reads those entries once into a ``ModuleView`` (cleared once in exact
+mode), reads the tensor, the unit and the differential off n_g pivot
+entries per degree of that view (exact: the pivots and the inverse of
+their block from one elimination), and proves closure from the residuals,
+which read the same view.  Only End(M0), the push-forward's target, keeps
+a closed-form tensor (``endomorphism_algebra``).
 ``validate_bundle`` checks each algebra axiom as one join over nonzero
 entries (``glinalg.first_unequal``) and reads the action checks off the
 residuals.  A ``Splitting`` of the module into its cohomology part and an
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict, namedtuple
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -179,11 +183,7 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     order = sorted(range(len(maps)), key=lambda k: maps[k].degree)
     rho = tuple(maps[k] for k in order)
     rho_names = [names[k] for k in order]
-    labels = defaultdict(list)
-    for m, name in zip(rho, rho_names):
-        labels[m.degree].append(name)
-    aspace = GradedVectorSpace.make({g: len(v) for g, v in labels.items()},
-                                    labels)
+    aspace = _basis_space(rho, rho_names)
     n, off = len(rho), aspace.offsets()
     view = module_view(space, q, rho, mode)
     vals = _expand_pivots(view, tol)
@@ -201,6 +201,16 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     if bad is not None:
         raise _escaped(bad, rho_names)
     return bundle
+
+
+def _basis_space(maps, names: list[str]) -> GradedVectorSpace:
+    """The algebra's basis space: the operators' names by degree, in the
+    order given."""
+    labels = defaultdict(list)
+    for m, name in zip(maps, names):
+        labels[m.degree].append(name)
+    return GradedVectorSpace.make({g: len(v) for g, v in labels.items()},
+                                  labels)
 
 
 def _escaped(row: int, names: list[str]) -> ClosureError:
@@ -265,33 +275,34 @@ def _expand_pivots(view: ModuleView, tol: float) -> np.ndarray:
     operators of degree g are factored once at n_g of their nonzero entries
     (``glinalg.sparse_pivots``), where the view's sums give every row, so no
     product is formed.  Float solves at the pivots; exact multiplies the
-    nonzero rows of degree g by the once-inverted pivot block."""
+    nonzero rows of degree g by the inverse of the pivot block, read off
+    the one elimination that chose the pivots."""
     deg, mode = view.degrees, view.mode
     n = len(deg)
     vals = zeros_matrix(n * n + 1 + n, n, mode)
-    pivot, blocks = np.zeros(n, dtype=int), []
+    pivot, factors = np.zeros(n, dtype=int), []
     for g in sorted(set(deg)):
         at = slice(deg.index(g), deg.index(g) + deg.count(g))
         lo, hi = np.searchsorted(view.op, (at.start, at.stop))
         try:
-            pivot[at], block = sparse_pivots(
+            pivot[at], factor = sparse_pivots(
                 view.pos[lo:hi], view.op[lo:hi] - at.start, view.val[lo:hi],
                 at.stop - at.start, mode, tol)
         except ShapeError as exc:
             raise InputError(f"the declared operators of degree {g} are "
                              "linearly dependent") from exc
-        blocks.append((at, block))
+        factors.append((at, factor))
     got = np.zeros((n * n + 1 + n, n), dtype=view.sums.dtype)
     rows, pos = np.unravel_index(view.keys, (len(got), view.size ** 2))
     a, b = join(pos, pivot)
     got[rows[a], b] = view.sums[a]            # each row at each pivot
-    for at, block in blocks:
+    for at, factor in factors:
         if mode == FLOAT:
-            vals[:, at] = np.linalg.solve(block, got[:, at].T).T
+            vals[:, at] = np.linalg.solve(factor, got[:, at].T).T
             continue
         rows = np.flatnonzero(got[:, at].astype(bool).any(axis=1))
-        inv, d, _ = clear_denominators(invert_exact(block))
-        part = got[rows, at].astype(object) @ inv.T
+        inv_t, d, _ = clear_denominators(factor)
+        part = got[rows, at].astype(object) @ inv_t
         nz = np.nonzero(part.astype(bool))
         vals[rows[nz[0]], at.start + nz[1]] = part[nz] * Fraction(
             1, d * view.d * view.d)
@@ -828,73 +839,49 @@ class EndoAlgebra:
         return out
 
 
-def endomorphism_algebra(space: GradedVectorSpace, q: GradedMap | None,
-                         mode: str) -> EndoAlgebra:
-    """End(space) as a dg algebra (differential {Q, .}, zero when q is None),
-    basis ordered by (algebra degree, source degree, source index, target
-    index)."""
-    degrees = space.degrees()
-    entries: dict[int, list[tuple[int, int, int, int]]] = {}
-    for p in degrees:
-        for t_deg in degrees:
-            g = t_deg - p
-            for i in range(space.dim(p)):
-                for j in range(space.dim(t_deg)):
-                    entries.setdefault(g, []).append((p, i, t_deg, j))
-    dims = {g: len(v) for g, v in entries.items()}
-    labels = {
-        g: [f"E[{space.label(td, j)}<-{space.label(sd, i)}]"
-            for sd, i, td, j in v]
-        for g, v in entries.items()
-    }
-    aspace = GradedVectorSpace.make(dims, labels)
-
-    maps: list[GradedMap] = []
-    order: list[tuple[int, int, int, int]] = []
-    for g in sorted(entries):
-        order.extend(entries[g])
-    for sd, i, td, j in order:
+def _matrix_units(space: GradedVectorSpace, mode: str) -> tuple:
+    """The matrix units E[t<-s] of End(space): their entries (source degree,
+    source index, target degree, target index), maps and names, ordered by
+    (algebra degree, source degree, source index, target index)."""
+    entries = tuple(key[1:] for key in sorted(
+        (td - sd, sd, i, td, j) for sd, ns in space.dims
+        for td, nt in space.dims for i in range(ns) for j in range(nt)))
+    maps, names = [], []
+    for sd, i, td, j in entries:
         m = zeros_matrix(space.dim(td), space.dim(sd), mode)
         m[j, i] = one_scalar(mode)
-        maps.append(GradedMap.build(
-            space, space, td - sd, {sd: m}, mode))
+        maps.append(GradedMap.build(space, space, td - sd, {sd: m}, mode))
+        names.append(f"E[{space.label(td, j)}<-{space.label(sd, i)}]")
+    return entries, maps, names
 
-    n = len(order)
-    pos = {key: k for k, key in enumerate(order)}
-    one = one_scalar(mode)
+
+def endomorphism_algebra(space: GradedVectorSpace, mode: str) -> EndoAlgebra:
+    """End(space) with zero differential, on the matrix units: the product
+    tensor and unit in closed form, E[u<-t] E[t<-s] = E[u<-s].  This is
+    End(M0), the push-forward's target; a bundle acting on a module goes
+    through ``algebra_from_operators`` (``endomorphism_bundle``)."""
+    entries, maps, names = _matrix_units(space, mode)
+    n, one = len(entries), one_scalar(mode)
+    pos = {key: k for k, key in enumerate(entries)}
     mul = zeros_matrix(n * n, n, mode).reshape(n, n, n)
-    for a_idx, (sd_a, i_a, td_a, j_a) in enumerate(order):
-        for b_idx, (sd_b, i_b, td_b, j_b) in enumerate(order):
-            # composition order[a] after order[b]
-            if (td_b, j_b) == (sd_a, i_a):
-                mul[a_idx, b_idx, pos[(sd_b, i_b, td_a, j_a)]] = one
-
+    for a, (sd_a, i_a, td_a, j_a) in enumerate(entries):
+        for b, (sd_b, i_b, td_b, j_b) in enumerate(entries):
+            if (td_b, j_b) == (sd_a, i_a):      # entries[a] after entries[b]
+                mul[a, b, pos[(sd_b, i_b, td_a, j_a)]] = one
     unit = zeros_matrix(n, 1, mode)[:, 0]
-    for p in degrees:
-        for i in range(space.dim(p)):
-            unit[pos[(p, i, p, i)]] = one
-
-    algebra = make_algebra(aspace, GradedMap.zero(aspace, aspace, 1, mode),
-                           mul, unit, mode)
-    endo = EndoAlgebra(algebra=algebra, space=space, maps=tuple(maps),
-                       entries=tuple(order))
-    if q is None:
-        return endo
-    off = aspace.offsets()
-    blocks = {}
-    for g, dim in aspace.dims:
-        rows = aspace.dim(g + 1)
-        if rows:
-            blocks[g] = np.stack(
-                [endo.expand(supercommutator(q, maps[off[g] + i]))
-                 [off[g + 1]:off[g + 1] + rows] for i in range(dim)], axis=1)
-    differential = GradedMap.build(aspace, aspace, 1, blocks, mode)
-    return replace(endo, algebra=replace(algebra, differential=differential))
+    for d, dim in space.dims:
+        for i in range(dim):
+            unit[pos[(d, i, d, i)]] = one
+    aspace = _basis_space(maps, names)
+    return EndoAlgebra(make_algebra(
+        aspace, GradedMap.zero(aspace, aspace, 1, mode), mul, unit, mode),
+        space, tuple(maps), entries)
 
 
 def endomorphism_bundle(space: GradedVectorSpace, q: GradedMap,
                         mode: str) -> DgModuleBundle:
-    """The module together with all of End(module) acting tautologically."""
-    ea = endomorphism_algebra(space, q, mode)
-    return DgModuleBundle(algebra=ea.algebra, space=space, q=q, rho=ea.maps,
-                          mode=mode)
+    """The module together with all of End(module) acting tautologically:
+    the matrix units passed to ``algebra_from_operators``, which reads the
+    product, the unit and the differential {Q, .} off them."""
+    _, maps, names = _matrix_units(space, mode)
+    return algebra_from_operators(space, q, maps, names, mode)

@@ -20,11 +20,11 @@ step or tail after a zero prefix, and the coherence defect and the
 push-forward end a term at its first zero component.
 
 Exact elimination is ``rref`` and what is read off one run of it (null
-space with its pivots, pivot rows, inverse, block solve).  ``rref`` pays
-only for nonzero work too: each step updates a row on the nonzero columns
-of the pivot row alone.  Every greedy "keep it if it is independent of
-what is kept" choice goes through ``ExactSpan``.  Float rank decisions go
-through ``float_rank`` and the session tolerance.
+space with its pivots, inverse, pivot rows with the inverse of their
+block).  ``rref`` pays only for nonzero work too: each step updates a row
+on the nonzero columns of the pivot row alone.  Every greedy "keep it if
+it is independent of what is kept" choice goes through ``ExactSpan``.
+Float rank decisions go through ``float_rank`` and the session tolerance.
 
 Sparse identities between sums of products are joins over nonzero
 entries (``stored_entries`` and ``coo`` read them): ``join`` pairs the
@@ -70,16 +70,6 @@ def identity_matrix(n: int, mode: str) -> np.ndarray:
     m = zeros_matrix(n, n, mode)
     for i in range(n):
         m[i, i] = one_scalar(mode)
-    return m
-
-
-def matrix_from_rows(rows, mode: str) -> np.ndarray:
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    m = zeros_matrix(nr, nc, mode)
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            m[i, j] = Fraction(x) if mode == EXACT and isinstance(x, int) else x
     return m
 
 
@@ -570,15 +560,12 @@ def float_rank(svals: np.ndarray, tol: float) -> int:
 
 
 def pivot_rows(matrix: np.ndarray, tol: float) -> list[int]:
-    """One row per column, picked so the square block on those rows is
-    invertible: exact, the pivot columns of ``rref`` of the transpose;
-    float, by Gaussian elimination with partial pivoting (Golub & Van Loan,
-    3.4).  The columns must be linearly independent, exactly or by
+    """One row per column of a float matrix, picked by Gaussian elimination
+    with partial pivoting (Golub & Van Loan, 3.4), so the square block on
+    those rows is invertible.  The columns must be linearly independent by
     ``float_rank`` (ShapeError otherwise)."""
     rows: list[int] = []
-    if matrix.dtype == object:
-        rows = rref(matrix.T)[1]
-    elif float_rank(np.linalg.svd(matrix, compute_uv=False), tol) == matrix.shape[1]:
+    if float_rank(np.linalg.svd(matrix, compute_uv=False), tol) == matrix.shape[1]:
         work = np.array(matrix, dtype=complex)
         for j in range(matrix.shape[1]):
             rows.append(int(np.argmax(np.abs(work[:, j]))))
@@ -591,15 +578,24 @@ def pivot_rows(matrix: np.ndarray, tol: float) -> list[int]:
 def sparse_pivots(pos: np.ndarray, col: np.ndarray, val: np.ndarray,
                   cols: int, mode: str, tol: float
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """``pivot_rows`` of the matrix whose column col[e] holds val[e] at row
+    """Pivot entries of the matrix m whose column col[e] holds val[e] at row
     pos[e], on the distinct positions in ascending order: the pivot
-    positions and the square block on them."""
+    positions, one per column, and what coordinates at them are solved
+    with.  Float: the square block of m on the ``pivot_rows``.  Exact: the
+    inverse of that block, transposed, which is the right half of one
+    ``rref`` of [m^T | 1] whose pivot columns are the pivot rows.
+    ShapeError if the columns are dependent."""
     keys = pos[np.argsort(pos, kind="stable")]
     keys = keys[np.searchsorted(keys, keys) == np.arange(len(keys))]
     m = zeros_matrix(len(keys), cols, mode)
     m[np.searchsorted(keys, pos), col] = val
-    piv = pivot_rows(m, tol)
-    return keys[piv], m[piv]
+    if mode != EXACT:
+        piv = pivot_rows(m, tol)
+        return keys[piv], m[piv]
+    r, piv = rref(np.concatenate([m.T, identity_matrix(cols, EXACT)], axis=1))
+    if piv and piv[-1] >= len(keys):
+        raise ShapeError("matrix columns are linearly dependent")
+    return keys[piv], r[:, len(keys):]
 
 
 def int_dtype(bound: int | None) -> type:

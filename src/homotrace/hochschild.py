@@ -29,12 +29,11 @@ random instances, including ones whose cohomology has odd components.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
-from homotrace.dgcore import DgAlgebra, EndoAlgebra, endomorphism_algebra
+from homotrace.dgcore import DgAlgebra
 from homotrace.errors import ShapeError
-from homotrace.scalars import EXACT, one_scalar
+from homotrace.scalars import one_scalar
 from homotrace.transfer import AInfinityMorphism
 
 
@@ -90,14 +89,6 @@ class HochschildChain:
             return not self.terms
         return self.max_coeff() <= tol
 
-    def describe(self) -> str:
-        a = self.algebra
-        parts = []
-        for flats in sorted(self.terms):
-            names = ",".join(a.basis_name(f) for f in flats)
-            parts.append(f"({names}): {self.terms[flats]}")
-        return " + ".join(parts) if parts else "0"
-
 
 def cyclic_shift_term(algebra: DgAlgebra, flats: tuple[int, ...]
                       ) -> tuple[tuple[int, ...], int]:
@@ -121,36 +112,6 @@ def _signed_rotations(algebra: DgAlgebra, flats: tuple[int, ...]):
         yield flats, sign
         flats, step = cyclic_shift_term(algebra, flats)
         sign *= step
-
-
-def cyclic_shift(chain: HochschildChain) -> HochschildChain:
-    out = HochschildChain.zero(chain.algebra)
-    for flats, c in chain.terms.items():
-        rot, sign = cyclic_shift_term(chain.algebra, flats)
-        out.add_term(rot, c * sign)
-    return out
-
-
-def cyclic_project(chain: HochschildChain) -> HochschildChain:
-    """Canonical representative modulo im(1 - C): the signed orbit average."""
-    out = HochschildChain.zero(chain.algebra)
-    mode = chain.algebra.mode
-    for flats, coeff in chain.terms.items():
-        orbit: list[tuple[tuple[int, ...], int]] = []
-        cur, sign = flats, 1
-        while True:
-            orbit.append((cur, sign))
-            cur, step = cyclic_shift_term(chain.algebra, cur)
-            sign *= step
-            if cur == flats and sign == 1:
-                break
-            if len(orbit) > 2 * len(flats):
-                raise ShapeError("cyclic orbit failed to close")
-        ln = len(orbit)
-        inv = Fraction(1, ln) if mode == EXACT else 1.0 / ln
-        for rot, s in orbit:
-            out.add_term(rot, coeff * s * inv)
-    return out
 
 
 def hochschild_boundary(chain: HochschildChain) -> HochschildChain:
@@ -183,15 +144,6 @@ def _compositions(k: int) -> tuple[tuple[int, ...], ...]:
                  for rest in _compositions(k - first))
 
 
-def target_algebra(f: AInfinityMorphism) -> EndoAlgebra:
-    """End(M0) with zero differential; cached on the morphism."""
-    got = getattr(f, "_target_endo", None)
-    if got is None:
-        got = endomorphism_algebra(f.splitting.m0, None, f.bundle.mode)
-        f._target_endo = got
-    return got
-
-
 def push_chain(chain: HochschildChain, f: AInfinityMorphism) -> HochschildChain:
     """Induced map on Hochschild chains (serves the cyclic complexes too).
 
@@ -213,8 +165,7 @@ def _push(chain: HochschildChain, f: AInfinityMorphism, partitions
     src = chain.algebra
     if src.space.dims != f.bundle.algebra.space.dims:
         raise ShapeError("chain algebra does not match the morphism's source")
-    endo = target_algebra(f)
-    out = HochschildChain.zero(endo.algebra)
+    out = HochschildChain.zero(f.target.algebra)
     for flats, coeff in chain.terms.items():
         k = len(flats)
         for r, (rot, sign) in enumerate(_signed_rotations(src, flats)):
@@ -225,7 +176,7 @@ def _push(chain: HochschildChain, f: AInfinityMorphism, partitions
                 stack: list[tuple[tuple[int, ...], object]] = [((), cc)]
                 pos = 0
                 for size in comp:
-                    coords = f.coordinates(rot[pos:pos + size], endo)
+                    coords = f.coordinates(rot[pos:pos + size])
                     pos += size
                     stack = [(fl + (idx,), c2 * v) for fl, c2 in stack
                              for idx, v in coords]

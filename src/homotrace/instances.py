@@ -9,8 +9,13 @@ Three families:
   differential and a random unital operator subalgebra closed under
   product and differential.
 
-Every generator validates the dg axioms and the splitting invariants
-before returning.
+Every generator builds its bundle the way a file is loaded: it passes its
+operators (the matrix units, the mode projectors, the closed random
+span) to ``dgcore.algebra_from_operators``, which reads the structure
+constants, unit and differential off them and proves closure.
+``to_float_instance`` instead casts an exact instance that has already
+been checked.  Every generator validates the dg axioms and the splitting
+invariants before returning.
 """
 
 from __future__ import annotations
@@ -148,9 +153,10 @@ def torus_instance(truncation: int, tau: complex | tuple = 1j,
     Modes phi_{m,n} with |m|,|n| <= truncation in degrees 0 and 1; the
     differential acts diagonally by the del-bar multiplier.  The algebra
     is the commutative multiplier algebra spanned by the mode projectors
-    (the closure of the constant-coefficient operators, which act
-    diagonally and preserve the truncation exactly).  Named elements give
-    the constant-coefficient derivative powers up to the order cap.
+    P(m,n) (the closure of the constant-coefficient operators, which act
+    diagonally and preserve the truncation exactly), read off them by
+    ``algebra_from_operators``.  Named elements give the constant-coefficient
+    derivative powers up to the order cap.
     """
     total = 2 * (2 * truncation + 1) ** 2
     if truncation < 1:
@@ -182,27 +188,18 @@ def torus_instance(truncation: int, tau: complex | tuple = 1j,
         qblock[i, i] = mubar[mn]
     q = GradedMap.build(space, space, 1, {0: qblock}, FLOAT)
 
-    aspace = GradedVectorSpace.make(
-        {0: n_modes}, {0: [f"P({m},{n})" for m, n in modes]})
     maps = []
     for i in range(n_modes):
-        blocks = {}
-        for d in (0, 1):
-            m = np.zeros((n_modes, n_modes), dtype=complex)
-            m[i, i] = 1.0
-            blocks[d] = m
-        maps.append(GradedMap.build(space, space, 0, blocks, FLOAT))
-    mul = np.zeros((n_modes,) * 3, dtype=complex)
-    diag = np.arange(n_modes)
-    mul[diag, diag, diag] = 1.0
-    unit = np.ones(n_modes, dtype=complex)
-    differential = GradedMap.zero(aspace, aspace, 1, FLOAT)
-    algebra = make_algebra(aspace, differential, mul, unit, FLOAT)
-    bundle = DgModuleBundle(algebra=algebra, space=space, q=q,
-                            rho=tuple(maps), mode=FLOAT)
+        proj = np.zeros((n_modes, n_modes), dtype=complex)
+        proj[i, i] = 1.0
+        maps.append(GradedMap.build(space, space, 0, {0: proj, 1: proj},
+                                    FLOAT))
+    bundle = algebra_from_operators(space, q, maps,
+                                    [f"P({m},{n})" for m, n in modes], FLOAT,
+                                    tol)
     splitting = build_splitting_hodge(space, q, tol=tol)
 
-    elements = {"Id": (0, unit.copy())}
+    elements = _identity_element(bundle)
     for order in range(1, order_cap + 1):
         vec = np.array([lam[mn] ** order for mn in modes], dtype=complex)
         name = "ddz" if order == 1 else f"ddz{order}"

@@ -1,5 +1,5 @@
-"""Supertrace functionals: cohomological, canonical, projected, transferred,
-and the cyclic higher traces.
+"""Supertrace functionals: cohomological, transferred, and the cyclic
+higher traces.
 
 The transferred trace is the canonical supertrace pulled back through the
 push-forward on Hochschild chains; it vanishes on total boundaries and
@@ -22,7 +22,6 @@ from homotrace.hochschild import (
     _push,
     _signed_rotations,
     hochschild_boundary,
-    target_algebra,
 )
 from homotrace.scalars import zero_scalar
 from homotrace.transfer import AInfinityMorphism
@@ -41,26 +40,6 @@ def supertrace_on_cohomology(op: GradedMap, splitting: Splitting,
         raise ShapeError("operator does not commute with the differential")
     induced = compose(splitting.project, compose(op, splitting.include))
     return induced.supertrace()
-
-
-def canonical_supertrace(chain: HochschildChain, endo: EndoAlgebra):
-    """Nonzero only on single-slot degree-0 terms: even trace minus odd trace."""
-    total = zero_scalar(chain.algebra.mode)
-    for flats, c in chain.terms.items():
-        if len(flats) != 1:
-            continue
-        if chain.algebra.basis_degree(flats[0]) != 0:
-            continue
-        total = total + c * endo.maps[flats[0]].supertrace()
-    return total
-
-
-def projected_supertrace(op: GradedMap, splitting: Splitting):
-    """Supertrace of the operator squeezed between the cohomology projectors."""
-    if op.degree != 0:
-        return zero_scalar(op.mode)
-    squeezed = compose(splitting.pi0, compose(op, splitting.pi0))
-    return squeezed.supertrace()
 
 
 def transferred_trace(chain: HochschildChain, f: AInfinityMorphism):
@@ -118,7 +97,7 @@ def transferred_cyclic_trace(chain: HochschildChain, f: AInfinityMorphism,
     blocks = 2 * level + 1
     pushed = _push(chain, f, lambda k: [c for c in _compositions(k)
                                         if len(c) == blocks])
-    return cyclic_trace(pushed, target_algebra(f), level)
+    return cyclic_trace(pushed, f.target, level)
 
 
 def antisymmetrized_supertrace(ops: list[GradedMap], splitting: Splitting,

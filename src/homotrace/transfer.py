@@ -38,10 +38,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from homotrace.dgcore import DgModuleBundle, EndoAlgebra, Splitting
+from homotrace.dgcore import (DgModuleBundle, EndoAlgebra, Splitting,
+                              endomorphism_algebra)
 from homotrace.errors import QuadratureBudgetError, ShapeError
 from homotrace.glinalg import (AMBIGUITY_BAND, GradedMap, GradedVectorSpace,
                                bar_signs, compose)
@@ -390,16 +392,22 @@ class AInfinityMorphism:
         self.reads.add(flats)
         return got
 
-    def coordinates(self, flats: tuple[int, ...], endo: EndoAlgebra) -> list:
+    @cached_property
+    def target(self) -> EndoAlgebra:
+        """End(M0) with zero differential, the push-forward's target; built
+        once per morphism."""
+        return endomorphism_algebra(self.m0, self.bundle.mode)
+
+    def coordinates(self, flats: tuple[int, ...]) -> list:
         """The nonzero coordinates (k, c) of f_m(b_1, ..., b_m) over the
-        basis of ``endo``, End(M0): kept beside the component, so expanded
-        once per morphism, and never for a zero component.  The tuple is
+        basis of ``target``: kept beside the component, so expanded once
+        per morphism, and never for a zero component.  The tuple is
         recorded in ``reads`` as ``on_basis`` records it."""
         got = self._coords.get(flats)
         if got is None:
             m = self.on_basis(flats)
             got = self._coords[flats] = [
-                (k, c) for k, c in enumerate(endo.expand(m)) if c
+                (k, c) for k, c in enumerate(self.target.expand(m)) if c
             ] if m.blocks else []
         else:
             self.reads.add(flats)

@@ -37,7 +37,6 @@ from homotrace.glinalg import (
     entries,
     identity_matrix,
     magnitudes,
-    matrix_from_rows,
     max_abs,
     rref,
     supercommutator,
@@ -48,6 +47,7 @@ from homotrace.instances import matrix_instance, random_instance, \
 from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, GaussianRational,
                                one_scalar)
 from homotrace.transfer import _to_float
+from oracles import matrix_from_rows
 
 
 def t1_space_q():

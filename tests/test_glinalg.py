@@ -15,7 +15,6 @@ from homotrace.glinalg import (
     compose,
     exact_nullspace,
     float_rank,
-    matrix_from_rows,
     max_abs,
     nullspace_and_pivots,
     pivot_rows,
@@ -24,6 +23,7 @@ from homotrace.glinalg import (
     zeros_matrix,
 )
 from homotrace.scalars import EXACT, FLOAT, GaussianRational
+from oracles import matrix_from_rows
 
 
 def space(dims):

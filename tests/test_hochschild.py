@@ -14,17 +14,16 @@ from homotrace.hochschild import (
     HochschildChain,
     _compositions,
     chain_map_defect,
-    cyclic_project,
-    cyclic_shift,
     cyclic_shift_term,
     hochschild_boundary,
     push_chain,
-    target_algebra,
 )
 from homotrace.instances import random_instance, to_float_instance
 from homotrace.scalars import DEFAULT_TOL
-from homotrace.traces import canonical_supertrace, trace_defect
+from homotrace.traces import trace_defect
 from homotrace.transfer import transferred_morphism
+from oracles import canonical_supertrace, cyclic_project, cyclic_shift, \
+    describe
 
 
 def random_term(rng, algebra, k):
@@ -152,7 +151,7 @@ def test_degree_zero_symmetric_pair_is_cyclic_boundaryless(t1):
 
 def test_push_single_slot_is_first_component(t1, t1_morphism):
     alg = t1.bundle.algebra
-    endo = target_algebra(t1_morphism)
+    endo = t1_morphism.target
     for k in range(alg.n_basis):
         pushed = push_chain(HochschildChain.of(alg, (k,)), t1_morphism)
         expect = HochschildChain.zero(endo.algebra)
@@ -169,7 +168,7 @@ def test_push_two_slots_has_three_term_shape(t1, t1_morphism):
     pushed = push_chain(HochschildChain.of(alg, (a, b)), t1_morphism)
     lengths = {len(t) for t in pushed.terms}
     assert lengths <= {1, 2}
-    endo = target_algebra(t1_morphism)
+    endo = t1_morphism.target
     two_slot = HochschildChain(
         endo.algebra, {t: v for t, v in pushed.terms.items() if len(t) == 2})
     expect = HochschildChain.zero(endo.algebra)
@@ -188,7 +187,7 @@ def test_chain_map_property_exact(t1, t1_morphism):
         k = rng.randint(1, 4)
         rep = chain_map_defect(
             HochschildChain.of(alg, random_term(rng, alg, k)), t1_morphism)
-        assert rep.passed, rep.defect.describe()
+        assert rep.passed, describe(rep.defect)
 
 
 def test_chain_map_property_random_instances():
@@ -298,7 +297,7 @@ def test_push_matches_rotation_sum_for_traces(t1, t1_morphism):
     """The single-slot part of the push is the signed rotation sum of the top
     component, so the transferred trace has the advertised rotation shape."""
     alg = t1.bundle.algebra
-    endo = target_algebra(t1_morphism)
+    endo = t1_morphism.target
     rng = random.Random(8)
     checked = 0
     for _ in range(200):

@@ -1,0 +1,105 @@
+"""Layout: ``src/homotrace`` holds what the package uses.
+
+An AST scan lists every top-level function and class of the package and
+every method of those classes (dunder methods aside), and every identifier
+that the code in ``src/``, ``scripts/`` and ``bench/`` names: variable
+names, attribute names and imported names.  A definition that nothing
+names outside its own body is unused by the package, so it belongs in the
+tests (``tests/oracles.py``) or nowhere.  ``__init__.py`` is not read for
+names, since re-exporting a definition does not use it.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "homotrace"
+
+# definition -> why it stays although nothing in src/, scripts/ or bench/
+# names it
+ALLOWED = {
+    "DgAlgebra.mul_vectors": "bench/tracing.py wraps it by its name as a "
+                             "string, and its tracer fails without it",
+    "euler_characteristic": "public entry point: the Euler characteristic "
+                            "of a space, or of its cohomology under Q",
+    "torus_element": "public entry point: a torus derivative operator, "
+                     "refused above the instance's order cap",
+    "propagator": "public entry point: the gap propagator at one gap length",
+    "antisymmetrized_supertrace": "public entry point: the finite "
+                                  "counterpart of the level-1 cyclic trace "
+                                  "(acceptance criterion 8)",
+}
+
+
+def _trees():
+    for folder in ("src", "scripts", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _definitions(tree):
+    """(qualified name, node) of each top-level function and class and of
+    each non-dunder method of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("__")):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def _names(tree):
+    """(identifier, line) of every name, attribute and import in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+
+
+def unnamed_definitions(trees) -> list[str]:
+    """The package definitions in ``trees``, (path, tree) pairs, that
+    nothing names outside their own body."""
+    defs, refs = [], []
+    for path, tree in trees:
+        if path.parent == PACKAGE:
+            defs += [(name, path, node) for name, node in _definitions(tree)]
+        if path.name != "__init__.py":
+            refs += [(ident, path, line) for ident, line in _names(tree)]
+    return [name for name, path, node in defs if not any(
+        ident == name.rsplit(".", 1)[-1]
+        and (where != path or not node.lineno <= line <= node.end_lineno)
+        for ident, where, line in refs)]
+
+
+def test_every_package_definition_is_used():
+    unused = [name for name in unnamed_definitions(_trees())
+              if name not in ALLOWED]
+    assert not unused, (
+        f"nothing in src/, scripts/ or bench/ names {unused}: move test "
+        "oracles to tests/oracles.py and delete the rest")
+
+
+def test_every_exception_is_still_needed():
+    """An allow-list entry goes once the definition is gone or named."""
+    assert sorted(unnamed_definitions(_trees())) == sorted(ALLOWED)
+    assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_the_scan_finds_what_only_itself_or_init_names():
+    """Recursion and a re-export in ``__init__.py`` do not count as use; a
+    call from another module or from the same module does."""
+    module = ast.parse("def lonely(n):\n    return lonely(n - 1)\n\n"
+                       "def exported():\n    pass\n\n"
+                       "def helper():\n    pass\n\n"
+                       "class Thing:\n    def method(self):\n"
+                       "        return helper()\n")
+    init = ast.parse("from homotrace.fake import exported\n")
+    caller = ast.parse("from homotrace.fake import Thing\nThing().method()\n")
+    assert unnamed_definitions([
+        (PACKAGE / "fake.py", module), (PACKAGE / "__init__.py", init),
+        (ROOT / "scripts" / "fake.py", caller)]) == ["lonely", "exported"]

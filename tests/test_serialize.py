@@ -25,20 +25,36 @@ from homotrace.traces import transferred_trace
 from homotrace.transfer import transferred_morphism
 
 
-def test_exact_round_trip(tmp_path, t1):
-    path = tmp_path / "t1.json"
-    save_instance(t1, str(path))
+@pytest.mark.parametrize("which", ["T1", "m32", "dim8", "torus1", "torus2"])
+def test_exact_round_trip(tmp_path, request, which):
+    """A generated bundle and the bundle loaded from its file agree exactly
+    (floats bit for bit): module, Q, operators, structure constants, unit,
+    differential blocks and basis names, since every generator builds its
+    bundle the way a file is loaded."""
+    inst = {"T1": lambda: request.getfixturevalue("t1"),
+            "m32": lambda: matrix_instance({0: 3, 1: 2},
+                                           q_entries=[("d0_0", "d1_0", 1)]),
+            "dim8": lambda: matrix_instance({0: 3, 1: 3, 2: 2}),
+            "torus1": lambda: request.getfixturevalue("torus1"),
+            "torus2": lambda: request.getfixturevalue("torus2")}[which]()
+    path = tmp_path / "instance.json"
+    save_instance(inst, str(path))
     loaded = load_instance(str(path))
-    assert loaded.mode == "exact"
-    b0, b1 = t1.bundle, loaded.bundle
-    assert b0.space.dims == b1.space.dims
-    for d in b0.space.degrees():
-        assert (b0.q.block(d) == b1.q.block(d)).all()
-    assert b0.algebra.n_basis == b1.algebra.n_basis
-    for i in range(b0.algebra.n_basis):
-        assert b0.rho_flat(i).equals(b1.rho_flat(i))
-        for j in range(b0.algebra.n_basis):
-            assert all(b0.algebra.mul[i, j] == b1.algebra.mul[i, j])
+    assert loaded.mode == inst.mode
+    b0, b1 = inst.bundle, loaded.bundle
+    a0, a1 = b0.algebra, b1.algebra
+    assert b0.space == b1.space and a0.space == a1.space
+    assert b0.q.equals(b1.q)
+    assert a0.n_basis == a1.n_basis
+    assert all(b0.rho_flat(i).equals(b1.rho_flat(i))
+               for i in range(a0.n_basis))
+    assert [a0.basis_name(k) for k in range(a0.n_basis)] == \
+        [a1.basis_name(k) for k in range(a1.n_basis)]
+    assert np.array_equal(a0.mul, a1.mul)
+    assert np.array_equal(a0.unit, a1.unit)
+    d0, d1 = dict(a0.differential.blocks), dict(a1.differential.blocks)
+    assert d0.keys() == d1.keys()
+    assert all(np.array_equal(d0[d], d1[d]) for d in d0)
 
 
 def test_float_round_trip(tmp_path, torus1):
@@ -110,29 +126,41 @@ def test_float_load_keeps_the_constants(tmp_path, t1, torus2, which):
     assert np.max(np.abs(got - want)) <= DEFAULT_TOL * np.max(np.abs(want))
 
 
+def _calls_inside_load(inst, path, monkeypatch, counted, scope):
+    """The instance loaded from ``path`` (``inst`` saved there first), and
+    how many times the function at each (module, name) of ``counted`` (one
+    function) was called while the function at (module, name) ``scope``
+    ran."""
+    save_instance(inst, str(path))
+    calls, inside = [0], [False]
+    (owner, attr), (home, name) = counted[0], scope
+    fn, within = getattr(owner, attr), getattr(home, name)
+
+    def count(*args):
+        calls[0] += inside[0]
+        return fn(*args)
+
+    def run(*args):
+        inside[0] = True
+        try:
+            return within(*args)
+        finally:
+            inside[0] = False
+
+    for owner, attr in counted:
+        monkeypatch.setattr(owner, attr, count)
+    monkeypatch.setattr(home, name, run)
+    return load_instance(str(path)), calls[0]
+
+
 def _composes_inside_load(inst, path, monkeypatch) -> tuple[int, int]:
     """The number of operators of the instance loaded from ``path`` (saved
     there first), and how many maps ``algebra_from_operators`` composed
     while loading it."""
-    save_instance(inst, str(path))
-    calls, inside = [0], [False]
-    compose, build = glinalg.compose, serialize.algebra_from_operators
-
-    def counted(f, g):
-        calls[0] += inside[0]
-        return compose(f, g)
-
-    def building(*args):
-        inside[0] = True
-        try:
-            return build(*args)
-        finally:
-            inside[0] = False
-
-    monkeypatch.setattr(glinalg, "compose", counted)
-    monkeypatch.setattr(dgcore, "compose", counted)
-    monkeypatch.setattr(serialize, "algebra_from_operators", building)
-    return load_instance(str(path)).bundle.algebra.n_basis, calls[0]
+    loaded, calls = _calls_inside_load(
+        inst, path, monkeypatch, [(glinalg, "compose"), (dgcore, "compose")],
+        (serialize, "algebra_from_operators"))
+    return loaded.bundle.algebra.n_basis, calls
 
 
 def test_float_load_forms_no_product_per_pair(tmp_path, torus2, monkeypatch):
@@ -151,6 +179,19 @@ def test_exact_load_forms_no_product_per_pair(tmp_path, monkeypatch):
     n, calls = _composes_inside_load(random_instance(11, {0: 2, 1: 3, 2: 2}),
                                      tmp_path / "r11.json", monkeypatch)
     assert n == 17 and calls < 17 ** 2
+
+
+@pytest.mark.parametrize("which", ["r11", "m32"])
+def test_exact_load_eliminates_once_per_degree(tmp_path, monkeypatch, which):
+    """An exact load runs one ``rref`` per algebra degree inside
+    ``_expand_pivots``: the pivot entries and the inverse of their block
+    are read off the same elimination."""
+    inst = (random_instance(11, {0: 2, 1: 3, 2: 2}) if which == "r11" else
+            matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]))
+    loaded, calls = _calls_inside_load(
+        inst, tmp_path / "instance.json", monkeypatch, [(glinalg, "rref")],
+        (dgcore, "_expand_pivots"))
+    assert calls == len(loaded.bundle.algebra.space.dims) > 1
 
 
 @pytest.mark.parametrize("which", ["torus2", "r11"])

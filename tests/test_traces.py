@@ -1,4 +1,5 @@
-"""Trace functionals: cohomological, canonical, projected, transferred, cyclic."""
+"""Trace functionals: cohomological, transferred, cyclic, and the canonical
+and projected oracles."""
 
 import itertools
 import random
@@ -13,26 +14,19 @@ from homotrace.dgcore import (
 )
 from homotrace.errors import ShapeError
 from homotrace.glinalg import GradedMap, GradedVectorSpace, compose, zeros_matrix
-from homotrace.hochschild import (
-    HochschildChain,
-    cyclic_shift,
-    hochschild_boundary,
-    push_chain,
-    target_algebra,
-)
+from homotrace.hochschild import HochschildChain, hochschild_boundary, push_chain
 from homotrace.instances import random_instance
 from homotrace.scalars import EXACT
 from homotrace.traces import (
     antisymmetrized_supertrace,
-    canonical_supertrace,
     cyclic_trace,
-    projected_supertrace,
     supertrace_on_cohomology,
     trace_defect,
     transferred_cyclic_trace,
     transferred_trace,
 )
 from homotrace.transfer import transferred_morphism
+from oracles import canonical_supertrace, cyclic_shift, projected_supertrace
 
 
 def test_supertrace_on_cohomology_identity(t1, torus1):
@@ -60,7 +54,7 @@ def test_supertrace_nilpotent_is_zero(t1):
 
 def test_canonical_supertrace_support():
     v = GradedVectorSpace.make({0: 2, 1: 1})
-    endo = endomorphism_algebra(v, None, EXACT)
+    endo = endomorphism_algebra(v, EXACT)
     alg = endo.algebra
     ident = HochschildChain.zero(alg)
     for i, c in enumerate(alg.unit):
@@ -72,7 +66,7 @@ def test_canonical_supertrace_support():
 
 def test_canonical_supertrace_balanced_space():
     v = GradedVectorSpace.make({0: 1, 1: 1})
-    endo = endomorphism_algebra(v, None, EXACT)
+    endo = endomorphism_algebra(v, EXACT)
     alg = endo.algebra
     ident = HochschildChain.zero(alg)
     for i, c in enumerate(alg.unit):
@@ -130,7 +124,7 @@ def test_transferred_trace_is_supertrace_of_full_push(t1, name):
             flats = tuple(rng.randrange(alg.n_basis) for _ in range(k))
             if sum(alg.basis_degree(x) for x in flats) == k - 1:
                 chain.add_term(flats, Fraction(rng.randint(-3, 3)))
-        full = canonical_supertrace(push_chain(chain, f), target_algebra(f))
+        full = canonical_supertrace(push_chain(chain, f), f.target)
         assert transferred_trace(chain, f) == full
 
 
@@ -229,14 +223,14 @@ def test_homotopy_independence_on_closed_chains(t1):
 
 
 def test_cyclic_trace_level_zero_is_canonical(t1, t1_morphism):
-    endo = target_algebra(t1_morphism)
+    endo = t1_morphism.target
     alg = endo.algebra
     chain = HochschildChain.of(alg, (0,))
     assert cyclic_trace(chain, endo, 0) == canonical_supertrace(chain, endo)
 
 
 def test_cyclic_trace_wrong_length_raises(t1, t1_morphism):
-    endo = target_algebra(t1_morphism)
+    endo = t1_morphism.target
     with pytest.raises(ShapeError):
         cyclic_trace(HochschildChain.of(endo.algebra, (0, 0)), endo, 1)
 
@@ -244,7 +238,7 @@ def test_cyclic_trace_wrong_length_raises(t1, t1_morphism):
 def test_cyclic_trace_descends_to_quotient():
     """Invariance under the signed cyclic shift, checked over an even space."""
     v = GradedVectorSpace.make({0: 2})
-    endo = endomorphism_algebra(v, None, EXACT)
+    endo = endomorphism_algebra(v, EXACT)
     alg = endo.algebra
     rng = random.Random(4)
     for _ in range(40):
@@ -256,7 +250,7 @@ def test_cyclic_trace_descends_to_quotient():
 
 def test_cyclic_trace_kills_boundaries_even_space():
     v = GradedVectorSpace.make({0: 2})
-    endo = endomorphism_algebra(v, None, EXACT)
+    endo = endomorphism_algebra(v, EXACT)
     alg = endo.algebra
     rng = random.Random(5)
     for _ in range(60):
