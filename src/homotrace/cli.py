@@ -48,12 +48,16 @@ def _parse_dims(text: str) -> dict[int, int]:
     return {d: n for d, n in enumerate(parts) if n > 0}
 
 
-def _parse_tau(text: str) -> tuple[Fraction, Fraction]:
+def _parse_tau(text: str) -> complex:
+    """re,im as rationals, rounded to a complex double."""
     try:
         re_s, im_s = text.split(",")
-        return Fraction(re_s), Fraction(im_s)
+        return complex(float(Fraction(re_s)), float(Fraction(im_s)))
     except ValueError as exc:
         raise InputError(f"bad --tau value {text!r} (want re,im)") from exc
+    except OverflowError as exc:
+        raise InputError(f"--tau value {text!r} is outside the double "
+                         "range") from exc
 
 
 def _positive_float(text: str) -> float:

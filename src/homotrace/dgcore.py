@@ -89,19 +89,30 @@ class DgAlgebra:
         return tuple((d, i) for d, n in self.space.dims for i in range(n))
 
     @cached_property
-    def integer_view(self) -> tuple[tuple[np.ndarray, int, int | None], ...]:
-        """The structure constants, the differential as rows (row i: d(e_i))
-        and the unit, each as ``glinalg.clear_denominators`` gives it: (D t,
-        D, bound).  Exact mode only; cleared once per algebra."""
-        return tuple(clear_denominators(t) for t in (
-            self.mul, self.differential.dense().T, self.unit))
+    def integer_view(self) -> tuple[tuple, ...]:
+        """The nonzero structure constants, differential entries and unit
+        coordinates, each as (indices, D values, D, bound): indices (i, j,
+        k) for the coefficient of e_k in e_i e_j, (i, k) for that in d(e_i)
+        and (k,) for the unit's, in index order, and the values as
+        ``glinalg.clear_denominators`` gives them.  Exact mode only; cleared
+        once per algebra.  ``algebra_from_operators`` lends the algebra the
+        entries it expanded; any other algebra finds them with one scan."""
+        n = self.n_basis
+        return _integer_view(n, *coo(np.concatenate([
+            self.mul.reshape(n * n, n), self.unit[None],
+            self.differential.dense().T]), object))
 
     @cached_property
     def product_terms(self) -> list[list[list[tuple]]]:
         """product_terms[i][j]: (k, c) per nonzero coefficient of e_i e_j."""
         out = [[[] for _ in range(self.n_basis)] for _ in range(self.n_basis)]
-        support = self.integer_view[0][0] if self.mode == EXACT else self.mul
-        for i, j, k, c in entries(self.mul, support):
+        if self.mode == EXACT:
+            (i, j, k), *_ = self.integer_view[0]
+            terms = zip(i.tolist(), j.tolist(), k.tolist(),
+                        self.mul[i, j, k].tolist())
+        else:
+            terms = entries(self.mul)
+        for i, j, k, c in terms:
             out[i][j].append((k, c))
         return out
 
@@ -186,15 +197,17 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     aspace = _basis_space(rho, rho_names)
     n, off = len(rho), aspace.offsets()
     view = module_view(space, q, rho, mode)
-    vals = _expand_pivots(view, tol)
+    vals, found = _expand_pivots(view, tol)
     dmat = vals[n * n + 1:]                  # row k: d(e_k)
     blocks = {g: dmat[off[g]:off[g] + dim,
                       off[g + 1]:off[g + 1] + aspace.dim(g + 1)].T
               for g, dim in aspace.dims if aspace.dim(g + 1)}
     differential = GradedMap.build(aspace, aspace, 1, blocks, mode)
-    bundle = DgModuleBundle(make_algebra(
-        aspace, differential, vals[:n * n].reshape(n, n, n), vals[n * n],
-        mode), space, q, rho, mode)
+    algebra = make_algebra(aspace, differential, vals[:n * n].reshape(n, n, n),
+                           vals[n * n], mode)
+    if found is not None:                    # lent to the algebra
+        vars(algebra)["integer_view"] = _integer_view(n, *found)
+    bundle = DgModuleBundle(algebra, space, q, rho, mode)
     vars(bundle)["_view"] = view             # lent to the residuals once
     bad = _first_failure(bundle.residuals,
                          None if mode == EXACT else AMBIGUITY_BAND * tol)
@@ -221,6 +234,20 @@ def _escaped(row: int, names: list[str]) -> ClosureError:
              else f"differential of {names[row - n * n - 1]}")
     return ClosureError(f"{label} is not in the span of the declared "
                         "operators")
+
+
+def _integer_view(n: int, idx: tuple[np.ndarray, np.ndarray],
+                   vals: np.ndarray) -> tuple[tuple, ...]:
+    """``DgAlgebra.integer_view`` from the nonzero entries of the (n^2 + 1 +
+    n, n) stack of the structure constants, the unit and the differential
+    rows, in the rows of ``_escaped`` and in index order: (row, column)
+    indices and values."""
+    row, col = idx
+    a, b = np.searchsorted(row, (n * n, n * n + 1))
+    return tuple((at, *clear_denominators(v)) for at, v in (
+        ((row[:a] // n, row[:a] % n, col[:a]), vals[:a]),
+        ((row[b:] - n * n - 1, col[b:]), vals[b:]),
+        ((col[a:b],), vals[a:b])))
 
 
 ModuleView = namedtuple("ModuleView", "mode size degrees op pos val ints "
@@ -269,14 +296,17 @@ def module_view(space: GradedVectorSpace, q: GradedMap,
                       val[:r], ints[:r], d, top, keys, sums[:, 0], bound)
 
 
-def _expand_pivots(view: ModuleView, tol: float) -> np.ndarray:
+def _expand_pivots(view: ModuleView, tol: float
+                   ) -> tuple[np.ndarray, tuple | None]:
     """Each product, the identity and each {Q, op} over the flat basis, in
-    the rows of ``_escaped`` (meaningless outside the span).  The n_g
-    operators of degree g are factored once at n_g of their nonzero entries
-    (``glinalg.sparse_pivots``), where the view's sums give every row, so no
-    product is formed.  Float solves at the pivots; exact multiplies the
-    nonzero rows of degree g by the inverse of the pivot block, read off
-    the one elimination that chose the pivots."""
+    the rows of ``_escaped`` (meaningless outside the span), and in exact
+    mode its nonzero entries ((row, column) indices and values, in index
+    order; None in float).  The n_g operators of degree g are factored once
+    at n_g of their nonzero entries (``glinalg.sparse_pivots``), where the
+    view's sums give every row, so no product is formed.  Float solves at
+    the pivots; exact multiplies the nonzero rows of degree g by the
+    inverse of the pivot block, read off the one elimination that chose
+    the pivots."""
     deg, mode = view.degrees, view.mode
     n = len(deg)
     vals = zeros_matrix(n * n + 1 + n, n, mode)
@@ -296,17 +326,22 @@ def _expand_pivots(view: ModuleView, tol: float) -> np.ndarray:
     rows, pos = np.unravel_index(view.keys, (len(got), view.size ** 2))
     a, b = join(pos, pivot)
     got[rows[a], b] = view.sums[a]            # each row at each pivot
-    for at, factor in factors:
-        if mode == FLOAT:
+    if mode == FLOAT:
+        for at, factor in factors:
             vals[:, at] = np.linalg.solve(factor, got[:, at].T).T
-            continue
+        return vals, None
+    hits = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0, dtype=object),)]
+    for at, factor in factors:
         rows = np.flatnonzero(got[:, at].astype(bool).any(axis=1))
         inv_t, d, _ = clear_denominators(factor)
         part = got[rows, at].astype(object) @ inv_t
         nz = np.nonzero(part.astype(bool))
-        vals[rows[nz[0]], at.start + nz[1]] = part[nz] * Fraction(
-            1, d * view.d * view.d)
-    return vals
+        r, c = rows[nz[0]], at.start + nz[1]
+        vals[r, c] = part[nz] * Fraction(1, d * view.d * view.d)
+        hits.append((r, c, vals[r, c]))
+    row, col, val = (np.concatenate(x) for x in zip(*hits))
+    order = np.lexsort((col, row))
+    return vals, ((row[order], col[order]), val[order])
 
 
 @dataclass(frozen=True)
@@ -447,18 +482,21 @@ def _action_residuals(bundle: DgModuleBundle) -> np.ndarray:
         bundle.space, bundle.q, bundle.rho, bundle.mode)
     a, exact = bundle.algebra, bundle.mode == EXACT
     n, sq = a.n_basis, view.size * view.size
+    # coefficient c of rho_m in row t: rho(e_i e_j), rho(unit), rho(d e_k)
     if exact:
-        (mul, dm, tm), (diff, dd, td), (unit, du, tu) = a.integer_view
+        ((i, j, k), mc, dm, tm), ((di, dk), dc, dd, td), ((u,), uc, du, tu) \
+            = a.integer_view
         lift, scales = view.d, (dm, du, dd)
         dtype = int_dtype(None if None in (tm, td, tu, view.bound) else
                           n * max(tm, td, tu) * view.top * lift
                           + view.bound * max(scales))
+        t = np.concatenate([i * n + j, np.full(len(u), n * n), n * n + 1 + di])
+        m = np.concatenate([k, u, dk])
+        c = np.concatenate([mc, uc, dc]).astype(dtype)
     else:
-        mul, diff, unit = a.mul, a.differential.dense().T, a.unit
         dtype, lift, scales = complex, 1, (1, 1, 1)
-    # coefficient c of rho_m in row t: rho(e_i e_j), rho(unit), rho(d e_k)
-    (t, m), c = coo(np.concatenate([mul.reshape(n * n, n), unit[None],
-                                     diff]), dtype)
+        (t, m), c = coo(np.concatenate([a.mul.reshape(n * n, n), a.unit[None],
+                                         a.differential.dense().T]), dtype)
     p, e = join(m, view.op)
     rhs = view.sums.astype(dtype)
     cut = np.searchsorted(view.keys, (n * n * sq, (n * n + 1) * sq))
@@ -493,16 +531,18 @@ def _algebra_failures(a: DgAlgebra, tol: float | None) -> tuple:
     failing inf or NaN."""
     n = a.n_basis
     if tol is None:
-        (mul, dm, tm), (diff, _, td), (unit, du, tu) = a.integer_view
+        view = a.integer_view
+        (_, _, dm, tm), (_, _, _, td), (_, _, du, tu) = view
         one = dm * du
         dtype = int_dtype(None if None in (tm, td, tu) else
                           3 * n * max(tm, td, tu) ** 2 + one)
+        parts = [(idx, ints.astype(dtype)) for idx, ints, _, _ in view]
     else:
-        mul, diff, unit = a.mul, a.differential.dense().T, a.unit
         one, dtype = one_scalar(a.mode), a.mul.dtype
-    (i, j, m), c = coo(mul, dtype)              # e_i e_j = ... + c e_m
-    (di, dl), x = coo(diff, dtype)              # d(e_di) = ... + x e_dl
-    (um,), u = coo(unit, dtype)
+        parts = [coo(t, dtype) for t in (a.mul, a.differential.dense().T,
+                                          a.unit)]
+    # e_i e_j = ... + c e_m, d(e_di) = ... + x e_dl, unit = ... + u e_um
+    ((i, j, m), c), ((di, dl), x), ((um,), u) = parts
     sign = np.array([(-1) ** (a.basis_degree(k) % 2) for k in range(n)]
                     ).astype(dtype)
     with np.errstate(over="ignore", invalid="ignore"):

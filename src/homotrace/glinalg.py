@@ -21,10 +21,17 @@ push-forward end a term at its first zero component.
 
 Exact elimination is ``rref`` and what is read off one run of it (null
 space with its pivots, inverse, pivot rows with the inverse of their
-block).  ``rref`` pays only for nonzero work too: each step updates a row
-on the nonzero columns of the pivot row alone.  Every greedy "keep it if
-it is independent of what is kept" choice goes through ``ExactSpan``.
-Float rank decisions go through ``float_rank`` and the session tolerance.
+block); every greedy "keep it if it is independent of what is kept"
+choice goes through ``ExactSpan``.  Both run one fraction-free row
+reduction: a row is cleared to integers once (``_integer_row``), a step
+is row <- a row - b pivot_row with the pivot row's term on its nonzero
+columns alone, and each reduced row is divided by its content
+(``_eliminate``).  Over Q(i) the same code runs on Gaussian integers,
+with the content taken over the real and imaginary parts.  Scaling a
+row changes neither its span nor the reduced form, so ``rref`` forms its
+Fractions once, at the end, as entry / pivot, and ``ExactSpan`` forms
+none.  Float rank decisions go through ``float_rank`` and the session
+tolerance.
 
 Sparse identities between sums of products are joins over nonzero
 entries (``stored_entries`` and ``coo`` read them): ``join`` pairs the
@@ -353,32 +360,92 @@ def bar_signs(degrees) -> list[tuple[int, int]]:
 # Plain-matrix elimination helpers
 
 
+def _content(row: list) -> int:
+    """The gcd of an integer row: of its Python ints and of both parts of
+    each Gaussian integer (0 on a zero row)."""
+    try:
+        return math.gcd(*row)
+    except TypeError:                   # the row holds Gaussian integers
+        return math.gcd(*(p for x in row for p in (
+            (x,) if type(x) is int else (x.re.numerator, x.im.numerator))))
+
+
+def _divided(row: list, g: int) -> list:
+    """An integer row divided by an integer g that divides every entry."""
+    return [x // g if type(x) is int else x * Fraction(1, g) for x in row]
+
+
+def _primitive(row: list) -> list:
+    """An integer row divided by its content."""
+    g = _content(row)
+    return row if g <= 1 else _divided(row, g)
+
+
+def _cleared(values: list) -> tuple[list, int]:
+    """(D values, D) for D the least common multiple of the denominators of
+    exact scalars: Python ints, and Gaussian integers (GaussianRationals
+    with integer parts) for the GaussianRationals."""
+    d = math.lcm(*[math.lcm(x.re.denominator, x.im.denominator)
+                   if type(x) is GaussianRational else x.denominator
+                   for x in values])
+    return [x * d if type(x) is GaussianRational
+            else x.numerator * (d // x.denominator) for x in values], d
+
+
+def _integer_row(values: list) -> list:
+    """An exact row cleared to integers (``_cleared``) and divided by its
+    content."""
+    return _primitive(_cleared(values)[0])
+
+
+def _eliminate(row: list, pivot_row: list, c: int, support: list[int]
+               ) -> list:
+    """row <- a row - b pivot_row, with a = pivot_row[c] and b = row[c]
+    divided by their content, so that row[c] becomes 0; the second term
+    touches only the pivot row's nonzero columns ``support``.  The result
+    is divided by its content."""
+    a, b = _divided([pivot_row[c], row[c]], _content([pivot_row[c], row[c]]))
+    out = [a * x for x in row]
+    for j in support:
+        out[j] = out[j] - b * pivot_row[j]
+    return _primitive(out)
+
+
 def rref(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form over exact scalars; returns (R, pivot columns).
 
-    Each elimination step touches only the nonzero columns of the pivot
-    row; the other entries of a row would change by zero.
+    Fraction-free: each row is cleared to integers once (``_integer_row``),
+    each step is ``_eliminate`` (row <- a row - b pivot row on the pivot
+    row's nonzero columns, then divided by its content), and the entries
+    of R are formed once, at the end, as entry / pivot.  Scaling a row
+    changes neither its span nor the reduced form, so R is the one that
+    Fraction elimination gives.
     """
-    m = np.array(matrix, copy=True)
-    rows, cols = m.shape
+    rows, cols = matrix.shape
+    m = [_integer_row(row) for row in matrix.tolist()]
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        pr = next((i for i in range(r, rows) if m[i, c]), None)
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
         if pr is None:
             continue
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        nz = np.flatnonzero(m[r])
-        m[r, nz] = m[r, nz] * (1 / m[r, c])
+        m[r], m[pr] = m[pr], m[r]
+        support = [j for j, x in enumerate(m[r]) if x]
         for i in range(rows):
-            if i != r and m[i, c]:
-                m[i, nz] = m[i, nz] - m[i, c] * m[r, nz]
+            if i != r and m[i][c]:
+                m[i] = _eliminate(m[i], m[r], c, support)
         pivots.append(c)
         r += 1
-    return m, pivots
+    out = zeros_matrix(rows, cols, EXACT)
+    for i, c in enumerate(pivots):
+        p = m[i][c]
+        for j, x in enumerate(m[i]):
+            if x:   # a Fraction of ints, else a GaussianRational
+                out[i, j] = (Fraction(x, p) if type(x) is type(p) is int
+                             else x / p)
+    return out, pivots
 
 
 def nullspace_and_pivots(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -404,27 +471,30 @@ def exact_nullspace(matrix: np.ndarray) -> np.ndarray:
 class ExactSpan:
     """The span of the exact vectors kept so far, grown one candidate at a time.
 
-    Each kept vector is stored reduced: 1 at its own pivot and 0 at the
-    pivots of the vectors kept before it.  ``add`` therefore decides
-    independence with one pass over the stored rows, and keeping every
-    candidate that ``add`` accepts, in order, picks the same vectors as
-    the pivot columns of one elimination of all the candidates.
+    Each kept vector is stored as a primitive integer row (``_integer_row``)
+    reduced by ``_eliminate``: 0 at the pivots of the vectors kept before
+    it and nonzero at its own, its first nonzero column.  ``add``
+    therefore decides independence with one pass over the stored rows, and
+    keeping every candidate that ``add`` accepts, in order, picks the same
+    vectors as the pivot columns of one elimination of all the candidates.
+    A candidate may be given at any nonzero scale (integer blocks over a
+    dropped denominator, say): the decision is the same.
     """
 
     def __init__(self):
-        self._rows: list[tuple[int, np.ndarray]] = []
+        self._rows: list[tuple[int, list, list[int]]] = []
 
-    def add(self, vec: np.ndarray) -> bool:
-        """Keep ``vec`` if it lies outside the span; report whether it did."""
-        v = np.asarray(vec)
-        for p, row in self._rows:
+    def add(self, vec) -> bool:
+        """Keep ``vec`` (a sequence of exact scalars) if it lies outside the
+        span; report whether it did."""
+        v = _integer_row(list(vec))
+        for p, row, support in self._rows:
             if v[p]:
-                v = v - v[p] * row
-        nonzero = np.flatnonzero(v)
-        if not nonzero.size:
+                v = _eliminate(v, row, p, support)
+        support = [j for j, x in enumerate(v) if x]
+        if not support:
             return False
-        p = int(nonzero[0])
-        self._rows.append((p, v * (1 / v[p])))
+        self._rows.append((support[0], v, support))
         return True
 
 
@@ -446,15 +516,11 @@ def clear_denominators(t: np.ndarray) -> tuple[np.ndarray, int, int | None]:
     integer parts where t holds GaussianRationals; bound is the largest
     |entry| of D t, or None when it holds a GaussianRational."""
     idx = np.nonzero(t.astype(bool))  # np.nonzero tests objects twice
-    vals = t[idx].tolist()
-    gauss = [isinstance(x, GaussianRational) for x in vals]
-    d = math.lcm(*(math.lcm(x.re.denominator, x.im.denominator) if g
-                   else x.denominator for x, g in zip(vals, gauss)))
-    ints = [x * d if g else x.numerator * (d // x.denominator)
-            for x, g in zip(vals, gauss)]
+    ints, d = _cleared(t[idx].tolist())
     out = np.zeros(t.shape, dtype=object)
     out[idx] = ints
-    return out, d, None if any(gauss) else max(map(abs, ints), default=0)
+    gauss = any(type(x) is GaussianRational for x in ints)
+    return out, d, None if gauss else max(map(abs, ints), default=0)
 
 
 def coo(t: np.ndarray, dtype) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -464,10 +530,9 @@ def coo(t: np.ndarray, dtype) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return idx, t[idx].astype(dtype)
 
 
-def entries(t: np.ndarray, support: np.ndarray | None = None) -> list[tuple]:
-    """(index..., value) of every nonzero entry, in index order; the zero
-    test reads ``support``, an array of the same zero pattern, when given."""
-    idx = np.nonzero(t if support is None else support)
+def entries(t: np.ndarray) -> list[tuple]:
+    """(index..., value) of every nonzero entry, in index order."""
+    idx = np.nonzero(t)
     return list(zip(*(x.tolist() for x in idx), t[idx].tolist()))
 
 

@@ -21,9 +21,11 @@ invariants before returning.
 from __future__ import annotations
 
 import cmath
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +46,7 @@ from homotrace.glinalg import (
     ExactSpan,
     GradedMap,
     GradedVectorSpace,
+    clear_denominators,
     compose,
     invert_exact,
     zeros_matrix,
@@ -259,38 +262,89 @@ def _random_square_zero(rng: random.Random, space: GradedVectorSpace
     return compose(smap, compose(q, simap))
 
 
+class _IntegerMap(NamedTuple):
+    """An exact degree-homogeneous map as integer blocks over one
+    denominator: the map is blocks[d] / den on each source degree d, and
+    only nonzero blocks are stored."""
+
+    degree: int
+    blocks: dict[int, np.ndarray]
+    den: int
+
+
+def _integer_map(m: GradedMap) -> _IntegerMap:
+    cleared = {d: clear_denominators(b)[:2] for d, b in m.blocks}
+    den = math.lcm(*(c for _, c in cleared.values()))
+    return _IntegerMap(m.degree, {d: t * (den // c)
+                                  for d, (t, c) in cleared.items()}, den)
+
+
+def _nonzero(degree: int, blocks: dict, den: int) -> _IntegerMap:
+    return _IntegerMap(degree, {d: b for d, b in blocks.items() if b.any()},
+                       den)
+
+
+def _product(f: _IntegerMap, g: _IntegerMap) -> _IntegerMap:
+    """f g: one integer matmul per source degree of g."""
+    return _nonzero(f.degree + g.degree, {
+        d: f.blocks[d + g.degree] @ b for d, b in g.blocks.items()
+        if d + g.degree in f.blocks}, f.den * g.den)
+
+
+def _bracket(q: _IntegerMap, m: _IntegerMap) -> _IntegerMap:
+    """{Q, m} = Q m - (-1)^|m| m Q, for Q of degree 1."""
+    qm, mq = _product(q, m), _product(m, q)
+    sign = (-1) ** (m.degree % 2)
+    return _nonzero(qm.degree, {
+        d: qm.blocks.get(d, 0) - sign * mq.blocks.get(d, 0)
+        for d in qm.blocks.keys() | mq.blocks.keys()}, qm.den)
+
+
 def _closure(space: GradedVectorSpace, q: GradedMap,
              generators: list[GradedMap], bound: int) -> list[GradedMap]:
     """Unital span closure under composition and {Q, .}; exact.
 
-    Operators of different degrees are independent, so independence is
-    decided in one span per degree, on the concatenated blocks.
+    Every operator is held as integer blocks over one denominator
+    (``_IntegerMap``), so each candidate, a product or a {Q, .}, is an
+    integer matmul.  Operators of different degrees are independent, so
+    independence is decided in one ``ExactSpan`` per degree, which reads
+    the concatenated integer blocks directly: the denominator scales a
+    candidate, and scaling changes no decision.  A kept operator is divided
+    by the gcd of its denominator and its entries; only the kept operators
+    become Fraction maps, once at the end.
     """
-    from homotrace.glinalg import supercommutator
-
-    basis: list[GradedMap] = []
+    qi = _integer_map(q)
+    basis: list[_IntegerMap] = []
     spans: dict[int, ExactSpan] = {}
 
-    def try_add(m: GradedMap) -> bool:
-        vec = np.concatenate([m.block(d).reshape(-1) for d in space.degrees()])
+    def try_add(m: _IntegerMap) -> _IntegerMap | None:
+        vec = [x for d, n in space.dims for x in (
+            m.blocks[d].ravel().tolist() if d in m.blocks
+            else [0] * (n * space.dim(d + m.degree)))]
         if not spans.setdefault(m.degree, ExactSpan()).add(vec):
-            return False
+            return None
+        g = math.gcd(m.den, *vec)
+        if g > 1:
+            m = _IntegerMap(m.degree, {d: b // g for d, b in m.blocks.items()},
+                            m.den // g)
         basis.append(m)
         if len(basis) > bound:
             raise ClosureError(
                 f"algebra closure exceeded the dimension bound {bound}")
-        return True
+        return m
 
-    try_add(GradedMap.identity(space, EXACT))
-    queue = list(generators)
+    try_add(_integer_map(GradedMap.identity(space, EXACT)))
+    queue = [_integer_map(m) for m in generators]
     while queue:
-        m = queue.pop()
-        if try_add(m):
-            queue.append(supercommutator(q, m))
+        m = try_add(queue.pop())
+        if m is not None:
+            queue.append(_bracket(qi, m))
             for b in list(basis):
-                queue.append(compose(b, m))
-                queue.append(compose(m, b))
-    return basis
+                queue.append(_product(b, m))
+                queue.append(_product(m, b))
+    return [GradedMap.build(space, space, m.degree, {
+        d: b * Fraction(1, m.den) for d, b in m.blocks.items()}, EXACT)
+        for m in basis]
 
 
 def to_float_instance(instance: Instance, tol: float = DEFAULT_TOL) -> Instance:
@@ -320,20 +374,14 @@ def to_float_instance(instance: Instance, tol: float = DEFAULT_TOL) -> Instance:
     return _validated(fbundle, splitting, elements, meta, tol)
 
 
-def random_instance(seed: int, dims: dict[int, int],
-                    closure_bound: int = DEFAULT_CLOSURE_BOUND) -> Instance:
-    """Deterministic exact bundle from a seed: random square-zero Q and a
-    random unital operator subalgebra closed under d and product."""
-    total = sum(dims.values())
-    if not any(n > 0 for n in dims.values()):
-        raise InputError("random instances need a positive dimension")
-    if total > MAX_RANDOM_DIM:
-        raise InputError(f"random instances are capped at total dimension "
-                         f"{MAX_RANDOM_DIM}, got {total}")
+def _random_generators(seed: int, dims: dict[int, int]
+                       ) -> tuple[GradedVectorSpace, GradedMap,
+                                  list[GradedMap]]:
+    """The module, the random square-zero Q and the two random generators
+    that ``random_instance`` closes, from one seeded generator."""
     rng = random.Random(seed)
     space = GradedVectorSpace.make(dims)
     q = _random_square_zero(rng, space)
-
     degrees = space.degrees()
     gens = []
     for _ in range(2):
@@ -347,6 +395,20 @@ def random_instance(seed: int, dims: dict[int, int],
                 rng.randint(-2, 2))
         gens.append(GradedMap.build(space, space, d_tgt - d_src,
                                     {d_src: b}, EXACT))
+    return space, q, gens
+
+
+def random_instance(seed: int, dims: dict[int, int],
+                    closure_bound: int = DEFAULT_CLOSURE_BOUND) -> Instance:
+    """Deterministic exact bundle from a seed: random square-zero Q and a
+    random unital operator subalgebra closed under d and product."""
+    total = sum(dims.values())
+    if not any(n > 0 for n in dims.values()):
+        raise InputError("random instances need a positive dimension")
+    if total > MAX_RANDOM_DIM:
+        raise InputError(f"random instances are capped at total dimension "
+                         f"{MAX_RANDOM_DIM}, got {total}")
+    space, q, gens = _random_generators(seed, dims)
     basis_maps = _closure(space, q, gens, closure_bound)
     names, count = [], {}
     for m in basis_maps:

@@ -79,9 +79,13 @@ def instance_to_dict(instance: Instance) -> dict:
 
 
 def save_instance(instance: Instance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(instance), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    data = instance_to_dict(instance)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise InputError(f"cannot write instance file {path}: {exc}") from exc
 
 
 @contextmanager

@@ -4,9 +4,11 @@ the package itself."""
 
 from fractions import Fraction
 
+import numpy as np
+
 from homotrace.dgcore import EndoAlgebra, Splitting
-from homotrace.errors import ShapeError
-from homotrace.glinalg import GradedMap, compose, zeros_matrix
+from homotrace.errors import ClosureError, ShapeError
+from homotrace.glinalg import GradedMap, compose, supercommutator, zeros_matrix
 from homotrace.hochschild import HochschildChain, cyclic_shift_term
 from homotrace.scalars import EXACT, zero_scalar
 
@@ -79,3 +81,39 @@ def projected_supertrace(op: GradedMap, splitting: Splitting):
         return zero_scalar(op.mode)
     squeezed = compose(splitting.pi0, compose(op, splitting.pi0))
     return squeezed.supertrace()
+
+
+def fraction_closure(space, q, generators, bound):
+    """Unital span closure under composition and {Q, .} in Fraction
+    arithmetic: every candidate a formed ``GradedMap``, and independence
+    decided per degree by Fraction rows kept reduced (1 at their pivot, 0
+    at the pivots kept before them)."""
+    basis, spans = [], {}
+
+    def try_add(m):
+        v = np.concatenate([m.block(d).reshape(-1) for d in space.degrees()])
+        rows = spans.setdefault(m.degree, [])
+        for p, row in rows:
+            if v[p]:
+                v = v - v[p] * row
+        nonzero = np.flatnonzero(v)
+        if not nonzero.size:
+            return False
+        p = int(nonzero[0])
+        rows.append((p, v * (1 / v[p])))
+        basis.append(m)
+        if len(basis) > bound:
+            raise ClosureError(
+                f"algebra closure exceeded the dimension bound {bound}")
+        return True
+
+    try_add(GradedMap.identity(space, EXACT))
+    queue = list(generators)
+    while queue:
+        m = queue.pop()
+        if try_add(m):
+            queue.append(supercommutator(q, m))
+            for b in list(basis):
+                queue.append(compose(b, m))
+                queue.append(compose(m, b))
+    return basis

@@ -307,6 +307,29 @@ def test_torus_order_cap_zero_exits_2(tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+def test_gen_unwritable_output_exits_2(tmp_path, capsys, target):
+    """An -o path in a missing directory, or a directory, is bad input:
+    exit 2 with one 'cannot write instance file' line, no traceback."""
+    out = tmp_path / "missing" / "a.json" if target == "missing-dir" \
+        else tmp_path
+    assert run(["gen", "--kind", "matrix", "--preset", "T1",
+                "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: cannot write instance file")
+
+
+def test_gen_tau_beyond_double_range_exits_2(tmp_path, capsys):
+    """A --tau part that no double holds is bad input naming --tau."""
+    out = tmp_path / "x.json"
+    assert run(["gen", "--kind", "torus", "--tau", "1,1e400",
+                "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--tau" in err
+    assert err.startswith("input error:") and not out.exists()
+
+
 def _set_q_entry(t1f, value):
     t1f["Q"][0][2] = value
 

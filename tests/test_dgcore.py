@@ -423,13 +423,18 @@ def _gaussian_t1():
 def test_exact_pivot_expansion_matches_elimination(build):
     """Exact constants, unit and differential read off pivot entries equal
     the per-degree elimination of every formed product, identity and {Q,
-    op}, entry for entry, over Q and over Q(i)."""
+    op}, entry for entry, over Q and over Q(i); the nonzero entries that
+    the expansion lends to the algebra are those of its rows, in index
+    order."""
     bundle = build()
-    got = _expand_pivots(module_view(bundle.space, bundle.q, bundle.rho,
-                                     EXACT), DEFAULT_TOL)
+    got, found = _expand_pivots(module_view(bundle.space, bundle.q,
+                                            bundle.rho, EXACT), DEFAULT_TOL)
     want = _elimination_reference(bundle.space, bundle.q, bundle.rho)
     assert got.shape == want.shape
     assert all(x == y for x, y in zip(got.flat, want.flat))
+    (row, col), val = found
+    assert [row.tolist(), col.tolist(), val.tolist()] == [
+        list(x) for x in zip(*entries(got))]
     names = [f"b{k}" for k in range(len(bundle.rho))]
     loaded = algebra_from_operators(bundle.space, bundle.q, list(bundle.rho),
                                     names, EXACT)
@@ -786,7 +791,7 @@ def test_algebra_axiom_join_matches_dict_oracle(case):
     assert all(_algebra_failures(a, tol) != (None, None, None)
                for a in copies)
     if case == "r42":
-        assert alg.integer_view[0][2] >= 2 ** 63
+        assert alg.integer_view[0][3] >= 2 ** 63
 
 
 def _dense_action_residuals(bundle):
@@ -803,9 +808,9 @@ def _dense_action_residuals(bundle):
     stack = np.empty((n, size, size), dtype=object if exact else complex)
     for k, m in enumerate(bundle.rho):
         stack[k] = m.dense()
-    (mul, dm, _), (diff, dd, _), (unit, du, _) = (
-        a.integer_view if exact else [(t, 1, None) for t in (
-            a.mul, a.differential.dense().T, a.unit)])
+    (mul, dm, _), (diff, dd, _), (unit, du, _) = [
+        clear_denominators(t) if exact else (t, 1, None)
+        for t in (a.mul, a.differential.dense().T, a.unit)]
     (rho, dr, _), (q, dq, _) = [
         clear_denominators(t) if exact else (t, 1, None)
         for t in (stack, bundle.q.dense())]

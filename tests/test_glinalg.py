@@ -122,32 +122,44 @@ def test_nullspace_rank_nullity(rows, cols, seed):
 
 def _greedy_by_rref(columns):
     """Reference: keep a column when the stack of kept columns plus it has
-    full column rank, one elimination per candidate."""
+    full column rank, one Fraction elimination (``dense_rref``) per
+    candidate."""
     kept = []
     for j, col in enumerate(columns):
         trial = np.stack([columns[k] for k in kept] + [col], axis=1)
-        if len(rref(trial)[1]) == trial.shape[1]:
+        if len(dense_rref(trial)[1]) == trial.shape[1]:
             kept.append(j)
     return kept
 
 
+BIG = 3 * 2 ** 64   # scales numerators past int64, so row contents exceed 1
+
+
 @given(st.integers(1, 6), st.lists(st.integers(0, 3), min_size=1, max_size=9),
-       st.integers(0, 9999))
+       st.booleans(), st.sampled_from([1, BIG]), st.integers(0, 9999))
 @settings(max_examples=100, deadline=None)
-def test_exact_span_matches_per_candidate_rref(length, kinds, seed):
+def test_exact_span_matches_per_candidate_rref(length, kinds, gaussian, scale,
+                                               seed):
     """Kind 0 is a zero column, 1 a combination of earlier columns, 2 and 3
-    random columns with small entries."""
+    random columns with small entries times ``scale``; entries and
+    combination coefficients are GaussianRationals when ``gaussian``."""
     import random
     rng = random.Random(seed)
+
+    def scalar(scale):
+        re = Fraction(rng.randint(-2, 2) * scale, rng.randint(1, 2))
+        return GaussianRational(re, rng.randint(-2, 2) * scale) \
+            if gaussian else re
+
     columns = []
     for kind in kinds:
         col = zeros_matrix(length, 1, EXACT)[:, 0]
         if kind == 1 and columns:
             for c in rng.sample(columns, min(2, len(columns))):
-                col = col + Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * c
+                col = col + scalar(1) * c
         elif kind >= 2:
             for i in range(length):
-                col[i] = Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                col[i] = scalar(scale)
         columns.append(col)
     span = ExactSpan()
     chosen = [j for j, col in enumerate(columns) if span.add(col)]
@@ -180,15 +192,15 @@ def test_supertrace():
     assert i.supertrace() == 1
 
 
-def sparse_matrix(rng, rows, cols, gaussian, density):
+def sparse_matrix(rng, rows, cols, gaussian, density, scale=1):
     """Random exact matrix with about ``density`` nonzero entries,
-    Fractions or GaussianRationals."""
+    Fractions or GaussianRationals, numerators times ``scale``."""
     m = zeros_matrix(rows, cols, EXACT)
     for i in range(rows):
         for j in range(cols):
             if rng.random() < density:
-                re = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                m[i, j] = (GaussianRational(re, rng.randint(-2, 2))
+                re = Fraction(rng.randint(-3, 3) * scale, rng.randint(1, 3))
+                m[i, j] = (GaussianRational(re, rng.randint(-2, 2) * scale)
                            if gaussian else re)
     return m
 
@@ -264,7 +276,8 @@ def test_exact_compose_stores_only_nonzero_blocks(gaussian):
 
 
 def dense_rref(matrix):
-    """Reference elimination: the steps of ``rref``, each updating whole
+    """Reference elimination in Fraction (or GaussianRational) arithmetic:
+    Gauss-Jordan with each pivot row scaled to 1, each step updating whole
     rows."""
     m = np.array(matrix, copy=True)
     rows, cols = m.shape
@@ -291,14 +304,17 @@ def assert_entries_equal(got, want):
 
 
 @given(st.integers(1, 5), st.integers(1, 7), st.booleans(),
-       st.sampled_from([0.1, 0.3, 0.6, 1.0]), st.integers(0, 9999))
+       st.sampled_from([0.1, 0.3, 0.6, 1.0]), st.sampled_from([1, BIG]),
+       st.integers(0, 9999))
 @settings(max_examples=100, deadline=None)
-def test_rref_matches_dense_elimination(rows, cols, gaussian, density, seed):
-    """On sparse Fraction and GaussianRational matrices, ``rref`` gives the
-    echelon form and pivots of an elimination that updates whole rows."""
+def test_rref_matches_dense_elimination(rows, cols, gaussian, density, scale,
+                                        seed):
+    """On sparse Fraction and GaussianRational matrices, small or with
+    numerators past 2^64, ``rref`` gives the echelon form and pivots of a
+    Fraction elimination that updates whole rows."""
     import random
     rng = random.Random(seed)
-    a = sparse_matrix(rng, rows, cols, gaussian, density)
+    a = sparse_matrix(rng, rows, cols, gaussian, density, scale)
     got, pivots = rref(a)
     want, want_pivots = dense_rref(a)
     assert pivots == want_pivots

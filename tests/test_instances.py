@@ -2,14 +2,19 @@
 
 import cmath
 import hashlib
+import itertools
 import json
 
 import numpy as np
 import pytest
 
+from homotrace import glinalg, instances
 from homotrace.dgcore import cohomology, euler_characteristic, validate_bundle
 from homotrace.errors import CapError, InputError
 from homotrace.instances import (
+    DEFAULT_CLOSURE_BOUND,
+    _closure,
+    _random_generators,
     matrix_instance,
     random_instance,
     to_float_instance,
@@ -20,6 +25,7 @@ from homotrace.serialize import instance_to_dict
 from homotrace.traces import transferred_trace
 from homotrace.hochschild import HochschildChain
 from homotrace.transfer import transferred_morphism
+from oracles import fraction_closure
 
 
 def test_t1_shape(t1):
@@ -166,3 +172,39 @@ def test_float_conversion_rejects_out_of_range_coefficient():
 def test_unknown_element_errors(t1):
     with pytest.raises(InputError):
         t1.element("nonexistent")
+
+
+@pytest.mark.parametrize("seed,dims", itertools.product(
+    [7, 9, 11, 42, 48], [{0: 2, 1: 2}, {0: 2, 1: 3, 2: 2},
+                         {0: 3, 1: 3, 2: 3}]))
+def test_integer_closure_matches_fraction_closure(seed, dims):
+    """The closure on integer blocks keeps the operators that the Fraction
+    closure keeps, in the same order, block for block and entry for entry
+    (every entry a Fraction)."""
+    args = (*_random_generators(seed, dims), DEFAULT_CLOSURE_BOUND)
+    got, want = _closure(*args), fraction_closure(*args)
+    assert len(got) == len(want)
+    for m, w in zip(got, want):
+        assert (m.degree, [d for d, _ in m.blocks]) == (
+            w.degree, [d for d, _ in w.blocks])
+        for (_, b), (_, c) in zip(m.blocks, w.blocks):
+            assert b.shape == c.shape
+            assert all(type(x) is type(y) and x == y
+                       for x, y in zip(b.flat, c.flat))
+
+
+def test_closure_forms_no_graded_map_product(monkeypatch):
+    """r11's closure makes no ``glinalg.compose`` call: its candidates are
+    integer matmuls."""
+    args = (*_random_generators(11, {0: 2, 1: 3, 2: 2}),
+            DEFAULT_CLOSURE_BOUND)
+    calls, compose = [], glinalg.compose
+
+    def counted(f, g):
+        calls.append(1)
+        return compose(f, g)
+
+    monkeypatch.setattr(glinalg, "compose", counted)
+    monkeypatch.setattr(instances, "compose", counted)
+    assert len(_closure(*args)) == 17
+    assert not calls

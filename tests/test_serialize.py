@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import re
 from fractions import Fraction
 
@@ -218,8 +219,10 @@ def test_one_residual_pass_per_load(tmp_path, torus2, monkeypatch, which):
 def test_exact_load_clears_the_structure_constants_once(tmp_path,
                                                        monkeypatch):
     """An exact m32 load (algebra dim 25) clears the denominators of its
-    (25, 25, 25) structure-constant tensor once: the action residuals and
-    the axiom join both read the algebra's integer view."""
+    125 nonzero structure constants once and never scans the (25, 25, 25)
+    tensor: the load lends the algebra those entries, and the action
+    residuals, the axiom join and ``product_terms`` all read the algebra's
+    integer view."""
     path = tmp_path / "m32.json"
     save_instance(matrix_instance({0: 3, 1: 2},
                                   q_entries=[("d0_0", "d1_0", 1)]), str(path))
@@ -229,9 +232,19 @@ def test_exact_load_clears_the_structure_constants_once(tmp_path,
         shapes.append(t.shape)
         return clear(t)
 
+    scanned, scan = [], dgcore.coo
+
+    def scanning(t, dtype):
+        scanned.append(t.shape)
+        return scan(t, dtype)
+
     monkeypatch.setattr(dgcore, "clear_denominators", counted)
-    assert load_instance(str(path)).bundle.algebra.n_basis == 25
-    assert shapes.count((25, 25, 25)) == 1
+    monkeypatch.setattr(dgcore, "coo", scanning)
+    alg = load_instance(str(path)).bundle.algebra
+    assert alg.n_basis == 25 and len(alg.product_terms) == 25
+    nonzero = int(np.count_nonzero(alg.mul.astype(bool)))
+    assert nonzero == 125 and shapes.count((nonzero,)) == 1
+    assert max(math.prod(t) for t in shapes + scanned) < 25 ** 3
 
 
 def test_exact_load_clears_rho_and_q_once(tmp_path, monkeypatch):
