@@ -11,7 +11,8 @@ import pytest
 from homotrace.cli import _verify_checks, build_parser, main
 from homotrace.glinalg import AMBIGUITY_BAND
 from homotrace.instances import (matrix_instance, random_instance,
-                                 t1_instance, to_float_instance)
+                                 t1_instance, to_float_instance,
+                                 torus_instance)
 from homotrace.scalars import DEFAULT_TOL, FLOAT, decode_value
 from homotrace.serialize import (instance_from_dict, instance_to_dict,
                                  save_instance)
@@ -462,20 +463,48 @@ def test_exact_reports_are_unchanged(tmp_path, capsys, build, verify_digest,
     1`` JSON reports, taken before the load and ``validate_bundle`` shared
     one residual pass (T1-gaussian, over Q(i): before the transfer kept
     per-basis steps and tails)."""
-    inst = build()
+    assert _report_digests(tmp_path, capsys, build(), [["--cyclic", "1"]]) \
+        == [verify_digest, trace_digest]
+
+
+@pytest.mark.parametrize("build, digests", [
+    (lambda: to_float_instance(t1_instance()), (
+        "5d3550c87ec8ba5de7df61589050802fc7a46c135425a50157b7ea23bc04a573",
+        "870013712e83aebb6e6906bded146a946344028a38dda2559e36d5d63a054552",
+        "1e5b453b64c80688ea7f622cdf65fae76604408845863b632a4fa35f77874464")),
+    (lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})), (
+        "5fbe349b43b54245af831b7c8a6cbf1af7a1f66780dc9d4ff6ed753d8105c188",
+        "8b836f59eebcf5a4682df41f8e49d102b277436375366868fed48cb1446e1c8a",
+        "6063c7cff4ceb18573010796850c4b69d9fa23ccf22ac4eddf14dbae4848a416")),
+    (lambda: torus_instance(1), (
+        "9c034455f9301193681a168d0a61abb8ee5482737dff3d2b80258cdfc5dc4d91",
+        "e57a60bf1da80ade6b10575b21cb469c6459b10a29a0b7b17561467525b01864",
+        "3312aa5b88a0115a6517391d81333e8fb0b055dd645eed0d6ffb73b4a97e16a6")),
+], ids=["T1f", "r7f", "torus1"])
+def test_float_reports_are_unchanged(tmp_path, capsys, build, digests):
+    """Golden digests of the float ``verify --seed 0``, ``trace --cyclic 1``
+    and ``trace --method quadrature`` JSON reports, the float twin of
+    ``test_exact_reports_are_unchanged``; taken while the algebra still
+    stored a dense structure-constant tensor."""
+    assert _report_digests(tmp_path, capsys, build(), [
+        ["--cyclic", "1"], ["--method", "quadrature"]]) == list(digests)
+
+
+def _report_digests(tmp_path, capsys, inst, trace_flags) -> list[str]:
+    """SHA-256 of the ``verify --seed 0`` JSON report of the instance's
+    file, then of its ``trace`` JSON report on ``_digest_chains`` under
+    each of the given flags."""
     ipath, cpath = tmp_path / "i.json", tmp_path / "c.json"
     save_instance(inst, str(ipath))
     cpath.write_text(json.dumps(_digest_chains(inst)))
     capsys.readouterr()
     digests = []
-    for argv in (["verify", "--instance", str(ipath), "--seed", "0",
-                  "--output", "json"],
-                 ["trace", "--instance", str(ipath), "--chain", str(cpath),
-                  "--cyclic", "1", "--output", "json"]):
-        assert run(argv) == 0
+    for argv in (["verify", "--seed", "0"], *(
+            ["trace", "--chain", str(cpath), *flags] for flags in trace_flags)):
+        assert run([*argv, "--instance", str(ipath), "--output", "json"]) == 0
         digests.append(hashlib.sha256(
             capsys.readouterr().out.encode()).hexdigest())
-    assert digests == [verify_digest, trace_digest]
+    return digests
 
 
 def _t1_gaussian_dict() -> dict:
