@@ -28,7 +28,6 @@ from homotrace.dgcore import (
     euler_characteristic,
     endomorphism_algebra,
     endomorphism_bundle,
-    make_algebra,
     algebra_from_operators,
 )
 from homotrace.transfer import (

@@ -71,14 +71,18 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
-    return value
+def _int_from(low: int):
+    """An argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer >= {low}, got {text!r}")
+        return value
+    return parse
 
 
 def cmd_gen(args) -> int:
@@ -178,10 +182,10 @@ def _verify_checks(inst: Instance, args) -> list[dict]:
                  1.0, dim + 1)) for d, dim in space.dims}, tol))
     ok = True
     for k in range(n):
-        if alg.basis_degree(k) != 0 or any(bool(x) for x in alg.diff_flat(k)):
+        if alg.basis_degree(k) != 0 or alg.differential_terms[k]:
             continue
         ups = transferred_trace(HochschildChain.of(alg, (k,)), f)
-        ind = supertrace_on_cohomology(inst.bundle.rho_flat(k), other)
+        ind = supertrace_on_cohomology(inst.bundle.rho[k], other)
         ok = ok and (ups == ind if tol is None else abs(
             complex(ups) - complex(ind)) <= AMBIGUITY_BAND * tol)
     checks.append({"name": "traces/cohomology-oracle", "passed": ok,
@@ -291,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run every identity check on an instance")
     v.add_argument("--instance", required=True)
     v.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOL)
-    v.add_argument("--max-arity", type=_positive_int, default=4)
-    v.add_argument("--quad-budget", type=_positive_int, default=10 ** 6)
+    v.add_argument("--max-arity", type=_int_from(1), default=4)
+    v.add_argument("--quad-budget", type=_int_from(1), default=10 ** 6)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", choices=["text", "json"], default="text")
     v.set_defaults(func=cmd_verify)
@@ -300,11 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("trace", help="evaluate transferred traces on chains")
     t.add_argument("--instance", required=True)
     t.add_argument("--chain", required=True)
-    t.add_argument("--cyclic", type=int, default=None, metavar="LEVEL")
+    t.add_argument("--cyclic", type=_int_from(0), default=None,
+                   metavar="LEVEL")
     t.add_argument("--method", choices=["closed", "quadrature"],
                    default="closed")
     t.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOL)
-    t.add_argument("--quad-budget", type=_positive_int, default=10 ** 6)
+    t.add_argument("--quad-budget", type=_int_from(1), default=10 ** 6)
     t.add_argument("--output", choices=["text", "json"], default="text")
     t.set_defaults(func=cmd_trace)
     return p

@@ -1,19 +1,18 @@
 """Dg algebras, dg modules with actions, axiom validation, and splittings.
 
-A ``DgAlgebra`` carries its product as one structure-constant tensor over
-a homogeneous basis; in exact mode it clears the denominators of the
-tensor, the differential and the unit once (``integer_view``).  A
-``DgModuleBundle`` couples an algebra to a module via the action rho (one
-graded map per basis operator), and its ``residuals`` check the three
-action identities as one join over the nonzero entries of rho and Q.
-``algebra_from_operators`` is the one way a bundle is built from
-operators (file loads and the matrix, torus and random generators): it
-reads those entries once into a ``ModuleView`` (cleared once in exact
-mode), reads the tensor, the unit and the differential off n_g pivot
+A ``DgAlgebra`` is stored once, as the nonzero entries of its table of
+products, unit and differential, read through one sparse view in both
+modes (``sparse_view``).  A ``DgModuleBundle`` couples an algebra to a
+module via the action rho (one graded map per basis operator), and its
+``residuals`` check the three action identities as one join over the
+nonzero entries of rho and Q.  ``algebra_from_operators`` is the one way
+a bundle is built from operators (file loads and the matrix, torus and
+random generators): it reads those entries once into a ``ModuleView``
+(cleared once in exact mode), reads the algebra's entries off n_g pivot
 entries per degree of that view (exact: the pivots and the inverse of
-their block from one elimination), and proves closure from the residuals,
-which read the same view.  Only End(M0), the push-forward's target, keeps
-a closed-form tensor (``endomorphism_algebra``).
+their block from one elimination), and proves closure from the
+residuals, which read the same view.  Only End(M0), the push-forward's
+target, has its entries in closed form (``endomorphism_algebra``).
 ``validate_bundle`` checks each algebra axiom as one join over nonzero
 entries (``glinalg.first_unequal``) and reads the action checks off the
 residuals.  A ``Splitting`` of the module into its cohomology part and an
@@ -47,9 +46,7 @@ from homotrace.glinalg import (
     clear_denominators,
     compose,
     coo,
-    entries,
     first_unequal,
-    int_dtype,
     invert_exact,
     join,
     key_sums,
@@ -58,6 +55,7 @@ from homotrace.glinalg import (
     nullspace_and_pivots,
     sparse_pivots,
     stored_entries,
+    sum_dtype,
     supercommutator,
     zeros_matrix,
 )
@@ -66,17 +64,16 @@ from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, one_scalar
 
 @dataclass(frozen=True)
 class DgAlgebra:
-    """Unital dg algebra over a homogeneous named basis; ``mul`` is the
-    read-only (n, n, n) structure-constant tensor, mul[i, j] holding the
-    coefficients of e_i e_j over the flat basis.  The per-basis tables
-    (``graded_index``, ``product_terms``, ``differential_terms``,
-    ``name_index``) are read off ``space``, ``mul`` and ``differential``
-    once per algebra."""
+    """Unital dg algebra over a homogeneous named basis, stored as the
+    nonzero entries ((row, column) indices, values; in index order) of its
+    (n^2 + 1 + n, n) table over the flat basis: row i n + j is e_i e_j, row
+    n^2 the unit and row n^2 + 1 + k d(e_k), as in ``_escaped``.  The
+    sparse view, the per-basis tables and the dense forms (``unit``,
+    ``differential``, ``mul``) are read off it once per algebra, on
+    request."""
 
     space: GradedVectorSpace
-    differential: GradedMap
-    mul: np.ndarray
-    unit: np.ndarray
+    entries: tuple[tuple[np.ndarray, np.ndarray], np.ndarray]
     mode: str
 
     @property
@@ -89,37 +86,68 @@ class DgAlgebra:
         return tuple((d, i) for d, n in self.space.dims for i in range(n))
 
     @cached_property
-    def integer_view(self) -> tuple[tuple, ...]:
-        """The nonzero structure constants, differential entries and unit
-        coordinates, each as (indices, D values, D, bound): indices (i, j,
-        k) for the coefficient of e_k in e_i e_j, (i, k) for that in d(e_i)
-        and (k,) for the unit's, in index order, and the values as
-        ``glinalg.clear_denominators`` gives them.  Exact mode only; cleared
-        once per algebra.  ``algebra_from_operators`` lends the algebra the
-        entries it expanded; any other algebra finds them with one scan."""
+    def sparse_view(self) -> tuple[tuple, ...]:
+        """The nonzero structure constants, unit coordinates and
+        differential entries, each as (indices, D values, D, bound) of
+        ``_scaled``: indices (i, j, k) for the coefficient of e_k in e_i
+        e_j, (k,) for the unit's and (i, k) for that in d(e_i)."""
         n = self.n_basis
-        return _integer_view(n, *coo(np.concatenate([
-            self.mul.reshape(n * n, n), self.unit[None],
-            self.differential.dense().T]), object))
+        (row, col), vals = self.entries
+        a, b = np.searchsorted(row, (n * n, n * n + 1))
+        return tuple((idx, *_scaled(v, self.mode)) for idx, v in (
+            ((row[:a] // n, row[:a] % n, col[:a]), vals[:a]),
+            ((col[a:b],), vals[a:b]),
+            ((row[b:] - n * n - 1, col[b:]), vals[b:])))
+
+    @cached_property
+    def _row_terms(self) -> list[list[tuple]]:
+        """(column, value) per nonzero entry of each row of the table."""
+        out = [[] for _ in range(self.n_basis * (self.n_basis + 1) + 1)]
+        (row, col), vals = self.entries
+        for r, k, c in zip(row.tolist(), col.tolist(), vals.tolist()):
+            out[r].append((k, c))
+        return out
 
     @cached_property
     def product_terms(self) -> list[list[list[tuple]]]:
         """product_terms[i][j]: (k, c) per nonzero coefficient of e_i e_j."""
-        out = [[[] for _ in range(self.n_basis)] for _ in range(self.n_basis)]
-        if self.mode == EXACT:
-            (i, j, k), *_ = self.integer_view[0]
-            terms = zip(i.tolist(), j.tolist(), k.tolist(),
-                        self.mul[i, j, k].tolist())
-        else:
-            terms = entries(self.mul)
-        for i, j, k, c in terms:
-            out[i][j].append((k, c))
-        return out
+        n = self.n_basis
+        return [self._row_terms[i * n:i * n + n] for i in range(n)]
 
     @cached_property
     def differential_terms(self) -> list[list[tuple]]:
         """differential_terms[i]: (k, c) per nonzero coefficient of d(e_i)."""
-        return [entries(row) for row in self.differential.dense().T]
+        return self._row_terms[self.n_basis ** 2 + 1:]
+
+    def _dense_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows lo to hi - 1 of the table, dense and read-only."""
+        (row, col), vals = self.entries
+        a, b = np.searchsorted(row, (lo, hi))
+        out = zeros_matrix(hi - lo, self.n_basis, self.mode)
+        out[row[a:b] - lo, col[a:b]] = vals[a:b]
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """The unit's coordinates over the flat basis (read-only)."""
+        return self._dense_rows(self.n_basis ** 2, self.n_basis ** 2 + 1)[0]
+
+    @cached_property
+    def differential(self) -> GradedMap:
+        """d as a graded map of degree 1, read off the rows d(e_k)."""
+        n, space, off = self.n_basis, self.space, self.space.offsets()
+        d = self._dense_rows(n * n + 1, n * n + 1 + n).T   # column k: d(e_k)
+        return GradedMap.build(space, space, 1, {
+            g: d[off[g + 1]:off[g + 1] + space.dim(g + 1), off[g]:off[g] + dim]
+            for g, dim in space.dims if space.dim(g + 1)}, self.mode)
+
+    @cached_property
+    def mul(self) -> np.ndarray:
+        """The read-only (n, n, n) tensor, mul[i, j] holding the
+        coefficients of e_i e_j; only ``mul_vectors`` forms it."""
+        n = self.n_basis
+        return self._dense_rows(0, n * n).reshape(n, n, n)
 
     @cached_property
     def name_index(self) -> dict[str, int]:
@@ -134,16 +162,6 @@ class DgAlgebra:
 
     def flat_by_name(self, name: str) -> int | None:
         return self.name_index.get(name)
-
-    def diff_flat(self, i: int) -> np.ndarray:
-        """Coefficients of d(e_i) over the flat basis."""
-        d, idx = self.graded_index[i]
-        out = self._zero_vec()
-        off = self.space.offsets().get(d + 1)
-        if off is not None:
-            out[off:off + self.space.dim(d + 1)] = \
-                self.differential.block(d)[:, idx]
-        return out
 
     def bar_terms(self, flats: tuple[int, ...]):
         """(word, coeff) for each term sigma_i d(b_i), then each merge
@@ -164,14 +182,10 @@ class DgAlgebra:
         return np.tensordot(np.outer(a, b), self.mul)
 
 
-def make_algebra(space: GradedVectorSpace, differential: GradedMap,
-                 mul: np.ndarray, unit: np.ndarray, mode: str) -> DgAlgebra:
-    """Assemble the algebra from its (n, n, n) structure-constant tensor
-    and unit vector (read-only copies)."""
-    mul, unit = np.array(mul), np.array(unit)
-    mul.setflags(write=False)
-    unit.setflags(write=False)
-    return DgAlgebra(space, differential, mul, unit, mode)
+def _scaled(values: np.ndarray, mode: str) -> tuple:
+    """(D values, D, bound): exact values as ``glinalg.clear_denominators``
+    clears them, float ones as they are, with D = 1 and bound None."""
+    return clear_denominators(values) if mode == EXACT else (values, 1, None)
 
 
 def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
@@ -184,8 +198,9 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     The nonzero entries of rho and Q are read once (``module_view``).
     Every product, the identity and every {Q, op} is expanded over the
     operators of its degree from its sums at n_g pivot entries of that
-    degree (``_expand_pivots``), and the bundle's ``residuals``, read off
-    the same view, prove closure: the first operator outside the span
+    degree (``_expand_pivots``), whose nonzero entries are the algebra's,
+    and the bundle's ``residuals``, read off the same view, prove closure:
+    the first operator outside the span
     (products in row-major order, the identity, each {Q, op}), nonzero
     (exact) or above AMBIGUITY_BAND * tol (float), raises ClosureError
     naming it.  Linearly dependent operators raise InputError (in float,
@@ -194,19 +209,9 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     order = sorted(range(len(maps)), key=lambda k: maps[k].degree)
     rho = tuple(maps[k] for k in order)
     rho_names = [names[k] for k in order]
-    aspace = _basis_space(rho, rho_names)
-    n, off = len(rho), aspace.offsets()
     view = module_view(space, q, rho, mode)
-    vals, found = _expand_pivots(view, tol)
-    dmat = vals[n * n + 1:]                  # row k: d(e_k)
-    blocks = {g: dmat[off[g]:off[g] + dim,
-                      off[g + 1]:off[g + 1] + aspace.dim(g + 1)].T
-              for g, dim in aspace.dims if aspace.dim(g + 1)}
-    differential = GradedMap.build(aspace, aspace, 1, blocks, mode)
-    algebra = make_algebra(aspace, differential, vals[:n * n].reshape(n, n, n),
-                           vals[n * n], mode)
-    if found is not None:                    # lent to the algebra
-        vars(algebra)["integer_view"] = _integer_view(n, *found)
+    algebra = DgAlgebra(_basis_space(rho, rho_names),
+                        _expand_pivots(view, tol), mode)
     bundle = DgModuleBundle(algebra, space, q, rho, mode)
     vars(bundle)["_view"] = view             # lent to the residuals once
     bad = _first_failure(bundle.residuals,
@@ -236,20 +241,6 @@ def _escaped(row: int, names: list[str]) -> ClosureError:
                         "operators")
 
 
-def _integer_view(n: int, idx: tuple[np.ndarray, np.ndarray],
-                   vals: np.ndarray) -> tuple[tuple, ...]:
-    """``DgAlgebra.integer_view`` from the nonzero entries of the (n^2 + 1 +
-    n, n) stack of the structure constants, the unit and the differential
-    rows, in the rows of ``_escaped`` and in index order: (row, column)
-    indices and values."""
-    row, col = idx
-    a, b = np.searchsorted(row, (n * n, n * n + 1))
-    return tuple((at, *clear_denominators(v)) for at, v in (
-        ((row[:a] // n, row[:a] % n, col[:a]), vals[:a]),
-        ((row[b:] - n * n - 1, col[b:]), vals[b:]),
-        ((col[a:b],), vals[a:b])))
-
-
 ModuleView = namedtuple("ModuleView", "mode size degrees op pos val ints "
                         "d top keys sums bound")
 ModuleView.__doc__ = """The nonzero entries of rho and Q and the module side
@@ -270,10 +261,9 @@ def module_view(space: GradedVectorSpace, q: GradedMap,
     (``glinalg.key_sums``), in int64 when the bound allows it."""
     size, n, deg = space.total_dim, len(rho), [m.degree for m in rho]
     (op, row, col), val = stored_entries((*rho, q))
-    ints, d, top = (clear_denominators(val) if mode == EXACT
-                    else (val, 1, None))
+    ints, d, top = _scaled(val, mode)
     bound = None if top is None else 2 * size * top * top + d * d
-    dtype = complex if mode == FLOAT else int_dtype(bound)
+    dtype = sum_dtype(mode, bound)
     # the row of _escaped and the sign of each product of two operators:
     # rho_i rho_j, Q rho_k and -(-1)^|k| rho_k Q (Q Q is left out)
     k = np.arange(n + 1)
@@ -296,20 +286,16 @@ def module_view(space: GradedVectorSpace, q: GradedMap,
                       val[:r], ints[:r], d, top, keys, sums[:, 0], bound)
 
 
-def _expand_pivots(view: ModuleView, tol: float
-                   ) -> tuple[np.ndarray, tuple | None]:
-    """Each product, the identity and each {Q, op} over the flat basis, in
-    the rows of ``_escaped`` (meaningless outside the span), and in exact
-    mode its nonzero entries ((row, column) indices and values, in index
-    order; None in float).  The n_g operators of degree g are factored once
-    at n_g of their nonzero entries (``glinalg.sparse_pivots``), where the
-    view's sums give every row, so no product is formed.  Float solves at
-    the pivots; exact multiplies the nonzero rows of degree g by the
-    inverse of the pivot block, read off the one elimination that chose
-    the pivots."""
+def _expand_pivots(view: ModuleView, tol: float) -> tuple:
+    """The ``DgAlgebra.entries`` of each product, the identity and each {Q,
+    op} over the flat basis (meaningless outside the span).  The n_g
+    operators of degree g are factored once at n_g of their nonzero
+    entries (``glinalg.sparse_pivots``), where the view's sums give every
+    row, so no product is formed.  Float solves at the pivots; exact
+    multiplies the nonzero rows of degree g by the inverse of the pivot
+    block, read off the one elimination that chose the pivots."""
     deg, mode = view.degrees, view.mode
     n = len(deg)
-    vals = zeros_matrix(n * n + 1 + n, n, mode)
     pivot, factors = np.zeros(n, dtype=int), []
     for g in sorted(set(deg)):
         at = slice(deg.index(g), deg.index(g) + deg.count(g))
@@ -327,21 +313,21 @@ def _expand_pivots(view: ModuleView, tol: float
     a, b = join(pos, pivot)
     got[rows[a], b] = view.sums[a]            # each row at each pivot
     if mode == FLOAT:
+        vals = np.zeros((len(got), n), dtype=complex)
         for at, factor in factors:
             vals[:, at] = np.linalg.solve(factor, got[:, at].T).T
-        return vals, None
+        return coo(vals, complex)
     hits = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0, dtype=object),)]
     for at, factor in factors:
         rows = np.flatnonzero(got[:, at].astype(bool).any(axis=1))
         inv_t, d, _ = clear_denominators(factor)
         part = got[rows, at].astype(object) @ inv_t
         nz = np.nonzero(part.astype(bool))
-        r, c = rows[nz[0]], at.start + nz[1]
-        vals[r, c] = part[nz] * Fraction(1, d * view.d * view.d)
-        hits.append((r, c, vals[r, c]))
+        hits.append((rows[nz[0]], at.start + nz[1],
+                     part[nz] * Fraction(1, d * view.d * view.d)))
     row, col, val = (np.concatenate(x) for x in zip(*hits))
     order = np.lexsort((col, row))
-    return vals, ((row[order], col[order]), val[order])
+    return (row[order], col[order]), val[order]
 
 
 @dataclass(frozen=True)
@@ -353,9 +339,6 @@ class DgModuleBundle:
     q: GradedMap
     rho: tuple[GradedMap, ...]
     mode: str
-
-    def rho_flat(self, k: int) -> GradedMap:
-        return self.rho[k]
 
     @cached_property
     def residuals(self) -> np.ndarray:
@@ -410,19 +393,18 @@ def validate_bundle(bundle: DgModuleBundle, tol: float | None = None
                     ) -> ValidationReport:
     """Check every dg-module axiom; failures are data, not errors.
 
-    Leibniz, associativity and the unit hold on every basis pair or triple
-    (the witness is the first failing one), exactly or, with ``tol``, to
-    ``tol`` relative to the largest coefficient on either side (at least 1).
-    Each law is one join over the nonzero structure constants and
-    differential entries (``_algebra_failures``), exact ones on the
-    cleared ``integer_view``.  rho(unit) = id, the chain-map identity of
+    Exact checks are exact (``tol`` is ignored), float ones hold to
+    ``tol`` (default DEFAULT_TOL).  Leibniz, associativity and the unit
+    hold on every basis pair or triple (the witness is the first failing
+    one), in float relative to the largest coefficient on either side (at
+    least 1); each law is one join over the algebra's ``sparse_view``
+    (``_algebra_failures``).  rho(unit) = id, the chain-map identity of
     each rho_k and rho(e_i e_j) = rho(e_i) rho(e_j) on every pair are read
-    off ``bundle.residuals``, one join over the nonzero entries of rho
-    and Q, exactly or to ``tol`` per row; the witness is the first failing
+    off ``bundle.residuals`` per row; the witness is the first failing
     basis element or pair.
     """
-    if bundle.mode == FLOAT and tol is None:
-        tol = DEFAULT_TOL
+    tol = (None if bundle.mode == EXACT
+           else DEFAULT_TOL if tol is None else tol)
     a = bundle.algebra
     checks: list[CheckResult] = []
 
@@ -474,29 +456,22 @@ def _action_residuals(bundle: DgModuleBundle) -> np.ndarray:
     per (row, r, c) against the module side of the ``ModuleView`` that the
     bundle's load lent it (read here otherwise, and not kept).  A product
     with terms outside degree |i| + |j| fails too, since rho is injective
-    on each degree.  Exact sums run on the ``integer_view`` and the view's
-    integers, each side times the other's scales, in int64 when a bound
-    allows it; float rows are computed with overflow ignored, so an inf or
-    NaN row fails."""
+    on each degree.  The sums run on the algebra's ``sparse_view`` and the
+    module view's scaled values, each side times the other's scales: exact
+    ones in int64 when a bound allows it; float rows are computed with
+    overflow ignored, so an inf or NaN row fails."""
     view = vars(bundle).pop("_view", None) or module_view(
         bundle.space, bundle.q, bundle.rho, bundle.mode)
     a, exact = bundle.algebra, bundle.mode == EXACT
     n, sq = a.n_basis, view.size * view.size
     # coefficient c of rho_m in row t: rho(e_i e_j), rho(unit), rho(d e_k)
-    if exact:
-        ((i, j, k), mc, dm, tm), ((di, dk), dc, dd, td), ((u,), uc, du, tu) \
-            = a.integer_view
-        lift, scales = view.d, (dm, du, dd)
-        dtype = int_dtype(None if None in (tm, td, tu, view.bound) else
-                          n * max(tm, td, tu) * view.top * lift
-                          + view.bound * max(scales))
-        t = np.concatenate([i * n + j, np.full(len(u), n * n), n * n + 1 + di])
-        m = np.concatenate([k, u, dk])
-        c = np.concatenate([mc, uc, dc]).astype(dtype)
-    else:
-        dtype, lift, scales = complex, 1, (1, 1, 1)
-        (t, m), c = coo(np.concatenate([a.mul.reshape(n * n, n), a.unit[None],
-                                         a.differential.dense().T]), dtype)
+    (t, m), _ = a.entries
+    (_, mc, dm, tm), (_, uc, du, tu), (_, dc, dd, td) = a.sparse_view
+    lift, scales = view.d, (dm, du, dd)
+    dtype = sum_dtype(a.mode, None if None in (tm, td, tu, view.bound) else
+                      n * max(tm, td, tu) * view.top * lift
+                      + view.bound * max(scales))
+    c = np.concatenate([mc, uc, dc]).astype(dtype)
     p, e = join(m, view.op)
     rhs = view.sums.astype(dtype)
     cut = np.searchsorted(view.keys, (n * n * sq, (n * n + 1) * sq))
@@ -524,25 +499,19 @@ def _algebra_failures(a: DgAlgebra, tol: float | None) -> tuple:
     Each identity is one join over the nonzero entries: every pair of
     structure constants or differential entries that meet on a basis
     index is a term, and ``glinalg.first_unequal`` sums the terms per
-    output key.  Without ``tol`` the sums run on ``integer_view``, whose
-    scales D multiply both sides of an identity alike, in int64 when a
-    bound on every sum allows it and in Python ints (or GaussianRationals)
-    otherwise; with ``tol`` on the stored values, overflow read as a
-    failing inf or NaN."""
-    n = a.n_basis
-    if tol is None:
-        view = a.integer_view
-        (_, _, dm, tm), (_, _, _, td), (_, _, du, tu) = view
-        one = dm * du
-        dtype = int_dtype(None if None in (tm, td, tu) else
-                          3 * n * max(tm, td, tu) ** 2 + one)
-        parts = [(idx, ints.astype(dtype)) for idx, ints, _, _ in view]
-    else:
-        one, dtype = one_scalar(a.mode), a.mul.dtype
-        parts = [coo(t, dtype) for t in (a.mul, a.differential.dense().T,
-                                          a.unit)]
-    # e_i e_j = ... + c e_m, d(e_di) = ... + x e_dl, unit = ... + u e_um
-    ((i, j, m), c), ((di, dl), x), ((um,), u) = parts
+    output key, exactly without ``tol``, else to ``tol``.  The sums run on
+    ``sparse_view``, whose scales D multiply both sides of an identity
+    alike: exact ones in int64 when a bound on every sum allows it and in
+    Python ints (or GaussianRationals) otherwise, float ones with overflow
+    read as a failing inf or NaN."""
+    n, view = a.n_basis, a.sparse_view
+    (_, _, dm, tm), (_, _, du, tu), (_, _, _, td) = view
+    one = dm * du
+    dtype = sum_dtype(a.mode, None if None in (tm, td, tu) else
+                      3 * n * max(tm, td, tu) ** 2 + one)
+    parts = [(idx, ints.astype(dtype)) for idx, ints, _, _ in view]
+    # e_i e_j = ... + c e_m, unit = ... + u e_um, d(e_di) = ... + x e_dl
+    ((i, j, m), c), ((um,), u), ((di, dl), x) = parts
     sign = np.array([(-1) ** (a.basis_degree(k) % 2) for k in range(n)]
                     ).astype(dtype)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -896,26 +865,24 @@ def _matrix_units(space: GradedVectorSpace, mode: str) -> tuple:
 
 
 def endomorphism_algebra(space: GradedVectorSpace, mode: str) -> EndoAlgebra:
-    """End(space) with zero differential, on the matrix units: the product
-    tensor and unit in closed form, E[u<-t] E[t<-s] = E[u<-s].  This is
-    End(M0), the push-forward's target; a bundle acting on a module goes
-    through ``algebra_from_operators`` (``endomorphism_bundle``)."""
+    """End(space) with zero differential, on the matrix units, with its
+    entries in closed form: E[u<-t] E[t<-s] = E[u<-s], and the unit is the
+    sum of the E[s<-s].  This is End(M0), the push-forward's target; a
+    bundle acting on a module goes through ``algebra_from_operators``
+    (``endomorphism_bundle``)."""
     entries, maps, names = _matrix_units(space, mode)
-    n, one = len(entries), one_scalar(mode)
-    pos = {key: k for k, key in enumerate(entries)}
-    mul = zeros_matrix(n * n, n, mode).reshape(n, n, n)
-    for a, (sd_a, i_a, td_a, j_a) in enumerate(entries):
-        for b, (sd_b, i_b, td_b, j_b) in enumerate(entries):
-            if (td_b, j_b) == (sd_a, i_a):      # entries[a] after entries[b]
-                mul[a, b, pos[(sd_b, i_b, td_a, j_a)]] = one
-    unit = zeros_matrix(n, 1, mode)[:, 0]
-    for d, dim in space.dims:
-        for i in range(dim):
-            unit[pos[(d, i, d, i)]] = one
-    aspace = _basis_space(maps, names)
-    return EndoAlgebra(make_algebra(
-        aspace, GradedMap.zero(aspace, aspace, 1, mode), mul, unit, mode),
-        space, tuple(maps), entries)
+    n, off, size = len(entries), space.offsets(), space.total_dim
+    src = np.array([off[sd] + i for sd, i, _, _ in entries], dtype=int)
+    tgt = np.array([off[td] + j for _, _, td, j in entries], dtype=int)
+    unit_at = np.zeros((size, size), dtype=int)   # E[t<-s] is unit_at[s, t]
+    unit_at[src, tgt] = np.arange(n)
+    a, b = join(src, tgt)                         # E_a after E_b
+    row = np.concatenate([a * n + b, np.full(size, n * n)])
+    col = np.concatenate([unit_at[src[b], tgt[a]],
+                          np.sort(unit_at.diagonal())])
+    vals = np.full(len(row), one_scalar(mode))
+    return EndoAlgebra(DgAlgebra(_basis_space(maps, names), ((row, col), vals),
+                                 mode), space, tuple(maps), entries)
 
 
 def endomorphism_bundle(space: GradedVectorSpace, q: GradedMap,

@@ -284,16 +284,6 @@ class GradedMap:
     def max_abs(self) -> float:
         return float(np.max([max_abs(m) for _, m in self.blocks], initial=0.0))
 
-    def dense(self) -> np.ndarray:
-        """The map as one matrix between the flat bases (absent blocks 0)."""
-        src, tgt = self.source.offsets(), self.target.offsets()
-        out = zeros_matrix(self.target.total_dim, self.source.total_dim,
-                           self.mode)
-        for d, m in self.blocks:
-            r, c = tgt[d + self.degree], src[d]
-            out[r:r + m.shape[0], c:c + m.shape[1]] = m
-        return out
-
     def supertrace(self):
         """Sum over degrees of (-1)^d tr(diagonal block); needs degree 0."""
         if self.degree != 0:
@@ -530,12 +520,6 @@ def coo(t: np.ndarray, dtype) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     return idx, t[idx].astype(dtype)
 
 
-def entries(t: np.ndarray) -> list[tuple]:
-    """(index..., value) of every nonzero entry, in index order."""
-    idx = np.nonzero(t)
-    return list(zip(*(x.tolist() for x in idx), t[idx].tolist()))
-
-
 def stored_entries(maps) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """(map, row, column) over the flat bases and the value of every
     nonzero entry of the maps' stored blocks, in that order (a map's
@@ -663,7 +647,10 @@ def sparse_pivots(pos: np.ndarray, col: np.ndarray, val: np.ndarray,
     return keys[piv], r[:, len(keys):]
 
 
-def int_dtype(bound: int | None) -> type:
-    """int64 for integer sums bounded by ``bound`` when it fits, else
-    object (bound None: GaussianRationals)."""
+def sum_dtype(mode: str, bound: int | None) -> type:
+    """The dtype of sums of scaled values: complex in float mode; exact
+    integer sums bounded by ``bound`` in int64 when it fits, else object
+    (bound None: GaussianRationals)."""
+    if mode != EXACT:
+        return complex
     return np.int64 if bound is not None and bound < 2 ** 63 else object

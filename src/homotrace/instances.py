@@ -30,6 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from homotrace.dgcore import (
+    DgAlgebra,
     DgModuleBundle,
     Splitting,
     ValidationReport,
@@ -38,7 +39,6 @@ from homotrace.dgcore import (
     build_splitting_projector,
     check_splitting,
     endomorphism_bundle,
-    make_algebra,
     validate_bundle,
 )
 from homotrace.errors import CapError, ClosureError, InputError, ShapeError
@@ -182,6 +182,13 @@ def torus_instance(truncation: int, tau: complex | tuple = 1j,
     lam = {mn: 2j * cmath.pi * (-tau.conjugate() * mn[0] + mn[1]) / denom
            for mn in modes}
     mubar = {mn: 2j * cmath.pi * (tau * mn[0] - mn[1]) / denom for mn in modes}
+    try:
+        derivatives = {"ddz" if k == 1 else f"ddz{k}": (0, np.array(
+            [lam[mn] ** k for mn in modes], dtype=complex))
+            for k in range(1, order_cap + 1)}
+    except OverflowError as exc:
+        raise InputError(f"the derivative multipliers up to order {order_cap} "
+                         "are outside the double range") from exc
 
     labels = {0: [f"phi({m},{n})" for m, n in modes],
               1: [f"phi({m},{n})dzb" for m, n in modes]}
@@ -202,11 +209,7 @@ def torus_instance(truncation: int, tau: complex | tuple = 1j,
                                     tol)
     splitting = build_splitting_hodge(space, q, tol=tol)
 
-    elements = _identity_element(bundle)
-    for order in range(1, order_cap + 1):
-        vec = np.array([lam[mn] ** order for mn in modes], dtype=complex)
-        name = "ddz" if order == 1 else f"ddz{order}"
-        elements[name] = (0, vec)
+    elements = {**_identity_element(bundle), **derivatives}
     meta = {"kind": "torus", "truncation": truncation,
             "tau": [tau.real, tau.imag], "order_cap": order_cap,
             "modes_per_degree": n_modes}
@@ -355,14 +358,14 @@ def to_float_instance(instance: Instance, tol: float = DEFAULT_TOL) -> Instance:
     if bundle.mode == FLOAT:
         return instance
     a = bundle.algebra
+    (row, col), vals = a.entries
     try:
-        algebra = make_algebra(a.space, _to_float(a.differential),
-                               a.mul.astype(complex), a.unit.astype(complex),
-                               FLOAT)
-        fbundle = DgModuleBundle(algebra=algebra, space=bundle.space,
-                                 q=_to_float(bundle.q),
-                                 rho=tuple(_to_float(r) for r in bundle.rho),
-                                 mode=FLOAT)
+        vals = vals.astype(complex)
+        keep = np.flatnonzero(vals)
+        fbundle = DgModuleBundle(
+            DgAlgebra(a.space, ((row[keep], col[keep]), vals[keep]), FLOAT),
+            bundle.space, _to_float(bundle.q),
+            tuple(_to_float(r) for r in bundle.rho), FLOAT)
     except OverflowError as exc:
         raise InputError(f"a coefficient is outside the double range: {exc}"
                          ) from exc

@@ -54,11 +54,8 @@ def instance_to_dict(instance: Instance) -> dict:
     a = bundle.algebra
     module = [[d, space.dim(d), list(space.labels_in(d))]
               for d in space.degrees()]
-    algebra = []
-    for k in range(a.n_basis):
-        deg = a.basis_degree(k)
-        algebra.append([a.basis_name(k), deg,
-                        _triplets(space, bundle.rho_flat(k))])
+    algebra = [[a.basis_name(k), a.basis_degree(k), _triplets(space, m)]
+               for k, m in enumerate(bundle.rho)]
     elements = []
     for name in sorted(instance.elements):
         deg, vec = instance.elements[name]

@@ -82,7 +82,8 @@ def _slot_diff(bundle: DgModuleBundle, slot: Slot) -> Slot:
     a = bundle.algebra
     out = a._zero_vec()
     for k in np.flatnonzero(slot.coeffs):
-        out = out + slot.coeffs[k] * a.diff_flat(k)
+        for m, c in a.differential_terms[k]:
+            out[m] = out[m] + slot.coeffs[k] * c
     return Slot(slot.degree + 1, out)
 
 
@@ -380,7 +381,7 @@ class AInfinityMorphism:
             est = 0.0
             if self.method == "quadrature":
                 got, est = _quadrature(
-                    [self.bundle.rho_flat(b) for b in flats], self.splitting,
+                    [self.bundle.rho[b] for b in flats], self.splitting,
                     self.rel_tol, DEFAULT_ORDER, self.budget)
             elif len(flats) == 1:
                 got = compose(self._word(flats), self.splitting.include)
@@ -425,7 +426,7 @@ class AInfinityMorphism:
         if flats not in self._words:
             if len(flats) == 1:
                 word = compose(self.splitting.project,
-                               self.bundle.rho_flat(flats[0]))
+                               self.bundle.rho[flats[0]])
             else:
                 prefix = self._word(flats[:-1])
                 word = (compose(prefix, self._step(flats[-1])) if prefix.blocks
@@ -438,13 +439,13 @@ class AInfinityMorphism:
         """A zero prefix times the step (source: the module) or the tail
         (source: M0) of b: zero, of the degree of that composite."""
         return GradedMap.zero(source, prefix.target, prefix.degree - 1
-                              + self.bundle.rho_flat(b).degree, prefix.mode)
+                              + self.bundle.rho[b].degree, prefix.mode)
 
     def _step(self, b: int) -> GradedMap:
         """h rho(b), kept per basis element."""
         if b not in self._steps:
             self._steps[b] = compose(self.splitting.homotopy,
-                                     self.bundle.rho_flat(b))
+                                     self.bundle.rho[b])
         return self._steps[b]
 
     def _tail(self, b: int) -> GradedMap:

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from homotrace.dgcore import EndoAlgebra, Splitting
+from homotrace.dgcore import DgAlgebra, EndoAlgebra, Splitting, _matrix_units
 from homotrace.errors import ClosureError, ShapeError
-from homotrace.glinalg import GradedMap, compose, supercommutator, zeros_matrix
+from homotrace.glinalg import (GradedMap, GradedVectorSpace, coo, compose,
+                               supercommutator, zeros_matrix)
 from homotrace.hochschild import HochschildChain, cyclic_shift_term
-from homotrace.scalars import EXACT, zero_scalar
+from homotrace.scalars import EXACT, one_scalar, zero_scalar
 
 
 def matrix_from_rows(rows, mode: str):
@@ -21,6 +22,55 @@ def matrix_from_rows(rows, mode: str):
         for j, x in enumerate(row):
             m[i, j] = Fraction(x) if mode == EXACT and isinstance(x, int) else x
     return m
+
+
+def dense(m: GradedMap) -> np.ndarray:
+    """The map as one matrix between the flat bases (absent blocks 0)."""
+    src, tgt = m.source.offsets(), m.target.offsets()
+    out = zeros_matrix(m.target.total_dim, m.source.total_dim, m.mode)
+    for d, block in m.blocks:
+        r, c = tgt[d + m.degree], src[d]
+        out[r:r + block.shape[0], c:c + block.shape[1]] = block
+    return out
+
+
+def entries(t: np.ndarray) -> list[tuple]:
+    """(index..., value) of every nonzero entry, in index order."""
+    idx = np.nonzero(t)
+    return list(zip(*(x.tolist() for x in idx), t[idx].tolist()))
+
+
+def make_algebra(space: GradedVectorSpace, differential: GradedMap,
+                 mul: np.ndarray, unit: np.ndarray, mode: str) -> DgAlgebra:
+    """The algebra of an (n, n, n) structure-constant tensor, a unit vector
+    and a differential: the nonzero entries of the stacked [mul; unit;
+    d^T] table, row i n + j the coefficients of e_i e_j, row n^2 the
+    unit's and row n^2 + 1 + k those of d(e_k)."""
+    n = space.total_dim
+    table = np.concatenate([np.reshape(mul, (n * n, n)),
+                            np.reshape(unit, (1, n)), dense(differential).T])
+    return DgAlgebra(space, coo(table, object if mode == EXACT else complex),
+                     mode)
+
+
+def endomorphism_tensor(space: GradedVectorSpace, mode: str) -> tuple:
+    """The (n, n, n) product tensor and the unit of End(space) on the
+    matrix units of ``dgcore._matrix_units``, filled in closed form one
+    pair at a time: E[u<-t] E[t<-s] = E[u<-s], and the unit is the sum of
+    the E[s<-s]."""
+    units, _, _ = _matrix_units(space, mode)
+    n, one = len(units), one_scalar(mode)
+    pos = {key: k for k, key in enumerate(units)}
+    mul = zeros_matrix(n * n, n, mode).reshape(n, n, n)
+    for a, (sd_a, i_a, td_a, j_a) in enumerate(units):
+        for b, (sd_b, i_b, td_b, j_b) in enumerate(units):
+            if (td_b, j_b) == (sd_a, i_a):      # units[a] after units[b]
+                mul[a, b, pos[(sd_b, i_b, td_a, j_a)]] = one
+    unit = zeros_matrix(n, 1, mode)[:, 0]
+    for d, dim in space.dims:
+        for i in range(dim):
+            unit[pos[(d, i, d, i)]] = one
+    return mul, unit
 
 
 def describe(chain: HochschildChain) -> str:

@@ -170,10 +170,10 @@ def test_criterion_4_oracle_equivalence():
         for k in range(alg.n_basis):
             if alg.basis_degree(k) != 0:
                 continue
-            if any(bool(x) for x in alg.diff_flat(k)):
+            if alg.differential_terms[k]:
                 continue
             ups = transferred_trace(HochschildChain.of(alg, (k,)), f)
-            ind = supertrace_on_cohomology(inst.bundle.rho_flat(k), coh)
+            ind = supertrace_on_cohomology(inst.bundle.rho[k], coh)
             if tol is None:
                 assert ups == ind
             else:

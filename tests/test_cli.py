@@ -283,10 +283,11 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, instance, chains):
     ["verify", "--quad-budget", "-5"],
     ["trace", "--chain", "c.json", "--quad-budget", "0"],
     ["trace", "--chain", "c.json", "--quad-budget", "-5"],
+    ["trace", "--chain", "c.json", "--cyclic", "-1"],
 ], ids=["max-arity-0", "max-arity-neg", "verify-tol-neg", "gen-tol-neg",
         "gen-tol-zero", "trace-tol-nan", "tol-not-a-number",
         "verify-quad-budget-0", "verify-quad-budget-neg",
-        "trace-quad-budget-0", "trace-quad-budget-neg"])
+        "trace-quad-budget-0", "trace-quad-budget-neg", "trace-cyclic-neg"])
 def test_bad_numeric_flag_exits_2_before_work(tmp_path, capsys, argv):
     """The flag is rejected while the command line is read: no file is
     opened or written."""
@@ -299,6 +300,37 @@ def test_bad_numeric_flag_exits_2_before_work(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "error: argument" in err and "_positive" not in err
     assert not out.exists()
+
+
+def test_cyclic_level_zero_is_accepted(tmp_path, capsys):
+    """Level 0 (tensors of length 1) is the lowest level ``--cyclic`` takes;
+    -1 is rejected while the command line is read (above)."""
+    ipath, cpath = tmp_path / "t1.json", tmp_path / "c.json"
+    assert run(["gen", "--kind", "matrix", "--preset", "T1",
+                "-o", str(ipath)]) == 0
+    cpath.write_text(json.dumps({"format": "homotrace-chains/1", "chains": [
+        {"name": "c", "terms": [{"coeff": "1", "slots": ["Id"]}]}]}))
+    capsys.readouterr()
+    assert run(["trace", "--instance", str(ipath), "--chain", str(cpath),
+                "--cyclic", "0", "--output", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)["results"][0]
+    assert result["cyclic_level"] == 0
+
+
+@pytest.mark.parametrize("flags", [
+    ["--order-cap", "1000"],
+    ["--tau", "1e300,1"],
+    ["--N", "2", "--order-cap", "100000"],
+], ids=["order-cap-1000", "tau-1e300", "N2-order-cap-100000"])
+def test_torus_multipliers_beyond_double_range_exit_2(tmp_path, capsys,
+                                                      flags):
+    """A derivative multiplier lam^order that no double holds is bad input:
+    exit 2 with one 'input error:' line, no traceback and no file."""
+    out = tmp_path / "x.json"
+    assert run(["gen", "--kind", "torus", *flags, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("input error:")
+    assert "double range" in err and not out.exists()
 
 
 def test_torus_order_cap_zero_exits_2(tmp_path, capsys):

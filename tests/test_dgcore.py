@@ -21,9 +21,9 @@ from homotrace.dgcore import (
     build_splitting_projector,
     check_splitting,
     cohomology,
+    endomorphism_algebra,
     endomorphism_bundle,
     euler_characteristic,
-    make_algebra,
     module_view,
     validate_bundle,
 )
@@ -34,7 +34,6 @@ from homotrace.glinalg import (
     GradedVectorSpace,
     clear_denominators,
     compose,
-    entries,
     identity_matrix,
     magnitudes,
     max_abs,
@@ -47,7 +46,8 @@ from homotrace.instances import matrix_instance, random_instance, \
 from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, GaussianRational,
                                one_scalar)
 from homotrace.transfer import _to_float
-from oracles import matrix_from_rows
+from oracles import (dense, endomorphism_tensor, entries, make_algebra,
+                     matrix_from_rows)
 
 
 def t1_space_q():
@@ -81,7 +81,7 @@ def test_validate_catches_broken_unit(t1):
     diag = a.flat_by_name("E[e1<-e1]")
     assert bad_unit[diag] == 1
     bad_unit[diag] = Fraction(0)
-    bad_alg = dataclasses.replace(a, unit=bad_unit)
+    bad_alg = make_algebra(a.space, a.differential, a.mul, bad_unit, a.mode)
     bad = dataclasses.replace(t1.bundle, algebra=bad_alg)
     rep = validate_bundle(bad)
     assert not rep.ok
@@ -128,7 +128,7 @@ def _dense_witnesses(alg, tol):
     associativity and the unit law, from dense einsum contractions."""
     n = alg.n_basis
     m = np.array(alg.mul)
-    d = np.stack([alg.diff_flat(i) for i in range(n)])   # row i: d(e_i)
+    d = dense(alg.differential).T                # row i: d(e_i)
     sign = np.array([(-1) ** (alg.basis_degree(i) % 2) for i in range(n)])
     leibniz = _first_failure(
         np.einsum("ijm,ml->ijl", m, d),
@@ -224,8 +224,7 @@ def _multiplicative_reference(bundle, tol):
                 lhs = bundle.rho_vector(a.mul[i, j])
             except ShapeError:
                 return i, j
-            if not lhs.equals(compose(bundle.rho_flat(i), bundle.rho_flat(j)),
-                              tol):
+            if not lhs.equals(compose(bundle.rho[i], bundle.rho[j]), tol):
                 return i, j
     return None
 
@@ -282,8 +281,8 @@ def test_action_multiplicative_matches_per_pair_reference(seed, dims, kind,
     assert check.witness == _witness(bundle.algebra, want)
     a = bundle.algebra
     chain = next((a.basis_name(k) for k in range(a.n_basis)
-                  if not bundle.rho_vector(a.diff_flat(k)).equals(
-                      supercommutator(bundle.q, bundle.rho_flat(k)), tol)),
+                  if not bundle.rho_vector(dense(a.differential)[:, k]).equals(
+                      supercommutator(bundle.q, bundle.rho[k]), tol)),
                  None)
     assert checks["action-chain-map"].witness == chain
     if checks["unit"].witness in (None, "rho(unit) != id"):
@@ -307,8 +306,8 @@ def _lstsq_reference(space, q, rho, names, tol):
     out = np.zeros((len(ops), n), dtype=complex)
     for row, (label, m) in enumerate(ops):
         at = [k for k in range(n) if rho[k].degree == m.degree]
-        v = m.dense().reshape(-1)            # zero entries change no solve
-        basis = np.array([rho[k].dense().reshape(-1) for k in at]
+        v = dense(m).reshape(-1)             # zero entries change no solve
+        basis = np.array([dense(rho[k]).reshape(-1) for k in at]
                          ).reshape(len(at), v.size).T
         u, s, vh = np.linalg.svd(basis, full_matrices=False)
         x = vh.conj().T @ (u.conj().T @ v / s)
@@ -362,7 +361,7 @@ def test_pivot_expansion_matches_lstsq_reference(seed, dims, cond):
     assume(not isinstance(ref, str))         # round-off above the bound
     alg = algebra_from_operators(space, q, maps, names, FLOAT, tol).algebra
     got = np.concatenate([alg.mul.reshape(n * n, n), [alg.unit],
-                          alg.differential.dense().T])
+                          dense(alg.differential).T])
     assert np.max(np.abs(got - ref)) <= AMBIGUITY_BAND * tol * max(
         1.0, np.max(np.abs(ref)))
     for k in range(n):
@@ -394,7 +393,7 @@ def _elimination_reference(space, q, rho):
         if not rows:
             continue
         cols = [rho[t] for t in at] + [ops[t] for t in rows]
-        r, pivots = rref(np.stack([m.dense().reshape(-1) for m in cols],
+        r, pivots = rref(np.stack([dense(m).reshape(-1) for m in cols],
                                   axis=1))
         assert pivots == list(range(len(at)))
         out[np.ix_(rows, at)] = r[:len(at), len(at):].T
@@ -423,18 +422,14 @@ def _gaussian_t1():
 def test_exact_pivot_expansion_matches_elimination(build):
     """Exact constants, unit and differential read off pivot entries equal
     the per-degree elimination of every formed product, identity and {Q,
-    op}, entry for entry, over Q and over Q(i); the nonzero entries that
-    the expansion lends to the algebra are those of its rows, in index
-    order."""
+    op}, over Q and over Q(i): the expansion's entries are the nonzero
+    entries of the elimination's rows, in index order."""
     bundle = build()
-    got, found = _expand_pivots(module_view(bundle.space, bundle.q,
-                                            bundle.rho, EXACT), DEFAULT_TOL)
+    (row, col), val = _expand_pivots(module_view(
+        bundle.space, bundle.q, bundle.rho, EXACT), DEFAULT_TOL)
     want = _elimination_reference(bundle.space, bundle.q, bundle.rho)
-    assert got.shape == want.shape
-    assert all(x == y for x, y in zip(got.flat, want.flat))
-    (row, col), val = found
     assert [row.tolist(), col.tolist(), val.tolist()] == [
-        list(x) for x in zip(*entries(got))]
+        list(x) for x in zip(*entries(want))]
     names = [f"b{k}" for k in range(len(bundle.rho))]
     loaded = algebra_from_operators(bundle.space, bundle.q, list(bundle.rho),
                                     names, EXACT)
@@ -662,7 +657,8 @@ def _table_algebra(case: str):
 def test_algebra_tables_match_their_definitions(case):
     """The per-basis tables of a DgAlgebra equal the definitions they
     replace: the scan over the graded dims, the nonzero entries of each
-    mul[i, j] and of each diff_flat(i), and the scan over the names."""
+    mul[i, j] and of each column i of the differential, and the scan over
+    the names."""
     alg = _table_algebra(case)
     n = alg.n_basis
 
@@ -680,10 +676,51 @@ def test_algebra_tables_match_their_definitions(case):
         assert alg.basis_degree(i) == scan(i)[0]
         assert alg.basis_name(i) == names[i]
         assert alg.flat_by_name(names[i]) == names.index(names[i])
-        assert alg.differential_terms[i] == entries(alg.diff_flat(i))
+        assert alg.differential_terms[i] == entries(
+            dense(alg.differential)[:, i])
         for j in range(n):
             assert alg.product_terms[i][j] == entries(alg.mul[i, j])
     assert alg.flat_by_name("no such name") is None
+
+
+def _same_entries(a, b) -> bool:
+    """Equal entry indices, values and value dtype, in the same order."""
+    ((row, col), vals), ((row_b, col_b), vals_b) = a.entries, b.entries
+    return ([row.tolist(), col.tolist(), vals.tolist(), vals.dtype]
+            == [row_b.tolist(), col_b.tolist(), vals_b.tolist(), vals_b.dtype])
+
+
+@pytest.mark.parametrize("case", ["T1", "r11", "m32", "T1-gaussian", "T1f",
+                                  "r7f", "torus1"])
+def test_entries_round_trip_through_dense_forms(case):
+    """The dense forms read off an algebra's entries (``mul``, ``unit`` and
+    ``differential``) give the same entries back: the dense oracle
+    assembles an algebra with equal indices and values, in the same
+    order."""
+    alg = _table_algebra(case)
+    assert _same_entries(make_algebra(alg.space, alg.differential, alg.mul,
+                                      alg.unit, alg.mode), alg)
+
+
+@pytest.mark.parametrize("case", ["T1", "r11", "m32", "torus2", "acyclic"])
+def test_endomorphism_entries_match_closed_form_tensor(case):
+    """End(M0)'s entries, built without a tensor, are the nonzero entries
+    of the product tensor and unit that the pairwise closed form fills
+    (``oracles.endomorphism_tensor``), in order, and its differential is
+    zero; over the M0 of T1, r11, m32, the float torus N=2 and a
+    zero-dimensional M0 (an acyclic complex)."""
+    inst = {"torus2": lambda: torus_instance(2, (Fraction(0), Fraction(1))),
+            "acyclic": lambda: matrix_instance(
+                {0: 1, 1: 1}, q_entries=[("d0_0", "d1_0", 1)]),
+            }.get(case, _SPLITTING_CASES.get(case))()
+    m0, mode = inst.splitting.m0, inst.mode
+    assert (m0.total_dim == 0) == (case == "acyclic")
+    alg = endomorphism_algebra(m0, mode).algebra
+    mul, unit = endomorphism_tensor(m0, mode)
+    assert _same_entries(alg, make_algebra(
+        alg.space, GradedMap.zero(alg.space, alg.space, 1, mode), mul, unit,
+        mode))
+    assert alg.differential.is_zero() and alg.n_basis == m0.total_dim ** 2
 
 
 def _dict_algebra_failures(a, tol):
@@ -694,7 +731,7 @@ def _dict_algebra_failures(a, tol):
     sides differ (exactly, or beyond tol times the largest value of either
     side, at least 1).  Without tol on the cleared integers."""
     n = a.n_basis
-    mul, diff = a.mul, a.differential.dense().T  # row i: d(e_i)
+    mul, diff = a.mul, dense(a.differential).T  # row i: d(e_i)
     unit, one = a.unit, one_scalar(a.mode)
     if tol is None:
         mul, dm, _ = clear_denominators(mul)
@@ -791,7 +828,7 @@ def test_algebra_axiom_join_matches_dict_oracle(case):
     assert all(_algebra_failures(a, tol) != (None, None, None)
                for a in copies)
     if case == "r42":
-        assert alg.integer_view[0][3] >= 2 ** 63
+        assert alg.sparse_view[0][3] >= 2 ** 63
 
 
 def _dense_action_residuals(bundle):
@@ -807,13 +844,13 @@ def _dense_action_residuals(bundle):
     n, size = a.n_basis, bundle.space.total_dim
     stack = np.empty((n, size, size), dtype=object if exact else complex)
     for k, m in enumerate(bundle.rho):
-        stack[k] = m.dense()
+        stack[k] = dense(m)
     (mul, dm, _), (diff, dd, _), (unit, du, _) = [
         clear_denominators(t) if exact else (t, 1, None)
-        for t in (a.mul, a.differential.dense().T, a.unit)]
+        for t in (a.mul, dense(a.differential).T, a.unit)]
     (rho, dr, _), (q, dq, _) = [
         clear_denominators(t) if exact else (t, 1, None)
-        for t in (stack, bundle.q.dense())]
+        for t in (stack, dense(bundle.q))]
     used_by = mul.astype(bool).any(axis=1)   # used_by[i, m]: some mul[i, j, m]
     live = rho.astype(bool).any(axis=2)      # the nonzero rows of each rho_m
     out = np.empty(n * n + 1 + n, dtype=bool if exact else float)

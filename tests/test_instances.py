@@ -67,7 +67,7 @@ def test_random_instance_deterministic():
     for d in a.bundle.space.degrees():
         assert (a.bundle.q.block(d) == b.bundle.q.block(d)).all()
     for i in range(a.bundle.algebra.n_basis):
-        assert a.bundle.rho_flat(i).equals(b.bundle.rho_flat(i))
+        assert a.bundle.rho[i].equals(b.bundle.rho[i])
 
 
 def test_random_instances_validate():

@@ -24,6 +24,7 @@ from homotrace.serialize import (
 )
 from homotrace.traces import transferred_trace
 from homotrace.transfer import transferred_morphism
+from oracles import make_algebra
 
 
 @pytest.mark.parametrize("which", ["T1", "m32", "dim8", "torus1", "torus2"])
@@ -47,7 +48,7 @@ def test_exact_round_trip(tmp_path, request, which):
     assert b0.space == b1.space and a0.space == a1.space
     assert b0.q.equals(b1.q)
     assert a0.n_basis == a1.n_basis
-    assert all(b0.rho_flat(i).equals(b1.rho_flat(i))
+    assert all(b0.rho[i].equals(b1.rho[i])
                for i in range(a0.n_basis))
     assert [a0.basis_name(k) for k in range(a0.n_basis)] == \
         [a1.basis_name(k) for k in range(a1.n_basis)]
@@ -247,6 +248,23 @@ def test_exact_load_clears_the_structure_constants_once(tmp_path,
     assert max(math.prod(t) for t in shapes + scanned) < 25 ** 3
 
 
+def test_exact_load_and_checks_never_form_the_tensor(tmp_path, monkeypatch):
+    """An exact r11 load, ``validate_bundle`` and every ``verify`` check
+    read the structure constants of the algebra and of End(M0) through
+    their entries: none forms a dense (n, n, n) tensor ``mul``."""
+    path = tmp_path / "r11.json"
+    save_instance(random_instance(11, {0: 2, 1: 3, 2: 2}), str(path))
+
+    def refused(algebra):
+        raise AssertionError("a dense structure-constant tensor was formed")
+
+    monkeypatch.setattr(dgcore.DgAlgebra, "mul", property(refused))
+    inst = load_instance(str(path))
+    assert validate_bundle(inst.bundle).ok
+    args = cli.build_parser().parse_args(["verify", "--instance", str(path)])
+    assert all(c["passed"] for c in cli._verify_checks(inst, args))
+
+
 def test_exact_load_clears_rho_and_q_once(tmp_path, monkeypatch):
     """An exact m32 load passes every stored entry of rho and of Q through
     ``clear_denominators`` in one call: the pivot expansion and the action
@@ -312,8 +330,9 @@ def test_float_validation_catches_small_relative_change(r11f_path):
     mul = np.array(bundle.algebra.mul)
     index = np.unravel_index(np.argmax(np.abs(mul)), mul.shape)
     mul[index] *= 1 + 1e-8
-    bad = dataclasses.replace(
-        bundle, algebra=dataclasses.replace(bundle.algebra, mul=mul))
+    a = bundle.algebra
+    bad = dataclasses.replace(bundle, algebra=make_algebra(
+        a.space, a.differential, mul, a.unit, a.mode))
     assert "associativity" in [c.name for c in validate_bundle(bad).failures()]
 
 

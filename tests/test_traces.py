@@ -40,14 +40,14 @@ def test_supertrace_on_cohomology_identity(t1, torus1):
 
 def test_supertrace_on_cohomology_rejects_non_chain_map(t1):
     coh = cohomology(t1.bundle.space, t1.bundle.q)
-    op = t1.bundle.rho_flat(t1.bundle.algebra.flat_by_name("E[e1<-e2]"))
+    op = t1.bundle.rho[t1.bundle.algebra.flat_by_name("E[e1<-e2]")]
     with pytest.raises(ShapeError):
         supertrace_on_cohomology(op, coh, q=t1.bundle.q)
 
 
 def test_supertrace_nilpotent_is_zero(t1):
     coh = cohomology(t1.bundle.space, t1.bundle.q)
-    n = t1.bundle.rho_flat(t1.bundle.algebra.flat_by_name("E[e1<-e2]"))
+    n = t1.bundle.rho[t1.bundle.algebra.flat_by_name("E[e1<-e2]")]
     nn = compose(n, n)
     assert supertrace_on_cohomology(nn, coh, q=t1.bundle.q) == 0
 
@@ -102,10 +102,10 @@ def test_transferred_trace_oracle_equivalence(t1, t1_morphism):
     for k in range(alg.n_basis):
         if alg.basis_degree(k) != 0:
             continue
-        if any(bool(x) for x in alg.diff_flat(k)):
+        if alg.differential_terms[k]:
             continue
         ups = transferred_trace(HochschildChain.of(alg, (k,)), t1_morphism)
-        ind = supertrace_on_cohomology(t1.bundle.rho_flat(k), coh)
+        ind = supertrace_on_cohomology(t1.bundle.rho[k], coh)
         assert ups == ind
 
 
@@ -175,7 +175,7 @@ def test_commutator_of_closed_operators_traces_to_zero(t1, t1_morphism):
     alg = t1.bundle.algebra
     closed = [k for k in range(alg.n_basis)
               if alg.basis_degree(k) == 0
-              and not any(bool(x) for x in alg.diff_flat(k))]
+              and not alg.differential_terms[k]]
     for a, b in itertools.product(closed, repeat=2):
         comm = HochschildChain.zero(alg)
         for idx, v in enumerate(alg.mul[a, b]):
@@ -275,13 +275,13 @@ def test_cyclic_pullback_matches_antisymmetrized(t1, t1_morphism):
     coh = cohomology(t1.bundle.space, t1.bundle.q)
     closed = [k for k in range(alg.n_basis)
               if alg.basis_degree(k) == 0
-              and not any(bool(x) for x in alg.diff_flat(k))]
+              and not alg.differential_terms[k]]
     rng = random.Random(6)
     for _ in range(15):
         trip = tuple(rng.choice(closed) for _ in range(3))
         chain = HochschildChain.of(alg, trip)
         lhs = transferred_cyclic_trace(chain, t1_morphism, 1)
-        ops = [t1.bundle.rho_flat(k) for k in trip]
+        ops = [t1.bundle.rho[k] for k in trip]
         rhs = antisymmetrized_supertrace(ops, coh, q=t1.bundle.q)
         assert lhs == rhs
 

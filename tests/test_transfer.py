@@ -32,6 +32,7 @@ from homotrace.transfer import (
     transferred_morphism,
     _to_float,
 )
+from oracles import dense
 
 
 def test_propagator_limits(t1):
@@ -226,13 +227,13 @@ def test_on_basis_is_chain_order_component(t1):
                          (r7f, r7f.splitting, DEFAULT_TOL),
                          (t1f, hodge, DEFAULT_TOL)]:
         f = transferred_morphism(inst.bundle, s)
-        rho = inst.bundle.rho_flat
+        rho = inst.bundle.rho
         for k in (3, 2, 1):
             for flats in itertools.product(range(inst.bundle.algebra.n_basis),
                                            repeat=k):
-                expect = compose(s.project, rho(flats[0]))
+                expect = compose(s.project, rho[flats[0]])
                 for b in flats[1:]:
-                    expect = compose(compose(expect, s.homotopy), rho(b))
+                    expect = compose(compose(expect, s.homotopy), rho[b])
                 assert f.on_basis(flats).equals(compose(expect, s.include),
                                                 tol), flats
 
@@ -352,7 +353,8 @@ def _slot_formula_defect(f, word):
                            sum(s.degree for s in slots) + 2 - len(word),
                            alg.mode)
     for i, (sigma, _) in enumerate(signs):
-        diff = Slot(slots[i].degree + 1, alg.diff_flat(word[i]))
+        diff = Slot(slots[i].degree + 1,
+                    dense(alg.differential)[:, word[i]])
         total = total + f.value(
             slots[:i] + [diff] + slots[i + 1:]).scale(sigma)
     for i, (_, cut) in enumerate(signs[:-1]):
