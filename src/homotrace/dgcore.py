@@ -142,10 +142,11 @@ class DgAlgebra:
             g: d[off[g + 1]:off[g + 1] + space.dim(g + 1), off[g]:off[g] + dim]
             for g, dim in space.dims if space.dim(g + 1)}, self.mode)
 
-    @cached_property
+    @property
     def mul(self) -> np.ndarray:
         """The read-only (n, n, n) tensor, mul[i, j] holding the
-        coefficients of e_i e_j; only ``mul_vectors`` forms it."""
+        coefficients of e_i e_j, formed anew on each request and kept by
+        nothing; only ``mul_vectors`` asks for it."""
         n = self.n_basis
         return self._dense_rows(0, n * n).reshape(n, n, n)
 

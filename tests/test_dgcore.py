@@ -218,10 +218,11 @@ def _multiplicative_reference(bundle, tol):
     pair through ``rho_vector`` and ``compose``; a product with terms in
     several degrees fails."""
     a = bundle.algebra
+    mul = a.mul
     for i in range(a.n_basis):
         for j in range(a.n_basis):
             try:
-                lhs = bundle.rho_vector(a.mul[i, j])
+                lhs = bundle.rho_vector(mul[i, j])
             except ShapeError:
                 return i, j
             if not lhs.equals(compose(bundle.rho[i], bundle.rho[j]), tol):

@@ -347,19 +347,19 @@ def _slot_formula_defect(f, word):
     b_i b_(i+1) as dense vectors over the flat basis, expanded again by
     ``f.value``."""
     alg = f.bundle.algebra
+    mul, d = alg.mul, dense(alg.differential)     # column k: d(e_k)
     slots = [Slot.basis(f.bundle, b) for b in word]
     signs = bar_signs([s.degree for s in slots])
     total = GradedMap.zero(f.m0, f.m0,
                            sum(s.degree for s in slots) + 2 - len(word),
                            alg.mode)
     for i, (sigma, _) in enumerate(signs):
-        diff = Slot(slots[i].degree + 1,
-                    dense(alg.differential)[:, word[i]])
+        diff = Slot(slots[i].degree + 1, d[:, word[i]])
         total = total + f.value(
             slots[:i] + [diff] + slots[i + 1:]).scale(sigma)
     for i, (_, cut) in enumerate(signs[:-1]):
         merged = Slot(slots[i].degree + slots[i + 1].degree,
-                      alg.mul[word[i], word[i + 1]])
+                      mul[word[i], word[i + 1]])
         term = f.value(slots[:i] + [merged] + slots[i + 2:]) - compose(
             f.value(slots[:i + 1]), f.value(slots[i + 1:]))
         total = total + term.scale(cut)
