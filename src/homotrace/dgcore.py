@@ -68,9 +68,9 @@ class DgAlgebra:
     nonzero entries ((row, column) indices, values; in index order) of its
     (n^2 + 1 + n, n) table over the flat basis: row i n + j is e_i e_j, row
     n^2 the unit and row n^2 + 1 + k d(e_k), as in ``_escaped``.  The
-    sparse view, the per-basis tables and the dense forms (``unit``,
-    ``differential``, ``mul``) are read off it once per algebra, on
-    request."""
+    sparse view, the per-basis tables, ``unit`` and ``differential`` are
+    read off it once per algebra, on request, and the tensor ``mul`` on
+    each request."""
 
     space: GradedVectorSpace
     entries: tuple[tuple[np.ndarray, np.ndarray], np.ndarray]
