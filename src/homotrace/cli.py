@@ -28,7 +28,8 @@ from homotrace.instances import (
     to_float_instance,
     torus_instance,
 )
-from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, encode_value
+from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, encode_value,
+                               session_tol)
 from homotrace.serialize import load_chains, load_instance, save_instance
 from homotrace.traces import (
     supertrace_on_cohomology,
@@ -116,7 +117,7 @@ def cmd_gen(args) -> int:
 
 
 def _verify_checks(inst: Instance, args) -> list[dict]:
-    tol = None if inst.mode == EXACT else args.tolerance
+    tol = session_tol(inst.mode, args.tolerance)
     rng = random.Random(args.seed)
     checks: list[dict] = []
 
@@ -194,7 +195,7 @@ def _verify_checks(inst: Instance, args) -> list[dict]:
     if inst.mode == FLOAT:
         ok = True
         detail = ""
-        rel_tol = AMBIGUITY_BAND * tol
+        band = AMBIGUITY_BAND * tol
         try:
             for k in (2, 3):
                 for _ in range(2):
@@ -202,9 +203,9 @@ def _verify_checks(inst: Instance, args) -> list[dict]:
                     closed = transfer_closed(tup, inst.splitting, inst.bundle)
                     quad, est = transfer_quadrature(
                         tup, inst.splitting, inst.bundle,
-                        rel_tol=rel_tol, budget=args.quad_budget)
+                        rel_tol=band, budget=args.quad_budget)
                     rel = (quad - closed).max_abs() / (1.0 + closed.max_abs())
-                    if rel > AMBIGUITY_BAND * rel_tol:
+                    if rel > band:
                         ok = False
                         detail = f"relative error {rel:.3e}"
         except QuadratureBudgetError as exc:

@@ -59,7 +59,8 @@ from homotrace.glinalg import (
     supercommutator,
     zeros_matrix,
 )
-from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, one_scalar
+from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, one_scalar,
+                               session_tol)
 
 
 @dataclass(frozen=True)
@@ -350,22 +351,6 @@ class DgModuleBundle:
         rows whether the sides differ.  Computed once."""
         return _action_residuals(self)
 
-    def rho_vector(self, coeffs: np.ndarray) -> GradedMap:
-        """rho of a (flat) coefficient vector; degree of the combination."""
-        deg = None
-        acc = None
-        for k in np.flatnonzero(coeffs):
-            d = self.algebra.basis_degree(k)
-            if deg is None:
-                deg = d
-            elif deg != d:
-                raise ShapeError("rho of a non-homogeneous element", degree=d)
-            term = self.rho[k].scale(coeffs[k])
-            acc = term if acc is None else acc + term
-        if acc is None:
-            return GradedMap.zero(self.space, self.space, 0, self.mode)
-        return acc
-
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -404,8 +389,7 @@ def validate_bundle(bundle: DgModuleBundle, tol: float | None = None
     off ``bundle.residuals`` per row; the witness is the first failing
     basis element or pair.
     """
-    tol = (None if bundle.mode == EXACT
-           else DEFAULT_TOL if tol is None else tol)
+    tol = session_tol(bundle.mode, tol)
     a = bundle.algebra
     checks: list[CheckResult] = []
 
@@ -561,11 +545,13 @@ class Splitting:
 
     Read off the spectrum once: ``m0`` (lam = 0 per degree), ``include`` =
     L[:, lam = 0], ``project`` = R[lam = 0], ``pi0`` = include project,
-    ``pi1`` = 1 - pi0 and ``homotopy`` = L diag(1/lam) R kappa (0 where
-    lam = 0), with {Q, homotopy} = pi1 in both kinds; it is kappa in the
-    projector kind.  ``check_splitting`` validates: pi0, pi1 complementary
-    idempotents commuting with Q, Q pi0 = pi0 Q = 0, kappa^2 = 0 and
-    kappa pi0 = pi0 kappa = 0, and the same side conditions on homotopy.
+    ``pi1`` = 1 - pi0 and ``homotopy`` = L diag(1/lam) R kappa (0 where lam
+    = 0), with {Q, homotopy} = pi1 in both kinds; it is kappa in the
+    projector kind.  So are the heat factors ``r_kappa``, ``lambda1`` and
+    ``float_copy`` that the propagator and quadrature read.
+    ``check_splitting`` validates: pi0, pi1 complementary idempotents
+    commuting with Q, Q pi0 = pi0 Q = 0, kappa^2 = 0 and kappa pi0 = pi0
+    kappa = 0, and the same side conditions on homotopy.
     """
 
     kind: str  # "projector" | "laplacian"
@@ -626,7 +612,29 @@ class Splitting:
             d: (l * lam) @ r for d, (l, lam, r) in self.spectrum.items()},
             self.mode)
 
+    @cached_property
+    def r_kappa(self) -> GradedMap:
+        """R_(d-1) kappa_d per source degree d, 0 on rows where lam = 0."""
+        blocks = {}
+        for d, k in self.kappa.blocks:
+            _, lam, r = self.spectrum[d - 1]
+            blocks[d] = r @ k
+            blocks[d][lam == 0] = 0
+        space = self.kappa.source
+        return GradedMap.build(space, space, -1, blocks, self.mode)
+
     @property
+    def float_copy(self) -> "Splitting":
+        """Itself in float mode (not kept: a reference cycle), else cast."""
+        return self if self.mode == FLOAT else self._cast
+
+    @cached_property
+    def _cast(self) -> "Splitting":
+        return Splitting(self.kind, self.kappa.to_float(), {
+            d: (l.astype(complex), lam.astype(float), r.astype(complex))
+            for d, (l, lam, r) in self.spectrum.items()})
+
+    @cached_property
     def lambda1(self) -> float | None:
         """The spectral gap: the smallest nonzero eigenvalue of Delta."""
         return min((float(v) for _, lam, _ in self.spectrum.values()
@@ -715,7 +723,8 @@ def build_splitting_hodge(space: GradedVectorSpace, q: GradedMap,
     """Splitting from Hodge theory, in laplacian kind: kappa is the adjoint
     of Q and the spectrum is the eigendecomposition of the Laplacian
     {Q, kappa}; the harmonic part and the Green-normalized homotopy are
-    read off it (``Splitting``)."""
+    read off it (``Splitting``).  A Laplacian outside the double range
+    raises InputError."""
     if q.mode != FLOAT:
         raise ShapeError("Hodge splitting is float-mode only")
     degrees = space.degrees()
@@ -732,30 +741,35 @@ def build_splitting_hodge(space: GradedVectorSpace, q: GradedMap,
                                  degree=d)
             chol[d] = np.linalg.cholesky(g).conj().T  # upper factor L^H
 
-    # Q in orthonormal coordinates, degree by degree
-    q_t = {d: chol[d + 1] @ q.block(d) @ np.linalg.inv(chol[d])
-           for d in degrees if space.dim(d + 1)}
-
     spectrum, kappa_b = {}, {}
-    for d in degrees:
-        nd = space.dim(d)
-        delta_t = np.zeros((nd, nd), dtype=complex)
-        if d in q_t:
-            delta_t += q_t[d].conj().T @ q_t[d]
-        if (d - 1) in q_t:
-            delta_t += q_t[d - 1] @ q_t[d - 1].conj().T
-        vals, vecs = np.linalg.eigh((delta_t + delta_t.conj().T) / 2)
-        rel = np.abs(vals) / max(1.0, float(vals[-1]))
-        ambiguous = vals[(rel > tol) & (rel <= AMBIGUITY_BAND * tol)]
-        if ambiguous.size:
-            raise SpectralGapError(
-                f"Laplacian eigenvalue {ambiguous[0]:.3e} in degree {d} is too "
-                f"close to zero to classify at tolerance {tol:.1e}")
-        inv = np.linalg.inv(chol[d])
-        spectrum[d] = (inv @ vecs, np.where(rel <= tol, 0.0, vals),
-                       vecs.conj().T @ chol[d])
-        if d in q_t:  # kappa into degree d
-            kappa_b[d + 1] = inv @ q_t[d].conj().T @ chol[d + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # Q in orthonormal coordinates, degree by degree
+        q_t = {d: chol[d + 1] @ q.block(d) @ np.linalg.inv(chol[d])
+               for d in degrees if space.dim(d + 1)}
+        for d in degrees:
+            nd = space.dim(d)
+            delta_t = np.zeros((nd, nd), dtype=complex)
+            if d in q_t:
+                delta_t += q_t[d].conj().T @ q_t[d]
+            if (d - 1) in q_t:
+                delta_t += q_t[d - 1] @ q_t[d - 1].conj().T
+            delta_t = (delta_t + delta_t.conj().T) / 2
+            if not np.isfinite(delta_t).all():
+                raise InputError(f"the Laplacian of Q in degree {d} is "
+                                 "outside the double range")
+            vals, vecs = np.linalg.eigh(delta_t)
+            rel = np.abs(vals) / max(1.0, float(vals[-1]))
+            ambiguous = vals[(rel > tol) & (rel <= AMBIGUITY_BAND * tol)]
+            if ambiguous.size:
+                raise SpectralGapError(
+                    f"Laplacian eigenvalue {ambiguous[0]:.3e} in degree {d} "
+                    f"is too close to zero to classify at tolerance "
+                    f"{tol:.1e}")
+            inv = np.linalg.inv(chol[d])
+            spectrum[d] = (inv @ vecs, np.where(rel <= tol, 0.0, vals),
+                           vecs.conj().T @ chol[d])
+            if d in q_t:  # kappa into degree d
+                kappa_b[d + 1] = inv @ q_t[d].conj().T @ chol[d + 1]
     return Splitting("laplacian",
                      GradedMap.build(space, space, -1, kappa_b, FLOAT),
                      spectrum)
@@ -764,8 +778,7 @@ def build_splitting_hodge(space: GradedVectorSpace, q: GradedMap,
 def check_splitting(space: GradedVectorSpace, q: GradedMap, splitting: Splitting,
                     tol: float | None = None) -> ValidationReport:
     """Every splitting invariant, including the side conditions on kappa."""
-    if splitting.mode == FLOAT and tol is None:
-        tol = DEFAULT_TOL
+    tol = session_tol(splitting.mode, tol)
     s = splitting
     ident = GradedMap.identity(space, s.mode)
     checks = [
@@ -809,9 +822,10 @@ def cohomology(space: GradedVectorSpace, q: GradedMap,
     Hodge in float; ``m0`` holds the per-degree cohomology dimensions."""
     if q.mode == EXACT:   # the projector builder checks Q^2 itself
         return build_splitting_projector(space, q)
+    tol = session_tol(FLOAT, tol)
     if not compose(q, q).is_zero(tol):
         raise ShapeError("Q^2 != 0")
-    return build_splitting_hodge(space, q, tol=tol or DEFAULT_TOL)
+    return build_splitting_hodge(space, q, tol=tol)
 
 
 def euler_characteristic(space: GradedVectorSpace,

@@ -53,7 +53,8 @@ from fractions import Fraction
 import numpy as np
 
 from homotrace.errors import RankAmbiguousError, ShapeError
-from homotrace.scalars import EXACT, GaussianRational, one_scalar, zero_scalar
+from homotrace.scalars import (EXACT, FLOAT, GaussianRational, one_scalar,
+                               zero_scalar)
 
 # Float rank decisions are "ambiguous" when a normalized singular value
 # falls in (tol, AMBIGUITY_BAND * tol].
@@ -260,6 +261,12 @@ class GradedMap:
     def scale(self, c) -> "GradedMap":
         blocks = {d: m * c for d, m in self.blocks}
         return GradedMap.build(self.source, self.target, self.degree, blocks, self.mode)
+
+    def to_float(self) -> "GradedMap":
+        """The map in float mode: itself if it is float, else cast."""
+        return self if self.mode == FLOAT else GradedMap.build(
+            self.source, self.target, self.degree,
+            {d: m.astype(complex) for d, m in self.blocks}, FLOAT)
 
     def _check_parallel(self, other: "GradedMap") -> None:
         if (self.source.dims != other.source.dims

@@ -33,7 +33,7 @@ from functools import cache
 
 from homotrace.dgcore import DgAlgebra
 from homotrace.errors import ShapeError
-from homotrace.scalars import one_scalar
+from homotrace.scalars import one_scalar, session_tol
 from homotrace.transfer import AInfinityMorphism
 
 
@@ -196,7 +196,8 @@ class ChainMapReport:
 
 def chain_map_defect(chain: HochschildChain, f: AInfinityMorphism,
                      tol: float | None = None) -> ChainMapReport:
-    """boundary(push(x)) - push(boundary(x)); pass iff zero."""
+    """boundary(push(x)) - push(boundary(x)); pass iff zero (session_tol)."""
+    tol = session_tol(chain.algebra.mode, tol)
     lhs = hochschild_boundary(push_chain(chain, f))
     rhs = push_chain(hochschild_boundary(chain), f)
     defect = lhs - rhs

@@ -352,8 +352,6 @@ def _closure(space: GradedVectorSpace, q: GradedMap,
 
 def to_float_instance(instance: Instance, tol: float = DEFAULT_TOL) -> Instance:
     """Float copy of an exact instance, with the Hodge (Laplacian) splitting."""
-    from homotrace.transfer import _to_float
-
     bundle = instance.bundle
     if bundle.mode == FLOAT:
         return instance
@@ -364,8 +362,8 @@ def to_float_instance(instance: Instance, tol: float = DEFAULT_TOL) -> Instance:
         keep = np.flatnonzero(vals)
         fbundle = DgModuleBundle(
             DgAlgebra(a.space, ((row[keep], col[keep]), vals[keep]), FLOAT),
-            bundle.space, _to_float(bundle.q),
-            tuple(_to_float(r) for r in bundle.rho), FLOAT)
+            bundle.space, bundle.q.to_float(),
+            tuple(r.to_float() for r in bundle.rho), FLOAT)
     except OverflowError as exc:
         raise InputError(f"a coefficient is outside the double range: {exc}"
                          ) from exc

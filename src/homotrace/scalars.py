@@ -4,7 +4,7 @@ Exact mode works over the rationals (``fractions.Fraction``) optionally
 extended by i (``GaussianRational``); float mode works over complex
 doubles.  Float comparisons always go through a single session tolerance
 (default ``DEFAULT_TOL``) passed down by the caller, never a per-call
-epsilon.
+epsilon, resolved by the one rule ``session_tol``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,12 @@ DEFAULT_TOL = 1e-10
 
 EXACT = "exact"
 FLOAT = "float"
+
+
+def session_tol(mode: str, tol: float | None) -> float | None:
+    """The tolerance a comparison in ``mode`` uses: None (exact) in exact
+    mode; in float mode ``tol``, or DEFAULT_TOL when it is None."""
+    return None if mode == EXACT else DEFAULT_TOL if tol is None else tol
 
 
 class GaussianRational:

@@ -23,7 +23,7 @@ from homotrace.hochschild import (
     _signed_rotations,
     hochschild_boundary,
 )
-from homotrace.scalars import zero_scalar
+from homotrace.scalars import session_tol, zero_scalar
 from homotrace.transfer import AInfinityMorphism
 
 
@@ -36,7 +36,8 @@ def supertrace_on_cohomology(op: GradedMap, splitting: Splitting,
     """
     if op.degree != 0:
         raise ShapeError("supertrace on cohomology needs a degree-0 operator")
-    if q is not None and not supercommutator(q, op).is_zero(tol):
+    if q is not None and not supercommutator(q, op).is_zero(
+            session_tol(op.mode, tol)):
         raise ShapeError("operator does not commute with the differential")
     induced = compose(splitting.project, compose(op, splitting.include))
     return induced.supertrace()
@@ -110,7 +111,8 @@ def antisymmetrized_supertrace(ops: list[GradedMap], splitting: Splitting,
     for op in ops:
         if op.degree != 0:
             raise ShapeError("operators must have degree 0")
-        if q is not None and not supercommutator(q, op).is_zero(tol):
+        if q is not None and not supercommutator(q, op).is_zero(
+                session_tol(op.mode, tol)):
             raise ShapeError("operators must commute with the differential")
     induced = [compose(splitting.project, compose(op, splitting.include)) for op in ops]
     total = zero_scalar(ops[0].mode)

@@ -2,19 +2,21 @@
 
 The engine evaluates the operator-valued connection form built from the
 propagator exp[-dt kappa - t Delta], Delta = {Q, kappa} (pi1 in projector
-kind), whose heat kernel it reads off the splitting's spectrum, and checks
-the transferred morphism's coherence relations.  The form's top component
-integrates to the word p rho h rho ... h rho i: in closed form, or by
-quadrature over the gap cube of the same word with each h replaced by the
-heat kernel L diag(e^(-t lam)) (R kappa), whose integral over t in
-(0, inf) is h.  Each gap appears in one heat kernel only, so by Fubini the
-cube integral is the word with each h replaced by L G (R kappa), G the
-integral of diag(e^(-t lam)): one adaptive Gauss-Legendre integral over
-the compactified gap (chart t = -ln(1-sigma)/mu, mu the spectral gap), at
-any arity.  The closed form is built from factors kept per morphism: the
-step h rho(b) of a basis element grows a stored prefix p rho(b_1) h ...
-rho(b_j) by one compose, and its tail h rho(b) i closes a prefix into a
-component with one more.
+kind), whose heat kernel it reads off the spectrum, ``r_kappa`` and
+``lambda1`` that the splitting keeps (on its ``float_copy`` in floats),
+and checks the transferred morphism's coherence relations.  Every input, a
+basis index or a homogeneous ``Slot``, is read once (``_elements``).  The
+form's top component integrates to the word p rho h rho ... h rho i: in
+closed form, or by quadrature over the gap cube of the same word with each
+h replaced by the heat kernel L diag(e^(-t lam)) (R kappa), whose integral
+over t in (0, inf) is h.  Each gap appears in one heat kernel only, so by
+Fubini the cube integral is the word with each h replaced by L G (R
+kappa), G the integral of diag(e^(-t lam)): one adaptive Gauss-Legendre
+integral over the compactified gap (chart t = -ln(1-sigma)/mu, mu the
+spectral gap), at any arity.  The closed form is built from factors kept
+per morphism: the step h rho(b) of a basis element grows a stored prefix p
+rho(b_1) h ... rho(b_j) by one compose, and its tail h rho(b) i closes a
+prefix into a component with one more.
 
 Signs.  In chain order the transferred component is
 
@@ -52,7 +54,7 @@ from homotrace.quadrature import (DEFAULT_BUDGET, DEFAULT_ORDER,
 from homotrace.scalars import DEFAULT_TOL, FLOAT, one_scalar
 
 # ---------------------------------------------------------------------------
-# Slots: homogeneous inputs normalized to (degree, coefficient vector)
+# Inputs: a basis index or a Slot, read as (degree, nonzero terms)
 
 
 @dataclass(frozen=True)
@@ -62,29 +64,41 @@ class Slot:
     degree: int
     coeffs: np.ndarray  # over the flat algebra basis
 
-    @staticmethod
-    def basis(bundle: DgModuleBundle, k: int) -> "Slot":
-        a = bundle.algebra
-        v = a._zero_vec()
-        v[k] = one_scalar(a.mode)
-        return Slot(a.basis_degree(k), v)
+
+def _elements(bundle: DgModuleBundle, inputs) -> list[tuple[int, list]]:
+    """Each input as (degree, [(basis index, coefficient), ...]): a basis
+    index b as (deg b, [(b, 1)]), a Slot as its declared degree and its
+    nonzero coefficients, each of which must be of that degree.  Any other
+    input, or none, raises ShapeError."""
+    a, out = bundle.algebra, []
+    for item in inputs:
+        if isinstance(item, Slot):
+            terms = [(k, item.coeffs[k])
+                     for k in np.flatnonzero(item.coeffs).tolist()]
+            if any(a.basis_degree(k) != item.degree for k, _ in terms):
+                raise ShapeError("rho of a non-homogeneous element, or of "
+                                 "one off its declared degree")
+            out.append((item.degree, terms))
+        elif isinstance(item, (int, np.integer)) and 0 <= item < a.n_basis:
+            out.append((a.basis_degree(item),
+                        [(int(item), one_scalar(a.mode))]))
+        else:
+            raise ShapeError(f"cannot interpret {item!r} as an algebra "
+                             "element")
+    if not out:
+        raise ShapeError("transfer needs at least one input")
+    return out
 
 
-def as_slot(bundle: DgModuleBundle, item) -> Slot:
-    if isinstance(item, Slot):
-        return item
-    if isinstance(item, (int, np.integer)):
-        return Slot.basis(bundle, int(item))
-    raise ShapeError(f"cannot interpret {item!r} as an algebra element")
+def _rho(bundle: DgModuleBundle, element: tuple[int, list]) -> GradedMap:
+    """rho of one read input, in float arithmetic."""
+    maps = [bundle.rho[k].scale(c) for k, c in element[1]] or [GradedMap.zero(
+        bundle.space, bundle.space, element[0], bundle.mode)]
+    return sum(maps[1:], maps[0]).to_float()
 
 
-def _slot_diff(bundle: DgModuleBundle, slot: Slot) -> Slot:
-    a = bundle.algebra
-    out = a._zero_vec()
-    for k in np.flatnonzero(slot.coeffs):
-        for m, c in a.differential_terms[k]:
-            out[m] = out[m] + slot.coeffs[k] * c
-    return Slot(slot.degree + 1, out)
+def _add(into: dict, key, value: GradedMap) -> None:
+    into[key] = into[key] + value if key in into else value
 
 
 # ---------------------------------------------------------------------------
@@ -104,72 +118,46 @@ class ConfigurationPoint:
 
 
 class PropagatorCache:
-    """The gap propagator of one splitting, in float arithmetic.
-
-    From the splitting's spectrum Delta_d = L_d diag(lam_d) R_d, both kinds
-    use one formula: even(t) = exp(-t Delta) = L diag(e^(-t lam)) R and
-    odd(t) = -even(t) kappa = -L diag(e^(-t lam)) (R kappa), with R kappa
-    formed once.  In the projector kind lam is 0 or 1, so even(t) =
-    pi0 + e^-t pi1 and odd(t) = -e^-t kappa.
-    """
+    """The gap propagator of one splitting in float arithmetic: ``value``
+    reads the heat factors its ``float_copy`` keeps."""
 
     def __init__(self, splitting: Splitting):
-        self.space, self.pi0 = splitting.kappa.source, _to_float(splitting.pi0)
-        self.heat = _heat_factors(splitting, FLOAT)
+        self.splitting = splitting.float_copy
 
     def value(self, t: float) -> tuple[GradedMap, GradedMap]:
-        return _heat_kernel(self.heat, self.space, t, FLOAT)
+        return _heat_kernel(self.splitting, t)
 
 
-def _heat_factors(splitting: Splitting, mode: str) -> tuple[dict, dict]:
-    """The spectrum in ``mode``, and R_(d-1) kappa_d per source degree d of
-    kappa with its harmonic rows set to zero (pi0 kappa = 0), so that
-    odd(inf) = 0 exactly."""
-    spec, kappa = splitting.spectrum, splitting.kappa
-    if mode != splitting.mode:
-        spec = {d: (l.astype(complex), lam.astype(float), r.astype(complex))
-                for d, (l, lam, r) in spec.items()}
-        kappa = _to_float(kappa)
-    r_kappa = {}
-    for d, k in kappa.blocks:
-        _, lam, r = spec[d - 1]
-        r_kappa[d] = r @ k
-        r_kappa[d][lam == 0] = 0
-    return spec, r_kappa
-
-
-def _heat_kernel(factors: tuple[dict, dict], space: GradedVectorSpace,
-                 t: float, mode: str) -> tuple[GradedMap, GradedMap]:
-    """(even(t), odd(t)).  At t = 0 and t = inf the weights e^(-t lam) are
-    booleans (all 1; 1 where lam = 0), exact in either arithmetic."""
+def _heat_kernel(splitting: Splitting, t: float
+                 ) -> tuple[GradedMap, GradedMap]:
+    """(even(t), odd(t)) in the splitting's mode.  From its spectrum
+    Delta_d = L_d diag(lam_d) R_d, both kinds use one formula: even(t) =
+    exp(-t Delta) = L diag(e^(-t lam)) R and odd(t) = -even(t) kappa = -L
+    diag(e^(-t lam)) (R kappa); in the projector kind lam is 0 or 1, so
+    even(t) = pi0 + e^-t pi1 and odd(t) = -e^-t kappa.  At t = 0 and t =
+    inf the weights e^(-t lam) are booleans (all 1; 1 where lam = 0),
+    exact in either arithmetic."""
     if t < 0:
         raise ShapeError(f"propagator needs t >= 0, got {t}")
-    spec, r_kappa = factors
+    spec, space = splitting.spectrum, splitting.kappa.source
     limit = t == 0 or math.isinf(t)
     lw = {d: l * ((lam == 0) | (t == 0) if limit else np.exp(-t * lam))
           for d, (l, lam, _) in spec.items()}
     even = {d: lw[d] @ r for d, (_, _, r) in spec.items()}
-    odd = {d: -(lw[d - 1] @ x) for d, x in r_kappa.items()}
-    return (GradedMap.build(space, space, 0, even, mode),
-            GradedMap.build(space, space, -1, odd, mode))
-
-
-def _to_float(f: GradedMap) -> GradedMap:
-    if f.mode == FLOAT:
-        return f
-    blocks = {d: m.astype(complex) for d, m in f.blocks}
-    return GradedMap.build(f.source, f.target, f.degree, blocks, FLOAT)
+    odd = {d: -(lw[d - 1] @ x) for d, x in splitting.r_kappa.blocks}
+    return (GradedMap.build(space, space, 0, even, splitting.mode),
+            GradedMap.build(space, space, -1, odd, splitting.mode))
 
 
 def propagator(t: float, splitting: Splitting) -> tuple[GradedMap, GradedMap]:
     """Even part and dt-coefficient of the gap propagator at gap length t:
     (exp(-t Delta), -exp(-t Delta) kappa), by the one formula of
-    ``PropagatorCache``.  (id, -kappa) at t = 0 and (pi0, 0) at t = inf;
+    ``_heat_kernel``.  (id, -kappa) at t = 0 and (pi0, 0) at t = inf;
     exact there in exact mode, float otherwise.
     """
-    mode = splitting.mode if t in (0, math.inf) else FLOAT
-    return _heat_kernel(_heat_factors(splitting, mode), splitting.kappa.source,
-                        float(t), mode)
+    exact_limit = t in (0, math.inf)
+    return _heat_kernel(splitting if exact_limit else splitting.float_copy,
+                        float(t))
 
 
 # ---------------------------------------------------------------------------
@@ -199,22 +187,25 @@ class OperatorForm:
 
 
 def operator_form(inputs, point: ConfigurationPoint, splitting: Splitting,
-                  bundle: DgModuleBundle,
-                  cache: PropagatorCache | None = None) -> OperatorForm:
+                  bundle: DgModuleBundle) -> OperatorForm:
     """The full propagator-and-action form at one configuration point.
 
     Composition order: pi0 . rho(a_k) . P(t_{k-1}) . rho(a_{k-1}) ... P(t_1)
     . rho(a_1) . pi0, expanded into form components with Koszul signs from
     moving each dt past the graded operators to its left.
     """
-    slots = [as_slot(bundle, x) for x in inputs]
-    k = len(slots)
+    return _form([_rho(bundle, x) for x in _elements(bundle, inputs)], point,
+                 splitting)
+
+
+def _form(rhos: list[GradedMap], point: ConfigurationPoint,
+          splitting: Splitting) -> OperatorForm:
+    """``operator_form`` on the float rho of each input."""
+    k = len(rhos)
     if len(point.gaps) != k - 1:
         raise ShapeError(f"{k} inputs need {k - 1} gaps, got {len(point.gaps)}")
-    if cache is None:
-        cache = PropagatorCache(splitting)
-    rhos = [_to_float(bundle.rho_vector(s.coeffs)) for s in slots]
-    pi0 = cache.pi0
+    cache = PropagatorCache(splitting)
+    pi0 = cache.splitting.pi0
     terms: list[tuple[frozenset, GradedMap]] = [
         (frozenset(), compose(pi0, rhos[k - 1]))]
     for j in range(k - 2, -1, -1):
@@ -228,11 +219,7 @@ def operator_form(inputs, point: ConfigurationPoint, splitting: Splitting,
         terms = new_terms
     components: dict[frozenset, GradedMap] = {}
     for subset, x in terms:
-        val = compose(x, pi0)
-        if subset in components:
-            components[subset] = components[subset] + val
-        else:
-            components[subset] = val
+        _add(components, subset, compose(x, pi0))
     return OperatorForm(arity=k, gaps=point.gaps, components=components)
 
 
@@ -251,11 +238,10 @@ def transfer_closed(inputs, splitting: Splitting,
     chain-order component on the reversed word.  Exact in exact mode;
     degree sum(deg a_i) + 1 - k on the cohomology space.
     """
-    slots = [as_slot(bundle, x) for x in inputs]
-    if not slots:
-        raise ShapeError("transfer needs at least one input")
-    eps = _epsilon([s.degree for s in slots], bundle.mode)
-    return AInfinityMorphism(bundle, splitting).value(slots[::-1]).scale(eps)
+    elements = _elements(bundle, inputs)
+    eps = _epsilon([d for d, _ in elements], bundle.mode)
+    return AInfinityMorphism(bundle, splitting)._combination(
+        elements[::-1]).scale(eps)
 
 
 def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
@@ -266,9 +252,9 @@ def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
     """Transferred component by quadrature over the open gap cube: the
     word of ``transfer_closed``, eps applied to rho(a_1), integrated by
     ``_quadrature``.  Returns (value, error estimate)."""
-    slots = [as_slot(bundle, x) for x in inputs]
-    rhos = [_to_float(bundle.rho_vector(s.coeffs)) for s in slots]
-    rhos[0] = rhos[0].scale(_epsilon([s.degree for s in slots], FLOAT))
+    elements = _elements(bundle, inputs)
+    rhos = [_rho(bundle, x) for x in elements]
+    rhos[0] = rhos[0].scale(_epsilon([d for d, _ in elements], FLOAT))
     return _quadrature(rhos[::-1], splitting, rel_tol, order, budget)
 
 
@@ -291,16 +277,15 @@ def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
     the inf-norm, so on every entry, of the difference to the integral.  A
     budget error carries the product and the bound for its best G.
     """
-    include = _to_float(splitting.include)
-    project = _to_float(splitting.project)
+    splitting = splitting.float_copy
+    include, project = splitting.include, splitting.project
     if len(rhos) == 1:
         return compose(compose(project, rhos[0]), include), 0.0
 
-    spec, r_kappa = _heat_factors(splitting, FLOAT)
+    spec, rk = splitting.spectrum, splitting.r_kappa
     space = splitting.kappa.source
     ell = GradedMap.build(space, space, 0,
                           {d: l for d, (l, _, _) in spec.items()}, FLOAT)
-    rk = GradedMap.build(space, space, -1, r_kappa, FLOAT)
     factors = ([compose(compose(rk, rhos[-1]), include)]
                + [compose(compose(rk, rho), ell) for rho in rhos[-2:0:-1]]
                + [compose(compose(project, rhos[0]), ell)])
@@ -454,14 +439,17 @@ class AInfinityMorphism:
             self._tails[b] = compose(self._step(b), self.splitting.include)
         return self._tails[b]
 
-    def value(self, slots: list) -> GradedMap:
-        """Multilinear evaluation; expands element slots over the basis."""
-        slots = [as_slot(self.bundle, s) for s in slots]
-        deg = sum(s.degree for s in slots) + 1 - len(slots)
-        terms = (self.on_basis(flats).scale(
-            math.prod(s.coeffs[k] for s, k in zip(slots, flats)))
-            for flats in itertools.product(
-                *(np.flatnonzero(s.coeffs).tolist() for s in slots)))
+    def value(self, inputs) -> GradedMap:
+        """Multilinear evaluation on basis indices and Slots."""
+        return self._combination(_elements(self.bundle, inputs))
+
+    def _combination(self, elements: list[tuple[int, list]]) -> GradedMap:
+        """``value`` on read inputs: the sum over every choice of one term
+        per input of its coefficients' product times the component."""
+        deg = sum(d for d, _ in elements) + 1 - len(elements)
+        terms = (self.on_basis(tuple(k for k, _ in pick)).scale(
+            math.prod(c for _, c in pick))
+            for pick in itertools.product(*(t for _, t in elements)))
         return sum(terms, GradedMap.zero(self.m0, self.m0, deg,
                                          self.bundle.mode))
 
@@ -519,59 +507,41 @@ def almost_closed_check(inputs, point: ConfigurationPoint, splitting: Splitting,
     """
     if step <= 0:
         raise ShapeError(f"step must be positive, got {step}")
-    slots = [as_slot(bundle, x) for x in inputs]
-    k = len(slots)
-    degs = [s.degree for s in slots]
-    cache = PropagatorCache(splitting)
+    elements = _elements(bundle, inputs)
+    rhos = [_rho(bundle, x) for x in elements]
+    k, degs = len(rhos), [d for d, _ in elements]
 
     alg_side: dict[frozenset, GradedMap] = {}
-    for i in range(k):
+    for i, (deg, terms) in enumerate(elements):
         suffix = sum(degs[i + 1:]) % 2
-        new_slots = list(slots)
-        new_slots[i] = _slot_diff(bundle, slots[i])
-        form = operator_form(new_slots, point, splitting, bundle, cache)
+        d_terms = [(m, c * x) for b, c in terms
+                   for m, x in bundle.algebra.differential_terms[b]]
+        form = _form(rhos[:i] + [_rho(bundle, (deg + 1, d_terms))]
+                     + rhos[i + 1:], point, splitting)
         for subset, val in form.components.items():
-            signed = val.scale(complex((-1) ** suffix))
-            if subset in alg_side:
-                alg_side[subset] = alg_side[subset] + signed
-            else:
-                alg_side[subset] = signed
+            _add(alg_side, subset, val.scale(complex((-1) ** suffix)))
 
     tau_side: dict[frozenset, GradedMap] = {}
-    base = operator_form(slots, point, splitting, bundle, cache)
+    base = _form(rhos, point, splitting)
     for i in range(k - 1):
-        up = list(point.gaps)
-        dn = list(point.gaps)
+        up, dn = list(point.gaps), list(point.gaps)
         up[i] += step
         dn[i] -= step
         if dn[i] <= 0:
             raise ShapeError(f"step {step} too large for gap {point.gaps[i]}")
-        fu = operator_form(slots, ConfigurationPoint(tuple(up)), splitting,
-                           bundle, cache)
-        fd = operator_form(slots, ConfigurationPoint(tuple(dn)), splitting,
-                           bundle, cache)
+        fu = _form(rhos, ConfigurationPoint(tuple(up)), splitting)
+        fd = _form(rhos, ConfigurationPoint(tuple(dn)), splitting)
         for subset in base.components:
             if i in subset:
                 continue
             deriv = (fu.component(subset) - fd.component(subset)).scale(
                 complex(1.0 / (2 * step)))
             reorder = (-1) ** sum(1 for j in subset if j < i)
-            key = subset | {i}
-            signed = deriv.scale(complex(reorder))
-            if key in tau_side:
-                tau_side[key] = tau_side[key] + signed
-            else:
-                tau_side[key] = signed
+            _add(tau_side, subset | {i}, deriv.scale(complex(reorder)))
 
     residual = 0.0
     for subset in set(alg_side) | set(tau_side):
-        a = alg_side.get(subset)
-        t = tau_side.get(subset)
-        if a is None:
-            diff = t
-        elif t is None:
-            diff = a
-        else:
-            diff = a - t
+        a, t = alg_side.get(subset), tau_side.get(subset)
+        diff = t if a is None else a if t is None else a - t
         residual = max(residual, diff.max_abs())
     return residual

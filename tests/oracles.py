@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from homotrace.dgcore import DgAlgebra, EndoAlgebra, Splitting, _matrix_units
+from homotrace.dgcore import (DgAlgebra, DgModuleBundle, EndoAlgebra,
+                              Splitting, _matrix_units)
 from homotrace.errors import ClosureError, ShapeError
 from homotrace.glinalg import (GradedMap, GradedVectorSpace, coo, compose,
                                supercommutator, zeros_matrix)
 from homotrace.hochschild import HochschildChain, cyclic_shift_term
 from homotrace.scalars import EXACT, one_scalar, zero_scalar
+from homotrace.transfer import Slot
 
 
 def matrix_from_rows(rows, mode: str):
@@ -123,6 +125,32 @@ def canonical_supertrace(chain: HochschildChain, endo: EndoAlgebra):
             continue
         total = total + c * endo.maps[flats[0]].supertrace()
     return total
+
+
+def rho_vector(bundle: DgModuleBundle, coeffs: np.ndarray) -> GradedMap:
+    """rho of a (flat) coefficient vector, term by term; a zero vector
+    gives the zero map of degree 0."""
+    deg = None
+    acc = None
+    for k in np.flatnonzero(coeffs):
+        d = bundle.algebra.basis_degree(k)
+        if deg is None:
+            deg = d
+        elif deg != d:
+            raise ShapeError("rho of a non-homogeneous element", degree=d)
+        term = bundle.rho[k].scale(coeffs[k])
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return GradedMap.zero(bundle.space, bundle.space, 0, bundle.mode)
+    return acc
+
+
+def basis_slot(bundle: DgModuleBundle, k: int) -> Slot:
+    """The basis element e_k as a dense ``Slot``."""
+    a = bundle.algebra
+    v = a._zero_vec()
+    v[k] = one_scalar(a.mode)
+    return Slot(a.basis_degree(k), v)
 
 
 def projected_supertrace(op: GradedMap, splitting: Splitting):

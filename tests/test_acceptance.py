@@ -58,7 +58,7 @@ from homotrace.transfer import (
     transfer_quadrature,
     transferred_morphism,
 )
-from oracles import describe, projected_supertrace
+from oracles import describe, projected_supertrace, rho_vector
 
 RANDOM_DIMS = [{0: 2, 1: 2}, {0: 1, 1: 2, 2: 1}, {0: 2, 1: 1, 2: 1},
                {-1: 1, 0: 2, 1: 1}, {0: 3, 1: 1}]
@@ -184,7 +184,7 @@ def test_criterion_4_oracle_equivalence():
         for i, c in enumerate(alg.unit):
             ident.add_term((i,), c)
         ups_id = transferred_trace(ident, f)
-        theta1 = projected_supertrace(inst.bundle.rho_vector(alg.unit),
+        theta1 = projected_supertrace(rho_vector(inst.bundle, alg.unit),
                                       inst.splitting)
         if tol is None:
             assert ups_id == theta1 == coh.m0.euler_characteristic()
@@ -377,7 +377,7 @@ def test_criterion_8_cyclic_pullback_consistency():
                 ch3.add_term((i, j, k), ident[i] * ident[j] * ident[k])
     lhs = transferred_cyclic_trace(ch3, f, 1)
     rhs = antisymmetrized_supertrace(
-        [t1.bundle.rho_vector(t1.bundle.algebra.unit)] * 3, coh, q=t1.bundle.q)
+        [rho_vector(t1.bundle, t1.bundle.algebra.unit)] * 3, coh, q=t1.bundle.q)
     assert lhs == rhs == 3 * coh.m0.euler_characteristic()
     _report("AC8b", f"(both sides equal {lhs} = 3*chi)")
 

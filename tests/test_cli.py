@@ -16,6 +16,7 @@ from homotrace.instances import (matrix_instance, random_instance,
 from homotrace.scalars import DEFAULT_TOL, FLOAT, decode_value
 from homotrace.serialize import (instance_from_dict, instance_to_dict,
                                  save_instance)
+from homotrace.transfer import transfer_closed
 
 
 def run(args):
@@ -321,11 +322,15 @@ def test_cyclic_level_zero_is_accepted(tmp_path, capsys):
     ["--order-cap", "1000"],
     ["--tau", "1e300,1"],
     ["--N", "2", "--order-cap", "100000"],
-], ids=["order-cap-1000", "tau-1e300", "N2-order-cap-100000"])
+    ["--tau", "1e300,1", "--order-cap", "1"],
+], ids=["order-cap-1000", "tau-1e300", "N2-order-cap-100000",
+        "tau-1e300-order-cap-1"])
 def test_torus_multipliers_beyond_double_range_exit_2(tmp_path, capsys,
                                                       flags):
     """A derivative multiplier lam^order that no double holds is bad input:
-    exit 2 with one 'input error:' line, no traceback and no file."""
+    exit 2 with one 'input error:' line, no traceback and no file.  So is
+    a Laplacian of Q that overflows while every multiplier fits (order cap
+    1, where the Hodge splitting squares Q)."""
     out = tmp_path / "x.json"
     assert run(["gen", "--kind", "torus", *flags, "-o", str(out)]) == 2
     err = capsys.readouterr().err
@@ -566,3 +571,28 @@ def test_real_gaussian_trace_prints_a_rational(tmp_path, capsys):
     assert run(["trace", "--instance", str(ipath), "--chain", str(cpath),
                 "--output", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["results"][0]["value"] == "1"
+
+
+@pytest.mark.parametrize("off, passed", [(0.5, True), (2.0, False)])
+def test_verify_quadrature_check_compares_at_the_band(monkeypatch, off,
+                                                      passed):
+    """The quadrature check fails past AMBIGUITY_BAND * tol relative to the
+    closed form, as every other float verify check does: a quadrature off
+    by ``off`` times that band, relative, passes below 1 and fails above.
+    Verify seed 5 draws two nonzero components of random seed 7 in float."""
+    band = AMBIGUITY_BAND * DEFAULT_TOL
+    nonzero = []
+
+    def quadrature(tup, splitting, bundle, **kwargs):
+        closed = transfer_closed(tup, splitting, bundle)
+        m = closed.max_abs()
+        nonzero.append(m > 0)
+        return closed.scale(1 + off * band * (1 + m) / m if m else 1), 0.0
+
+    monkeypatch.setattr("homotrace.cli.transfer_quadrature", quadrature)
+    args = build_parser().parse_args(["verify", "--instance", "unused",
+                                      "--seed", "5"])
+    inst = to_float_instance(random_instance(7, {0: 2, 1: 2}))
+    checks = {c["name"]: c["passed"] for c in _verify_checks(inst, args)}
+    assert any(nonzero)
+    assert checks["quadrature/agrees-with-closed-form"] is passed

@@ -45,9 +45,8 @@ from homotrace.instances import matrix_instance, random_instance, \
     t1_instance, to_float_instance, torus_instance
 from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, GaussianRational,
                                one_scalar)
-from homotrace.transfer import _to_float
 from oracles import (dense, endomorphism_tensor, entries, make_algebra,
-                     matrix_from_rows)
+                     matrix_from_rows, rho_vector)
 
 
 def t1_space_q():
@@ -222,7 +221,7 @@ def _multiplicative_reference(bundle, tol):
     for i in range(a.n_basis):
         for j in range(a.n_basis):
             try:
-                lhs = bundle.rho_vector(mul[i, j])
+                lhs = rho_vector(bundle, mul[i, j])
             except ShapeError:
                 return i, j
             if not lhs.equals(compose(bundle.rho[i], bundle.rho[j]), tol):
@@ -282,12 +281,12 @@ def test_action_multiplicative_matches_per_pair_reference(seed, dims, kind,
     assert check.witness == _witness(bundle.algebra, want)
     a = bundle.algebra
     chain = next((a.basis_name(k) for k in range(a.n_basis)
-                  if not bundle.rho_vector(dense(a.differential)[:, k]).equals(
+                  if not rho_vector(bundle, dense(a.differential)[:, k]).equals(
                       supercommutator(bundle.q, bundle.rho[k]), tol)),
                  None)
     assert checks["action-chain-map"].witness == chain
     if checks["unit"].witness in (None, "rho(unit) != id"):
-        assert checks["unit"].passed == bundle.rho_vector(a.unit).equals(
+        assert checks["unit"].passed == rho_vector(bundle, a.unit).equals(
             GradedMap.identity(bundle.space, bundle.mode), tol)
 
 
@@ -524,7 +523,7 @@ def test_sheared_splittings_differ_and_validate():
 
 def test_hodge_splitting_t1():
     v, q = t1_space_q()
-    qf = _to_float(q)
+    qf = q.to_float()
     s = build_splitting_hodge(v, qf)
     assert check_splitting(v, qf, s, tol=1e-10).ok
     # Laplacian acts as the identity on span(e1, f), kernel is e2
@@ -535,7 +534,7 @@ def test_hodge_splitting_t1():
 
 def test_hodge_green_homotopy_reduces_to_projector_mode():
     v, q = t1_space_q()
-    qf = _to_float(q)
+    qf = q.to_float()
     s = build_splitting_hodge(v, qf)
     h = s.homotopy
     assert supercommutator(qf, h).equals(s.pi1, 1e-12)
@@ -947,3 +946,21 @@ def test_heat_decay_bound(torus1):
             p1 = np.asarray(s.pi1.block(d))
             norm = np.linalg.norm(et @ p1, 2)
             assert norm <= math.exp(-t * s.lambda1) + 1e-10
+
+
+def test_float_cohomology_reads_tol_none_as_the_session_tolerance():
+    """Q of random seed 11 in a seeded orthonormal basis per degree squares
+    to rounding only.  ``cohomology`` and ``euler_characteristic`` with
+    tol=None compare Q^2 to DEFAULT_TOL, as with that tolerance given,
+    not exactly."""
+    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
+    v, q = inst.bundle.space, inst.bundle.q.to_float()
+    rng = np.random.default_rng(0)
+    u = {d: np.linalg.qr(rng.standard_normal((n, n)))[0] for d, n in v.dims}
+    qr = GradedMap.build(v, v, 1, {d: u[d + 1] @ m @ u[d].T
+                                   for d, m in q.blocks}, FLOAT)
+    assert 0 < compose(qr, qr).max_abs() <= DEFAULT_TOL
+    dims = dict(cohomology(v, qr, DEFAULT_TOL).m0.dims)
+    assert dict(cohomology(v, qr).m0.dims) == dims
+    assert dims == dict(inst.splitting.m0.dims)
+    assert euler_characteristic(v, qr) == euler_characteristic(v, q)

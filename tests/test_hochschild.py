@@ -340,3 +340,18 @@ def test_compositions_are_every_ordered_partition_once(k):
     assert isinstance(got, tuple) and _compositions(k) is got
     assert len(got) == len(set(got)) == len(brute)
     assert set(got) == brute
+
+
+def test_float_chain_map_defect_reads_tol_none_as_the_session_tolerance():
+    """On random seed 7 in float, arity-3 chains leave rounding-level
+    defects (8.9e-16 at most); with tol=None the check compares them to
+    DEFAULT_TOL, not exactly, and passes."""
+    inst = to_float_instance(random_instance(7, {0: 2, 1: 2}))
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    alg = inst.bundle.algebra
+    rounded = 0
+    for flats in itertools.product(range(alg.n_basis), repeat=3):
+        rep = chain_map_defect(HochschildChain.of(alg, flats), f)
+        assert rep.passed and rep.max_coeff <= DEFAULT_TOL, flats
+        rounded += rep.max_coeff > 0
+    assert rounded > 0

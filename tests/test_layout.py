@@ -10,6 +10,7 @@ names, since re-exporting a definition does not use it.
 """
 
 import ast
+import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -103,3 +104,28 @@ def test_the_scan_finds_what_only_itself_or_init_names():
     assert unnamed_definitions([
         (PACKAGE / "fake.py", module), (PACKAGE / "__init__.py", init),
         (ROOT / "scripts" / "fake.py", caller)]) == ["lonely", "exported"]
+
+
+def test_the_benchmark_tracer_installs_and_uninstalls():
+    """``bench/tracing.py`` wraps package names it looks up by attribute
+    (``PropagatorCache.value``, ``AInfinityMorphism.on_basis`` and
+    ``DgAlgebra.mul_vectors`` among them): installing it fails if a rename
+    breaks one, and uninstalling puts every original back."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    methods = {(cls, attr): cls.__dict__[attr]
+               for cls, attr, _ in tracing.METHODS}
+    functions = {(mod, name): fn for mod in tracing.LAYERS.values()
+                 for name, fn in vars(mod).items() if callable(fn)}
+    tracer = tracing.Tracer("layout")
+    try:
+        tracer.install()
+        assert all(cls.__dict__[attr] is not raw
+                   for (cls, attr), raw in methods.items())
+    finally:
+        tracer.uninstall()
+    assert all(cls.__dict__[attr] is raw
+               for (cls, attr), raw in methods.items())
+    assert all(vars(mod)[name] is fn for (mod, name), fn in functions.items())

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homotrace.scalars import (
+    DEFAULT_TOL,
     EXACT,
     FLOAT,
     GaussianRational,
     decode_value,
     encode_value,
+    session_tol,
 )
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 20))
@@ -68,3 +70,12 @@ def test_decode_rejects_garbage():
         decode_value([1, 2, 3], FLOAT)
     with pytest.raises(ValueError):
         decode_value(0.5, EXACT)
+
+
+def test_session_tol_is_exact_or_the_float_default():
+    """Exact comparisons ignore a tolerance; float ones use the given one,
+    or DEFAULT_TOL when none is given."""
+    assert session_tol(EXACT, None) is None
+    assert session_tol(EXACT, 1e-3) is None
+    assert session_tol(FLOAT, None) == DEFAULT_TOL
+    assert session_tol(FLOAT, 1e-3) == 1e-3

@@ -5,6 +5,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from homotrace.dgcore import (
@@ -13,7 +14,8 @@ from homotrace.dgcore import (
     endomorphism_algebra,
 )
 from homotrace.errors import ShapeError
-from homotrace.glinalg import GradedMap, GradedVectorSpace, compose, zeros_matrix
+from homotrace.glinalg import (GradedMap, GradedVectorSpace, compose,
+                               supercommutator, zeros_matrix)
 from homotrace.hochschild import HochschildChain, hochschild_boundary, push_chain
 from homotrace.instances import random_instance
 from homotrace.scalars import EXACT
@@ -26,7 +28,8 @@ from homotrace.traces import (
     transferred_trace,
 )
 from homotrace.transfer import transferred_morphism
-from oracles import canonical_supertrace, cyclic_shift, projected_supertrace
+from oracles import (canonical_supertrace, cyclic_shift, projected_supertrace,
+                     rho_vector)
 
 
 def test_supertrace_on_cohomology_identity(t1, torus1):
@@ -263,7 +266,7 @@ def test_cyclic_trace_kills_boundaries_even_space():
 
 def test_antisymmetrized_supertrace_identity(t1):
     coh = cohomology(t1.bundle.space, t1.bundle.q)
-    ident = t1.bundle.rho_vector(t1.bundle.algebra.unit)
+    ident = rho_vector(t1.bundle, t1.bundle.algebra.unit)
     val = antisymmetrized_supertrace([ident] * 3, coh, q=t1.bundle.q)
     assert val == 3  # three cyclic orders, each contributing chi = 1
 
@@ -304,3 +307,28 @@ def test_cyclic_pullback_kills_boundaries(t1, t1_morphism):
         if tested >= 25:
             break
     assert tested >= 15
+
+
+def test_float_closedness_reads_tol_none_as_the_session_tolerance(torus1):
+    """On torus N=1 the square of a seeded complex combination of the
+    closed degree-0 operators commutes with Q up to rounding only; with
+    q given and tol=None both cohomological traces accept it, as they do
+    with no q, since None means DEFAULT_TOL in float mode."""
+    b, s = torus1.bundle, torus1.splitting
+    alg = b.algebra
+    closed = [k for k in range(alg.n_basis)
+              if alg.basis_degree(k) == 0 and not alg.differential_terms[k]]
+    rounded = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(len(closed)) + 1j * rng.standard_normal(
+            len(closed))
+        c = sum((b.rho[k].scale(complex(y)) for k, y in zip(closed, x)),
+                GradedMap.zero(b.space, b.space, 0, b.mode))
+        op = compose(c, c)
+        rounded += not supercommutator(b.q, op).is_zero()
+        assert supertrace_on_cohomology(op, s, q=b.q) == \
+            supertrace_on_cohomology(op, s)
+        assert antisymmetrized_supertrace([op, c, op], s, q=b.q) == \
+            antisymmetrized_supertrace([op, c, op], s)
+    assert rounded > 0

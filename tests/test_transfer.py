@@ -30,9 +30,8 @@ from homotrace.transfer import (
     transfer_closed,
     transfer_quadrature,
     transferred_morphism,
-    _to_float,
 )
-from oracles import dense
+from oracles import basis_slot, dense
 
 
 def test_propagator_limits(t1):
@@ -64,14 +63,14 @@ def test_propagator_generic_t_matches_series(t1):
     t = 1.0
     even, odd = propagator(t, s)
     w = math.exp(-1.0)
-    assert even.equals(_to_float(s.pi0) + _to_float(s.pi1).scale(complex(w)),
+    assert even.equals(s.pi0.to_float() + s.pi1.to_float().scale(complex(w)),
                        1e-14)
-    assert odd.equals(_to_float(s.kappa).scale(complex(-w)), 1e-14)
+    assert odd.equals(s.kappa.to_float().scale(complex(-w)), 1e-14)
     t1f = to_float_instance(t1_instance())
     evenf, oddf = propagator(t, t1f.splitting)
     # the Hodge Laplacian of T1 is the identity on the acyclic part
     assert evenf.equals(even, 1e-12)
-    assert oddf.equals(compose(evenf, _to_float(t1f.splitting.kappa)).scale(
+    assert oddf.equals(compose(evenf, t1f.splitting.kappa.to_float()).scale(
         complex(-1)), 1e-12)
 
 
@@ -348,7 +347,7 @@ def _slot_formula_defect(f, word):
     ``f.value``."""
     alg = f.bundle.algebra
     mul, d = alg.mul, dense(alg.differential)     # column k: d(e_k)
-    slots = [Slot.basis(f.bundle, b) for b in word]
+    slots = [basis_slot(f.bundle, b) for b in word]
     signs = bar_signs([s.degree for s in slots])
     total = GradedMap.zero(f.m0, f.m0,
                            sum(s.degree for s in slots) + 2 - len(word),
@@ -388,7 +387,7 @@ def test_ainfinity_defect_matches_slot_formula(name, t1):
             nonzero += not got.is_zero()
     assert nonzero > 0
     with pytest.raises(ShapeError):
-        ainfinity_defect(f, [Slot.basis(inst.bundle, 0)])
+        ainfinity_defect(f, [basis_slot(inst.bundle, 0)])
 
 
 def test_arity_one_defect_is_projected_chain_defect(t1, t1_morphism):
@@ -532,7 +531,6 @@ def test_factored_quadrature_is_the_gap_cube_integral(name):
     s, n = inst.splitting, inst.bundle.algebra.n_basis
     x, w = np.polynomial.legendre.leggauss(4)
     x, w = (x + 1.0) / 2.0, w / 2.0
-    cache = PropagatorCache(s)
     checked = 0
     for k in (2, 3):
         for tup in itertools.product(range(n), repeat=k):
@@ -544,9 +542,9 @@ def test_factored_quadrature_is_the_gap_cube_integral(name):
                 t = tuple((-np.log1p(-sigma) / s.lambda1).tolist())
                 jacobian = np.prod(w[list(node)] / (s.lambda1 * (1 - sigma)))
                 top = operator_form(list(tup), ConfigurationPoint(t), s,
-                                    inst.bundle, cache).component(range(k - 1))
-                cube = cube + compose(compose(_to_float(s.project), top),
-                                      _to_float(s.include)).scale(jacobian)
+                                    inst.bundle).component(range(k - 1))
+                cube = cube + compose(compose(s.project.to_float(), top),
+                                      s.include.to_float()).scale(jacobian)
             quad, _ = transfer_quadrature(list(tup), s, inst.bundle)
             assert (cube - quad).max_abs() <= 1e-12 * quad.max_abs(), tup
             checked += 1
@@ -722,7 +720,44 @@ def test_transfer_multilinearity(t1, t1_morphism):
     v[2] = Fraction(2)
     v[3] = Fraction(-1)
     combo = Slot(0, v)
-    lhs = t1_morphism.value([combo, Slot.basis(t1.bundle, 7)])
+    lhs = t1_morphism.value([combo, basis_slot(t1.bundle, 7)])
     rhs = t1_morphism.on_basis((2, 7)).scale(Fraction(2)) - \
         t1_morphism.on_basis((3, 7))
     assert lhs.equals(rhs)
+
+
+@pytest.mark.parametrize(
+    "degree, flats", [(0, (2, 7)), (1, (2,)), (0, (7,))],
+    ids=["mixed", "declared-1-terms-0", "declared-0-terms-1"])
+def test_every_input_path_refuses_the_same_bad_slot(degree, flats):
+    """A Slot mixing degrees, or one whose terms are off its declared
+    degree (which would give a wrong sign eps), raises one ShapeError from
+    every transfer input path alike."""
+    inst = _float_instance("T1")
+    s, b = inst.splitting, inst.bundle
+    v = b.algebra._zero_vec()
+    v[list(flats)] = 1.0
+    bad = Slot(degree, v)
+    calls = [
+        lambda: transfer_closed([bad], s, b),
+        lambda: transfer_quadrature([bad, 3], s, b),
+        lambda: operator_form([bad], ConfigurationPoint(()), s, b),
+        lambda: transferred_morphism(b, s).value([3, bad]),
+        lambda: almost_closed_check([3, bad], ConfigurationPoint((0.5,)), s,
+                                    b, 1e-3),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(ShapeError) as exc:
+            call()
+        messages.add(str(exc.value))
+    assert messages == {"rho of a non-homogeneous element, or of one off "
+                        "its declared degree"}
+
+
+def test_inputs_are_basis_indices_or_slots(t1):
+    """An index outside the basis, any other object and no input at all
+    are refused before any work."""
+    for inputs in ([t1.bundle.algebra.n_basis], [-1], ["e1"], [2.0], []):
+        with pytest.raises(ShapeError):
+            transfer_closed(inputs, t1.splitting, t1.bundle)
