@@ -27,7 +27,6 @@ from homotrace.dgcore import (
     build_splitting_hodge,
     euler_characteristic,
     endomorphism_algebra,
-    endomorphism_bundle,
     algebra_from_operators,
 )
 from homotrace.transfer import (
@@ -61,6 +60,7 @@ from homotrace.traces import (
 )
 from homotrace.instances import (
     Instance,
+    build_instance,
     matrix_instance,
     t1_instance,
     torus_instance,

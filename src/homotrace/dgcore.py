@@ -6,19 +6,20 @@ modes (``sparse_view``).  A ``DgModuleBundle`` couples an algebra to a
 module via the action rho (one graded map per basis operator), and its
 ``residuals`` check the three action identities as one join over the
 nonzero entries of rho and Q.  ``algebra_from_operators`` is the one way
-a bundle is built from operators (file loads and the matrix, torus and
-random generators): it reads those entries once into a ``ModuleView``
-(cleared once in exact mode), reads the algebra's entries off n_g pivot
-entries per degree of that view (exact: the pivots and the inverse of
-their block from one elimination), and proves closure from the
-residuals, which read the same view.  Only End(M0), the push-forward's
-target, has its entries in closed form (``endomorphism_algebra``).
-``validate_bundle`` checks each algebra axiom as one join over nonzero
-entries (``glinalg.first_unequal``) and reads the action checks off the
-residuals.  A ``Splitting`` of the module into its cohomology part and an
-acyclic part is (kind, kappa, spectrum of {Q, kappa}), in projector or
-Laplacian normalization; m0, include, project, pi0, pi1 and the
-normalized homotopy are read off the spectrum.
+a bundle is built from operators (``instances.build_instance``, which
+file loads, the generators and the float copy share): it reads those
+entries once into a ``ModuleView`` (cleared once in exact mode), reads
+the algebra's entries off n_g pivot entries per degree of that view
+(exact: the pivots and the inverse of their block from one elimination),
+and proves closure from the residuals, which read the same view.  Only
+End(M0), the push-forward's target, has its entries in closed form
+(``endomorphism_algebra``).  ``validate_bundle`` checks each algebra
+axiom as one join over nonzero entries (``glinalg.first_unequal``) and
+reads the action checks off the residuals.  A ``Splitting`` of the
+module into its cohomology part and an acyclic part is (kind, kappa,
+spectrum of {Q, kappa}), in projector or Laplacian normalization; m0,
+include, project, pi0, pi1 and the normalized homotopy are read off the
+spectrum.
 """
 
 from __future__ import annotations
@@ -863,7 +864,7 @@ class EndoAlgebra:
         return out
 
 
-def _matrix_units(space: GradedVectorSpace, mode: str) -> tuple:
+def matrix_units(space: GradedVectorSpace, mode: str) -> tuple:
     """The matrix units E[t<-s] of End(space): their entries (source degree,
     source index, target degree, target index), maps and names, ordered by
     (algebra degree, source degree, source index, target index)."""
@@ -884,8 +885,8 @@ def endomorphism_algebra(space: GradedVectorSpace, mode: str) -> EndoAlgebra:
     entries in closed form: E[u<-t] E[t<-s] = E[u<-s], and the unit is the
     sum of the E[s<-s].  This is End(M0), the push-forward's target; a
     bundle acting on a module goes through ``algebra_from_operators``
-    (``endomorphism_bundle``)."""
-    entries, maps, names = _matrix_units(space, mode)
+    (``instances.matrix_instance`` passes it the matrix units)."""
+    entries, maps, names = matrix_units(space, mode)
     n, off, size = len(entries), space.offsets(), space.total_dim
     src = np.array([off[sd] + i for sd, i, _, _ in entries], dtype=int)
     tgt = np.array([off[td] + j for _, _, td, j in entries], dtype=int)
@@ -898,12 +899,3 @@ def endomorphism_algebra(space: GradedVectorSpace, mode: str) -> EndoAlgebra:
     vals = np.full(len(row), one_scalar(mode))
     return EndoAlgebra(DgAlgebra(_basis_space(maps, names), ((row, col), vals),
                                  mode), space, tuple(maps), entries)
-
-
-def endomorphism_bundle(space: GradedVectorSpace, q: GradedMap,
-                        mode: str) -> DgModuleBundle:
-    """The module together with all of End(module) acting tautologically:
-    the matrix units passed to ``algebra_from_operators``, which reads the
-    product, the unit and the differential {Q, .} off them."""
-    _, maps, names = _matrix_units(space, mode)
-    return algebra_from_operators(space, q, maps, names, mode)

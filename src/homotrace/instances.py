@@ -9,13 +9,13 @@ Three families:
   differential and a random unital operator subalgebra closed under
   product and differential.
 
-Every generator builds its bundle the way a file is loaded: it passes its
-operators (the matrix units, the mode projectors, the closed random
-span) to ``dgcore.algebra_from_operators``, which reads the structure
-constants, unit and differential off them and proves closure.
-``to_float_instance`` instead casts an exact instance that has already
-been checked.  Every generator validates the dg axioms and the splitting
-invariants before returning.
+Every generator, the float copy (``to_float_instance``) and the file
+loader build an instance one way, ``build_instance``: it passes the
+operators (matrix units, mode projectors, the closed random span, cast
+or read operators) to ``dgcore.algebra_from_operators``, which reads the
+structure constants, unit and differential off them and proves closure,
+and validates the dg axioms and the splitting invariants.  So what
+``gen`` writes is what a load of that file builds.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -30,7 +31,6 @@ from typing import NamedTuple
 import numpy as np
 
 from homotrace.dgcore import (
-    DgAlgebra,
     DgModuleBundle,
     Splitting,
     ValidationReport,
@@ -38,7 +38,7 @@ from homotrace.dgcore import (
     build_splitting_hodge,
     build_splitting_projector,
     check_splitting,
-    endomorphism_bundle,
+    matrix_units,
     validate_bundle,
 )
 from homotrace.errors import CapError, ClosureError, InputError, ShapeError
@@ -85,23 +85,81 @@ class Instance:
         return self.bundle.algebra.basis_degree(flat), vec
 
 
-def _validated(bundle: DgModuleBundle, splitting: Splitting,
-               elements: dict, meta: dict,
-               tol: float | None = None) -> Instance:
-    rep = validate_bundle(bundle, tol)
-    if not rep.ok:
-        names = ", ".join(c.name for c in rep.failures())
-        raise ShapeError(f"generated instance fails validation: {names}")
-    srep = check_splitting(bundle.space, bundle.q, splitting, tol)
-    if not srep.ok:
-        names = ", ".join(c.name for c in srep.failures())
-        raise ShapeError(f"generated splitting fails validation: {names}")
-    return Instance(bundle=bundle, splitting=splitting, elements=elements,
+def _distinct(names, message: str) -> None:
+    """InputError ``message`` on the first name that repeats, if one does."""
+    for name, count in Counter(names).items():
+        if count > 1:
+            raise InputError(message.format(name))
+
+
+def map_from_triplets(space: GradedVectorSpace, degree: int, trips,
+                      mode: str) -> GradedMap:
+    """The map of the given degree on ``space`` with entry dst <- src equal
+    to value for each (source label, target label, value) triplet and 0
+    elsewhere: how the Q and operators of a file, a matrix instance and a
+    torus are read."""
+    pos = {lbl: (d, i) for d in space.degrees()
+           for i, lbl in enumerate(space.labels_in(d))}
+    if len(pos) < space.total_dim:
+        _distinct([lbl for d in space.degrees() for lbl in space.labels_in(d)],
+                  "module label {!r} is declared twice")
+    blocks = {d: zeros_matrix(space.dim(d + degree), space.dim(d), mode)
+              for d in space.degrees() if space.dim(d + degree)}
+    for src, dst, value in trips:
+        if src not in pos or dst not in pos:
+            raise InputError(f"unknown module label in entry {src}->{dst}")
+        (ds, i), (dt, j) = pos[src], pos[dst]
+        if dt != ds + degree:
+            raise InputError(
+                f"entry {src}->{dst} does not have degree {degree}")
+        blocks[ds][j, i] = value
+    return GradedMap.build(space, space, degree, blocks, mode)
+
+
+def build_instance(space: GradedVectorSpace, q: GradedMap,
+                   operators: list[GradedMap], names: list[str], mode: str,
+                   tol: float, elements: list, meta: dict,
+                   shear_seed: int | None = None) -> Instance:
+    """The instance of the algebra that the named operators on (space, Q)
+    span, with the projector splitting (sheared by ``shear_seed``) in
+    exact mode and the Hodge one in float: the one way an ``Instance`` is
+    built.  ``elements`` lists (name, degree, [(operator name, value),
+    ...]).  A repeated name or a coordinate of another degree than its
+    element's is an InputError; failed axiom or splitting checks are a
+    ShapeError naming them."""
+    check_tol = None if mode == EXACT else tol
+    if not compose(q, q).is_zero(check_tol):
+        raise InputError("Q-squared: differential does not square to zero")
+    _distinct(names, "operator name {!r} is declared twice")
+    bundle = algebra_from_operators(space, q, operators, names, mode, tol)
+    splitting = (build_splitting_projector(space, q, shear_seed)
+                 if mode == EXACT else build_splitting_hodge(space, q, tol=tol))
+    algebra = bundle.algebra
+    _distinct([name for name, _, _ in elements],
+              "element {!r} is declared twice")
+    named = {}
+    for name, degree, coords in elements:
+        _distinct([op for op, _ in coords],
+                  f"element {name!r} lists operator {{!r}} twice")
+        vec = algebra._zero_vec()
+        for op, value in coords:
+            k = algebra.flat_by_name(op)
+            if k is None:
+                raise InputError(f"unknown operator {op!r} in element {name!r}")
+            if algebra.basis_degree(k) != degree:
+                raise InputError(
+                    f"element {name!r} declares degree {degree}, but "
+                    f"{op!r} has degree {algebra.basis_degree(k)}")
+            vec[k] = value
+        named[name] = (degree, vec)
+    rep = validate_bundle(bundle, check_tol)
+    srep = check_splitting(space, q, splitting, check_tol)
+    for what, report in (("instance", rep), ("splitting", srep)):
+        if not report.ok:
+            raise ShapeError(f"generated {what} fails validation: " + ", ".join(
+                c.name for c in report.failures()))
+    return Instance(bundle=bundle, splitting=splitting, elements=named,
                     meta=meta, validation=(rep, srep))
-
-
-def _identity_element(bundle: DgModuleBundle) -> dict:
-    return {"Id": (0, bundle.algebra.unit)}
 
 
 def matrix_instance(dims: dict[int, int],
@@ -113,28 +171,15 @@ def matrix_instance(dims: dict[int, int],
     if total > 8:
         raise InputError("matrix instances are capped at module dimension 8")
     space = GradedVectorSpace.make(dims, labels)
-    blocks: dict[int, np.ndarray] = {
-        d: zeros_matrix(space.dim(d + 1), space.dim(d), EXACT)
-        for d in space.degrees() if space.dim(d + 1)
-    }
-    pos = {}
-    for d in space.degrees():
-        for i, lbl in enumerate(space.labels_in(d)):
-            pos[lbl] = (d, i)
-    for src, dst, val in (q_entries or []):
-        if src not in pos or dst not in pos:
-            raise InputError(f"unknown basis label in Q entry {src}->{dst}")
-        (ds, i), (dt, j) = pos[src], pos[dst]
-        if dt != ds + 1:
-            raise InputError(f"Q entry {src}->{dst} is not degree +1")
-        blocks[ds][j, i] = Fraction(val) if not isinstance(val, Fraction) else val
-    q = GradedMap.build(space, space, 1, blocks, EXACT)
-    if not compose(q, q).is_zero():
-        raise InputError("provided differential does not square to zero")
-    bundle = endomorphism_bundle(space, q, EXACT)
-    splitting = build_splitting_projector(space, q, shear_seed)
-    return _validated(bundle, splitting, _identity_element(bundle),
-                      {"kind": "matrix", "dims": dict(dims)})
+    q = map_from_triplets(space, 1, [(src, dst, Fraction(val))
+                                     for src, dst, val in q_entries or []],
+                          EXACT)
+    entries, maps, names = matrix_units(space, EXACT)
+    identity = [(name, Fraction(1)) for (sd, i, td, j), name
+                in zip(entries, names) if (sd, i) == (td, j)]
+    return build_instance(space, q, maps, names, EXACT, DEFAULT_TOL,
+                          [("Id", 0, identity)],
+                          {"kind": "matrix", "dims": dict(dims)}, shear_seed)
 
 
 def t1_instance(shear_seed: int | None = None) -> Instance:
@@ -182,38 +227,28 @@ def torus_instance(truncation: int, tau: complex | tuple = 1j,
     lam = {mn: 2j * cmath.pi * (-tau.conjugate() * mn[0] + mn[1]) / denom
            for mn in modes}
     mubar = {mn: 2j * cmath.pi * (tau * mn[0] - mn[1]) / denom for mn in modes}
+    projectors = [f"P({m},{n})" for m, n in modes]
+    elements = [("Id", 0, [(p, one_scalar(FLOAT)) for p in projectors])]
     try:
-        derivatives = {"ddz" if k == 1 else f"ddz{k}": (0, np.array(
-            [lam[mn] ** k for mn in modes], dtype=complex))
-            for k in range(1, order_cap + 1)}
+        elements += [("ddz" if k == 1 else f"ddz{k}", 0, [
+            (p, lam[mn] ** k) for p, mn in zip(projectors, modes)])
+            for k in range(1, order_cap + 1)]
     except OverflowError as exc:
         raise InputError(f"the derivative multipliers up to order {order_cap} "
                          "are outside the double range") from exc
 
-    labels = {0: [f"phi({m},{n})" for m, n in modes],
-              1: [f"phi({m},{n})dzb" for m, n in modes]}
-    space = GradedVectorSpace.make({0: n_modes, 1: n_modes}, labels)
-    qblock = np.zeros((n_modes, n_modes), dtype=complex)
-    for i, mn in enumerate(modes):
-        qblock[i, i] = mubar[mn]
-    q = GradedMap.build(space, space, 1, {0: qblock}, FLOAT)
-
-    maps = []
-    for i in range(n_modes):
-        proj = np.zeros((n_modes, n_modes), dtype=complex)
-        proj[i, i] = 1.0
-        maps.append(GradedMap.build(space, space, 0, {0: proj, 1: proj},
-                                    FLOAT))
-    bundle = algebra_from_operators(space, q, maps,
-                                    [f"P({m},{n})" for m, n in modes], FLOAT,
-                                    tol)
-    splitting = build_splitting_hodge(space, q, tol=tol)
-
-    elements = {**_identity_element(bundle), **derivatives}
+    phi = [f"phi({m},{n})" for m, n in modes]
+    space = GradedVectorSpace.make({0: n_modes, 1: n_modes},
+                                   {0: phi, 1: [f"{p}dzb" for p in phi]})
+    q = map_from_triplets(space, 1, [(p, f"{p}dzb", mubar[mn])
+                                     for p, mn in zip(phi, modes)], FLOAT)
+    maps = [map_from_triplets(space, 0, [(x, x, 1.0) for x in (p, f"{p}dzb")],
+                              FLOAT) for p in phi]
     meta = {"kind": "torus", "truncation": truncation,
             "tau": [tau.real, tau.imag], "order_cap": order_cap,
             "modes_per_degree": n_modes}
-    return _validated(bundle, splitting, elements, meta, tol)
+    return build_instance(space, q, maps, projectors, FLOAT, tol, elements,
+                          meta)
 
 
 def torus_element(instance: Instance, order: int) -> tuple[int, np.ndarray]:
@@ -351,28 +386,24 @@ def _closure(space: GradedVectorSpace, q: GradedMap,
 
 
 def to_float_instance(instance: Instance, tol: float = DEFAULT_TOL) -> Instance:
-    """Float copy of an exact instance, with the Hodge (Laplacian) splitting."""
+    """Float copy of an exact instance: its Q, operators and elements cast
+    to doubles and built again (``build_instance``), with the Hodge
+    (Laplacian) splitting."""
     bundle = instance.bundle
     if bundle.mode == FLOAT:
         return instance
     a = bundle.algebra
-    (row, col), vals = a.entries
+    names = [a.basis_name(k) for k in range(a.n_basis)]
     try:
-        vals = vals.astype(complex)
-        keep = np.flatnonzero(vals)
-        fbundle = DgModuleBundle(
-            DgAlgebra(a.space, ((row[keep], col[keep]), vals[keep]), FLOAT),
-            bundle.space, bundle.q.to_float(),
-            tuple(r.to_float() for r in bundle.rho), FLOAT)
+        q, operators = bundle.q.to_float(), [r.to_float() for r in bundle.rho]
+        elements = [(name, deg, [(names[k], complex(v))
+                                 for k, v in enumerate(vec) if v])
+                    for name, (deg, vec) in instance.elements.items()]
     except OverflowError as exc:
         raise InputError(f"a coefficient is outside the double range: {exc}"
                          ) from exc
-    splitting = build_splitting_hodge(bundle.space, fbundle.q, tol=tol)
-    elements = {name: (deg, vec.astype(complex))
-                for name, (deg, vec) in instance.elements.items()}
-    meta = dict(instance.meta)
-    meta["scalar"] = FLOAT
-    return _validated(fbundle, splitting, elements, meta, tol)
+    return build_instance(bundle.space, q, operators, names, FLOAT, tol,
+                          elements, {**instance.meta, "scalar": FLOAT})
 
 
 def _random_generators(seed: int, dims: dict[int, int]
@@ -399,8 +430,7 @@ def _random_generators(seed: int, dims: dict[int, int]
     return space, q, gens
 
 
-def random_instance(seed: int, dims: dict[int, int],
-                    closure_bound: int = DEFAULT_CLOSURE_BOUND) -> Instance:
+def random_instance(seed: int, dims: dict[int, int]) -> Instance:
     """Deterministic exact bundle from a seed: random square-zero Q and a
     random unital operator subalgebra closed under d and product."""
     total = sum(dims.values())
@@ -410,14 +440,14 @@ def random_instance(seed: int, dims: dict[int, int],
         raise InputError(f"random instances are capped at total dimension "
                          f"{MAX_RANDOM_DIM}, got {total}")
     space, q, gens = _random_generators(seed, dims)
-    basis_maps = _closure(space, q, gens, closure_bound)
+    basis_maps = _closure(space, q, gens, DEFAULT_CLOSURE_BOUND)
     names, count = [], {}
     for m in basis_maps:
         i = count.get(m.degree, 0)
         count[m.degree] = i + 1
         names.append(f"b{m.degree}_{i}")
-    bundle = algebra_from_operators(space, q, basis_maps, names, EXACT)
-    splitting = build_splitting_projector(space, q)
-    return _validated(bundle, splitting, _identity_element(bundle),
-                      {"kind": "random", "seed": seed, "dims": dict(dims),
-                       "algebra_dim": len(bundle.rho)})
+    # the closure's first operator, b0_0, is the identity
+    return build_instance(space, q, basis_maps, names, EXACT, DEFAULT_TOL,
+                          [("Id", 0, [("b0_0", one_scalar(EXACT))])],
+                          {"kind": "random", "seed": seed, "dims": dict(dims),
+                           "algebra_dim": len(basis_maps)})

@@ -3,9 +3,11 @@
 Exact rationals are encoded as numerator/denominator strings, Gaussian
 rationals as {"re", "im"} string pairs, floats as JSON numbers (repr
 round-trip), complex values as [re, im] pairs.  Files carry the operators
-only ("products" and "splitting" stay null): loading derives the
-structure constants, unit and differential from the operators
-(``algebra_from_operators``) and fails if one escapes their span.
+only ("products" and "splitting" stay null).  Loading only parses: the
+instance is built as the generators build theirs
+(``instances.build_instance``), which derives the structure constants,
+unit and differential from the operators and fails if one escapes their
+span.
 """
 
 from __future__ import annotations
@@ -13,16 +15,10 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 
-from homotrace.dgcore import algebra_from_operators, cohomology
 from homotrace.errors import InputError, ShapeError
-from homotrace.glinalg import (
-    GradedMap,
-    GradedVectorSpace,
-    compose,
-    zeros_matrix,
-)
+from homotrace.glinalg import GradedMap, GradedVectorSpace
 from homotrace.hochschild import HochschildChain
-from homotrace.instances import Instance, _validated
+from homotrace.instances import Instance, build_instance, map_from_triplets
 from homotrace.scalars import (
     DEFAULT_TOL,
     EXACT,
@@ -104,23 +100,14 @@ def _check_format(data, fmt: str, what: str) -> None:
         raise InputError(f"not {what} (format {data.get('format')!r})")
 
 
-def _map_from_triplets(space: GradedVectorSpace, degree: int, trips: list,
-                       mode: str) -> GradedMap:
-    pos = {}
-    for d in space.degrees():
-        for i, lbl in enumerate(space.labels_in(d)):
-            pos[lbl] = (d, i)
-    blocks = {d: zeros_matrix(space.dim(d + degree), space.dim(d), mode)
-              for d in space.degrees() if space.dim(d + degree)}
-    for src, dst, enc in trips:
-        if src not in pos or dst not in pos:
-            raise InputError(f"unknown module label in entry {src}->{dst}")
-        (ds, i), (dt, j) = pos[src], pos[dst]
-        if dt != ds + degree:
-            raise InputError(
-                f"entry {src}->{dst} does not have degree {degree}")
-        blocks[ds][j, i] = decode_value(enc, mode)
-    return GradedMap.build(space, space, degree, blocks, mode)
+def _decoded(trips: list, mode: str) -> list:
+    return [(src, dst, decode_value(enc, mode)) for src, dst, enc in trips]
+
+
+def _name(name) -> str:
+    if not isinstance(name, str):
+        raise TypeError(f"name {name!r} is not a string")
+    return name
 
 
 def instance_from_dict(data: dict, tol: float = DEFAULT_TOL) -> Instance:
@@ -140,34 +127,16 @@ def instance_from_dict(data: dict, tol: float = DEFAULT_TOL) -> Instance:
             dims[int(d)] = int(n)
             labels[int(d)] = list(labs)
         space = GradedVectorSpace.make(dims, labels)
-        q = _map_from_triplets(space, 1, data["Q"], mode)
-        names, maps = [], []
-        for name, deg, trips in data["algebra"]:
-            names.append(name)
-            maps.append(_map_from_triplets(space, int(deg), trips, mode))
-        raw_elements = [
-            (name, int(deg), [(bname, decode_value(enc, mode))
-                              for bname, enc in coords])
+        q = map_from_triplets(space, 1, _decoded(data["Q"], mode), mode)
+        names = [_name(name) for name, _, _ in data["algebra"]]
+        maps = [map_from_triplets(space, int(deg), _decoded(trips, mode), mode)
+                for _, deg, trips in data["algebra"]]
+        elements = [
+            (_name(name), int(deg), [(_name(op), decode_value(enc, mode))
+                                     for op, enc in coords])
             for name, deg, coords in (data.get("elements") or [])]
         meta = dict(data.get("meta") or {})
-    if not compose(q, q).is_zero(None if mode == EXACT else tol):
-        raise InputError("Q-squared: differential does not square to zero")
-
-    bundle = algebra_from_operators(space, q, maps, names, mode, tol)
-    algebra = bundle.algebra
-    splitting = cohomology(space, q, tol)
-
-    elements = {}
-    for name, deg, coords in raw_elements:
-        vec = algebra._zero_vec()
-        for bname, value in coords:
-            k = algebra.flat_by_name(bname)
-            if k is None:
-                raise InputError(f"unknown operator {bname!r} in element {name!r}")
-            vec[k] = value
-        elements[name] = (deg, vec)
-    return _validated(bundle, splitting, elements, meta,
-                      None if mode == EXACT else tol)
+    return build_instance(space, q, maps, names, mode, tol, elements, meta)
 
 
 def load_instance(path: str, tol: float = DEFAULT_TOL) -> Instance:

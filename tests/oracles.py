@@ -7,12 +7,12 @@ from fractions import Fraction
 import numpy as np
 
 from homotrace.dgcore import (DgAlgebra, DgModuleBundle, EndoAlgebra,
-                              Splitting, _matrix_units)
+                              Splitting, matrix_units)
 from homotrace.errors import ClosureError, ShapeError
 from homotrace.glinalg import (GradedMap, GradedVectorSpace, coo, compose,
                                supercommutator, zeros_matrix)
 from homotrace.hochschild import HochschildChain, cyclic_shift_term
-from homotrace.scalars import EXACT, one_scalar, zero_scalar
+from homotrace.scalars import EXACT, FLOAT, one_scalar, zero_scalar
 from homotrace.transfer import Slot
 
 
@@ -55,12 +55,26 @@ def make_algebra(space: GradedVectorSpace, differential: GradedMap,
                      mode)
 
 
+def float_cast(bundle: DgModuleBundle) -> DgModuleBundle:
+    """An exact bundle with its algebra's entries, Q and rho cast to
+    doubles as they are (entries that cast to 0 dropped), instead of read
+    again off the cast operators."""
+    a = bundle.algebra
+    (row, col), vals = a.entries
+    vals = vals.astype(complex)
+    keep = np.flatnonzero(vals)
+    return DgModuleBundle(
+        DgAlgebra(a.space, ((row[keep], col[keep]), vals[keep]), FLOAT),
+        bundle.space, bundle.q.to_float(),
+        tuple(r.to_float() for r in bundle.rho), FLOAT)
+
+
 def endomorphism_tensor(space: GradedVectorSpace, mode: str) -> tuple:
     """The (n, n, n) product tensor and the unit of End(space) on the
-    matrix units of ``dgcore._matrix_units``, filled in closed form one
+    matrix units of ``dgcore.matrix_units``, filled in closed form one
     pair at a time: E[u<-t] E[t<-s] = E[u<-s], and the unit is the sum of
     the E[s<-s]."""
-    units, _, _ = _matrix_units(space, mode)
+    units, _, _ = matrix_units(space, mode)
     n, one = len(units), one_scalar(mode)
     pos = {key: k for k, key in enumerate(units)}
     mul = zeros_matrix(n * n, n, mode).reshape(n, n, n)

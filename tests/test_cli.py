@@ -5,10 +5,12 @@ import hashlib
 import itertools
 import json
 import random
+import warnings
 
 import pytest
 
 from homotrace.cli import _verify_checks, build_parser, main
+from homotrace.dgcore import validate_bundle
 from homotrace.glinalg import AMBIGUITY_BAND
 from homotrace.instances import (matrix_instance, random_instance,
                                  t1_instance, to_float_instance,
@@ -17,6 +19,7 @@ from homotrace.scalars import DEFAULT_TOL, FLOAT, decode_value
 from homotrace.serialize import (instance_from_dict, instance_to_dict,
                                  save_instance)
 from homotrace.transfer import transfer_closed
+from oracles import float_cast
 
 
 def run(args):
@@ -220,15 +223,82 @@ def test_gen_respects_dims_bound(tmp_path, capsys):
 
 
 def test_overflowing_float_instance_fails_with_one_line(tmp_path, capsys):
-    """Random seed 48 with dims 3,3,3 overflows doubles in its own axiom
-    checks: the run exits 1 with its one check-failure line, and numpy
-    warns about none of the overflows (warnings are errors here)."""
+    """Random seed 48 with dims 3,3,3 in float is refused at generation
+    with the loader's verdict on its file: its cast operators of degree -1
+    are dependent in doubles (exit 2, one line, no file).  Its exact
+    structure constants cast as they are overflow doubles in the axiom
+    checks, which name the five failing axioms while numpy warns about
+    none of the overflows."""
+    path = tmp_path / "x.json"
     assert run(["gen", "--kind", "random", "--seed", "48", "--dims", "3,3,3",
-                "--mode", "float", "-o", str(tmp_path / "x.json")]) == 1
+                "--mode", "float", "-o", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "check failure: generated instance fails validation: "
-        "algebra-differential-squared, leibniz, associativity, "
-        "action-chain-map, action-multiplicative"]
+        "input error: the declared operators of degree -1 are linearly "
+        "dependent"]
+    assert not path.exists()
+    cast = float_cast(random_instance(48, {0: 3, 1: 3, 2: 3}).bundle)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        failed = validate_bundle(cast, DEFAULT_TOL).failures()
+    assert [c.name for c in failed] == [
+        "algebra-differential-squared", "leibniz", "associativity",
+        "action-chain-map", "action-multiplicative"]
+
+
+def test_float_copy_outside_the_span_is_refused_at_generation(tmp_path,
+                                                              capsys):
+    """Random seed 3 with dims 3,3 in float writes no file that verify
+    would refuse: a product of its cast operators leaves their span in
+    doubles, so gen exits 2 with the loader's line."""
+    path = tmp_path / "x.json"
+    assert run(["gen", "--kind", "random", "--seed", "3", "--dims", "3,3",
+                "--mode", "float", "-o", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: product b0_7*b1_3 is not in the span of the declared "
+        "operators"]
+    assert not path.exists()
+
+
+def _renamed_second_operator(t1):
+    t1["algebra"][1][0] = t1["algebra"][0][0]
+    return t1
+
+
+@pytest.mark.parametrize("edit, line", [
+    (lambda t1: {**t1, "elements": [["Id", 1, t1["elements"][0][2]]]},
+     "element 'Id' declares degree 1, but 'E[e1<-e1]' has degree 0"),
+    (_renamed_second_operator,
+     "operator name 'E[e1<-f]' is declared twice"),
+    (lambda t1: {**t1, "elements": t1["elements"] * 2},
+     "element 'Id' is declared twice"),
+    (lambda t1: {**t1, "elements": [["Id", 0, t1["elements"][0][2] * 2]]},
+     "element 'Id' lists operator 'E[e1<-e1]' twice"),
+    (lambda t1: {**t1, "module": [[0, 2, ["e1", "e2"]], [1, 1, ["e2"]]]},
+     "module label 'e2' is declared twice"),
+], ids=["element-degree", "operator-name", "element-name",
+        "element-coordinate", "module-label"])
+def test_ambiguous_names_exit_2(tmp_path, capsys, edit, line):
+    """A T1 file edited so that a name means two things, or an element's
+    degree contradicts its coordinates, is bad input: verify exits 2 with
+    one line naming it."""
+    ipath = tmp_path / "t1.json"
+    assert run(["gen", "--kind", "matrix", "--preset", "T1",
+                "-o", str(ipath)]) == 0
+    ipath.write_text(json.dumps(edit(json.loads(ipath.read_text()))))
+    capsys.readouterr()
+    assert run(["verify", "--instance", str(ipath)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"input error: {line}"]
+
+
+def _t1_with(path, value):
+    """An edit of the T1 file's content that puts ``value`` at ``path``."""
+    def edit(t1):
+        node = t1
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return t1
+    return edit
 
 
 @pytest.mark.parametrize("command, instance, chains", [
@@ -239,13 +309,17 @@ def test_overflowing_float_instance_fails_with_one_line(tmp_path, capsys):
     ("verify", {"format": "homotrace-instance/1", "scalar": "exact",
                 "module": [[0, 2, ["a"]]], "Q": [], "algebra": []}, None),
     ("verify", lambda t1: {**t1, "algebra": []}, None),
+    ("verify", _t1_with(("algebra", 0, 0), ["x"]), None),
+    ("verify", _t1_with(("elements", 0, 0), ["x"]), None),
+    ("verify", _t1_with(("elements", 0, 2, 0, 0), ["x"]), None),
     ("trace", None, {"format": "homotrace-chains/1"}),
     ("trace", None, {"format": "homotrace-chains/1", "chains": [
         {"name": "c", "terms": [{"coeff": "x", "slots": ["Id"]}]}]}),
     ("gen", None, None),
 ], ids=["no-module", "short-module-entry", "top-level-list",
-        "label-count", "unclosed-algebra", "no-chains", "bad-coefficient",
-        "zero-dims"])
+        "label-count", "unclosed-algebra", "list-operator-name",
+        "list-element-name", "list-coordinate-name", "no-chains",
+        "bad-coefficient", "zero-dims"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, instance, chains):
     """A malformed file or an empty --dims is bad input: exit 2 with one
     'input error:' line, never a traceback.  ``instance`` is a file's

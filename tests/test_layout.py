@@ -7,6 +7,10 @@ names, attribute names and imported names.  A definition that nothing
 names outside its own body is unused by the package, so it belongs in the
 tests (``tests/oracles.py``) or nowhere.  ``__init__.py`` is not read for
 names, since re-exporting a definition does not use it.
+
+A second scan keeps one way to build an algebra and an instance: in
+``src/``, only ``dgcore`` calls ``DgAlgebra`` and ``DgModuleBundle``,
+and only ``instances.build_instance`` calls ``Instance``.
 """
 
 import ast
@@ -104,6 +108,48 @@ def test_the_scan_finds_what_only_itself_or_init_names():
     assert unnamed_definitions([
         (PACKAGE / "fake.py", module), (PACKAGE / "__init__.py", init),
         (ROOT / "scripts" / "fake.py", caller)]) == ["lonely", "exported"]
+
+
+# class -> the (module, top-level function or None) that may call it in src/
+BUILDERS = {"DgAlgebra": ("dgcore.py", None),
+            "DgModuleBundle": ("dgcore.py", None),
+            "Instance": ("instances.py", "build_instance")}
+
+
+def constructor_calls(trees) -> set[tuple[str, str, str]]:
+    """(class, module file, enclosing top-level definition) of each call
+    of a class of ``BUILDERS`` in the package modules of ``trees``."""
+    out = set()
+    for path, tree in trees:
+        if path.parent != PACKAGE:
+            continue
+        for top in tree.body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and isinstance(node.func, (ast.Name, ast.Attribute))):
+                    name = getattr(node.func, "id", None) or node.func.attr
+                    if name in BUILDERS:
+                        out.add((name, path.name, getattr(top, "name", "")))
+    return out
+
+
+def test_one_way_to_build_an_algebra_and_an_instance():
+    calls = constructor_calls(_trees())
+    assert ("Instance", "instances.py", "build_instance") in calls
+    stray = [(name, where, top) for name, where, top in calls
+             if where != BUILDERS[name][0]
+             or BUILDERS[name][1] not in (None, top)]
+    assert not stray, (
+        f"{stray} build an algebra, bundle or instance outside its one "
+        "builder: pass operators to dgcore.algebra_from_operators, or an "
+        "instance's parts to instances.build_instance")
+
+
+def test_the_constructor_scan_finds_a_stray_call():
+    stray = ast.parse("def cast(a):\n    return DgAlgebra(a.space, a.entries,"
+                      " 'float')\n")
+    assert constructor_calls([(PACKAGE / "instances.py", stray)]) == {
+        ("DgAlgebra", "instances.py", "cast")}
 
 
 def test_the_benchmark_tracer_installs_and_uninstalls():

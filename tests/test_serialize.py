@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from homotrace import cli, dgcore, glinalg, serialize
+from homotrace import cli, dgcore, glinalg, instances, serialize
 from homotrace.dgcore import validate_bundle
 from homotrace.errors import ClosureError, InputError
 from homotrace.hochschild import HochschildChain
@@ -27,18 +27,37 @@ from homotrace.transfer import transferred_morphism
 from oracles import make_algebra
 
 
-@pytest.mark.parametrize("which", ["T1", "m32", "dim8", "torus1", "torus2"])
+_BUILT = {
+    "m32": lambda: matrix_instance({0: 3, 1: 2},
+                                   q_entries=[("d0_0", "d1_0", 1)]),
+    "dim8": lambda: matrix_instance({0: 3, 1: 3, 2: 2}),
+    "r7": lambda: random_instance(7, {0: 2, 1: 2}),
+    "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+}
+
+
+def _same_map(f, g) -> bool:
+    return (f.degree == g.degree
+            and [d for d, _ in f.blocks] == [d for d, _ in g.blocks]
+            and all(b.dtype == c.dtype and np.array_equal(b, c)
+                    for (_, b), (_, c) in zip(f.blocks, g.blocks)))
+
+
+@pytest.mark.parametrize("which", ["T1", "m32", "dim8", "torus1", "torus2",
+                                   "r7", "r11", "T1f", "m32f", "r7f", "r11f"])
 def test_exact_round_trip(tmp_path, request, which):
-    """A generated bundle and the bundle loaded from its file agree exactly
-    (floats bit for bit): module, Q, operators, structure constants, unit,
-    differential blocks and basis names, since every generator builds its
-    bundle the way a file is loaded."""
-    inst = {"T1": lambda: request.getfixturevalue("t1"),
-            "m32": lambda: matrix_instance({0: 3, 1: 2},
-                                           q_entries=[("d0_0", "d1_0", 1)]),
-            "dim8": lambda: matrix_instance({0: 3, 1: 3, 2: 2}),
-            "torus1": lambda: request.getfixturevalue("torus1"),
-            "torus2": lambda: request.getfixturevalue("torus2")}[which]()
+    """A generated instance or float copy and the instance loaded from its
+    file agree exactly (floats bit for bit): module, Q, operators, the
+    algebra's entries (indices and values), unit, differential blocks,
+    basis names and elements, since the generators, the float copy and
+    the loader build an instance one way."""
+    def built(name):
+        if name in ("T1", "torus1", "torus2"):
+            return request.getfixturevalue(name.lower())
+        return _BUILT[name]()
+
+    inst = (to_float_instance(built(which[:-1])) if which.endswith("f")
+            else built(which))
     path = tmp_path / "instance.json"
     save_instance(inst, str(path))
     loaded = load_instance(str(path))
@@ -46,17 +65,24 @@ def test_exact_round_trip(tmp_path, request, which):
     b0, b1 = inst.bundle, loaded.bundle
     a0, a1 = b0.algebra, b1.algebra
     assert b0.space == b1.space and a0.space == a1.space
-    assert b0.q.equals(b1.q)
+    assert _same_map(b0.q, b1.q)
     assert a0.n_basis == a1.n_basis
-    assert all(b0.rho[i].equals(b1.rho[i])
-               for i in range(a0.n_basis))
+    assert all(_same_map(b0.rho[i], b1.rho[i]) for i in range(a0.n_basis))
     assert [a0.basis_name(k) for k in range(a0.n_basis)] == \
         [a1.basis_name(k) for k in range(a1.n_basis)]
+    ((row0, col0), vals0), ((row1, col1), vals1) = a0.entries, a1.entries
+    assert np.array_equal(row0, row1) and np.array_equal(col0, col1)
+    assert vals0.dtype == vals1.dtype and np.array_equal(vals0, vals1)
     assert np.array_equal(a0.mul, a1.mul)
     assert np.array_equal(a0.unit, a1.unit)
     d0, d1 = dict(a0.differential.blocks), dict(a1.differential.blocks)
     assert d0.keys() == d1.keys()
     assert all(np.array_equal(d0[d], d1[d]) for d in d0)
+    assert inst.elements.keys() == loaded.elements.keys()
+    for name, (deg, vec) in inst.elements.items():
+        deg1, vec1 = loaded.elements[name]
+        assert deg == deg1 and vec.dtype == vec1.dtype
+        assert np.array_equal(vec, vec1)
 
 
 def test_float_round_trip(tmp_path, torus1):
@@ -105,6 +131,7 @@ def test_float_random_round_trip(tmp_path):
             degree = alg.basis_degree(i) + alg.basis_degree(j)
             assert all(c == 0 for k, c in enumerate(alg.mul[i, j])
                        if alg.basis_degree(k) != degree)
+
 
 
 
@@ -161,7 +188,7 @@ def _composes_inside_load(inst, path, monkeypatch) -> tuple[int, int]:
     while loading it."""
     loaded, calls = _calls_inside_load(
         inst, path, monkeypatch, [(glinalg, "compose"), (dgcore, "compose")],
-        (serialize, "algebra_from_operators"))
+        (instances, "algebra_from_operators"))
     return loaded.bundle.algebra.n_basis, calls
 
 
