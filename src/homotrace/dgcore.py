@@ -35,6 +35,7 @@ import numpy as np
 from homotrace.errors import (
     ClosureError,
     InputError,
+    RankAmbiguousError,
     ShapeError,
     SpectralGapError,
 )
@@ -310,6 +311,10 @@ def _expand_pivots(view: ModuleView, tol: float) -> tuple:
         except ShapeError as exc:
             raise InputError(f"the declared operators of degree {g} are "
                              "linearly dependent") from exc
+        except RankAmbiguousError as exc:
+            raise RankAmbiguousError(
+                f"the declared operators of degree {g} are neither clearly "
+                f"independent nor dependent: {exc}") from exc
         factors.append((at, factor))
     got = np.zeros((n * n + 1 + n, n), dtype=view.sums.dtype)
     rows, pos = np.unravel_index(view.keys, (len(got), view.size ** 2))

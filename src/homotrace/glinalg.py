@@ -610,8 +610,9 @@ def float_rank(svals: np.ndarray, tol: float) -> int:
             rank += 1
         elif rel > tol:
             raise RankAmbiguousError(
-                f"singular value {s:.3e} sits in the ambiguity band "
-                f"({tol:.1e}, {AMBIGUITY_BAND * tol:.1e}] relative to scale")
+                f"relative singular value {rel:.3e} (scale {scale:.3e}) "
+                f"sits in the ambiguity band ({tol:.1e}, "
+                f"{AMBIGUITY_BAND * tol:.1e}]")
     return rank
 
 

@@ -124,9 +124,11 @@ def build_instance(space: GradedVectorSpace, q: GradedMap,
     span, with the projector splitting (sheared by ``shear_seed``) in
     exact mode and the Hodge one in float: the one way an ``Instance`` is
     built.  ``elements`` lists (name, degree, [(operator name, value),
-    ...]).  A repeated name or a coordinate of another degree than its
-    element's is an InputError; failed axiom or splitting checks are a
-    ShapeError naming them."""
+    ...]).  A zero-dimensional module, a repeated name or a coordinate of
+    another degree than its element's is an InputError; failed axiom or
+    splitting checks are a ShapeError naming them."""
+    if not space.dims:
+        raise InputError("the module is zero-dimensional")
     check_tol = None if mode == EXACT else tol
     if not compose(q, q).is_zero(check_tol):
         raise InputError("Q-squared: differential does not square to zero")

@@ -16,7 +16,9 @@ integral over the compactified gap (chart t = -ln(1-sigma)/mu, mu the
 spectral gap), at any arity.  The closed form is built from factors kept
 per morphism: the step h rho(b) of a basis element grows a stored prefix p
 rho(b_1) h ... rho(b_j) by one compose, and its tail h rho(b) i closes a
-prefix into a component with one more.
+prefix into a component with one more.  ``transfer_closed`` keeps the
+morphism of the last (bundle, splitting) pair it was given, so repeated
+calls on one pair share these factors and the components.
 
 Signs.  In chain order the transferred component is
 
@@ -229,6 +231,9 @@ def _epsilon(degrees: list[int], mode: str):
     return one_scalar(mode) * ((-1) ** (exponent % 2))
 
 
+_closed: AInfinityMorphism | None = None
+
+
 def transfer_closed(inputs, splitting: Splitting,
                     bundle: DgModuleBundle) -> GradedMap:
     """Fully integrated transferred component, in closed form.
@@ -236,12 +241,20 @@ def transfer_closed(inputs, splitting: Splitting,
     F_k(a_1,...,a_k) = eps * project . rho(a_k) . h . rho(a_{k-1}) . h ...
     h . rho(a_1) . include, with h the normalized homotopy: eps times the
     chain-order component on the reversed word.  Exact in exact mode;
-    degree sum(deg a_i) + 1 - k on the cohomology space.
+    degree sum(deg a_i) + 1 - k on the cohomology space.  The components
+    come from one stored morphism, kept for the last pair matched by
+    ``is``, never ``==``: bundles and splittings are frozen with read-only
+    blocks, so nothing stored goes stale, and a call on another pair
+    replaces it, so memory is one pair's components, as for a caller
+    holding ``transferred_morphism`` (a new morphism on every call).
     """
+    global _closed
+    f = _closed
+    if f is None or f.bundle is not bundle or f.splitting is not splitting:
+        f = _closed = AInfinityMorphism(bundle, splitting)
     elements = _elements(bundle, inputs)
-    eps = _epsilon([d for d, _ in elements], bundle.mode)
-    return AInfinityMorphism(bundle, splitting)._combination(
-        elements[::-1]).scale(eps)
+    return f._combination(elements[::-1],
+                          _epsilon([d for d, _ in elements], bundle.mode))
 
 
 def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
@@ -443,15 +456,18 @@ class AInfinityMorphism:
         """Multilinear evaluation on basis indices and Slots."""
         return self._combination(_elements(self.bundle, inputs))
 
-    def _combination(self, elements: list[tuple[int, list]]) -> GradedMap:
-        """``value`` on read inputs: the sum over every choice of one term
-        per input of its coefficients' product times the component."""
-        deg = sum(d for d, _ in elements) + 1 - len(elements)
-        terms = (self.on_basis(tuple(k for k, _ in pick)).scale(
-            math.prod(c for _, c in pick))
-            for pick in itertools.product(*(t for _, t in elements)))
-        return sum(terms, GradedMap.zero(self.m0, self.m0, deg,
-                                         self.bundle.mode))
+    def _combination(self, elements: list[tuple[int, list]],
+                     eps=1) -> GradedMap:
+        """eps times ``value`` on read inputs: the sum over every choice of
+        one term per input of the component scaled once, by eps times its
+        coefficients' product; the zero map when there is no choice."""
+        terms = [self.on_basis(tuple(k for k, _ in pick)).scale(
+            math.prod((c for _, c in pick), start=eps))
+            for pick in itertools.product(*(t for _, t in elements))]
+        if not terms:
+            return GradedMap.zero(self.m0, self.m0, sum(
+                d for d, _ in elements) + 1 - len(elements), self.bundle.mode)
+        return sum(terms[1:], terms[0])
 
     @property
     def m0(self) -> GradedVectorSpace:

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 import warnings
 
 import pytest
@@ -259,6 +260,37 @@ def test_float_copy_outside_the_span_is_refused_at_generation(tmp_path,
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv, degree, band", [
+    (["gen", "--kind", "random", "--seed", "16", "--dims", "3,3"], -1,
+     "(1.0e-10, 1.0e-08]"),
+    (["gen", "--kind", "random", "--seed", "18", "--dims", "1,3"], 0,
+     "(1.0e-10, 1.0e-08]"),
+    (["verify", "--tolerance", "0.5"], -1, "(5.0e-01, 5.0e+01]"),
+], ids=["gen-seed-16", "gen-seed-18", "verify-t1f"])
+def test_rank_ambiguous_operators_fail_with_one_line(tmp_path, capsys, argv,
+                                                     degree, band):
+    """Float operators whose rank falls in the ambiguity band (random seeds
+    16 and 18 in float; T1f verified at tolerance 0.5) fail the check: exit
+    1 with one line naming their degree and the singular value relative to
+    its scale, and gen writes no file."""
+    path = tmp_path / "x.json"
+    if argv[0] == "verify":
+        assert run(["gen", "--kind", "matrix", "--preset", "T1", "--mode",
+                    "float", "-o", str(path)]) == 0
+        capsys.readouterr()
+        argv = argv + ["--instance", str(path)]
+    else:
+        argv = argv + ["--mode", "float", "-o", str(path)]
+    assert run(argv) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert re.fullmatch(
+        f"check failure: the declared operators of degree {degree} are "
+        r"neither clearly independent nor dependent: relative singular "
+        r"value \S+ \(scale \S+\) sits in the ambiguity band "
+        + re.escape(band), line), line
+    assert path.exists() == (argv[0] == "verify")
+
+
 def _renamed_second_operator(t1):
     t1["algebra"][1][0] = t1["algebra"][0][0]
     return t1
@@ -315,15 +347,23 @@ def _t1_with(path, value):
     ("trace", None, {"format": "homotrace-chains/1"}),
     ("trace", None, {"format": "homotrace-chains/1", "chains": [
         {"name": "c", "terms": [{"coeff": "x", "slots": ["Id"]}]}]}),
-    ("gen", None, None),
+    ("gen", ["--kind", "random", "--dims", "0,0"], None),
+    ("gen", ["--kind", "matrix", "--dims", "0"], None),
+    ("gen", ["--kind", "matrix", "--dims", ","], None),
+    ("verify", {"format": "homotrace-instance/1", "scalar": "exact",
+                "module": [], "Q": [], "algebra": [],
+                "elements": [["Id", 0, []]]}, None),
 ], ids=["no-module", "short-module-entry", "top-level-list",
         "label-count", "unclosed-algebra", "list-operator-name",
         "list-element-name", "list-coordinate-name", "no-chains",
-        "bad-coefficient", "zero-dims"])
+        "bad-coefficient", "zero-dims", "matrix-zero-dims",
+        "matrix-empty-dims", "empty-module"])
 def test_malformed_input_exits_2(tmp_path, capsys, command, instance, chains):
-    """A malformed file or an empty --dims is bad input: exit 2 with one
-    'input error:' line, never a traceback.  ``instance`` is a file's
-    content, None for the T1 file, or an edit of the T1 file's content."""
+    """A malformed file, an empty --dims or a zero-dimensional module is
+    bad input: exit 2 with one 'input error:' line, never a traceback, and
+    ``gen`` writes no file.  ``instance`` is a file's content, None for the
+    T1 file, or an edit of the T1 file's content; for ``gen``, its
+    arguments."""
     ipath = tmp_path / "instance.json"
     if instance is None or callable(instance):
         assert run(["gen", "--kind", "matrix", "--preset", "T1",
@@ -331,19 +371,19 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, instance, chains):
         if instance is not None:
             edited = instance(json.loads(ipath.read_text()))
             ipath.write_text(json.dumps(edited))
-    else:
+    elif command != "gen":
         ipath.write_text(json.dumps(instance))
     cpath = tmp_path / "chains.json"
     cpath.write_text(json.dumps(chains))
     argv = {"verify": ["verify", "--instance", str(ipath)],
             "trace": ["trace", "--instance", str(ipath), "--chain", str(cpath)],
-            "gen": ["gen", "--kind", "random", "--dims", "0,0",
-                    "-o", str(tmp_path / "x.json")]}[command]
+            }.get(command) or ["gen", *instance, "-o", str(tmp_path / "x.json")]
     capsys.readouterr()
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.count("input error:") == 1 and len(err.splitlines()) == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("argv", [

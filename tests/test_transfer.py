@@ -1,10 +1,13 @@
 """The transfer engine: propagator, connection form, closed vs quadrature,
 coherence relations, almost-closedness."""
 
+import dataclasses
 import functools
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +21,7 @@ from homotrace.errors import ShapeError
 from homotrace.glinalg import GradedMap, bar_signs, compose, supercommutator
 from homotrace.instances import (matrix_instance, random_instance, t1_instance,
                                  to_float_instance, torus_instance)
-from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT
+from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, one_scalar
 from homotrace.transfer import (
     ConfigurationPoint,
     PropagatorCache,
@@ -176,6 +179,101 @@ def test_transfer_closed_units_vanish(t1):
     for k in (2, 3):
         val = transfer_closed([unit_slot] * k, t1.splitting, t1.bundle)
         assert val.is_zero()
+
+
+def _sign(degrees):
+    """The top-coefficient sign eps of the ``transfer`` docstring,
+    (-1)^(k-1) (-1)^(sum_(j>=2) (j-1) deg a_j), with a_1 first."""
+    return (-1) ** (len(degrees) - 1 + sum(
+        j * d for j, d in enumerate(degrees)))
+
+
+def _same(got, want):
+    """Equal degree and blocks, every entry == (exact, or float bits)."""
+    return (got.degree == want.degree
+            and [d for d, _ in got.blocks] == [d for d, _ in want.blocks]
+            and all(np.array_equal(x, y) for (_, x), (_, y)
+                    in zip(got.blocks, want.blocks)))
+
+
+@pytest.mark.parametrize("name", ["T1", "r11", "T1f", "r7f"])
+def test_transfer_closed_is_eps_times_a_fresh_component(name, t1):
+    """On every basis word of arity <= 3, and on each with one element
+    replaced by the two-term Slot 2 b - 3 b' (b' the next basis element of
+    b's degree), ``transfer_closed`` equals eps times the components of a
+    fresh ``transferred_morphism`` on the reversed words: exactly over Q,
+    entry for entry in floats, although its calls share one stored
+    morphism."""
+    inst = {"T1": lambda: t1,
+            "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+            "T1f": lambda: _float_instance("T1"),
+            "r7f": lambda: _float_instance("r7")}[name]()
+    s, b = inst.splitting, inst.bundle
+    alg, fresh, one = b.algebra, transferred_morphism(b, s), one_scalar(b.mode)
+    n, deg = alg.n_basis, alg.basis_degree
+    partner = {x: y for x, y in zip(range(n), range(1, n))
+               if deg(x) == deg(y)}
+    slots = 0
+    for k in (1, 2, 3):
+        for word in itertools.product(range(n), repeat=k):
+            eps = one * _sign([deg(x) for x in word])
+            want = fresh.on_basis(word[::-1]).scale(eps)
+            assert _same(transfer_closed(list(word), s, b), want), word
+            i = next((i for i, x in enumerate(word) if x in partner), None)
+            if i is not None:
+                v = alg._zero_vec()
+                v[word[i]], v[partner[word[i]]] = 2 * one, -3 * one
+                other = word[:i] + (partner[word[i]],) + word[i + 1:]
+                want = want.scale(2 * one) + fresh.on_basis(
+                    other[::-1]).scale(eps * -3 * one)
+                inputs = list(word[:i]) + [Slot(deg(word[i]), v)] + list(
+                    word[i + 1:])
+                assert _same(transfer_closed(inputs, s, b), want), inputs
+                slots += 1
+    assert slots
+
+
+def test_transfer_closed_interleaved_pairs_match_fresh_values(t1):
+    """Seeded calls alternating over T1, r11 and a copy of T1's bundle with
+    rho doubled (same splitting, another bundle) return what a fresh
+    morphism per pair gives: the copy gets its own values, 2^k times
+    T1's."""
+    r11 = random_instance(11, {0: 2, 1: 3, 2: 2})
+    doubled = dataclasses.replace(t1.bundle, rho=tuple(
+        r.scale(Fraction(2)) for r in t1.bundle.rho))
+    pairs = [(t1.bundle, t1.splitting), (r11.bundle, r11.splitting),
+             (doubled, t1.splitting)]
+    fresh = [transferred_morphism(b, s) for b, s in pairs]
+    rng = random.Random(0)
+    for _ in range(400):
+        i = rng.randrange(len(pairs))
+        b, s = pairs[i]
+        word = [rng.randrange(b.algebra.n_basis)
+                for _ in range(rng.randint(1, 3))]
+        want = fresh[i].on_basis(tuple(word[::-1])).scale(
+            Fraction(_sign([b.algebra.basis_degree(x) for x in word])))
+        assert _same(transfer_closed(word, s, b), want), (i, word)
+    a1 = t1.bundle.algebra.flat_by_name("E[f<-e2]")
+    a2 = t1.bundle.algebra.flat_by_name("E[e2<-e1]")
+    plain = transfer_closed([a1, a2], t1.splitting, t1.bundle)
+    assert not plain.is_zero()
+    assert transfer_closed([a1, a2], t1.splitting, doubled).equals(
+        plain.scale(Fraction(4)))
+
+
+def test_transfer_closed_keeps_one_pair(t1):
+    """The store holds the last pair it was given and no other: a bundle
+    no caller holds stays alive until a call on a second pair, then is
+    freed."""
+    inst = t1_instance()
+    ref = weakref.ref(inst.bundle)
+    transfer_closed([2, 7], inst.splitting, inst.bundle)
+    del inst
+    gc.collect()
+    assert ref() is not None
+    transfer_closed([2, 7], t1.splitting, t1.bundle)
+    gc.collect()
+    assert ref() is None
 
 
 def test_omega_arity_one_is_configuration_independent(t1):
