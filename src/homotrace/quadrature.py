@@ -30,6 +30,20 @@ def _rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
+def _cell_cost(order: int, budget: int) -> int:
+    """The evaluations one cell takes, order + order // 2; raises what
+    ``integrate_interval`` raises before its first evaluation: ShapeError
+    if ``order`` is below 2, QuadratureBudgetError (``best`` None) if one
+    cell exceeds ``budget``."""
+    if order < 2:
+        raise ShapeError(f"quadrature order {order} is below 2")
+    evals_per_cell = order + order // 2
+    if evals_per_cell > budget:
+        raise QuadratureBudgetError(f"evaluation budget {budget} is below "
+                                    f"one cell ({evals_per_cell} evaluations)")
+    return evals_per_cell
+
+
 def integrate_interval(f, *, rel_tol: float, order: int = DEFAULT_ORDER,
                        budget: int = DEFAULT_BUDGET
                        ) -> tuple[np.ndarray, float]:
@@ -44,12 +58,7 @@ def integrate_interval(f, *, rel_tol: float, order: int = DEFAULT_ORDER,
     naming the cell, if a cell's value or error estimate is not finite
     (refining it would only burn the budget).
     """
-    if order < 2:
-        raise ShapeError(f"quadrature order {order} is below 2")
-    evals_per_cell = order + order // 2
-    if evals_per_cell > budget:
-        raise QuadratureBudgetError(f"evaluation budget {budget} is below "
-                                    f"one cell ({evals_per_cell} evaluations)")
+    evals_per_cell = _cell_cost(order, budget)
     rules = _rule(order), _rule(order // 2)
     used = 0
     # a cell is (-error, lo, hi, value): the heap's first is the worst cell

@@ -57,7 +57,7 @@ def transferred_trace(chain: HochschildChain, f: AInfinityMorphism):
         if sum(src.basis_degree(x) for x in flats) != len(flats) - 1:
             continue
         for rot, sign in _signed_rotations(src, flats):
-            if st := f.on_basis(rot).supertrace():
+            if st := f.supertrace(rot):
                 total = total + c * sign * st
     return total
 

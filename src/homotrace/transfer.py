@@ -16,7 +16,8 @@ integral over the compactified gap (chart t = -ln(1-sigma)/mu, mu the
 spectral gap), at any arity.  The closed form is built from factors kept
 per morphism: the step h rho(b) of a basis element grows a stored prefix p
 rho(b_1) h ... rho(b_j) by one compose, and its tail h rho(b) i closes a
-prefix into a component with one more.  ``transfer_closed`` keeps the
+prefix into a component with one more, and a supertrace is read off the
+same two factors without forming it.  ``transfer_closed`` keeps the
 morphism of the last (bundle, splitting) pair it was given, so repeated
 calls on one pair share these factors and the components.
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,10 +52,10 @@ from homotrace.dgcore import (DgModuleBundle, EndoAlgebra, Splitting,
                               endomorphism_algebra)
 from homotrace.errors import QuadratureBudgetError, ShapeError
 from homotrace.glinalg import (AMBIGUITY_BAND, GradedMap, GradedVectorSpace,
-                               bar_signs, compose)
-from homotrace.quadrature import (DEFAULT_BUDGET, DEFAULT_ORDER,
+                               _any_nonzero, bar_signs, compose)
+from homotrace.quadrature import (DEFAULT_BUDGET, DEFAULT_ORDER, _cell_cost,
                                   integrate_interval)
-from homotrace.scalars import DEFAULT_TOL, FLOAT, one_scalar
+from homotrace.scalars import DEFAULT_TOL, FLOAT, one_scalar, zero_scalar
 
 # ---------------------------------------------------------------------------
 # Inputs: a basis index or a Slot, read as (degree, nonzero terms)
@@ -288,7 +290,11 @@ def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
     (value, error estimate): for the error e of G per entry, g = max G and
     induced inf-norms, the bound ((g+e)^(k-1) - g^(k-1)) prod ||A_j|| on
     the inf-norm, so on every entry, of the difference to the integral.  A
-    budget error carries the product and the bound for its best G.
+    budget error carries the product and the bound for its best G.  A
+    factor that stores no block makes the product exactly zero: it is
+    returned with estimate 0 and G is not integrated, after the order and
+    budget checks ``integrate_interval`` makes before its first
+    evaluation.
     """
     splitting = splitting.float_copy
     include, project = splitting.include, splitting.project
@@ -302,6 +308,10 @@ def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
     factors = ([compose(compose(rk, rhos[-1]), include)]
                + [compose(compose(rk, rho), ell) for rho in rhos[-2:0:-1]]
                + [compose(compose(project, rhos[0]), ell)])
+    if not all(a.blocks for a in factors):
+        _cell_cost(order, budget)
+        return GradedMap.zero(include.source, project.target,
+                              sum(a.degree for a in factors), FLOAT), 0.0
     # induced inf-norms: largest absolute row sum, each row in one block
     norms = math.prod(max((np.abs(m).sum(axis=1).max() for _, m in a.blocks),
                           default=0.0) for a in factors)
@@ -361,6 +371,7 @@ class AInfinityMorphism:
     _words: dict = field(default_factory=dict, repr=False)
     _steps: dict = field(default_factory=dict, repr=False)
     _tails: dict = field(default_factory=dict, repr=False)
+    _supertraces: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.method not in ("closed", "quadrature") or (
@@ -381,14 +392,27 @@ class AInfinityMorphism:
                 got, est = _quadrature(
                     [self.bundle.rho[b] for b in flats], self.splitting,
                     self.rel_tol, DEFAULT_ORDER, self.budget)
-            elif len(flats) == 1:
-                got = compose(self._word(flats), self.splitting.include)
             else:
-                prefix = self._word(flats[:-1])
-                got = (compose(prefix, self._tail(flats[-1])) if prefix.blocks
-                       else self._zero(prefix, flats[-1], self.m0))
+                prefix, tail = self._halves(flats)
+                got = (self._zero(prefix, flats[-1], self.m0) if tail is None
+                       else compose(prefix, tail))
             self._cache[flats], self._errors[flats] = got, est
         self.reads.add(flats)
+        return got
+
+    def supertrace(self, flats: tuple[int, ...]):
+        """str f_m(b_1, ..., b_m) for a word of degree m - 1: in closed form
+        read off the two factors of ``_halves``, as the sum over degrees d
+        of (-1)^d sum_ij P[i,j] T[j,i], and kept per word without forming
+        the component; by quadrature through ``on_basis``."""
+        if self.method == "quadrature":
+            return self.on_basis(flats).supertrace()
+        got = self._supertraces.get(flats)
+        if got is None:
+            prefix, tail = self._halves(flats)
+            got = self._supertraces[flats] = (
+                zero_scalar(prefix.mode) if tail is None
+                else _supertrace_of(prefix, tail))
         return got
 
     @cached_property
@@ -416,6 +440,17 @@ class AInfinityMorphism:
         """The summed error estimates of the given evaluated components,
         in basis-tuple order."""
         return sum(self._errors[flats] for flats in sorted(components))
+
+    def _halves(self, flats: tuple[int, ...]
+                ) -> tuple[GradedMap, GradedMap | None]:
+        """The closed-form f_m as prefix times tail: the stored word of b_1
+        ... b_(m-1) and the tail h rho(b_m) i (the word of b_1 and include
+        for m = 1).  The tail is None, and not formed, when the word is
+        zero."""
+        if len(flats) == 1:
+            return self._word(flats), self.splitting.include
+        prefix = self._word(flats[:-1])
+        return prefix, self._tail(flats[-1]) if prefix.blocks else None
 
     def _word(self, flats: tuple[int, ...]) -> GradedMap:
         """p rho(b_1) h ... h rho(b_j), kept per prefix: p rho(b_1), then
@@ -452,15 +487,12 @@ class AInfinityMorphism:
             self._tails[b] = compose(self._step(b), self.splitting.include)
         return self._tails[b]
 
-    def value(self, inputs) -> GradedMap:
-        """Multilinear evaluation on basis indices and Slots."""
-        return self._combination(_elements(self.bundle, inputs))
-
     def _combination(self, elements: list[tuple[int, list]],
                      eps=1) -> GradedMap:
-        """eps times ``value`` on read inputs: the sum over every choice of
-        one term per input of the component scaled once, by eps times its
-        coefficients' product; the zero map when there is no choice."""
+        """eps times the multilinear extension of ``on_basis`` to read
+        inputs: the sum over every choice of one term per input of the
+        component scaled once, by eps times its coefficients' product; the
+        zero map when there is no choice."""
         terms = [self.on_basis(tuple(k for k, _ in pick)).scale(
             math.prod((c for _, c in pick), start=eps))
             for pick in itertools.product(*(t for _, t in elements))]
@@ -472,6 +504,29 @@ class AInfinityMorphism:
     @property
     def m0(self) -> GradedVectorSpace:
         return self.splitting.m0
+
+
+def _supertrace_of(prefix: GradedMap, tail: GradedMap):
+    """str(prefix tail) without forming the composite: over the tail's
+    blocks T (source degree d) that land in a block P of the prefix,
+    (-1)^d times tr(P T).  Exact: sum_ij P[i,j] T[j,i] over nonzero
+    pairs.  Float: the diagonal of P @ T, the block ``compose`` forms,
+    summed in the order of ``GradedMap.supertrace``, so the bits are
+    those of the composite's supertrace."""
+    prefix_blocks, total = dict(prefix.blocks), zero_scalar(prefix.mode)
+    for d, t in tail.blocks:
+        p = prefix_blocks.get(d + tail.degree)
+        if p is None:
+            continue
+        if prefix.mode == FLOAT:
+            m, tr = p @ t, zero_scalar(prefix.mode)
+            for i in range(m.shape[0]):
+                tr = tr + m[i, i]
+        else:
+            tr = sum((x * y for x, y in zip(p.flat, t.T.flat) if x and y),
+                     zero_scalar(prefix.mode))
+        total = total + ((-1) ** (d % 2)) * tr
+    return total
 
 
 def transferred_morphism(bundle: DgModuleBundle, splitting: Splitting,
@@ -494,7 +549,8 @@ def ainfinity_defect(f: AInfinityMorphism, inputs) -> GradedMap:
 
     ``inputs`` are flat basis indices; any other input raises ShapeError.
     A zero component ends its term: a zero bar term is not added, and a cut
-    whose left side is zero neither reads its right side nor composes.
+    whose left side is zero neither reads its right side nor composes.  The
+    terms are summed blockwise into one map (``_accumulate``).
     """
     a = f.bundle.algebra
     if not all(isinstance(b, (int, np.integer)) and 0 <= b < a.n_basis
@@ -502,16 +558,29 @@ def ainfinity_defect(f: AInfinityMorphism, inputs) -> GradedMap:
         raise ShapeError(f"ainfinity_defect takes basis indices, got {inputs!r}")
     word = tuple(int(b) for b in inputs)
     degrees = [a.basis_degree(b) for b in word]
-    total = GradedMap.zero(f.m0, f.m0, sum(degrees) + 2 - len(word), a.mode)
+    total: dict = {}
     for w, c in a.bar_terms(word):
-        if (got := f.on_basis(w)).blocks:
-            total = total + got.scale(c)
+        _accumulate(total, f.on_basis(w), c, operator.add)
     for i, (_, cut) in enumerate(bar_signs(degrees)[:-1]):
         if not (left := f.on_basis(word[:i + 1])).blocks:
             continue
         if (right := f.on_basis(word[i + 1:])).blocks:
-            total = total - compose(left, right).scale(cut)
-    return total
+            _accumulate(total, compose(left, right), cut, operator.sub)
+    degree = sum(degrees) + 2 - len(word)
+    return (GradedMap.build(f.m0, f.m0, degree, total, a.mode) if total
+            else GradedMap.zero(f.m0, f.m0, degree, a.mode))
+
+
+def _accumulate(total: dict, term: GradedMap, c, op) -> None:
+    """The blocks of ``total + term.scale(c)`` (op add) or ``total -
+    term.scale(c)`` (op sub), in place: op with each block of c times the
+    term, an absent block read as 0, and a block that is exactly zero
+    dropped, as ``GradedMap.build`` drops it.  Entries are those of the two
+    builds, up to the sign of a zero entry."""
+    for d, m in term.blocks:
+        if (_any_nonzero(scaled := m * c)
+                and _any_nonzero(got := op(total.pop(d, 0), scaled))):
+            total[d] = got
 
 
 def almost_closed_check(inputs, point: ConfigurationPoint, splitting: Splitting,

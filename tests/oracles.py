@@ -9,11 +9,11 @@ import numpy as np
 from homotrace.dgcore import (DgAlgebra, DgModuleBundle, EndoAlgebra,
                               Splitting, matrix_units)
 from homotrace.errors import ClosureError, ShapeError
-from homotrace.glinalg import (GradedMap, GradedVectorSpace, coo, compose,
-                               supercommutator, zeros_matrix)
+from homotrace.glinalg import (GradedMap, GradedVectorSpace, bar_signs, coo,
+                               compose, supercommutator, zeros_matrix)
 from homotrace.hochschild import HochschildChain, cyclic_shift_term
 from homotrace.scalars import EXACT, FLOAT, one_scalar, zero_scalar
-from homotrace.transfer import Slot
+from homotrace.transfer import AInfinityMorphism, Slot, _elements
 
 
 def matrix_from_rows(rows, mode: str):
@@ -209,3 +209,25 @@ def fraction_closure(space, q, generators, bound):
                 queue.append(compose(b, m))
                 queue.append(compose(m, b))
     return basis
+
+
+def value(f: AInfinityMorphism, inputs) -> GradedMap:
+    """f on basis indices and Slots, extended multilinearly."""
+    return f._combination(_elements(f.bundle, inputs))
+
+
+def termwise_defect(f: AInfinityMorphism, word: tuple[int, ...]) -> GradedMap:
+    """The bar relation of f on a basis word, one map per term: each bar
+    term scaled and added, each cut composed, scaled and subtracted."""
+    a = f.bundle.algebra
+    degrees = [a.basis_degree(b) for b in word]
+    total = GradedMap.zero(f.m0, f.m0, sum(degrees) + 2 - len(word), a.mode)
+    for w, c in a.bar_terms(word):
+        if (got := f.on_basis(w)).blocks:
+            total = total + got.scale(c)
+    for i, (_, cut) in enumerate(bar_signs(degrees)[:-1]):
+        if not (left := f.on_basis(word[:i + 1])).blocks:
+            continue
+        if (right := f.on_basis(word[i + 1:])).blocks:
+            total = total - compose(left, right).scale(cut)
+    return total

@@ -218,6 +218,23 @@ def test_trace_quadrature_budget_below_one_cell(tmp_path, capsys):
     assert "24" in err
 
 
+def test_verify_quadrature_budget_below_one_cell(tmp_path, capsys):
+    """On torus N=1 every word has a zero factor, so the quadrature check
+    integrates nothing, yet under ``--quad-budget 10`` it fails with the
+    budget text that ``integrate_interval`` gives: exit 1."""
+    ipath = str(tmp_path / "torus.json")
+    assert run(["gen", "--kind", "torus", "--N", "1", "-o", ipath]) == 0
+    capsys.readouterr()
+    assert run(["verify", "--instance", ipath, "--quad-budget", "10",
+                "--output", "json"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)[
+        "checks"]}
+    quad = checks.pop("quadrature/agrees-with-closed-form")
+    assert not quad["passed"] and quad["detail"] == (
+        "evaluation budget 10 is below one cell (24 evaluations)")
+    assert all(c["passed"] for c in checks.values())
+
+
 def test_gen_respects_dims_bound(tmp_path, capsys):
     assert run(["gen", "--kind", "torus", "--N", "4",
                 "-o", str(tmp_path / "x.json")]) == 2

@@ -17,7 +17,8 @@ from homotrace.errors import ShapeError
 from homotrace.glinalg import (GradedMap, GradedVectorSpace, compose,
                                supercommutator, zeros_matrix)
 from homotrace.hochschild import HochschildChain, hochschild_boundary, push_chain
-from homotrace.instances import random_instance
+from homotrace.instances import (matrix_instance, random_instance,
+                                 t1_instance, to_float_instance)
 from homotrace.scalars import EXACT
 from homotrace.traces import (
     antisymmetrized_supertrace,
@@ -129,6 +130,63 @@ def test_transferred_trace_is_supertrace_of_full_push(t1, name):
                 chain.add_term(flats, Fraction(rng.randint(-3, 3)))
         full = canonical_supertrace(push_chain(chain, f), f.target)
         assert transferred_trace(chain, f) == full
+
+
+_INSTANCES = {
+    "T1": t1_instance,
+    "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+    "m32": lambda: matrix_instance({0: 3, 1: 2},
+                                   q_entries=[("d0_0", "d1_0", 1)]),
+    "T1f": lambda: to_float_instance(t1_instance()),
+    "r7f": lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
+}
+
+
+def _bits(x):
+    """An exact scalar as itself, a float one as its two doubles' bytes."""
+    return x if isinstance(x, (Fraction, int)) else np.complex128(x).tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_INSTANCES))
+def test_supertrace_per_word_is_the_components(name):
+    """On every word of arity <= 3 whose component has degree 0, the
+    supertrace read off the stored prefix and tail equals the supertrace
+    of the formed component: == over Q, bit for bit in floats.  It forms
+    no component."""
+    inst = _INSTANCES[name]()
+    alg = inst.bundle.algebra
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    formed = transferred_morphism(inst.bundle, inst.splitting)
+    nonzero = 0
+    for k in (1, 2, 3):
+        for word in itertools.product(range(alg.n_basis), repeat=k):
+            if sum(alg.basis_degree(x) for x in word) != k - 1:
+                continue
+            got, want = f.supertrace(word), formed.on_basis(word).supertrace()
+            assert _bits(got) == _bits(want), word
+            nonzero += bool(want)
+    assert nonzero and not f._cache
+
+
+@pytest.mark.parametrize("name", ["T1", "r11"])
+def test_transferred_trace_forms_no_component(name):
+    """A transferred trace on a fresh closed-form morphism leaves its
+    component store empty and equals the sum of the formed components'
+    supertraces (the push-forward's canonical supertrace)."""
+    inst = _INSTANCES[name]()
+    alg = inst.bundle.algebra
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    formed = transferred_morphism(inst.bundle, inst.splitting)
+    chain = HochschildChain.zero(alg)
+    for k in (1, 2, 3):
+        for flats in itertools.product(range(alg.n_basis), repeat=k):
+            if sum(alg.basis_degree(x) for x in flats) == k - 1:
+                chain.add_term(flats, Fraction(1 + len(chain.terms) % 3))
+    value = transferred_trace(chain, f)
+    assert not f._cache
+    assert value == canonical_supertrace(push_chain(chain, formed),
+                                         formed.target)
+    assert value
 
 
 def test_trace_vanishes_on_boundaries_exact(t1, t1_morphism):

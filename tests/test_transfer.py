@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 from homotrace import transfer
 from homotrace.dgcore import build_splitting_hodge, check_splitting
-from homotrace.errors import ShapeError
+from homotrace.errors import QuadratureBudgetError, ShapeError
 from homotrace.glinalg import GradedMap, bar_signs, compose, supercommutator
 from homotrace.instances import (matrix_instance, random_instance, t1_instance,
                                  to_float_instance, torus_instance)
+from homotrace.quadrature import integrate_interval
 from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, one_scalar
 from homotrace.transfer import (
     ConfigurationPoint,
@@ -34,7 +35,7 @@ from homotrace.transfer import (
     transfer_quadrature,
     transferred_morphism,
 )
-from oracles import basis_slot, dense
+from oracles import basis_slot, dense, termwise_defect, value
 
 
 def test_propagator_limits(t1):
@@ -439,10 +440,40 @@ def test_ainfinity_defect_detects_a_flipped_component(t1):
                for k in (2, 3) for t in itertools.product(range(n), repeat=k))
 
 
+def _bits(m):
+    """Degree and blocks of a map, float blocks as their bytes."""
+    return m.degree, [(d, x.tolist() if x.dtype == object else x.tobytes())
+                      for d, x in m.blocks]
+
+
+@pytest.mark.parametrize("name", ["T1", "r11", "T1f", "r7f"])
+def test_ainfinity_defect_is_the_termwise_sum(name, t1):
+    """With one nonzero arity-2 component flipped, so that defects are not
+    zero, the blockwise sum equals the termwise one (one map per term,
+    ``oracles.termwise_defect``) on every word of arity <= 3: == over Q,
+    the same bits in floats."""
+    inst = {"T1": lambda: t1,
+            "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+            "T1f": lambda: _float_instance("T1"),
+            "r7f": lambda: _float_instance("r7")}[name]()
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    n = inst.bundle.algebra.n_basis
+    flipped = next(p for p in itertools.product(range(n), repeat=2)
+                   if not f.on_basis(p).is_zero())
+    f._cache[flipped] = f.on_basis(flipped).scale(-one_scalar(f.bundle.mode))
+    nonzero = 0
+    for k in (1, 2, 3):
+        for word in itertools.product(range(n), repeat=k):
+            got = ainfinity_defect(f, list(word))
+            assert _bits(got) == _bits(termwise_defect(f, word)), word
+            nonzero += bool(got.blocks)
+    assert nonzero
+
+
 def _slot_formula_defect(f, word):
     """Reference: the bar relation by slot arithmetic, with d b_i and
     b_i b_(i+1) as dense vectors over the flat basis, expanded again by
-    ``f.value``."""
+    ``oracles.value``."""
     alg = f.bundle.algebra
     mul, d = alg.mul, dense(alg.differential)     # column k: d(e_k)
     slots = [basis_slot(f.bundle, b) for b in word]
@@ -452,13 +483,13 @@ def _slot_formula_defect(f, word):
                            alg.mode)
     for i, (sigma, _) in enumerate(signs):
         diff = Slot(slots[i].degree + 1, d[:, word[i]])
-        total = total + f.value(
-            slots[:i] + [diff] + slots[i + 1:]).scale(sigma)
+        total = total + value(
+            f, slots[:i] + [diff] + slots[i + 1:]).scale(sigma)
     for i, (_, cut) in enumerate(signs[:-1]):
         merged = Slot(slots[i].degree + slots[i + 1].degree,
                       mul[word[i], word[i + 1]])
-        term = f.value(slots[:i] + [merged] + slots[i + 2:]) - compose(
-            f.value(slots[:i + 1]), f.value(slots[i + 1:]))
+        term = value(f, slots[:i] + [merged] + slots[i + 2:]) - compose(
+            value(f, slots[:i + 1]), value(f, slots[i + 1:]))
         total = total + term.scale(cut)
     return total
 
@@ -700,8 +731,6 @@ def test_quadrature_budget_error_carries_best_estimate():
     """torus N=1 under a seeded inner product has eigenvalues 4.4 to 72,
     whose ratios are not integers, so its weights are not polynomials and
     a 60-evaluation budget runs out."""
-    from homotrace.errors import QuadratureBudgetError
-
     torus = _float_instance("torus1")
     space = torus.bundle.space
     s = build_splitting_hodge(space, torus.bundle.q, _inner_product(space, 0))
@@ -713,6 +742,93 @@ def test_quadrature_budget_error_carries_best_estimate():
     assert info.value.estimate is not None
     closed = transfer_closed(tup, s, torus.bundle)
     assert (info.value.best - closed).max_abs() <= 1e-3
+
+
+def _has_zero_factor(s, bundle, word):
+    """Whether a factor of the gap-cube product of the word stores no
+    block: A_0 = (R kappa) rho(a_1) i, A_j = (R kappa) rho(a_(j+1)) L and
+    A_(k-1) = p rho(a_k) L, on the splitting's float copy."""
+    s = s.float_copy
+    space = s.kappa.source
+    ell = GradedMap.build(space, space, 0, {
+        d: x for d, (x, _, _) in s.spectrum.items()}, FLOAT)
+    rhos = [bundle.rho[b].to_float() for b in word]
+    factors = ([compose(compose(s.r_kappa, rhos[0]), s.include)]
+               + [compose(compose(s.r_kappa, r), ell) for r in rhos[1:-1]]
+               + [compose(compose(s.project, rhos[-1]), ell)])
+    return any(not a.blocks for a in factors)
+
+
+@pytest.mark.parametrize("name", ["T1", "r7", "torus1"])
+def test_quadrature_skips_the_gap_integral_when_a_factor_is_zero(
+        name, monkeypatch):
+    """On every word of arity 2-3 with a zero factor the component is what
+    the integrated product gives, the zero map on M0 of degree sum deg + 1
+    - k with estimate 0.0 (its norm bound is 0), and ``integrate_interval``
+    is never called; every other word integrates G once."""
+    inst = _float_instance(name)
+    s, b = inst.splitting, inst.bundle
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate_interval(*args, **kwargs)
+
+    monkeypatch.setattr(transfer, "integrate_interval", counted)
+    n, deg = b.algebra.n_basis, b.algebra.basis_degree
+    zero = other = 0
+    for k in (2, 3):
+        for word in itertools.product(range(n), repeat=k):
+            before = len(calls)
+            got, est = transfer_quadrature(list(word), s, b)
+            if not _has_zero_factor(s, b, word):
+                assert len(calls) == before + 1, word
+                other += 1
+                continue
+            assert len(calls) == before and est == 0.0, word
+            assert not got.blocks and got.mode == FLOAT
+            assert got.degree == sum(deg(x) for x in word) + 1 - k
+            assert got.source.dims == got.target.dims == s.m0.dims
+            zero += 1
+    assert zero and (other or name == "torus1")
+
+
+@pytest.mark.parametrize("kwargs, error, text", [
+    ({"order": 1}, ShapeError, "quadrature order 1 is below 2"),
+    ({"budget": 10}, QuadratureBudgetError,
+     "evaluation budget 10 is below one cell (24 evaluations)"),
+], ids=["order-1", "budget-below-one-cell"])
+def test_zero_factor_component_keeps_the_rule_checks(kwargs, error, text):
+    """A word with a zero factor still raises what ``integrate_interval``
+    raises before its first evaluation, with the same text, and a budget
+    error carries no best value."""
+    inst = _float_instance("torus1")
+    s, b = inst.splitting, inst.bundle
+    assert _has_zero_factor(s, b, (1, 1))
+    with pytest.raises(error) as direct:
+        integrate_interval(lambda x: x[:, None], rel_tol=1e-9, **kwargs)
+    with pytest.raises(error) as got:
+        transfer_quadrature([1, 1], s, b, **kwargs)
+    assert str(got.value) == str(direct.value) == text
+    if error is QuadratureBudgetError:
+        assert got.value.best is None and got.value.estimate is None
+
+
+def test_zero_factor_component_needs_no_convergent_gap_integral():
+    """Under a seeded inner product on r7f, G does not reach rel_tol 0
+    within one cell, so a word without a zero factor raises a budget
+    error; a word with one is exactly zero, estimate 0.0, under the same
+    settings."""
+    inst = _float_instance("r7")
+    space, b = inst.bundle.space, inst.bundle
+    s = build_splitting_hodge(space, b.q, _inner_product(space, 1))
+    settings = {"rel_tol": 0.0, "budget": 24}
+    assert not _has_zero_factor(s, b, (1, 0))
+    with pytest.raises(QuadratureBudgetError, match="budget 24 exhausted"):
+        transfer_quadrature([1, 0], s, b, **settings)
+    assert _has_zero_factor(s, b, (0, 0))
+    got, est = transfer_quadrature([0, 0], s, b, **settings)
+    assert not got.blocks and est == 0.0
 
 
 def test_almost_closed_second_order_rate():
@@ -818,7 +934,7 @@ def test_transfer_multilinearity(t1, t1_morphism):
     v[2] = Fraction(2)
     v[3] = Fraction(-1)
     combo = Slot(0, v)
-    lhs = t1_morphism.value([combo, basis_slot(t1.bundle, 7)])
+    lhs = value(t1_morphism, [combo, basis_slot(t1.bundle, 7)])
     rhs = t1_morphism.on_basis((2, 7)).scale(Fraction(2)) - \
         t1_morphism.on_basis((3, 7))
     assert lhs.equals(rhs)
@@ -840,7 +956,7 @@ def test_every_input_path_refuses_the_same_bad_slot(degree, flats):
         lambda: transfer_closed([bad], s, b),
         lambda: transfer_quadrature([bad, 3], s, b),
         lambda: operator_form([bad], ConfigurationPoint(()), s, b),
-        lambda: transferred_morphism(b, s).value([3, bad]),
+        lambda: value(transferred_morphism(b, s), [3, bad]),
         lambda: almost_closed_check([3, bad], ConfigurationPoint((0.5,)), s,
                                     b, 1e-3),
     ]
