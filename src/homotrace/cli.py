@@ -13,6 +13,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -316,9 +317,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in a process, built on the first:
+    parsing leaves a parser as it was, an error included, so in-process
+    callers need not pay ``build_parser`` per call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

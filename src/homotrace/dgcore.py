@@ -62,7 +62,7 @@ from homotrace.glinalg import (
     zeros_matrix,
 )
 from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, one_scalar,
-                               session_tol)
+                               session_tol, times_sign)
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,10 @@ class DgAlgebra:
         signs = bar_signs([self.basis_degree(b) for b in flats])
         for i, (sigma, _) in enumerate(signs):
             for k, c in self.differential_terms[flats[i]]:
-                yield flats[:i] + (k,) + flats[i + 1:], c * sigma
+                yield flats[:i] + (k,) + flats[i + 1:], times_sign(c, sigma)
         for i, (_, cut) in enumerate(signs[:-1]):
             for k, c in self.product_terms[flats[i]][flats[i + 1]]:
-                yield flats[:i] + (k,) + flats[i + 2:], c * cut
+                yield flats[:i] + (k,) + flats[i + 2:], times_sign(c, cut)
 
     def _zero_vec(self) -> np.ndarray:
         return zeros_matrix(1, self.n_basis, self.mode)[0]

@@ -8,16 +8,21 @@ immutable after construction.
 The kernels pay only for nonzero work.  Composition, sums and differences
 walk the stored blocks and skip absent ones; an exact product multiplies
 only nonzero entry pairs (``_exact_product``), because each Fraction
-operation is a Python call.  Exact ``compose`` builds its result in that
-one pass: a sum that cancels to zero is not written, and a product block
-with no nonzero sum is not stored, so the result needs neither
-``GradedMap.build``'s copy nor its entry-by-entry zero scan.  Float blocks
-stay in numpy: products are ``@``, assembled by ``build``, and the zero
+operation is a Python call, and a product block with no nonzero sum is
+not stored.  Float blocks stay in numpy: products are ``@``, and the zero
 tests and magnitudes are array reductions, so a NaN entry is never read
-as zero.  A map with no stored block is exactly zero, so callers carry
-the rule past this boundary by testing ``blocks``: the transfer forms no
-step or tail after a zero prefix, and the coherence defect and the
-push-forward end a term at its first zero component.
+as zero.  In both modes the results of ``compose``, ``scale``, ``+`` and
+``-`` are new arrays of the right shape, so each is built in one pass
+(``_fresh``): frozen in place, with its blocks that are exactly zero left
+out, and neither copied nor checked for shape as ``GradedMap.build``
+does with blocks that callers pass in.  Every ``GradedMap`` is made by
+the one private constructor ``_graded_map``, which sets its fields
+without the frozen dataclass's per-field ``__setattr__``; assigning to a
+field still raises.  A map with no stored block is exactly zero, so
+callers carry the rule past this boundary by testing ``blocks``: the
+transfer forms no step or tail after a zero prefix and shares one zero
+map per degree for its zero words and components, and the coherence
+defect and the push-forward end a term at its first zero component.
 
 Exact elimination is ``rref`` and what is read off one run of it (null
 space with its pivots, inverse, pivot rows with the inverse of their
@@ -106,6 +111,13 @@ def _any_nonzero(a: np.ndarray) -> bool:
     return bool(a.any())
 
 
+def _fresh(blocks) -> tuple[tuple[int, np.ndarray], ...]:
+    """(source degree, block) pairs computed by a kernel, in degree order,
+    as a map stores them: each block is a new array of the right shape, so
+    it is frozen in place, and one with no nonzero entry is left out."""
+    return tuple((d, _freeze(m)) for d, m in blocks if _any_nonzero(m))
+
+
 def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """a @ b on object-dtype blocks, summed over nonzero entry pairs only
     and frozen; None when every entry is zero.  Sums that cancel to zero
@@ -149,11 +161,11 @@ class GradedVectorSpace:
             labels=tuple(sorted(lab.items())),
         )
 
+    def __post_init__(self):
+        object.__setattr__(self, "_dim_of", dict(self.dims))
+
     def dim(self, degree: int) -> int:
-        for d, n in self.dims:
-            if d == degree:
-                return n
-        return 0
+        return self._dim_of.get(degree, 0)
 
     def degrees(self) -> list[int]:
         return [d for d, _ in self.dims]
@@ -211,13 +223,13 @@ class GradedMap:
                     f"expected {(rows, cols)}", degree=d)
             if rows and cols and _any_nonzero(m):
                 stored[d] = _freeze(np.array(m, copy=True))
-        return GradedMap(source, target, degree,
-                         tuple(sorted(stored.items())), mode)
+        return _graded_map(source, target, degree,
+                           tuple(sorted(stored.items())), mode)
 
     @staticmethod
     def zero(source: GradedVectorSpace, target: GradedVectorSpace, degree: int,
              mode: str) -> "GradedMap":
-        return GradedMap(source, target, degree, (), mode)
+        return _graded_map(source, target, degree, (), mode)
 
     @staticmethod
     def identity(space: GradedVectorSpace, mode: str) -> "GradedMap":
@@ -237,8 +249,8 @@ class GradedMap:
             if not other.blocks:
                 return self
             if not self.blocks:
-                return GradedMap(other.source, other.target, other.degree,
-                                 other.blocks, other.mode)
+                return _graded_map(other.source, other.target, other.degree,
+                                   other.blocks, other.mode)
         return self._combine(other, operator.add)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
@@ -251,22 +263,22 @@ class GradedMap:
         0, which gives the same entries as a zero block would."""
         self._check_parallel(other)
         mine, theirs = dict(self.blocks), dict(other.blocks)
-        blocks = {d: op(mine.get(d, 0), theirs.get(d, 0))
-                  for d in mine.keys() | theirs.keys()}
-        return GradedMap.build(self.source, self.target, self.degree, blocks, self.mode)
+        return _graded_map(self.source, self.target, self.degree, _fresh(
+            (d, op(mine.get(d, 0), theirs.get(d, 0)))
+            for d in sorted(mine.keys() | theirs.keys())), self.mode)
 
     def __neg__(self) -> "GradedMap":
         return self.scale(-one_scalar(self.mode))
 
     def scale(self, c) -> "GradedMap":
-        blocks = {d: m * c for d, m in self.blocks}
-        return GradedMap.build(self.source, self.target, self.degree, blocks, self.mode)
+        return _graded_map(self.source, self.target, self.degree, _fresh(
+            (d, m * c) for d, m in self.blocks), self.mode)
 
     def to_float(self) -> "GradedMap":
         """The map in float mode: itself if it is float, else cast."""
-        return self if self.mode == FLOAT else GradedMap.build(
+        return self if self.mode == FLOAT else _graded_map(
             self.source, self.target, self.degree,
-            {d: m.astype(complex) for d, m in self.blocks}, FLOAT)
+            _fresh((d, m.astype(complex)) for d, m in self.blocks), FLOAT)
 
     def _check_parallel(self, other: "GradedMap") -> None:
         if (self.source.dims != other.source.dims
@@ -306,6 +318,19 @@ class GradedMap:
         return total
 
 
+def _graded_map(source: GradedVectorSpace, target: GradedVectorSpace,
+                degree: int, blocks: tuple, mode: str) -> GradedMap:
+    """The GradedMap of parts its caller vouches for (frozen blocks of the
+    right shapes, in degree order, none of them zero), its fields set
+    straight into the instance dictionary: the frozen dataclass's own
+    ``__init__`` pays a ``__setattr__`` call per field."""
+    m = object.__new__(GradedMap)
+    fields = m.__dict__
+    fields["source"], fields["target"], fields["degree"] = source, target, degree
+    fields["blocks"], fields["mode"] = blocks, mode
+    return m
+
+
 def compose(f: GradedMap, g: GradedMap) -> GradedMap:
     """f after g; degree adds."""
     if f.mode != g.mode:
@@ -320,10 +345,10 @@ def compose(f: GradedMap, g: GradedMap) -> GradedMap:
     pairs = [(d, f_blocks[d + g.degree], gm) for d, gm in g.blocks
              if d + g.degree in f_blocks]
     if f.mode != EXACT:
-        return GradedMap.build(g.source, f.target, degree,
-                               {d: fm @ gm for d, fm, gm in pairs}, f.mode)
+        return _graded_map(g.source, f.target, degree, _fresh(
+            (d, fm @ gm) for d, fm, gm in pairs), f.mode)
     blocks = ((d, _exact_product(fm, gm)) for d, fm, gm in pairs)
-    return GradedMap(g.source, f.target, degree, tuple(
+    return _graded_map(g.source, f.target, degree, tuple(
         (d, m) for d, m in blocks if m is not None), f.mode)
 
 

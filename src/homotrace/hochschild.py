@@ -33,7 +33,7 @@ from functools import cache
 
 from homotrace.dgcore import DgAlgebra
 from homotrace.errors import ShapeError
-from homotrace.scalars import one_scalar, session_tol
+from homotrace.scalars import one_scalar, session_tol, times_sign
 from homotrace.transfer import AInfinityMorphism
 
 
@@ -106,12 +106,19 @@ def cyclic_shift_term(algebra: DgAlgebra, flats: tuple[int, ...]
 
 
 def _signed_rotations(algebra: DgAlgebra, flats: tuple[int, ...]):
-    """The len(flats) rotations of a word, each with its sign relative to it."""
-    sign = 1
-    for _ in flats:
-        yield flats, sign
-        flats, step = cyclic_shift_term(algebra, flats)
-        sign *= step
+    """The len(flats) rotations of a word, each with its sign relative to it:
+    the product of the ``cyclic_shift_term`` signs that reach it, read off
+    one list of shifted slot parities.  Moving the last slot, of parity s,
+    to the front passes the others, whose parities sum to total - s, so the
+    step flips the sign when s (total - s) is odd: when s is odd and the
+    total even."""
+    k = len(flats)
+    parity = [(algebra.basis_degree(b) + 1) % 2 for b in flats]
+    even, sign = sum(parity) % 2 == 0, 1
+    for r in range(k):
+        yield flats[k - r:] + flats[:k - r], sign
+        if even and parity[k - 1 - r]:
+            sign = -sign
 
 
 def hochschild_boundary(chain: HochschildChain) -> HochschildChain:
@@ -126,7 +133,9 @@ def hochschild_boundary(chain: HochschildChain) -> HochschildChain:
             rot, rs = cyclic_shift_term(a, flats)
             own = -1 if a.basis_degree(rot[0]) % 2 else 1
             for k, c in a.product_terms[rot[0]][rot[1]]:
-                out.add_term((k,) + rot[2:], coeff * rs * own * c)
+                # one sign at a time, so floats keep the bits of the product
+                out.add_term((k,) + rot[2:],
+                             times_sign(times_sign(coeff, rs), own) * c)
     return out
 
 
@@ -169,7 +178,7 @@ def _push(chain: HochschildChain, f: AInfinityMorphism, partitions
     for flats, coeff in chain.terms.items():
         k = len(flats)
         for r, (rot, sign) in enumerate(_signed_rotations(src, flats)):
-            cc = coeff * sign
+            cc = times_sign(coeff, sign)
             for comp in partitions(k):
                 if comp[0] <= r:
                     continue

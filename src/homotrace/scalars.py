@@ -179,6 +179,16 @@ def _decode_float(obj) -> complex:
     raise ValueError(f"not a float scalar encoding: {obj!r}")
 
 
+def times_sign(x, sign: int):
+    """x times a Koszul sign +1 or -1.  An exact scalar is negated, or
+    returned as it is: the same value as the product, without the gcd a
+    Fraction product takes.  A float scalar is multiplied, because -z and
+    z * -1 differ in the sign of a zero part of a complex z."""
+    if type(x) is Fraction or type(x) is GaussianRational:
+        return x if sign > 0 else -x
+    return x * sign
+
+
 def zero_scalar(mode: str):
     return Fraction(0) if mode == EXACT else 0j
 

@@ -25,6 +25,7 @@ from homotrace.scalars import (
     FLOAT,
     decode_value,
     encode_value,
+    one_scalar,
 )
 
 INSTANCE_FORMAT = "homotrace-instance/1"
@@ -87,7 +88,7 @@ def _reading(what: str):
     try:
         yield
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
-            ZeroDivisionError, ShapeError) as exc:
+            ZeroDivisionError, OverflowError, ShapeError) as exc:
         raise InputError(f"malformed {what}: {type(exc).__name__}: {exc}"
                          ) from exc
 
@@ -102,6 +103,15 @@ def _check_format(data, fmt: str, what: str) -> None:
 
 def _decoded(trips: list, mode: str) -> list:
     return [(src, dst, decode_value(enc, mode)) for src, dst, enc in trips]
+
+
+def _degree(value, what: str) -> int:
+    """A declared degree: an integer that numpy's int64 holds, since the
+    loader reads degrees into int64 arrays."""
+    degree = int(value)
+    if not -2 ** 63 <= degree < 2 ** 63:
+        raise InputError(f"{what} declares a degree outside the int64 range")
+    return degree
 
 
 def _name(name) -> str:
@@ -124,16 +134,18 @@ def instance_from_dict(data: dict, tol: float = DEFAULT_TOL) -> Instance:
     with _reading("instance file"):
         dims, labels = {}, {}
         for d, n, labs in data["module"]:
-            dims[int(d)] = int(n)
-            labels[int(d)] = list(labs)
+            d = _degree(d, "the module")
+            dims[d] = int(n)
+            labels[d] = list(labs)
         space = GradedVectorSpace.make(dims, labels)
         q = map_from_triplets(space, 1, _decoded(data["Q"], mode), mode)
         names = [_name(name) for name, _, _ in data["algebra"]]
-        maps = [map_from_triplets(space, int(deg), _decoded(trips, mode), mode)
-                for _, deg, trips in data["algebra"]]
+        maps = [map_from_triplets(space, _degree(deg, f"operator {name!r}"),
+                                  _decoded(trips, mode), mode)
+                for name, deg, trips in data["algebra"]]
         elements = [
-            (_name(name), int(deg), [(_name(op), decode_value(enc, mode))
-                                     for op, enc in coords])
+            (_name(name), _degree(deg, f"element {name!r}"),
+             [(_name(op), decode_value(enc, mode)) for op, enc in coords])
             for name, deg, coords in (data.get("elements") or [])]
         meta = dict(data.get("meta") or {})
     return build_instance(space, q, maps, names, mode, tol, elements, meta)
@@ -143,7 +155,7 @@ def load_instance(path: str, tol: float = DEFAULT_TOL) -> Instance:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:    # JSONDecodeError is a ValueError
         raise InputError(f"cannot read instance file {path}: {exc}") from exc
     return instance_from_dict(data, tol)
 
@@ -164,12 +176,23 @@ def chains_to_dict(chains: list[tuple[str, list[tuple[object, list[str]]]]]
     return {"format": CHAINS_FORMAT, "chains": payload}
 
 
+def _coordinates(instance: Instance, name: str) -> list:
+    """The nonzero coordinates (flat index, value) of the slot ``name``: a
+    basis operator's one, or those of the element so named, which takes
+    precedence over an operator of the same name."""
+    if name not in instance.elements:
+        flat = instance.bundle.algebra.flat_by_name(name)
+        if flat is not None:
+            return [(flat, one_scalar(instance.mode))]
+    return [(i, v) for i, v in enumerate(instance.element(name)[1]) if v]
+
+
 def load_chains(path: str, instance: Instance
                 ) -> list[tuple[str, HochschildChain]]:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read chain file {path}: {exc}") from exc
     _check_format(data, CHAINS_FORMAT, "a chain file")
     algebra = instance.bundle.algebra
@@ -180,14 +203,12 @@ def load_chains(path: str, instance: Instance
             chain = HochschildChain.zero(algebra)
             for term in entry["terms"]:
                 coeff = decode_value(term["coeff"], instance.mode)
-                slot_vecs = []
-                for slot_name in term["slots"]:
-                    _, vec = instance.element(slot_name)
-                    slot_vecs.append(vec)
+                slots = [_coordinates(instance, slot_name)
+                         for slot_name in term["slots"]]
                 stack = [((), coeff)]
-                for vec in slot_vecs:
+                for coords in slots:
                     stack = [(fl + (idx,), c * v) for fl, c in stack
-                             for idx, v in enumerate(vec) if v]
+                             for idx, v in coords]
                     if not stack:
                         break
                 for fl, c in stack:

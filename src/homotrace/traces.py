@@ -23,7 +23,7 @@ from homotrace.hochschild import (
     _signed_rotations,
     hochschild_boundary,
 )
-from homotrace.scalars import session_tol, zero_scalar
+from homotrace.scalars import session_tol, times_sign, zero_scalar
 from homotrace.transfer import AInfinityMorphism
 
 
@@ -58,7 +58,7 @@ def transferred_trace(chain: HochschildChain, f: AInfinityMorphism):
             continue
         for rot, sign in _signed_rotations(src, flats):
             if st := f.supertrace(rot):
-                total = total + c * sign * st
+                total = total + times_sign(c, sign) * st
     return total
 
 

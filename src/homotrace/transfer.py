@@ -372,6 +372,7 @@ class AInfinityMorphism:
     _steps: dict = field(default_factory=dict, repr=False)
     _tails: dict = field(default_factory=dict, repr=False)
     _supertraces: dict = field(default_factory=dict, repr=False)
+    _zeros: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.method not in ("closed", "quadrature") or (
@@ -470,9 +471,15 @@ class AInfinityMorphism:
     def _zero(self, prefix: GradedMap, b: int,
               source: GradedVectorSpace) -> GradedMap:
         """A zero prefix times the step (source: the module) or the tail
-        (source: M0) of b: zero, of the degree of that composite."""
-        return GradedMap.zero(source, prefix.target, prefix.degree - 1
-                              + self.bundle.rho[b].degree, prefix.mode)
+        (source: M0) of b: zero, of the degree of that composite, and one
+        map per (source, degree) shared by every such word and
+        component."""
+        key = (source is self.m0, prefix.degree - 1 + self.bundle.rho[b].degree)
+        got = self._zeros.get(key)
+        if got is None:
+            got = self._zeros[key] = GradedMap.zero(
+                source, prefix.target, key[1], prefix.mode)
+        return got
 
     def _step(self, b: int) -> GradedMap:
         """h rho(b), kept per basis element."""

@@ -12,7 +12,9 @@ from homotrace.errors import ClosureError, ShapeError
 from homotrace.glinalg import (GradedMap, GradedVectorSpace, bar_signs, coo,
                                compose, supercommutator, zeros_matrix)
 from homotrace.hochschild import HochschildChain, cyclic_shift_term
+from homotrace.instances import t1_instance
 from homotrace.scalars import EXACT, FLOAT, one_scalar, zero_scalar
+from homotrace.serialize import instance_to_dict
 from homotrace.transfer import AInfinityMorphism, Slot, _elements
 
 
@@ -87,6 +89,29 @@ def endomorphism_tensor(space: GradedVectorSpace, mode: str) -> tuple:
         for i in range(dim):
             unit[pos[(d, i, d, i)]] = one
     return mul, unit
+
+
+def t1_gaussian_dict() -> dict:
+    """The T1 file with the operator E[e2<-e2] scaled by i and its
+    coefficient in the element that holds it by -i."""
+    data = instance_to_dict(t1_instance())
+    next(op for op in data["algebra"] if op[0] == "E[e2<-e2]")[2][0][2] = {
+        "re": "0", "im": "1"}
+    next(c for c in data["elements"][0][2] if c[0] == "E[e2<-e2]")[1] = {
+        "re": "0", "im": "-1"}
+    return data
+
+
+def stepwise_rotations(algebra, flats: tuple[int, ...]) -> list:
+    """The len(flats) rotations of a word, each with the product of the
+    ``cyclic_shift_term`` signs of the steps that reach it, taken one step
+    at a time."""
+    out, sign = [], 1
+    for _ in flats:
+        out.append((flats, sign))
+        flats, step = cyclic_shift_term(algebra, flats)
+        sign *= step
+    return out
 
 
 def describe(chain: HochschildChain) -> str:

@@ -6,21 +6,26 @@ import itertools
 import json
 import random
 import re
+import struct
 import warnings
 
+import numpy as np
 import pytest
 
+from homotrace import cli, dgcore, hochschild, traces
 from homotrace.cli import _verify_checks, build_parser, main
 from homotrace.dgcore import validate_bundle
+from homotrace.errors import InputError
 from homotrace.glinalg import AMBIGUITY_BAND
 from homotrace.instances import (matrix_instance, random_instance,
                                  t1_instance, to_float_instance,
                                  torus_instance)
-from homotrace.scalars import DEFAULT_TOL, FLOAT, decode_value
+from homotrace.scalars import DEFAULT_TOL, FLOAT, decode_value, times_sign
 from homotrace.serialize import (instance_from_dict, instance_to_dict,
                                  save_instance)
 from homotrace.transfer import transfer_closed
 from oracles import float_cast
+from oracles import t1_gaussian_dict as _t1_gaussian_dict
 
 
 def run(args):
@@ -658,6 +663,82 @@ def test_float_reports_are_unchanged(tmp_path, capsys, build, digests):
         ["--cyclic", "1"], ["--method", "quadrature"]]) == list(digests)
 
 
+@pytest.mark.parametrize("build", [
+    t1_instance,
+    lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+    lambda: instance_from_dict(_t1_gaussian_dict()),
+    lambda: to_float_instance(t1_instance()),
+    lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
+], ids=["T1", "r11", "T1-gaussian", "T1f", "r7f"])
+def test_sign_flips_equal_the_products_they_replace(tmp_path, capsys,
+                                                   monkeypatch, build):
+    """Every Koszul sign that ``times_sign`` applies in ``verify --seed 0``
+    and ``trace --cyclic 1`` (the bar terms, the Hochschild boundary, the
+    push-forward and the transferred trace) gives the product x * sign it
+    replaces: the same type and value on exact scalars, and the same bits,
+    the sign of a zero part included, on floats."""
+    seen = []
+
+    def recording(x, sign):
+        got = times_sign(x, sign)
+        seen.append((x, sign, got))
+        return got
+
+    for module in (dgcore, hochschild, traces):
+        monkeypatch.setattr(module, "times_sign", recording)
+    _report_digests(tmp_path, capsys, build(), [["--cyclic", "1"]])
+    assert {sign for _, sign, _ in seen} == {1, -1}
+    for x, sign, got in seen:
+        want = x * sign
+        assert type(got) is type(want) and got == want, (x, sign)
+        if isinstance(want, (complex, np.complexfloating)):
+            assert struct.pack("<dd", got.real, got.imag) == struct.pack(
+                "<dd", want.real, want.imag), (x, sign)
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
+    """``build_parser`` runs once across several ``main`` calls, and after an
+    argparse error (exit 2) the next ``gen``, ``verify`` and ``trace`` calls
+    print the bytes that runs with a fresh parser print."""
+    ipath, cpath = tmp_path / "t1.json", tmp_path / "c.json"
+    cpath.write_text(json.dumps(_digest_chains(t1_instance())))
+    commands = [
+        ["gen", "--kind", "matrix", "--preset", "T1", "-o", str(ipath)],
+        ["verify", "--instance", str(ipath), "--max-arity", "3"],
+        ["trace", "--instance", str(ipath), "--chain", str(cpath),
+         "--cyclic", "1", "--output", "json"]]
+    errors = [["verify", "--max-arity", "0", "--instance", str(ipath)],
+              ["gen", "--kind", "sphere", "-o", str(ipath)],
+              ["trace", "--instance", str(ipath)]]
+
+    def printed(argv, fresh: bool) -> tuple[int, str, str]:
+        if fresh:
+            cli._parser.cache_clear()
+        rc = main(argv)
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    shared = []
+    for bad, argv in zip(errors, commands):
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 2 and "error:" in capsys.readouterr().err
+        shared.append(printed(argv, fresh=False))
+    assert len(built) == 1
+    assert [printed(argv, fresh=True) for argv in commands] == shared
+    assert len(built) == 1 + len(commands)
+    assert [rc for rc, _, _ in shared] == [0, 0, 0]
+    cli._parser.cache_clear()
+
+
 def _report_digests(tmp_path, capsys, inst, trace_flags) -> list[str]:
     """SHA-256 of the ``verify --seed 0`` JSON report of the instance's
     file, then of its ``trace`` JSON report on ``_digest_chains`` under
@@ -673,17 +754,6 @@ def _report_digests(tmp_path, capsys, inst, trace_flags) -> list[str]:
         digests.append(hashlib.sha256(
             capsys.readouterr().out.encode()).hexdigest())
     return digests
-
-
-def _t1_gaussian_dict() -> dict:
-    """The T1 file with the operator E[e2<-e2] scaled by i and its
-    coefficient in the element that holds it by -i."""
-    data = instance_to_dict(t1_instance())
-    next(op for op in data["algebra"] if op[0] == "E[e2<-e2]")[2][0][2] = {
-        "re": "0", "im": "1"}
-    next(c for c in data["elements"][0][2] if c[0] == "E[e2<-e2]")[1] = {
-        "re": "0", "im": "-1"}
-    return data
 
 
 def test_real_gaussian_trace_prints_a_rational(tmp_path, capsys):
@@ -727,3 +797,37 @@ def test_verify_quadrature_check_compares_at_the_band(monkeypatch, off,
     checks = {c["name"]: c["passed"] for c in _verify_checks(inst, args)}
     assert any(nonzero)
     assert checks["quadrature/agrees-with-closed-form"] is passed
+
+
+@pytest.mark.parametrize("where", ["operator", "module", "element"])
+@pytest.mark.parametrize("degree", [
+    "1" + "0" * 300, str(2 ** 63), str(-2 ** 63 - 1), "Infinity",
+    "1" + "0" * 5000,
+], ids=["10^300", "2^63", "-2^63-1", "Infinity", "10^5000"])
+def test_degree_beyond_int64_is_bad_input(tmp_path, capsys, where, degree):
+    """A declared degree that numpy's int64 cannot hold, on an operator
+    with no entries added to the T1 file, on a module degree or on an
+    element, is bad input: ``instance_from_dict`` raises InputError, and
+    ``verify`` and ``trace`` exit 2 with one 'input error:' line and no
+    traceback.  (A JSON integer of over 4 300 digits is refused while the
+    file is read.)"""
+    ipath, cpath = tmp_path / "t1.json", tmp_path / "c.json"
+    assert run(["gen", "--kind", "matrix", "--preset", "T1",
+                "-o", str(ipath)]) == 0
+    data = json.loads(ipath.read_text())
+    {"operator": data["algebra"], "module": data["module"],
+     "element": data["elements"]}[where].append(
+        {"operator": ["big", "DEGREE", []], "module": ["DEGREE", 1, ["z"]],
+         "element": ["big", "DEGREE", []]}[where])
+    ipath.write_text(json.dumps(data).replace('"DEGREE"', degree))
+    cpath.write_text(json.dumps({"format": "homotrace-chains/1", "chains": [
+        {"name": "c", "terms": [{"coeff": "1", "slots": ["Id"]}]}]}))
+    if len(degree) < 4300:
+        with pytest.raises(InputError):
+            instance_from_dict(json.loads(ipath.read_text()))
+    for argv in (["verify", "--instance", str(ipath)],
+                 ["trace", "--instance", str(ipath), "--chain", str(cpath)]):
+        capsys.readouterr()
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and len(err.splitlines()) == 1

@@ -1,5 +1,7 @@
 """Graded linear algebra: composition, exact elimination and spans."""
 
+import dataclasses
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -356,3 +358,44 @@ def test_nan_block_is_never_zero():
     two = GradedMap.build(v, v, 0, {0: np.array([[1.0 + 0j]]),
                                     1: np.array([[complex(nan, 0.0)]])}, FLOAT)
     assert np.isnan(two.max_abs())
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_kernel_results_are_the_maps_build_stores(mode):
+    """``compose``, ``scale``, ``+``, ``-`` and ``to_float`` build their
+    results in one pass, without ``GradedMap.build``'s copy and shape
+    check, and each is the map ``build`` makes of the same blocks: a block
+    that cancels or is scaled by 0 is left out, the others are read-only
+    and in degree order, and assigning to a field still raises."""
+    v = space({0: 2, 1: 2, 2: 1})
+    one = Fraction(1) if mode == EXACT else 1 + 0j
+
+    def endo(rows_by_degree):
+        return GradedMap.build(v, v, 0, {
+            d: matrix_from_rows([[one * x for x in row] for row in rows], mode)
+            for d, rows in rows_by_degree.items()}, mode)
+
+    f = endo({0: [[1, 2], [0, 0]], 1: [[0, 1], [1, 0]], 2: [[3]]})
+    g = endo({0: [[2, 0], [-1, 0]], 2: [[-3]]})      # f g cancels in degree 0
+    cases = [
+        (compose(f, g), {d: dict(f.blocks)[d] @ m for d, m in g.blocks}),
+        (f.scale(one / 2), {d: m * (one / 2) for d, m in f.blocks}),
+        (f.scale(0 * one), {d: m * 0 for d, m in f.blocks}),
+        (f + g, {d: operator.add(dict(f.blocks).get(d, 0),
+                                 dict(g.blocks).get(d, 0)) for d in (0, 1, 2)}),
+        (f - f, {d: m - m for d, m in f.blocks}),
+        (g - f, {d: operator.sub(dict(g.blocks).get(d, 0), m)
+                 for d, m in f.blocks}),
+        (f.to_float(), {d: m.astype(complex) for d, m in f.blocks}),
+    ]
+    for got, blocks in cases:
+        want = GradedMap.build(v, v, 0, blocks, got.mode)
+        assert [d for d, _ in got.blocks] == [d for d, _ in want.blocks]
+        for (_, m), (_, w) in zip(got.blocks, want.blocks):
+            assert m.shape == w.shape and m.dtype == w.dtype
+            assert not m.flags.writeable and (m == w).all()
+        assert (got.source, got.target, got.degree, got.mode) == (
+            want.source, want.target, want.degree, want.mode)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.blocks = ()
+    assert [len(got.blocks) for got, _ in cases] == [1, 3, 0, 2, 0, 3, 3]

@@ -13,17 +13,20 @@ from homotrace.dgcore import EndoAlgebra, build_splitting_projector
 from homotrace.hochschild import (
     HochschildChain,
     _compositions,
+    _signed_rotations,
     chain_map_defect,
     cyclic_shift_term,
     hochschild_boundary,
     push_chain,
 )
-from homotrace.instances import random_instance, to_float_instance
+from homotrace.instances import random_instance, t1_instance, \
+    to_float_instance
 from homotrace.scalars import DEFAULT_TOL
+from homotrace.serialize import instance_from_dict
 from homotrace.traces import trace_defect
 from homotrace.transfer import transferred_morphism
 from oracles import canonical_supertrace, cyclic_project, cyclic_shift, \
-    describe
+    describe, stepwise_rotations, t1_gaussian_dict
 
 
 def random_term(rng, algebra, k):
@@ -106,6 +109,22 @@ def test_cyclic_shift_order(t1):
                 break
             assert steps <= 2 * k
         assert (2 * k) % steps == 0
+
+
+@pytest.mark.parametrize("build", [
+    t1_instance,
+    lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+    lambda: instance_from_dict(t1_gaussian_dict()),
+], ids=["T1", "r11", "T1-gaussian"])
+def test_signed_rotations_match_the_stepwise_signs(build):
+    """The rotation signs read off one parity list are the products of the
+    ``cyclic_shift_term`` signs, step by step, on every word of length at
+    most 4."""
+    alg = build().bundle.algebra
+    for k in range(1, 5):
+        for flats in itertools.product(range(alg.n_basis), repeat=k):
+            assert list(_signed_rotations(alg, flats)) == \
+                stepwise_rotations(alg, flats), flats
 
 
 def test_cyclic_project_kills_shift_image(t1):

@@ -10,7 +10,11 @@ names, since re-exporting a definition does not use it.
 
 A second scan keeps one way to build an algebra and an instance: in
 ``src/``, only ``dgcore`` calls ``DgAlgebra`` and ``DgModuleBundle``,
-and only ``instances.build_instance`` calls ``Instance``.
+and only ``instances.build_instance`` calls ``Instance``.  It also keeps
+``GradedMap`` and its private constructor ``_graded_map`` to ``glinalg``:
+the kernels there store the arrays they compute without a copy, which is
+safe only because no other module hands a map blocks it could still
+write to.
 """
 
 import ast
@@ -113,7 +117,9 @@ def test_the_scan_finds_what_only_itself_or_init_names():
 # class -> the (module, top-level function or None) that may call it in src/
 BUILDERS = {"DgAlgebra": ("dgcore.py", None),
             "DgModuleBundle": ("dgcore.py", None),
-            "Instance": ("instances.py", "build_instance")}
+            "Instance": ("instances.py", "build_instance"),
+            "GradedMap": ("glinalg.py", None),
+            "_graded_map": ("glinalg.py", None)}
 
 
 def constructor_calls(trees) -> set[tuple[str, str, str]]:
@@ -140,16 +146,23 @@ def test_one_way_to_build_an_algebra_and_an_instance():
              if where != BUILDERS[name][0]
              or BUILDERS[name][1] not in (None, top)]
     assert not stray, (
-        f"{stray} build an algebra, bundle or instance outside its one "
-        "builder: pass operators to dgcore.algebra_from_operators, or an "
-        "instance's parts to instances.build_instance")
+        f"{stray} build an algebra, bundle, instance or map outside its one "
+        "builder: pass operators to dgcore.algebra_from_operators, an "
+        "instance's parts to instances.build_instance, or blocks to "
+        "GradedMap.build")
 
 
 def test_the_constructor_scan_finds_a_stray_call():
     stray = ast.parse("def cast(a):\n    return DgAlgebra(a.space, a.entries,"
-                      " 'float')\n")
+                      " 'float')\n\n"
+                      "def bare(m):\n    return glinalg.GradedMap(m.source, "
+                      "m.target, 0, m.blocks, m.mode)\n\n"
+                      "def lent(m):\n    return _graded_map(m.source, "
+                      "m.target, 0, m.blocks, m.mode)\n")
     assert constructor_calls([(PACKAGE / "instances.py", stray)]) == {
-        ("DgAlgebra", "instances.py", "cast")}
+        ("DgAlgebra", "instances.py", "cast"),
+        ("GradedMap", "instances.py", "bare"),
+        ("_graded_map", "instances.py", "lent")}
 
 
 def test_the_benchmark_tracer_installs_and_uninstalls():
