@@ -49,6 +49,7 @@ from homotrace.hochschild import (
     cyclic_shift_term,
     push_chain,
     chain_map_defect,
+    cycle_basis,
 )
 from homotrace.traces import (
     supertrace_on_cohomology,

@@ -65,7 +65,7 @@ from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, one_scalar,
                                session_tol, times_sign)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DgAlgebra:
     """Unital dg algebra over a homogeneous named basis, stored as the
     nonzero entries ((row, column) indices, values; in index order) of its
@@ -338,7 +338,7 @@ def _expand_pivots(view: ModuleView, tol: float) -> tuple:
     return (row[order], col[order]), val[order]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DgModuleBundle:
     """A dg algebra together with a dg module and the action rho."""
 
@@ -536,7 +536,7 @@ def _algebra_failures(a: DgAlgebra, tol: float | None) -> tuple:
 # Cohomology and splittings
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Splitting:
     """Module = cohomology part + acyclic part, with contracting homotopy,
     as (kind, kappa, spectrum); the mode and the module space are kappa's.
@@ -846,7 +846,7 @@ def euler_characteristic(space: GradedVectorSpace,
 # Endomorphism algebras
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EndoAlgebra:
     """End(V) as a dg algebra plus the bookkeeping tying basis elements to
     their concrete graded maps (entries are (src_deg, src_idx, tgt_deg,

@@ -121,8 +121,8 @@ def _fresh(blocks) -> tuple[tuple[int, np.ndarray], ...]:
 def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     """a @ b on object-dtype blocks, summed over nonzero entry pairs only
     and frozen; None when every entry is zero.  Sums that cancel to zero
-    are not stored."""
-    out, nonzero = zeros_matrix(a.shape[0], b.shape[1], EXACT), False
+    are not stored, and the block is allocated at the first nonzero sum."""
+    out = None
     b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
     for i, row in enumerate(a.tolist()):
         acc: dict[int, object] = {}
@@ -132,8 +132,10 @@ def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
                     acc[j] = acc[j] + x * y if j in acc else x * y
         for j, v in acc.items():
             if v:
-                out[i, j], nonzero = v, True
-    return _freeze(out) if nonzero else None
+                if out is None:
+                    out = zeros_matrix(a.shape[0], b.shape[1], EXACT)
+                out[i, j] = v
+    return None if out is None else _freeze(out)
 
 
 @dataclass(frozen=True)
@@ -197,7 +199,7 @@ class GradedVectorSpace:
         return sum((-1) ** (d % 2) * n for d, n in self.dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GradedMap:
     """Degree-homogeneous linear map; block per source degree.
 
@@ -483,11 +485,6 @@ def nullspace_and_pivots(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
         for i, pc in enumerate(pivots):
             basis[pc, k] = -r[i, fc]
     return basis, pivots
-
-
-def exact_nullspace(matrix: np.ndarray) -> np.ndarray:
-    """Columns form a deterministic basis of ker(matrix); exact scalars."""
-    return nullspace_and_pivots(matrix)[0]
 
 
 class ExactSpan:

@@ -24,16 +24,20 @@ exact arithmetic, that the differential squares to zero, matches the
 ungraded textbook signs and descends to the cyclic quotient, and that the
 push-forward is a chain map on every basis chain of length <= 3 of several
 random instances, including ones whose cohomology has odd components.
+``cycle_basis`` builds the cycles a trace reads: one per column of the exact
+kernel of the boundary on the basis words b_1 ... b_k of degree k - 1.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 
 from homotrace.dgcore import DgAlgebra
 from homotrace.errors import ShapeError
-from homotrace.scalars import one_scalar, session_tol, times_sign
+from homotrace.glinalg import nullspace_and_pivots, zeros_matrix
+from homotrace.scalars import EXACT, one_scalar, session_tol, times_sign
 from homotrace.transfer import AInfinityMorphism
 
 
@@ -137,6 +141,30 @@ def hochschild_boundary(chain: HochschildChain) -> HochschildChain:
                 out.add_term((k,) + rot[2:],
                              times_sign(times_sign(coeff, rs), own) * c)
     return out
+
+
+def cycle_basis(algebra: DgAlgebra, max_len: int) -> list[HochschildChain]:
+    """One exact cycle per column of ``nullspace_and_pivots`` of the
+    boundary matrix, whose columns are the words of length k <= max_len and
+    degree k - 1, by length and then in ``itertools.product`` order, and
+    whose rows are their boundaries' words in order of first appearance."""
+    if algebra.mode != EXACT:
+        raise ShapeError("cycle_basis needs an exact algebra")
+    words = [w for k in range(1, max_len + 1)
+             for w in itertools.product(range(algebra.n_basis), repeat=k)
+             if sum(algebra.basis_degree(b) for b in w) == k - 1]
+    images = [hochschild_boundary(HochschildChain.of(algebra, w)).terms
+              for w in words]
+    rows = {t: i for i, t in enumerate(dict.fromkeys(
+        t for image in images for t in image))}
+    m = zeros_matrix(len(rows), len(words), EXACT)
+    for j, image in enumerate(images):
+        for t, c in image.items():
+            m[rows[t], j] = c
+    null = nullspace_and_pivots(m)[0]
+    return [HochschildChain(algebra, {w: null[i, j] for i, w in enumerate(words)
+                                      if null[i, j]})
+            for j in range(null.shape[1])]
 
 
 # ---------------------------------------------------------------------------

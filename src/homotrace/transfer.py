@@ -61,7 +61,7 @@ from homotrace.scalars import DEFAULT_TOL, FLOAT, one_scalar, zero_scalar
 # Inputs: a basis index or a Slot, read as (degree, nonzero terms)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Slot:
     """A homogeneous algebra element destined for one tensor slot."""
 
@@ -168,7 +168,7 @@ def propagator(t: float, splitting: Splitting) -> tuple[GradedMap, GradedMap]:
 # The operator-valued form
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorForm:
     """Inhomogeneous operator-valued form on the gap coordinates.
 
@@ -395,8 +395,9 @@ class AInfinityMorphism:
                     self.rel_tol, DEFAULT_ORDER, self.budget)
             else:
                 prefix, tail = self._halves(flats)
-                got = (self._zero(prefix, flats[-1], self.m0) if tail is None
-                       else compose(prefix, tail))
+                got = (self._zero(self.m0, prefix.degree - 1
+                                  + self.bundle.rho[flats[-1]].degree)
+                       if tail is None else self._kept(compose(prefix, tail)))
             self._cache[flats], self._errors[flats] = got, est
         self.reads.add(flats)
         return got
@@ -464,22 +465,23 @@ class AInfinityMorphism:
             else:
                 prefix = self._word(flats[:-1])
                 word = (compose(prefix, self._step(flats[-1])) if prefix.blocks
-                        else self._zero(prefix, flats[-1], prefix.source))
-            self._words[flats] = word
+                        else self._zero(prefix.source, prefix.degree - 1
+                                        + self.bundle.rho[flats[-1]].degree))
+            self._words[flats] = self._kept(word)
         return self._words[flats]
 
-    def _zero(self, prefix: GradedMap, b: int,
-              source: GradedVectorSpace) -> GradedMap:
-        """A zero prefix times the step (source: the module) or the tail
-        (source: M0) of b: zero, of the degree of that composite, and one
-        map per (source, degree) shared by every such word and
-        component."""
-        key = (source is self.m0, prefix.degree - 1 + self.bundle.rho[b].degree)
-        got = self._zeros.get(key)
-        if got is None:
-            got = self._zeros[key] = GradedMap.zero(
-                source, prefix.target, key[1], prefix.mode)
-        return got
+    def _zero(self, source: GradedVectorSpace, degree: int) -> GradedMap:
+        """The zero map of a word (source: the module) or a component (M0)
+        of that degree, one per (source, degree) and shared by all."""
+        key = (source is self.m0, degree)
+        if key not in self._zeros:
+            self._zeros[key] = GradedMap.zero(source, self.m0, degree,
+                                              self.bundle.mode)
+        return self._zeros[key]
+
+    def _kept(self, m: GradedMap) -> GradedMap:
+        """m as the store keeps it: the shared ``_zero`` when m is zero."""
+        return m if m.blocks else self._zero(m.source, m.degree)
 
     def _step(self, b: int) -> GradedMap:
         """h rho(b), kept per basis element."""

@@ -60,6 +60,17 @@ def test_validate_t1_endomorphism_bundle(t1):
     assert rep.ok, [c.name for c in rep.failures()]
 
 
+def test_values_holding_arrays_compare_and_hash_by_identity(t1):
+    """Maps, algebras, bundles, splittings and End(V) hold numpy arrays, so
+    a field-wise ``==`` would raise ValueError and ``hash`` TypeError;
+    ``GradedMap.equals`` compares values."""
+    b, s = t1.bundle, t1.splitting
+    values = [*b.rho, b.algebra, b, s, endomorphism_algebra(s.m0, EXACT)]
+    assert len(set(values)) == len(values) and b.rho[0] != b.rho[1]
+    copy = dataclasses.replace(b.rho[1])
+    assert copy != b.rho[1] and copy.equals(b.rho[1])
+
+
 def test_validate_catches_broken_q():
     v = GradedVectorSpace.make({0: 1, 1: 1, 2: 1}, {0: ["e1"], 1: ["f"], 2: ["g"]})
     q = GradedMap.build(v, v, 1, {

@@ -15,7 +15,6 @@ from homotrace.glinalg import (
     GradedMap,
     GradedVectorSpace,
     compose,
-    exact_nullspace,
     float_rank,
     max_abs,
     nullspace_and_pivots,
@@ -95,14 +94,13 @@ def test_nullspace_t1_degree0():
     null, pivots = nullspace_and_pivots(matrix_from_rows([[1, 0]], EXACT))
     assert list(null.ravel()) == [0, 1]
     assert pivots == [0]
-    assert (exact_nullspace(matrix_from_rows([[1, 0]], EXACT)) == null).all()
 
 
 def test_nullspace_zero_and_identity():
-    assert exact_nullspace(zeros_matrix(3, 3, EXACT)).shape == (3, 3)
-    assert exact_nullspace(zeros_matrix(0, 3, EXACT)).shape == (3, 3)
-    assert exact_nullspace(matrix_from_rows(
-        [[1, 0, 0], [0, 1, 0], [0, 0, 1]], EXACT)).shape == (3, 0)
+    assert nullspace_and_pivots(zeros_matrix(3, 3, EXACT))[0].shape == (3, 3)
+    assert nullspace_and_pivots(zeros_matrix(0, 3, EXACT))[0].shape == (3, 3)
+    assert nullspace_and_pivots(matrix_from_rows(
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]], EXACT))[0].shape == (3, 0)
 
 
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 9999))

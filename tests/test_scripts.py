@@ -18,6 +18,8 @@ def test_script_runs(script):
         [sys.executable, f"scripts/{script}"], cwd=ROOT,
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    if script == "splitting_experiments.py":
+        assert "closed-chain space: dimension 71 inside 85" in done.stdout
 
 
 @pytest.mark.parametrize("workload",

@@ -15,8 +15,9 @@ from homotrace.dgcore import (
 )
 from homotrace.errors import ShapeError
 from homotrace.glinalg import (GradedMap, GradedVectorSpace, compose,
-                               supercommutator, zeros_matrix)
-from homotrace.hochschild import HochschildChain, hochschild_boundary, push_chain
+                               supercommutator)
+from homotrace.hochschild import (HochschildChain, cycle_basis,
+                                  hochschild_boundary, push_chain)
 from homotrace.instances import (matrix_instance, random_instance,
                                  t1_instance, to_float_instance)
 from homotrace.scalars import EXACT
@@ -247,40 +248,42 @@ def test_commutator_of_closed_operators_traces_to_zero(t1, t1_morphism):
 
 
 def test_homotopy_independence_on_closed_chains(t1):
-    from homotrace.glinalg import exact_nullspace
-
     alg = t1.bundle.algebra
     v, q = t1.bundle.space, t1.bundle.q
     splittings = [t1.splitting] + [
         build_splitting_projector(v, q, shear_seed=i) for i in (1, 2)]
     morphisms = [transferred_morphism(t1.bundle, s) for s in splittings]
-    basis_tuples = [
-        flats for k in (1, 2) for flats in
-        itertools.product(range(alg.n_basis), repeat=k)
-        if sum(alg.basis_degree(x) for x in flats) == k - 1]
-    rows, cols = {}, []
-    for t in basis_tuples:
-        img = hochschild_boundary(HochschildChain.of(alg, t))
-        cols.append(img)
-        for tt in img.terms:
-            rows.setdefault(tt, len(rows))
-    m = zeros_matrix(len(rows), len(basis_tuples), EXACT)
-    for j, img in enumerate(cols):
-        for tt, val in img.terms.items():
-            m[rows[tt], j] = val
-    null = exact_nullspace(m)
+    basis = cycle_basis(alg, 2)
     rng = random.Random(3)
     for _ in range(20):
-        chain = HochschildChain.zero(alg)
-        for j in range(null.shape[1]):
-            cj = Fraction(rng.randint(-2, 2))
-            if not cj:
-                continue
-            for i, t in enumerate(basis_tuples):
-                if null[i, j]:
-                    chain.add_term(t, cj * null[i, j])
+        chain = sum((z.scale(rng.randint(-2, 2)) for z in basis),
+                    HochschildChain.zero(alg))
         vals = {str(transferred_trace(chain, f)) for f in morphisms}
         assert len(vals) == 1
+
+
+@pytest.mark.parametrize("name, max_len, cycles, nonzero", [
+    ("T1", 3, 71, 6), ("r7", 3, 55, 6), ("m32", 2, 131, 9)])
+def test_transferred_trace_is_the_module_supertrace_on_cycles(
+        name, max_len, cycles, nonzero):
+    """On every Hochschild cycle z of ``cycle_basis``, the transferred trace
+    is sum c_w str rho(w) over the length-1 terms c_w w of z, exactly: the
+    supertrace on M itself, which needs no splitting."""
+    inst = (random_instance(7, {0: 2, 1: 2}) if name == "r7"
+            else _INSTANCES[name]())
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    basis = cycle_basis(inst.bundle.algebra, max_len)
+    assert all(hochschild_boundary(z).is_zero() for z in basis)
+    traces = [transferred_trace(z, f) for z in basis]
+    assert traces == [
+        sum(c * inst.bundle.rho[w[0]].supertrace()
+            for w, c in z.terms.items() if len(w) == 1) for z in basis]
+    assert (len(basis), sum(1 for t in traces if t)) == (cycles, nonzero)
+
+
+def test_cycle_basis_needs_an_exact_algebra(t1):
+    with pytest.raises(ShapeError):
+        cycle_basis(to_float_instance(t1).bundle.algebra, 1)
 
 
 def test_cyclic_trace_level_zero_is_canonical(t1, t1_morphism):

@@ -366,18 +366,20 @@ def test_on_basis_miss_with_stored_prefix_is_one_compose(monkeypatch):
 
 
 def test_zero_words_and_components_share_one_map_per_degree():
-    """The words and components that a zero prefix word makes zero without
-    a compose are, per degree, one map for the words (on the module) and
-    one for the components (on M0)."""
+    """Every zero word and component, whether a zero prefix word makes it
+    zero without a compose or its compose cancels, is per degree one map
+    for the words (on the module) and one for the components (on M0)."""
     inst = random_instance(11, {0: 2, 1: 3, 2: 2})
     f = transferred_morphism(inst.bundle, inst.splitting)
     n = inst.bundle.algebra.n_basis
-    words = [w for k in (2, 3) for w in itertools.product(range(n), repeat=k)]
+    words = [w for k in (1, 2, 3)
+             for w in itertools.product(range(n), repeat=k)]
     comps = {w: f.on_basis(w) for w in words}
     for maps, space in ((comps, inst.splitting.m0),
                         (f._words, inst.bundle.space)):
-        zeros = [m for w, m in maps.items()
-                 if len(w) > 1 and not f._word(w[:-1]).blocks]
+        zeros = [m for m in maps.values() if not m.blocks]
+        assert any(f._word(w[:-1]).blocks for w, m in maps.items()
+                   if len(w) > 1 and not m.blocks)
         assert zeros and len({id(m) for m in zeros}) == len(
             {m.degree for m in zeros})
         assert all(not m.blocks and m.source.dims == space.dims
