@@ -7,14 +7,13 @@ resulting traces.  Closed chains agree across splittings; non-closed chains
 are expected to (and do) disagree.
 """
 
-import itertools
 import random
 import sys
 
 sys.path.insert(0, "src")
 
 from homotrace.dgcore import build_splitting_projector
-from homotrace.hochschild import HochschildChain, cycle_basis
+from homotrace.hochschild import HochschildChain, cycle_basis, trace_words
 from homotrace.instances import t1_instance
 from homotrace.traces import transferred_trace
 from homotrace.transfer import transferred_morphism
@@ -32,11 +31,9 @@ def main():
                  for name, s in splittings]
 
     basis = cycle_basis(alg, 3)
-    tuples = [w for k in (1, 2, 3)
-              for w in itertools.product(range(alg.n_basis), repeat=k)
-              if sum(alg.basis_degree(b) for b in w) == k - 1]
     print(f"closed-chain space: dimension {len(basis)} "
-          f"inside {len(tuples)} degree-0 tuples (lengths <= 3)\n")
+          f"inside {len(trace_words(alg, 3))} degree-0 tuples "
+          "(lengths <= 3)\n")
 
     rng = random.Random(0)
     header = f"{'chain':>10} " + " ".join(f"{name:>10}" for name, _ in morphisms)

@@ -19,7 +19,7 @@ import numpy as np
 
 from homotrace.dgcore import build_splitting_hodge, build_splitting_projector
 from homotrace.errors import HomotraceError, InputError, QuadratureBudgetError
-from homotrace.glinalg import AMBIGUITY_BAND
+from homotrace.glinalg import AMBIGUITY_BAND, max_abs
 from homotrace.hochschild import HochschildChain, chain_map_defect
 from homotrace.instances import (
     Instance,
@@ -117,103 +117,94 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _verify_checks(inst: Instance, args) -> list[dict]:
-    tol = session_tol(inst.mode, args.tolerance)
-    rng = random.Random(args.seed)
-    checks: list[dict] = []
+def _within(value, bound) -> bool:
+    """The pass rule of every sampled check: exactly zero in exact mode
+    (``bound`` None), else a magnitude at most ``bound``, so NaN fails."""
+    return not value if bound is None else abs(complex(value)) <= bound
 
+
+def _quadrature_error(inst: Instance, tup: tuple[int, ...], band: float,
+                      budget: int) -> float:
+    """The distance of the quadrature component of ``tup`` from its closed
+    form, relative to 1 + the closed form's largest entry."""
+    closed = transfer_closed(tup, inst.splitting, inst.bundle)
+    quad, _ = transfer_quadrature(tup, inst.splitting, inst.bundle,
+                                  rel_tol=band, budget=budget)
+    return (quad - closed).max_abs() / (1.0 + closed.max_abs())
+
+
+def _verify_checks(inst: Instance, args) -> list[dict]:
+    """The load's validation, then checks on words drawn from one ``rng``:
+    lists keep every draw and evaluation whatever an earlier sample gave."""
+    tol = session_tol(inst.mode, args.tolerance)
+    band = None if tol is None else AMBIGUITY_BAND * tol
+    rng = random.Random(args.seed)
     rep, srep = inst.validation
-    for c in rep.checks:
-        checks.append({"name": f"dg/{c.name}", "passed": c.passed,
-                       "detail": c.witness or ""})
-    for c in srep.checks:
-        checks.append({"name": f"splitting/{c.name}", "passed": c.passed,
-                       "detail": ""})
+    checks = [{"name": f"dg/{c.name}", "passed": c.passed,
+               "detail": c.witness or ""} for c in rep.checks]
+    checks += [{"name": f"splitting/{c.name}", "passed": c.passed,
+                "detail": ""} for c in srep.checks]
 
     f = transferred_morphism(inst.bundle, inst.splitting)
     alg = inst.bundle.algebra
     n = alg.n_basis
-    worst = 0.0
-    ok = True
-    for k in range(1, args.max_arity + 1):
-        count = min(25, n ** k)
-        for _ in range(count):
-            tup = [rng.randrange(n) for _ in range(k)]
-            defect = ainfinity_defect(f, tup)
-            if tol is None:
-                ok = ok and defect.is_zero()
-            else:
-                worst = max(worst, defect.max_abs())
-    if tol is not None:
-        ok = worst <= AMBIGUITY_BAND * tol
-    checks.append({"name": f"ainfinity/defects-k<= {args.max_arity}",
-                   "passed": ok,
-                   "detail": "" if tol is None else f"max {worst:.3e}"})
 
-    ok = True
+    def word(k: int) -> tuple[int, ...]:
+        return tuple(rng.randrange(n) for _ in range(k))
+
+    defects = [ainfinity_defect(f, word(k))
+               for k in range(1, args.max_arity + 1)
+               for _ in range(min(25, n ** k))]
+    if tol is None:
+        ok, detail = all(d.is_zero() for d in defects), ""
+    else:
+        worst = max_abs(np.array([d.max_abs() for d in defects]))
+        ok, detail = _within(worst, band), f"max {worst:.3e}"
+    checks.append({"name": f"ainfinity/defects-k<= {args.max_arity}",
+                   "passed": ok, "detail": detail})
+
     max_len = 4 if inst.mode == EXACT else 3
-    for _ in range(12):
-        k = rng.randint(1, max_len)
-        flats = tuple(rng.randrange(n) for _ in range(k))
-        repc = chain_map_defect(HochschildChain.of(alg, flats), f, tol)
-        ok = ok and repc.passed
+    chains = [HochschildChain.of(alg, word(rng.randint(1, max_len)))
+              for _ in range(12)]
+    ok = all([chain_map_defect(z, f, tol).passed for z in chains])
     checks.append({"name": "hochschild/chain-map", "passed": ok, "detail": ""})
 
-    ok = True
-    tested = 0
+    boundaries = []
     for _ in range(4000):
         k = rng.randint(2, 4)
-        flats = tuple(rng.randrange(n) for _ in range(k))
-        if sum(alg.basis_degree(x) for x in flats) != k - 2:
-            continue
-        val = trace_defect(HochschildChain.of(alg, flats), f)
-        if tol is None:
-            ok = ok and not val
-        else:
-            ok = ok and abs(complex(val)) <= AMBIGUITY_BAND * tol
-        tested += 1
-        if tested >= 50:
-            break
+        w = word(k)
+        if sum(alg.basis_degree(b) for b in w) == k - 2:
+            boundaries.append(w)
+            if len(boundaries) == 50:
+                break
+    ok = all([_within(trace_defect(HochschildChain.of(alg, w), f), band)
+              for w in boundaries])
     checks.append({"name": "traces/boundary-vanishing", "passed": ok,
-                   "detail": f"{tested} samples"})
+                   "detail": f"{len(boundaries)} samples"})
 
     # the oracle reads cohomology through a splitting of its own
     space, q = inst.bundle.space, inst.bundle.q
     other = (build_splitting_projector(space, q, shear_seed=1) if tol is None
              else build_splitting_hodge(space, q, {d: np.diag(np.arange(
                  1.0, dim + 1)) for d, dim in space.dims}, tol))
-    ok = True
-    for k in range(n):
-        if alg.basis_degree(k) != 0 or alg.differential_terms[k]:
-            continue
-        ups = transferred_trace(HochschildChain.of(alg, (k,)), f)
-        ind = supertrace_on_cohomology(inst.bundle.rho[k], other)
-        ok = ok and (ups == ind if tol is None else abs(
-            complex(ups) - complex(ind)) <= AMBIGUITY_BAND * tol)
+    ok = all([_within(transferred_trace(HochschildChain.of(alg, (k,)), f)
+                      - supertrace_on_cohomology(inst.bundle.rho[k], other),
+                      band)
+              for k in range(n)
+              if alg.basis_degree(k) == 0 and not alg.differential_terms[k]])
     checks.append({"name": "traces/cohomology-oracle", "passed": ok,
                    "detail": ""})
 
     if inst.mode == FLOAT:
-        ok = True
-        detail = ""
-        band = AMBIGUITY_BAND * tol
         try:
-            for k in (2, 3):
-                for _ in range(2):
-                    tup = [rng.randrange(n) for _ in range(k)]
-                    closed = transfer_closed(tup, inst.splitting, inst.bundle)
-                    quad, est = transfer_quadrature(
-                        tup, inst.splitting, inst.bundle,
-                        rel_tol=band, budget=args.quad_budget)
-                    rel = (quad - closed).max_abs() / (1.0 + closed.max_abs())
-                    if rel > band:
-                        ok = False
-                        detail = f"relative error {rel:.3e}"
+            failures = [f"relative error {rel:.3e}" for rel in [
+                _quadrature_error(inst, word(k), band, args.quad_budget)
+                for k in (2, 2, 3, 3)] if not _within(rel, band)]
         except QuadratureBudgetError as exc:
-            ok = False
-            detail = str(exc)
+            failures = [str(exc)]
         checks.append({"name": "quadrature/agrees-with-closed-form",
-                       "passed": ok, "detail": detail})
+                       "passed": not failures,
+                       "detail": failures[-1] if failures else ""})
     return checks
 
 
@@ -242,6 +233,7 @@ def cmd_trace(args) -> int:
     if method == "quadrature" and inst.mode == EXACT:
         raise InputError("quadrature evaluation needs a float instance")
     f = transferred_morphism(inst.bundle, inst.splitting, method=method,
+                             rel_tol=AMBIGUITY_BAND * args.tolerance,
                              budget=args.quad_budget)
     results = []
     for name, chain in chains:

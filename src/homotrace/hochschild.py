@@ -25,7 +25,7 @@ ungraded textbook signs and descends to the cyclic quotient, and that the
 push-forward is a chain map on every basis chain of length <= 3 of several
 random instances, including ones whose cohomology has odd components.
 ``cycle_basis`` builds the cycles a trace reads: one per column of the exact
-kernel of the boundary on the basis words b_1 ... b_k of degree k - 1.
+kernel of the boundary on the words of degree k - 1 (``trace_words``).
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 
+import numpy as np
+
 from homotrace.dgcore import DgAlgebra
 from homotrace.errors import ShapeError
-from homotrace.glinalg import nullspace_and_pivots, zeros_matrix
+from homotrace.glinalg import max_abs, nullspace_and_pivots, zeros_matrix
 from homotrace.scalars import EXACT, one_scalar, session_tol, times_sign
 from homotrace.transfer import AInfinityMorphism
 
@@ -86,7 +88,7 @@ class HochschildChain:
                                {t: v * c for t, v in self.terms.items()})
 
     def max_coeff(self) -> float:
-        return max((abs(complex(c)) for c in self.terms.values()), default=0.0)
+        return max_abs(np.array(list(self.terms.values()), dtype=object))
 
     def is_zero(self, tol: float | None = None) -> bool:
         if tol is None:
@@ -143,16 +145,21 @@ def hochschild_boundary(chain: HochschildChain) -> HochschildChain:
     return out
 
 
+def trace_words(algebra: DgAlgebra, max_len: int) -> list[tuple[int, ...]]:
+    """The basis words a trace reads: length k <= max_len and degree k - 1,
+    by length and then in ``itertools.product`` order."""
+    return [w for k in range(1, max_len + 1)
+            for w in itertools.product(range(algebra.n_basis), repeat=k)
+            if sum(algebra.basis_degree(b) for b in w) == k - 1]
+
+
 def cycle_basis(algebra: DgAlgebra, max_len: int) -> list[HochschildChain]:
     """One exact cycle per column of ``nullspace_and_pivots`` of the
-    boundary matrix, whose columns are the words of length k <= max_len and
-    degree k - 1, by length and then in ``itertools.product`` order, and
-    whose rows are their boundaries' words in order of first appearance."""
+    boundary matrix, whose columns are the ``trace_words`` and whose rows
+    are their boundaries' words in order of first appearance."""
     if algebra.mode != EXACT:
         raise ShapeError("cycle_basis needs an exact algebra")
-    words = [w for k in range(1, max_len + 1)
-             for w in itertools.product(range(algebra.n_basis), repeat=k)
-             if sum(algebra.basis_degree(b) for b in w) == k - 1]
+    words = trace_words(algebra, max_len)
     images = [hochschild_boundary(HochschildChain.of(algebra, w)).terms
               for w in words]
     rows = {t: i for i, t in enumerate(dict.fromkeys(

@@ -9,8 +9,7 @@ zero, while the value on the identity triple equals that same weight sum
 times the Euler characteristic.  Both cannot hold at once; the frozen
 normalization keeps the boundary property on evenly graded spaces and the
 consistency identity 8b, and evaluates the identity triple to 3 (the
-cyclic-orbit count) times the Euler characteristic.  See
-/root/notes/decisions.md for the full analysis.
+cyclic-orbit count) times the Euler characteristic.
 """
 
 import json

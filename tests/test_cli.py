@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import random
 import re
 import struct
@@ -16,14 +17,15 @@ from homotrace import cli, dgcore, hochschild, traces
 from homotrace.cli import _verify_checks, build_parser, main
 from homotrace.dgcore import validate_bundle
 from homotrace.errors import InputError
-from homotrace.glinalg import AMBIGUITY_BAND
+from homotrace.glinalg import AMBIGUITY_BAND, GradedMap
+from homotrace.hochschild import HochschildChain
 from homotrace.instances import (matrix_instance, random_instance,
                                  t1_instance, to_float_instance,
                                  torus_instance)
 from homotrace.scalars import DEFAULT_TOL, FLOAT, decode_value, times_sign
 from homotrace.serialize import (instance_from_dict, instance_to_dict,
                                  save_instance)
-from homotrace.transfer import transfer_closed
+from homotrace.transfer import ainfinity_defect, transfer_closed
 from oracles import float_cast
 from oracles import t1_gaussian_dict as _t1_gaussian_dict
 
@@ -797,6 +799,90 @@ def test_verify_quadrature_check_compares_at_the_band(monkeypatch, off,
     checks = {c["name"]: c["passed"] for c in _verify_checks(inst, args)}
     assert any(nonzero)
     assert checks["quadrature/agrees-with-closed-form"] is passed
+
+
+def _r7f_failures(tmp_path, capsys) -> tuple[int, list[str]]:
+    """The exit code and the FAIL lines of ``verify --max-arity 2`` on the
+    float copy of random seed 7, whose checks all pass unpatched."""
+    ipath = str(tmp_path / "r7f.json")
+    save_instance(to_float_instance(random_instance(7, {0: 2, 1: 2})), ipath)
+    capsys.readouterr()
+    rc = run(["verify", "--instance", ipath, "--max-arity", "2"])
+    return rc, [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("FAIL ")]
+
+
+def _nan_like(m: GradedMap) -> GradedMap:
+    """A float map with the source, target and degree of ``m``, every entry
+    NaN."""
+    return GradedMap.build(m.source, m.target, m.degree, {
+        d: np.full((m.target.dim(d + m.degree), n), np.nan, complex)
+        for d, n in m.source.dims}, FLOAT)
+
+
+def test_verify_fails_a_nan_ainfinity_defect(tmp_path, capsys, monkeypatch):
+    """One all-NaN defect among the sampled ones fails the A-infinity check
+    and is its reported maximum: NaN is within no bound."""
+    calls = []
+
+    def defect(f, word):
+        calls.append(word)
+        got = ainfinity_defect(f, word)
+        return (GradedMap.identity(f.m0, FLOAT).scale(math.nan)
+                if len(calls) == 1 else got)
+
+    monkeypatch.setattr(cli, "ainfinity_defect", defect)
+    assert _r7f_failures(tmp_path, capsys) == (
+        1, ["FAIL  ainfinity/defects-k<= 2  [max nan]"])
+
+
+def test_verify_fails_nan_quadrature_values(tmp_path, capsys, monkeypatch):
+    """Quadrature values that are all NaN fail the comparison with the
+    closed form, with a NaN relative error."""
+    shaped = []
+
+    def quadrature(tup, splitting, bundle, **kwargs):
+        got = _nan_like(transfer_closed(tup, splitting, bundle))
+        shaped.append(bool(got.blocks))
+        return got, 0.0
+
+    monkeypatch.setattr(cli, "transfer_quadrature", quadrature)
+    assert _r7f_failures(tmp_path, capsys) == (1, [
+        "FAIL  quadrature/agrees-with-closed-form  [relative error nan]"])
+    assert any(shaped)
+
+
+def test_verify_fails_a_nan_chain_map_defect(tmp_path, capsys, monkeypatch):
+    """A push-forward that gives a tiny term and then a NaN one, on words
+    whose boundary is zero in End(H), leaves the defect -1e-12 and NaN in
+    that order; the chain-map check fails on the NaN that comes second."""
+    def pushed(chain, f):
+        return HochschildChain(f.target.algebra,
+                               {(1,): 1e-12 + 0j, (2,): complex(math.nan)})
+
+    monkeypatch.setattr(hochschild, "push_chain", pushed)
+    assert _r7f_failures(tmp_path, capsys) == (
+        1, ["FAIL  hochschild/chain-map"])
+
+
+def test_trace_tolerance_reaches_the_quadrature(tmp_path, capsys):
+    """``trace --tolerance`` sets the quadrature's relative tolerance to
+    AMBIGUITY_BAND * tol, as in ``verify``: on the float copy of random
+    seed 11, a tighter tolerance refines the integration, so every chain's
+    error estimate falls."""
+    inst = to_float_instance(random_instance(11, {0: 2, 1: 3, 2: 2}))
+    ipath, cpath = str(tmp_path / "r11f.json"), tmp_path / "c.json"
+    save_instance(inst, ipath)
+    cpath.write_text(json.dumps(_digest_chains(inst)))
+    errors = []
+    for tol in (DEFAULT_TOL, 1e-11):
+        capsys.readouterr()
+        assert run(["trace", "--instance", ipath, "--chain", str(cpath),
+                    "--method", "quadrature", "--tolerance", str(tol),
+                    "--output", "json"]) == 0
+        errors.append([r["error"] for r in json.loads(
+            capsys.readouterr().out)["results"]])
+    assert all(0 < tight < loose for loose, tight in zip(*errors))
 
 
 @pytest.mark.parametrize("where", ["operator", "module", "element"])

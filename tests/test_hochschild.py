@@ -2,6 +2,7 @@
 transferred push-forward as a chain map."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -374,3 +375,14 @@ def test_float_chain_map_defect_reads_tol_none_as_the_session_tolerance():
         assert rep.passed and rep.max_coeff <= DEFAULT_TOL, flats
         rounded += rep.max_coeff > 0
     assert rounded > 0
+
+
+@pytest.mark.parametrize("terms", [
+    {(0,): 1e-12, (1,): math.nan}, {(1,): math.nan, (0,): 1e-12}],
+    ids=["nan-last", "nan-first"])
+def test_a_nan_coefficient_is_never_zero(t1, terms):
+    """The largest coefficient of a chain with a NaN is NaN, whatever the
+    order of its terms, so the chain is not zero at any tolerance."""
+    chain = HochschildChain(to_float_instance(t1).bundle.algebra, terms)
+    assert math.isnan(chain.max_coeff())
+    assert not chain.is_zero(1e-10)
