@@ -29,8 +29,7 @@ from homotrace.instances import (
     to_float_instance,
     torus_instance,
 )
-from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, encode_value,
-                               session_tol)
+from homotrace.scalars import EXACT, FLOAT, encode_value, session_tol
 from homotrace.serialize import load_chains, load_instance, save_instance
 from homotrace.traces import (
     supertrace_on_cohomology,
@@ -95,8 +94,6 @@ def cmd_gen(args) -> int:
             raise InputError(f"unknown preset {args.preset!r}")
         else:
             inst = matrix_instance(_parse_dims(args.dims))
-        if args.mode == FLOAT:
-            inst = to_float_instance(inst, args.tolerance)
     elif args.kind == "torus":
         inst = torus_instance(args.N, _parse_tau(args.tau),
                               order_cap=args.order_cap, tol=args.tolerance)
@@ -104,10 +101,10 @@ def cmd_gen(args) -> int:
         if args.dims is None:
             raise InputError("random instances need --dims")
         inst = random_instance(args.seed, _parse_dims(args.dims))
-        if args.mode == FLOAT:
-            inst = to_float_instance(inst, args.tolerance)
     else:
         raise InputError(f"unknown kind {args.kind!r}")
+    if args.mode == FLOAT:     # a torus instance is float already
+        inst = to_float_instance(inst, args.tolerance)
     save_instance(inst, args.out)
     if args.output == "json":
         print(json.dumps({"written": args.out, "kind": args.kind,
@@ -233,7 +230,8 @@ def cmd_trace(args) -> int:
     if method == "quadrature" and inst.mode == EXACT:
         raise InputError("quadrature evaluation needs a float instance")
     f = transferred_morphism(inst.bundle, inst.splitting, method=method,
-                             rel_tol=AMBIGUITY_BAND * args.tolerance,
+                             rel_tol=AMBIGUITY_BAND * session_tol(
+                                 FLOAT, args.tolerance),
                              budget=args.quad_budget)
     results = []
     for name, chain in chains:
@@ -280,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--tau", default="0,1", help="torus modulus re,im (rationals)")
     g.add_argument("--order-cap", type=int, default=2)
     g.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
-    g.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOL)
+    g.add_argument("--tolerance", type=_positive_float, default=None)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", "-o", required=True)
     g.add_argument("--output", choices=["text", "json"], default="text")
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run every identity check on an instance")
     v.add_argument("--instance", required=True)
-    v.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOL)
+    v.add_argument("--tolerance", type=_positive_float, default=None)
     v.add_argument("--max-arity", type=_int_from(1), default=4)
     v.add_argument("--quad-budget", type=_int_from(1), default=10 ** 6)
     v.add_argument("--seed", type=int, default=0)
@@ -302,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="LEVEL")
     t.add_argument("--method", choices=["closed", "quadrature"],
                    default="closed")
-    t.add_argument("--tolerance", type=_positive_float, default=DEFAULT_TOL)
+    t.add_argument("--tolerance", type=_positive_float, default=None)
     t.add_argument("--quad-budget", type=_int_from(1), default=10 ** 6)
     t.add_argument("--output", choices=["text", "json"], default="text")
     t.set_defaults(func=cmd_trace)

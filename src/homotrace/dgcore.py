@@ -61,8 +61,8 @@ from homotrace.glinalg import (
     supercommutator,
     zeros_matrix,
 )
-from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, one_scalar,
-                               session_tol, times_sign)
+from homotrace.scalars import (EXACT, FLOAT, one_scalar, session_tol,
+                               times_sign)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +194,7 @@ def _scaled(values: np.ndarray, mode: str) -> tuple:
 
 def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
                            maps: list[GradedMap], names: list[str], mode: str,
-                           tol: float = DEFAULT_TOL) -> DgModuleBundle:
+                           tol: float | None = None) -> DgModuleBundle:
     """The bundle of the dg algebra whose basis is the given homogeneous
     operators on (space, q), with rho those operators ordered by (degree,
     input order).
@@ -208,8 +208,9 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     (products in row-major order, the identity, each {Q, op}), nonzero
     (exact) or above AMBIGUITY_BAND * tol (float), raises ClosureError
     naming it.  Linearly dependent operators raise InputError (in float,
-    ``tol`` decides the rank).
+    ``tol`` decides the rank; None is the session tolerance).
     """
+    tol = session_tol(mode, tol)
     order = sorted(range(len(maps)), key=lambda k: maps[k].degree)
     rho = tuple(maps[k] for k in order)
     rho_names = [names[k] for k in order]
@@ -219,7 +220,7 @@ def algebra_from_operators(space: GradedVectorSpace, q: GradedMap,
     bundle = DgModuleBundle(algebra, space, q, rho, mode)
     vars(bundle)["_view"] = view             # lent to the residuals once
     bad = _first_failure(bundle.residuals,
-                         None if mode == EXACT else AMBIGUITY_BAND * tol)
+                         None if tol is None else AMBIGUITY_BAND * tol)
     if bad is not None:
         raise _escaped(bad, rho_names)
     return bundle
@@ -725,14 +726,15 @@ def _small_int_matrix(rng: random.Random, rows: int, cols: int) -> np.ndarray:
 
 def build_splitting_hodge(space: GradedVectorSpace, q: GradedMap,
                           inner_product: dict[int, np.ndarray] | None = None,
-                          tol: float = DEFAULT_TOL) -> Splitting:
+                          tol: float | None = None) -> Splitting:
     """Splitting from Hodge theory, in laplacian kind: kappa is the adjoint
     of Q and the spectrum is the eigendecomposition of the Laplacian
     {Q, kappa}; the harmonic part and the Green-normalized homotopy are
-    read off it (``Splitting``).  A Laplacian outside the double range
-    raises InputError."""
+    read off it (``Splitting``), eigenvalues up to ``tol`` as zero.  A
+    Laplacian outside the double range raises InputError."""
     if q.mode != FLOAT:
         raise ShapeError("Hodge splitting is float-mode only")
+    tol = session_tol(FLOAT, tol)
     degrees = space.degrees()
     chol: dict[int, np.ndarray] = {}
     for d in degrees:

@@ -51,7 +51,7 @@ from homotrace.glinalg import (
     invert_exact,
     zeros_matrix,
 )
-from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, one_scalar
+from homotrace.scalars import EXACT, FLOAT, one_scalar, session_tol
 
 MAX_TOTAL_DIM = 64
 MAX_RANDOM_DIM = 12
@@ -118,24 +118,23 @@ def map_from_triplets(space: GradedVectorSpace, degree: int, trips,
 
 def build_instance(space: GradedVectorSpace, q: GradedMap,
                    operators: list[GradedMap], names: list[str], mode: str,
-                   tol: float, elements: list, meta: dict,
-                   shear_seed: int | None = None) -> Instance:
+                   tol: float | None, elements: list, meta: dict) -> Instance:
     """The instance of the algebra that the named operators on (space, Q)
-    span, with the projector splitting (sheared by ``shear_seed``) in
-    exact mode and the Hodge one in float: the one way an ``Instance`` is
-    built.  ``elements`` lists (name, degree, [(operator name, value),
-    ...]).  A zero-dimensional module, a repeated name or a coordinate of
-    another degree than its element's is an InputError; failed axiom or
-    splitting checks are a ShapeError naming them."""
+    span, with the projector splitting in exact mode and the Hodge one in
+    float at ``tol`` (None: the session tolerance): the one way an
+    ``Instance`` is built.  ``elements`` lists (name, degree, [(operator
+    name, value), ...]).  A zero-dimensional module, a repeated name or a
+    coordinate of another degree than its element's is an InputError;
+    failed axiom or splitting checks are a ShapeError naming them."""
     if not space.dims:
         raise InputError("the module is zero-dimensional")
-    check_tol = None if mode == EXACT else tol
-    if not compose(q, q).is_zero(check_tol):
+    tol = session_tol(mode, tol)
+    if not compose(q, q).is_zero(tol):
         raise InputError("Q-squared: differential does not square to zero")
     _distinct(names, "operator name {!r} is declared twice")
     bundle = algebra_from_operators(space, q, operators, names, mode, tol)
-    splitting = (build_splitting_projector(space, q, shear_seed)
-                 if mode == EXACT else build_splitting_hodge(space, q, tol=tol))
+    splitting = (build_splitting_projector(space, q) if mode == EXACT
+                 else build_splitting_hodge(space, q, tol=tol))
     algebra = bundle.algebra
     _distinct([name for name, _, _ in elements],
               "element {!r} is declared twice")
@@ -154,8 +153,8 @@ def build_instance(space: GradedVectorSpace, q: GradedMap,
                     f"{op!r} has degree {algebra.basis_degree(k)}")
             vec[k] = value
         named[name] = (degree, vec)
-    rep = validate_bundle(bundle, check_tol)
-    srep = check_splitting(space, q, splitting, check_tol)
+    rep = validate_bundle(bundle, tol)
+    srep = check_splitting(space, q, splitting, tol)
     for what, report in (("instance", rep), ("splitting", srep)):
         if not report.ok:
             raise ShapeError(f"generated {what} fails validation: " + ", ".join(
@@ -166,8 +165,7 @@ def build_instance(space: GradedVectorSpace, q: GradedMap,
 
 def matrix_instance(dims: dict[int, int],
                     q_entries: list[tuple[str, str, object]] | None = None,
-                    labels: dict[int, list[str]] | None = None,
-                    shear_seed: int | None = None) -> Instance:
+                    labels: dict[int, list[str]] | None = None) -> Instance:
     """End(M) acting on the complex M with the given differential entries."""
     total = sum(dims.values())
     if total > 8:
@@ -179,25 +177,24 @@ def matrix_instance(dims: dict[int, int],
     entries, maps, names = matrix_units(space, EXACT)
     identity = [(name, Fraction(1)) for (sd, i, td, j), name
                 in zip(entries, names) if (sd, i) == (td, j)]
-    return build_instance(space, q, maps, names, EXACT, DEFAULT_TOL,
+    return build_instance(space, q, maps, names, EXACT, None,
                           [("Id", 0, identity)],
-                          {"kind": "matrix", "dims": dict(dims)}, shear_seed)
+                          {"kind": "matrix", "dims": dict(dims)})
 
 
-def t1_instance(shear_seed: int | None = None) -> Instance:
+def t1_instance() -> Instance:
     """The canonical 3-dimensional example: e1, e2 in degree 0, f in degree 1,
     Q e1 = f."""
     inst = matrix_instance({0: 2, 1: 1},
                            q_entries=[("e1", "f", Fraction(1))],
-                           labels={0: ["e1", "e2"], 1: ["f"]},
-                           shear_seed=shear_seed)
+                           labels={0: ["e1", "e2"], 1: ["f"]})
     inst.meta["preset"] = "T1"
     return inst
 
 
 def torus_instance(truncation: int, tau: complex | tuple = 1j,
                    order_cap: int = DEFAULT_ORDER_CAP,
-                   tol: float = DEFAULT_TOL) -> Instance:
+                   tol: float | None = None) -> Instance:
     """Truncated Fourier model of the flat-torus del-bar complex.
 
     Modes phi_{m,n} with |m|,|n| <= truncation in degrees 0 and 1; the
@@ -206,7 +203,7 @@ def torus_instance(truncation: int, tau: complex | tuple = 1j,
     P(m,n) (the closure of the constant-coefficient operators, which act
     diagonally and preserve the truncation exactly), read off them by
     ``algebra_from_operators``.  Named elements give the constant-coefficient
-    derivative powers up to the order cap.
+    derivative powers up to the order cap.  Checks hold to ``tol``.
     """
     total = 2 * (2 * truncation + 1) ** 2
     if truncation < 1:
@@ -387,10 +384,10 @@ def _closure(space: GradedVectorSpace, q: GradedMap,
         for m in basis]
 
 
-def to_float_instance(instance: Instance, tol: float = DEFAULT_TOL) -> Instance:
-    """Float copy of an exact instance: its Q, operators and elements cast
-    to doubles and built again (``build_instance``), with the Hodge
-    (Laplacian) splitting."""
+def to_float_instance(instance: Instance, tol: float | None = None) -> Instance:
+    """Float copy of an exact instance (a float one as it is): its Q,
+    operators and elements cast to doubles and built again at ``tol``
+    (``build_instance``), with the Hodge (Laplacian) splitting."""
     bundle = instance.bundle
     if bundle.mode == FLOAT:
         return instance
@@ -449,7 +446,7 @@ def random_instance(seed: int, dims: dict[int, int]) -> Instance:
         count[m.degree] = i + 1
         names.append(f"b{m.degree}_{i}")
     # the closure's first operator, b0_0, is the identity
-    return build_instance(space, q, basis_maps, names, EXACT, DEFAULT_TOL,
+    return build_instance(space, q, basis_maps, names, EXACT, None,
                           [("Id", 0, [("b0_0", one_scalar(EXACT))])],
                           {"kind": "random", "seed": seed, "dims": dict(dims),
                            "algebra_dim": len(basis_maps)})

@@ -3,8 +3,9 @@
 Exact mode works over the rationals (``fractions.Fraction``) optionally
 extended by i (``GaussianRational``); float mode works over complex
 doubles.  Float comparisons always go through a single session tolerance
-(default ``DEFAULT_TOL``) passed down by the caller, never a per-call
-epsilon, resolved by the one rule ``session_tol``.
+passed down by the caller, never a per-call epsilon: a public entry takes
+``tol=None`` and resolves it where it enters, by the one rule
+``session_tol``, the only code that names the default ``DEFAULT_TOL``.
 """
 
 from __future__ import annotations

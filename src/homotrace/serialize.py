@@ -5,9 +5,9 @@ rationals as {"re", "im"} string pairs, floats as JSON numbers (repr
 round-trip), complex values as [re, im] pairs.  Files carry the operators
 only ("products" and "splitting" stay null).  Loading only parses: the
 instance is built as the generators build theirs
-(``instances.build_instance``), which derives the structure constants,
-unit and differential from the operators and fails if one escapes their
-span.
+(``instances.build_instance``, where a tolerance of None is the session
+one), which derives the structure constants, unit and differential from
+the operators and fails if one escapes their span.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from homotrace.glinalg import GradedMap, GradedVectorSpace
 from homotrace.hochschild import HochschildChain
 from homotrace.instances import Instance, build_instance, map_from_triplets
 from homotrace.scalars import (
-    DEFAULT_TOL,
     EXACT,
     FLOAT,
     decode_value,
@@ -120,7 +119,7 @@ def _name(name) -> str:
     return name
 
 
-def instance_from_dict(data: dict, tol: float = DEFAULT_TOL) -> Instance:
+def instance_from_dict(data: dict, tol: float | None = None) -> Instance:
     _check_format(data, INSTANCE_FORMAT, "an instance file")
     mode = data.get("scalar")
     if mode not in (EXACT, FLOAT):
@@ -151,7 +150,7 @@ def instance_from_dict(data: dict, tol: float = DEFAULT_TOL) -> Instance:
     return build_instance(space, q, maps, names, mode, tol, elements, meta)
 
 
-def load_instance(path: str, tol: float = DEFAULT_TOL) -> Instance:
+def load_instance(path: str, tol: float | None = None) -> Instance:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)

@@ -55,7 +55,7 @@ from homotrace.glinalg import (AMBIGUITY_BAND, GradedMap, GradedVectorSpace,
                                _any_nonzero, bar_signs, compose)
 from homotrace.quadrature import (DEFAULT_BUDGET, DEFAULT_ORDER, _cell_cost,
                                   integrate_interval)
-from homotrace.scalars import DEFAULT_TOL, FLOAT, one_scalar, zero_scalar
+from homotrace.scalars import FLOAT, one_scalar, session_tol, zero_scalar
 
 # ---------------------------------------------------------------------------
 # Inputs: a basis index or a Slot, read as (degree, nonzero terms)
@@ -260,21 +260,22 @@ def transfer_closed(inputs, splitting: Splitting,
 
 
 def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
-                        rel_tol: float = AMBIGUITY_BAND * DEFAULT_TOL,
+                        rel_tol: float | None = None,
                         order: int = DEFAULT_ORDER,
                         budget: int = DEFAULT_BUDGET
                         ) -> tuple[GradedMap, float]:
     """Transferred component by quadrature over the open gap cube: the
     word of ``transfer_closed``, eps applied to rho(a_1), integrated by
-    ``_quadrature``.  Returns (value, error estimate)."""
+    ``_quadrature`` to ``rel_tol``.  Returns (value, error estimate)."""
     elements = _elements(bundle, inputs)
     rhos = [_rho(bundle, x) for x in elements]
     rhos[0] = rhos[0].scale(_epsilon([d for d, _ in elements], FLOAT))
     return _quadrature(rhos[::-1], splitting, rel_tol, order, budget)
 
 
-def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
-                order: int, budget: int) -> tuple[GradedMap, float]:
+def _quadrature(rhos: list[GradedMap], splitting: Splitting,
+                rel_tol: float | None, order: int, budget: int
+                ) -> tuple[GradedMap, float]:
     """p rho_1 h ... h rho_k i, rhos in chain order, with each h replaced by
     the heat kernel L diag(e^(-t lam)) (R kappa) and integrated over the
     gaps t in (0, inf)^(k-1).  Each gap appears in one heat weight only, so
@@ -296,6 +297,8 @@ def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
     budget checks ``integrate_interval`` makes before its first
     evaluation.
     """
+    if rel_tol is None:
+        rel_tol = AMBIGUITY_BAND * session_tol(FLOAT, None)
     splitting = splitting.float_copy
     include, project = splitting.include, splitting.project
     if len(rhos) == 1:
@@ -351,18 +354,18 @@ def _quadrature(rhos: list[GradedMap], splitting: Splitting, rel_tol: float,
 class AInfinityMorphism:
     """Transferred components, evaluated on demand and cached per basis tuple.
 
-    ``method`` selects closed-form or quadrature evaluation.  Each cached
-    component keeps its quadrature error estimate under the same key (0 in
-    closed form), and ``reads`` collects the basis tuples ``on_basis``
-    returned, cached or not, until the caller clears it;
-    ``error_of(f.reads)`` is then the error carried by the values computed
-    since.
+    ``method`` selects closed-form or quadrature evaluation (``_quadrature``
+    at ``rel_tol``).  Each cached component keeps its quadrature error
+    estimate under the same key (0 in closed form), and ``reads`` collects
+    the basis tuples ``on_basis`` returned, cached or not, until the
+    caller clears it; ``error_of(f.reads)`` is then the error carried by
+    the values computed since.
     """
 
     bundle: DgModuleBundle
     splitting: Splitting
     method: str = "closed"
-    rel_tol: float = AMBIGUITY_BAND * DEFAULT_TOL
+    rel_tol: float | None = None
     budget: int = DEFAULT_BUDGET
     reads: set = field(default_factory=set, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
@@ -540,7 +543,7 @@ def _supertrace_of(prefix: GradedMap, tail: GradedMap):
 
 def transferred_morphism(bundle: DgModuleBundle, splitting: Splitting,
                          method: str = "closed",
-                         rel_tol: float = AMBIGUITY_BAND * DEFAULT_TOL,
+                         rel_tol: float | None = None,
                          budget: int = DEFAULT_BUDGET) -> AInfinityMorphism:
     return AInfinityMorphism(bundle=bundle, splitting=splitting, method=method,
                              rel_tol=rel_tol, budget=budget)

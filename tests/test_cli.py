@@ -54,8 +54,14 @@ def test_gen_verify_trace_t1(tmp_path, capsys):
 
 
 def test_gen_torus_and_trace_identity(tmp_path, capsys):
+    """The torus file is float already (``--mode float`` writes the same
+    file), and its identity and derivative trace to zero."""
     ipath = str(tmp_path / "torus.json")
     assert run(["gen", "--kind", "torus", "--N", "1", "-o", ipath]) == 0
+    fpath = tmp_path / "torus-float.json"
+    assert run(["gen", "--kind", "torus", "--N", "1", "--mode", "float",
+                "-o", str(fpath)]) == 0
+    assert fpath.read_bytes() == (tmp_path / "torus.json").read_bytes()
     capsys.readouterr()
     cpath = tmp_path / "chains.json"
     cpath.write_text(json.dumps({

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from homotrace import glinalg, instances
-from homotrace.dgcore import cohomology, euler_characteristic, validate_bundle
+from homotrace.dgcore import (algebra_from_operators, build_splitting_hodge,
+                              cohomology, euler_characteristic,
+                              validate_bundle)
 from homotrace.errors import CapError, InputError
 from homotrace.instances import (
     DEFAULT_CLOSURE_BOUND,
@@ -17,14 +19,17 @@ from homotrace.instances import (
     _random_generators,
     matrix_instance,
     random_instance,
+    t1_instance,
     to_float_instance,
     torus_element,
     torus_instance,
 )
-from homotrace.serialize import instance_to_dict
+from homotrace.scalars import FLOAT
+from homotrace.serialize import (instance_from_dict, instance_to_dict,
+                                 load_instance, save_instance)
 from homotrace.traces import transferred_trace
 from homotrace.hochschild import HochschildChain
-from homotrace.transfer import transferred_morphism
+from homotrace.transfer import transfer_quadrature, transferred_morphism
 from oracles import fraction_closure
 
 
@@ -140,6 +145,49 @@ def test_random_instance_file_is_unchanged(seed, dims, digest):
     text = json.dumps(instance_to_dict(random_instance(seed, dims)),
                       sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _same_spectrum(s, t) -> bool:
+    return s.spectrum.keys() == t.spectrum.keys() and all(
+        np.array_equal(x, y) for d in s.spectrum
+        for x, y in zip(s.spectrum[d], t.spectrum[d]))
+
+
+@pytest.mark.parametrize("name", ["T1f", "r7f", "torus1"])
+def test_float_entries_read_tol_none_as_the_session_tolerance(tmp_path,
+                                                              name):
+    """Every public float entry given tol=None builds what it builds with
+    no tolerance: the float copy or torus, the instance read from a dict
+    and from a file (the same file and the same spectrum, entry for
+    entry), the Hodge splitting, the algebra read off the operators, and
+    each arity-2 quadrature component with its estimate."""
+    exact = {"T1f": t1_instance,
+             "r7f": lambda: random_instance(7, {0: 2, 1: 2})}.get(name)
+    if exact is None:
+        inst, rebuilt = torus_instance(1), torus_instance(1, tol=None)
+    else:
+        inst, rebuilt = to_float_instance(exact()), to_float_instance(
+            exact(), None)
+    data, path = instance_to_dict(inst), tmp_path / "f.json"
+    save_instance(inst, str(path))
+    for got in (rebuilt, instance_from_dict(data, None),
+                load_instance(str(path), None)):
+        assert json.dumps(instance_to_dict(got), sort_keys=True) == \
+            json.dumps(data, sort_keys=True)
+        assert _same_spectrum(got.splitting, inst.splitting)
+    b, s = inst.bundle, inst.splitting
+    assert _same_spectrum(build_splitting_hodge(b.space, b.q, tol=None),
+                          build_splitting_hodge(b.space, b.q))
+    names = [b.algebra.basis_name(k) for k in range(b.algebra.n_basis)]
+    ((row, col), vals), ((row0, col0), vals0) = [
+        algebra_from_operators(b.space, b.q, list(b.rho), names, FLOAT,
+                               *tol).algebra.entries for tol in ([None], [])]
+    assert np.array_equal(row, row0) and np.array_equal(col, col0)
+    assert np.array_equal(vals, vals0)
+    for word in itertools.product(range(len(names)), repeat=2):
+        got, est = transfer_quadrature(word, s, b, rel_tol=None)
+        want, est0 = transfer_quadrature(word, s, b)
+        assert got.equals(want) and est == est0, word
 
 
 def test_torus_order_cap():

@@ -15,6 +15,10 @@ and only ``instances.build_instance`` calls ``Instance``.  It also keeps
 the kernels there store the arrays they compute without a copy, which is
 safe only because no other module hands a map blocks it could still
 write to.
+
+A third scan keeps one tolerance rule: in ``src/homotrace`` only
+``scalars`` names ``DEFAULT_TOL``, so a missing float tolerance is
+resolved by ``scalars.session_tol`` alone.
 """
 
 import ast
@@ -163,6 +167,33 @@ def test_the_constructor_scan_finds_a_stray_call():
         ("DgAlgebra", "instances.py", "cast"),
         ("GradedMap", "instances.py", "bare"),
         ("_graded_map", "instances.py", "lent")}
+
+
+def default_tol_names(trees) -> list[tuple[str, int]]:
+    """(module file, line) of each name, attribute or import of
+    ``DEFAULT_TOL`` in the package modules of ``trees`` other than
+    ``scalars.py``; a docstring is a string, so it does not count."""
+    return sorted((path.name, line) for path, tree in trees
+                  if path.parent == PACKAGE and path.name != "scalars.py"
+                  for ident, line in _names(tree) if ident == "DEFAULT_TOL")
+
+
+def test_only_scalars_names_the_default_tolerance():
+    stray = default_tol_names(_trees())
+    assert not stray, (
+        f"{stray} name DEFAULT_TOL: take tol=None and resolve it with "
+        "scalars.session_tol")
+
+
+def test_the_tolerance_scan_finds_a_stray_default():
+    stray = ast.parse('"""Compares to DEFAULT_TOL."""\n'
+                      "from homotrace.scalars import DEFAULT_TOL as eps\n\n"
+                      "def close(x, tol=DEFAULT_TOL):\n"
+                      "    return abs(x) <= scalars.DEFAULT_TOL\n")
+    assert default_tol_names([(PACKAGE / "fake.py", stray),
+                              (PACKAGE / "scalars.py", stray),
+                              (ROOT / "scripts" / "fake.py", stray)]) == [
+        ("fake.py", 2), ("fake.py", 4), ("fake.py", 5)]
 
 
 def test_the_benchmark_tracer_installs_and_uninstalls():
