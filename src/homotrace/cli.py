@@ -87,6 +87,8 @@ def _int_from(low: int):
 
 
 def cmd_gen(args) -> int:
+    if args.kind == "torus" and args.mode == EXACT:
+        raise InputError("torus instances are float; --mode exact is refused")
     if args.kind == "matrix":
         if args.preset == "T1" or (args.preset is None and args.dims is None):
             inst = t1_instance()
@@ -103,7 +105,7 @@ def cmd_gen(args) -> int:
         inst = random_instance(args.seed, _parse_dims(args.dims))
     else:
         raise InputError(f"unknown kind {args.kind!r}")
-    if args.mode == FLOAT:     # a torus instance is float already
+    if args.mode == FLOAT:     # a torus is float already, the rest exact
         inst = to_float_instance(inst, args.tolerance)
     save_instance(inst, args.out)
     if args.output == "json":
@@ -277,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--N", type=int, default=1, help="torus truncation")
     g.add_argument("--tau", default="0,1", help="torus modulus re,im (rationals)")
     g.add_argument("--order-cap", type=int, default=2)
-    g.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
+    g.add_argument("--mode", choices=[EXACT, FLOAT], default=None,
+                   help="scalars (default: float for torus, else exact)")
     g.add_argument("--tolerance", type=_positive_float, default=None)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--out", "-o", required=True)

@@ -179,9 +179,6 @@ class DgAlgebra:
             for k, c in self.product_terms[flats[i]][flats[i + 1]]:
                 yield flats[:i] + (k,) + flats[i + 2:], times_sign(c, cut)
 
-    def _zero_vec(self) -> np.ndarray:
-        return zeros_matrix(1, self.n_basis, self.mode)[0]
-
     def mul_vectors(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.tensordot(np.outer(a, b), self.mul)
 
@@ -852,23 +849,24 @@ def euler_characteristic(space: GradedVectorSpace,
 class EndoAlgebra:
     """End(V) as a dg algebra plus the bookkeeping tying basis elements to
     their concrete graded maps (entries are (src_deg, src_idx, tgt_deg,
-    tgt_idx) in flat basis order)."""
+    tgt_idx) in flat basis order).  An endomorphism's coordinates over
+    the basis are read as its nonzero terms (``coordinates``), and no
+    dense coefficient vector is formed."""
 
     algebra: DgAlgebra
     space: GradedVectorSpace
     maps: tuple[GradedMap, ...]
     entries: tuple[tuple[int, int, int, int], ...]
 
-    def expand(self, m: GradedMap) -> np.ndarray:
-        """Flat coefficients of a homogeneous endomorphism over the basis."""
-        out = self.algebra._zero_vec()
-        for k, (sd, i, td, j) in enumerate(self.entries):
-            if td - sd != m.degree:
-                continue
-            blk = m.block(sd)
-            if blk.size:
-                out[k] = blk[j, i]
-        return out
+    @cached_property
+    def _index(self) -> dict[tuple[int, int, int, int], int]:
+        return {e: k for k, e in enumerate(self.entries)}
+
+    def coordinates(self, m: GradedMap) -> list:
+        """(k, c) per nonzero coefficient of a homogeneous endomorphism
+        over the basis, in index order, read off its stored blocks."""
+        return sorted((self._index[sd, i, sd + m.degree, j], blk[j, i])
+                      for sd, blk in m.blocks for j, i in zip(*blk.nonzero()))
 
 
 def matrix_units(space: GradedVectorSpace, mode: str) -> tuple:

@@ -204,7 +204,7 @@ def _push(chain: HochschildChain, f: AInfinityMorphism, partitions
     of each length-k term.  Every partition adds to the output terms of its
     own length only, so a restriction computes those terms exactly as the
     full push does.  Each block reads the nonzero End(M0) coordinates of
-    its component (``AInfinityMorphism.coordinates``, expanded once per
+    its component (``AInfinityMorphism.coordinates``, read once per
     morphism), and a partition ends at its first zero block."""
     src = chain.algebra
     if src.space.dims != f.bundle.algebra.space.dims:

@@ -58,14 +58,19 @@ MAX_RANDOM_DIM = 12
 DEFAULT_ORDER_CAP = 2
 DEFAULT_CLOSURE_BOUND = 48
 
+# (degree, terms): the nonzero (flat index, value) pairs in index order
+Element = tuple[int, tuple[tuple[int, object], ...]]
+
 
 @dataclass
 class Instance:
-    """A validated bundle with its splitting and user-facing named elements."""
+    """A validated bundle with its splitting and user-facing named elements,
+    each stored as an ``Element``: its nonzero coordinates as (flat index,
+    value) pairs in ascending index order, the values as given."""
 
     bundle: DgModuleBundle
     splitting: Splitting
-    elements: dict[str, tuple[int, np.ndarray]]  # name -> (degree, flat coeffs)
+    elements: dict[str, Element]
     validation: tuple[ValidationReport, ValidationReport]  # bundle, splitting
     meta: dict = field(default_factory=dict)
 
@@ -73,16 +78,17 @@ class Instance:
     def mode(self) -> str:
         return self.bundle.mode
 
-    def element(self, name: str) -> tuple[int, np.ndarray]:
+    def element(self, name: str) -> Element:
+        """The element so named as (degree, terms), else the basis operator
+        of that name as (its degree, ((its index, 1),))."""
         got = self.elements.get(name)
         if got is not None:
             return got
         flat = self.bundle.algebra.flat_by_name(name)
         if flat is None:
             raise InputError(f"unknown operator {name!r}")
-        vec = self.bundle.algebra._zero_vec()
-        vec[flat] = one_scalar(self.mode)
-        return self.bundle.algebra.basis_degree(flat), vec
+        return (self.bundle.algebra.basis_degree(flat),
+                ((flat, one_scalar(self.mode)),))
 
 
 def _distinct(names, message: str) -> None:
@@ -123,9 +129,10 @@ def build_instance(space: GradedVectorSpace, q: GradedMap,
     span, with the projector splitting in exact mode and the Hodge one in
     float at ``tol`` (None: the session tolerance): the one way an
     ``Instance`` is built.  ``elements`` lists (name, degree, [(operator
-    name, value), ...]).  A zero-dimensional module, a repeated name or a
-    coordinate of another degree than its element's is an InputError;
-    failed axiom or splitting checks are a ShapeError naming them."""
+    name, value), ...]), each kept as an ``Element`` without its zero
+    values.  A zero-dimensional module, a repeated name or a coordinate of
+    another degree than its element's is an InputError; failed axiom or
+    splitting checks are a ShapeError naming each with its witness."""
     if not space.dims:
         raise InputError("the module is zero-dimensional")
     tol = session_tol(mode, tol)
@@ -142,7 +149,7 @@ def build_instance(space: GradedVectorSpace, q: GradedMap,
     for name, degree, coords in elements:
         _distinct([op for op, _ in coords],
                   f"element {name!r} lists operator {{!r}} twice")
-        vec = algebra._zero_vec()
+        terms = []
         for op, value in coords:
             k = algebra.flat_by_name(op)
             if k is None:
@@ -151,14 +158,16 @@ def build_instance(space: GradedVectorSpace, q: GradedMap,
                 raise InputError(
                     f"element {name!r} declares degree {degree}, but "
                     f"{op!r} has degree {algebra.basis_degree(k)}")
-            vec[k] = value
-        named[name] = (degree, vec)
+            if value:
+                terms.append((k, value))
+        named[name] = (degree, tuple(sorted(terms)))
     rep = validate_bundle(bundle, tol)
     srep = check_splitting(space, q, splitting, tol)
     for what, report in (("instance", rep), ("splitting", srep)):
         if not report.ok:
-            raise ShapeError(f"generated {what} fails validation: " + ", ".join(
-                c.name for c in report.failures()))
+            raise ShapeError(f"{what} fails validation: " + ", ".join(
+                c.name + (f" [{c.witness}]" if c.witness else "")
+                for c in report.failures()))
     return Instance(bundle=bundle, splitting=splitting, elements=named,
                     meta=meta, validation=(rep, srep))
 
@@ -250,7 +259,7 @@ def torus_instance(truncation: int, tau: complex | tuple = 1j,
                           meta)
 
 
-def torus_element(instance: Instance, order: int) -> tuple[int, np.ndarray]:
+def torus_element(instance: Instance, order: int) -> Element:
     """Constant-coefficient derivative of the given order; errors above cap."""
     cap = instance.meta.get("order_cap", DEFAULT_ORDER_CAP)
     if order > cap:
@@ -395,9 +404,8 @@ def to_float_instance(instance: Instance, tol: float | None = None) -> Instance:
     names = [a.basis_name(k) for k in range(a.n_basis)]
     try:
         q, operators = bundle.q.to_float(), [r.to_float() for r in bundle.rho]
-        elements = [(name, deg, [(names[k], complex(v))
-                                 for k, v in enumerate(vec) if v])
-                    for name, (deg, vec) in instance.elements.items()]
+        elements = [(name, deg, [(names[k], complex(v)) for k, v in terms])
+                    for name, (deg, terms) in instance.elements.items()]
     except OverflowError as exc:
         raise InputError(f"a coefficient is outside the double range: {exc}"
                          ) from exc

@@ -12,7 +12,9 @@ the operators and fails if one escapes their span.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from contextlib import contextmanager
 
 from homotrace.errors import InputError, ShapeError
@@ -24,7 +26,6 @@ from homotrace.scalars import (
     FLOAT,
     decode_value,
     encode_value,
-    one_scalar,
 )
 
 INSTANCE_FORMAT = "homotrace-instance/1"
@@ -52,12 +53,9 @@ def instance_to_dict(instance: Instance) -> dict:
               for d in space.degrees()]
     algebra = [[a.basis_name(k), a.basis_degree(k), _triplets(space, m)]
                for k, m in enumerate(bundle.rho)]
-    elements = []
-    for name in sorted(instance.elements):
-        deg, vec = instance.elements[name]
-        coords = [[a.basis_name(i), encode_value(vec[i])]
-                  for i in range(a.n_basis) if vec[i]]
-        elements.append([name, deg, coords])
+    elements = [[name, deg, [[a.basis_name(k), encode_value(v)]
+                             for k, v in terms]]
+                for name, (deg, terms) in sorted(instance.elements.items())]
     return {
         "format": INSTANCE_FORMAT,
         "scalar": bundle.mode,
@@ -175,17 +173,6 @@ def chains_to_dict(chains: list[tuple[str, list[tuple[object, list[str]]]]]
     return {"format": CHAINS_FORMAT, "chains": payload}
 
 
-def _coordinates(instance: Instance, name: str) -> list:
-    """The nonzero coordinates (flat index, value) of the slot ``name``: a
-    basis operator's one, or those of the element so named, which takes
-    precedence over an operator of the same name."""
-    if name not in instance.elements:
-        flat = instance.bundle.algebra.flat_by_name(name)
-        if flat is not None:
-            return [(flat, one_scalar(instance.mode))]
-    return [(i, v) for i, v in enumerate(instance.element(name)[1]) if v]
-
-
 def load_chains(path: str, instance: Instance
                 ) -> list[tuple[str, HochschildChain]]:
     try:
@@ -202,15 +189,9 @@ def load_chains(path: str, instance: Instance
             chain = HochschildChain.zero(algebra)
             for term in entry["terms"]:
                 coeff = decode_value(term["coeff"], instance.mode)
-                slots = [_coordinates(instance, slot_name)
-                         for slot_name in term["slots"]]
-                stack = [((), coeff)]
-                for coords in slots:
-                    stack = [(fl + (idx,), c * v) for fl, c in stack
-                             for idx, v in coords]
-                    if not stack:
-                        break
-                for fl, c in stack:
-                    chain.add_term(fl, c)
+                for pick in itertools.product(*(
+                        instance.element(slot)[1] for slot in term["slots"])):
+                    chain.add_term(tuple(k for k, _ in pick), math.prod(
+                        (v for _, v in pick), start=coeff))
             out.append((name, chain))
     return out

@@ -428,15 +428,14 @@ class AInfinityMorphism:
 
     def coordinates(self, flats: tuple[int, ...]) -> list:
         """The nonzero coordinates (k, c) of f_m(b_1, ..., b_m) over the
-        basis of ``target``: kept beside the component, so expanded once
-        per morphism, and never for a zero component.  The tuple is
+        basis of ``target``: kept beside the component, so read once per
+        morphism, and never for a zero component.  The tuple is
         recorded in ``reads`` as ``on_basis`` records it."""
         got = self._coords.get(flats)
         if got is None:
             m = self.on_basis(flats)
-            got = self._coords[flats] = [
-                (k, c) for k, c in enumerate(self.target.expand(m)) if c
-            ] if m.blocks else []
+            got = self._coords[flats] = (self.target.coordinates(m)
+                                         if m.blocks else [])
         else:
             self.reads.add(flats)
         return got

@@ -184,10 +184,26 @@ def rho_vector(bundle: DgModuleBundle, coeffs: np.ndarray) -> GradedMap:
     return acc
 
 
+def zero_vec(a: DgAlgebra) -> np.ndarray:
+    """The zero coefficient vector over the flat basis of ``a``."""
+    return zeros_matrix(1, a.n_basis, a.mode)[0]
+
+
+def expand(endo: EndoAlgebra, m: GradedMap) -> np.ndarray:
+    """The dense flat coefficients of a homogeneous endomorphism over the
+    basis of End, read one matrix unit at a time (absent blocks 0): the
+    reference for ``EndoAlgebra.coordinates``."""
+    out = zero_vec(endo.algebra)
+    for k, (sd, i, td, j) in enumerate(endo.entries):
+        if td - sd == m.degree and m.block(sd).size:
+            out[k] = m.block(sd)[j, i]
+    return out
+
+
 def basis_slot(bundle: DgModuleBundle, k: int) -> Slot:
     """The basis element e_k as a dense ``Slot``."""
     a = bundle.algebra
-    v = a._zero_vec()
+    v = zero_vec(a)
     v[k] = one_scalar(a.mode)
     return Slot(a.basis_degree(k), v)
 

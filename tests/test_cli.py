@@ -55,7 +55,8 @@ def test_gen_verify_trace_t1(tmp_path, capsys):
 
 def test_gen_torus_and_trace_identity(tmp_path, capsys):
     """The torus file is float already (``--mode float`` writes the same
-    file), and its identity and derivative trace to zero."""
+    file, and ``--mode exact`` is refused with no file written), and its
+    identity and derivative trace to zero."""
     ipath = str(tmp_path / "torus.json")
     assert run(["gen", "--kind", "torus", "--N", "1", "-o", ipath]) == 0
     fpath = tmp_path / "torus-float.json"
@@ -63,6 +64,12 @@ def test_gen_torus_and_trace_identity(tmp_path, capsys):
                 "-o", str(fpath)]) == 0
     assert fpath.read_bytes() == (tmp_path / "torus.json").read_bytes()
     capsys.readouterr()
+    epath = tmp_path / "torus-exact.json"
+    assert run(["gen", "--kind", "torus", "--N", "1", "--mode", "exact",
+                "-o", str(epath)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: ")
+    assert not epath.exists()
     cpath = tmp_path / "chains.json"
     cpath.write_text(json.dumps({
         "format": "homotrace-chains/1",
@@ -578,11 +585,11 @@ def test_cohomology_oracle_uses_its_own_splitting(t1, mode):
 
 
 @pytest.mark.parametrize("eps, code, err", [
-    (1e-11, 1, "check failure: generated instance fails validation: "
-               "action-multiplicative"),
-    (3e-10, 1, "check failure: generated instance fails validation: "
-               "leibniz, associativity, action-chain-map, "
-               "action-multiplicative"),
+    (1e-11, 1, "check failure: instance fails validation: "
+               "action-multiplicative [(b0_1, b0_3)]"),
+    (3e-10, 1, "check failure: instance fails validation: "
+               "leibniz [(b0_1, b-1_0)], associativity [(b-1_0, b1_0, b0_3)], "
+               "action-chain-map [b0_1], action-multiplicative [(b-1_0, b1_0)]"),
     (3e-9, 2, "input error: product b0_1*b0_1 is not in the span of the "
               "declared operators"),
     (1e-7, 2, "input error: product b-1_0*b1_0 is not in the span of the "

@@ -27,7 +27,7 @@ from homotrace.serialize import instance_from_dict
 from homotrace.traces import trace_defect
 from homotrace.transfer import transferred_morphism
 from oracles import canonical_supertrace, cyclic_project, cyclic_shift, \
-    describe, stepwise_rotations, t1_gaussian_dict
+    describe, expand, stepwise_rotations, t1_gaussian_dict
 
 
 def random_term(rng, algebra, k):
@@ -169,13 +169,32 @@ def test_degree_zero_symmetric_pair_is_cyclic_boundaryless(t1):
     assert cyclic_project(sym).is_zero()
 
 
+@pytest.mark.parametrize("build", [
+    t1_instance, lambda: to_float_instance(t1_instance()),
+    lambda: random_instance(11, {0: 2, 1: 3, 2: 2})], ids=["T1", "T1f", "r11"])
+def test_coordinates_are_the_nonzero_dense_coefficients(build):
+    """``EndoAlgebra.coordinates`` of every component of arity <= 2 lists
+    the nonzero entries of the dense expansion over the matrix units, in
+    index order, with the same values of the same types."""
+    inst = build()
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    n = inst.bundle.algebra.n_basis
+    for k in (1, 2):
+        for word in itertools.product(range(n), repeat=k):
+            m = f.on_basis(word)
+            want = [(i, v) for i, v in enumerate(expand(f.target, m)) if v]
+            got = f.target.coordinates(m)
+            assert got == want, word
+            assert [type(v) for _, v in got] == [type(v) for _, v in want]
+
+
 def test_push_single_slot_is_first_component(t1, t1_morphism):
     alg = t1.bundle.algebra
     endo = t1_morphism.target
     for k in range(alg.n_basis):
         pushed = push_chain(HochschildChain.of(alg, (k,)), t1_morphism)
         expect = HochschildChain.zero(endo.algebra)
-        for idx, v in enumerate(endo.expand(t1_morphism.on_basis((k,)))):
+        for idx, v in enumerate(expand(endo, t1_morphism.on_basis((k,)))):
             expect.add_term((idx,), v)
         assert (pushed - expect).is_zero()
 
@@ -192,8 +211,8 @@ def test_push_two_slots_has_three_term_shape(t1, t1_morphism):
     two_slot = HochschildChain(
         endo.algebra, {t: v for t, v in pushed.terms.items() if len(t) == 2})
     expect = HochschildChain.zero(endo.algebra)
-    va = endo.expand(t1_morphism.on_basis((a,)))
-    vb = endo.expand(t1_morphism.on_basis((b,)))
+    va = expand(endo, t1_morphism.on_basis((a,)))
+    vb = expand(endo, t1_morphism.on_basis((b,)))
     for i, x in enumerate(va):
         for j, y in enumerate(vb):
             expect.add_term((i, j), x * y)
@@ -286,9 +305,10 @@ def test_chain_map_property_torus(torus1, torus_morphism):
 
 
 def test_push_expands_each_nonzero_word_once(monkeypatch):
-    """Pushing 20 seeded r11 chains twice through a fresh morphism expands
-    a component over End(M0) only when it is nonzero, and each nonzero
-    word read at most once; the chains also read zero words."""
+    """Pushing 20 seeded r11 chains twice through a fresh morphism reads a
+    component's coordinates over End(M0) (``EndoAlgebra.coordinates``)
+    only when it is nonzero, and each nonzero word at most once; the
+    chains also read zero words."""
     inst = random_instance(11, {0: 2, 1: 3, 2: 2})
     f = transferred_morphism(inst.bundle, inst.splitting)
     alg = inst.bundle.algebra
@@ -296,13 +316,13 @@ def test_push_expands_each_nonzero_word_once(monkeypatch):
     chains = [HochschildChain.of(alg, tuple(
         rng.randrange(alg.n_basis) for _ in range(rng.randint(1, 4))))
         for _ in range(20)]
-    expanded, expand = [], EndoAlgebra.expand
+    expanded, coordinates = [], EndoAlgebra.coordinates
 
     def counted(self, m):
         expanded.append(m)
-        return expand(self, m)
+        return coordinates(self, m)
 
-    monkeypatch.setattr(EndoAlgebra, "expand", counted)
+    monkeypatch.setattr(EndoAlgebra, "coordinates", counted)
     for _ in range(2):
         for chain in chains:
             push_chain(chain, f)

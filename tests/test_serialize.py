@@ -78,11 +78,45 @@ def test_exact_round_trip(tmp_path, request, which):
     d0, d1 = dict(a0.differential.blocks), dict(a1.differential.blocks)
     assert d0.keys() == d1.keys()
     assert all(np.array_equal(d0[d], d1[d]) for d in d0)
-    assert inst.elements.keys() == loaded.elements.keys()
-    for name, (deg, vec) in inst.elements.items():
-        deg1, vec1 = loaded.elements[name]
-        assert deg == deg1 and vec.dtype == vec1.dtype
-        assert np.array_equal(vec, vec1)
+    assert inst.elements == loaded.elements
+    for name, (deg, terms) in loaded.elements.items():
+        assert [type(v) for _, v in terms] == \
+            [type(v) for _, v in inst.elements[name][1]]
+        _assert_element_form(a1, deg, terms)
+
+
+def _assert_element_form(algebra, degree, terms) -> None:
+    """The stored form of an element: a tuple of (index, value) pairs with
+    strictly increasing indices, all of the element's degree, and no zero
+    value."""
+    assert isinstance(terms, tuple)
+    indices = [k for k, _ in terms]
+    assert all(a < b for a, b in zip(indices, indices[1:]))
+    assert all(v for _, v in terms)
+    assert all(algebra.basis_degree(k) == degree for k in indices)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_hand_edited_element_loads_sorted_and_zero_free(tmp_path, t1, mode):
+    """A file element that lists its coordinates out of index order and
+    with a "0" value loads to its nonzero terms in index order, and saves
+    without the zero."""
+    data = instance_to_dict(t1 if mode == "exact" else to_float_instance(t1))
+    names = ["E[f<-f]", "E[e1<-e1]", "E[e2<-e1]", "E[e1<-e2]"]
+    data["elements"].append(["X", 0, [[names[0], "3"], [names[1], "0"],
+                                      [names[2], "-1/2"], [names[3], 0]]])
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    inst = load_instance(str(path))
+    a = inst.bundle.algebra
+    deg, terms = inst.element("X")
+    _assert_element_form(a, deg, terms)
+    assert {a.basis_name(k): v for k, v in terms} == {
+        names[0]: 3, names[2]: Fraction(-1, 2)}
+    save_instance(inst, str(path))
+    saved = {name: coords
+             for name, _, coords in json.loads(path.read_text())["elements"]}
+    assert [op for op, _ in saved["X"]] == [a.basis_name(k) for k, _ in terms]
 
 
 def test_float_round_trip(tmp_path, torus1):

@@ -35,7 +35,7 @@ from homotrace.transfer import (
     transfer_quadrature,
     transferred_morphism,
 )
-from oracles import basis_slot, dense, termwise_defect, value
+from oracles import basis_slot, dense, termwise_defect, value, zero_vec
 
 
 def test_propagator_limits(t1):
@@ -222,7 +222,7 @@ def test_transfer_closed_is_eps_times_a_fresh_component(name, t1):
             assert _same(transfer_closed(list(word), s, b), want), word
             i = next((i for i, x in enumerate(word) if x in partner), None)
             if i is not None:
-                v = alg._zero_vec()
+                v = zero_vec(alg)
                 v[word[i]], v[partner[word[i]]] = 2 * one, -3 * one
                 other = word[:i] + (partner[word[i]],) + word[i + 1:]
                 want = want.scale(2 * one) + fresh.on_basis(
@@ -951,7 +951,7 @@ def test_boundary_strata_arity_three_split():
 
 def test_transfer_multilinearity(t1, t1_morphism):
     alg = t1.bundle.algebra
-    v = alg._zero_vec()
+    v = zero_vec(alg)
     v[2] = Fraction(2)
     v[3] = Fraction(-1)
     combo = Slot(0, v)
@@ -970,7 +970,7 @@ def test_every_input_path_refuses_the_same_bad_slot(degree, flats):
     every transfer input path alike."""
     inst = _float_instance("T1")
     s, b = inst.splitting, inst.bundle
-    v = b.algebra._zero_vec()
+    v = zero_vec(b.algebra)
     v[list(flats)] = 1.0
     bad = Slot(degree, v)
     calls = [
