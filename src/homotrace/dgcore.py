@@ -79,7 +79,7 @@ class DgAlgebra:
     entries: tuple[tuple[np.ndarray, np.ndarray], np.ndarray]
     mode: str
 
-    @property
+    @cached_property
     def n_basis(self) -> int:
         return self.space.total_dim
 

@@ -165,6 +165,7 @@ class GradedVectorSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "_dim_of", dict(self.dims))
+        object.__setattr__(self, "total_dim", sum(self._dim_of.values()))
 
     def dim(self, degree: int) -> int:
         return self._dim_of.get(degree, 0)
@@ -178,10 +179,6 @@ class GradedVectorSpace:
         for d, n in self.dims:
             out[d], off = off, off + n
         return out
-
-    @property
-    def total_dim(self) -> int:
-        return sum(n for _, n in self.dims)
 
     def label(self, degree: int, index: int) -> str:
         for d, names in self.labels:
@@ -303,7 +300,11 @@ class GradedMap:
         return (self - other).is_zero(tol)
 
     def max_abs(self) -> float:
-        return float(np.max([max_abs(m) for _, m in self.blocks], initial=0.0))
+        """The largest of the blocks' ``max_abs`` (0.0 for the zero map);
+        NaN if any block holds a NaN."""
+        tops = [max_abs(m) for _, m in self.blocks]
+        return (math.nan if any(map(math.isnan, tops))
+                else max(tops, default=0.0))
 
     def supertrace(self):
         """Sum over degrees of (-1)^d tr(diagonal block); needs degree 0."""
@@ -646,9 +647,11 @@ def pivot_rows(matrix: np.ndarray, tol: float) -> list[int]:
     rows: list[int] = []
     if float_rank(np.linalg.svd(matrix, compute_uv=False), tol) == matrix.shape[1]:
         work = np.array(matrix, dtype=complex)
-        for j in range(matrix.shape[1]):
-            rows.append(int(np.argmax(np.abs(work[:, j]))))
-            work -= np.outer(work[:, j] / work[rows[-1], j], work[rows[-1]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(matrix.shape[1]):
+                rows.append(int(np.argmax(np.abs(work[:, j]))))
+                work -= np.outer(work[:, j] / work[rows[-1], j],
+                                 work[rows[-1]])
     if len(rows) < matrix.shape[1]:
         raise ShapeError("matrix columns are linearly dependent")
     return rows

@@ -75,6 +75,7 @@ def _elements(bundle: DgModuleBundle, inputs) -> list[tuple[int, list]]:
     nonzero coefficients, each of which must be of that degree.  Any other
     input, or none, raises ShapeError."""
     a, out = bundle.algebra, []
+    n, one = a.n_basis, one_scalar(a.mode)
     for item in inputs:
         if isinstance(item, Slot):
             terms = [(k, item.coeffs[k])
@@ -83,9 +84,8 @@ def _elements(bundle: DgModuleBundle, inputs) -> list[tuple[int, list]]:
                 raise ShapeError("rho of a non-homogeneous element, or of "
                                  "one off its declared degree")
             out.append((item.degree, terms))
-        elif isinstance(item, (int, np.integer)) and 0 <= item < a.n_basis:
-            out.append((a.basis_degree(item),
-                        [(int(item), one_scalar(a.mode))]))
+        elif isinstance(item, (int, np.integer)) and 0 <= item < n:
+            out.append((a.basis_degree(item), [(int(item), one)]))
         else:
             raise ShapeError(f"cannot interpret {item!r} as an algebra "
                              "element")
@@ -227,10 +227,11 @@ def _form(rhos: list[GradedMap], point: ConfigurationPoint,
     return OperatorForm(arity=k, gaps=point.gaps, components=components)
 
 
-def _epsilon(degrees: list[int], mode: str):
-    k = len(degrees)
-    exponent = (k - 1) + sum(j * degrees[j] for j in range(1, k))
-    return one_scalar(mode) * ((-1) ** (exponent % 2))
+def _epsilon(degrees: list[int]) -> int:
+    """eps(k, degrees) of the module docstring, as the int 1 or -1: its
+    exponent's parity is that of k - 1 plus the degrees of the slots a_2,
+    a_4 and so on."""
+    return -1 if (len(degrees) - 1 + sum(degrees[1::2])) % 2 else 1
 
 
 _closed: AInfinityMorphism | None = None
@@ -248,15 +249,16 @@ def transfer_closed(inputs, splitting: Splitting,
     ``is``, never ``==``: bundles and splittings are frozen with read-only
     blocks, so nothing stored goes stale, and a call on another pair
     replaces it, so memory is one pair's components, as for a caller
-    holding ``transferred_morphism`` (a new morphism on every call).
+    holding ``transferred_morphism`` (a new morphism on every call).  Where
+    eps times the coefficients is exactly one, as on a basis word with eps
+    = 1, the value is the stored frozen component itself, not a copy.
     """
     global _closed
     f = _closed
     if f is None or f.bundle is not bundle or f.splitting is not splitting:
         f = _closed = AInfinityMorphism(bundle, splitting)
     elements = _elements(bundle, inputs)
-    return f._combination(elements[::-1],
-                          _epsilon([d for d, _ in elements], bundle.mode))
+    return f._combination(elements[::-1], _epsilon([d for d, _ in elements]))
 
 
 def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
@@ -269,7 +271,7 @@ def transfer_quadrature(inputs, splitting: Splitting, bundle: DgModuleBundle,
     ``_quadrature`` to ``rel_tol``.  Returns (value, error estimate)."""
     elements = _elements(bundle, inputs)
     rhos = [_rho(bundle, x) for x in elements]
-    rhos[0] = rhos[0].scale(_epsilon([d for d, _ in elements], FLOAT))
+    rhos[0] = rhos[0].scale(_epsilon([d for d, _ in elements]))
     return _quadrature(rhos[::-1], splitting, rel_tol, order, budget)
 
 
@@ -502,11 +504,14 @@ class AInfinityMorphism:
                      eps=1) -> GradedMap:
         """eps times the multilinear extension of ``on_basis`` to read
         inputs: the sum over every choice of one term per input of the
-        component scaled once, by eps times its coefficients' product; the
-        zero map when there is no choice."""
-        terms = [self.on_basis(tuple(k for k, _ in pick)).scale(
-            math.prod((c for _, c in pick), start=eps))
-            for pick in itertools.product(*(t for _, t in elements))]
+        component scaled once, by eps times its coefficients' product, or
+        the stored frozen component itself when that product is exactly
+        one; the zero map when there is no choice."""
+        terms = []
+        for pick in itertools.product(*(t for _, t in elements)):
+            flats, coeffs = zip(*pick)
+            m, c = self.on_basis(flats), math.prod(coeffs, start=eps)
+            terms.append(m if c == 1 else m.scale(c))
         if not terms:
             return GradedMap.zero(self.m0, self.m0, sum(
                 d for d, _ in elements) + 1 - len(elements), self.bundle.mode)

@@ -283,6 +283,25 @@ def test_overflowing_float_instance_fails_with_one_line(tmp_path, capsys):
         "action-chain-map", "action-multiplicative"]
 
 
+def test_pivot_division_overflow_is_refused_without_warning(tmp_path, capsys):
+    """An r7f operator entry [1e308, 1e308] has a finite modulus, but the
+    elimination of ``glinalg.pivot_rows`` overflows dividing by it: verify
+    exits 2 with the loader's one line and numpy warns about nothing (a
+    warning is an error under pytest)."""
+    path = tmp_path / "r7f.json"
+    assert run(["gen", "--kind", "random", "--seed", "7", "--dims", "2,2",
+                "--mode", "float", "-o", str(path)]) == 0
+    data = json.loads(path.read_text())
+    assert data["algebra"][0][0] == "b-1_0"
+    data["algebra"][0][2][0][2] = [1e308, 1e308]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["verify", "--instance", str(path), "--max-arity", "2"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: product b-1_0*b0_0 is not in the span of the declared "
+        "operators"]
+
+
 def test_float_copy_outside_the_span_is_refused_at_generation(tmp_path,
                                                               capsys):
     """Random seed 3 with dims 3,3 in float writes no file that verify

@@ -71,6 +71,17 @@ def test_values_holding_arrays_compare_and_hash_by_identity(t1):
     assert copy != b.rho[1] and copy.equals(b.rho[1])
 
 
+def test_algebra_size_is_the_sum_of_its_dims(t1, torus1):
+    """``n_basis`` is the sum of the dims of the algebra's space, one per
+    flat index, and 0 for End of the empty space."""
+    for a in (t1.bundle.algebra, torus1.bundle.algebra,
+              random_instance(7, {0: 2, 1: 2}).bundle.algebra):
+        assert a.n_basis == sum(n for _, n in a.space.dims)
+        assert a.n_basis == len(a.graded_index) > 0
+    empty = endomorphism_algebra(GradedVectorSpace.make({}), EXACT).algebra
+    assert empty.n_basis == empty.space.total_dim == 0
+
+
 def test_validate_catches_broken_q():
     v = GradedVectorSpace.make({0: 1, 1: 1, 2: 1}, {0: ["e1"], 1: ["f"], 2: ["g"]})
     q = GradedMap.build(v, v, 1, {

@@ -1,6 +1,8 @@
 """Graded linear algebra: composition, exact elimination and spans."""
 
 import dataclasses
+import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -356,6 +358,39 @@ def test_nan_block_is_never_zero():
     two = GradedMap.build(v, v, 0, {0: np.array([[1.0 + 0j]]),
                                     1: np.array([[complex(nan, 0.0)]])}, FLOAT)
     assert np.isnan(two.max_abs())
+
+
+def test_map_magnitude_over_blocks_in_any_order():
+    """``GradedMap.max_abs`` is the largest of its blocks' magnitudes: NaN
+    when any block holds a NaN, in either part and whichever degree its
+    block sits in; inf for an infinite entry; 0.0 for a zero map."""
+    nan, inf = float("nan"), float("inf")
+    v = space({0: 1, 1: 1, 2: 1})
+
+    def diagonal(entries):
+        return GradedMap.build(v, v, 0, {
+            d: np.array([[x]], dtype=complex) for d, x in enumerate(entries)},
+            FLOAT)
+
+    for bad in (complex(nan, 0.0), complex(0.0, nan)):
+        for entries in itertools.permutations([bad, 3 + 0j, -2j]):
+            got = diagonal(entries).max_abs()
+            assert type(got) is float and math.isnan(got), entries
+    for entries in itertools.permutations([complex(-inf, 1.0), 3 + 0j, 1j]):
+        assert diagonal(entries).max_abs() == inf
+    assert diagonal([1 + 0j, -4j, 2 + 0j]).max_abs() == 4.0
+    for mode in (EXACT, FLOAT):
+        got = GradedMap.zero(v, v, 1, mode).max_abs()
+        assert type(got) is float and got == 0.0
+
+
+def test_space_sizes_are_the_sums_of_their_dims():
+    """``total_dim`` (and so ``DgAlgebra.n_basis``) is the sum of the dims,
+    0 on the empty space, however the space is made."""
+    assert space({-1: 2, 0: 3, 4: 1}).total_dim == 6
+    assert GradedVectorSpace(((0, 2), (1, 0), (2, 5))).total_dim == 7
+    assert space({}).total_dim == GradedVectorSpace(()).total_dim == 0
+    assert space({0: 0}).total_dim == 0
 
 
 @pytest.mark.parametrize("mode", [EXACT, FLOAT])

@@ -20,7 +20,7 @@ from homotrace.hochschild import (HochschildChain, cycle_basis,
                                   hochschild_boundary, push_chain)
 from homotrace.instances import (matrix_instance, random_instance,
                                  t1_instance, to_float_instance)
-from homotrace.scalars import EXACT
+from homotrace.scalars import EXACT, FLOAT, session_tol
 from homotrace.traces import (
     antisymmetrized_supertrace,
     cyclic_trace,
@@ -279,6 +279,29 @@ def test_transferred_trace_is_the_module_supertrace_on_cycles(
         sum(c * inst.bundle.rho[w[0]].supertrace()
             for w, c in z.terms.items() if len(w) == 1) for z in basis]
     assert (len(basis), sum(1 for t in traces if t)) == (cycles, nonzero)
+
+
+@pytest.mark.parametrize("name, cycles", [("T1", 71), ("r7", 55)])
+def test_float_transferred_trace_is_the_module_supertrace_on_cycles(
+        name, cycles):
+    """The float form of the identity above: on every cycle of the exact
+    source's ``cycle_basis`` up to length 3, read over its float copy (the
+    same basis, each coefficient as a double), the float transferred
+    trace is within the session tolerance of the exact sum c_w str
+    rho(w), relative to 1 + its magnitude."""
+    inst = (random_instance(7, {0: 2, 1: 2}) if name == "r7"
+            else _INSTANCES[name]())
+    fl = to_float_instance(inst)
+    f = transferred_morphism(fl.bundle, fl.splitting)
+    tol = session_tol(FLOAT, None)
+    basis = cycle_basis(inst.bundle.algebra, 3)
+    assert len(basis) == cycles
+    for z in basis:
+        want = complex(sum(c * inst.bundle.rho[w[0]].supertrace()
+                           for w, c in z.terms.items() if len(w) == 1))
+        got = transferred_trace(HochschildChain(fl.bundle.algebra, {
+            w: complex(c) for w, c in z.terms.items()}), f)
+        assert abs(got - want) <= tol * (1 + abs(want)), (z.terms, got, want)
 
 
 def test_cycle_basis_needs_an_exact_algebra(t1):
