@@ -293,9 +293,9 @@ def _expand_pivots(view: ModuleView, tol: float) -> tuple:
     op} over the flat basis (meaningless outside the span).  The n_g
     operators of degree g are factored once at n_g of their nonzero
     entries (``glinalg.sparse_pivots``), where the view's sums give every
-    row, so no product is formed.  Float solves at the pivots; exact
-    multiplies the nonzero rows of degree g by the inverse of the pivot
-    block, read off the one elimination that chose the pivots."""
+    row, so no product is formed.  Both modes expand only the rows with a
+    nonzero sum at those pivots: float solves them, exact multiplies them
+    by the inverse of the pivot block that one elimination reads off."""
     deg, mode = view.degrees, view.mode
     n = len(deg)
     pivot, factors = np.zeros(n, dtype=int), []
@@ -318,19 +318,19 @@ def _expand_pivots(view: ModuleView, tol: float) -> tuple:
     rows, pos = np.unravel_index(view.keys, (len(got), view.size ** 2))
     a, b = join(pos, pivot)
     got[rows[a], b] = view.sums[a]            # each row at each pivot
-    if mode == FLOAT:
-        vals = np.zeros((len(got), n), dtype=complex)
-        for at, factor in factors:
-            vals[:, at] = np.linalg.solve(factor, got[:, at].T).T
-        return coo(vals, complex)
-    hits = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0, dtype=object),)]
+    hits = [(np.zeros(0, dtype=int),) * 2
+            + (np.zeros(0, dtype=complex if mode == FLOAT else object),)]
     for at, factor in factors:
-        rows = np.flatnonzero(got[:, at].astype(bool).any(axis=1))
-        inv_t, d, _ = clear_denominators(factor)
-        part = got[rows, at].astype(object) @ inv_t
-        nz = np.nonzero(part.astype(bool))
-        hits.append((rows[nz[0]], at.start + nz[1],
-                     part[nz] * Fraction(1, d * view.d * view.d)))
+        rows = got[:, at].astype(bool).any(axis=1).nonzero()[0]
+        if mode == FLOAT:
+            part = np.linalg.solve(factor, got[rows, at].T).T
+        else:
+            inv_t, d, _ = clear_denominators(factor)
+            part, d = got[rows, at].astype(object) @ inv_t, d * view.d ** 2
+        nz, val = coo(part, part.dtype)
+        hits.append((rows[nz[0]], at.start + nz[1], val if mode == FLOAT else [
+            Fraction(x, d) if type(x) is int else x * Fraction(1, d)
+            for x in val.tolist()]))
     row, col, val = (np.concatenate(x) for x in zip(*hits))
     order = np.lexsort((col, row))
     return (row[order], col[order]), val[order]
@@ -608,7 +608,7 @@ class Splitting:
         space = self.kappa.source
         return GradedMap.build(space, space, -1, blocks, self.mode)
 
-    @property
+    @cached_property
     def delta(self) -> GradedMap:
         """Delta = {Q, kappa}, as L diag(lam) R per degree."""
         space = self.kappa.source
@@ -649,15 +649,15 @@ def build_splitting_projector(space: GradedVectorSpace, q: GradedMap,
                               shear_seed: int | None = None) -> Splitting:
     """Deterministic exact splitting from row reduction: per degree the
     spectrum L = [h | b | w], lam, R = L^-1 and kappa = w_(d-1) R_b, where
-    b = Q w_(d-1).
+    b = Q w_(d-1).  Q must square to zero, which this builder does not
+    check: ``cohomology`` and ``instances.build_instance`` refuse any
+    other Q before they call it.
 
     ``shear_seed`` perturbs the complement choices (still valid) to
     produce distinct splittings of the same complex.
     """
     if q.mode != EXACT:
         raise ShapeError("projector splitting is exact-mode only")
-    if not compose(q, q).is_zero():
-        raise ShapeError("Q^2 != 0")
     rng = random.Random(shear_seed) if shear_seed is not None else None
     degrees = space.degrees()
 
@@ -825,11 +825,11 @@ def cohomology(space: GradedVectorSpace, q: GradedMap,
                tol: float | None = None) -> Splitting:
     """The splitting onto cohomology: projector kind in exact arithmetic,
     Hodge in float; ``m0`` holds the per-degree cohomology dimensions."""
-    if q.mode == EXACT:   # the projector builder checks Q^2 itself
-        return build_splitting_projector(space, q)
-    tol = session_tol(FLOAT, tol)
+    tol = session_tol(q.mode, tol)
     if not compose(q, q).is_zero(tol):
         raise ShapeError("Q^2 != 0")
+    if q.mode == EXACT:
+        return build_splitting_projector(space, q)
     return build_splitting_hodge(space, q, tol=tol)
 
 

@@ -9,9 +9,11 @@ The kernels pay only for nonzero work.  Composition, sums and differences
 walk the stored blocks and skip absent ones; an exact product multiplies
 only nonzero entry pairs (``_exact_product``), because each Fraction
 operation is a Python call, and a product block with no nonzero sum is
-not stored.  Float blocks stay in numpy: products are ``@``, and the zero
-tests and magnitudes are array reductions, so a NaN entry is never read
-as zero.  In both modes the results of ``compose``, ``scale``, ``+`` and
+not stored.  Float blocks stay in numpy: products are ``@``, magnitudes
+are array reductions and a zero test counts nonzero entries (in both
+modes), so a NaN entry is never read as zero.  ``equals`` compares two
+maps block by block, without a difference map, and a zero map scaled is
+itself.  In both modes the results of ``compose``, ``scale``, ``+`` and
 ``-`` are new arrays of the right shape, so each is built in one pass
 (``_fresh``): frozen in place, with its blocks that are exactly zero left
 out, and neither copied nor checked for shape as ``GradedMap.build``
@@ -93,7 +95,7 @@ def max_abs(a: np.ndarray) -> float:
     ``abs(complex)`` bit for bit; numpy's complex ``abs`` differs from it
     in the last place.
     """
-    return float(np.max(magnitudes(a), initial=0.0))
+    return float(magnitudes(a).max(initial=0.0))
 
 
 def magnitudes(a: np.ndarray) -> np.ndarray:
@@ -106,9 +108,7 @@ def magnitudes(a: np.ndarray) -> np.ndarray:
 
 
 def _any_nonzero(a: np.ndarray) -> bool:
-    if a.dtype == object:
-        return any(bool(x) for x in a.flat)
-    return bool(a.any())
+    return bool(np.count_nonzero(a))
 
 
 def _fresh(blocks) -> tuple[tuple[int, np.ndarray], ...]:
@@ -166,6 +166,8 @@ class GradedVectorSpace:
     def __post_init__(self):
         object.__setattr__(self, "_dim_of", dict(self.dims))
         object.__setattr__(self, "total_dim", sum(self._dim_of.values()))
+        object.__setattr__(self, "positions", {lbl: (d, i) for d, names in
+                           self.labels for i, lbl in enumerate(names)})
 
     def dim(self, degree: int) -> int:
         return self._dim_of.get(degree, 0)
@@ -270,6 +272,8 @@ class GradedMap:
         return self.scale(-one_scalar(self.mode))
 
     def scale(self, c) -> "GradedMap":
+        if not self.blocks:
+            return self
         return _graded_map(self.source, self.target, self.degree, _fresh(
             (d, m * c) for d, m in self.blocks), self.mode)
 
@@ -297,7 +301,12 @@ class GradedMap:
         if self.degree != other.degree:
             # the zero map carries no meaningful degree
             return self.is_zero(tol) and other.is_zero(tol)
-        return (self - other).is_zero(tol)
+        mine, theirs = dict(self.blocks), dict(other.blocks)
+        if tol is None and self.mode == EXACT:
+            return mine.keys() == theirs.keys() and all(
+                (m == theirs[d]).all() for d, m in mine.items())
+        return all(max_abs(mine.get(d, 0) - theirs.get(d, 0)) <= (tol or 0.0)
+                   for d in mine.keys() | theirs.keys())
 
     def max_abs(self) -> float:
         """The largest of the blocks' ``max_abs`` (0.0 for the zero map);
@@ -553,29 +562,31 @@ def coo(t: np.ndarray, dtype) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
 def stored_entries(maps) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """(map, row, column) over the flat bases and the value of every
     nonzero entry of the maps' stored blocks, in that order (a map's
-    blocks follow its source degrees, so its rows ascend)."""
-    idx, vals = [np.zeros(0, dtype=int)] * 3, [np.zeros(0)]
-    for k, m in enumerate(maps):
-        src, tgt = m.source.offsets(), m.target.offsets()
-        for d, block in m.blocks:
-            r, c = np.nonzero(block.astype(bool))
-            idx += [np.full(len(r), k), r + tgt[d + m.degree], c + src[d]]
-            vals.append(block[r, c])
-    return (tuple(np.concatenate(idx[t::3]) for t in range(3)),
-            np.concatenate(vals))
+    blocks follow its source degrees, so its rows ascend).  The blocks
+    are raveled into one array, read for nonzero entries once."""
+    meta = np.array([(k, b.size, b.shape[1], m.target.offsets()[d + m.degree],
+                      m.source.offsets()[d]) for k, m in enumerate(maps)
+                     for d, b in m.blocks], dtype=int).reshape(-1, 5).T
+    flat = np.concatenate([np.zeros(0)] + [
+        b.ravel() for m in maps for _, b in m.blocks])
+    at = flat.astype(bool).nonzero()[0]
+    start = meta[1].cumsum() - meta[1]
+    blk = start.searchsorted(at, "right") - 1
+    r, c = np.divmod(at - start[blk], meta[2, blk])
+    return (meta[0, blk], r + meta[3, blk], c + meta[4, blk]), flat[at]
 
 
 def join(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (a, b) with left[a] == right[b]: each entry of ``left``
     meets the run of its value in ``right`` sorted stably; pairs in order
     of a, then b."""
-    order = np.argsort(right, kind="stable")
+    order = right.argsort(kind="stable")
     right = right[order]
-    lo = np.searchsorted(right, left, "left")
-    count = np.searchsorted(right, left, "right") - lo
-    a = np.repeat(np.arange(len(left)), count)
-    return a, order[np.arange(len(a)) + np.repeat(
-        lo + count - np.cumsum(count), count)]
+    lo = right.searchsorted(left, "left")
+    count = right.searchsorted(left, "right") - lo
+    a = np.arange(len(left)).repeat(count)
+    return a, order[np.arange(len(a)) + (lo + count - count.cumsum()).repeat(
+        count)]
 
 
 def key_sums(lhs: list, rhs: list) -> tuple[np.ndarray, np.ndarray]:
@@ -596,9 +607,9 @@ def key_sums(lhs: list, rhs: list) -> tuple[np.ndarray, np.ndarray]:
         off += len(k)
     if not keys.size:
         return keys, vals
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     keys = keys[order]
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    starts = np.concatenate([[True], keys[1:] != keys[:-1]]).nonzero()[0]
     sums = np.add.reduceat(vals[order], starts, axis=0)
     return keys[starts], sums
 
@@ -648,10 +659,10 @@ def pivot_rows(matrix: np.ndarray, tol: float) -> list[int]:
     if float_rank(np.linalg.svd(matrix, compute_uv=False), tol) == matrix.shape[1]:
         work = np.array(matrix, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            for j in range(matrix.shape[1]):
-                rows.append(int(np.argmax(np.abs(work[:, j]))))
-                work -= np.outer(work[:, j] / work[rows[-1], j],
-                                 work[rows[-1]])
+            for j in range(matrix.shape[1]):    # columns <= j: not read again
+                rows.append(int(np.abs(work[:, j]).argmax()))
+                work[:, j + 1:] -= (work[:, j, None] / work[rows[-1], j]
+                                    * work[rows[-1], j + 1:])
     if len(rows) < matrix.shape[1]:
         raise ShapeError("matrix columns are linearly dependent")
     return rows
@@ -667,10 +678,10 @@ def sparse_pivots(pos: np.ndarray, col: np.ndarray, val: np.ndarray,
     inverse of that block, transposed, which is the right half of one
     ``rref`` of [m^T | 1] whose pivot columns are the pivot rows.
     ShapeError if the columns are dependent."""
-    keys = pos[np.argsort(pos, kind="stable")]
-    keys = keys[np.searchsorted(keys, keys) == np.arange(len(keys))]
+    keys = pos[pos.argsort(kind="stable")]
+    keys = keys[keys.searchsorted(keys) == np.arange(len(keys))]
     m = zeros_matrix(len(keys), cols, mode)
-    m[np.searchsorted(keys, pos), col] = val
+    m[keys.searchsorted(pos), col] = val
     if mode != EXACT:
         piv = pivot_rows(m, tol)
         return keys[piv], m[piv]

@@ -104,8 +104,7 @@ def map_from_triplets(space: GradedVectorSpace, degree: int, trips,
     to value for each (source label, target label, value) triplet and 0
     elsewhere: how the Q and operators of a file, a matrix instance and a
     torus are read."""
-    pos = {lbl: (d, i) for d in space.degrees()
-           for i, lbl in enumerate(space.labels_in(d))}
+    pos = space.positions
     if len(pos) < space.total_dim:
         _distinct([lbl for d in space.degrees() for lbl in space.labels_in(d)],
                   "module label {!r} is declared twice")

@@ -9,8 +9,9 @@ import numpy as np
 from homotrace.dgcore import (DgAlgebra, DgModuleBundle, EndoAlgebra,
                               Splitting, matrix_units)
 from homotrace.errors import ClosureError, ShapeError
-from homotrace.glinalg import (GradedMap, GradedVectorSpace, bar_signs, coo,
-                               compose, supercommutator, zeros_matrix)
+from homotrace.glinalg import (GradedMap, GradedVectorSpace, bar_signs,
+                               clear_denominators, compose, coo, join,
+                               sparse_pivots, supercommutator, zeros_matrix)
 from homotrace.hochschild import HochschildChain, cyclic_shift_term
 from homotrace.instances import t1_instance
 from homotrace.scalars import EXACT, FLOAT, one_scalar, zero_scalar
@@ -272,3 +273,41 @@ def termwise_defect(f: AInfinityMorphism, word: tuple[int, ...]) -> GradedMap:
         if (right := f.on_basis(word[i + 1:])).blocks:
             total = total - compose(left, right).scale(cut)
     return total
+
+
+def expand_all_rows(view, tol) -> tuple:
+    """The ``DgAlgebra.entries`` that ``algebra_from_operators`` reads off a
+    ``ModuleView``, expanded at the pivots on every row of the (n^2 + 1 +
+    n, n) table: float solves all the rows of a degree and scans the dense
+    result for its nonzero entries, exact multiplies each nonzero row by
+    the inverse of the pivot block and scales by ``x * Fraction(1, D)``."""
+    deg, mode = view.degrees, view.mode
+    n = len(deg)
+    pivot, factors = np.zeros(n, dtype=int), []
+    for g in sorted(set(deg)):
+        at = slice(deg.index(g), deg.index(g) + deg.count(g))
+        lo, hi = np.searchsorted(view.op, (at.start, at.stop))
+        pivot[at], factor = sparse_pivots(
+            view.pos[lo:hi], view.op[lo:hi] - at.start, view.val[lo:hi],
+            at.stop - at.start, mode, tol)
+        factors.append((at, factor))
+    got = np.zeros((n * n + 1 + n, n), dtype=view.sums.dtype)
+    rows, pos = np.unravel_index(view.keys, (len(got), view.size ** 2))
+    a, b = join(pos, pivot)
+    got[rows[a], b] = view.sums[a]
+    if mode == FLOAT:
+        vals = np.zeros((len(got), n), dtype=complex)
+        for at, factor in factors:
+            vals[:, at] = np.linalg.solve(factor, got[:, at].T).T
+        return coo(vals, complex)
+    hits = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0, dtype=object),)]
+    for at, factor in factors:
+        rows = np.flatnonzero(got[:, at].astype(bool).any(axis=1))
+        inv_t, d, _ = clear_denominators(factor)
+        part = got[rows, at].astype(object) @ inv_t
+        nz = np.nonzero(part.astype(bool))
+        hits.append((rows[nz[0]], at.start + nz[1],
+                     part[nz] * Fraction(1, d * view.d * view.d)))
+    row, col, val = (np.concatenate(x) for x in zip(*hits))
+    order = np.lexsort((col, row))
+    return (row[order], col[order]), val[order]

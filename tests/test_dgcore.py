@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from homotrace import dgcore
+from homotrace import dgcore, instances
 from homotrace.dgcore import (
     _action_residuals,
     _algebra_failures,
@@ -44,9 +44,11 @@ from homotrace.glinalg import (
 from homotrace.instances import matrix_instance, random_instance, \
     t1_instance, to_float_instance, torus_instance
 from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, GaussianRational,
-                               one_scalar)
-from oracles import (dense, endomorphism_tensor, entries, float_cast,
-                     make_algebra, matrix_from_rows, rho_vector)
+                               one_scalar, session_tol)
+from homotrace.serialize import instance_from_dict
+from oracles import (dense, endomorphism_tensor, entries, expand_all_rows,
+                     float_cast, make_algebra, matrix_from_rows, rho_vector,
+                     t1_gaussian_dict)
 
 
 def t1_space_q():
@@ -94,6 +96,8 @@ def test_validate_catches_broken_q():
     failed = {c.name: c for c in rep.failures()}
     assert "Q-squared" in failed
     assert failed["Q-squared"].witness == "e1"
+    with pytest.raises(ShapeError, match=r"^Q\^2 != 0$"):
+        cohomology(v, q)
 
 
 def test_validate_catches_broken_unit(t1):
@@ -464,6 +468,77 @@ def test_exact_pivot_expansion_matches_elimination(build):
     assert validate_bundle(loaded).ok
 
 
+@pytest.mark.parametrize("build", [
+    lambda: to_float_instance(t1_instance()),
+    lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
+    lambda: to_float_instance(random_instance(11, {0: 2, 1: 3, 2: 2})),
+    lambda: torus_instance(1),
+    lambda: torus_instance(2),
+    t1_instance,
+    lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+    lambda: matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]),
+    lambda: instance_from_dict(t1_gaussian_dict()),
+], ids=["T1f", "r7f", "r11f", "torus1", "torus2", "T1", "r11", "m32",
+        "T1-gaussian"])
+def test_expansion_of_nonzero_rows_keeps_every_entry(build):
+    """The algebra read off the rows with a nonzero sum at the pivots is
+    the one read off every row (``oracles.expand_all_rows``): the same
+    indices, values and dtypes, float values bit for bit and exact ones
+    of the same types."""
+    bundle = build().bundle
+    (row, col), val = bundle.algebra.entries
+    (want_row, want_col), want = expand_all_rows(
+        module_view(bundle.space, bundle.q, bundle.rho, bundle.mode),
+        session_tol(bundle.mode, None))
+    assert (row.dtype, col.dtype, val.dtype) == (
+        want_row.dtype, want_col.dtype, want.dtype)
+    assert row.tolist() == want_row.tolist()
+    assert col.tolist() == want_col.tolist()
+    if bundle.mode == FLOAT:
+        assert val.tobytes() == want.tobytes()
+    else:
+        assert [(type(x), x) for x in val] == [(type(x), x) for x in want]
+
+
+def test_float_expansion_solves_only_rows_with_a_nonzero_pivot_sum(
+        monkeypatch):
+    """On torus N=2, 26 of the 651 rows of the product table (the 25
+    products P P = P and the identity) have a nonzero sum at the pivots,
+    and the expansion passes only those to ``np.linalg.solve``; every row
+    was solved before, 651 right-hand sides."""
+    bundle = torus_instance(2).bundle
+    view = module_view(bundle.space, bundle.q, bundle.rho, FLOAT)
+    sizes, solve = [], np.linalg.solve
+
+    def counting(a, b):
+        sizes.append(b.shape[-1])
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    (row, col), val = _expand_pivots(view, DEFAULT_TOL)
+    assert sum(sizes) == 26
+    (want_row, want_col), want = bundle.algebra.entries
+    assert row.tolist() == want_row.tolist() and col.tolist() == want_col.tolist()
+    assert val.tobytes() == want.tobytes()
+
+
+def test_exact_build_squares_q_twice(monkeypatch):
+    """An exact build composes Q with itself twice: once to refuse a Q that
+    does not square to zero (``build_instance``) and once for the witness
+    of the ``Q-squared`` check (``validate_bundle``); the projector
+    splitting does not square it again."""
+    calls = []
+
+    def counting(f, g):
+        calls.append((f, g))
+        return compose(f, g)
+
+    monkeypatch.setattr(dgcore, "compose", counting)
+    monkeypatch.setattr(instances, "compose", counting)
+    q = random_instance(11, {0: 2, 1: 3, 2: 2}).bundle.q
+    assert sum(f is q and g is q for f, g in calls) == 2
+
+
 def test_cohomology_t1():
     v, q = t1_space_q()
     coh = cohomology(v, q)
@@ -483,8 +558,8 @@ def test_cohomology_zero_differential():
 
 
 def test_cohomology_rejects_non_square_zero():
-    """The same ShapeError in both modes: from the projector builder in
-    exact mode, from ``cohomology`` itself in float."""
+    """The same ShapeError in both modes, from ``cohomology`` itself: the
+    projector builder leaves the check to its callers."""
     v = GradedVectorSpace.make({0: 1, 1: 1, 2: 1})
     q = GradedMap.build(v, v, 1, {
         0: matrix_from_rows([[1]], EXACT),

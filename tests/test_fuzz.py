@@ -1,0 +1,104 @@
+"""A seeded mutation fuzz of instance files under ``verify``.
+
+The JSON trees of three instance files (T1 exact, random seed 7 as
+floats, torus N=1) are mutated one or two edits at a time: a node
+replaced by one of ``VALUES``, a node deleted, a list item duplicated, or
+a number multiplied by 10^300.  ``verify --max-arity 2`` must answer
+every mutated file with exit code 0, 1 or 2, with no exception out of
+``cli.main`` and no warning (the test configuration makes a warning an
+error, so it escapes as an exception too).
+"""
+
+import copy
+import json
+import random
+
+import pytest
+
+from homotrace import cli
+from homotrace.instances import random_instance, to_float_instance
+from homotrace.serialize import instance_to_dict
+
+SEED = 37
+FILES_PER_BASE = 200
+
+# the replacement values: empty, boolean, numeric and textual values at
+# the edges of each decoder, malformed containers and names of the files
+VALUES = [
+    None, True, False, 0, 1, -1, 2 ** 70, -2 ** 70, 0.5, -0.0, 1e308,
+    -1e308, 5e-324, "1/0", "nan", "inf", "1/3", "", "e1", "P(0,0)", [], {},
+    [1e308, 1e308], [0, 0], [[]], {"re": "1", "im": "0"}, {"re": "nan"},
+    "homotrace-instance/1",
+]
+
+
+def _nodes(tree, path=()):
+    """(path, node) of every node below the root, in document order."""
+    items = (tree.items() if isinstance(tree, dict)
+             else enumerate(tree) if isinstance(tree, list) else ())
+    for key, child in items:
+        yield path + (key,), child
+        yield from _nodes(child, path + (key,))
+
+
+def _edit(tree, rng: random.Random) -> None:
+    """One random edit of ``tree``, in place."""
+    path, node = rng.choice(list(_nodes(tree)))
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    kind = rng.randrange(4)
+    if kind == 0:
+        parent[key] = copy.deepcopy(rng.choice(VALUES))
+    elif kind == 1:
+        del parent[key]
+    elif kind == 2 and isinstance(parent, list):
+        parent.insert(key, copy.deepcopy(node))
+    elif (kind == 3 and isinstance(node, (int, float))
+          and not isinstance(node, bool)):
+        parent[key] = node * 10 ** 300
+    else:
+        parent[key] = copy.deepcopy(rng.choice(VALUES))
+
+
+def mutants(base: dict, rng: random.Random, count: int):
+    """``count`` JSON texts of ``base`` with one or two edits each; a
+    mutant that cannot be written as JSON is drawn again."""
+    made = 0
+    while made < count:
+        tree = copy.deepcopy(base)
+        for _ in range(rng.randint(1, 2)):
+            if not list(_nodes(tree)):
+                break
+            _edit(tree, rng)
+        try:
+            text = json.dumps(tree)
+        except (TypeError, ValueError):
+            continue
+        made += 1
+        yield text
+
+
+@pytest.fixture(scope="module")
+def bases(t1, torus1):
+    return {"T1": instance_to_dict(t1),
+            "r7f": instance_to_dict(to_float_instance(
+                random_instance(7, {0: 2, 1: 2}))),
+            "torus1": instance_to_dict(torus1)}
+
+
+def test_verify_answers_every_mutated_instance(bases, tmp_path, capsys):
+    rng = random.Random(SEED)
+    codes = []
+    for label, base in bases.items():
+        for k, text in enumerate(mutants(base, rng, FILES_PER_BASE)):
+            path = tmp_path / f"{label}-{k}.json"
+            path.write_text(text, encoding="utf-8")
+            code = cli.main(["verify", "--instance", str(path),
+                             "--max-arity", "2"])
+            capsys.readouterr()
+            assert code in (0, 1, 2), (label, text)
+            codes.append(code)
+    assert len(codes) == 3 * FILES_PER_BASE
+    assert {0, 2} <= set(codes)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homotrace import glinalg
 from homotrace.errors import RankAmbiguousError, ShapeError
 from homotrace.glinalg import (
     ExactSpan,
@@ -25,7 +26,7 @@ from homotrace.glinalg import (
     supercommutator,
     zeros_matrix,
 )
-from homotrace.scalars import EXACT, FLOAT, GaussianRational
+from homotrace.scalars import EXACT, FLOAT, GaussianRational, one_scalar
 from oracles import matrix_from_rows
 
 
@@ -432,3 +433,95 @@ def test_kernel_results_are_the_maps_build_stores(mode):
         with pytest.raises(dataclasses.FrozenInstanceError):
             got.blocks = ()
     assert [len(got.blocks) for got, _ in cases] == [1, 3, 0, 2, 0, 3, 3]
+
+
+def _difference_is_zero(a, b, tol):
+    """What ``GradedMap.equals`` decided by before it read the blocks in
+    place: the difference map formed, then tested for zero."""
+    if a.degree != b.degree:
+        return a.is_zero(tol) and b.is_zero(tol)
+    return (a - b).is_zero(tol)
+
+
+def test_equals_agrees_with_the_zero_test_of_the_difference():
+    """``equals`` reads the two maps' blocks in place and decides as the
+    zero test of their difference does: NaN or inf in either map, -0.0, a
+    block stored on one side only and zero maps of different degrees, in
+    float at a tolerance and at none, and Fraction and GaussianRational
+    blocks at tol None."""
+    nan, inf = float("nan"), float("inf")
+    v = space({0: 2, 1: 1})
+
+    def fmap(degree, **blocks):
+        return GradedMap.build(v, v, degree, {
+            int(d[1:]): np.array(b, dtype=complex) for d, b in blocks.items()},
+            FLOAT)
+
+    zero_row = [[0.0, 0.0]]
+    floats = [
+        fmap(1, d0=zero_row), fmap(1, d0=[[1.0, 2.0]]),
+        fmap(1, d0=[[1.0, 2.0 + 1e-12]]), fmap(1, d0=[[-0.0, 0.0]]),
+        fmap(1, d0=[[nan, 0.0]]), fmap(1, d0=[[complex(0, nan), 1.0]]),
+        fmap(1, d0=[[inf, 0.0]]), fmap(1, d0=[[-inf, 0.0]]),
+        fmap(0, d0=[[1.0, 0.0], [0.0, 1.0]]),
+        fmap(0, d0=[[1.0, 0.0], [0.0, 1.0]], d1=[[1.0]]),
+        fmap(0, d1=[[1.0]]), fmap(0, d1=[[1e-12]]), fmap(0, d1=[[nan]]),
+        GradedMap.zero(v, v, 0, FLOAT), GradedMap.zero(v, v, -1, FLOAT),
+        GradedMap.zero(v, v, 1, FLOAT),
+    ]
+    # inf - inf is NaN on both routes, and numpy warns of it on both
+    with np.errstate(invalid="ignore"):
+        for a, b in itertools.product(floats, repeat=2):
+            for tol in (None, 0.0, 1e-9):
+                assert a.equals(b, tol) == _difference_is_zero(a, b, tol), (
+                    a.blocks, b.blocks, tol)
+
+    def xmap(degree, blocks):
+        return GradedMap.build(v, v, degree, {
+            d: matrix_from_rows(rows, EXACT) for d, rows in blocks.items()},
+            EXACT)
+
+    g, h = GaussianRational(1, 2), GaussianRational(Fraction(1, 3), -1)
+    exact = [
+        xmap(1, {0: [[1, 2]]}), xmap(1, {0: [[Fraction(2, 2), 2]]}),
+        xmap(1, {0: [[1, Fraction(5, 2)]]}), xmap(1, {0: [[g, 2]]}),
+        xmap(1, {0: [[GaussianRational(1, 2), GaussianRational(2)]]}),
+        xmap(1, {0: [[1, GaussianRational(2)]]}), xmap(1, {0: [[h, 0]]}),
+        xmap(0, {0: [[1, 0], [0, 1]]}), xmap(0, {0: [[1, 0], [0, 1]], 1: [[1]]}),
+        xmap(0, {1: [[1]]}), xmap(0, {1: [[GaussianRational(1)]]}),
+        GradedMap.zero(v, v, 0, EXACT), GradedMap.zero(v, v, 2, EXACT),
+    ]
+    for a, b in itertools.product(exact, repeat=2):
+        assert a.equals(b) == _difference_is_zero(a, b, None), (
+            a.blocks, b.blocks)
+    other = space({0: 1, 1: 2})
+    assert not floats[0].equals(GradedMap.zero(other, other, 1, FLOAT))
+
+
+def test_float_zero_test_reads_entries_as_any_does():
+    """The float zero test counts nonzero entries, which reads NaN,
+    complex(0, nan), -0.0 and an empty block as ``.any()`` does."""
+    nan = float("nan")
+    cases = [[[nan]], [[complex(0, nan)]], [[complex(nan, 0)]], [[-0.0]],
+             [[complex(-0.0, -0.0)]], [[0.0, 0.0]], [[0.0, 5e-324]],
+             [[float("inf")]]]
+    blocks = [np.array(c, dtype=complex) for c in cases]
+    blocks += [np.zeros((0, 3), dtype=complex), np.zeros((2, 0), dtype=complex)]
+    for b in blocks:
+        assert glinalg._any_nonzero(b) is bool(b.any()), b
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_a_zero_map_scaled_is_itself(mode):
+    """A map that stores no block is returned as it is by ``scale`` and
+    negation, for any scalar and of any degree; a nonzero map is scaled
+    into a new map."""
+    v = space({0: 2, 1: 1})
+    one = one_scalar(mode)
+    for m in (GradedMap.zero(v, v, 1, mode), GradedMap.zero(v, v, -1, mode),
+              GradedMap.build(v, v, 0, {0: zeros_matrix(2, 2, mode)}, mode)):
+        for c in (one, -one, 2 * one, 0 * one):
+            assert m.scale(c) is m
+        assert -m is m
+    ident = GradedMap.identity(v, mode)
+    assert ident.scale(one) is not ident

@@ -1007,3 +1007,23 @@ def test_inputs_are_basis_indices_or_slots(t1):
     for inputs in ([t1.bundle.algebra.n_basis], [-1], ["e1"], [2.0], []):
         with pytest.raises(ShapeError):
             transfer_closed(inputs, t1.splitting, t1.bundle)
+
+
+def test_zero_components_are_the_stored_zero_for_either_sign():
+    """Every arity-3 word of T1f with a zero component gives that stored
+    component itself, for eps = 1 and eps = -1 alike: a map with no blocks
+    and the component's degree."""
+    inst = to_float_instance(t1_instance())
+    b, s = inst.bundle, inst.splitting
+    alg = b.algebra
+    signs = set()
+    for word in itertools.product(range(alg.n_basis), repeat=3):
+        got = transfer_closed(list(word), s, b)
+        stored = transfer._closed.on_basis(word[::-1])
+        if stored.blocks:
+            continue
+        degrees = [alg.basis_degree(k) for k in word]
+        signs.add(transfer._epsilon(degrees))
+        assert got is stored
+        assert not got.blocks and got.degree == sum(degrees) + 1 - 3
+    assert signs == {1, -1}
