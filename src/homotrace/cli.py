@@ -8,6 +8,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import random
@@ -238,16 +239,24 @@ def cmd_trace(args) -> int:
     results = []
     for name, chain in chains:
         f.reads.clear()
-        value = transferred_trace(chain, f)
-        entry = {"chain": name, "value": encode_value(value),
-                 "provenance": "closed-form" if method == "closed"
-                 else "quadrature"}
-        if inst.mode == FLOAT and method == "quadrature":
-            entry["error"] = f.error_of(f.reads)
-        if args.cyclic is not None:
-            cy = transferred_cyclic_trace(chain, f, args.cyclic)
-            entry["cyclic_level"] = args.cyclic
-            entry["cyclic_value"] = encode_value(cy)
+        # a float value that overflows is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = transferred_trace(chain, f)
+            written = [value]
+            entry = {"chain": name, "value": encode_value(value),
+                     "provenance": "closed-form" if method == "closed"
+                     else "quadrature"}
+            if inst.mode == FLOAT and method == "quadrature":
+                entry["error"] = f.error_of(f.reads)
+                written.append(entry["error"])
+            if args.cyclic is not None:
+                cy = transferred_cyclic_trace(chain, f, args.cyclic)
+                entry["cyclic_level"] = args.cyclic
+                entry["cyclic_value"] = encode_value(cy)
+                written.append(cy)
+        if inst.mode == FLOAT and not all(map(cmath.isfinite, written)):
+            raise InputError(f"chain {name!r} has a trace that is not finite "
+                             "in double precision")
         results.append(entry)
     if args.output == "json":
         print(json.dumps({"format": "homotrace-trace-report/1",

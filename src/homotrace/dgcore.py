@@ -549,10 +549,11 @@ class Splitting:
 
     Read off the spectrum once: ``m0`` (lam = 0 per degree), ``include`` =
     L[:, lam = 0], ``project`` = R[lam = 0], ``pi0`` = include project,
-    ``pi1`` = 1 - pi0 and ``homotopy`` = L diag(1/lam) R kappa (0 where lam
-    = 0), with {Q, homotopy} = pi1 in both kinds; it is kappa in the
-    projector kind.  So are the heat factors ``r_kappa``, ``lambda1`` and
-    ``float_copy`` that the propagator and quadrature read.
+    ``pi1`` = ``identity`` - pi0 and ``homotopy`` = L diag(1/lam) R kappa
+    (0 where lam = 0), with {Q, homotopy} = pi1 in both kinds; it is kappa
+    in the projector kind.  So are the heat factors ``r_kappa``,
+    ``lambda1`` and ``float_copy`` that the propagator and quadrature
+    read.
     ``check_splitting`` validates: pi0, pi1 complementary idempotents
     commuting with Q, Q pi0 = pi0 Q = 0, kappa^2 = 0 and kappa pi0 = pi0
     kappa = 0, and the same side conditions on homotopy.
@@ -590,23 +591,28 @@ class Splitting:
 
     @cached_property
     def pi0(self) -> GradedMap:
-        space = self.kappa.source
-        return GradedMap.build(space, space, 0, {
-            d: l @ r for d, (l, r) in self._harmonic.items()}, self.mode)
+        return compose(self.include, self.project)
+
+    @cached_property
+    def identity(self) -> GradedMap:
+        """The identity of the module, built once per splitting."""
+        return GradedMap.identity(self.kappa.source, self.mode)
 
     @cached_property
     def pi1(self) -> GradedMap:
-        return GradedMap.identity(self.kappa.source, self.mode) - self.pi0
+        return self.identity - self.pi0
 
     @cached_property
     def homotopy(self) -> GradedMap:
-        blocks = {}
-        for d, k in self.kappa.blocks:         # kappa: degree d -> d - 1
+        """L diag(1/lam) R, formed on the targets of kappa, after kappa."""
+        weighted = {}
+        for d, _ in self.kappa.blocks:         # kappa: degree d -> d - 1
             l, lam, r = self.spectrum[d - 1]
             inv = np.divide(1, lam, out=np.zeros_like(lam), where=lam != 0)
-            blocks[d] = ((l * inv) @ r) @ k
+            weighted[d - 1] = (l * inv) @ r
         space = self.kappa.source
-        return GradedMap.build(space, space, -1, blocks, self.mode)
+        return compose(GradedMap.build(space, space, 0, weighted, self.mode),
+                       self.kappa)
 
     @cached_property
     def delta(self) -> GradedMap:
@@ -785,9 +791,9 @@ def check_splitting(space: GradedVectorSpace, q: GradedMap, splitting: Splitting
     """Every splitting invariant, including the side conditions on kappa."""
     tol = session_tol(splitting.mode, tol)
     s = splitting
-    ident = GradedMap.identity(space, s.mode)
     checks = [
-        CheckResult("pi0+pi1=id", (s.pi0 + s.pi1).equals(ident, tol)),
+        CheckResult("pi0+pi1=id", space.dims == s.kappa.source.dims
+                    and (s.pi0 + s.pi1).equals(s.identity, tol)),
         CheckResult("pi0-idempotent", compose(s.pi0, s.pi0).equals(s.pi0, tol)),
         CheckResult("pi1-idempotent", compose(s.pi1, s.pi1).equals(s.pi1, tol)),
         CheckResult("pi0pi1=0", compose(s.pi0, s.pi1).is_zero(tol)),

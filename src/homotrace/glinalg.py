@@ -6,25 +6,33 @@ stored block-per-source-degree; missing blocks are zero.  All values are
 immutable after construction.
 
 The kernels pay only for nonzero work.  Composition, sums and differences
-walk the stored blocks and skip absent ones; an exact product multiplies
-only nonzero entry pairs (``_exact_product``), because each Fraction
-operation is a Python call, and a product block with no nonzero sum is
-not stored.  Float blocks stay in numpy: products are ``@``, magnitudes
-are array reductions and a zero test counts nonzero entries (in both
-modes), so a NaN entry is never read as zero.  ``equals`` compares two
-maps block by block, without a difference map, and a zero map scaled is
+walk the stored blocks and skip absent ones.  An exact map reads its
+blocks once (``GradedMap.sparse_rows``): each row's nonzero entries as
+(column, numerator, denominator), the numerator a Python int or a
+Gaussian integer (``_ratio``).  The exact ``compose``, ``scale``, ``+``,
+``-``, ``equals`` and supertraces run on these rows in integer
+arithmetic: a term is a product of numerators over a product of
+denominators, terms of one entry are added over a common denominator
+(``_sums``), and one Fraction is formed per nonzero result
+(``_exact_map``), since each Fraction operation is a Python call that
+takes a gcd.  A result keeps the rows it was formed from, so no map that
+a kernel returns is read twice, and a block with no nonzero sum is not
+stored.  Float blocks stay in numpy: products are ``@``, magnitudes are
+array reductions and a zero test counts nonzero entries, so a NaN entry
+is never read as zero.  ``equals`` compares two maps block by block
+(exact: their rows), without a difference map, and a zero map scaled is
 itself.  In both modes the results of ``compose``, ``scale``, ``+`` and
-``-`` are new arrays of the right shape, so each is built in one pass
-(``_fresh``): frozen in place, with its blocks that are exactly zero left
-out, and neither copied nor checked for shape as ``GradedMap.build``
-does with blocks that callers pass in.  Every ``GradedMap`` is made by
-the one private constructor ``_graded_map``, which sets its fields
-without the frozen dataclass's per-field ``__setattr__``; assigning to a
-field still raises.  A map with no stored block is exactly zero, so
-callers carry the rule past this boundary by testing ``blocks``: the
-transfer forms no step or tail after a zero prefix and shares one zero
-map per degree for its zero words and components, and the coherence
-defect and the push-forward end a term at its first zero component.
+``-`` are new arrays of the right shape, so each is built in one pass:
+frozen in place, with its blocks that are exactly zero left out, and
+neither copied nor checked for shape as ``GradedMap.build`` does with
+blocks that callers pass in.  Every ``GradedMap`` is made by the one
+private constructor ``_graded_map``, which sets its fields without the
+frozen dataclass's per-field ``__setattr__``; assigning to a field still
+raises.  A map with no stored block is exactly zero, so callers carry the
+rule past this boundary by testing ``blocks``: the transfer forms no step
+or tail after a zero prefix and shares one zero map per degree for its
+zero words and components, and the coherence defect and the push-forward
+end a term at its first zero component.
 
 Exact elimination is ``rref`` and what is read off one run of it (null
 space with its pivots, inverse, pivot rows with the inverse of their
@@ -56,6 +64,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -76,7 +85,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 def zeros_matrix(rows: int, cols: int, mode: str) -> np.ndarray:
     if mode == EXACT:
         m = np.empty((rows, cols), dtype=object)
-        m[...] = Fraction(0)
+        m[...] = zero_scalar(EXACT)
         return m
     return np.zeros((rows, cols), dtype=complex)
 
@@ -118,24 +127,82 @@ def _fresh(blocks) -> tuple[tuple[int, np.ndarray], ...]:
     return tuple((d, _freeze(m)) for d, m in blocks if _any_nonzero(m))
 
 
-def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """a @ b on object-dtype blocks, summed over nonzero entry pairs only
-    and frozen; None when every entry is zero.  Sums that cancel to zero
-    are not stored, and the block is allocated at the first nonzero sum."""
-    out = None
-    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
-    for i, row in enumerate(a.tolist()):
-        acc: dict[int, object] = {}
-        for k, x in enumerate(row):
-            if x:
-                for j, y in b_rows[k]:
-                    acc[j] = acc[j] + x * y if j in acc else x * y
-        for j, v in acc.items():
-            if v:
-                if out is None:
-                    out = zeros_matrix(a.shape[0], b.shape[1], EXACT)
-                out[i, j] = v
-    return None if out is None else _freeze(out)
+def _ratio(x) -> tuple:
+    """(n, d) with x = n / d for an exact scalar x: its numerator and
+    denominator, or for a GaussianRational the Gaussian integer d x over
+    the least common multiple d of its parts' denominators, as
+    ``_cleared`` reads it.  Equal values give equal pairs."""
+    if type(x) is GaussianRational:
+        d = math.lcm(x.re.denominator, x.im.denominator)
+        return x * d, d
+    return x.numerator, x.denominator
+
+
+def _read_rows(block: np.ndarray) -> tuple:
+    """The nonzero entries of each row of an exact block, as (column, n,
+    d) in column order (``_ratio``)."""
+    return tuple(tuple((j, *_ratio(x)) for j, x in enumerate(row) if x)
+                 for row in block.tolist())
+
+
+def _sums(terms) -> list:
+    """(column, n, d) per column that the (column, n, d) terms reach, in
+    column order, n / d the sum of its terms: numerators are added as they
+    are when the denominators agree, else over their least common
+    multiple; no sum is reduced."""
+    nums: dict = {}
+    dens: dict = {}
+    for j, n, d in terms:
+        e = dens.get(j)
+        if e is None:
+            nums[j], dens[j] = n, d
+        elif e == d:
+            nums[j] += n
+        else:
+            g = math.gcd(e, d)
+            nums[j], dens[j] = nums[j] * (d // g) + n * (e // g), e // g * d
+    return [(j, nums[j], dens[j]) for j in sorted(nums)]
+
+
+def _exact_value(n, d):
+    """n / d for an int or Gaussian integer n and a positive int d: one
+    Fraction, times the Gaussian integer in Q(i)."""
+    return Fraction(n, d) if type(n) is int else n * Fraction(1, d)
+
+
+def _exact_sum(terms):
+    """The sum of the n / d of (n, d) terms, formed once (``_sums``)."""
+    got = _sums((0, n, d) for n, d in terms)
+    return _exact_value(*got[0][1:]) if got else zero_scalar(EXACT)
+
+
+def _exact_map(source, target, degree: int, parts) -> "GradedMap":
+    """The exact map whose block at source degree d holds, per row, the
+    sums of that row's (column, n, d) terms, for (d, shape, terms per
+    row) in ``parts``, in degree order: one value formed per nonzero sum
+    (``_exact_value``), in a frozen block allocated at the first.  The
+    map keeps the rows it was formed from, and a block with no nonzero
+    sum is not stored."""
+    blocks, rows = [], {}
+    for d, shape, terms in parts:
+        out, read = None, []
+        for i, row in enumerate(terms):
+            if not row:
+                read.append(())
+                continue
+            kept = []
+            for j, n, e in (row if len(row) == 1 else _sums(row)):
+                if n:
+                    x = _exact_value(n, e)
+                    if out is None:
+                        out = zeros_matrix(*shape, EXACT)
+                    out[i, j] = x
+                    kept.append((j, *_ratio(x)))
+            read.append(tuple(kept))
+        if out is not None:
+            blocks.append((d, _freeze(out)))
+            rows[d] = tuple(read)
+    return _graded_map(source, target, degree, tuple(blocks), EXACT, rows)
 
 
 @dataclass(frozen=True)
@@ -237,6 +304,13 @@ class GradedMap:
         blocks = {d: identity_matrix(n, mode) for d, n in space.dims}
         return GradedMap.build(space, space, 0, blocks, mode)
 
+    @cached_property
+    def sparse_rows(self) -> dict[int, tuple]:
+        """Source degree -> the rows of its exact block (``_read_rows``),
+        read once per map: the blocks are frozen, so the rows cannot go
+        stale, and the kernels set them on the maps they return."""
+        return {d: _read_rows(m) for d, m in self.blocks}
+
     def block(self, source_degree: int) -> np.ndarray:
         for d, m in self.blocks:
             if d == source_degree:
@@ -250,8 +324,7 @@ class GradedMap:
             if not other.blocks:
                 return self
             if not self.blocks:
-                return _graded_map(other.source, other.target, other.degree,
-                                   other.blocks, other.mode)
+                return other
         return self._combine(other, operator.add)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
@@ -261,21 +334,42 @@ class GradedMap:
 
     def _combine(self, other: "GradedMap", op) -> "GradedMap":
         """op blockwise over the stored blocks; an absent block is the scalar
-        0, which gives the same entries as a zero block would."""
+        0, which gives the same entries as a zero block would.  Exact: the
+        rows of both sides summed per entry."""
         self._check_parallel(other)
         mine, theirs = dict(self.blocks), dict(other.blocks)
-        return _graded_map(self.source, self.target, self.degree, _fresh(
-            (d, op(mine.get(d, 0), theirs.get(d, 0)))
-            for d in sorted(mine.keys() | theirs.keys())), self.mode)
+        degrees = sorted(mine.keys() | theirs.keys())
+        if self.mode != EXACT:
+            return _graded_map(self.source, self.target, self.degree, _fresh(
+                (d, op(mine.get(d, 0), theirs.get(d, 0))) for d in degrees),
+                self.mode)
+        left, right = self.sparse_rows, other.sparse_rows
+        sign = 1 if op is operator.add else -1
+        parts = []
+        for d in degrees:
+            shape = (mine[d] if d in mine else theirs[d]).shape
+            none = ((),) * shape[0]
+            parts.append((d, shape, [
+                a + tuple((j, sign * n, e) for j, n, e in b)
+                for a, b in zip(left.get(d, none), right.get(d, none))]))
+        return _exact_map(self.source, self.target, self.degree, parts)
 
     def __neg__(self) -> "GradedMap":
         return self.scale(-one_scalar(self.mode))
 
     def scale(self, c) -> "GradedMap":
+        """c times the map; exact: each stored entry's numerator and
+        denominator times c's (``_ratio``), one value formed per entry."""
         if not self.blocks:
             return self
-        return _graded_map(self.source, self.target, self.degree, _fresh(
-            (d, m * c) for d, m in self.blocks), self.mode)
+        if self.mode != EXACT:
+            return _graded_map(self.source, self.target, self.degree, _fresh(
+                (d, m * c) for d, m in self.blocks), self.mode)
+        cn, cd = _ratio(c)
+        rows = self.sparse_rows
+        return _exact_map(self.source, self.target, self.degree, [
+            (d, m.shape, [[(j, n * cn, e * cd) for j, n, e in row]
+                          for row in rows[d]]) for d, m in self.blocks])
 
     def to_float(self) -> "GradedMap":
         """The map in float mode: itself if it is float, else cast."""
@@ -301,10 +395,9 @@ class GradedMap:
         if self.degree != other.degree:
             # the zero map carries no meaningful degree
             return self.is_zero(tol) and other.is_zero(tol)
-        mine, theirs = dict(self.blocks), dict(other.blocks)
         if tol is None and self.mode == EXACT:
-            return mine.keys() == theirs.keys() and all(
-                (m == theirs[d]).all() for d, m in mine.items())
+            return self.sparse_rows == other.sparse_rows
+        mine, theirs = dict(self.blocks), dict(other.blocks)
         return all(max_abs(mine.get(d, 0) - theirs.get(d, 0)) <= (tol or 0.0)
                    for d in mine.keys() | theirs.keys())
 
@@ -316,13 +409,21 @@ class GradedMap:
                 else max(tops, default=0.0))
 
     def supertrace(self):
-        """Sum over degrees of (-1)^d tr(diagonal block); needs degree 0."""
+        """Sum over degrees of (-1)^d tr(diagonal block); needs degree 0.
+        Exact: one integer sum over the diagonal entries of the rows, and
+        one value formed (``_exact_sum``)."""
         if self.degree != 0:
             raise ShapeError("supertrace needs a degree-0 endomorphism")
-        total = zero_scalar(self.mode)
         for d, m in self.blocks:
             if m.shape[0] != m.shape[1]:
                 raise ShapeError("supertrace needs an endomorphism", degree=d)
+        if self.mode == EXACT:
+            return _exact_sum(
+                (n if d % 2 == 0 else -n, e)
+                for d, rows in self.sparse_rows.items()
+                for i, row in enumerate(rows) for j, n, e in row if j == i)
+        total = zero_scalar(self.mode)
+        for d, m in self.blocks:
             t = zero_scalar(self.mode)
             for i in range(m.shape[0]):
                 t = t + m[i, i]
@@ -331,15 +432,19 @@ class GradedMap:
 
 
 def _graded_map(source: GradedVectorSpace, target: GradedVectorSpace,
-                degree: int, blocks: tuple, mode: str) -> GradedMap:
+                degree: int, blocks: tuple, mode: str,
+                rows: dict | None = None) -> GradedMap:
     """The GradedMap of parts its caller vouches for (frozen blocks of the
-    right shapes, in degree order, none of them zero), its fields set
-    straight into the instance dictionary: the frozen dataclass's own
-    ``__init__`` pays a ``__setattr__`` call per field."""
+    right shapes, in degree order, none of them zero, and the blocks'
+    ``sparse_rows`` when given), its fields set straight into the instance
+    dictionary: the frozen dataclass's own ``__init__`` pays a
+    ``__setattr__`` call per field."""
     m = object.__new__(GradedMap)
     fields = m.__dict__
     fields["source"], fields["target"], fields["degree"] = source, target, degree
     fields["blocks"], fields["mode"] = blocks, mode
+    if rows is not None:
+        fields["sparse_rows"] = rows
     return m
 
 
@@ -353,15 +458,20 @@ def compose(f: GradedMap, g: GradedMap) -> GradedMap:
                 raise ShapeError(
                     f"composition mismatch in degree {d}: "
                     f"{g.target.dim(d)} vs {f.source.dim(d)}", degree=d)
-    f_blocks, degree = dict(f.blocks), f.degree + g.degree
-    pairs = [(d, f_blocks[d + g.degree], gm) for d, gm in g.blocks
-             if d + g.degree in f_blocks]
+    degree = f.degree + g.degree
     if f.mode != EXACT:
+        f_blocks = dict(f.blocks)
         return _graded_map(g.source, f.target, degree, _fresh(
-            (d, fm @ gm) for d, fm, gm in pairs), f.mode)
-    blocks = ((d, _exact_product(fm, gm)) for d, fm, gm in pairs)
-    return _graded_map(g.source, f.target, degree, tuple(
-        (d, m) for d, m in blocks if m is not None), f.mode)
+            (d, f_blocks[d + g.degree] @ gm) for d, gm in g.blocks
+            if d + g.degree in f_blocks), f.mode)
+    f_rows, g_rows = f.sparse_rows, g.sparse_rows
+    return _exact_map(g.source, f.target, degree, [
+        (d, (len(left), gm.shape[1]), [
+            [(j, xn * yn, xd * yd) for k, xn, xd in row
+             for j, yn, yd in right[k]] for row in left])
+        for d, gm in g.blocks
+        if (left := f_rows.get(d + g.degree)) is not None
+        for right in (g_rows[d],)])
 
 
 def supercommutator(f: GradedMap, g: GradedMap) -> GradedMap:
@@ -370,8 +480,8 @@ def supercommutator(f: GradedMap, g: GradedMap) -> GradedMap:
         raise ShapeError("supercommutator needs endomorphisms")
     if f.source.dims != g.source.dims:
         raise ShapeError("supercommutator needs endomorphisms of the same space")
-    sign = (-1) ** ((f.degree % 2) * (g.degree % 2))
-    return compose(f, g) - compose(g, f).scale(sign * one_scalar(f.mode))
+    fg, gf = compose(f, g), compose(g, f)
+    return fg + gf if f.degree % 2 and g.degree % 2 else fg - gf
 
 
 def bar_signs(degrees) -> list[tuple[int, int]]:

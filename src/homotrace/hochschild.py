@@ -133,15 +133,18 @@ def hochschild_boundary(chain: HochschildChain) -> HochschildChain:
     a = chain.algebra
     out = HochschildChain.zero(a)
     for flats, coeff in chain.terms.items():
+        # an exact coefficient one multiplies nothing (floats keep the
+        # bits of the product)
+        one = a.mode == EXACT and coeff == 1
         for word, c in a.bar_terms(flats):
-            out.add_term(word, coeff * c)
+            out.add_term(word, c if one else coeff * c)
         if len(flats) >= 2:
             rot, rs = cyclic_shift_term(a, flats)
             own = -1 if a.basis_degree(rot[0]) % 2 else 1
             for k, c in a.product_terms[rot[0]][rot[1]]:
                 # one sign at a time, so floats keep the bits of the product
-                out.add_term((k,) + rot[2:],
-                             times_sign(times_sign(coeff, rs), own) * c)
+                out.add_term((k,) + rot[2:], times_sign(c, rs * own) if one
+                             else times_sign(times_sign(coeff, rs), own) * c)
     return out
 
 

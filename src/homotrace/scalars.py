@@ -190,9 +190,13 @@ def times_sign(x, sign: int):
     return x * sign
 
 
+# Fractions are immutable, so every exact zero and one can be these two
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def zero_scalar(mode: str):
-    return Fraction(0) if mode == EXACT else 0j
+    return _ZERO if mode == EXACT else 0j
 
 
 def one_scalar(mode: str):
-    return Fraction(1) if mode == EXACT else 1 + 0j
+    return _ONE if mode == EXACT else 1 + 0j

@@ -18,7 +18,7 @@ import math
 from contextlib import contextmanager
 
 from homotrace.errors import InputError, ShapeError
-from homotrace.glinalg import GradedMap, GradedVectorSpace
+from homotrace.glinalg import GradedMap, GradedVectorSpace, coo
 from homotrace.hochschild import HochschildChain
 from homotrace.instances import Instance, build_instance, map_from_triplets
 from homotrace.scalars import (
@@ -33,15 +33,14 @@ CHAINS_FORMAT = "homotrace-chains/1"
 
 
 def _triplets(space: GradedVectorSpace, m: GradedMap) -> list:
+    """[source label, target label, value] of each nonzero entry of the
+    stored blocks of m, by source degree, then column, then row."""
     out = []
-    for d in space.degrees():
-        blk = m.block(d)
-        for j in range(blk.shape[1]):
-            for i in range(blk.shape[0]):
-                if blk[i, j]:
-                    out.append([space.label(d, j),
-                                space.label(d + m.degree, i),
-                                encode_value(blk[i, j])])
+    for d, blk in m.blocks:
+        src, tgt = space.labels_in(d), space.labels_in(d + m.degree)
+        (cols, rows), vals = coo(blk.T, blk.dtype)
+        out += [[src[j], tgt[i], encode_value(x)] for j, i, x in zip(
+            cols.tolist(), rows.tolist(), vals.tolist())]
     return out
 
 

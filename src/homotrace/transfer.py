@@ -52,7 +52,7 @@ from homotrace.dgcore import (DgModuleBundle, EndoAlgebra, Splitting,
                               endomorphism_algebra)
 from homotrace.errors import QuadratureBudgetError, ShapeError
 from homotrace.glinalg import (AMBIGUITY_BAND, GradedMap, GradedVectorSpace,
-                               _any_nonzero, bar_signs, compose)
+                               _any_nonzero, _exact_sum, bar_signs, compose)
 from homotrace.quadrature import (DEFAULT_BUDGET, DEFAULT_ORDER, _cell_cost,
                                   integrate_interval)
 from homotrace.scalars import FLOAT, one_scalar, session_tol, zero_scalar
@@ -525,22 +525,27 @@ class AInfinityMorphism:
 def _supertrace_of(prefix: GradedMap, tail: GradedMap):
     """str(prefix tail) without forming the composite: over the tail's
     blocks T (source degree d) that land in a block P of the prefix,
-    (-1)^d times tr(P T).  Exact: sum_ij P[i,j] T[j,i] over nonzero
-    pairs.  Float: the diagonal of P @ T, the block ``compose`` forms,
-    summed in the order of ``GradedMap.supertrace``, so the bits are
-    those of the composite's supertrace."""
+    (-1)^d times tr(P T).  Exact: sum_ij P[i,j] T[j,i] over the pairs of
+    nonzero entries of the two maps' rows, one integer sum and one value
+    formed (``glinalg._exact_sum``).  Float: the diagonal of P @ T, the
+    block ``compose`` forms, summed in the order of
+    ``GradedMap.supertrace``, so the bits are those of the composite's
+    supertrace."""
+    if prefix.mode != FLOAT:
+        p_rows, t_rows = prefix.sparse_rows, tail.sparse_rows
+        return _exact_sum(
+            (pn * tn if d % 2 == 0 else -pn * tn, pd * td)
+            for d, rows in t_rows.items() if d + tail.degree in p_rows
+            for i, row in enumerate(p_rows[d + tail.degree])
+            for j, pn, pd in row for c, tn, td in rows[j] if c == i)
     prefix_blocks, total = dict(prefix.blocks), zero_scalar(prefix.mode)
     for d, t in tail.blocks:
         p = prefix_blocks.get(d + tail.degree)
         if p is None:
             continue
-        if prefix.mode == FLOAT:
-            m, tr = p @ t, zero_scalar(prefix.mode)
-            for i in range(m.shape[0]):
-                tr = tr + m[i, i]
-        else:
-            tr = sum((x * y for x, y in zip(p.flat, t.T.flat) if x and y),
-                     zero_scalar(prefix.mode))
+        m, tr = p @ t, zero_scalar(prefix.mode)
+        for i in range(m.shape[0]):
+            tr = tr + m[i, i]
         total = total + ((-1) ** (d % 2)) * tr
     return total
 

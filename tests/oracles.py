@@ -14,7 +14,8 @@ from homotrace.glinalg import (GradedMap, GradedVectorSpace, bar_signs,
                                sparse_pivots, supercommutator, zeros_matrix)
 from homotrace.hochschild import HochschildChain, cyclic_shift_term
 from homotrace.instances import t1_instance
-from homotrace.scalars import EXACT, FLOAT, one_scalar, zero_scalar
+from homotrace.scalars import (EXACT, FLOAT, encode_value, one_scalar,
+                               zero_scalar)
 from homotrace.serialize import instance_to_dict
 from homotrace.transfer import AInfinityMorphism, Slot, _elements
 
@@ -311,3 +312,42 @@ def expand_all_rows(view, tol) -> tuple:
     row, col, val = (np.concatenate(x) for x in zip(*hits))
     order = np.lexsort((col, row))
     return (row[order], col[order]), val[order]
+
+
+def exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """a @ b on object-dtype blocks in Fraction (or GaussianRational)
+    arithmetic, summed over nonzero entry pairs only and frozen; None when
+    every entry is zero: the exact product before maps kept their rows."""
+    out = None
+    b_rows = [[(j, y) for j, y in enumerate(row) if y] for row in b.tolist()]
+    for i, row in enumerate(a.tolist()):
+        acc: dict[int, object] = {}
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_rows[k]:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+        for j, v in acc.items():
+            if v:
+                if out is None:
+                    out = zeros_matrix(a.shape[0], b.shape[1], EXACT)
+                out[i, j] = v
+    if out is not None:
+        out.setflags(write=False)
+    return out
+
+
+def dense_triplets(space: GradedVectorSpace, m: GradedMap) -> list:
+    """The instance file's [source label, target label, value] entries of
+    m, read off every entry of every degree's dense block (absent blocks
+    as zeros), column by column: the writer before it walked the stored
+    blocks."""
+    out = []
+    for d in space.degrees():
+        blk = m.block(d)
+        for j in range(blk.shape[1]):
+            for i in range(blk.shape[0]):
+                if blk[i, j]:
+                    out.append([space.label(d, j),
+                                space.label(d + m.degree, i),
+                                encode_value(blk[i, j])])
+    return out

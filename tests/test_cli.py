@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from homotrace import cli, dgcore, hochschild, traces
+from homotrace import cli, dgcore, glinalg, hochschild, traces, transfer
 from homotrace.cli import _verify_checks, build_parser, main
 from homotrace.dgcore import validate_bundle
 from homotrace.errors import InputError
@@ -22,7 +22,8 @@ from homotrace.hochschild import HochschildChain
 from homotrace.instances import (matrix_instance, random_instance,
                                  t1_instance, to_float_instance,
                                  torus_instance)
-from homotrace.scalars import DEFAULT_TOL, FLOAT, decode_value, times_sign
+from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, decode_value,
+                               times_sign)
 from homotrace.serialize import (instance_from_dict, instance_to_dict,
                                  save_instance)
 from homotrace.transfer import ainfinity_defect, transfer_closed
@@ -300,6 +301,27 @@ def test_pivot_division_overflow_is_refused_without_warning(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "input error: product b-1_0*b0_0 is not in the span of the declared "
         "operators"]
+
+
+@pytest.mark.parametrize("cyclic", [[], ["--cyclic", "1"]])
+def test_trace_overflow_is_refused_without_warning(tmp_path, capsys, cyclic):
+    """A chain coefficient 1e308 on r7f is a finite double, but its trace
+    overflows: trace exits 2 with one line naming the chain instead of
+    writing ``Infinity`` (not JSON) and exiting 0, and numpy warns about
+    nothing (a warning is an error under pytest)."""
+    path, chain = tmp_path / "r7f.json", tmp_path / "chain.json"
+    assert run(["gen", "--kind", "random", "--seed", "7", "--dims", "2,2",
+                "--mode", "float", "-o", str(path)]) == 0
+    chain.write_text(json.dumps({"format": "homotrace-chains/1", "chains": [
+        {"name": "big", "terms": [{"coeff": 1e308, "slots": ["b0_1"]}]}]}))
+    capsys.readouterr()
+    assert run(["trace", "--instance", str(path), "--chain", str(chain),
+                "--output", "json"] + cyclic) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        "input error: chain 'big' has a trace that is not finite in double "
+        "precision"]
 
 
 def test_float_copy_outside_the_span_is_refused_at_generation(tmp_path,
@@ -949,3 +971,41 @@ def test_degree_beyond_int64_is_bad_input(tmp_path, capsys, where, degree):
         assert run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("build", [
+    t1_instance, lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+    lambda: matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]),
+    lambda: instance_from_dict(_t1_gaussian_dict()),
+], ids=["T1", "r11", "m32", "T1-gaussian"])
+def test_exact_kernel_results_carry_their_rows(tmp_path, capsys, monkeypatch,
+                                               build):
+    """Under ``verify --seed 0`` and ``trace --cyclic 1``, every exact map
+    that ``compose``, ``scale``, ``+`` or ``-`` returns (other than one of
+    its inputs, returned as it is) carries its ``sparse_rows``, equal to
+    the rows read again from its blocks, so no kernel result is read
+    twice."""
+    seen = []
+
+    def recording(fn):
+        def recorded(*args):
+            out = fn(*args)
+            seen.append((out, args))
+            return out
+        return recorded
+
+    compose = glinalg.compose
+    for module in (glinalg, dgcore, hochschild, traces, transfer):
+        if getattr(module, "compose", None) is compose:
+            monkeypatch.setattr(module, "compose", recording(compose))
+    for name in ("scale", "__add__", "__sub__"):
+        monkeypatch.setattr(GradedMap, name,
+                            recording(getattr(GradedMap, name)))
+    _report_digests(tmp_path, capsys, build(), [["--cyclic", "1"]])
+    formed = [out for out, args in seen if out.mode == EXACT
+              and not any(out is arg for arg in args)]
+    assert len(formed) > 100
+    for out in formed:
+        assert "sparse_rows" in vars(out)
+        assert out.sparse_rows == {d: glinalg._read_rows(m)
+                                   for d, m in out.blocks}

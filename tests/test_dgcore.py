@@ -1069,3 +1069,33 @@ def test_float_cohomology_reads_tol_none_as_the_session_tolerance():
     assert dict(cohomology(v, qr).m0.dims) == dims
     assert dims == dict(inst.splitting.m0.dims)
     assert euler_characteristic(v, qr) == euler_characteristic(v, q)
+
+
+@pytest.mark.parametrize("which", ["T1", "r11", "m32", "T1f", "r7f",
+                                   "torus1"])
+def test_projections_and_homotopy_keep_their_dense_values(t1, torus1, which):
+    """pi0 (include after project) and the homotopy (L diag(1/lam) R after
+    kappa) are formed by ``compose``: their blocks are those of the dense
+    products l @ r and ((l * inv) @ r) @ k per degree, equal in exact
+    mode and bit for bit in float mode, with the zero blocks left out."""
+    inst = {"T1": lambda: t1,
+            "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+            "m32": lambda: matrix_instance({0: 3, 1: 2},
+                                           q_entries=[("d0_0", "d1_0", 1)]),
+            "T1f": lambda: to_float_instance(t1),
+            "r7f": lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
+            "torus1": lambda: torus1}[which]()
+    s = inst.splitting
+    pi0 = {d: l[:, lam == 0] @ r[lam == 0]
+           for d, (l, lam, r) in s.spectrum.items()}
+    homotopy = {}
+    for d, k in s.kappa.blocks:
+        l, lam, r = s.spectrum[d - 1]
+        inv = np.divide(1, lam, out=np.zeros_like(lam), where=lam != 0)
+        homotopy[d] = ((l * inv) @ r) @ k
+    for got, want in ((s.pi0, pi0), (s.homotopy, homotopy)):
+        want = {d: m for d, m in want.items() if np.count_nonzero(m)}
+        assert [d for d, _ in got.blocks] == sorted(want)
+        for d, m in got.blocks:
+            assert (m.tobytes() == want[d].tobytes() if m.dtype != object
+                    else (m == want[d]).all())

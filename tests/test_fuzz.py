@@ -1,4 +1,4 @@
-"""A seeded mutation fuzz of instance files under ``verify``.
+"""A seeded mutation fuzz of instance and chain files under the CLI.
 
 The JSON trees of three instance files (T1 exact, random seed 7 as
 floats, torus N=1) are mutated one or two edits at a time: a node
@@ -6,21 +6,27 @@ replaced by one of ``VALUES``, a node deleted, a list item duplicated, or
 a number multiplied by 10^300.  ``verify --max-arity 2`` must answer
 every mutated file with exit code 0, 1 or 2, with no exception out of
 ``cli.main`` and no warning (the test configuration makes a warning an
-error, so it escapes as an exception too).
+error, so it escapes as an exception too).  Chain files of T1 exact and
+random seed 7 as floats are mutated the same way, and ``trace`` must
+answer each, with and without ``--cyclic 1``, by the same rule.
 """
 
 import copy
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from homotrace import cli
 from homotrace.instances import random_instance, to_float_instance
-from homotrace.serialize import instance_to_dict
+from homotrace.scalars import EXACT
+from homotrace.serialize import chains_to_dict, instance_to_dict, \
+    save_instance
 
 SEED = 37
 FILES_PER_BASE = 200
+CHAIN_FILES_PER_BASE = 80
 
 # the replacement values: empty, boolean, numeric and textual values at
 # the edges of each decoder, malformed containers and names of the files
@@ -101,4 +107,38 @@ def test_verify_answers_every_mutated_instance(bases, tmp_path, capsys):
             assert code in (0, 1, 2), (label, text)
             codes.append(code)
     assert len(codes) == 3 * FILES_PER_BASE
+    assert {0, 2} <= set(codes)
+
+
+def _chains(inst, rng: random.Random) -> dict:
+    """Two chains, each of one term of every length 1-3 over random basis
+    operators and a term on the element ``Id``, with small integer
+    coefficients."""
+    alg = inst.bundle.algebra
+    names = [alg.basis_name(k) for k in range(alg.n_basis)]
+    return chains_to_dict([(f"chain{c}", [
+        (Fraction(rng.choice((-2, -1, 1, 3))) if inst.mode == EXACT
+         else complex(rng.choice((-2, -1, 1, 3))),
+         [rng.choice(names) for _ in range(length)] or ["Id"])
+        for length in (1, 2, 3, 0)]) for c in range(2)])
+
+
+def test_trace_answers_every_mutated_chain_file(t1, tmp_path, capsys):
+    rng = random.Random(SEED)
+    codes = []
+    for label, inst in (("T1", t1), ("r7f", to_float_instance(
+            random_instance(7, {0: 2, 1: 2})))):
+        path = tmp_path / f"{label}.json"
+        save_instance(inst, str(path))
+        for k, text in enumerate(mutants(_chains(inst, rng), rng,
+                                         CHAIN_FILES_PER_BASE)):
+            chain = tmp_path / f"{label}-chain-{k}.json"
+            chain.write_text(text, encoding="utf-8")
+            for cyclic in ([], ["--cyclic", "1"]):
+                code = cli.main(["trace", "--instance", str(path), "--chain",
+                                 str(chain)] + cyclic)
+                capsys.readouterr()
+                assert code in (0, 1, 2), (label, cyclic, text)
+                codes.append(code)
+    assert len(codes) == 2 * 2 * CHAIN_FILES_PER_BASE
     assert {0, 2} <= set(codes)

@@ -1,5 +1,6 @@
 """Graded linear algebra: composition, exact elimination and spans."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -27,7 +28,8 @@ from homotrace.glinalg import (
     zeros_matrix,
 )
 from homotrace.scalars import EXACT, FLOAT, GaussianRational, one_scalar
-from oracles import matrix_from_rows
+from homotrace.transfer import _supertrace_of
+from oracles import exact_product, matrix_from_rows
 
 
 def space(dims):
@@ -255,6 +257,40 @@ def test_exact_kernels_match_dense_reference(dims, d1, d2, gaussian, density,
         expected = {d: op(f.block(d), f2.block(d)) for d in v.degrees()
                     if v.dim(d + d1)}
         assert_blocks_equal(result, expected)
+
+    # the Fraction product over nonzero entry pairs that compose replaced
+    got = dict(compose(f, g).blocks)
+    for d in product:
+        want = (exact_product(f.block(d + d2), g.block(d)) if v.dim(d + d2)
+                else None)
+        assert (d in got) == (want is not None)
+        if want is not None:
+            assert_entries_equal(got[d], want)
+    c = (GaussianRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                          rng.randint(-2, 2)) if gaussian
+         else Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    assert_blocks_equal(f.scale(c), {d: f.block(d) * c for d in v.degrees()
+                                     if v.dim(d + d1)})
+    # sums that cancel to zero store no block
+    assert (f - f).blocks == () and (f + f.scale(-1)).blocks == ()
+    assert (f - f2 + f2 - f).blocks == ()
+    dense_equal = all((f.block(d) == f2.block(d)).all() for d in v.degrees())
+    assert f.equals(f2) == dense_equal == f2.equals(f)
+    copy = GradedMap.build(v, v, d1, {d: np.array(m) for d, m in f.blocks},
+                           EXACT)
+    assert f.equals(copy) and copy.equals(f) and f.equals(f + (f2 - f2))
+
+    # supertraces: of a degree-0 map, and of a prefix times a tail
+    h = sparse_gmap(rng, v, v, 0, gaussian, density)
+    assert h.supertrace() == sum(
+        (-1) ** (d % 2) * sum(h.block(d).diagonal(), Fraction(0))
+        for d in v.degrees())
+    assert (h - h).supertrace() == 0
+    t = sparse_gmap(rng, v, v, -d1, gaussian, density)
+    want = sum((-1) ** (d % 2) * sum((f.block(d - d1) @ t.block(d)).diagonal(),
+                                     Fraction(0))
+               for d in v.degrees() if v.dim(d - d1))
+    assert _supertrace_of(f, t) == want == compose(f, t).supertrace()
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -525,3 +561,36 @@ def test_a_zero_map_scaled_is_itself(mode):
         assert -m is m
     ident = GradedMap.identity(v, mode)
     assert ident.scale(one) is not ident
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_compose_forms_one_fraction_per_entry(monkeypatch, seed):
+    """An exact compose of two maps whose rows are read runs in integer
+    arithmetic: no Fraction is multiplied or added, and at most one
+    Fraction is formed per nonzero entry of the result."""
+    import random
+    rng = random.Random(seed)
+    v = space({0: 3, 1: 4, 2: 3})
+    f, g = (GradedMap.build(v, v, k, {d: sparse_matrix(
+        rng, v.dim(d + k), v.dim(d), False, 0.6) for d in v.degrees()
+        if v.dim(d + k)}, EXACT) for k in (1, -1))
+    assert f.sparse_rows and g.sparse_rows       # read before counting
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in ("__new__", "__mul__", "__rmul__", "__add__", "__radd__",
+                 "__sub__", "__rsub__", "__neg__"):
+        monkeypatch.setattr(Fraction, name,
+                            counting(name, getattr(Fraction, name)))
+    out = compose(f, g)
+    monkeypatch.undo()
+    entries = sum(bool(x) for _, m in out.blocks for x in m.flat)
+    assert entries and 0 < calls.pop("__new__") <= entries
+    assert not calls
+    assert_blocks_equal(out, {d: f.block(d - 1) @ g.block(d)
+                              for d in v.degrees() if v.dim(d - 1)})

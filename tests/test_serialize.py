@@ -24,7 +24,7 @@ from homotrace.serialize import (
 )
 from homotrace.traces import transferred_trace
 from homotrace.transfer import transferred_morphism
-from oracles import make_algebra
+from oracles import dense_triplets, make_algebra, t1_gaussian_dict
 
 
 _BUILT = {
@@ -505,3 +505,41 @@ def test_chain_with_unknown_slot(tmp_path, t1):
     }))
     with pytest.raises(InputError):
         load_chains(str(cpath), inst)
+
+
+@pytest.mark.parametrize("which", ["T1", "r11", "m32", "T1-gaussian", "T1f",
+                                   "r7f", "torus1", "torus2"])
+def test_writer_reads_only_stored_entries(tmp_path, t1, torus1, torus2,
+                                          monkeypatch, which):
+    """The file written from the stored blocks' nonzero entries has the
+    bytes of the one written from every entry of every degree's dense
+    block (``oracles.dense_triplets``)."""
+    inst = {"T1": lambda: t1, "r11": _BUILT["r11"], "m32": _BUILT["m32"],
+            "T1-gaussian": lambda: serialize.instance_from_dict(
+                t1_gaussian_dict()),
+            "T1f": lambda: to_float_instance(t1),
+            "r7f": lambda: to_float_instance(_BUILT["r7"]()),
+            "torus1": lambda: torus1, "torus2": lambda: torus2}[which]()
+    save_instance(inst, str(tmp_path / "stored.json"))
+    monkeypatch.setattr(serialize, "_triplets", dense_triplets)
+    save_instance(inst, str(tmp_path / "dense.json"))
+    assert ((tmp_path / "stored.json").read_bytes()
+            == (tmp_path / "dense.json").read_bytes())
+
+
+def test_a_load_builds_the_module_identity_once(tmp_path, t1, monkeypatch):
+    """Loading T1 builds the identity of its module once: the splitting
+    keeps it for pi1 = 1 - pi0 and for the check pi0 + pi1 = 1 (twice
+    before), beside the identity of M0 that include-project is checked
+    against."""
+    save_instance(t1, str(tmp_path / "t1.json"))
+    built, identity = [], glinalg.GradedMap.identity
+
+    def count(space, mode):
+        built.append(space)
+        return identity(space, mode)
+
+    monkeypatch.setattr(glinalg.GradedMap, "identity", count)
+    loaded = load_instance(str(tmp_path / "t1.json"))
+    assert sum(s is loaded.bundle.space for s in built) == 1
+    assert sum(s is loaded.splitting.m0 for s in built) == 1
