@@ -57,6 +57,9 @@ def _parse_tau(text: str) -> complex:
         return complex(float(Fraction(re_s)), float(Fraction(im_s)))
     except ValueError as exc:
         raise InputError(f"bad --tau value {text!r} (want re,im)") from exc
+    except ZeroDivisionError as exc:
+        raise InputError(f"--tau value {text!r} has a zero "
+                         "denominator") from exc
     except OverflowError as exc:
         raise InputError(f"--tau value {text!r} is outside the double "
                          "range") from exc

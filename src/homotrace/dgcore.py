@@ -71,9 +71,9 @@ class DgAlgebra:
     nonzero entries ((row, column) indices, values; in index order) of its
     (n^2 + 1 + n, n) table over the flat basis: row i n + j is e_i e_j, row
     n^2 the unit and row n^2 + 1 + k d(e_k), as in ``_escaped``.  The
-    sparse view, the per-basis tables, ``unit`` and ``differential`` are
-    read off it once per algebra, on request, and the tensor ``mul`` on
-    each request."""
+    sparse view, the per-basis tables and ``differential`` are read off it
+    once per algebra, on request, and the tensor ``mul`` on each
+    request."""
 
     space: GradedVectorSpace
     entries: tuple[tuple[np.ndarray, np.ndarray], np.ndarray]
@@ -130,11 +130,6 @@ class DgAlgebra:
         out[row[a:b] - lo, col[a:b]] = vals[a:b]
         out.setflags(write=False)
         return out
-
-    @cached_property
-    def unit(self) -> np.ndarray:
-        """The unit's coordinates over the flat basis (read-only)."""
-        return self._dense_rows(self.n_basis ** 2, self.n_basis ** 2 + 1)[0]
 
     @cached_property
     def differential(self) -> GradedMap:
@@ -870,9 +865,9 @@ class EndoAlgebra:
 
     def coordinates(self, m: GradedMap) -> list:
         """(k, c) per nonzero coefficient of a homogeneous endomorphism
-        over the basis, in index order, read off its stored blocks."""
-        return sorted((self._index[sd, i, sd + m.degree, j], blk[j, i])
-                      for sd, blk in m.blocks for j, i in zip(*blk.nonzero()))
+        over the basis, in index order, read off its stored entries."""
+        return sorted((self._index[sd, i, sd + m.degree, j], x)
+                      for sd, j, i, x in m.nonzero_entries())
 
 
 def matrix_units(space: GradedVectorSpace, mode: str) -> tuple:

@@ -5,34 +5,36 @@ GaussianRationals) in exact mode, ``complex128`` in float mode.  Maps are
 stored block-per-source-degree; missing blocks are zero.  All values are
 immutable after construction.
 
-The kernels pay only for nonzero work.  Composition, sums and differences
-walk the stored blocks and skip absent ones.  An exact map reads its
-blocks once (``GradedMap.sparse_rows``): each row's nonzero entries as
-(column, numerator, denominator), the numerator a Python int or a
-Gaussian integer (``_ratio``).  The exact ``compose``, ``scale``, ``+``,
-``-``, ``equals`` and supertraces run on these rows in integer
-arithmetic: a term is a product of numerators over a product of
-denominators, terms of one entry are added over a common denominator
-(``_sums``), and one Fraction is formed per nonzero result
+The kernels pay only for nonzero work.  Every sum of graded maps is one
+``combination`` (the sum of c m over (map, coefficient) terms;
+``scale``, ``+`` and ``-`` call it) and every supertrace is
+``supertrace(*maps)``, which forms only the product P of all maps but
+the last, T, so no other module reads the exact row format.  An exact
+map reads its blocks once (``GradedMap.sparse_rows``): each row's
+nonzero entries as (column, numerator, denominator), the numerator a
+Python int or a Gaussian integer (``_ratio``).  The exact kernels run on
+these rows in integer arithmetic: a term is a product of numerators over
+a product of denominators, terms of one entry are added over a common
+denominator (``_sums``), and one Fraction is formed per nonzero result
 (``_exact_map``), since each Fraction operation is a Python call that
-takes a gcd.  A result keeps the rows it was formed from, so no map that
-a kernel returns is read twice, and a block with no nonzero sum is not
-stored.  Float blocks stay in numpy: products are ``@``, magnitudes are
-array reductions and a zero test counts nonzero entries, so a NaN entry
-is never read as zero.  ``equals`` compares two maps block by block
-(exact: their rows), without a difference map, and a zero map scaled is
-itself.  In both modes the results of ``compose``, ``scale``, ``+`` and
-``-`` are new arrays of the right shape, so each is built in one pass:
-frozen in place, with its blocks that are exactly zero left out, and
-neither copied nor checked for shape as ``GradedMap.build`` does with
-blocks that callers pass in.  Every ``GradedMap`` is made by the one
-private constructor ``_graded_map``, which sets its fields without the
-frozen dataclass's per-field ``__setattr__``; assigning to a field still
-raises.  A map with no stored block is exactly zero, so callers carry the
-rule past this boundary by testing ``blocks``: the transfer forms no step
-or tail after a zero prefix and shares one zero map per degree for its
-zero words and components, and the coherence defect and the push-forward
-end a term at its first zero component.
+takes a gcd; terms that cancel form none.  A result keeps the rows it
+was formed from, and a block with no nonzero sum is not stored.  Float
+blocks stay in numpy: products are ``@``, a coefficient 1 or -1 adds or
+subtracts a block as it is, a supertrace sums the diagonals of the
+blocks P @ T that ``compose`` stores, magnitudes are array reductions
+and a zero test counts nonzero entries, so a NaN entry is never read as
+zero.  ``equals`` compares two maps block by block (exact: their rows),
+and a zero map scaled is itself.  A kernel's blocks are built in one
+pass: frozen in place, exactly zero ones left out, neither copied nor
+checked for shape as ``GradedMap.build`` does with blocks that callers
+pass in.  Every ``GradedMap`` is made by the one private constructor
+``_graded_map``, which sets its fields without the frozen dataclass's
+per-field ``__setattr__``; assigning to a field still raises.  A map
+with no stored block is exactly zero, so callers carry the rule past
+this boundary by testing ``blocks``: the transfer forms no step or tail
+after a zero prefix and shares one zero map per degree for its zero
+words and components, and the coherence defect and the push-forward end
+a term at its first zero component.
 
 Exact elimination is ``rref`` and what is read off one run of it (null
 space with its pivots, inverse, pivot rows with the inverse of their
@@ -61,10 +63,9 @@ identities of a dg module run this way (``dgcore``).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -122,8 +123,8 @@ def _any_nonzero(a: np.ndarray) -> bool:
 
 def _fresh(blocks) -> tuple[tuple[int, np.ndarray], ...]:
     """(source degree, block) pairs computed by a kernel, in degree order,
-    as a map stores them: each block is a new array of the right shape, so
-    it is frozen in place, and one with no nonzero entry is left out."""
+    as a map stores them: each block, new or a term's own, is frozen in
+    place, and one with no nonzero entry is left out."""
     return tuple((d, _freeze(m)) for d, m in blocks if _any_nonzero(m))
 
 
@@ -325,63 +326,30 @@ class GradedMap:
                 return self
             if not self.blocks:
                 return other
-        return self._combine(other, operator.add)
+        return combination([(self, 1), (other, 1)], self.source, self.target,
+                           self.degree, self.mode)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
         if self.degree != other.degree and (not self.blocks or not other.blocks):
             return self + other.scale(-one_scalar(other.mode))
-        return self._combine(other, operator.sub)
-
-    def _combine(self, other: "GradedMap", op) -> "GradedMap":
-        """op blockwise over the stored blocks; an absent block is the scalar
-        0, which gives the same entries as a zero block would.  Exact: the
-        rows of both sides summed per entry."""
-        self._check_parallel(other)
-        mine, theirs = dict(self.blocks), dict(other.blocks)
-        degrees = sorted(mine.keys() | theirs.keys())
-        if self.mode != EXACT:
-            return _graded_map(self.source, self.target, self.degree, _fresh(
-                (d, op(mine.get(d, 0), theirs.get(d, 0))) for d in degrees),
-                self.mode)
-        left, right = self.sparse_rows, other.sparse_rows
-        sign = 1 if op is operator.add else -1
-        parts = []
-        for d in degrees:
-            shape = (mine[d] if d in mine else theirs[d]).shape
-            none = ((),) * shape[0]
-            parts.append((d, shape, [
-                a + tuple((j, sign * n, e) for j, n, e in b)
-                for a, b in zip(left.get(d, none), right.get(d, none))]))
-        return _exact_map(self.source, self.target, self.degree, parts)
+        return combination([(self, 1), (other, -1)], self.source, self.target,
+                           self.degree, self.mode)
 
     def __neg__(self) -> "GradedMap":
         return self.scale(-one_scalar(self.mode))
 
     def scale(self, c) -> "GradedMap":
-        """c times the map; exact: each stored entry's numerator and
-        denominator times c's (``_ratio``), one value formed per entry."""
+        """c times the map (``combination``); a zero map is itself."""
         if not self.blocks:
             return self
-        if self.mode != EXACT:
-            return _graded_map(self.source, self.target, self.degree, _fresh(
-                (d, m * c) for d, m in self.blocks), self.mode)
-        cn, cd = _ratio(c)
-        rows = self.sparse_rows
-        return _exact_map(self.source, self.target, self.degree, [
-            (d, m.shape, [[(j, n * cn, e * cd) for j, n, e in row]
-                          for row in rows[d]]) for d, m in self.blocks])
+        return combination([(self, c)], self.source, self.target,
+                           self.degree, self.mode)
 
     def to_float(self) -> "GradedMap":
         """The map in float mode: itself if it is float, else cast."""
         return self if self.mode == FLOAT else _graded_map(
             self.source, self.target, self.degree,
             _fresh((d, m.astype(complex)) for d, m in self.blocks), FLOAT)
-
-    def _check_parallel(self, other: "GradedMap") -> None:
-        if (self.source.dims != other.source.dims
-                or self.target.dims != other.target.dims
-                or self.degree != other.degree):
-            raise ShapeError("maps are not parallel (source/target/degree differ)")
 
     def is_zero(self, tol: float | None = None) -> bool:
         if tol is None:
@@ -409,26 +377,20 @@ class GradedMap:
                 else max(tops, default=0.0))
 
     def supertrace(self):
-        """Sum over degrees of (-1)^d tr(diagonal block); needs degree 0.
-        Exact: one integer sum over the diagonal entries of the rows, and
-        one value formed (``_exact_sum``)."""
-        if self.degree != 0:
-            raise ShapeError("supertrace needs a degree-0 endomorphism")
-        for d, m in self.blocks:
-            if m.shape[0] != m.shape[1]:
-                raise ShapeError("supertrace needs an endomorphism", degree=d)
+        """The map's supertrace (``supertrace``)."""
+        return supertrace(self)
+
+    def nonzero_entries(self) -> list[tuple]:
+        """(source degree, row, column, the block's entry) per nonzero
+        entry, in that order: read off the rows (exact) or by
+        ``np.nonzero`` (float), so no exact entry is tested for zero."""
         if self.mode == EXACT:
-            return _exact_sum(
-                (n if d % 2 == 0 else -n, e)
-                for d, rows in self.sparse_rows.items()
-                for i, row in enumerate(rows) for j, n, e in row if j == i)
-        total = zero_scalar(self.mode)
-        for d, m in self.blocks:
-            t = zero_scalar(self.mode)
-            for i in range(m.shape[0]):
-                t = t + m[i, i]
-            total = total + ((-1) ** (d % 2)) * t
-        return total
+            blocks = dict(self.blocks)
+            return [(d, i, j, blocks[d][i, j])
+                    for d, rows in self.sparse_rows.items()
+                    for i, row in enumerate(rows) for j, _, _ in row]
+        return [(d, i, j, m[i, j]) for d, m in self.blocks
+                for i, j in zip(*m.nonzero())]
 
 
 def _graded_map(source: GradedVectorSpace, target: GradedVectorSpace,
@@ -472,6 +434,97 @@ def compose(f: GradedMap, g: GradedMap) -> GradedMap:
         for d, gm in g.blocks
         if (left := f_rows.get(d + g.degree)) is not None
         for right in (g_rows[d],)])
+
+
+def combination(terms, source: GradedVectorSpace, target: GradedVectorSpace,
+                degree: int, mode: str) -> GradedMap:
+    """The sum of c m over the (m, c) terms, from source to target at the
+    given degree.  A map that stores no block is left out, whatever its
+    degree; the others must be parallel to the sum (ShapeError otherwise),
+    and with none left the sum is the zero map.  Exact: each map's rows,
+    times c (``_ratio``) unless c is 1, are joined per output row and summed
+    once (``_exact_map``), so terms that cancel form no value.  Float: the
+    blocks in term order, the first starting the sum, each added or
+    subtracted as it is when c is 1 or -1, else times c."""
+    kept = []
+    for m, c in terms:
+        if not m.blocks:
+            continue
+        if (m.degree != degree or m.source.dims != source.dims
+                or m.target.dims != target.dims):
+            raise ShapeError("maps are not parallel "
+                             "(source/target/degree differ)")
+        kept.append((m, c))
+    if not kept:
+        return _graded_map(source, target, degree, (), mode)
+    if mode != EXACT:
+        acc: dict = {}
+        for m, c in kept:
+            for d, b in m.blocks:
+                x = acc.get(d)
+                if c == -1:
+                    acc[d] = -b if x is None else x - b
+                else:
+                    b = b if c == 1 else b * c
+                    acc[d] = b if x is None else x + b
+        return _graded_map(source, target, degree,
+                           _fresh(sorted(acc.items())), mode)
+    rows: dict = {}
+    for m, c in kept:
+        read = m.sparse_rows
+        if c != 1:
+            cn, cd = _ratio(c)
+            read = {d: [[(j, n * cn, e * cd) for j, n, e in row]
+                        for row in part] for d, part in read.items()}
+        for d, part in read.items():
+            rows[d] = ([[*a, *x] for a, x in zip(rows[d], part)] if d in rows
+                       else part)
+    return _exact_map(source, target, degree, [
+        (d, (target.dim(d + degree), source.dim(d)), rows[d])
+        for d in sorted(rows)])
+
+
+def supertrace(*maps):
+    """str(f_1 ... f_k): the sum over source degrees d of (-1)^d times the
+    trace of the composite's block at d; the total degree must be 0, and
+    for k = 1 every block square.  Only the composite P of all maps but
+    the last, T, is formed.  Exact: one integer sum over the pairs of row
+    entries P[i,j] T[j,i] (over the diagonal entries when k = 1), and one
+    value formed (``_exact_sum``).  Float: the diagonal of each block P @
+    T that ``compose`` stores, summed in degree order, so the value and
+    its type are those of the composite's supertrace."""
+    *head, t = maps
+    if sum(m.degree for m in maps) != 0:
+        raise ShapeError("supertrace needs a degree-0 endomorphism")
+    if not head:
+        for d, m in t.blocks:
+            if m.shape[0] != m.shape[1]:
+                raise ShapeError("supertrace needs an endomorphism", degree=d)
+        if t.mode == EXACT:
+            return _exact_sum(
+                (n if d % 2 == 0 else -n, e)
+                for d, rows in t.sparse_rows.items()
+                for i, row in enumerate(rows) for j, n, e in row if j == i)
+        squares = t.blocks
+    else:
+        p = reduce(compose, head)
+        if t.mode == EXACT:
+            p_rows = p.sparse_rows
+            return _exact_sum(
+                (pn * tn if d % 2 == 0 else -pn * tn, pd * td)
+                for d, rows in t.sparse_rows.items() if d + t.degree in p_rows
+                for i, row in enumerate(p_rows[d + t.degree])
+                for j, pn, pd in row for c, tn, td in rows[j] if c == i)
+        p_blocks = dict(p.blocks)
+        squares = _fresh((d, p_blocks[d + t.degree] @ m) for d, m in t.blocks
+                         if d + t.degree in p_blocks)
+    total = zero_scalar(t.mode)
+    for d, m in squares:
+        tr = zero_scalar(t.mode)
+        for i in range(m.shape[0]):
+            tr = tr + m[i, i]
+        total = total + ((-1) ** (d % 2)) * tr
+    return total
 
 
 def supercommutator(f: GradedMap, g: GradedMap) -> GradedMap:

@@ -11,11 +11,9 @@ canonical cocycle shape; its weights on all-even slots are +1.
 
 from __future__ import annotations
 
-from functools import reduce
-
 from homotrace.dgcore import EndoAlgebra, Splitting
 from homotrace.errors import ShapeError
-from homotrace.glinalg import GradedMap, compose, supercommutator
+from homotrace.glinalg import GradedMap, compose, supercommutator, supertrace
 from homotrace.hochschild import (
     HochschildChain,
     _compositions,
@@ -39,8 +37,7 @@ def supertrace_on_cohomology(op: GradedMap, splitting: Splitting,
     if q is not None and not supercommutator(q, op).is_zero(
             session_tol(op.mode, tol)):
         raise ShapeError("operator does not commute with the differential")
-    induced = compose(splitting.project, compose(op, splitting.include))
-    return induced.supertrace()
+    return supertrace(splitting.project, compose(op, splitting.include))
 
 
 def transferred_trace(chain: HochschildChain, f: AInfinityMorphism):
@@ -85,8 +82,8 @@ def cyclic_trace(chain: HochschildChain, endo: EndoAlgebra, level: int):
         if sum(alg.basis_degree(x) for x in flats) != 0:
             continue
         for cur, sign in _signed_rotations(alg, flats):
-            m = reduce(compose, (endo.maps[idx] for idx in cur))
-            total = total + c * sign * m.supertrace()
+            total = total + c * sign * supertrace(
+                *(endo.maps[idx] for idx in cur))
     return total
 
 
@@ -118,8 +115,7 @@ def antisymmetrized_supertrace(ops: list[GradedMap], splitting: Splitting,
     total = zero_scalar(ops[0].mode)
     order = [0, 1, 2]
     for _ in range(3):
-        prod = compose(induced[order[0]],
-                       compose(induced[order[1]], induced[order[2]]))
-        total = total + prod.supertrace()
+        total = total + supertrace(
+            induced[order[0]], compose(induced[order[1]], induced[order[2]]))
         order = [order[2]] + order[:2]
     return total

@@ -16,10 +16,11 @@ integral over the compactified gap (chart t = -ln(1-sigma)/mu, mu the
 spectral gap), at any arity.  The closed form is built from factors kept
 per morphism: the step h rho(b) of a basis element grows a stored prefix p
 rho(b_1) h ... rho(b_j) by one compose, and its tail h rho(b) i closes a
-prefix into a component with one more, and a supertrace is read off the
-same two factors without forming it.  ``transfer_closed`` keeps the
-morphism of the last (bundle, splitting) pair it was given, so repeated
-calls on one pair share these factors and the components.
+prefix into a component with one more; its supertrace is
+``glinalg.supertrace`` of the same two factors, which does not form it.
+Each sum of maps is one ``glinalg.combination``.  ``transfer_closed``
+keeps the morphism of the last (bundle, splitting) pair it was given, so
+repeated calls on one pair share these factors and the components.
 
 Signs.  In chain order the transferred component is
 
@@ -42,7 +43,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,7 +52,7 @@ from homotrace.dgcore import (DgModuleBundle, EndoAlgebra, Splitting,
                               endomorphism_algebra)
 from homotrace.errors import QuadratureBudgetError, ShapeError
 from homotrace.glinalg import (AMBIGUITY_BAND, GradedMap, GradedVectorSpace,
-                               _any_nonzero, _exact_sum, bar_signs, compose)
+                               bar_signs, combination, compose, supertrace)
 from homotrace.quadrature import (DEFAULT_BUDGET, DEFAULT_ORDER, _cell_cost,
                                   integrate_interval)
 from homotrace.scalars import FLOAT, one_scalar, session_tol, zero_scalar
@@ -96,13 +96,9 @@ def _elements(bundle: DgModuleBundle, inputs) -> list[tuple[int, list]]:
 
 def _rho(bundle: DgModuleBundle, element: tuple[int, list]) -> GradedMap:
     """rho of one read input, in float arithmetic."""
-    maps = [bundle.rho[k].scale(c) for k, c in element[1]] or [GradedMap.zero(
-        bundle.space, bundle.space, element[0], bundle.mode)]
-    return sum(maps[1:], maps[0]).to_float()
-
-
-def _add(into: dict, key, value: GradedMap) -> None:
-    into[key] = into[key] + value if key in into else value
+    return combination([(bundle.rho[k], c) for k, c in element[1]],
+                       bundle.space, bundle.space, element[0],
+                       bundle.mode).to_float()
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +217,7 @@ def _form(rhos: list[GradedMap], point: ConfigurationPoint,
             odd_part = compose(compose(x, odd), rhos[j])
             new_terms.append((subset | {j}, odd_part.scale(complex(sign))))
         terms = new_terms
-    components: dict[frozenset, GradedMap] = {}
-    for subset, x in terms:
-        _add(components, subset, compose(x, pi0))
+    components = {subset: compose(x, pi0) for subset, x in terms}
     return OperatorForm(arity=k, gaps=point.gaps, components=components)
 
 
@@ -369,15 +363,15 @@ class AInfinityMorphism:
     method: str = "closed"
     rel_tol: float | None = None
     budget: int = DEFAULT_BUDGET
-    reads: set = field(default_factory=set, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    reads: set = field(default_factory=set, repr=False, init=False)
+    _cache: dict = field(default_factory=dict, repr=False, init=False)
     _coords: dict = field(default_factory=dict, repr=False, init=False)
-    _errors: dict = field(default_factory=dict, repr=False)
-    _words: dict = field(default_factory=dict, repr=False)
-    _steps: dict = field(default_factory=dict, repr=False)
-    _tails: dict = field(default_factory=dict, repr=False)
-    _supertraces: dict = field(default_factory=dict, repr=False)
-    _zeros: dict = field(default_factory=dict, repr=False)
+    _errors: dict = field(default_factory=dict, repr=False, init=False)
+    _words: dict = field(default_factory=dict, repr=False, init=False)
+    _steps: dict = field(default_factory=dict, repr=False, init=False)
+    _tails: dict = field(default_factory=dict, repr=False, init=False)
+    _supertraces: dict = field(default_factory=dict, repr=False, init=False)
+    _zeros: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
         if self.method not in ("closed", "quadrature") or (
@@ -409,17 +403,16 @@ class AInfinityMorphism:
 
     def supertrace(self, flats: tuple[int, ...]):
         """str f_m(b_1, ..., b_m) for a word of degree m - 1: in closed form
-        read off the two factors of ``_halves``, as the sum over degrees d
-        of (-1)^d sum_ij P[i,j] T[j,i], and kept per word without forming
-        the component; by quadrature through ``on_basis``."""
+        ``supertrace`` of the two factors of ``_halves``, kept per word,
+        without forming the component; by quadrature of ``on_basis``."""
         if self.method == "quadrature":
-            return self.on_basis(flats).supertrace()
+            return supertrace(self.on_basis(flats))
         got = self._supertraces.get(flats)
         if got is None:
             prefix, tail = self._halves(flats)
             got = self._supertraces[flats] = (
                 zero_scalar(prefix.mode) if tail is None
-                else _supertrace_of(prefix, tail))
+                else supertrace(prefix, tail))
         return got
 
     @cached_property
@@ -503,51 +496,24 @@ class AInfinityMorphism:
     def _combination(self, elements: list[tuple[int, list]],
                      eps=1) -> GradedMap:
         """eps times the multilinear extension of ``on_basis`` to read
-        inputs: the sum over every choice of one term per input of the
-        component scaled once, by eps times its coefficients' product, or
-        the stored frozen component itself when that product is exactly
-        one; the zero map when there is no choice."""
+        inputs: one ``combination`` of the component of every choice of
+        one term per input, times eps and its coefficients' product.  A
+        single choice is the component scaled, so the stored component
+        itself when it is zero or the product is exactly one."""
         terms = []
         for pick in itertools.product(*(t for _, t in elements)):
             flats, coeffs = zip(*pick)
-            m, c = self.on_basis(flats), math.prod(coeffs, start=eps)
-            terms.append(m if c == 1 else m.scale(c))
-        if not terms:
-            return GradedMap.zero(self.m0, self.m0, sum(
-                d for d, _ in elements) + 1 - len(elements), self.bundle.mode)
-        return sum(terms[1:], terms[0])
+            terms.append((self.on_basis(flats),
+                          math.prod(coeffs, start=eps)))
+        if len(terms) == 1:
+            m, c = terms[0]
+            return m if c == 1 else m.scale(c)
+        return combination(terms, self.m0, self.m0, sum(
+            d for d, _ in elements) + 1 - len(elements), self.bundle.mode)
 
     @property
     def m0(self) -> GradedVectorSpace:
         return self.splitting.m0
-
-
-def _supertrace_of(prefix: GradedMap, tail: GradedMap):
-    """str(prefix tail) without forming the composite: over the tail's
-    blocks T (source degree d) that land in a block P of the prefix,
-    (-1)^d times tr(P T).  Exact: sum_ij P[i,j] T[j,i] over the pairs of
-    nonzero entries of the two maps' rows, one integer sum and one value
-    formed (``glinalg._exact_sum``).  Float: the diagonal of P @ T, the
-    block ``compose`` forms, summed in the order of
-    ``GradedMap.supertrace``, so the bits are those of the composite's
-    supertrace."""
-    if prefix.mode != FLOAT:
-        p_rows, t_rows = prefix.sparse_rows, tail.sparse_rows
-        return _exact_sum(
-            (pn * tn if d % 2 == 0 else -pn * tn, pd * td)
-            for d, rows in t_rows.items() if d + tail.degree in p_rows
-            for i, row in enumerate(p_rows[d + tail.degree])
-            for j, pn, pd in row for c, tn, td in rows[j] if c == i)
-    prefix_blocks, total = dict(prefix.blocks), zero_scalar(prefix.mode)
-    for d, t in tail.blocks:
-        p = prefix_blocks.get(d + tail.degree)
-        if p is None:
-            continue
-        m, tr = p @ t, zero_scalar(prefix.mode)
-        for i in range(m.shape[0]):
-            tr = tr + m[i, i]
-        total = total + ((-1) ** (d % 2)) * tr
-    return total
 
 
 def transferred_morphism(bundle: DgModuleBundle, splitting: Splitting,
@@ -571,7 +537,7 @@ def ainfinity_defect(f: AInfinityMorphism, inputs) -> GradedMap:
     ``inputs`` are flat basis indices; any other input raises ShapeError.
     A zero component ends its term: a zero bar term is not added, and a cut
     whose left side is zero neither reads its right side nor composes.  The
-    terms are summed blockwise into one map (``_accumulate``).
+    terms are summed by one ``combination``.
     """
     a = f.bundle.algebra
     if not all(isinstance(b, (int, np.integer)) and 0 <= b < a.n_basis
@@ -579,29 +545,14 @@ def ainfinity_defect(f: AInfinityMorphism, inputs) -> GradedMap:
         raise ShapeError(f"ainfinity_defect takes basis indices, got {inputs!r}")
     word = tuple(int(b) for b in inputs)
     degrees = [a.basis_degree(b) for b in word]
-    total: dict = {}
-    for w, c in a.bar_terms(word):
-        _accumulate(total, f.on_basis(w), c, operator.add)
+    terms = [(f.on_basis(w), c) for w, c in a.bar_terms(word)]
     for i, (_, cut) in enumerate(bar_signs(degrees)[:-1]):
         if not (left := f.on_basis(word[:i + 1])).blocks:
             continue
         if (right := f.on_basis(word[i + 1:])).blocks:
-            _accumulate(total, compose(left, right), cut, operator.sub)
-    degree = sum(degrees) + 2 - len(word)
-    return (GradedMap.build(f.m0, f.m0, degree, total, a.mode) if total
-            else GradedMap.zero(f.m0, f.m0, degree, a.mode))
-
-
-def _accumulate(total: dict, term: GradedMap, c, op) -> None:
-    """The blocks of ``total + term.scale(c)`` (op add) or ``total -
-    term.scale(c)`` (op sub), in place: op with each block of c times the
-    term, an absent block read as 0, and a block that is exactly zero
-    dropped, as ``GradedMap.build`` drops it.  Entries are those of the two
-    builds, up to the sign of a zero entry."""
-    for d, m in term.blocks:
-        if (_any_nonzero(scaled := m * c)
-                and _any_nonzero(got := op(total.pop(d, 0), scaled))):
-            total[d] = got
+            terms.append((compose(left, right), -cut))
+    return combination(terms, f.m0, f.m0, sum(degrees) + 2 - len(word),
+                       a.mode)
 
 
 def almost_closed_check(inputs, point: ConfigurationPoint, splitting: Splitting,
@@ -617,7 +568,9 @@ def almost_closed_check(inputs, point: ConfigurationPoint, splitting: Splitting,
     rhos = [_rho(bundle, x) for x in elements]
     k, degs = len(rhos), [d for d, _ in elements]
 
-    alg_side: dict[frozenset, GradedMap] = {}
+    # per subset S, the terms of the algebraic side minus the de Rham side,
+    # maps of degree sum(degs) + 1 - |S|, summed once
+    sums: dict[frozenset, list] = {}
     for i, (deg, terms) in enumerate(elements):
         suffix = sum(degs[i + 1:]) % 2
         d_terms = [(m, c * x) for b, c in terms
@@ -625,9 +578,8 @@ def almost_closed_check(inputs, point: ConfigurationPoint, splitting: Splitting,
         form = _form(rhos[:i] + [_rho(bundle, (deg + 1, d_terms))]
                      + rhos[i + 1:], point, splitting)
         for subset, val in form.components.items():
-            _add(alg_side, subset, val.scale(complex((-1) ** suffix)))
+            sums.setdefault(subset, []).append((val, complex((-1) ** suffix)))
 
-    tau_side: dict[frozenset, GradedMap] = {}
     base = _form(rhos, point, splitting)
     for i in range(k - 1):
         up, dn = list(point.gaps), list(point.gaps)
@@ -642,12 +594,12 @@ def almost_closed_check(inputs, point: ConfigurationPoint, splitting: Splitting,
                 continue
             deriv = (fu.component(subset) - fd.component(subset)).scale(
                 complex(1.0 / (2 * step)))
-            reorder = (-1) ** sum(1 for j in subset if j < i)
-            _add(tau_side, subset | {i}, deriv.scale(complex(reorder)))
+            sign = -(-1) ** sum(1 for j in subset if j < i)
+            sums.setdefault(subset | {i}, []).append((deriv, complex(sign)))
 
     residual = 0.0
-    for subset in set(alg_side) | set(tau_side):
-        a, t = alg_side.get(subset), tau_side.get(subset)
-        diff = t if a is None else a if t is None else a - t
-        residual = max(residual, diff.max_abs())
+    for subset, terms in sums.items():
+        residual = max(residual, combination(
+            terms, bundle.space, bundle.space, sum(degs) + 1 - len(subset),
+            FLOAT).max_abs())
     return residual

@@ -191,6 +191,13 @@ def zero_vec(a: DgAlgebra) -> np.ndarray:
     return zeros_matrix(1, a.n_basis, a.mode)[0]
 
 
+def unit_vector(a: DgAlgebra) -> np.ndarray:
+    """The unit's coordinates over the flat basis of ``a`` (read-only):
+    row n^2 of its table."""
+    n = a.n_basis
+    return a._dense_rows(n * n, n * n + 1)[0]
+
+
 def expand(endo: EndoAlgebra, m: GradedMap) -> np.ndarray:
     """The dense flat coefficients of a homogeneous endomorphism over the
     basis of End, read one matrix unit at a time (absent blocks 0): the

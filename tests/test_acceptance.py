@@ -55,7 +55,7 @@ from homotrace.transfer import (
     transfer_quadrature,
     transferred_morphism,
 )
-from oracles import describe, projected_supertrace, rho_vector
+from oracles import describe, projected_supertrace, rho_vector, unit_vector
 
 RANDOM_DIMS = [{0: 2, 1: 2}, {0: 1, 1: 2, 2: 1}, {0: 2, 1: 1, 2: 1},
                {-1: 1, 0: 2, 1: 1}, {0: 3, 1: 1}]
@@ -178,11 +178,11 @@ def test_criterion_4_oracle_equivalence():
             checked += 1
         assert checked >= 1
         ident = HochschildChain.zero(alg)
-        for i, c in enumerate(alg.unit):
+        for i, c in enumerate(unit_vector(alg)):
             ident.add_term((i,), c)
         ups_id = transferred_trace(ident, f)
-        theta1 = projected_supertrace(rho_vector(inst.bundle, alg.unit),
-                                      inst.splitting)
+        theta1 = projected_supertrace(
+            rho_vector(inst.bundle, unit_vector(alg)), inst.splitting)
         if tol is None:
             assert ups_id == theta1 == coh.m0.euler_characteristic()
         else:
@@ -342,7 +342,7 @@ def test_criterion_8_cyclic_pullback_consistency():
     f = transferred_morphism(t1.bundle, t1.splitting)
     alg = t1.bundle.algebra
     coh = cohomology(t1.bundle.space, t1.bundle.q)
-    ident = alg.unit
+    ident = unit_vector(alg)
     ch3 = HochschildChain.zero(alg)
     nz = [i for i in range(alg.n_basis) if ident[i]]
     for i in nz:
@@ -351,7 +351,8 @@ def test_criterion_8_cyclic_pullback_consistency():
                 ch3.add_term((i, j, k), ident[i] * ident[j] * ident[k])
     lhs = transferred_cyclic_trace(ch3, f, 1)
     rhs = antisymmetrized_supertrace(
-        [rho_vector(t1.bundle, t1.bundle.algebra.unit)] * 3, coh, q=t1.bundle.q)
+        [rho_vector(t1.bundle, unit_vector(t1.bundle.algebra))] * 3, coh,
+        q=t1.bundle.q)
     assert lhs == rhs == 3 * coh.m0.euler_characteristic()
     _report("AC8b", f"(both sides equal {lhs} = 3*chi)")
 
@@ -365,7 +366,7 @@ def test_criterion_8_identity_triple_value_six():
     t1 = t1_instance()
     f = transferred_morphism(t1.bundle, t1.splitting)
     alg = t1.bundle.algebra
-    ident = alg.unit
+    ident = unit_vector(alg)
     ch3 = HochschildChain.zero(alg)
     nz = [i for i in range(alg.n_basis) if ident[i]]
     for i in nz:

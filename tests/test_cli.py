@@ -560,6 +560,17 @@ def test_gen_tau_beyond_double_range_exits_2(tmp_path, capsys):
     assert err.startswith("input error:") and not out.exists()
 
 
+@pytest.mark.parametrize("tau", ["1/0,1", "1,1/0"])
+def test_gen_tau_with_a_zero_denominator_exits_2(tmp_path, capsys, tau):
+    """A --tau part with a zero denominator is bad input naming --tau, not
+    a ZeroDivisionError."""
+    out = tmp_path / "x.json"
+    assert run(["gen", "--kind", "torus", "--tau", tau, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--tau" in err
+    assert err.startswith("input error:") and not out.exists()
+
+
 def _set_q_entry(t1f, value):
     t1f["Q"][0][2] = value
 

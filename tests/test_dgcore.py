@@ -48,7 +48,7 @@ from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, GaussianRational,
 from homotrace.serialize import instance_from_dict
 from oracles import (dense, endomorphism_tensor, entries, expand_all_rows,
                      float_cast, make_algebra, matrix_from_rows, rho_vector,
-                     t1_gaussian_dict)
+                     t1_gaussian_dict, unit_vector)
 
 
 def t1_space_q():
@@ -103,7 +103,7 @@ def test_validate_catches_broken_q():
 def test_validate_catches_broken_unit(t1):
     import dataclasses
     a = t1.bundle.algebra
-    bad_unit = np.array(a.unit, copy=True)
+    bad_unit = np.array(unit_vector(a), copy=True)
     diag = a.flat_by_name("E[e1<-e1]")
     assert bad_unit[diag] == 1
     bad_unit[diag] = Fraction(0)
@@ -119,7 +119,8 @@ def _with_constant(bundle, index, delta):
     a = bundle.algebra
     mul = np.array(a.mul)
     mul[index] += delta
-    algebra = make_algebra(a.space, a.differential, mul, a.unit, a.mode)
+    algebra = make_algebra(a.space, a.differential, mul, unit_vector(a),
+                           a.mode)
     return dataclasses.replace(bundle, algebra=algebra)
 
 
@@ -162,7 +163,7 @@ def _dense_witnesses(alg, tol):
         + sign[:, None, None] * np.einsum("jm,iml->ijl", d, m), tol, 2)
     assoc = _first_failure(np.einsum("ijm,mkl->ijkl", m, m),
                            np.einsum("jkm,iml->ijkl", m, m), tol, 3)
-    u = np.array(alg.unit)
+    u = np.array(unit_vector(alg))
     eye = identity_matrix(n, alg.mode)
     unit = _first_failure(
         np.stack([np.einsum("m,mil->il", u, m), np.einsum("m,iml->il", u, m)],
@@ -267,8 +268,8 @@ def _rebased(bundle, c):
     a = bundle.algebra
     c = np.array(c, dtype=object)
     mul = np.array(a.mul) * c[:, None, None] * c[None, :, None] / c
-    algebra = make_algebra(a.space, a.differential, mul, np.array(a.unit) / c,
-                           a.mode)
+    algebra = make_algebra(a.space, a.differential, mul,
+                           np.array(unit_vector(a)) / c, a.mode)
     rho = tuple(m.scale(x) for m, x in zip(bundle.rho, c))
     return dataclasses.replace(bundle, algebra=algebra, rho=rho)
 
@@ -318,7 +319,8 @@ def test_action_multiplicative_matches_per_pair_reference(seed, dims, kind,
                  None)
     assert checks["action-chain-map"].witness == chain
     if checks["unit"].witness in (None, "rho(unit) != id"):
-        assert checks["unit"].passed == rho_vector(bundle, a.unit).equals(
+        assert checks["unit"].passed == rho_vector(
+            bundle, unit_vector(a)).equals(
             GradedMap.identity(bundle.space, bundle.mode), tol)
 
 
@@ -392,7 +394,7 @@ def test_pivot_expansion_matches_lstsq_reference(seed, dims, cond):
     ref = _lstsq_reference(space, q, maps, names, tol)
     assume(not isinstance(ref, str))         # round-off above the bound
     alg = algebra_from_operators(space, q, maps, names, FLOAT, tol).algebra
-    got = np.concatenate([alg.mul.reshape(n * n, n), [alg.unit],
+    got = np.concatenate([alg.mul.reshape(n * n, n), [unit_vector(alg)],
                           dense(alg.differential).T])
     assert np.max(np.abs(got - ref)) <= AMBIGUITY_BAND * tol * max(
         1.0, np.max(np.abs(ref)))
@@ -804,7 +806,7 @@ def test_entries_round_trip_through_dense_forms(case):
     order."""
     alg = _table_algebra(case)
     assert _same_entries(make_algebra(alg.space, alg.differential, alg.mul,
-                                      alg.unit, alg.mode), alg)
+                                      unit_vector(alg), alg.mode), alg)
 
 
 @pytest.mark.parametrize("case", ["T1", "r11", "m32", "torus2", "acyclic"])
@@ -837,7 +839,7 @@ def _dict_algebra_failures(a, tol):
     side, at least 1).  Without tol on the cleared integers."""
     n = a.n_basis
     mul, diff = a.mul, dense(a.differential).T  # row i: d(e_i)
-    unit, one = a.unit, one_scalar(a.mode)
+    unit, one = unit_vector(a), one_scalar(a.mode)
     if tol is None:
         mul, dm, _ = clear_denominators(mul)
         diff = clear_denominators(diff)[0]
@@ -898,10 +900,11 @@ def _perturbed_algebras(a):
     first nonzero unit coordinate or an entry of its differential (where
     the algebra has two adjacent degrees) raised by 1."""
     one = one_scalar(a.mode)
-    mul, unit = np.array(a.mul), np.array(a.unit)
+    mul, unit = np.array(a.mul), np.array(unit_vector(a))
     mul[tuple(np.argwhere(mul.astype(bool))[0])] += one
     unit[np.flatnonzero(unit)[0]] += one
-    copies = [make_algebra(a.space, a.differential, mul, a.unit, a.mode),
+    copies = [make_algebra(a.space, a.differential, mul, unit_vector(a),
+                           a.mode),
               make_algebra(a.space, a.differential, a.mul, unit, a.mode)]
     for g in a.space.degrees()[:-1]:
         if a.space.dim(g + 1):
@@ -909,7 +912,8 @@ def _perturbed_algebras(a):
             blocks[g] = np.array(a.differential.block(g))
             blocks[g][-1, 0] += one
             copies.append(make_algebra(a.space, GradedMap.build(
-                a.space, a.space, 1, blocks, a.mode), a.mul, a.unit, a.mode))
+                a.space, a.space, 1, blocks, a.mode), a.mul, unit_vector(a),
+                a.mode))
             break
     return copies
 
@@ -952,7 +956,7 @@ def _dense_action_residuals(bundle):
         stack[k] = dense(m)
     (mul, dm, _), (diff, dd, _), (unit, du, _) = [
         clear_denominators(t) if exact else (t, 1, None)
-        for t in (a.mul, dense(a.differential).T, a.unit)]
+        for t in (a.mul, dense(a.differential).T, unit_vector(a))]
     (rho, dr, _), (q, dq, _) = [
         clear_denominators(t) if exact else (t, 1, None)
         for t in (stack, dense(bundle.q))]

@@ -9,6 +9,14 @@ every mutated file with exit code 0, 1 or 2, with no exception out of
 error, so it escapes as an exception too).  Chain files of T1 exact and
 random seed 7 as floats are mutated the same way, and ``trace`` must
 answer each, with and without ``--cyclic 1``, by the same rule.
+
+``gen`` argv lists are mutated flag by flag: a flag's value replaced by
+one of ``VALUES`` or of ``RATIONALS``, a flag dropped, or a flag
+duplicated.  ``gen`` must answer each by the same rule, an argparse exit
+counting as its code.  ``--out`` stays in the test's directory, and the
+``--dims`` of a random instance stay as given: its closure's cost grows
+fast with the dimensions, so a mutated size measures that cost, not the
+answer.
 """
 
 import copy
@@ -27,6 +35,7 @@ from homotrace.serialize import chains_to_dict, instance_to_dict, \
 SEED = 37
 FILES_PER_BASE = 200
 CHAIN_FILES_PER_BASE = 80
+GEN_ARGV_PER_BASE = 80
 
 # the replacement values: empty, boolean, numeric and textual values at
 # the edges of each decoder, malformed containers and names of the files
@@ -141,4 +150,59 @@ def test_trace_answers_every_mutated_chain_file(t1, tmp_path, capsys):
                 assert code in (0, 1, 2), (label, cyclic, text)
                 codes.append(code)
     assert len(codes) == 2 * 2 * CHAIN_FILES_PER_BASE
+    assert {0, 2} <= set(codes)
+
+
+# rational and complex flag strings at the edges of the number parsers
+RATIONALS = ["1/0", "nan", "1e400", "-0", "1/0,1", "1,1/0", "nan,1",
+             "1e400,1", "-0,-0", "1/3,-1/3"]
+
+# valid gen flags per base, as (flag, value) pairs
+GEN_BASES = [
+    [("--kind", "matrix"), ("--preset", "T1")],
+    [("--kind", "matrix"), ("--dims", "2,1"), ("--mode", "float"),
+     ("--tolerance", "1e-9")],
+    [("--kind", "torus"), ("--N", "1"), ("--tau", "1/2,1"),
+     ("--order-cap", "2"), ("--output", "json")],
+    [("--kind", "random"), ("--dims", "2,2"), ("--seed", "3")],
+    [("--kind", "random"), ("--dims", "1,2"), ("--seed", "7"),
+     ("--mode", "float")],
+]
+
+
+def _gen_mutant(base: list, rng: random.Random) -> list:
+    """``base`` with one or two flag edits."""
+    flags = list(base)
+    for _ in range(rng.randint(1, 2)):
+        k = rng.randrange(len(flags))
+        flag, value = flags[k]
+        kind = rng.randrange(3)
+        if kind == 0 and not (flag == "--dims"
+                              and ("--kind", "random") in base):
+            pick = rng.choice(VALUES + RATIONALS)
+            flags[k] = (flag, pick if isinstance(pick, str)
+                        else json.dumps(pick))
+        elif kind == 1 and len(flags) > 1:
+            del flags[k]
+        else:
+            flags.insert(k, (flag, value))
+    return flags
+
+
+def test_gen_answers_every_mutated_argv(tmp_path, capsys):
+    rng = random.Random(SEED)
+    codes = []
+    for b, base in enumerate(GEN_BASES):
+        for k in range(GEN_ARGV_PER_BASE):
+            argv = ["gen", *(x for pair in _gen_mutant(base, rng)
+                             for x in pair),
+                    "--out", str(tmp_path / f"gen-{b}-{k}.json")]
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:        # argparse refused the argv
+                code = exc.code
+            capsys.readouterr()
+            assert code in (0, 1, 2), argv
+            codes.append(code)
+    assert len(codes) == len(GEN_BASES) * GEN_ARGV_PER_BASE
     assert {0, 2} <= set(codes)

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import operator
@@ -25,10 +26,10 @@ from homotrace.glinalg import (
     pivot_rows,
     rref,
     supercommutator,
+    supertrace,
     zeros_matrix,
 )
 from homotrace.scalars import EXACT, FLOAT, GaussianRational, one_scalar
-from homotrace.transfer import _supertrace_of
 from oracles import exact_product, matrix_from_rows
 
 
@@ -290,7 +291,7 @@ def test_exact_kernels_match_dense_reference(dims, d1, d2, gaussian, density,
     want = sum((-1) ** (d % 2) * sum((f.block(d - d1) @ t.block(d)).diagonal(),
                                      Fraction(0))
                for d in v.degrees() if v.dim(d - d1))
-    assert _supertrace_of(f, t) == want == compose(f, t).supertrace()
+    assert supertrace(f, t) == want == compose(f, t).supertrace()
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -594,3 +595,127 @@ def test_exact_compose_forms_one_fraction_per_entry(monkeypatch, seed):
     assert not calls
     assert_blocks_equal(out, {d: f.block(d - 1) @ g.block(d)
                               for d in v.degrees() if v.dim(d - 1)})
+
+
+def _random_terms(rng, v, degree, kind):
+    """Seeded (map, coefficient) terms parallel on ``v`` at ``degree``:
+    rational, Gaussian or float maps with absent blocks (float entries
+    drawn with +-0.0, NaN and inf), coefficients 1, -1 and others."""
+    special = [0.0, -0.0, complex(0.0, -0.0), float("nan"), float("inf"),
+               1.5, -2.0, 0.5j]
+    terms = []
+    for _ in range(rng.randint(1, 4)):
+        if kind == FLOAT:
+            m = GradedMap.build(v, v, degree, {
+                d: np.array([[rng.choice(special) if rng.random() < 0.5
+                              else 0.0 for _ in range(v.dim(d))]
+                             for _ in range(v.dim(d + degree))], dtype=complex)
+                for d in v.degrees() if v.dim(d + degree)
+                and rng.random() < 0.7}, FLOAT)
+            c = rng.choice([1, -1, 1 + 0j, -1 + 0j, 0.5, complex(0, 2)])
+        else:
+            gaussian = kind == "gaussian"
+            m = sparse_gmap(rng, v, v, degree, gaussian, 0.5)
+            c = rng.choice([Fraction(1), -1, Fraction(-2, 3),
+                            GaussianRational(1, -1) if gaussian else 3])
+        terms.append((m, c))
+    return terms
+
+
+@pytest.mark.parametrize("kind", ["rational", "gaussian", FLOAT])
+@pytest.mark.parametrize("seed", range(8))
+def test_combination_matches_the_dense_sum(kind, seed):
+    """``combination`` equals the dense sum of c block over its terms, in
+    term order, a coefficient 1 or -1 adding or subtracting the block as
+    it is; exact entries compare with ==, float ones bit for bit up to the
+    sign of a zero.  Zero maps of any degree are left out, sums that
+    cancel store no block, no terms give the zero map, and a nonzero map
+    off the sum's degree or space raises ShapeError."""
+    import random
+    rng = random.Random(seed)
+    mode = FLOAT if kind == FLOAT else EXACT
+    v = space({0: 2, 1: 3, 2: 1})
+    degree = rng.choice([-1, 0, 1])
+    terms = _random_terms(rng, v, degree, kind)
+    terms.insert(rng.randint(0, len(terms)),
+                 (GradedMap.zero(v, v, degree + 1, mode), 2))
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = glinalg.combination(terms, v, v, degree, mode)
+        want = {}
+        for d in v.degrees():
+            if not v.dim(d + degree):
+                continue
+            for m, c in terms:
+                if m.degree != degree:
+                    continue
+                b = m.block(d)
+                x = b if c == 1 else -b if c == -1 else b * c
+                want[d] = want[d] + x if d in want else x
+    assert (got.source, got.target, got.degree, got.mode) == (
+        v, v, degree, mode)
+    if mode == EXACT:
+        assert_blocks_equal(got, want)
+    else:
+        for d, w in want.items():
+            assert np.array_equal(got.block(d), w, equal_nan=True), d
+        assert all(m.flags.writeable is False and np.count_nonzero(m)
+                   for _, m in got.blocks)
+
+    if mode == FLOAT:   # NaN and inf do not cancel
+        terms = [(m, c) for m, c in terms if c in (1, -1) and all(
+            np.isfinite(b).all() for _, b in m.blocks)]
+    cancel = terms + [(m, -c) for m, c in terms]
+    assert glinalg.combination(cancel, v, v, degree, mode).blocks == ()
+    none = glinalg.combination([], v, v, 3, mode)
+    assert (none.blocks, none.degree, none.mode) == ((), 3, mode)
+    bad = GradedMap.identity(v, mode) if degree else GradedMap.build(
+        v, v, 1, {0: glinalg.identity_matrix(3, mode)[:, :2]}, mode)
+    with pytest.raises(ShapeError):
+        glinalg.combination(terms + [(bad, 1)], v, v, degree, mode)
+    other = space({0: 2, 1: 2})
+    with pytest.raises(ShapeError):
+        glinalg.combination([(GradedMap.identity(other, mode), 1)], v, v, 0,
+                            mode)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("seed", range(6))
+def test_supertrace_of_a_product_is_that_of_the_composite(gaussian, seed):
+    """``supertrace(*maps)`` equals the supertrace of ``reduce(compose,
+    maps)`` for k = 1 to 4 exact maps whose degrees sum to 0, and raises
+    ShapeError when they do not."""
+    import random
+    rng = random.Random(seed)
+    v = space({0: 2, 1: 2, 2: 1})
+    for k in range(1, 5):
+        degrees = [rng.choice([-1, 0, 1]) for _ in range(k - 1)]
+        degrees.append(-sum(degrees))
+        maps = [sparse_gmap(rng, v, v, d, gaussian, 0.6) for d in degrees]
+        assert supertrace(*maps) == functools.reduce(compose, maps
+                                                     ).supertrace()
+        maps[-1] = sparse_gmap(rng, v, v, degrees[-1] + 1, gaussian, 0.6)
+        with pytest.raises(ShapeError):
+            supertrace(*maps)
+
+
+@pytest.mark.parametrize("kind", ["rational", "gaussian", FLOAT])
+def test_nonzero_entries_are_those_np_nonzero_reads(kind):
+    """``nonzero_entries`` lists the positions that ``np.nonzero`` finds in
+    each stored block, in the same order, with the block's own values and
+    their types: exact maps read from their rows, float ones with +-0.0
+    left out and NaN kept."""
+    import random
+    rng = random.Random(5)
+    v = space({0: 2, 1: 3, 2: 1})
+    for m, _ in (t for degree in (-1, 0, 1)
+                 for t in _random_terms(rng, v, degree, kind)):
+        got = m.nonzero_entries()
+        want = [(d, i, j, b[i, j]) for d, b in m.blocks
+                for i, j in zip(*b.nonzero())]
+        assert [e[:3] for e in got] == [e[:3] for e in want]
+        assert [type(e[3]) for e in got] == [type(e[3]) for e in want]
+        if kind == FLOAT:
+            assert np.array_equal([e[3] for e in got], [e[3] for e in want],
+                                  equal_nan=True)
+        else:
+            assert [e[3] for e in got] == [e[3] for e in want]

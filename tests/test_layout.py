@@ -5,8 +5,10 @@ every method of those classes (dunder methods aside), and every identifier
 that the code in ``src/``, ``scripts/`` and ``bench/`` names: variable
 names, attribute names and imported names.  A definition that nothing
 names outside its own body is unused by the package, so it belongs in the
-tests (``tests/oracles.py``) or nowhere.  ``__init__.py`` is not read for
-names, since re-exporting a definition does not use it.
+tests (``tests/oracles.py``) or nowhere.  A method counts as named only
+where it is read as an attribute, so a local variable of the same name
+does not keep it.  ``__init__.py`` is not read for names, since
+re-exporting a definition does not use it.
 
 A second scan keeps one way to build an algebra and an instance: in
 ``src/``, only ``dgcore`` calls ``DgAlgebra`` and ``DgModuleBundle``,
@@ -19,6 +21,11 @@ write to.
 A third scan keeps one tolerance rule: in ``src/homotrace`` only
 ``scalars`` names ``DEFAULT_TOL``, so a missing float tolerance is
 resolved by ``scalars.session_tol`` alone.
+
+A fourth keeps glinalg's exact row format to glinalg: in ``src/homotrace``
+no other module names ``sparse_rows`` or imports, or reads as an
+attribute of ``glinalg``, a name of glinalg that starts with an
+underscore.  Sums and supertraces of maps go through its public kernels.
 """
 
 import ast
@@ -64,29 +71,32 @@ def _definitions(tree):
 
 
 def _names(tree):
-    """(identifier, line) of every name, attribute and import in the tree."""
+    """(identifier, line, whether it is an attribute) of every name,
+    attribute and import in the tree."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1], node.lineno
+            yield node.name.rsplit(".", 1)[-1], node.lineno, False
 
 
 def unnamed_definitions(trees) -> list[str]:
     """The package definitions in ``trees``, (path, tree) pairs, that
-    nothing names outside their own body."""
+    nothing names outside their own body; a method is named only as an
+    attribute."""
     defs, refs = [], []
     for path, tree in trees:
         if path.parent == PACKAGE:
             defs += [(name, path, node) for name, node in _definitions(tree)]
         if path.name != "__init__.py":
-            refs += [(ident, path, line) for ident, line in _names(tree)]
+            refs += [(ident, path, line, attr)
+                     for ident, line, attr in _names(tree)]
     return [name for name, path, node in defs if not any(
-        ident == name.rsplit(".", 1)[-1]
+        ident == name.rsplit(".", 1)[-1] and (attr or "." not in name)
         and (where != path or not node.lineno <= line <= node.end_lineno)
-        for ident, where, line in refs)]
+        for ident, where, line, attr in refs)]
 
 
 def test_every_package_definition_is_used():
@@ -110,12 +120,15 @@ def test_the_scan_finds_what_only_itself_or_init_names():
                        "def exported():\n    pass\n\n"
                        "def helper():\n    pass\n\n"
                        "class Thing:\n    def method(self):\n"
-                       "        return helper()\n")
+                       "        return helper()\n\n"
+                       "    def shadowed(self):\n        pass\n")
     init = ast.parse("from homotrace.fake import exported\n")
-    caller = ast.parse("from homotrace.fake import Thing\nThing().method()\n")
+    caller = ast.parse("from homotrace.fake import Thing\nThing().method()\n"
+                       "shadowed = 1\n")
     assert unnamed_definitions([
         (PACKAGE / "fake.py", module), (PACKAGE / "__init__.py", init),
-        (ROOT / "scripts" / "fake.py", caller)]) == ["lonely", "exported"]
+        (ROOT / "scripts" / "fake.py", caller)]) == [
+        "lonely", "exported", "Thing.shadowed"]
 
 
 # class -> the (module, top-level function or None) that may call it in src/
@@ -175,7 +188,7 @@ def default_tol_names(trees) -> list[tuple[str, int]]:
     ``scalars.py``; a docstring is a string, so it does not count."""
     return sorted((path.name, line) for path, tree in trees
                   if path.parent == PACKAGE and path.name != "scalars.py"
-                  for ident, line in _names(tree) if ident == "DEFAULT_TOL")
+                  for ident, line, _ in _names(tree) if ident == "DEFAULT_TOL")
 
 
 def test_only_scalars_names_the_default_tolerance():
@@ -194,6 +207,49 @@ def test_the_tolerance_scan_finds_a_stray_default():
                               (PACKAGE / "scalars.py", stray),
                               (ROOT / "scripts" / "fake.py", stray)]) == [
         ("fake.py", 2), ("fake.py", 4), ("fake.py", 5)]
+
+
+def row_format_reads(trees) -> list[tuple[str, int]]:
+    """(module file, line) of each name or attribute ``sparse_rows``, and
+    of each import or ``glinalg.`` attribute of a name starting with an
+    underscore, in the package modules of ``trees`` other than
+    ``glinalg.py``."""
+    out = []
+    for path, tree in trees:
+        if path.parent != PACKAGE or path.name == "glinalg.py":
+            continue
+        out += [(path.name, line) for ident, line, _ in _names(tree)
+                if ident == "sparse_rows"]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom)
+                    and node.module == "homotrace.glinalg"):
+                out += [(path.name, node.lineno) for alias in node.names
+                        if alias.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "glinalg"
+                  and node.attr.startswith("_")):
+                out.append((path.name, node.lineno))
+    return sorted(out)
+
+
+def test_only_glinalg_reads_its_rows():
+    stray = row_format_reads(_trees())
+    assert not stray, (
+        f"{stray} read glinalg's rows or private names: sum maps with "
+        "glinalg.combination and take supertraces with glinalg.supertrace")
+
+
+def test_the_row_scan_finds_a_stray_reader():
+    stray = ast.parse('"""Reads sparse_rows."""\n'
+                      "from homotrace.glinalg import _exact_sum, compose\n"
+                      "from homotrace import glinalg\n\n"
+                      "def rows(m):\n"
+                      "    return m.sparse_rows, glinalg._ratio(1)\n")
+    assert row_format_reads([(PACKAGE / "fake.py", stray),
+                             (PACKAGE / "glinalg.py", stray),
+                             (ROOT / "scripts" / "fake.py", stray)]) == [
+        ("fake.py", 2), ("fake.py", 6), ("fake.py", 6)]
 
 
 def test_the_benchmark_tracer_installs_and_uninstalls():

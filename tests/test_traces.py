@@ -1,6 +1,7 @@
 """Trace functionals: cohomological, transferred, cyclic, and the canonical
 and projected oracles."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -15,11 +16,12 @@ from homotrace.dgcore import (
 )
 from homotrace.errors import ShapeError
 from homotrace.glinalg import (GradedMap, GradedVectorSpace, compose,
-                               supercommutator)
+                               supercommutator, supertrace)
 from homotrace.hochschild import (HochschildChain, cycle_basis,
                                   hochschild_boundary, push_chain)
 from homotrace.instances import (matrix_instance, random_instance,
-                                 t1_instance, to_float_instance)
+                                 t1_instance, to_float_instance,
+                                 torus_instance)
 from homotrace.scalars import EXACT, FLOAT, session_tol
 from homotrace.traces import (
     antisymmetrized_supertrace,
@@ -31,7 +33,7 @@ from homotrace.traces import (
 )
 from homotrace.transfer import transferred_morphism
 from oracles import (canonical_supertrace, cyclic_shift, projected_supertrace,
-                     rho_vector)
+                     rho_vector, unit_vector)
 
 
 def test_supertrace_on_cohomology_identity(t1, torus1):
@@ -62,7 +64,7 @@ def test_canonical_supertrace_support():
     endo = endomorphism_algebra(v, EXACT)
     alg = endo.algebra
     ident = HochschildChain.zero(alg)
-    for i, c in enumerate(alg.unit):
+    for i, c in enumerate(unit_vector(alg)):
         ident.add_term((i,), c)
     assert canonical_supertrace(ident, endo) == 1  # 2 - 1
     two = HochschildChain.of(alg, (0, 1))
@@ -74,7 +76,7 @@ def test_canonical_supertrace_balanced_space():
     endo = endomorphism_algebra(v, EXACT)
     alg = endo.algebra
     ident = HochschildChain.zero(alg)
-    for i, c in enumerate(alg.unit):
+    for i, c in enumerate(unit_vector(alg)):
         ident.add_term((i,), c)
     assert canonical_supertrace(ident, endo) == 0  # 1 - 1
 
@@ -89,12 +91,12 @@ def test_projected_supertrace(t1):
 def test_transferred_trace_identity(t1, t1_morphism, torus1, torus_morphism):
     alg = t1.bundle.algebra
     ident = HochschildChain.zero(alg)
-    for i, c in enumerate(alg.unit):
+    for i, c in enumerate(unit_vector(alg)):
         ident.add_term((i,), c)
     assert transferred_trace(ident, t1_morphism) == 1
     talg = torus1.bundle.algebra
     identT = HochschildChain.zero(talg)
-    for i, c in enumerate(talg.unit):
+    for i, c in enumerate(unit_vector(talg)):
         identT.add_term((i,), c)
     assert abs(complex(transferred_trace(identT, torus_morphism))) <= 1e-10
 
@@ -350,7 +352,7 @@ def test_cyclic_trace_kills_boundaries_even_space():
 
 def test_antisymmetrized_supertrace_identity(t1):
     coh = cohomology(t1.bundle.space, t1.bundle.q)
-    ident = rho_vector(t1.bundle, t1.bundle.algebra.unit)
+    ident = rho_vector(t1.bundle, unit_vector(t1.bundle.algebra))
     val = antisymmetrized_supertrace([ident] * 3, coh, q=t1.bundle.q)
     assert val == 3  # three cyclic orders, each contributing chi = 1
 
@@ -416,3 +418,32 @@ def test_float_closedness_reads_tol_none_as_the_session_tolerance(torus1):
         assert antisymmetrized_supertrace([op, c, op], s, q=b.q) == \
             antisymmetrized_supertrace([op, c, op], s)
     assert rounded > 0
+
+
+FLOAT_BUILDS = {
+    "T1f": lambda: to_float_instance(t1_instance()),
+    "r7f": lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
+    "torus1": lambda: torus_instance(1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_BUILDS))
+def test_float_supertrace_of_a_product_keeps_the_composite_bits(name):
+    """On seeded words of 1 to 4 operators of total degree 0, the float
+    ``supertrace(*maps)`` is the supertrace of ``reduce(compose, maps)``:
+    equal with ==, and of the same type."""
+    inst = FLOAT_BUILDS[name]()
+    rho, alg = inst.bundle.rho, inst.bundle.algebra
+    rng = random.Random(3)
+    seen = 0
+    for k in range(1, 5):
+        for _ in range(60):
+            word = [rng.randrange(alg.n_basis) for _ in range(k)]
+            if sum(alg.basis_degree(b) for b in word):
+                continue
+            maps = [rho[b] for b in word]
+            got = supertrace(*maps)
+            want = functools.reduce(compose, maps).supertrace()
+            assert got == want and type(got) is type(want), word
+            seen += 1
+    assert seen >= 60

@@ -35,7 +35,8 @@ from homotrace.transfer import (
     transfer_quadrature,
     transferred_morphism,
 )
-from oracles import basis_slot, dense, termwise_defect, value, zero_vec
+from oracles import (basis_slot, dense, termwise_defect, unit_vector, value,
+                     zero_vec)
 
 
 def test_propagator_limits(t1):
@@ -158,7 +159,7 @@ def test_quadrature_matches_closed_form_with_inner_product():
 
 def test_transfer_closed_arity_one(t1, t1_morphism):
     alg = t1.bundle.algebra
-    unit_slot = Slot(0, alg.unit)
+    unit_slot = Slot(0, unit_vector(alg))
     val = transfer_closed([unit_slot], t1.splitting, t1.bundle)
     assert val.equals(GradedMap.identity(t1.splitting.m0, EXACT))
 
@@ -176,7 +177,7 @@ def test_transfer_closed_t1_two_slot_example(t1):
 
 def test_transfer_closed_units_vanish(t1):
     alg = t1.bundle.algebra
-    unit_slot = Slot(0, alg.unit)
+    unit_slot = Slot(0, unit_vector(alg))
     for k in (2, 3):
         val = transfer_closed([unit_slot] * k, t1.splitting, t1.bundle)
         assert val.is_zero()
@@ -1027,3 +1028,53 @@ def test_zero_components_are_the_stored_zero_for_either_sign():
         assert got is stored
         assert not got.blocks and got.degree == sum(degrees) + 1 - 3
     assert signs == {1, -1}
+
+
+@pytest.mark.parametrize("build", [
+    t1_instance,
+    lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+    lambda: matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]),
+], ids=["T1", "r11", "m32"])
+def test_cancelling_defect_terms_form_no_fraction(monkeypatch, build):
+    """On a valid instance every A-infinity defect is zero, and the one
+    ``combination`` that sums its terms forms, multiplies and adds no
+    Fraction: the terms cancel in integer arithmetic on their rows."""
+    inst = build()
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    n, rng = inst.bundle.algebra.n_basis, random.Random(4)
+    words = [tuple(rng.randrange(n) for _ in range(k))
+             for k in (1, 2, 3) for _ in range(40)]
+    for w in words:                      # fill the store before counting
+        assert not ainfinity_defect(f, w).blocks
+    calls, counting = [0], [False]
+
+    def counted(name):
+        raw = getattr(Fraction, name)
+
+        def fn(*args, **kwargs):
+            calls[0] += counting[0]
+            return raw(*args, **kwargs)
+        return fn
+
+    def combination(*args):
+        counting[0] = True
+        try:
+            return raw_combination(*args)
+        finally:
+            counting[0] = False
+
+    raw_combination = transfer.combination
+    for name in ("__new__", "__mul__", "__rmul__", "__add__", "__radd__",
+                 "__sub__", "__rsub__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, counted(name))
+    monkeypatch.setattr(transfer, "combination", combination)
+    assert not any(ainfinity_defect(f, w).blocks for w in words)
+    monkeypatch.undo()
+    assert calls == [0]
+
+
+def test_a_morphism_takes_no_cache_as_an_argument():
+    """The caches of ``AInfinityMorphism`` are not constructor keywords."""
+    import inspect
+    assert list(inspect.signature(transfer.AInfinityMorphism).parameters) == [
+        "bundle", "splitting", "method", "rel_tol", "budget"]
