@@ -35,7 +35,7 @@ from homotrace.serialize import chains_to_dict, instance_to_dict, \
 SEED = 37
 FILES_PER_BASE = 200
 CHAIN_FILES_PER_BASE = 80
-GEN_ARGV_PER_BASE = 80
+GEN_ARGV_PER_BASE = 120
 
 # the replacement values: empty, boolean, numeric and textual values at
 # the edges of each decoder, malformed containers and names of the files
