@@ -13,7 +13,6 @@ import json
 import math
 import random
 import sys
-from fractions import Fraction
 from functools import cache
 
 import numpy as np
@@ -30,7 +29,8 @@ from homotrace.instances import (
     to_float_instance,
     torus_instance,
 )
-from homotrace.scalars import EXACT, FLOAT, encode_value, session_tol
+from homotrace.scalars import (EXACT, FLOAT, encode_value, rational_float,
+                               session_tol)
 from homotrace.serialize import load_chains, load_instance, save_instance
 from homotrace.traces import (
     supertrace_on_cohomology,
@@ -54,7 +54,7 @@ def _parse_tau(text: str) -> complex:
     """re,im as rationals, rounded to a complex double."""
     try:
         re_s, im_s = text.split(",")
-        return complex(float(Fraction(re_s)), float(Fraction(im_s)))
+        return complex(rational_float(re_s), rational_float(im_s))
     except ValueError as exc:
         raise InputError(f"bad --tau value {text!r} (want re,im)") from exc
     except ZeroDivisionError as exc:

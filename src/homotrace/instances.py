@@ -54,6 +54,9 @@ from homotrace.glinalg import (
 from homotrace.scalars import EXACT, FLOAT, one_scalar, session_tol
 
 MAX_TOTAL_DIM = 64
+# slots of one chain-file term: the store keeps every prefix of every
+# rotation, so a term of k slots costs memory of order k^3
+MAX_CHAIN_SLOTS = 128
 MAX_RANDOM_DIM = 12
 DEFAULT_ORDER_CAP = 2
 DEFAULT_CLOSURE_BOUND = 48

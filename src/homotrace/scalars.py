@@ -11,6 +11,7 @@ passed down by the caller, never a per-call epsilon: a public entry takes
 from __future__ import annotations
 
 import cmath
+import re
 from fractions import Fraction
 
 DEFAULT_TOL = 1e-10
@@ -174,10 +175,39 @@ def _decode_float(obj) -> complex:
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
         return complex(obj[0], obj[1])
     if isinstance(obj, str):
-        return complex(float(Fraction(obj)))
+        return complex(rational_float(obj))
     if isinstance(obj, dict):
-        return complex(float(Fraction(obj["re"])), float(Fraction(obj["im"])))
+        return complex(rational_float(obj["re"]), rational_float(obj["im"]))
     raise ValueError(f"not a float scalar encoding: {obj!r}")
+
+
+# a decimal with an exponent, as Fraction reads it: the mantissa ends in a
+# digit or a point and holds no slash, so it is a valid Fraction string
+# exactly when the whole text is
+_EXPONENT = re.compile(
+    r"(?P<mantissa>[^/eE]*[\d.])[eE](?P<exp>[-+]?\d+(?:_\d+)*)\s*")
+
+
+def rational_float(x) -> float:
+    """float(Fraction(x)), with the same value and the same errors, but
+    without expanding a huge decimal exponent.  A nonzero mantissa of a
+    text of length len lies between 10^-len and 10^len, so beyond |exp| =
+    len + 330 the value overflows (OverflowError) or rounds to the zero of
+    the mantissa's sign, as ``float`` of the Fraction would; a nearer
+    exponent is read by Fraction."""
+    m = _EXPONENT.fullmatch(x) if isinstance(x, str) else None
+    if m is not None:
+        try:
+            mantissa, exp = Fraction(m["mantissa"]), int(m["exp"])
+        except ValueError:      # Fraction(x) raises its own error below
+            pass
+        else:
+            if abs(exp) > len(x) + 330:
+                if exp > 0 and mantissa:
+                    raise OverflowError("integer division result too large "
+                                        "for a float")
+                return -0.0 if mantissa < 0 else 0.0
+    return float(Fraction(x))
 
 
 def times_sign(x, sign: int):

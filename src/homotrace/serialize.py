@@ -20,7 +20,8 @@ from contextlib import contextmanager
 from homotrace.errors import InputError, ShapeError
 from homotrace.glinalg import GradedMap, GradedVectorSpace, coo
 from homotrace.hochschild import HochschildChain
-from homotrace.instances import Instance, build_instance, map_from_triplets
+from homotrace.instances import (MAX_CHAIN_SLOTS, Instance, build_instance,
+                                 map_from_triplets)
 from homotrace.scalars import (
     EXACT,
     FLOAT,
@@ -187,9 +188,14 @@ def load_chains(path: str, instance: Instance
             name = entry.get("name") or f"chain{len(out)}"
             chain = HochschildChain.zero(algebra)
             for term in entry["terms"]:
+                slots = term["slots"]
+                if len(slots) > MAX_CHAIN_SLOTS:
+                    raise InputError(
+                        f"chain {name!r} has a term of {len(slots)} slots, "
+                        f"above the cap {MAX_CHAIN_SLOTS}")
                 coeff = decode_value(term["coeff"], instance.mode)
                 for pick in itertools.product(*(
-                        instance.element(slot)[1] for slot in term["slots"])):
+                        instance.element(slot)[1] for slot in slots)):
                     chain.add_term(tuple(k for k, _ in pick), math.prod(
                         (v for _, v in pick), start=coeff))
             out.append((name, chain))

@@ -11,12 +11,13 @@ canonical cocycle shape; its weights on all-even slots are +1.
 
 from __future__ import annotations
 
+import itertools
+
 from homotrace.dgcore import EndoAlgebra, Splitting
 from homotrace.errors import ShapeError
 from homotrace.glinalg import GradedMap, compose, supercommutator, supertrace
 from homotrace.hochschild import (
     HochschildChain,
-    _compositions,
     _push,
     _signed_rotations,
     hochschild_boundary,
@@ -91,11 +92,17 @@ def transferred_cyclic_trace(chain: HochschildChain, f: AInfinityMorphism,
                              level: int):
     """Pull-back of the cyclic trace through the push-forward.  The cyclic
     trace reads only terms of tensor length 2*level + 1, and those come only
-    from partitions into that many blocks, so only those are pushed."""
-    blocks = 2 * level + 1
-    pushed = _push(chain, f, lambda k: [c for c in _compositions(k)
-                                        if len(c) == blocks])
-    return cyclic_trace(pushed, f.target, level)
+    from partitions into that many blocks, so only those are pushed: one
+    per choice of 2*level cut points in range(1, k), generated lazily.
+    Cut points in lexicographic order give the block sizes in that order
+    too, the order of ``hochschild._compositions``, so sums keep their
+    order."""
+    def partitions(k: int):
+        for cuts in itertools.combinations(range(1, k), 2 * level):
+            ends = (0, *cuts, k)
+            yield tuple(b - a for a, b in zip(ends, ends[1:]))
+
+    return cyclic_trace(_push(chain, f, partitions), f.target, level)
 
 
 def antisymmetrized_supertrace(ops: list[GradedMap], splitting: Splitting,

@@ -5,9 +5,11 @@ propagator exp[-dt kappa - t Delta], Delta = {Q, kappa} (pi1 in projector
 kind), whose heat kernel it reads off the spectrum, ``r_kappa`` and
 ``lambda1`` that the splitting keeps (on its ``float_copy`` in floats),
 and checks the transferred morphism's coherence relations.  Every input, a
-basis index or a homogeneous ``Slot``, is read once (``_elements``).  The
-form's top component integrates to the word p rho h rho ... h rho i: in
-closed form, or by quadrature over the gap cube of the same word with each
+basis index or a homogeneous ``Slot``, is read once (``_elements``), but
+``transfer_closed`` reads a word of basis indices as one store read: the
+``on_basis`` component of the reversed word, eps applied once.  The form's
+top component integrates to the word p rho h rho ... h rho i: in closed
+form, or by quadrature over the gap cube of the same word with each
 h replaced by the heat kernel L diag(e^(-t lam)) (R kappa), whose integral
 over t in (0, inf) is h.  Each gap appears in one heat kernel only, so by
 Fubini the cube integral is the word with each h replaced by L G (R
@@ -69,13 +71,22 @@ class Slot:
     coeffs: np.ndarray  # over the flat algebra basis
 
 
+def _basis_degree(algebra, item) -> int | None:
+    """The degree of an input that is a basis index of the algebra, an int
+    (a bool too) or a numpy integer in range(n_basis); None for any other
+    input."""
+    if isinstance(item, (int, np.integer)) and 0 <= item < algebra.n_basis:
+        return algebra.basis_degree(item)
+    return None
+
+
 def _elements(bundle: DgModuleBundle, inputs) -> list[tuple[int, list]]:
     """Each input as (degree, [(basis index, coefficient), ...]): a basis
     index b as (deg b, [(b, 1)]), a Slot as its declared degree and its
     nonzero coefficients, each of which must be of that degree.  Any other
     input, or none, raises ShapeError."""
     a, out = bundle.algebra, []
-    n, one = a.n_basis, one_scalar(a.mode)
+    one = one_scalar(a.mode)
     for item in inputs:
         if isinstance(item, Slot):
             terms = [(k, item.coeffs[k])
@@ -84,8 +95,8 @@ def _elements(bundle: DgModuleBundle, inputs) -> list[tuple[int, list]]:
                 raise ShapeError("rho of a non-homogeneous element, or of "
                                  "one off its declared degree")
             out.append((item.degree, terms))
-        elif isinstance(item, (int, np.integer)) and 0 <= item < n:
-            out.append((a.basis_degree(item), [(int(item), one)]))
+        elif (degree := _basis_degree(a, item)) is not None:
+            out.append((degree, [(int(item), one)]))
         else:
             raise ShapeError(f"cannot interpret {item!r} as an algebra "
                              "element")
@@ -243,14 +254,24 @@ def transfer_closed(inputs, splitting: Splitting,
     ``is``, never ``==``: bundles and splittings are frozen with read-only
     blocks, so nothing stored goes stale, and a call on another pair
     replaces it, so memory is one pair's components, as for a caller
-    holding ``transferred_morphism`` (a new morphism on every call).  Where
-    eps times the coefficients is exactly one, as on a basis word with eps
-    = 1, the value is the stored frozen component itself, not a copy.
+    holding ``transferred_morphism`` (a new morphism on every call).
+
+    A word of basis indices is one ``on_basis`` read of the reversed word:
+    the stored frozen component itself when eps = 1, else its ``scale(-1)``
+    (a zero component is returned as itself either way).  Inputs holding
+    a ``Slot`` are read by ``_elements`` and summed over the choices of one
+    term per input, which also gives the stored component itself where
+    eps times the coefficients is exactly one.
     """
     global _closed
     f = _closed
     if f is None or f.bundle is not bundle or f.splitting is not splitting:
         f = _closed = AInfinityMorphism(bundle, splitting)
+    inputs = tuple(inputs)
+    degrees = [_basis_degree(bundle.algebra, b) for b in inputs]
+    if degrees and None not in degrees:
+        m = f.on_basis(tuple(map(int, reversed(inputs))))
+        return m if _epsilon(degrees) == 1 else m.scale(-1)
     elements = _elements(bundle, inputs)
     return f._combination(elements[::-1], _epsilon([d for d, _ in elements]))
 
@@ -540,11 +561,10 @@ def ainfinity_defect(f: AInfinityMorphism, inputs) -> GradedMap:
     terms are summed by one ``combination``.
     """
     a = f.bundle.algebra
-    if not all(isinstance(b, (int, np.integer)) and 0 <= b < a.n_basis
-               for b in inputs):
+    degrees = [_basis_degree(a, b) for b in inputs]
+    if None in degrees:
         raise ShapeError(f"ainfinity_defect takes basis indices, got {inputs!r}")
-    word = tuple(int(b) for b in inputs)
-    degrees = [a.basis_degree(b) for b in word]
+    word = tuple(map(int, inputs))
     terms = [(f.on_basis(w), c) for w, c in a.bar_terms(word)]
     for i, (_, cut) in enumerate(bar_signs(degrees)[:-1]):
         if not (left := f.on_basis(word[:i + 1])).blocks:

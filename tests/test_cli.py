@@ -8,6 +8,7 @@ import math
 import random
 import re
 import struct
+import time
 import warnings
 
 import numpy as np
@@ -19,9 +20,9 @@ from homotrace.dgcore import validate_bundle
 from homotrace.errors import InputError
 from homotrace.glinalg import AMBIGUITY_BAND, GradedMap
 from homotrace.hochschild import HochschildChain
-from homotrace.instances import (matrix_instance, random_instance,
-                                 t1_instance, to_float_instance,
-                                 torus_instance)
+from homotrace.instances import (MAX_CHAIN_SLOTS, matrix_instance,
+                                 random_instance, t1_instance,
+                                 to_float_instance, torus_instance)
 from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, decode_value,
                                times_sign)
 from homotrace.serialize import (instance_from_dict, instance_to_dict,
@@ -510,6 +511,33 @@ def test_cyclic_level_zero_is_accepted(tmp_path, capsys):
     assert result["cyclic_level"] == 0
 
 
+def test_a_term_above_the_slot_cap_exits_2(tmp_path, capsys):
+    """A chain term of more than ``MAX_CHAIN_SLOTS`` slots is bad input:
+    one 'input error:' line naming its chain.  A term of 1 200 slots, of
+    degree 1 199 so that the trace reads it, once overflowed the stack; a
+    term at the cap traces."""
+    ipath = tmp_path / "t1.json"
+    assert run(["gen", "--kind", "matrix", "--preset", "T1",
+                "-o", str(ipath)]) == 0
+    word = ["E[e2<-e1]"] + ["E[f<-e1]"] * 1199      # degrees 0, 1, 1, ...
+    for name, slots, code in [("long", 1200, 2),
+                              ("above", MAX_CHAIN_SLOTS + 1, 2),
+                              ("at-cap", MAX_CHAIN_SLOTS, 0)]:
+        cpath = tmp_path / f"{name}.json"
+        cpath.write_text(json.dumps({
+            "format": "homotrace-chains/1",
+            "chains": [{"name": name, "terms": [
+                {"coeff": "1", "slots": word[:slots]}]}]}))
+        capsys.readouterr()
+        assert run(["trace", "--instance", str(ipath), "--chain",
+                    str(cpath)]) == code, name
+        err = capsys.readouterr().err
+        if code:
+            assert err.splitlines() == [
+                f"input error: chain {name!r} has a term of {slots} slots, "
+                f"above the cap {MAX_CHAIN_SLOTS}"]
+
+
 @pytest.mark.parametrize("flags", [
     ["--order-cap", "1000"],
     ["--tau", "1e300,1"],
@@ -558,6 +586,30 @@ def test_gen_tau_beyond_double_range_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "--tau" in err
     assert err.startswith("input error:") and not out.exists()
+
+
+@pytest.mark.parametrize("where", ["tau", "file"])
+def test_a_huge_decimal_exponent_is_refused_at_once(tmp_path, capsys, where):
+    """A decimal exponent far beyond the double range is refused without
+    expanding 10^exp: ``--tau 1e10000000,1`` and a float file value
+    "1e10000000" each exit 2 with one 'input error:' line within 1 s."""
+    ipath = tmp_path / "t1f.json"
+    if where == "tau":
+        argv = ["gen", "--kind", "torus", "--tau", "1e10000000,1",
+                "-o", str(ipath)]
+    else:
+        assert run(["gen", "--kind", "matrix", "--preset", "T1", "--mode",
+                    "float", "-o", str(ipath)]) == 0
+        data = json.loads(ipath.read_text())
+        _set_operator_entry(data, "1e10000000")
+        ipath.write_text(json.dumps(data))
+        argv = ["verify", "--instance", str(ipath)]
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert run(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("input error:")
 
 
 @pytest.mark.parametrize("tau", ["1/0,1", "1,1/0"])

@@ -1,5 +1,8 @@
 """Exact scalar extension by i and the value encodings."""
 
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from homotrace.scalars import (
     GaussianRational,
     decode_value,
     encode_value,
+    rational_float,
     session_tol,
 )
 
@@ -79,3 +83,48 @@ def test_session_tol_is_exact_or_the_float_default():
     assert session_tol(EXACT, 1e-3) is None
     assert session_tol(FLOAT, None) == DEFAULT_TOL
     assert session_tol(FLOAT, 1e-3) == 1e-3
+
+
+def _outcome(read, x):
+    """A float read of x as ("ok", value, sign of value) or the error's
+    type and message."""
+    try:
+        value = read(x)
+    except Exception as exc:        # the errors themselves are compared
+        return type(exc).__name__, str(exc)
+    return "ok", value, math.copysign(1.0, value)
+
+
+def test_rational_float_is_float_of_fraction():
+    """On seeded strings over the characters of a decimal, a fraction and
+    an exponent, on exponents on both sides of the shortcut's bound, and
+    on non-strings, ``rational_float`` gives float(Fraction(x)): the same
+    value and sign of zero, or the same error and message."""
+    rng = random.Random(0)
+    alphabet = "0123456789._eE+-/ d"
+    cases = ["".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+             for _ in range(20000)]
+    cases += [fmt.format(m, e)
+              for m in ["1", "-1", "0", "-0", "9.99", "-0.0001", ".5", "5.",
+                        " 7", "1_0", "123456789"]
+              for e in [*range(300, 400, 7), *range(-400, -300, 7), 1000,
+                        -1000]
+              for fmt in ["{}e{}", "{}E+{} ", "{}e{}x", "{}/2e{}"]]
+    cases += [1, 2.5, Fraction(1, 3), True, None, "1/0", "1e5e5", "1 e5"]
+    for x in cases:
+        assert _outcome(rational_float, x) == _outcome(
+            lambda y: float(Fraction(y)), x), x
+
+
+def test_rational_float_decides_a_huge_exponent_at_once():
+    """Exponents of ten million are decided from their sign, as float of
+    the Fraction would decide them after expanding 10^exp: overflow, or a
+    zero of the mantissa's sign."""
+    start = time.perf_counter()
+    for text in ["1e10000000", "-2.5E+10000000"]:
+        with pytest.raises(OverflowError):
+            rational_float(text)
+    assert _outcome(rational_float, "-1e-10000000") == ("ok", 0.0, -1.0)
+    assert _outcome(rational_float, "1e-10000000") == ("ok", 0.0, 1.0)
+    assert _outcome(rational_float, "-0e10000000") == ("ok", 0.0, 1.0)
+    assert time.perf_counter() - start < 1.0

@@ -22,7 +22,8 @@ from homotrace.hochschild import (HochschildChain, cycle_basis,
 from homotrace.instances import (matrix_instance, random_instance,
                                  t1_instance, to_float_instance,
                                  torus_instance)
-from homotrace.scalars import EXACT, FLOAT, session_tol
+from homotrace import hochschild, traces
+from homotrace.scalars import EXACT, FLOAT, one_scalar, session_tol
 from homotrace.traces import (
     antisymmetrized_supertrace,
     cyclic_trace,
@@ -447,3 +448,60 @@ def test_float_supertrace_of_a_product_keeps_the_composite_bits(name):
             assert got == want and type(got) is type(want), word
             seen += 1
     assert seen >= 60
+
+
+@pytest.mark.parametrize("name", ["r11", "r11f"])
+def test_cyclic_pullback_is_the_full_push_at_its_length(name):
+    """On seeded chains of 3 to 7 slots, mostly closed degree-0 operators,
+    the level-1 and level-2 pulled-back traces equal the cyclic trace of
+    the full push-forward's terms of length 3 and 5: == over Q, bit for
+    bit in floats, so the partitions are pushed in the full push's
+    order."""
+    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
+    if name == "r11f":
+        inst = to_float_instance(inst)
+    alg, one = inst.bundle.algebra, one_scalar(inst.mode)
+    closed = [k for k in range(alg.n_basis)
+              if alg.basis_degree(k) == 0 and not alg.differential_terms[k]]
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    rng = random.Random(11)
+    nonzero = 0
+    for _ in range(12):
+        chain = HochschildChain.zero(alg)
+        for _ in range(3):
+            word = tuple(rng.choice(closed) if rng.random() < 0.7
+                         else rng.randrange(alg.n_basis)
+                         for _ in range(rng.randint(3, 7)))
+            chain.add_term(word, rng.choice([1, -2, 3]) * one)
+        pushed = push_chain(chain, f)
+        for level in (1, 2):
+            want = cyclic_trace(HochschildChain(pushed.algebra, {
+                t: c for t, c in pushed.terms.items()
+                if len(t) == 2 * level + 1}), f.target, level)
+            got = transferred_cyclic_trace(chain, f, level)
+            assert _bits(got) == _bits(want), (chain.terms, level)
+            nonzero += bool(want)
+    assert nonzero >= 6
+
+
+def test_cyclic_pullback_forms_no_full_partition_list(monkeypatch, t1):
+    """A 30-slot term gets a cyclic trace without the 2^29 ordered
+    partitions of 30: with every partition list above 12 slots refused,
+    level 0 is the transferred trace of the term (of degree 29), and level
+    1 is zero, since a 3-block partition of 30 slots has a block of 10 or
+    more and no component of T1 above arity 4 is nonzero."""
+    real = hochschild._compositions
+
+    def refused(k):
+        assert k <= 12, f"the {2 ** (k - 1)} partitions of {k} formed"
+        return real(k)
+
+    monkeypatch.setattr(hochschild, "_compositions", refused)
+    monkeypatch.setattr(traces, "_compositions", refused, raising=False)
+    alg = t1.bundle.algebra
+    one = alg.flat_by_name("E[f<-e1]")       # degree 1
+    word = (alg.flat_by_name("E[e2<-e1]"),) + (one,) * 29
+    chain = HochschildChain.of(alg, word)
+    f = transferred_morphism(t1.bundle, t1.splitting)
+    assert transferred_cyclic_trace(chain, f, 0) == transferred_trace(chain, f)
+    assert transferred_cyclic_trace(chain, f, 1) == 0

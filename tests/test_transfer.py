@@ -1030,6 +1030,91 @@ def test_zero_components_are_the_stored_zero_for_either_sign():
     assert signs == {1, -1}
 
 
+_WORD_INSTANCES = {
+    "T1": t1_instance,
+    "r7": lambda: random_instance(7, {0: 2, 1: 2}),
+    "T1f": lambda: _float_instance("T1"),
+    "r7f": lambda: _float_instance("r7"),
+    "torus1": lambda: _float_instance("torus1"),
+}
+
+
+def _alike(got, want):
+    """``_same``, with blocks of one dtype, each exact entry of the type of
+    its match and each float block of the same bytes, so the sign of a
+    zero counts."""
+    return _same(got, want) and all(
+        x.dtype == y.dtype and (
+            [type(e) for e in x.flat] == [type(e) for e in y.flat]
+            if x.dtype == object else x.tobytes() == y.tobytes())
+        for (_, x), (_, y) in zip(got.blocks, want.blocks))
+
+
+@pytest.mark.parametrize("name", sorted(_WORD_INSTANCES))
+def test_a_basis_word_is_its_one_hot_slot_word(name):
+    """On every word of arity <= 3, ``transfer_closed`` of the basis
+    indices equals ``transfer_closed`` of the word with each index given as
+    a one-hot Slot: entries == and of the same type over Q, the same bytes
+    in floats.  Where eps = 1 it is the stored component itself.  Both
+    signs occur, and some component is nonzero (on T1f for either
+    sign)."""
+    inst = _WORD_INSTANCES[name]()
+    s, b = inst.splitting, inst.bundle
+    alg, one = b.algebra, one_scalar(b.mode)
+    slots = []
+    for k in range(alg.n_basis):
+        v = zero_vec(alg)
+        v[k] = one
+        slots.append(Slot(alg.basis_degree(k), v))
+    signs = set()
+    for k in (1, 2, 3):
+        for word in itertools.product(range(alg.n_basis), repeat=k):
+            got = transfer_closed(list(word), s, b)
+            want = transfer_closed([slots[x] for x in word], s, b)
+            assert _alike(got, want), word
+            eps = transfer._epsilon([alg.basis_degree(x) for x in word])
+            if eps == 1:
+                assert got is transfer._closed.on_basis(word[::-1]), word
+            signs.add((eps, bool(got.blocks)))
+    assert {e for e, _ in signs} == {1, -1} and any(nz for _, nz in signs)
+
+
+def test_a_basis_word_reads_no_element_list(monkeypatch):
+    """A word of basis indices, as ints, bools or numpy integers and in
+    any iterable, is read off the store: neither ``_elements`` nor
+    ``_combination`` is called."""
+    inst = _float_instance("r7")
+    s, b = inst.splitting, inst.bundle
+    want = [transfer_closed(w, s, b) for w in ([2, 5], [1], [5, 2, 6])]
+
+    def refused(*args):
+        raise AssertionError("a basis word was read as elements")
+
+    monkeypatch.setattr(transfer, "_elements", refused)
+    monkeypatch.setattr(transfer.AInfinityMorphism, "_combination", refused)
+    for words in ([[2, 5], [1], [5, 2, 6]],
+                  [(np.int64(2), 5), [True], np.array([5, 2, 6])],
+                  [iter([2, 5]), (x for x in [1]), [5, 2, np.int32(6)]]):
+        for w, m in zip(words, want):
+            assert _same(transfer_closed(w, s, b), m)
+
+
+@pytest.mark.parametrize("inputs, message", [
+    ([], "transfer needs at least one input"),
+    ([-1], "cannot interpret -1 as an algebra element"),
+    ([3, 9], "cannot interpret 9 as an algebra element"),
+    ([np.int64(9)], f"cannot interpret {np.int64(9)!r} as an algebra "
+                    "element"),
+    ([2, 2.0], "cannot interpret 2.0 as an algebra element"),
+], ids=["empty", "negative", "out-of-range", "int64-out-of-range", "float"])
+def test_a_word_that_is_no_basis_word_raises_as_before(t1, inputs, message):
+    """Inputs that are neither basis indices nor Slots raise the one
+    ShapeError ``_elements`` raises, whichever path reads the rest."""
+    with pytest.raises(ShapeError) as exc:
+        transfer_closed(inputs, t1.splitting, t1.bundle)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("build", [
     t1_instance,
     lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
