@@ -22,6 +22,7 @@ from homotrace.errors import HomotraceError, InputError, QuadratureBudgetError
 from homotrace.glinalg import AMBIGUITY_BAND, max_abs
 from homotrace.hochschild import HochschildChain, chain_map_defect
 from homotrace.instances import (
+    MAX_ARITY,
     Instance,
     matrix_instance,
     random_instance,
@@ -76,8 +77,8 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _int_from(low: int):
-    """An argparse type: an integer >= low."""
+def _int_from(low: int, high: int | None = None):
+    """An argparse type: an integer >= low, and <= high if one is given."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -86,6 +87,9 @@ def _int_from(low: int):
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"must be an integer >= {low}, got {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(
+                f"must be an integer <= {high}, got {text!r}")
         return value
     return parse
 
@@ -302,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run every identity check on an instance")
     v.add_argument("--instance", required=True)
     v.add_argument("--tolerance", type=_positive_float, default=None)
-    v.add_argument("--max-arity", type=_int_from(1), default=4)
+    v.add_argument("--max-arity", type=_int_from(1, MAX_ARITY), default=4)
     v.add_argument("--quad-budget", type=_int_from(1), default=10 ** 6)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", choices=["text", "json"], default="text")

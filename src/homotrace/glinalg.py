@@ -456,7 +456,8 @@ def combination(terms, source: GradedVectorSpace, target: GradedVectorSpace,
                              "(source/target/degree differ)")
         kept.append((m, c))
     if not kept:
-        return _graded_map(source, target, degree, (), mode)
+        return _graded_map(source, target, degree, (), mode,
+                           {} if mode == EXACT else None)
     if mode != EXACT:
         acc: dict = {}
         for m, c in kept:

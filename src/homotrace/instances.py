@@ -7,7 +7,9 @@ Three families:
   generated by the constant-coefficient operators up to the order cap;
 * random instances: seeded exact bundles with a random square-zero
   differential and a random unital operator subalgebra closed under
-  product and differential.
+  product and differential, the span closure of two random operators
+  formed with glinalg's exact map arithmetic (over Q, or Q(i) when an
+  operator has a Gaussian entry).
 
 Every generator, the float copy (``to_float_instance``) and the file
 loader build an instance one way, ``build_instance``: it passes the
@@ -21,14 +23,10 @@ and validates the dg axioms and the splitting invariants.  So what
 from __future__ import annotations
 
 import cmath
-import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
-
-import numpy as np
 
 from homotrace.dgcore import (
     DgModuleBundle,
@@ -46,9 +44,9 @@ from homotrace.glinalg import (
     ExactSpan,
     GradedMap,
     GradedVectorSpace,
-    clear_denominators,
     compose,
     invert_exact,
+    supercommutator,
     zeros_matrix,
 )
 from homotrace.scalars import EXACT, FLOAT, one_scalar, session_tol
@@ -57,6 +55,14 @@ MAX_TOTAL_DIM = 64
 # slots of one chain-file term: the store keeps every prefix of every
 # rotation, so a term of k slots costs memory of order k^3
 MAX_CHAIN_SLOTS = 128
+# verify's --max-arity: the defects up to arity k store every prefix of
+# every bar term, of order k^3 slots (T1 at 32: 0.5 s and 68 MB; r11:
+# 1.2 s and 147 MB; both about three times that at 48)
+MAX_ARITY = 32
+# declared operators of one instance: the load expands the products at
+# the pivots in a dense (n^2 + 1 + n) x n array, 8 GiB at n = 1 024; 64
+# is End of the largest matrix instance (module dimension 8)
+MAX_ALGEBRA_DIM = 64
 MAX_RANDOM_DIM = 12
 DEFAULT_ORDER_CAP = 2
 DEFAULT_CLOSURE_BOUND = 48
@@ -132,11 +138,15 @@ def build_instance(space: GradedVectorSpace, q: GradedMap,
     float at ``tol`` (None: the session tolerance): the one way an
     ``Instance`` is built.  ``elements`` lists (name, degree, [(operator
     name, value), ...]), each kept as an ``Element`` without its zero
-    values.  A zero-dimensional module, a repeated name or a coordinate of
-    another degree than its element's is an InputError; failed axiom or
-    splitting checks are a ShapeError naming each with its witness."""
+    values.  A zero-dimensional module, more than ``MAX_ALGEBRA_DIM``
+    operators, a repeated name or a coordinate of another degree than its
+    element's is an InputError; failed axiom or splitting checks are a
+    ShapeError naming each with its witness."""
     if not space.dims:
         raise InputError("the module is zero-dimensional")
+    if len(operators) > MAX_ALGEBRA_DIM:
+        raise InputError(f"the instance declares {len(operators)} operators, "
+                         f"above the cap {MAX_ALGEBRA_DIM}")
     tol = session_tol(mode, tol)
     if not compose(q, q).is_zero(tol):
         raise InputError("Q-squared: differential does not square to zero")
@@ -310,89 +320,43 @@ def _random_square_zero(rng: random.Random, space: GradedVectorSpace
     return compose(smap, compose(q, simap))
 
 
-class _IntegerMap(NamedTuple):
-    """An exact degree-homogeneous map as integer blocks over one
-    denominator: the map is blocks[d] / den on each source degree d, and
-    only nonzero blocks are stored."""
-
-    degree: int
-    blocks: dict[int, np.ndarray]
-    den: int
-
-
-def _integer_map(m: GradedMap) -> _IntegerMap:
-    cleared = {d: clear_denominators(b)[:2] for d, b in m.blocks}
-    den = math.lcm(*(c for _, c in cleared.values()))
-    return _IntegerMap(m.degree, {d: t * (den // c)
-                                  for d, (t, c) in cleared.items()}, den)
-
-
-def _nonzero(degree: int, blocks: dict, den: int) -> _IntegerMap:
-    return _IntegerMap(degree, {d: b for d, b in blocks.items() if b.any()},
-                       den)
-
-
-def _product(f: _IntegerMap, g: _IntegerMap) -> _IntegerMap:
-    """f g: one integer matmul per source degree of g."""
-    return _nonzero(f.degree + g.degree, {
-        d: f.blocks[d + g.degree] @ b for d, b in g.blocks.items()
-        if d + g.degree in f.blocks}, f.den * g.den)
-
-
-def _bracket(q: _IntegerMap, m: _IntegerMap) -> _IntegerMap:
-    """{Q, m} = Q m - (-1)^|m| m Q, for Q of degree 1."""
-    qm, mq = _product(q, m), _product(m, q)
-    sign = (-1) ** (m.degree % 2)
-    return _nonzero(qm.degree, {
-        d: qm.blocks.get(d, 0) - sign * mq.blocks.get(d, 0)
-        for d in qm.blocks.keys() | mq.blocks.keys()}, qm.den)
-
-
 def _closure(space: GradedVectorSpace, q: GradedMap,
              generators: list[GradedMap], bound: int) -> list[GradedMap]:
-    """Unital span closure under composition and {Q, .}; exact.
+    """Unital span closure under composition and {Q, .}; exact, over Q or
+    Q(i).
 
-    Every operator is held as integer blocks over one denominator
-    (``_IntegerMap``), so each candidate, a product or a {Q, .}, is an
-    integer matmul.  Operators of different degrees are independent, so
-    independence is decided in one ``ExactSpan`` per degree, which reads
-    the concatenated integer blocks directly: the denominator scales a
-    candidate, and scaling changes no decision.  A kept operator is divided
-    by the gcd of its denominator and its entries; only the kept operators
-    become Fraction maps, once at the end.
+    Every candidate is a ``GradedMap``: b m and m b are ``compose``, and
+    {Q, m} is ``supercommutator``.  Operators of different degrees are
+    independent, so independence is decided in one ``ExactSpan`` per
+    degree, on the concatenated blocks.  The queue is last in, first out:
+    a kept operator queues its bracket, then b m and m b for each kept b.
     """
-    qi = _integer_map(q)
-    basis: list[_IntegerMap] = []
+    basis: list[GradedMap] = []
     spans: dict[int, ExactSpan] = {}
 
-    def try_add(m: _IntegerMap) -> _IntegerMap | None:
+    def try_add(m: GradedMap) -> bool:
+        blocks = dict(m.blocks)
         vec = [x for d, n in space.dims for x in (
-            m.blocks[d].ravel().tolist() if d in m.blocks
+            blocks[d].ravel().tolist() if d in blocks
             else [0] * (n * space.dim(d + m.degree)))]
         if not spans.setdefault(m.degree, ExactSpan()).add(vec):
-            return None
-        g = math.gcd(m.den, *vec)
-        if g > 1:
-            m = _IntegerMap(m.degree, {d: b // g for d, b in m.blocks.items()},
-                            m.den // g)
+            return False
         basis.append(m)
         if len(basis) > bound:
             raise ClosureError(
                 f"algebra closure exceeded the dimension bound {bound}")
-        return m
+        return True
 
-    try_add(_integer_map(GradedMap.identity(space, EXACT)))
-    queue = [_integer_map(m) for m in generators]
+    try_add(GradedMap.identity(space, EXACT))
+    queue = list(generators)
     while queue:
-        m = try_add(queue.pop())
-        if m is not None:
-            queue.append(_bracket(qi, m))
+        m = queue.pop()
+        if try_add(m):
+            queue.append(supercommutator(q, m))
             for b in list(basis):
-                queue.append(_product(b, m))
-                queue.append(_product(m, b))
-    return [GradedMap.build(space, space, m.degree, {
-        d: b * Fraction(1, m.den) for d, b in m.blocks.items()}, EXACT)
-        for m in basis]
+                queue.append(compose(b, m))
+                queue.append(compose(m, b))
+    return basis
 
 
 def to_float_instance(instance: Instance, tol: float | None = None) -> Instance:

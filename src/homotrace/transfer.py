@@ -475,18 +475,30 @@ class AInfinityMorphism:
     def _word(self, flats: tuple[int, ...]) -> GradedMap:
         """p rho(b_1) h ... h rho(b_j), kept per prefix: p rho(b_1), then
         the stored prefix times the step h rho(b_j), one compose each; a
-        zero prefix gives a zero word without forming the step."""
-        if flats not in self._words:
-            if len(flats) == 1:
-                word = compose(self.splitting.project,
-                               self.bundle.rho[flats[0]])
+        zero prefix gives a zero word without forming the step.  A loop,
+        not a recursion, so a word of any length fits the stack: it walks
+        back to the longest stored prefix and extends it forward."""
+        words = self._words
+        word = words.get(flats)
+        if word is not None:
+            return word
+        missing = [flats]               # longest first
+        prefix = flats[:-1]
+        while prefix and prefix not in words:
+            missing.append(prefix)
+            prefix = prefix[:-1]
+        word = words[prefix] if prefix else None
+        for key in reversed(missing):
+            b = key[-1]
+            if word is None:
+                word = compose(self.splitting.project, self.bundle.rho[b])
+            elif word.blocks:
+                word = compose(word, self._step(b))
             else:
-                prefix = self._word(flats[:-1])
-                word = (compose(prefix, self._step(flats[-1])) if prefix.blocks
-                        else self._zero(prefix.source, prefix.degree - 1
-                                        + self.bundle.rho[flats[-1]].degree))
-            self._words[flats] = self._kept(word)
-        return self._words[flats]
+                word = self._zero(word.source, word.degree - 1
+                                  + self.bundle.rho[b].degree)
+            word = words[key] = self._kept(word)
+        return word
 
     def _zero(self, source: GradedVectorSpace, degree: int) -> GradedMap:
         """The zero map of a word (source: the module) or a component (M0)

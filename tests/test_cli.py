@@ -5,9 +5,14 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pathlib
 import random
 import re
+import resource
 import struct
+import subprocess
+import sys
 import time
 import warnings
 
@@ -20,9 +25,10 @@ from homotrace.dgcore import validate_bundle
 from homotrace.errors import InputError
 from homotrace.glinalg import AMBIGUITY_BAND, GradedMap
 from homotrace.hochschild import HochschildChain
-from homotrace.instances import (MAX_CHAIN_SLOTS, matrix_instance,
-                                 random_instance, t1_instance,
-                                 to_float_instance, torus_instance)
+from homotrace.instances import (MAX_ALGEBRA_DIM, MAX_ARITY, MAX_CHAIN_SLOTS,
+                                 matrix_instance, random_instance,
+                                 t1_instance, to_float_instance,
+                                 torus_instance)
 from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, decode_value,
                                times_sign)
 from homotrace.serialize import (instance_from_dict, instance_to_dict,
@@ -536,6 +542,79 @@ def test_a_term_above_the_slot_cap_exits_2(tmp_path, capsys):
             assert err.splitlines() == [
                 f"input error: chain {name!r} has a term of {slots} slots, "
                 f"above the cap {MAX_CHAIN_SLOTS}"]
+
+
+def test_max_arity_above_the_cap_exits_2(tmp_path, capsys):
+    """``verify --max-arity`` above ``MAX_ARITY`` is refused while the
+    command line is read, with one error line naming the cap; at the cap
+    T1 verifies."""
+    ipath = tmp_path / "t1.json"
+    assert run(["gen", "--kind", "matrix", "--preset", "T1",
+                "-o", str(ipath)]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        run(["verify", "--instance", str(ipath),
+             "--max-arity", str(MAX_ARITY + 1)])
+    assert info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if "error:" in line]
+    assert errors == [
+        "homotrace verify: error: argument --max-arity: must be an integer "
+        f"<= {MAX_ARITY}, got '{MAX_ARITY + 1}'"]
+    assert run(["verify", "--instance", str(ipath),
+                "--max-arity", str(MAX_ARITY)]) == 0
+
+
+def _matrix_units_file(path, n: int) -> None:
+    """An exact instance file: an n-dimensional module in degree 0, Q = 0,
+    and all n^2 matrix units as operators."""
+    labels = [f"v{i}" for i in range(n)]
+    path.write_text(json.dumps({
+        "format": "homotrace-instance/1", "scalar": "exact",
+        "module": [[0, n, labels]], "Q": [],
+        "algebra": [[f"E[{a}<-{b}]", 0, [[b, a, "1"]]]
+                    for a in labels for b in labels],
+        "elements": [], "products": None, "splitting": None, "meta": {}}))
+
+
+def test_more_operators_than_the_cap_exit_2(tmp_path, capsys):
+    """A file that declares more than ``MAX_ALGEBRA_DIM`` operators is bad
+    input: End of a 9-dimensional module (81 operators) gives one 'input
+    error:' line."""
+    path = tmp_path / "m9.json"
+    _matrix_units_file(path, 9)
+    capsys.readouterr()
+    assert run(["verify", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"input error: the instance declares 81 operators, above the cap "
+        f"{MAX_ALGEBRA_DIM}"]
+
+
+def _limit_memory():
+    limit = 4 << 30
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_a_file_of_1024_operators_exits_2_within_seconds(tmp_path):
+    """End of a 32-dimensional module, 1 024 operators, once asked the
+    load for a dense 8 GiB array and ended in a numpy traceback (exit 1):
+    it is refused by the operator cap before that, in a child process
+    whose address space is capped at 4 GiB."""
+    path = tmp_path / "m32.json"
+    _matrix_units_file(path, 32)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src"),
+           "OPENBLAS_NUM_THREADS": "1"}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "homotrace.cli", "verify", "--instance",
+         str(path)], env=env, capture_output=True, text=True, timeout=60,
+        preexec_fn=_limit_memory)
+    assert time.perf_counter() - start < 30
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.splitlines() == [
+        f"input error: the instance declares 1024 operators, above the cap "
+        f"{MAX_ALGEBRA_DIM}"]
 
 
 @pytest.mark.parametrize("flags", [

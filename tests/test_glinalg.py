@@ -678,6 +678,18 @@ def test_combination_matches_the_dense_sum(kind, seed):
                             mode)
 
 
+def test_an_exact_zero_combination_carries_its_rows():
+    """An exact sum with no nonzero term, of no terms or of zero maps only,
+    carries its (empty) ``sparse_rows`` as every other kernel result does,
+    so nothing reads its blocks again."""
+    v = space({0: 2, 1: 1})
+    zeros = [(GradedMap.zero(v, v, d, EXACT), 2) for d in (0, 1)]
+    for terms in ([], zeros):
+        out = glinalg.combination(terms, v, v, 0, EXACT)
+        assert out.blocks == () and "sparse_rows" in vars(out)
+        assert out.sparse_rows == {}
+
+
 @pytest.mark.parametrize("gaussian", [False, True])
 @pytest.mark.parametrize("seed", range(6))
 def test_supertrace_of_a_product_is_that_of_the_composite(gaussian, seed):

@@ -8,7 +8,6 @@ import json
 import numpy as np
 import pytest
 
-from homotrace import glinalg, instances
 from homotrace.dgcore import (algebra_from_operators, build_splitting_hodge,
                               cohomology, euler_characteristic,
                               validate_bundle)
@@ -24,7 +23,7 @@ from homotrace.instances import (
     torus_element,
     torus_instance,
 )
-from homotrace.scalars import FLOAT
+from homotrace.scalars import FLOAT, GaussianRational
 from homotrace.serialize import (instance_from_dict, instance_to_dict,
                                  load_instance, save_instance)
 from homotrace.traces import transferred_trace
@@ -245,18 +244,24 @@ def test_integer_closure_matches_fraction_closure(seed, dims):
                        for x, y in zip(b.flat, c.flat))
 
 
-def test_closure_forms_no_graded_map_product(monkeypatch):
-    """r11's closure makes no ``glinalg.compose`` call: its candidates are
-    integer matmuls."""
-    args = (*_random_generators(11, {0: 2, 1: 3, 2: 2}),
-            DEFAULT_CLOSURE_BOUND)
-    calls, compose = [], glinalg.compose
-
-    def counted(f, g):
-        calls.append(1)
-        return compose(f, g)
-
-    monkeypatch.setattr(glinalg, "compose", counted)
-    monkeypatch.setattr(instances, "compose", counted)
-    assert len(_closure(*args)) == 17
-    assert not calls
+@pytest.mark.parametrize("seed,dims", itertools.product(
+    [7, 9, 11, 42, 48], [{0: 2, 1: 2}, {0: 2, 1: 3, 2: 2}]))
+def test_gaussian_closure_matches_fraction_closure(seed, dims):
+    """Over Q(i) too: with its first generator scaled by 1 + i, the closure
+    keeps the operators that the Fraction closure keeps, entry for entry
+    and type for type; where it keeps the scaled generator, some entry is
+    a GaussianRational."""
+    space, q, gens = _random_generators(seed, dims)
+    gens[0] = gens[0].scale(GaussianRational(1, 1))
+    args = (space, q, gens, DEFAULT_CLOSURE_BOUND)
+    got, want = _closure(*args), fraction_closure(*args)
+    assert len(got) == len(want)
+    for m, w in zip(got, want):
+        assert (m.degree, [d for d, _ in m.blocks]) == (
+            w.degree, [d for d, _ in w.blocks])
+        for (_, b), (_, c) in zip(m.blocks, w.blocks):
+            assert all(type(x) is type(y) and x == y
+                       for x, y in zip(b.flat, c.flat))
+    if any(m is gens[0] for m in got):
+        assert any(type(x) is GaussianRational
+                   for m in got for _, b in m.blocks for x in b.flat)

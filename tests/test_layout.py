@@ -26,6 +26,10 @@ A fourth keeps glinalg's exact row format to glinalg: in ``src/homotrace``
 no other module names ``sparse_rows`` or imports, or reads as an
 attribute of ``glinalg``, a name of glinalg that starts with an
 underscore.  Sums and supertraces of maps go through its public kernels.
+
+A fifth keeps one exact map arithmetic: ``instances`` forms no matrix
+product (``@``), so the random closure multiplies operators with
+glinalg's ``compose`` and ``supercommutator``.
 """
 
 import ast
@@ -250,6 +254,27 @@ def test_the_row_scan_finds_a_stray_reader():
                              (PACKAGE / "glinalg.py", stray),
                              (ROOT / "scripts" / "fake.py", stray)]) == [
         ("fake.py", 2), ("fake.py", 6), ("fake.py", 6)]
+
+
+def matrix_products(trees) -> list[tuple[str, int]]:
+    """(module file, line) of each ``@`` in ``instances.py`` among the
+    package modules of ``trees``."""
+    return sorted((path.name, node.lineno) for path, tree in trees
+                  if path == PACKAGE / "instances.py"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.BinOp)
+                  and isinstance(node.op, ast.MatMult))
+
+
+def test_instances_forms_no_matrix_product():
+    stray = ast.parse("def product(f, g):\n    return f @ g\n")
+    assert matrix_products([(PACKAGE / "instances.py", stray),
+                            (PACKAGE / "glinalg.py", stray)]) == [
+        ("instances.py", 2)]
+    stray = matrix_products(_trees())
+    assert not stray, (
+        f"{stray} multiply matrices in instances: compose maps with "
+        "glinalg.compose and glinalg.supercommutator")
 
 
 def test_the_benchmark_tracer_installs_and_uninstalls():

@@ -377,6 +377,26 @@ def test_on_basis_miss_with_stored_prefix_is_one_compose(monkeypatch):
     assert seen == {0, 1}
 
 
+def test_a_long_word_fits_the_stack(t1):
+    """On T1, a 1 200-slot word whose prefixes stay nonzero, of degree
+    1 199 so that its supertrace is defined, is evaluated without a
+    recursion per slot: ``on_basis`` and ``supertrace`` return, every
+    prefix is stored, and each stored prefix is the one before it times
+    h rho(b), as one compose."""
+    f = transferred_morphism(t1.bundle, t1.splitting)
+    a, s = t1.bundle.algebra, t1.splitting
+    e21, f1 = a.flat_by_name("E[e2<-e1]"), a.flat_by_name("E[f<-e1]")
+    word = (e21,) + (f1,) * 1199
+    assert f.on_basis(word).degree == 0
+    assert f.supertrace(word) == 0
+    assert all(word[:k] in f._words for k in range(1, len(word)))
+    step = compose(s.homotopy, t1.bundle.rho[word[-1]])
+    for k in (2, 600, 1199):
+        assert f._words[word[:k]].blocks
+        assert f._words[word[:k]].equals(compose(f._words[word[:k - 1]],
+                                                 step))
+
+
 def test_zero_words_and_components_share_one_map_per_degree():
     """Every zero word and component, whether a zero prefix word makes it
     zero without a compose or its compose cancels, is per degree one map
