@@ -2,53 +2,60 @@
 
 Matrices are dense numpy arrays: ``object`` dtype holding Fractions (or
 GaussianRationals) in exact mode, ``complex128`` in float mode.  Maps are
-stored block-per-source-degree; missing blocks are zero.  All values are
-immutable after construction.
+stored block-per-source-degree; missing blocks are zero.  An exact map
+that a kernel returns holds sparse integer rows and forms its blocks when
+they are first read.  All values are immutable after construction.
 
 The kernels pay only for nonzero work.  Every sum of graded maps is one
 ``combination`` (the sum of c m over (map, coefficient) terms;
 ``scale``, ``+`` and ``-`` call it) and every supertrace is
 ``supertrace(*maps)``, which forms only the product P of all maps but
 the last, T, so no other module reads the exact row format.  An exact
-map reads its blocks once (``GradedMap.sparse_rows``): each row's
-nonzero entries as (column, numerator, denominator), the numerator a
+map's rows (``GradedMap.sparse_rows``) hold each row's nonzero entries
+as (column, numerator, denominator) in lowest terms, the numerator a
 Python int or a Gaussian integer (``_ratio``).  The exact kernels run on
 these rows in integer arithmetic: a term is a product of numerators over
 a product of denominators, terms of one entry are added over a common
-denominator (``_sums``), and one Fraction is formed per nonzero result
-(``_exact_map``), since each Fraction operation is a Python call that
-takes a gcd; terms that cancel form none.  A result keeps the rows it
-was formed from, and a block with no nonzero sum is not stored.  Float
+denominator (``_sums``), and each nonzero sum is reduced by a gcd
+(``_lowest``), so ``compose`` and ``combination`` form no Fraction.  A
+result keeps its rows (``_exact_map``) and forms its object blocks only
+when something reads ``blocks``, one value per nonzero entry
+(``_formed_blocks``); a map built from blocks reads its rows once.  Float
 blocks stay in numpy: products are ``@``, a coefficient 1 or -1 adds or
 subtracts a block as it is, a supertrace sums the diagonals of the
 blocks P @ T that ``compose`` stores, magnitudes are array reductions
 and a zero test counts nonzero entries, so a NaN entry is never read as
 zero.  ``equals`` compares two maps block by block (exact: their rows),
-and a zero map scaled is itself.  A kernel's blocks are built in one
-pass: frozen in place, exactly zero ones left out, neither copied nor
-checked for shape as ``GradedMap.build`` does with blocks that callers
-pass in.  Every ``GradedMap`` is made by the one private constructor
-``_graded_map``, which sets its fields without the frozen dataclass's
-per-field ``__setattr__``; assigning to a field still raises.  A map
-with no stored block is exactly zero, so callers carry the rule past
-this boundary by testing ``blocks``: the transfer forms no step or tail
-after a zero prefix and shares one zero map per degree for its zero
-words and components, and the coherence defect and the push-forward end
-a term at its first zero component.
+and a zero map scaled is itself.  A kernel's float blocks are built in
+one pass: frozen in place, exactly zero ones left out, neither copied
+nor checked for shape as ``GradedMap.build`` does with blocks that
+callers pass in.  Every ``GradedMap`` is made by the one private
+constructor ``_graded_map``, which sets its fields without the frozen
+dataclass's per-field ``__setattr__``; assigning to a field still
+raises.  A map is ``nonzero`` when it stores a block (or a row), read
+without forming blocks, so callers carry the rule "no stored block is
+exactly zero" past this boundary by testing ``nonzero``: the transfer
+forms no step or tail after a zero prefix and shares one zero map per
+degree for its zero words and components, and the coherence defect and
+the push-forward end a term at its first zero component.
 
 Exact elimination is ``rref`` and what is read off one run of it (null
 space with its pivots, inverse, pivot rows with the inverse of their
 block); every greedy "keep it if it is independent of what is kept"
-choice goes through ``ExactSpan``.  Both run one fraction-free row
-reduction: a row is cleared to integers once (``_integer_row``), a step
-is row <- a row - b pivot_row with the pivot row's term on its nonzero
-columns alone, and each reduced row is divided by its content
-(``_eliminate``).  Over Q(i) the same code runs on Gaussian integers,
-with the content taken over the real and imaginary parts.  Scaling a
-row changes neither its span nor the reduced form, so ``rref`` forms its
-Fractions once, at the end, as entry / pivot, and ``ExactSpan`` forms
-none.  Float rank decisions go through ``float_rank`` and the session
-tolerance.
+choice goes through ``ExactSpan``.  Both run one fraction-free reduction
+on sparse integer rows (dicts column -> integer): a row is cleared to
+integers once (``_integer_row``), a step is row <- a row - b pivot_row
+on the pivot row's entries alone, and each reduced row is divided by
+its content (``_eliminate``).  ``rref`` takes a dense matrix or sparse
+rows; it pivots on the candidate row with the fewest nonzeros and then
+substitutes back (``_echelon``).  ``ExactSpan`` takes a vector or an
+exact map, read off its rows, so a rejected candidate forms no value, and
+it rejects a repeat of an earlier candidate with no elimination.
+Over Q(i) the same code runs on Gaussian integers, with the content
+taken over the real and imaginary parts.  Scaling a row changes neither
+its span nor the reduced form, so ``rref`` forms its Fractions once, at
+the end, as entry / pivot, and ``ExactSpan`` forms none.  Float rank
+decisions go through ``float_rank`` and the session tolerance.
 
 Sparse identities between sums of products are joins over nonzero
 entries (``stored_entries`` and ``coo`` read them): ``join`` pairs the
@@ -62,6 +69,7 @@ identities of a dg module run this way (``dgcore``).
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,33 +185,43 @@ def _exact_sum(terms):
     return _exact_value(*got[0][1:]) if got else zero_scalar(EXACT)
 
 
+def _lowest(n, d) -> tuple:
+    """(n, d) over their gcd, the gcd of d and both parts of a Gaussian
+    integer n: the pair that ``_ratio`` reads off the value n / d, with no
+    value formed."""
+    g = (math.gcd(n, d) if type(n) is int
+         else math.gcd(n.re.numerator, n.im.numerator, d))
+    return (n, d) if g == 1 else (_divided(n, g), d // g)
+
+
 def _exact_map(source, target, degree: int, parts) -> "GradedMap":
-    """The exact map whose block at source degree d holds, per row, the
-    sums of that row's (column, n, d) terms, for (d, shape, terms per
-    row) in ``parts``, in degree order: one value formed per nonzero sum
-    (``_exact_value``), in a frozen block allocated at the first.  The
-    map keeps the rows it was formed from, and a block with no nonzero
-    sum is not stored."""
-    blocks, rows = [], {}
-    for d, shape, terms in parts:
-        out, read = None, []
-        for i, row in enumerate(terms):
-            if not row:
-                read.append(())
-                continue
-            kept = []
-            for j, n, e in (row if len(row) == 1 else _sums(row)):
-                if n:
-                    x = _exact_value(n, e)
-                    if out is None:
-                        out = zeros_matrix(*shape, EXACT)
-                    out[i, j] = x
-                    kept.append((j, *_ratio(x)))
-            read.append(tuple(kept))
-        if out is not None:
-            blocks.append((d, _freeze(out)))
+    """The exact map whose rows at source degree d hold the sums of the
+    (column, n, d) terms of each row, for (d, terms per row) in ``parts``,
+    in degree order: each nonzero sum in lowest terms (``_lowest``).  The
+    map keeps these rows and forms no value; a degree with no nonzero sum
+    is not stored, and the blocks are formed when first read."""
+    rows = {}
+    for d, terms in parts:
+        read = [tuple([t if t[2] == 1 else (t[0], *_lowest(*t[1:]))
+                       for t in (row if len(row) == 1 else _sums(row))
+                       if t[1]]) if row else () for row in terms]
+        if any(read):
             rows[d] = tuple(read)
-    return _graded_map(source, target, degree, tuple(blocks), EXACT, rows)
+    return _graded_map(source, target, degree, None, EXACT, rows)
+
+
+def _formed_blocks(m: "GradedMap") -> tuple:
+    """The blocks of an exact map that keeps only its rows: one frozen
+    block per stored degree, one value per row entry (``_exact_value``)."""
+    out = []
+    for d, rows in m.sparse_rows.items():
+        block = zeros_matrix(m.target.dim(d + m.degree), m.source.dim(d),
+                             EXACT)
+        for i, row in enumerate(rows):
+            for j, n, e in row:
+                block[i, j] = _exact_value(n, e)
+        out.append((d, _freeze(block)))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -271,7 +289,9 @@ class GradedMap:
     """Degree-homogeneous linear map; block per source degree.
 
     ``build`` stores only blocks with a nonzero entry, so a map with no
-    stored block is exactly zero.
+    stored block is exactly zero: it is not ``nonzero``.  An exact map
+    that a kernel returns keeps its ``sparse_rows`` and forms ``blocks``
+    at their first read (``_formed_blocks``).
     """
 
     source: GradedVectorSpace
@@ -312,6 +332,14 @@ class GradedMap:
         stale, and the kernels set them on the maps they return."""
         return {d: _read_rows(m) for d, m in self.blocks}
 
+    @cached_property
+    def nonzero(self) -> bool:
+        """Whether the map stores a block (an exact kernel result: a row),
+        which is false exactly when the map is zero.  Read without forming
+        blocks; ``_graded_map`` sets it on every map it makes."""
+        fields = self.__dict__
+        return bool(fields.get("blocks", fields.get("sparse_rows")))
+
     def block(self, source_degree: int) -> np.ndarray:
         for d, m in self.blocks:
             if d == source_degree:
@@ -322,15 +350,16 @@ class GradedMap:
     def __add__(self, other: "GradedMap") -> "GradedMap":
         if self.degree != other.degree:
             # a zero map has no meaningful degree
-            if not other.blocks:
+            if not other.nonzero:
                 return self
-            if not self.blocks:
+            if not self.nonzero:
                 return other
         return combination([(self, 1), (other, 1)], self.source, self.target,
                            self.degree, self.mode)
 
     def __sub__(self, other: "GradedMap") -> "GradedMap":
-        if self.degree != other.degree and (not self.blocks or not other.blocks):
+        if self.degree != other.degree and not (self.nonzero
+                                                and other.nonzero):
             return self + other.scale(-one_scalar(other.mode))
         return combination([(self, 1), (other, -1)], self.source, self.target,
                            self.degree, self.mode)
@@ -340,7 +369,7 @@ class GradedMap:
 
     def scale(self, c) -> "GradedMap":
         """c times the map (``combination``); a zero map is itself."""
-        if not self.blocks:
+        if not self.nonzero:
             return self
         return combination([(self, c)], self.source, self.target,
                            self.degree, self.mode)
@@ -352,8 +381,10 @@ class GradedMap:
             _fresh((d, m.astype(complex)) for d, m in self.blocks), FLOAT)
 
     def is_zero(self, tol: float | None = None) -> bool:
+        """Exactly zero (not ``nonzero``) when tol is None, else every
+        entry within tol."""
         if tol is None:
-            return not self.blocks
+            return not self.nonzero
         return all(max_abs(m) <= tol for _, m in self.blocks)
 
     def equals(self, other: "GradedMap", tol: float | None = None) -> bool:
@@ -382,15 +413,23 @@ class GradedMap:
 
     def nonzero_entries(self) -> list[tuple]:
         """(source degree, row, column, the block's entry) per nonzero
-        entry, in that order: read off the rows (exact) or by
+        entry, in that order: formed from the rows (exact, as
+        ``_formed_blocks`` forms it, so no block is formed) or read by
         ``np.nonzero`` (float), so no exact entry is tested for zero."""
         if self.mode == EXACT:
-            blocks = dict(self.blocks)
-            return [(d, i, j, blocks[d][i, j])
+            return [(d, i, j, _exact_value(n, e))
                     for d, rows in self.sparse_rows.items()
-                    for i, row in enumerate(rows) for j, _, _ in row]
+                    for i, row in enumerate(rows) for j, n, e in row]
         return [(d, i, j, m[i, j]) for d, m in self.blocks
                 for i, j in zip(*m.nonzero())]
+
+
+# An exact kernel result stores only its rows, so its ``blocks`` are formed
+# at their first read; a stored ``blocks`` shadows this non-data descriptor.
+# (A ``__getattr__`` would do the same, but it would slow every attribute
+# read of every map.)
+GradedMap.blocks = cached_property(_formed_blocks)
+GradedMap.blocks.__set_name__(GradedMap, "blocks")
 
 
 def _graded_map(source: GradedVectorSpace, target: GradedVectorSpace,
@@ -398,15 +437,18 @@ def _graded_map(source: GradedVectorSpace, target: GradedVectorSpace,
                 rows: dict | None = None) -> GradedMap:
     """The GradedMap of parts its caller vouches for (frozen blocks of the
     right shapes, in degree order, none of them zero, and the blocks'
-    ``sparse_rows`` when given), its fields set straight into the instance
-    dictionary: the frozen dataclass's own ``__init__`` pays a
-    ``__setattr__`` call per field."""
+    ``sparse_rows`` when given; blocks None when only the rows are), its
+    fields set straight into the instance dictionary: the frozen
+    dataclass's own ``__init__`` pays a ``__setattr__`` call per field."""
     m = object.__new__(GradedMap)
     fields = m.__dict__
     fields["source"], fields["target"], fields["degree"] = source, target, degree
-    fields["blocks"], fields["mode"] = blocks, mode
+    fields["mode"] = mode
+    if blocks is not None:
+        fields["blocks"] = blocks
     if rows is not None:
         fields["sparse_rows"] = rows
+    fields["nonzero"] = bool(rows if blocks is None else blocks)
     return m
 
 
@@ -426,14 +468,12 @@ def compose(f: GradedMap, g: GradedMap) -> GradedMap:
         return _graded_map(g.source, f.target, degree, _fresh(
             (d, f_blocks[d + g.degree] @ gm) for d, gm in g.blocks
             if d + g.degree in f_blocks), f.mode)
-    f_rows, g_rows = f.sparse_rows, g.sparse_rows
+    f_rows = f.sparse_rows
     return _exact_map(g.source, f.target, degree, [
-        (d, (len(left), gm.shape[1]), [
-            [(j, xn * yn, xd * yd) for k, xn, xd in row
-             for j, yn, yd in right[k]] for row in left])
-        for d, gm in g.blocks
-        if (left := f_rows.get(d + g.degree)) is not None
-        for right in (g_rows[d],)])
+        (d, [[(j, xn * yn, xd * yd) for k, xn, xd in row
+              for j, yn, yd in right[k]] for row in left])
+        for d, right in g.sparse_rows.items()
+        if (left := f_rows.get(d + g.degree)) is not None])
 
 
 def combination(terms, source: GradedVectorSpace, target: GradedVectorSpace,
@@ -448,16 +488,17 @@ def combination(terms, source: GradedVectorSpace, target: GradedVectorSpace,
     subtracted as it is when c is 1 or -1, else times c."""
     kept = []
     for m, c in terms:
-        if not m.blocks:
+        if not m.nonzero:
             continue
         if (m.degree != degree or m.source.dims != source.dims
                 or m.target.dims != target.dims):
             raise ShapeError("maps are not parallel "
                              "(source/target/degree differ)")
         kept.append((m, c))
+    if not kept and mode == EXACT:
+        return _exact_map(source, target, degree, [])
     if not kept:
-        return _graded_map(source, target, degree, (), mode,
-                           {} if mode == EXACT else None)
+        return _graded_map(source, target, degree, (), mode)
     if mode != EXACT:
         acc: dict = {}
         for m, c in kept:
@@ -480,9 +521,8 @@ def combination(terms, source: GradedVectorSpace, target: GradedVectorSpace,
         for d, part in read.items():
             rows[d] = ([[*a, *x] for a, x in zip(rows[d], part)] if d in rows
                        else part)
-    return _exact_map(source, target, degree, [
-        (d, (target.dim(d + degree), source.dim(d)), rows[d])
-        for d in sorted(rows)])
+    return _exact_map(source, target, degree,
+                      [(d, rows[d]) for d in sorted(rows)])
 
 
 def supertrace(*maps):
@@ -498,8 +538,8 @@ def supertrace(*maps):
     if sum(m.degree for m in maps) != 0:
         raise ShapeError("supertrace needs a degree-0 endomorphism")
     if not head:
-        for d, m in t.blocks:
-            if m.shape[0] != m.shape[1]:
+        for d, _ in (t.sparse_rows.items() if t.mode == EXACT else t.blocks):
+            if t.source.dim(d) != t.target.dim(d):
                 raise ShapeError("supertrace needs an endomorphism", degree=d)
         if t.mode == EXACT:
             return _exact_sum(
@@ -558,136 +598,226 @@ def bar_signs(degrees) -> list[tuple[int, int]]:
 # Plain-matrix elimination helpers
 
 
-def _content(row: list) -> int:
-    """The gcd of an integer row: of its Python ints and of both parts of
-    each Gaussian integer (0 on a zero row)."""
+def _content(values) -> int:
+    """The gcd of integers: of Python ints and of both parts of each
+    Gaussian integer (0 when all are zero)."""
     try:
-        return math.gcd(*row)
-    except TypeError:                   # the row holds Gaussian integers
-        return math.gcd(*(p for x in row for p in (
+        return math.gcd(*values)
+    except TypeError:                   # Gaussian integers among them
+        return math.gcd(*(p for x in values for p in (
             (x,) if type(x) is int else (x.re.numerator, x.im.numerator))))
 
 
-def _divided(row: list, g: int) -> list:
-    """An integer row divided by an integer g that divides every entry."""
-    return [x // g if type(x) is int else x * Fraction(1, g) for x in row]
+def _divided(x, g: int):
+    """An integer x divided by an integer g that divides it."""
+    return x // g if type(x) is int else x * Fraction(1, g)
 
 
-def _primitive(row: list) -> list:
-    """An integer row divided by its content."""
-    g = _content(row)
-    return row if g <= 1 else _divided(row, g)
+def _primitive(row: dict) -> dict:
+    """A sparse integer row divided by its content."""
+    try:
+        g = math.gcd(*row.values())
+    except TypeError:                   # Gaussian integers among them
+        g = _content(row.values())
+    if g <= 1:
+        return row
+    try:
+        return {j: x // g for j, x in row.items()}
+    except TypeError:                   # Gaussian integers among them
+        return {j: _divided(x, g) for j, x in row.items()}
 
 
-def _cleared(values: list) -> tuple[list, int]:
-    """(D values, D) for D the least common multiple of the denominators of
-    exact scalars: Python ints, and Gaussian integers (GaussianRationals
-    with integer parts) for the GaussianRationals."""
-    d = math.lcm(*[math.lcm(x.re.denominator, x.im.denominator)
-                   if type(x) is GaussianRational else x.denominator
-                   for x in values])
-    return [x * d if type(x) is GaussianRational
-            else x.numerator * (d // x.denominator) for x in values], d
+def _integer_row(entries) -> dict:
+    """The sparse integer row {key: n D / d} of (key, n, d) entries with
+    nonzero n / d (as ``_ratio`` reads them), D the least common multiple
+    of the d, divided by its content."""
+    entries = list(entries)
+    lcm = math.lcm(*[d for _, _, d in entries])
+    return _primitive({j: n for j, n, _ in entries} if lcm == 1 else
+                      {j: n * (lcm // d) for j, n, d in entries})
 
 
-def _integer_row(values: list) -> list:
-    """An exact row cleared to integers (``_cleared``) and divided by its
+def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
+    """row <- a row - b pivot_row on sparse integer rows, with a =
+    pivot_row[c] and b = row[c] divided by their content, so that row[c]
+    becomes 0; the second term touches only the pivot row's entries, and
+    an entry that cancels is dropped.  The result is divided by its
     content."""
-    return _primitive(_cleared(values)[0])
+    a, b = pivot_row[c], row[c]
+    try:
+        g = math.gcd(a, b)
+    except TypeError:                   # a Gaussian integer among them
+        g = _content((a, b))
+    if g != 1:
+        a, b = _divided(a, g), _divided(b, g)
+    out = dict(row) if a == 1 else {j: a * x for j, x in row.items()}
+    for j, y in pivot_row.items():
+        x = out.get(j, 0) - b * y
+        if x:
+            out[j] = x
+        else:
+            del out[j]
+    return _primitive(out) if out else out
 
 
-def _eliminate(row: list, pivot_row: list, c: int, support: list[int]
-               ) -> list:
-    """row <- a row - b pivot_row, with a = pivot_row[c] and b = row[c]
-    divided by their content, so that row[c] becomes 0; the second term
-    touches only the pivot row's nonzero columns ``support``.  The result
-    is divided by its content."""
-    a, b = _divided([pivot_row[c], row[c]], _content([pivot_row[c], row[c]]))
-    out = [a * x for x in row]
-    for j in support:
-        out[j] = out[j] - b * pivot_row[j]
-    return _primitive(out)
+def _echelon(rows: list[dict]) -> list[tuple[int, dict]]:
+    """(pivot column, row) per row of the reduced row echelon form of the
+    matrix with the given sparse primitive integer rows, in pivot order:
+    each row primitive, nonzero at its pivot and 0 at every other pivot,
+    so R's row is it divided by its pivot entry.  Forward, the columns in
+    order: the rows that lead at a column are the candidates, the one with
+    the fewest nonzeros is the pivot row, and each other candidate is
+    cleared by it (``_eliminate``) and leads further right.  Then back
+    substitution clears every pivot column above its row.  For a fixed
+    column order the reduced form is unique, so the choice of pivot row
+    changes no output."""
+    leading: dict[int, list[dict]] = {}
+    for row in rows:
+        if row:
+            leading.setdefault(min(row), []).append(row)
+    heap = list(leading)
+    heapq.heapify(heap)
+    out = []
+    while heap:
+        c = heapq.heappop(heap)
+        group = leading.pop(c)
+        pivot = min(group, key=len)
+        for row in group:
+            if row is not pivot and (row := _eliminate(row, pivot, c)):
+                lead = min(row)
+                if lead not in leading:
+                    leading[lead] = []
+                    heapq.heappush(heap, lead)
+                leading[lead].append(row)
+        out.append((c, pivot))
+    at = {c: k for k, (c, _) in enumerate(out)}
+    for k in reversed(range(len(out))):
+        c, row = out[k]
+        for p in [j for j in row if j != c and j in at]:
+            row = _eliminate(row, out[at[p]][1], p)
+        out[k] = (c, row)
+    return out
 
 
-def rref(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over exact scalars; returns (R, pivot columns).
+def _over(x, p):
+    """The entry x / p of R, for integers x and p: a Fraction of ints, else
+    a GaussianRational."""
+    return Fraction(x, p) if type(x) is type(p) is int else x / p
 
-    Fraction-free: each row is cleared to integers once (``_integer_row``),
-    each step is ``_eliminate`` (row <- a row - b pivot row on the pivot
-    row's nonzero columns, then divided by its content), and the entries
-    of R are formed once, at the end, as entry / pivot.  Scaling a row
-    changes neither its span nor the reduced form, so R is the one that
-    Fraction elimination gives.
+
+def rref(matrix, cols: int | None = None) -> tuple:
+    """Reduced row echelon form over exact scalars; returns (R, pivot
+    columns).  ``matrix`` is a dense exact array, and R then one too; or,
+    with ``cols`` its column count, a list of sparse rows (dicts column ->
+    exact scalar), and R then the list of its nonzero rows, one per pivot,
+    as dicts column -> value in column order.
+
+    Fraction-free, on sparse integer rows: each row is cleared to integers
+    once (``_integer_row``), ``_echelon`` reduces them, pivoting on the
+    sparsest candidate row, and the entries of R are formed once, at the
+    end, as entry / pivot.  Scaling a row changes neither its span nor the
+    reduced form, so R is the one that Fraction elimination gives.
     """
-    rows, cols = matrix.shape
-    m = [_integer_row(row) for row in matrix.tolist()]
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        support = [j for j, x in enumerate(m[r]) if x]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                m[i] = _eliminate(m[i], m[r], c, support)
-        pivots.append(c)
-        r += 1
-    out = zeros_matrix(rows, cols, EXACT)
-    for i, c in enumerate(pivots):
-        p = m[i][c]
-        for j, x in enumerate(m[i]):
-            if x:   # a Fraction of ints, else a GaussianRational
-                out[i, j] = (Fraction(x, p) if type(x) is type(p) is int
-                             else x / p)
+    dense = cols is None
+    if dense:
+        shape = matrix.shape
+        matrix = [dict(enumerate(row)) for row in matrix.tolist()]
+    echelon = _echelon([_integer_row((j, *_ratio(x)) for j, x in row.items()
+                                     if x) for row in matrix])
+    pivots = [c for c, _ in echelon]
+    if not dense:
+        return [{j: _over(row[j], row[c]) for j in sorted(row)}
+                for c, row in echelon], pivots
+    out = zeros_matrix(*shape, EXACT)
+    for i, (c, row) in enumerate(echelon):
+        for j, x in row.items():
+            out[i, j] = _over(x, row[c])
     return out, pivots
 
 
-def nullspace_and_pivots(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """A deterministic basis of ker(matrix), as columns, and the pivot
-    columns of the same elimination; exact scalars.  The standard vectors
-    at the pivots span a complement of the kernel."""
-    cols = matrix.shape[1]
-    r, pivots = rref(matrix)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros_matrix(cols, len(free), EXACT)
-    for k, fc in enumerate(free):
-        basis[fc, k] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = -r[i, fc]
+def nullspace_and_pivots(matrix, cols: int | None = None) -> tuple:
+    """A deterministic basis of ker(matrix) and the pivot columns of the
+    same elimination (``rref``); exact scalars.  A dense matrix gives the
+    basis as the columns of an array; sparse rows (with ``cols``) give it
+    as dicts index -> value in index order.  The basis vector of a free
+    column is 1 there and minus R's column at the pivots; the standard
+    vectors at the pivots span a complement of the kernel."""
+    dense = cols is None
+    if dense:
+        cols = matrix.shape[1]
+        matrix = [{j: x for j, x in enumerate(row) if x}
+                  for row in matrix.tolist()]
+    r, pivots = rref(matrix, cols)
+    at = set(pivots)
+    kernel = {fc: {fc: Fraction(1)} for fc in range(cols) if fc not in at}
+    for pc, row in zip(pivots, r):
+        for fc, x in row.items():
+            if fc != pc:
+                kernel[fc][pc] = -x
+    if not dense:
+        return [dict(sorted(v.items())) for v in kernel.values()], pivots
+    basis = zeros_matrix(cols, len(kernel), EXACT)
+    for k, v in enumerate(kernel.values()):
+        for i, x in v.items():
+            basis[i, k] = x
     return basis, pivots
+
+
+def _flat_entries(m: "GradedMap"):
+    """(flat index, n, d) per nonzero entry of an exact map, read off its
+    rows: the blocks raveled in source degree order, an absent block's
+    place kept."""
+    rows, out, off = m.sparse_rows, [], 0
+    for d, n in m.source.dims:
+        if d in rows:
+            out += [(off + i * n + j, num, den) for i, row in enumerate(rows[d])
+                    for j, num, den in row]
+        off += n * m.target.dim(d + m.degree)
+    return out
 
 
 class ExactSpan:
     """The span of the exact vectors kept so far, grown one candidate at a time.
 
-    Each kept vector is stored as a primitive integer row (``_integer_row``)
-    reduced by ``_eliminate``: 0 at the pivots of the vectors kept before
-    it and nonzero at its own, its first nonzero column.  ``add``
-    therefore decides independence with one pass over the stored rows, and
-    keeping every candidate that ``add`` accepts, in order, picks the same
-    vectors as the pivot columns of one elimination of all the candidates.
-    A candidate may be given at any nonzero scale (integer blocks over a
-    dropped denominator, say): the decision is the same.
+    Each kept vector is stored as a sparse primitive integer row
+    (``_integer_row``) reduced by ``_eliminate``: 0 at the pivots of the
+    vectors kept before it and nonzero at its own, its first nonzero
+    column.  ``add`` therefore decides independence with one pass over the
+    stored rows, and keeping every candidate that ``add`` accepts, in
+    order, picks the same vectors as the pivot columns of one elimination
+    of all the candidates.  A candidate may be given at any nonzero scale
+    (integer blocks over a dropped denominator, say): the decision is the
+    same.  A candidate map is read off its rows (``_flat_entries``), so
+    no value or block of it is formed.  Every candidate offered lies in
+    the span from then on, so its primitive row and that row's negative
+    are remembered, and a candidate that repeats one (most of a closure's
+    rejected products do) is rejected with no elimination.
     """
 
     def __init__(self):
-        self._rows: list[tuple[int, list, list[int]]] = []
+        self._rows: list[tuple[int, dict]] = []
+        self._offered: set[tuple] = set()
 
     def add(self, vec) -> bool:
-        """Keep ``vec`` (a sequence of exact scalars) if it lies outside the
-        span; report whether it did."""
-        v = _integer_row(list(vec))
-        for p, row, support in self._rows:
-            if v[p]:
-                v = _eliminate(v, row, p, support)
-        support = [j for j, x in enumerate(v) if x]
-        if not support:
+        """Keep ``vec`` (a sequence of exact scalars, or an exact
+        ``GradedMap`` over its flat entries) if it lies outside the span;
+        report whether it did."""
+        if isinstance(vec, GradedMap):
+            if not vec.nonzero:
+                return False
+            v = _integer_row(_flat_entries(vec))
+        else:
+            v = _integer_row((j, *_ratio(x)) for j, x in enumerate(vec) if x)
+        key = tuple(v.items())
+        if key in self._offered:
             return False
-        self._rows.append((support[0], v, support))
+        self._offered.update((key, tuple((j, -x) for j, x in key)))
+        for p, row in self._rows:
+            if p in v and not (v := _eliminate(v, row, p)):
+                return False
+        if not v:
+            return False
+        self._rows.append((min(v), v))
         return True
 
 
@@ -701,6 +831,17 @@ def invert_exact(matrix: np.ndarray) -> np.ndarray:
     if pivots[:n] != list(range(n)):
         raise ShapeError("matrix is singular")
     return r[:, n:]
+
+
+def _cleared(values: list) -> tuple[list, int]:
+    """(D values, D) for D the least common multiple of the denominators of
+    exact scalars: Python ints, and Gaussian integers (GaussianRationals
+    with integer parts) for the GaussianRationals."""
+    d = math.lcm(*[math.lcm(x.re.denominator, x.im.denominator)
+                   if type(x) is GaussianRational else x.denominator
+                   for x in values])
+    return [x * d if type(x) is GaussianRational
+            else x.numerator * (d // x.denominator) for x in values], d
 
 
 def clear_denominators(t: np.ndarray) -> tuple[np.ndarray, int, int | None]:
@@ -840,19 +981,29 @@ def sparse_pivots(pos: np.ndarray, col: np.ndarray, val: np.ndarray,
     positions, one per column, and what coordinates at them are solved
     with.  Float: the square block of m on the ``pivot_rows``.  Exact: the
     inverse of that block, transposed, which is the right half of one
-    ``rref`` of [m^T | 1] whose pivot columns are the pivot rows.
-    ShapeError if the columns are dependent."""
+    ``rref`` of [m^T | 1] whose pivot columns are the pivot rows, handed
+    over as sparse rows.  ShapeError if the columns are dependent."""
     keys = pos[pos.argsort(kind="stable")]
     keys = keys[keys.searchsorted(keys) == np.arange(len(keys))]
-    m = zeros_matrix(len(keys), cols, mode)
-    m[keys.searchsorted(pos), col] = val
+    at = keys.searchsorted(pos)
     if mode != EXACT:
+        m = zeros_matrix(len(keys), cols, mode)
+        m[at, col] = val
         piv = pivot_rows(m, tol)
         return keys[piv], m[piv]
-    r, piv = rref(np.concatenate([m.T, identity_matrix(cols, EXACT)], axis=1))
-    if piv and piv[-1] >= len(keys):
+    n = len(keys)
+    rows = [{n + c: one_scalar(EXACT)} for c in range(cols)]
+    for i, c, x in zip(at.tolist(), col.tolist(), val.tolist()):
+        rows[c][i] = x
+    r, piv = rref(rows, n + cols)
+    if piv and piv[-1] >= n:
         raise ShapeError("matrix columns are linearly dependent")
-    return keys[piv], r[:, len(keys):]
+    inverse = zeros_matrix(cols, cols, EXACT)
+    for i, row in enumerate(r):
+        for j, x in row.items():
+            if j >= n:
+                inverse[i, j - n] = x
+    return keys[piv], inverse
 
 
 def sum_dtype(mode: str, bound: int | None) -> type:

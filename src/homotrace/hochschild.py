@@ -38,7 +38,7 @@ import numpy as np
 
 from homotrace.dgcore import DgAlgebra
 from homotrace.errors import ShapeError
-from homotrace.glinalg import max_abs, nullspace_and_pivots, zeros_matrix
+from homotrace.glinalg import max_abs, nullspace_and_pivots
 from homotrace.scalars import EXACT, one_scalar, session_tol, times_sign
 from homotrace.transfer import AInfinityMorphism
 
@@ -157,24 +157,21 @@ def trace_words(algebra: DgAlgebra, max_len: int) -> list[tuple[int, ...]]:
 
 
 def cycle_basis(algebra: DgAlgebra, max_len: int) -> list[HochschildChain]:
-    """One exact cycle per column of ``nullspace_and_pivots`` of the
+    """One exact cycle per kernel vector (``nullspace_and_pivots``) of the
     boundary matrix, whose columns are the ``trace_words`` and whose rows
-    are their boundaries' words in order of first appearance."""
+    are their boundaries' words in order of first appearance, handed over
+    as sparse rows."""
     if algebra.mode != EXACT:
         raise ShapeError("cycle_basis needs an exact algebra")
     words = trace_words(algebra, max_len)
-    images = [hochschild_boundary(HochschildChain.of(algebra, w)).terms
-              for w in words]
-    rows = {t: i for i, t in enumerate(dict.fromkeys(
-        t for image in images for t in image))}
-    m = zeros_matrix(len(rows), len(words), EXACT)
-    for j, image in enumerate(images):
-        for t, c in image.items():
-            m[rows[t], j] = c
-    null = nullspace_and_pivots(m)[0]
-    return [HochschildChain(algebra, {w: null[i, j] for i, w in enumerate(words)
-                                      if null[i, j]})
-            for j in range(null.shape[1])]
+    rows: dict = {}
+    for j, w in enumerate(words):
+        for t, c in hochschild_boundary(HochschildChain.of(algebra, w)
+                                        ).terms.items():
+            rows.setdefault(t, {})[j] = c
+    null = nullspace_and_pivots(list(rows.values()), len(words))[0]
+    return [HochschildChain(algebra, {words[i]: x for i, x in v.items()})
+            for v in null]
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,8 @@ MAX_ARITY = 32
 # the pivots in a dense (n^2 + 1 + n) x n array, 8 GiB at n = 1 024; 64
 # is End of the largest matrix instance (module dimension 8)
 MAX_ALGEBRA_DIM = 64
+# module dimension of a matrix instance, whose algebra is all of End(M)
+MAX_MATRIX_DIM = 8
 MAX_RANDOM_DIM = 12
 DEFAULT_ORDER_CAP = 2
 DEFAULT_CLOSURE_BOUND = 48
@@ -189,8 +191,9 @@ def matrix_instance(dims: dict[int, int],
                     labels: dict[int, list[str]] | None = None) -> Instance:
     """End(M) acting on the complex M with the given differential entries."""
     total = sum(dims.values())
-    if total > 8:
-        raise InputError("matrix instances are capped at module dimension 8")
+    if total > MAX_MATRIX_DIM:
+        raise InputError("matrix instances are capped at module dimension "
+                         f"{MAX_MATRIX_DIM}")
     space = GradedVectorSpace.make(dims, labels)
     q = map_from_triplets(space, 1, [(src, dst, Fraction(val))
                                      for src, dst, val in q_entries or []],
@@ -326,20 +329,18 @@ def _closure(space: GradedVectorSpace, q: GradedMap,
     Q(i).
 
     Every candidate is a ``GradedMap``: b m and m b are ``compose``, and
-    {Q, m} is ``supercommutator``.  Operators of different degrees are
-    independent, so independence is decided in one ``ExactSpan`` per
-    degree, on the concatenated blocks.  The queue is last in, first out:
-    a kept operator queues its bracket, then b m and m b for each kept b.
+    {Q, m} is ``supercommutator``.  These keep their integer rows and form
+    no value, so a candidate that is thrown away forms no Fraction.
+    Operators of different degrees are independent, so independence is
+    decided in one ``ExactSpan`` per degree, which reads each candidate
+    map's rows.  The queue is last in, first out: a kept operator queues
+    its bracket, then b m and m b for each kept b.
     """
     basis: list[GradedMap] = []
     spans: dict[int, ExactSpan] = {}
 
     def try_add(m: GradedMap) -> bool:
-        blocks = dict(m.blocks)
-        vec = [x for d, n in space.dims for x in (
-            blocks[d].ravel().tolist() if d in blocks
-            else [0] * (n * space.dim(d + m.degree)))]
-        if not spans.setdefault(m.degree, ExactSpan()).add(vec):
+        if not spans.setdefault(m.degree, ExactSpan()).add(m):
             return False
         basis.append(m)
         if len(basis) > bound:

@@ -328,7 +328,7 @@ def _quadrature(rhos: list[GradedMap], splitting: Splitting,
     factors = ([compose(compose(rk, rhos[-1]), include)]
                + [compose(compose(rk, rho), ell) for rho in rhos[-2:0:-1]]
                + [compose(compose(project, rhos[0]), ell)])
-    if not all(a.blocks for a in factors):
+    if not all(a.nonzero for a in factors):
         _cell_cost(order, budget)
         return GradedMap.zero(include.source, project.target,
                               sum(a.degree for a in factors), FLOAT), 0.0
@@ -451,7 +451,7 @@ class AInfinityMorphism:
         if got is None:
             m = self.on_basis(flats)
             got = self._coords[flats] = (self.target.coordinates(m)
-                                         if m.blocks else [])
+                                         if m.nonzero else [])
         else:
             self.reads.add(flats)
         return got
@@ -470,7 +470,7 @@ class AInfinityMorphism:
         if len(flats) == 1:
             return self._word(flats), self.splitting.include
         prefix = self._word(flats[:-1])
-        return prefix, self._tail(flats[-1]) if prefix.blocks else None
+        return prefix, self._tail(flats[-1]) if prefix.nonzero else None
 
     def _word(self, flats: tuple[int, ...]) -> GradedMap:
         """p rho(b_1) h ... h rho(b_j), kept per prefix: p rho(b_1), then
@@ -492,7 +492,7 @@ class AInfinityMorphism:
             b = key[-1]
             if word is None:
                 word = compose(self.splitting.project, self.bundle.rho[b])
-            elif word.blocks:
+            elif word.nonzero:
                 word = compose(word, self._step(b))
             else:
                 word = self._zero(word.source, word.degree - 1
@@ -511,7 +511,7 @@ class AInfinityMorphism:
 
     def _kept(self, m: GradedMap) -> GradedMap:
         """m as the store keeps it: the shared ``_zero`` when m is zero."""
-        return m if m.blocks else self._zero(m.source, m.degree)
+        return m if m.nonzero else self._zero(m.source, m.degree)
 
     def _step(self, b: int) -> GradedMap:
         """h rho(b), kept per basis element."""
@@ -579,9 +579,9 @@ def ainfinity_defect(f: AInfinityMorphism, inputs) -> GradedMap:
     word = tuple(map(int, inputs))
     terms = [(f.on_basis(w), c) for w, c in a.bar_terms(word)]
     for i, (_, cut) in enumerate(bar_signs(degrees)[:-1]):
-        if not (left := f.on_basis(word[:i + 1])).blocks:
+        if not (left := f.on_basis(word[:i + 1])).nonzero:
             continue
-        if (right := f.on_basis(word[i + 1:])).blocks:
+        if (right := f.on_basis(word[i + 1:])).nonzero:
             terms.append((compose(left, right), -cut))
     return combination(terms, f.m0, f.m0, sum(degrees) + 2 - len(word),
                        a.mode)

@@ -2,6 +2,7 @@
 that the package results are checked against.  None of these is used by
 the package itself."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,8 @@ from homotrace.glinalg import (GradedMap, GradedVectorSpace, bar_signs,
                                sparse_pivots, supercommutator, zeros_matrix)
 from homotrace.hochschild import HochschildChain, cyclic_shift_term
 from homotrace.instances import t1_instance
-from homotrace.scalars import (EXACT, FLOAT, encode_value, one_scalar,
-                               zero_scalar)
+from homotrace.scalars import (EXACT, FLOAT, GaussianRational, encode_value,
+                               one_scalar, zero_scalar)
 from homotrace.serialize import instance_to_dict
 from homotrace.transfer import AInfinityMorphism, Slot, _elements
 
@@ -357,4 +358,81 @@ def dense_triplets(space: GradedVectorSpace, m: GradedMap) -> list:
                     out.append([space.label(d, j),
                                 space.label(d + m.degree, i),
                                 encode_value(blk[i, j])])
+    return out
+
+
+def _list_content(row: list) -> int:
+    try:
+        return math.gcd(*row)
+    except TypeError:                   # the row holds Gaussian integers
+        return math.gcd(*(p for x in row for p in (
+            (x,) if type(x) is int else (x.re.numerator, x.im.numerator))))
+
+
+def _list_divided(row: list, g: int) -> list:
+    return [x // g if type(x) is int else x * Fraction(1, g) for x in row]
+
+
+def _list_primitive(row: list) -> list:
+    g = _list_content(row)
+    return row if g <= 1 else _list_divided(row, g)
+
+
+def _list_integer_row(values: list) -> list:
+    d = math.lcm(*[math.lcm(x.re.denominator, x.im.denominator)
+                   if type(x) is GaussianRational else x.denominator
+                   for x in values])
+    return _list_primitive([x * d if type(x) is GaussianRational
+                            else x.numerator * (d // x.denominator)
+                            for x in values])
+
+
+def _list_eliminate(row: list, pivot_row: list, c: int, support: list[int]
+                    ) -> list:
+    a, b = _list_divided([pivot_row[c], row[c]],
+                         _list_content([pivot_row[c], row[c]]))
+    out = [a * x for x in row]
+    for j in support:
+        out[j] = out[j] - b * pivot_row[j]
+    return _list_primitive(out)
+
+
+def first_row_rref(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """A dense fraction-free reduced row echelon form, the reference for
+    ``glinalg.rref``: each row a dense list of integers, the pivot at each
+    column the first candidate row, that column cleared from every other
+    row, and R formed at the end as entry / pivot."""
+    rows, cols = matrix.shape
+    m = [_list_integer_row(row) for row in matrix.tolist()]
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        support = [j for j, x in enumerate(m[r]) if x]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                m[i] = _list_eliminate(m[i], m[r], c, support)
+        pivots.append(c)
+        r += 1
+    out = zeros_matrix(rows, cols, EXACT)
+    for i, c in enumerate(pivots):
+        p = m[i][c]
+        for j, x in enumerate(m[i]):
+            if x:
+                out[i, j] = (Fraction(x, p) if type(x) is type(p) is int
+                             else x / p)
+    return out, pivots
+
+
+def densified(rows: list[dict], cols: int) -> np.ndarray:
+    """The dense exact matrix of sparse rows (dicts column -> value)."""
+    out = zeros_matrix(len(rows), cols, EXACT)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[i, j] = x
     return out

@@ -29,8 +29,8 @@ from homotrace.instances import (MAX_ALGEBRA_DIM, MAX_ARITY, MAX_CHAIN_SLOTS,
                                  matrix_instance, random_instance,
                                  t1_instance, to_float_instance,
                                  torus_instance)
-from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, decode_value,
-                               times_sign)
+from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, MAX_EXACT_EXPONENT,
+                               decode_value, times_sign)
 from homotrace.serialize import (instance_from_dict, instance_to_dict,
                                  save_instance)
 from homotrace.transfer import ainfinity_defect, transfer_closed
@@ -689,6 +689,40 @@ def test_a_huge_decimal_exponent_is_refused_at_once(tmp_path, capsys, where):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("input error:")
+
+
+@pytest.mark.parametrize("where", ["operator", "element", "chain"])
+def test_a_huge_exact_exponent_is_refused_at_once(tmp_path, where):
+    """An exact T1 file whose operator entry or element coordinate is
+    "1e1000000", or a chain coefficient of that text, once made ``verify``
+    run 210 s while Fraction expanded 10^exp: each exits 2 with one 'input
+    error:' line within 1 s, in a child process."""
+    ipath, cpath = tmp_path / "t1.json", tmp_path / "c.json"
+    assert run(["gen", "--kind", "matrix", "--preset", "T1",
+                "-o", str(ipath)]) == 0
+    data = json.loads(ipath.read_text())
+    coeff = "1"
+    if where == "operator":
+        _set_operator_entry(data, "1e1000000")
+    elif where == "element":
+        _set_element_coordinate(data, "1e1000000")
+    else:
+        coeff = "1e1000000"
+    ipath.write_text(json.dumps(data))
+    cpath.write_text(json.dumps({"format": "homotrace-chains/1", "chains": [
+        {"name": "c", "terms": [{"coeff": coeff, "slots": ["Id"]}]}]}))
+    argv = (["trace", "--instance", str(ipath), "--chain", str(cpath)]
+            if where == "chain" else ["verify", "--instance", str(ipath)])
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "homotrace.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 1.0
+    assert done.returncode == 2, done.stderr
+    err = done.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert str(MAX_EXACT_EXPONENT) in err[0]
 
 
 @pytest.mark.parametrize("tau", ["1/0,1", "1,1/0"])

@@ -30,7 +30,8 @@ from homotrace.glinalg import (
     zeros_matrix,
 )
 from homotrace.scalars import EXACT, FLOAT, GaussianRational, one_scalar
-from oracles import exact_product, matrix_from_rows
+from oracles import (densified, exact_product, first_row_rref,
+                     matrix_from_rows)
 
 
 def space(dims):
@@ -170,6 +171,34 @@ def test_exact_span_matches_per_candidate_rref(length, kinds, gaussian, scale,
     span = ExactSpan()
     chosen = [j for j, col in enumerate(columns) if span.add(col)]
     assert chosen == _greedy_by_rref(columns)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_exact_span_rejects_a_repeated_candidate_without_elimination(
+        monkeypatch, gaussian):
+    """A candidate that repeats one offered before, at any nonzero rational
+    scale of either sign, is rejected with no elimination step; a new
+    combination of the kept vectors is eliminated and rejected."""
+    unit = (GaussianRational(Fraction(1), Fraction(2)) if gaussian
+            else Fraction(1))
+    a = [unit * Fraction(3), Fraction(0), unit * Fraction(-1, 2)]
+    b = [Fraction(0), Fraction(1), Fraction(1)]
+    span = ExactSpan()
+    assert span.add(a) and span.add(b)
+    steps = collections.Counter()
+    eliminate = glinalg._eliminate
+
+    def counted(*args):
+        steps["eliminate"] += 1
+        return eliminate(*args)
+
+    monkeypatch.setattr(glinalg, "_eliminate", counted)
+    for c in [Fraction(1), Fraction(-2), Fraction(5, 3)]:
+        assert not span.add([x * c for x in a])
+        assert not span.add([x * c for x in b])
+    assert not steps
+    assert not span.add([x + y * 2 for x, y in zip(a, b)])
+    assert steps["eliminate"] == 2
 
 
 def test_float_rank_ambiguity_raises():
@@ -567,8 +596,9 @@ def test_a_zero_map_scaled_is_itself(mode):
 @pytest.mark.parametrize("seed", range(6))
 def test_exact_compose_forms_one_fraction_per_entry(monkeypatch, seed):
     """An exact compose of two maps whose rows are read runs in integer
-    arithmetic: no Fraction is multiplied or added, and at most one
-    Fraction is formed per nonzero entry of the result."""
+    arithmetic and forms no Fraction: its result keeps its rows.  Its
+    blocks, formed at their first read, form at most one Fraction per
+    nonzero entry and multiply or add none."""
     import random
     rng = random.Random(seed)
     v = space({0: 3, 1: 4, 2: 3})
@@ -589,8 +619,10 @@ def test_exact_compose_forms_one_fraction_per_entry(monkeypatch, seed):
         monkeypatch.setattr(Fraction, name,
                             counting(name, getattr(Fraction, name)))
     out = compose(f, g)
+    assert not calls and "blocks" not in vars(out)
+    blocks = out.blocks
     monkeypatch.undo()
-    entries = sum(bool(x) for _, m in out.blocks for x in m.flat)
+    entries = sum(bool(x) for _, m in blocks for x in m.flat)
     assert entries and 0 < calls.pop("__new__") <= entries
     assert not calls
     assert_blocks_equal(out, {d: f.block(d - 1) @ g.block(d)
@@ -731,3 +763,89 @@ def test_nonzero_entries_are_those_np_nonzero_reads(kind):
                                   equal_nan=True)
         else:
             assert [e[3] for e in got] == [e[3] for e in want]
+
+
+def assert_rref_is_the_first_row_rref(matrix):
+    """``rref`` of a dense exact matrix, and of its sparse rows, gives the
+    pivots and R of ``first_row_rref``, entry for entry and type for type
+    (sparse: R's nonzero rows, in column order)."""
+    want, want_pivots = first_row_rref(matrix)
+    got, pivots = rref(matrix)
+    assert pivots == want_pivots and got.shape == want.shape
+    assert all(type(x) is type(y) and x == y
+               for x, y in zip(got.flat, want.flat))
+    cols = matrix.shape[1]
+    rows, pivots = rref([{j: x for j, x in enumerate(row) if x}
+                         for row in matrix.tolist()], cols)
+    assert pivots == want_pivots and len(rows) == len(pivots)
+    assert all(list(row) == sorted(row) and all(row.values())
+               for row in rows)
+    assert all(type(x) is type(y) and x == y for x, y in zip(
+        densified(rows, cols).flat, want[:len(rows)].flat))
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("seed", range(30))
+def test_rref_matches_the_first_row_rref(seed, gaussian):
+    """On seeded Fraction and GaussianRational matrices, empty shapes
+    included, with zero rows, zero columns and repeated rows, small or
+    with numerators past 2^64."""
+    import random
+    rng = random.Random(seed)
+    rows, cols = rng.randint(0, 7), rng.randint(0, 8)
+    a = sparse_matrix(rng, rows, cols, gaussian,
+                      rng.choice([0.1, 0.3, 0.6, 1.0]), rng.choice([1, BIG]))
+    if rows and cols:
+        a[rng.randrange(rows), :] = Fraction(0)
+        a[:, rng.randrange(cols)] = Fraction(0)
+        a[rng.randrange(rows)] = a[rng.randrange(rows)]
+    assert_rref_is_the_first_row_rref(a)
+
+
+def _recorded_rref_inputs(monkeypatch, run) -> list[np.ndarray]:
+    """The matrices that ``glinalg.rref`` is handed while ``run()`` runs,
+    each dense (sparse rows densified)."""
+    seen, rref_ = [], glinalg.rref
+
+    def recording(matrix, cols=None):
+        seen.append(matrix if cols is None else densified(matrix, cols))
+        return rref_(matrix, cols)
+
+    monkeypatch.setattr(glinalg, "rref", recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+@pytest.mark.parametrize("name", ["T1", "r11", "m32"])
+def test_rref_on_the_pivot_blocks_of_a_load(monkeypatch, name):
+    """Every matrix that building T1, r11 or m32 hands ``rref``, the [m^T |
+    1] of ``sparse_pivots`` for each operator degree among them."""
+    from homotrace.instances import (matrix_instance, random_instance,
+                                     t1_instance)
+    build = {"T1": t1_instance,
+             "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+             "m32": lambda: matrix_instance(
+                 {0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)])}[name]
+    seen = _recorded_rref_inputs(monkeypatch, build)
+    assert len(seen) > 3
+    for matrix in seen:
+        assert_rref_is_the_first_row_rref(matrix)
+
+
+@pytest.mark.parametrize("name", ["T1", "r7", "r11", "m32"])
+def test_rref_on_the_boundary_matrix_of_the_cycle_basis(monkeypatch, name):
+    """The boundary matrix of ``cycle_basis`` at length <= 3, handed over
+    as sparse rows, reduces to the R and pivots of ``first_row_rref``."""
+    from homotrace.hochschild import cycle_basis
+    from homotrace.instances import (matrix_instance, random_instance,
+                                     t1_instance)
+    inst = {"T1": t1_instance,
+            "r7": lambda: random_instance(7, {0: 2, 1: 2}),
+            "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+            "m32": lambda: matrix_instance(
+                {0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)])}[name]()
+    seen = _recorded_rref_inputs(
+        monkeypatch, lambda: cycle_basis(inst.bundle.algebra, 3))
+    assert len(seen) == 1
+    assert_rref_is_the_first_row_rref(seen[0])

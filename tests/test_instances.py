@@ -1,13 +1,16 @@
 """Instance generators: validation, determinism, torus structure, bounds."""
 
 import cmath
+import collections
 import hashlib
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from homotrace import glinalg
 from homotrace.dgcore import (algebra_from_operators, build_splitting_hodge,
                               cohomology, euler_characteristic,
                               validate_bundle)
@@ -265,3 +268,39 @@ def test_gaussian_closure_matches_fraction_closure(seed, dims):
     if any(m is gens[0] for m in got):
         assert any(type(x) is GaussianRational
                    for m in got for _, b in m.blocks for x in b.flat)
+
+
+def test_a_rejected_closure_candidate_forms_no_fraction(monkeypatch):
+    """r11's closure tests 323 candidates and keeps 17: over Q no Fraction
+    is formed while it runs (``glinalg._exact_value``, which forms the
+    kernels' values, is never called, nor is Fraction.__new__, while both
+    are counted once a kept product's blocks are read), and no rejected
+    candidate has formed its blocks."""
+    space, q, gens = _random_generators(11, {0: 2, 1: 3, 2: 2})
+    decided, add = [], glinalg.ExactSpan.add
+    calls = collections.Counter()
+
+    def recording(span, m):
+        decided.append((m, add(span, m)))
+        return decided[-1][1]
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(glinalg.ExactSpan, "add", recording)
+    monkeypatch.setattr(glinalg, "_exact_value",
+                        counting("_exact_value", glinalg._exact_value))
+    monkeypatch.setattr(Fraction, "__new__",
+                        counting("Fraction", Fraction.__new__))
+    basis = _closure(space, q, gens, DEFAULT_CLOSURE_BOUND)
+    assert not calls
+    # the counters see a Fraction formed: reading a kept product's blocks
+    next(m for m in basis if "blocks" not in vars(m)).blocks
+    assert calls["_exact_value"] and calls["Fraction"]
+    monkeypatch.undo()
+    rejected = [m for m, kept in decided if not kept]
+    assert (len(decided), len(basis), len(rejected)) == (323, 17, 306)
+    assert not any("blocks" in vars(m) for m in rejected)

@@ -13,6 +13,7 @@ from homotrace.scalars import (
     DEFAULT_TOL,
     EXACT,
     FLOAT,
+    MAX_EXACT_EXPONENT,
     GaussianRational,
     decode_value,
     encode_value,
@@ -127,4 +128,22 @@ def test_rational_float_decides_a_huge_exponent_at_once():
     assert _outcome(rational_float, "-1e-10000000") == ("ok", 0.0, -1.0)
     assert _outcome(rational_float, "1e-10000000") == ("ok", 0.0, 1.0)
     assert _outcome(rational_float, "-0e10000000") == ("ok", 0.0, 1.0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_an_exact_exponent_above_the_cap_is_refused():
+    """An exact text whose decimal exponent exceeds MAX_EXACT_EXPONENT in
+    size, as a rational or as either part of a Gaussian value, raises
+    ValueError before 10^exp is expanded; at the cap it is read as
+    Fraction reads it."""
+    cap = MAX_EXACT_EXPONENT
+    assert decode_value(f"3e{cap}", EXACT) == Fraction(f"3e{cap}")
+    assert decode_value(f"-2.5E-{cap}", EXACT) == Fraction(f"-2.5E-{cap}")
+    assert decode_value("1/2", EXACT) == Fraction(1, 2)
+    start = time.perf_counter()
+    for value in [f"1e{cap + 1}", f"-2.5E-{cap + 1}", "1e10000000",
+                  {"re": "1", "im": f"1e{cap + 1}"},
+                  {"re": f"1e-{cap + 1}", "im": "0"}]:
+        with pytest.raises(ValueError, match="above the cap"):
+            decode_value(value, EXACT)
     assert time.perf_counter() - start < 1.0

@@ -266,7 +266,8 @@ def test_homotopy_independence_on_closed_chains(t1):
 
 
 @pytest.mark.parametrize("name, max_len, cycles, nonzero", [
-    ("T1", 3, 71, 6), ("r7", 3, 55, 6), ("m32", 2, 131, 9)])
+    ("T1", 3, 71, 6), ("r7", 3, 55, 6), ("m32", 2, 131, 9),
+    ("m32", 3, 1323, 18)])
 def test_transferred_trace_is_the_module_supertrace_on_cycles(
         name, max_len, cycles, nonzero):
     """On every Hochschild cycle z of ``cycle_basis``, the transferred trace
