@@ -48,6 +48,7 @@ from homotrace.glinalg import (
     clear_denominators,
     compose,
     coo,
+    densified,
     first_unequal,
     invert_exact,
     join,
@@ -288,9 +289,10 @@ def _expand_pivots(view: ModuleView, tol: float) -> tuple:
     op} over the flat basis (meaningless outside the span).  The n_g
     operators of degree g are factored once at n_g of their nonzero
     entries (``glinalg.sparse_pivots``), where the view's sums give every
-    row, so no product is formed.  Both modes expand only the rows with a
-    nonzero sum at those pivots: float solves them, exact multiplies them
-    by the inverse of the pivot block that one elimination reads off."""
+    row, so no product is formed.  Only the rows with a sum at some pivot
+    are tabled, and both modes expand only those with a nonzero sum at a
+    degree's pivots: float solves them, exact multiplies them by the
+    integer inverse of the pivot block that one elimination reads off."""
     deg, mode = view.degrees, view.mode
     n = len(deg)
     pivot, factors = np.zeros(n, dtype=int), []
@@ -298,7 +300,7 @@ def _expand_pivots(view: ModuleView, tol: float) -> tuple:
         at = slice(deg.index(g), deg.index(g) + deg.count(g))
         lo, hi = np.searchsorted(view.op, (at.start, at.stop))
         try:
-            pivot[at], factor = sparse_pivots(
+            pivot[at], factor, d = sparse_pivots(
                 view.pos[lo:hi], view.op[lo:hi] - at.start, view.val[lo:hi],
                 at.stop - at.start, mode, tol)
         except ShapeError as exc:
@@ -308,24 +310,24 @@ def _expand_pivots(view: ModuleView, tol: float) -> tuple:
             raise RankAmbiguousError(
                 f"the declared operators of degree {g} are neither clearly "
                 f"independent nor dependent: {exc}") from exc
-        factors.append((at, factor))
-    got = np.zeros((n * n + 1 + n, n), dtype=view.sums.dtype)
-    rows, pos = np.unravel_index(view.keys, (len(got), view.size ** 2))
+        factors.append((at, factor, d * view.d ** 2))
+    line, pos = np.divmod(view.keys, view.size ** 2)
     a, b = join(pos, pivot)
-    got[rows[a], b] = view.sums[a]            # each row at each pivot
+    line, k = np.unique(line[a], return_inverse=True)
+    got = np.zeros((len(line), n), dtype=view.sums.dtype)
+    got[k, b] = view.sums[a]                  # each tabled row at each pivot
     hits = [(np.zeros(0, dtype=int),) * 2
             + (np.zeros(0, dtype=complex if mode == FLOAT else object),)]
-    for at, factor in factors:
+    for at, factor, d in factors:
         rows = got[:, at].astype(bool).any(axis=1).nonzero()[0]
         if mode == FLOAT:
             part = np.linalg.solve(factor, got[rows, at].T).T
         else:
-            inv_t, d, _ = clear_denominators(factor)
-            part, d = got[rows, at].astype(object) @ inv_t, d * view.d ** 2
+            part = got[rows, at].astype(object) @ factor
         nz, val = coo(part, part.dtype)
-        hits.append((rows[nz[0]], at.start + nz[1], val if mode == FLOAT else [
-            Fraction(x, d) if type(x) is int else x * Fraction(1, d)
-            for x in val.tolist()]))
+        hits.append((line[rows[nz[0]]], at.start + nz[1], val if mode == FLOAT
+                     else [Fraction(x, d) if type(x) is int
+                           else x * Fraction(1, d) for x in val.tolist()]))
     row, col, val = (np.concatenate(x) for x in zip(*hits))
     order = np.lexsort((col, row))
     return (row[order], col[order]), val[order]
@@ -654,72 +656,68 @@ def build_splitting_projector(space: GradedVectorSpace, q: GradedMap,
     check: ``cohomology`` and ``instances.build_instance`` refuse any
     other Q before they call it.
 
-    ``shear_seed`` perturbs the complement choices (still valid) to
-    produce distinct splittings of the same complex.
+    z, w, b and h are sparse columns (dicts index -> value): w the
+    standard vectors at the pivots of the kernel z of Q, so b is Q's
+    columns at those pivots; the dense spectrum and kappa's blocks are
+    formed at the end.  ``shear_seed`` perturbs the complement choices
+    (still valid), h + b s1 and w + z s2 for s1, s2 drawn row by row in
+    [-2, 2], to produce distinct splittings of the same complex.
     """
     if q.mode != EXACT:
         raise ShapeError("projector splitting is exact-mode only")
     rng = random.Random(shear_seed) if shear_seed is not None else None
     degrees = space.degrees()
+    q_rows = {d: [{} for _ in range(space.dim(d + 1))] for d in degrees}
+    for d, i, j, x in q.nonzero_entries():
+        q_rows[d][i][j] = x
 
-    z_bases: dict[int, np.ndarray] = {}
-    w_bases: dict[int, np.ndarray] = {}
-    b_bases: dict[int, np.ndarray] = {}
-    for d in degrees:
-        z, pivots = nullspace_and_pivots(q.block(d))
-        w = zeros_matrix(space.dim(d), len(pivots), EXACT)
-        for k, c in enumerate(pivots):
-            w[c, k] = Fraction(1)
-        z_bases[d], w_bases[d] = z, w
-    for d in degrees:
-        prev = d - 1
-        if prev in w_bases and w_bases[prev].shape[1]:
-            b_bases[d] = q.block(prev) @ w_bases[prev]
-        else:
-            b_bases[d] = zeros_matrix(space.dim(d), 0, EXACT)
-
-    # cohomology representatives: the cocycles independent of the
-    # coboundaries and of the cocycles kept before them
-    h_bases: dict[int, np.ndarray] = {}
-    for d in degrees:
-        z, b = z_bases[d], b_bases[d]
+    z, pivots, w, b, h = {}, {}, {}, {}, {}
+    for d in degrees:                         # ascending
+        z[d], pivots[d] = nullspace_and_pivots(q_rows[d], space.dim(d))
+        w[d] = [{c: Fraction(1)} for c in pivots[d]]
+        b[d] = [{i: row[c] for i, row in enumerate(q_rows[d - 1]) if c in row}
+                for c in pivots.get(d - 1, [])]
+        # cohomology representatives: the cocycles independent of the
+        # coboundaries and of the cocycles kept before them
         span = ExactSpan()
-        for c in range(b.shape[1]):
-            span.add(b[:, c])
-        h_bases[d] = z[:, [c for c in range(z.shape[1]) if span.add(z[:, c])]]
+        for v in b[d]:
+            span.add(v)
+        h[d] = [v for v in z[d] if span.add(v)]
 
     if rng is not None:
         for d in degrees:
-            h, b, w, z = h_bases[d], b_bases[d], w_bases[d], z_bases[d]
-            if h.shape[1] and b.shape[1]:
-                s1 = _small_int_matrix(rng, b.shape[1], h.shape[1])
-                h_bases[d] = h + b @ s1
-            if w.shape[1] and z.shape[1]:
-                s2 = _small_int_matrix(rng, z.shape[1], w.shape[1])
-                w_bases[d] = w + z @ s2
+            for vs, by in ((h, b), (w, z)):
+                s = [[rng.randint(-2, 2) for _ in vs[d]] for _ in by[d]]
+                vs[d] = [_plus(v, [(row[j], u) for row, u in zip(s, by[d])])
+                         for j, v in enumerate(vs[d])]
 
     spectrum, kappa_blocks = {}, {}
     for d in degrees:
-        h, b, w = h_bases[d], b_bases[d], w_bases[d]
-        nh, nb = h.shape[1], b.shape[1]
-        t = np.concatenate([h, b, w], axis=1)
+        n, nh, nb = space.dim(d), len(h[d]), len(b[d])
+        t = [{} for _ in range(n)]
+        for k, v in enumerate(h[d] + b[d] + w[d]):
+            for i, x in v.items():
+                t[i][k] = x
         ti = invert_exact(t)
-        lam = np.array([Fraction(int(i >= nh)) for i in range(t.shape[1])],
+        lam = np.array([Fraction(int(i >= nh)) for i in range(n)],
                        dtype=object)
-        spectrum[d] = (t, lam, ti)
+        spectrum[d] = (densified(t, n), lam, densified(ti, n))
         if nb:
-            kappa_blocks[d] = w_bases[d - 1] @ ti[nh:nh + nb, :]
+            kappa_blocks[d] = densified([_plus({}, [
+                (v[i], r) for v, r in zip(w[d - 1], ti[nh:nh + nb]) if i in v])
+                for i in range(space.dim(d - 1))], n)
     return Splitting("projector",
                      GradedMap.build(space, space, -1, kappa_blocks, EXACT),
                      spectrum)
 
 
-def _small_int_matrix(rng: random.Random, rows: int, cols: int) -> np.ndarray:
-    m = zeros_matrix(rows, cols, EXACT)
-    for i in range(rows):
-        for j in range(cols):
-            m[i, j] = Fraction(rng.randint(-2, 2))
-    return m
+def _plus(v: dict, terms) -> dict:
+    """The sparse vector v + the sum of c u over the (c, u) terms."""
+    v = dict(v)
+    for c, u in terms:
+        for i, x in u.items():
+            v[i] = v.get(i, 0) + c * x
+    return v
 
 
 def build_splitting_hodge(space: GradedVectorSpace, q: GradedMap,

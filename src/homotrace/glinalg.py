@@ -1,10 +1,10 @@
 """Graded vector spaces, degree-homogeneous maps, and exact elimination.
 
-Matrices are dense numpy arrays: ``object`` dtype holding Fractions (or
-GaussianRationals) in exact mode, ``complex128`` in float mode.  Maps are
-stored block-per-source-degree; missing blocks are zero.  An exact map
-that a kernel returns holds sparse integer rows and forms its blocks when
-they are first read.  All values are immutable after construction.
+A map's blocks are dense numpy arrays: ``object`` dtype holding Fractions
+(or GaussianRationals) in exact mode, ``complex128`` in float mode.  Maps
+are stored block-per-source-degree; missing blocks are zero.  An exact
+map that a kernel returns holds sparse integer rows and forms its blocks
+when they are first read.  All values are immutable after construction.
 
 The kernels pay only for nonzero work.  Every sum of graded maps is one
 ``combination`` (the sum of c m over (map, coefficient) terms;
@@ -42,20 +42,22 @@ the push-forward end a term at its first zero component.
 Exact elimination is ``rref`` and what is read off one run of it (null
 space with its pivots, inverse, pivot rows with the inverse of their
 block); every greedy "keep it if it is independent of what is kept"
-choice goes through ``ExactSpan``.  Both run one fraction-free reduction
-on sparse integer rows (dicts column -> integer): a row is cleared to
+choice goes through ``ExactSpan``.  They take sparse rows or vectors
+(dicts index -> exact scalar), return sparse rows, and run one
+fraction-free reduction on sparse integer rows: a row is cleared to
 integers once (``_integer_row``), a step is row <- a row - b pivot_row
-on the pivot row's entries alone, and each reduced row is divided by
-its content (``_eliminate``).  ``rref`` takes a dense matrix or sparse
-rows; it pivots on the candidate row with the fewest nonzeros and then
-substitutes back (``_echelon``).  ``ExactSpan`` takes a vector or an
-exact map, read off its rows, so a rejected candidate forms no value, and
-it rejects a repeat of an earlier candidate with no elimination.
+on the pivot row's entries alone, and each reduced row is divided by its
+content (``_eliminate``).  ``_echelon`` pivots on the candidate row with
+the fewest nonzeros and then substitutes back.  ``ExactSpan`` also takes
+an exact map, read off its rows, so a rejected candidate forms no value,
+and it rejects a repeat of an earlier candidate with no elimination.
 Over Q(i) the same code runs on Gaussian integers, with the content
 taken over the real and imaginary parts.  Scaling a row changes neither
 its span nor the reduced form, so ``rref`` forms its Fractions once, at
-the end, as entry / pivot, and ``ExactSpan`` forms none.  Float rank
-decisions go through ``float_rank`` and the session tolerance.
+the end, as entry / pivot, ``ExactSpan`` forms none, and
+``sparse_pivots`` hands on an integer inverse over one denominator.
+Float rank decisions go through ``float_rank`` and the session
+tolerance.
 
 Sparse identities between sums of products are joins over nonzero
 entries (``stored_entries`` and ``coo`` read them): ``join`` pairs the
@@ -97,6 +99,15 @@ def zeros_matrix(rows: int, cols: int, mode: str) -> np.ndarray:
         m[...] = zero_scalar(EXACT)
         return m
     return np.zeros((rows, cols), dtype=complex)
+
+
+def densified(rows: list[dict], cols: int) -> np.ndarray:
+    """The dense exact matrix of sparse rows (dicts column -> value)."""
+    out = zeros_matrix(len(rows), cols, EXACT)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[i, j] = x
+    return out
 
 
 def identity_matrix(n: int, mode: str) -> np.ndarray:
@@ -613,6 +624,11 @@ def _divided(x, g: int):
     return x // g if type(x) is int else x * Fraction(1, g)
 
 
+def _norm(p) -> int:
+    """|p| of an integer, |p|^2 = p conj(p) of a Gaussian integer."""
+    return abs(p) if type(p) is int else (p * p.conjugate()).re.numerator
+
+
 def _primitive(row: dict) -> dict:
     """A sparse integer row divided by its content."""
     try:
@@ -662,18 +678,19 @@ def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
 
 def _echelon(rows: list[dict]) -> list[tuple[int, dict]]:
     """(pivot column, row) per row of the reduced row echelon form of the
-    matrix with the given sparse primitive integer rows, in pivot order:
-    each row primitive, nonzero at its pivot and 0 at every other pivot,
-    so R's row is it divided by its pivot entry.  Forward, the columns in
-    order: the rows that lead at a column are the candidates, the one with
-    the fewest nonzeros is the pivot row, and each other candidate is
-    cleared by it (``_eliminate``) and leads further right.  Then back
-    substitution clears every pivot column above its row.  For a fixed
-    column order the reduced form is unique, so the choice of pivot row
-    changes no output."""
+    matrix with the given sparse rows (dicts column -> exact scalar), in
+    pivot order: each row a primitive integer row (``_integer_row``),
+    nonzero at its pivot and 0 at every other pivot, so R's row is it
+    divided by its pivot entry.  Forward, the columns in order: the rows
+    that lead at a column are the candidates, the one with the fewest
+    nonzeros is the pivot row, and each other candidate is cleared by it
+    (``_eliminate``) and leads further right.  Then back substitution
+    clears every pivot column above its row.  For a fixed column order the
+    reduced form is unique, so the choice of pivot row changes no
+    output."""
     leading: dict[int, list[dict]] = {}
     for row in rows:
-        if row:
+        if row := _integer_row((j, *_ratio(x)) for j, x in row.items() if x):
             leading.setdefault(min(row), []).append(row)
     heap = list(leading)
     heapq.heapify(heap)
@@ -705,62 +722,41 @@ def _over(x, p):
     return Fraction(x, p) if type(x) is type(p) is int else x / p
 
 
-def rref(matrix, cols: int | None = None) -> tuple:
-    """Reduced row echelon form over exact scalars; returns (R, pivot
-    columns).  ``matrix`` is a dense exact array, and R then one too; or,
-    with ``cols`` its column count, a list of sparse rows (dicts column ->
-    exact scalar), and R then the list of its nonzero rows, one per pivot,
-    as dicts column -> value in column order.
+def rref(rows: list[dict], cols: int) -> tuple:
+    """Reduced row echelon form over exact scalars of the matrix with the
+    given sparse rows (dicts column -> exact scalar) and ``cols`` columns;
+    returns (R, pivot columns), R the list of its nonzero rows, one per
+    pivot, as dicts column -> value in column order.  ShapeError if an
+    entry lies outside the columns.
 
-    Fraction-free, on sparse integer rows: each row is cleared to integers
-    once (``_integer_row``), ``_echelon`` reduces them, pivoting on the
-    sparsest candidate row, and the entries of R are formed once, at the
-    end, as entry / pivot.  Scaling a row changes neither its span nor the
-    reduced form, so R is the one that Fraction elimination gives.
+    Fraction-free, on sparse integer rows: ``_echelon`` clears each row to
+    integers once and reduces them, pivoting on the sparsest candidate
+    row, and the entries of R are formed once, at the end, as entry /
+    pivot.  Scaling a row changes neither its span nor the reduced form,
+    so R is the one that Fraction elimination gives.
     """
-    dense = cols is None
-    if dense:
-        shape = matrix.shape
-        matrix = [dict(enumerate(row)) for row in matrix.tolist()]
-    echelon = _echelon([_integer_row((j, *_ratio(x)) for j, x in row.items()
-                                     if x) for row in matrix])
-    pivots = [c for c, _ in echelon]
-    if not dense:
-        return [{j: _over(row[j], row[c]) for j in sorted(row)}
-                for c, row in echelon], pivots
-    out = zeros_matrix(*shape, EXACT)
-    for i, (c, row) in enumerate(echelon):
-        for j, x in row.items():
-            out[i, j] = _over(x, row[c])
-    return out, pivots
+    if any(not 0 <= j < cols for row in rows for j in row):
+        raise ShapeError(f"a row has an entry outside its {cols} columns")
+    echelon = _echelon(rows)
+    return ([{j: _over(row[j], row[c]) for j in sorted(row)}
+             for c, row in echelon], [c for c, _ in echelon])
 
 
-def nullspace_and_pivots(matrix, cols: int | None = None) -> tuple:
-    """A deterministic basis of ker(matrix) and the pivot columns of the
-    same elimination (``rref``); exact scalars.  A dense matrix gives the
-    basis as the columns of an array; sparse rows (with ``cols``) give it
-    as dicts index -> value in index order.  The basis vector of a free
-    column is 1 there and minus R's column at the pivots; the standard
-    vectors at the pivots span a complement of the kernel."""
-    dense = cols is None
-    if dense:
-        cols = matrix.shape[1]
-        matrix = [{j: x for j, x in enumerate(row) if x}
-                  for row in matrix.tolist()]
-    r, pivots = rref(matrix, cols)
+def nullspace_and_pivots(rows: list[dict], cols: int) -> tuple:
+    """A deterministic basis of the kernel of the matrix with the given
+    sparse rows and ``cols`` columns, as dicts index -> value in index
+    order, and the pivot columns of the same elimination (``rref``); exact
+    scalars.  The basis vector of a free column is 1 there and minus R's
+    column at the pivots; the standard vectors at the pivots span a
+    complement of the kernel."""
+    r, pivots = rref(rows, cols)
     at = set(pivots)
     kernel = {fc: {fc: Fraction(1)} for fc in range(cols) if fc not in at}
     for pc, row in zip(pivots, r):
         for fc, x in row.items():
             if fc != pc:
                 kernel[fc][pc] = -x
-    if not dense:
-        return [dict(sorted(v.items())) for v in kernel.values()], pivots
-    basis = zeros_matrix(cols, len(kernel), EXACT)
-    for k, v in enumerate(kernel.values()):
-        for i, x in v.items():
-            basis[i, k] = x
-    return basis, pivots
+    return [dict(sorted(v.items())) for v in kernel.values()], pivots
 
 
 def _flat_entries(m: "GradedMap"):
@@ -799,15 +795,15 @@ class ExactSpan:
         self._offered: set[tuple] = set()
 
     def add(self, vec) -> bool:
-        """Keep ``vec`` (a sequence of exact scalars, or an exact
-        ``GradedMap`` over its flat entries) if it lies outside the span;
-        report whether it did."""
+        """Keep ``vec`` (a sparse vector, dict index -> exact scalar, or an
+        exact ``GradedMap`` over its flat entries) if it lies outside the
+        span; report whether it did."""
         if isinstance(vec, GradedMap):
             if not vec.nonzero:
                 return False
             v = _integer_row(_flat_entries(vec))
         else:
-            v = _integer_row((j, *_ratio(x)) for j, x in enumerate(vec) if x)
+            v = _integer_row((j, *_ratio(x)) for j, x in vec.items() if x)
         key = tuple(v.items())
         if key in self._offered:
             return False
@@ -821,16 +817,17 @@ class ExactSpan:
         return True
 
 
-def invert_exact(matrix: np.ndarray) -> np.ndarray:
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
+def invert_exact(rows: list[dict]) -> list[dict]:
+    """The inverse of the square exact matrix m with the given sparse rows,
+    as sparse rows: the right half of one ``rref`` of [m | 1].  ShapeError
+    if m is not square (n rows, n columns) or singular."""
+    n = len(rows)
+    if any(j >= n for row in rows for j in row):
         raise ShapeError("inversion needs a square matrix")
-    aug = np.concatenate([np.array(matrix, copy=True), identity_matrix(n, EXACT)],
-                         axis=1)
-    r, pivots = rref(aug)
+    r, pivots = rref([{**row, n + i: 1} for i, row in enumerate(rows)], 2 * n)
     if pivots[:n] != list(range(n)):
         raise ShapeError("matrix is singular")
-    return r[:, n:]
+    return [{j - n: x for j, x in row.items() if j >= n} for row in r]
 
 
 def _cleared(values: list) -> tuple[list, int]:
@@ -974,15 +971,16 @@ def pivot_rows(matrix: np.ndarray, tol: float) -> list[int]:
 
 
 def sparse_pivots(pos: np.ndarray, col: np.ndarray, val: np.ndarray,
-                  cols: int, mode: str, tol: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  cols: int, mode: str, tol: float) -> tuple:
     """Pivot entries of the matrix m whose column col[e] holds val[e] at row
-    pos[e], on the distinct positions in ascending order: the pivot
-    positions, one per column, and what coordinates at them are solved
-    with.  Float: the square block of m on the ``pivot_rows``.  Exact: the
-    inverse of that block, transposed, which is the right half of one
-    ``rref`` of [m^T | 1] whose pivot columns are the pivot rows, handed
-    over as sparse rows.  ShapeError if the columns are dependent."""
+    pos[e], on the distinct positions in ascending order: (the pivot
+    positions, one per column, F, D), coordinates at them being solved
+    with F / D.  Float: F the square block of m on the ``pivot_rows``, D
+    1.  Exact: F / D the inverse of that block, transposed, which is the
+    right half of the reduced form of [m^T | 1] whose pivot columns are
+    the pivot rows; F holds its integer rows (``_echelon``), each times D
+    over its pivot entry, with D the least common multiple of the pivot
+    entries' norms (``_norm``).  ShapeError if the columns are dependent."""
     keys = pos[pos.argsort(kind="stable")]
     keys = keys[keys.searchsorted(keys) == np.arange(len(keys))]
     at = keys.searchsorted(pos)
@@ -990,20 +988,23 @@ def sparse_pivots(pos: np.ndarray, col: np.ndarray, val: np.ndarray,
         m = zeros_matrix(len(keys), cols, mode)
         m[at, col] = val
         piv = pivot_rows(m, tol)
-        return keys[piv], m[piv]
+        return keys[piv], m[piv], 1
     n = len(keys)
-    rows = [{n + c: one_scalar(EXACT)} for c in range(cols)]
+    rows = [{n + c: 1} for c in range(cols)]
     for i, c, x in zip(at.tolist(), col.tolist(), val.tolist()):
         rows[c][i] = x
-    r, piv = rref(rows, n + cols)
-    if piv and piv[-1] >= n:
+    echelon = _echelon(rows)
+    if echelon and echelon[-1][0] >= n:
         raise ShapeError("matrix columns are linearly dependent")
-    inverse = zeros_matrix(cols, cols, EXACT)
-    for i, row in enumerate(r):
+    d = math.lcm(*[_norm(row[c]) for c, row in echelon])
+    inverse = np.zeros((cols, cols), dtype=object)
+    for i, (c, row) in enumerate(echelon):
+        p = row[c]              # 1 / p = conj(p) / |p|^2 over Q(i)
+        f = d // p if type(p) is int else p.conjugate() * (d // _norm(p))
         for j, x in row.items():
             if j >= n:
-                inverse[i, j - n] = x
-    return keys[piv], inverse
+                inverse[i, j - n] = x * f
+    return keys[[c for c, _ in echelon]], inverse, d
 
 
 def sum_dtype(mode: str, bound: int | None) -> type:

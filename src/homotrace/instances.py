@@ -45,6 +45,7 @@ from homotrace.glinalg import (
     GradedMap,
     GradedVectorSpace,
     compose,
+    densified,
     invert_exact,
     supercommutator,
     zeros_matrix,
@@ -308,16 +309,14 @@ def _random_square_zero(rng: random.Random, space: GradedVectorSpace
     s_blocks, si_blocks = {}, {}
     for d, n in space.dims:
         while True:
-            s = zeros_matrix(n, n, EXACT)
-            for i in range(n):
-                for j in range(n):
-                    s[i, j] = Fraction(rng.randint(-1, 1))
+            s = [{j: Fraction(x) for j in range(n)
+                  if (x := rng.randint(-1, 1))} for _ in range(n)]
             try:
                 si = invert_exact(s)
                 break
             except ShapeError:
                 continue
-        s_blocks[d], si_blocks[d] = s, si
+        s_blocks[d], si_blocks[d] = densified(s, n), densified(si, n)
     smap = GradedMap.build(space, space, 0, s_blocks, EXACT)
     simap = GradedMap.build(space, space, 0, si_blocks, EXACT)
     return compose(smap, compose(q, simap))

@@ -3,6 +3,7 @@ that the package results are checked against.  None of these is used by
 the package itself."""
 
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ from homotrace.dgcore import (DgAlgebra, DgModuleBundle, EndoAlgebra,
                               Splitting, matrix_units)
 from homotrace.errors import ClosureError, ShapeError
 from homotrace.glinalg import (GradedMap, GradedVectorSpace, bar_signs,
-                               clear_denominators, compose, coo, join,
+                               compose, coo, densified, identity_matrix, join,
                                sparse_pivots, supercommutator, zeros_matrix)
 from homotrace.hochschild import HochschildChain, cyclic_shift_term
 from homotrace.instances import t1_instance
@@ -29,6 +30,11 @@ def matrix_from_rows(rows, mode: str):
         for j, x in enumerate(row):
             m[i, j] = Fraction(x) if mode == EXACT and isinstance(x, int) else x
     return m
+
+
+def rows_of(matrix: np.ndarray) -> list[dict]:
+    """The sparse rows (dicts column -> value) of a dense exact matrix."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix.tolist()]
 
 
 def dense(m: GradedMap) -> np.ndarray:
@@ -289,30 +295,30 @@ def expand_all_rows(view, tol) -> tuple:
     ``ModuleView``, expanded at the pivots on every row of the (n^2 + 1 +
     n, n) table: float solves all the rows of a degree and scans the dense
     result for its nonzero entries, exact multiplies each nonzero row by
-    the inverse of the pivot block and scales by ``x * Fraction(1, D)``."""
+    the integer inverse of the pivot block and scales by ``x * Fraction(1,
+    D)``."""
     deg, mode = view.degrees, view.mode
     n = len(deg)
     pivot, factors = np.zeros(n, dtype=int), []
     for g in sorted(set(deg)):
         at = slice(deg.index(g), deg.index(g) + deg.count(g))
         lo, hi = np.searchsorted(view.op, (at.start, at.stop))
-        pivot[at], factor = sparse_pivots(
+        pivot[at], factor, d = sparse_pivots(
             view.pos[lo:hi], view.op[lo:hi] - at.start, view.val[lo:hi],
             at.stop - at.start, mode, tol)
-        factors.append((at, factor))
+        factors.append((at, factor, d))
     got = np.zeros((n * n + 1 + n, n), dtype=view.sums.dtype)
     rows, pos = np.unravel_index(view.keys, (len(got), view.size ** 2))
     a, b = join(pos, pivot)
     got[rows[a], b] = view.sums[a]
     if mode == FLOAT:
         vals = np.zeros((len(got), n), dtype=complex)
-        for at, factor in factors:
+        for at, factor, _ in factors:
             vals[:, at] = np.linalg.solve(factor, got[:, at].T).T
         return coo(vals, complex)
     hits = [(np.zeros(0, dtype=int),) * 2 + (np.zeros(0, dtype=object),)]
-    for at, factor in factors:
+    for at, inv_t, d in factors:
         rows = np.flatnonzero(got[:, at].astype(bool).any(axis=1))
-        inv_t, d, _ = clear_denominators(factor)
         part = got[rows, at].astype(object) @ inv_t
         nz = np.nonzero(part.astype(bool))
         hits.append((rows[nz[0]], at.start + nz[1],
@@ -429,10 +435,84 @@ def first_row_rref(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return out, pivots
 
 
-def densified(rows: list[dict], cols: int) -> np.ndarray:
-    """The dense exact matrix of sparse rows (dicts column -> value)."""
-    out = zeros_matrix(len(rows), cols, EXACT)
-    for i, row in enumerate(rows):
-        for j, x in row.items():
-            out[i, j] = x
-    return out
+def _dense_nullspace(m: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The kernel basis of a dense exact matrix as the columns of an array
+    (a free column's vector is 1 there and minus R's column at the
+    pivots) and the pivots, from ``first_row_rref``."""
+    r, pivots = first_row_rref(m)
+    free = [c for c in range(m.shape[1]) if c not in pivots]
+    basis = zeros_matrix(m.shape[1], len(free), EXACT)
+    for k, fc in enumerate(free):
+        basis[fc, k] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            if r[i, fc]:
+                basis[pc, k] = -r[i, fc]
+    return basis, pivots
+
+
+def _small_int_matrix(rng: random.Random, rows: int, cols: int) -> np.ndarray:
+    m = zeros_matrix(rows, cols, EXACT)
+    for i in range(rows):
+        for j in range(cols):
+            m[i, j] = Fraction(rng.randint(-2, 2))
+    return m
+
+
+def dense_projector_splitting(space: GradedVectorSpace, q: GradedMap,
+                              shear_seed: int | None = None) -> Splitting:
+    """``dgcore.build_splitting_projector`` on dense exact arrays, as it was
+    before its vectors were sparse: the kernels and inverses from
+    ``first_row_rref``, b = Q w as a product, each cocycle kept when it
+    raises the rank of the coboundaries and the cocycles kept before it,
+    the shears h + b s1 and w + z s2 as products, and kappa = w_(d-1)
+    R_b."""
+    rng = random.Random(shear_seed) if shear_seed is not None else None
+    degrees = space.degrees()
+    z_bases, w_bases, b_bases, h_bases = {}, {}, {}, {}
+    for d in degrees:
+        z, pivots = _dense_nullspace(q.block(d))
+        w = zeros_matrix(space.dim(d), len(pivots), EXACT)
+        for k, c in enumerate(pivots):
+            w[c, k] = Fraction(1)
+        z_bases[d], w_bases[d] = z, w
+    for d in degrees:
+        prev = d - 1
+        if prev in w_bases and w_bases[prev].shape[1]:
+            b_bases[d] = q.block(prev) @ w_bases[prev]
+        else:
+            b_bases[d] = zeros_matrix(space.dim(d), 0, EXACT)
+    for d in degrees:
+        z, b = z_bases[d], b_bases[d]
+        kept: list[int] = []
+        for c in range(z.shape[1]):
+            trial = np.concatenate([b, z[:, kept + [c]]], axis=1)
+            if len(first_row_rref(trial.T)[1]) == trial.shape[1]:
+                kept.append(c)
+        h_bases[d] = z[:, kept]
+    if rng is not None:
+        for d in degrees:
+            h, b, w, z = h_bases[d], b_bases[d], w_bases[d], z_bases[d]
+            if h.shape[1] and b.shape[1]:
+                h_bases[d] = h + b @ _small_int_matrix(rng, b.shape[1],
+                                                       h.shape[1])
+            if w.shape[1] and z.shape[1]:
+                w_bases[d] = w + z @ _small_int_matrix(rng, z.shape[1],
+                                                       w.shape[1])
+    spectrum, kappa_blocks = {}, {}
+    for d in degrees:
+        h, b, w = h_bases[d], b_bases[d], w_bases[d]
+        nh, nb = h.shape[1], b.shape[1]
+        t = np.concatenate([h, b, w], axis=1)
+        n = t.shape[1]
+        r, pivots = first_row_rref(np.concatenate(
+            [t, identity_matrix(n, EXACT)], axis=1))
+        assert pivots[:n] == list(range(n))
+        ti = r[:, n:]
+        lam = np.array([Fraction(int(i >= nh)) for i in range(n)],
+                       dtype=object)
+        spectrum[d] = (t, lam, ti)
+        if nb:
+            kappa_blocks[d] = w_bases[d - 1] @ ti[nh:nh + nb, :]
+    return Splitting("projector",
+                     GradedMap.build(space, space, -1, kappa_blocks, EXACT),
+                     spectrum)

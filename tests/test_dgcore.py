@@ -46,9 +46,10 @@ from homotrace.instances import matrix_instance, random_instance, \
 from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, GaussianRational,
                                one_scalar, session_tol)
 from homotrace.serialize import instance_from_dict
-from oracles import (dense, endomorphism_tensor, entries, expand_all_rows,
+from oracles import (dense, dense_projector_splitting, densified,
+                     endomorphism_tensor, entries, expand_all_rows,
                      float_cast, make_algebra, matrix_from_rows, rho_vector,
-                     t1_gaussian_dict, unit_vector)
+                     rows_of, t1_gaussian_dict, unit_vector)
 
 
 def t1_space_q():
@@ -427,10 +428,10 @@ def _elimination_reference(space, q, rho):
         if not rows:
             continue
         cols = [rho[t] for t in at] + [ops[t] for t in rows]
-        r, pivots = rref(np.stack([dense(m).reshape(-1) for m in cols],
-                                  axis=1))
+        stacked = np.stack([dense(m).reshape(-1) for m in cols], axis=1)
+        r, pivots = rref(rows_of(stacked), len(cols))
         assert pivots == list(range(len(at)))
-        out[np.ix_(rows, at)] = r[:len(at), len(at):].T
+        out[np.ix_(rows, at)] = densified(r, len(cols))[:len(at), len(at):].T
     return out
 
 
@@ -742,6 +743,27 @@ def test_splitting_fields_read_off_spectrum_match_stored(case, option):
         assert _same_bits(getattr(s, name), want), name
     if s.kind == "projector":
         assert _same_bits(s.homotopy, s.kappa)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+@pytest.mark.parametrize("case", ["T1", "r7", "r11", "m32", "T1-gaussian"])
+def test_projector_splitting_matches_the_dense_builder(case, seed):
+    """The projector splitting built on sparse columns has the spectrum
+    and kappa of the dense builder it replaced
+    (``oracles.dense_projector_splitting``), entry for entry and type for
+    type, unsheared and at three shears."""
+    bundle = (_gaussian_t1() if case == "T1-gaussian" else
+              random_instance(7, {0: 2, 1: 2}).bundle if case == "r7" else
+              _SPLITTING_CASES[case]().bundle)
+    got = build_splitting_projector(bundle.space, bundle.q, seed)
+    want = dense_projector_splitting(bundle.space, bundle.q, seed)
+    assert _same_bits(got.kappa, want.kappa)
+    assert list(got.spectrum) == list(want.spectrum)
+    for d, arrays in want.spectrum.items():
+        for x, y in zip(got.spectrum[d], arrays, strict=True):
+            assert x.shape == y.shape
+            assert [(type(u), u) for u in x.flat] == [(type(v), v)
+                                                      for v in y.flat]
 
 
 def _table_algebra(case: str):

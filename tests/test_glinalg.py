@@ -21,6 +21,7 @@ from homotrace.glinalg import (
     GradedVectorSpace,
     compose,
     float_rank,
+    invert_exact,
     max_abs,
     nullspace_and_pivots,
     pivot_rows,
@@ -31,7 +32,7 @@ from homotrace.glinalg import (
 )
 from homotrace.scalars import EXACT, FLOAT, GaussianRational, one_scalar
 from oracles import (densified, exact_product, first_row_rref,
-                     matrix_from_rows)
+                     matrix_from_rows, rows_of)
 
 
 def space(dims):
@@ -96,18 +97,47 @@ def test_supercommutator_identities():
     assert supercommutator(f, ident).is_zero()
 
 
+def kernel(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """``nullspace_and_pivots`` of a dense exact matrix's sparse rows, the
+    basis as the columns of an array."""
+    basis, pivots = nullspace_and_pivots(rows_of(matrix), matrix.shape[1])
+    return densified(basis, matrix.shape[1]).T, pivots
+
+
+def padded_rref(matrix: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """``rref`` of a dense exact matrix's sparse rows, R as an array padded
+    with zero rows to the matrix's shape."""
+    rows, cols = matrix.shape
+    r, pivots = rref(rows_of(matrix), cols)
+    return densified(r + [{}] * (rows - len(r)), cols), pivots
+
+
 def test_nullspace_t1_degree0():
     """The 2 -> 1 block [1 0]: kernel spanned by e2, pivot at e1."""
-    null, pivots = nullspace_and_pivots(matrix_from_rows([[1, 0]], EXACT))
+    null, pivots = kernel(matrix_from_rows([[1, 0]], EXACT))
     assert list(null.ravel()) == [0, 1]
     assert pivots == [0]
 
 
 def test_nullspace_zero_and_identity():
-    assert nullspace_and_pivots(zeros_matrix(3, 3, EXACT))[0].shape == (3, 3)
-    assert nullspace_and_pivots(zeros_matrix(0, 3, EXACT))[0].shape == (3, 3)
-    assert nullspace_and_pivots(matrix_from_rows(
+    assert kernel(zeros_matrix(3, 3, EXACT))[0].shape == (3, 3)
+    assert kernel(zeros_matrix(0, 3, EXACT))[0].shape == (3, 3)
+    assert kernel(matrix_from_rows(
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]], EXACT))[0].shape == (3, 0)
+
+
+def test_sparse_elimination_refuses_an_entry_outside_its_columns():
+    """``rref`` refuses an entry outside its columns, and ``invert_exact``
+    one outside the n columns of its n rows."""
+    with pytest.raises(ShapeError):
+        rref([{0: Fraction(1)}, {2: Fraction(1)}], 2)
+    with pytest.raises(ShapeError):
+        invert_exact([{0: Fraction(1)}, {2: Fraction(1)}])
+    assert invert_exact([{1: Fraction(2)}, {0: Fraction(1)}]) == [
+        {1: Fraction(1)}, {0: Fraction(1, 2)}]
+    with pytest.raises(ShapeError):
+        invert_exact([{0: Fraction(1), 1: Fraction(1)}, {0: Fraction(2),
+                                                          1: Fraction(2)}])
 
 
 @given(st.integers(0, 4), st.integers(0, 4), st.integers(0, 9999))
@@ -119,12 +149,12 @@ def test_nullspace_rank_nullity(rows, cols, seed):
     for i in range(rows):
         for j in range(cols):
             a[i, j] = Fraction(rng.randint(-2, 2))
-    null, pivots = nullspace_and_pivots(a)
+    null, pivots = kernel(a)
     assert null.shape == (cols, cols - len(pivots))
-    assert len(pivots) == len(rref(a)[1])
+    assert len(pivots) == len(padded_rref(a)[1])
     assert all(x == 0 for x in (a @ null).flat)
     # the kernel basis is independent
-    assert len(rref(null)[1]) == null.shape[1]
+    assert len(padded_rref(null)[1]) == null.shape[1]
 
 
 def _greedy_by_rref(columns):
@@ -169,7 +199,8 @@ def test_exact_span_matches_per_candidate_rref(length, kinds, gaussian, scale,
                 col[i] = scalar(scale)
         columns.append(col)
     span = ExactSpan()
-    chosen = [j for j, col in enumerate(columns) if span.add(col)]
+    chosen = [j for j, col in enumerate(columns)
+              if span.add(dict(enumerate(col)))]
     assert chosen == _greedy_by_rref(columns)
 
 
@@ -184,7 +215,7 @@ def test_exact_span_rejects_a_repeated_candidate_without_elimination(
     a = [unit * Fraction(3), Fraction(0), unit * Fraction(-1, 2)]
     b = [Fraction(0), Fraction(1), Fraction(1)]
     span = ExactSpan()
-    assert span.add(a) and span.add(b)
+    assert span.add(dict(enumerate(a))) and span.add(dict(enumerate(b)))
     steps = collections.Counter()
     eliminate = glinalg._eliminate
 
@@ -194,10 +225,10 @@ def test_exact_span_rejects_a_repeated_candidate_without_elimination(
 
     monkeypatch.setattr(glinalg, "_eliminate", counted)
     for c in [Fraction(1), Fraction(-2), Fraction(5, 3)]:
-        assert not span.add([x * c for x in a])
-        assert not span.add([x * c for x in b])
+        assert not span.add(dict(enumerate(x * c for x in a)))
+        assert not span.add(dict(enumerate(x * c for x in b)))
     assert not steps
-    assert not span.add([x + y * 2 for x, y in zip(a, b)])
+    assert not span.add(dict(enumerate(x + y * 2 for x, y in zip(a, b))))
     assert steps["eliminate"] == 2
 
 
@@ -384,7 +415,7 @@ def test_rref_matches_dense_elimination(rows, cols, gaussian, density, scale,
     import random
     rng = random.Random(seed)
     a = sparse_matrix(rng, rows, cols, gaussian, density, scale)
-    got, pivots = rref(a)
+    got, pivots = padded_rref(a)
     want, want_pivots = dense_rref(a)
     assert pivots == want_pivots
     assert_entries_equal(got, want)
@@ -766,17 +797,16 @@ def test_nonzero_entries_are_those_np_nonzero_reads(kind):
 
 
 def assert_rref_is_the_first_row_rref(matrix):
-    """``rref`` of a dense exact matrix, and of its sparse rows, gives the
-    pivots and R of ``first_row_rref``, entry for entry and type for type
-    (sparse: R's nonzero rows, in column order)."""
+    """``rref`` of the sparse rows of a dense exact matrix gives the pivots
+    and R of ``first_row_rref``, entry for entry and type for type: R's
+    nonzero rows, in column order, and padded with zero rows."""
     want, want_pivots = first_row_rref(matrix)
-    got, pivots = rref(matrix)
+    got, pivots = padded_rref(matrix)
     assert pivots == want_pivots and got.shape == want.shape
     assert all(type(x) is type(y) and x == y
                for x, y in zip(got.flat, want.flat))
     cols = matrix.shape[1]
-    rows, pivots = rref([{j: x for j, x in enumerate(row) if x}
-                         for row in matrix.tolist()], cols)
+    rows, pivots = rref(rows_of(matrix), cols)
     assert pivots == want_pivots and len(rows) == len(pivots)
     assert all(list(row) == sorted(row) and all(row.values())
                for row in rows)
@@ -803,15 +833,17 @@ def test_rref_matches_the_first_row_rref(seed, gaussian):
 
 
 def _recorded_rref_inputs(monkeypatch, run) -> list[np.ndarray]:
-    """The matrices that ``glinalg.rref`` is handed while ``run()`` runs,
-    each dense (sparse rows densified)."""
-    seen, rref_ = [], glinalg.rref
+    """The matrices that the exact elimination (``glinalg._echelon``, which
+    ``rref`` and ``sparse_pivots`` run) is handed while ``run()`` runs,
+    each densified up to its last nonzero column."""
+    seen, echelon = [], glinalg._echelon
 
-    def recording(matrix, cols=None):
-        seen.append(matrix if cols is None else densified(matrix, cols))
-        return rref_(matrix, cols)
+    def recording(rows):
+        seen.append(densified(rows, max((j + 1 for row in rows for j in row),
+                                        default=0)))
+        return echelon(rows)
 
-    monkeypatch.setattr(glinalg, "rref", recording)
+    monkeypatch.setattr(glinalg, "_echelon", recording)
     run()
     monkeypatch.undo()
     return seen
@@ -819,8 +851,8 @@ def _recorded_rref_inputs(monkeypatch, run) -> list[np.ndarray]:
 
 @pytest.mark.parametrize("name", ["T1", "r11", "m32"])
 def test_rref_on_the_pivot_blocks_of_a_load(monkeypatch, name):
-    """Every matrix that building T1, r11 or m32 hands ``rref``, the [m^T |
-    1] of ``sparse_pivots`` for each operator degree among them."""
+    """Every matrix that building T1, r11 or m32 hands the elimination, the
+    [m^T | 1] of ``sparse_pivots`` for each operator degree among them."""
     from homotrace.instances import (matrix_instance, random_instance,
                                      t1_instance)
     build = {"T1": t1_instance,

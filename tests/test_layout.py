@@ -257,24 +257,38 @@ def test_the_row_scan_finds_a_stray_reader():
 
 
 def matrix_products(trees) -> list[tuple[str, int]]:
-    """(module file, line) of each ``@`` in ``instances.py`` among the
-    package modules of ``trees``."""
-    return sorted((path.name, node.lineno) for path, tree in trees
-                  if path == PACKAGE / "instances.py"
-                  for node in ast.walk(tree)
+    """(module file, line) of each ``@`` in ``instances.py`` and in
+    ``dgcore.build_splitting_projector`` among the package modules of
+    ``trees``."""
+    scopes = []
+    for path, tree in trees:
+        if path == PACKAGE / "instances.py":
+            scopes.append((path, tree))
+        elif path == PACKAGE / "dgcore.py":
+            scopes += [(path, node) for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name == "build_splitting_projector"]
+    return sorted((path.name, node.lineno) for path, scope in scopes
+                  for node in ast.walk(scope)
                   if isinstance(node, ast.BinOp)
                   and isinstance(node.op, ast.MatMult))
 
 
 def test_instances_forms_no_matrix_product():
     stray = ast.parse("def product(f, g):\n    return f @ g\n")
+    splitting = ast.parse("def build_splitting_projector(q, w):\n"
+                          "    return q @ w\n\n\n"
+                          "def homotopy(l, r):\n"
+                          "    return l @ r\n")
     assert matrix_products([(PACKAGE / "instances.py", stray),
-                            (PACKAGE / "glinalg.py", stray)]) == [
-        ("instances.py", 2)]
+                            (PACKAGE / "glinalg.py", stray),
+                            (PACKAGE / "dgcore.py", splitting)]) == [
+        ("dgcore.py", 2), ("instances.py", 2)]
     stray = matrix_products(_trees())
     assert not stray, (
-        f"{stray} multiply matrices in instances: compose maps with "
-        "glinalg.compose and glinalg.supercommutator")
+        f"{stray} multiply matrices in instances or in the projector "
+        "splitting: compose maps with glinalg.compose and "
+        "glinalg.supercommutator, and keep the splitting's vectors sparse")
 
 
 def test_the_benchmark_tracer_installs_and_uninstalls():

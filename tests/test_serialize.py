@@ -247,14 +247,14 @@ def test_exact_load_forms_no_product_per_pair(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("which", ["r11", "m32"])
 def test_exact_load_eliminates_once_per_degree(tmp_path, monkeypatch, which):
-    """An exact load runs one ``rref`` per algebra degree inside
-    ``_expand_pivots``: the pivot entries and the inverse of their block
-    are read off the same elimination."""
+    """An exact load runs one elimination (``glinalg._echelon``) per
+    algebra degree inside ``_expand_pivots``: the pivot entries and the
+    inverse of their block are read off the same elimination."""
     inst = (random_instance(11, {0: 2, 1: 3, 2: 2}) if which == "r11" else
             matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]))
     loaded, calls = _calls_inside_load(
-        inst, tmp_path / "instance.json", monkeypatch, [(glinalg, "rref")],
-        (dgcore, "_expand_pivots"))
+        inst, tmp_path / "instance.json", monkeypatch,
+        [(glinalg, "_echelon")], (dgcore, "_expand_pivots"))
     assert calls == len(loaded.bundle.algebra.space.dims) > 1
 
 
