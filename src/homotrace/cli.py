@@ -30,6 +30,7 @@ from homotrace.instances import (
     to_float_instance,
     torus_instance,
 )
+from homotrace.quadrature import DEFAULT_BUDGET
 from homotrace.scalars import (EXACT, FLOAT, encode_value, rational_float,
                                session_tol)
 from homotrace.serialize import load_chains, load_instance, save_instance
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--instance", required=True)
     v.add_argument("--tolerance", type=_positive_float, default=None)
     v.add_argument("--max-arity", type=_int_from(1, MAX_ARITY), default=4)
-    v.add_argument("--quad-budget", type=_int_from(1), default=10 ** 6)
+    v.add_argument("--quad-budget", type=_int_from(1), default=DEFAULT_BUDGET)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--output", choices=["text", "json"], default="text")
     v.set_defaults(func=cmd_verify)
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--method", choices=["closed", "quadrature"],
                    default="closed")
     t.add_argument("--tolerance", type=_positive_float, default=None)
-    t.add_argument("--quad-budget", type=_int_from(1), default=10 ** 6)
+    t.add_argument("--quad-budget", type=_int_from(1), default=DEFAULT_BUDGET)
     t.add_argument("--output", choices=["text", "json"], default="text")
     t.set_defaults(func=cmd_trace)
     return p

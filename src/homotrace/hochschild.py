@@ -16,10 +16,12 @@ The internal and merge terms of a basis word are the bar terms of
 too; the differential adds the wrap-around term, merge-after-rotation.  The
 push-forward applies the transferred components f_m(b_1, ..., b_m) =
 p rho(b_1) h ... h rho(b_m) i (``AInfinityMorphism.on_basis``) blockwise to
-every rotation whose leading block contains the first slot.  On shifted
-words these components have degree 0, so they add no sign; the
-push-forward is a chain map because f satisfies the bar relation with the
-same bar terms (``transfer.ainfinity_defect``).  The test suite checks, in
+every rotation whose leading block contains the first slot, by one
+depth-first walk over cut points (``_push``), which the cyclic pull-back
+runs with a block count.  On shifted words these components have
+degree 0, so they add no sign; the push-forward is a chain map because f
+satisfies the bar relation with the same bar terms
+(``transfer.ainfinity_defect``).  The test suite checks, in
 exact arithmetic, that the differential squares to zero, matches the
 ungraded textbook signs and descends to the cyclic quotient, and that the
 push-forward is a chain map on every basis chain of length <= 3 of several
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -178,56 +179,60 @@ def cycle_basis(algebra: DgAlgebra, max_len: int) -> list[HochschildChain]:
 # Push-forward along the transferred morphism
 
 
-@cache
-def _compositions(k: int) -> tuple[tuple[int, ...], ...]:
-    """The ordered partitions of k, by first part and then the rest;
-    generated once per k."""
-    if k == 0:
-        return ((),)
-    return tuple((first,) + rest for first in range(1, k + 1)
-                 for rest in _compositions(k - first))
-
-
 def push_chain(chain: HochschildChain, f: AInfinityMorphism) -> HochschildChain:
-    """Induced map on Hochschild chains (serves the cyclic complexes too).
-
-    Sums over cyclic rotations whose leading block contains the first
-    slot, each ordered partition mapping blockwise through the transferred
-    components; exact chain map for the total differential.
-    """
-    return _push(chain, f, _compositions)
+    """Induced map on Hochschild chains (serves the cyclic complexes too):
+    ``_push`` into any number of blocks; exact chain map for the total
+    differential."""
+    return _push(chain, f)
 
 
-def _push(chain: HochschildChain, f: AInfinityMorphism, partitions
-          ) -> HochschildChain:
-    """``push_chain`` restricted to the ordered partitions ``partitions(k)``
-    of each length-k term.  Every partition adds to the output terms of its
-    own length only, so a restriction computes those terms exactly as the
-    full push does.  Each block reads the nonzero End(M0) coordinates of
-    its component (``AInfinityMorphism.coordinates``, read once per
-    morphism), and a partition ends at its first zero block."""
+def _push(chain: HochschildChain, f: AInfinityMorphism,
+          blocks: int | None = None) -> HochschildChain:
+    """Sum over cyclic rotations whose leading block contains the first
+    slot, each ordered partition into ``blocks`` blocks (None: any number)
+    mapping blockwise through the transferred components.  A partition
+    adds to the output terms of its own length only, so a block count
+    computes those terms as the full push does.
+
+    Each rotation is walked depth first over cut points on an explicit
+    stack, shortest next block first, so partitions come in lexicographic
+    order of their block sizes.  A block reads the nonzero End(M0)
+    coordinates of its component (``AInfinityMorphism.coordinates``, once
+    per morphism) when the walk reaches it; the expansion before it is
+    extended once for every partition below, and an empty one ends its
+    subtree."""
     src = chain.algebra
     if src.space.dims != f.bundle.algebra.space.dims:
         raise ShapeError("chain algebra does not match the morphism's source")
     out = HochschildChain.zero(f.target.algebra)
+
+    def ends(k: int, start: int, placed: int) -> range:
+        """Ends of the block at ``start`` after ``placed`` blocks of a
+        k-slot word, longest first: the stack pops the last."""
+        if blocks is None:
+            return range(k, start, -1)
+        left = blocks - placed - 1      # blocks after this one
+        return range(k - left, start if left else k - 1, -1)
+
     for flats, coeff in chain.terms.items():
         k = len(flats)
         for r, (rot, sign) in enumerate(_signed_rotations(src, flats)):
-            cc = times_sign(coeff, sign)
-            for comp in partitions(k):
-                if comp[0] <= r:
-                    continue
-                stack: list[tuple[tuple[int, ...], object]] = [((), cc)]
-                pos = 0
-                for size in comp:
-                    coords = f.coordinates(rot[pos:pos + size])
-                    pos += size
-                    stack = [(fl + (idx,), c2 * v) for fl, c2 in stack
+            # (block start, end, blocks before it, their expansion)
+            first = [((), times_sign(coeff, sign))]
+            todo = [(0, end, 0, first) for end in ends(k, 0, 0) if end > r]
+            while todo:
+                start, end, placed, before = todo.pop()
+                coords = f.coordinates(rot[start:end])
+                expansion = [(fl + (idx,), c * v) for fl, c in before
                              for idx, v in coords]
-                    if not stack:
-                        break
-                for fl, c2 in stack:
-                    out.add_term(fl, c2)
+                if not expansion:
+                    continue
+                if end < k:
+                    todo += [(end, nxt, placed + 1, expansion)
+                             for nxt in ends(k, end, placed + 1)]
+                else:
+                    for fl, c in expansion:
+                        out.add_term(fl, c)
     return out
 
 

@@ -54,15 +54,16 @@ from homotrace.scalars import EXACT, FLOAT, one_scalar, session_tol
 
 MAX_TOTAL_DIM = 64
 # slots of one chain-file term: the store keeps every prefix of every
-# rotation, so a term of k slots costs memory of order k^3
+# rotation, so a term of k slots costs memory of order k^3 (trace --cyclic
+# 0 to 3 on a term at the cap of T1 or r11: 0.2-0.4 s and 43-46 MB each)
 MAX_CHAIN_SLOTS = 128
 # verify's --max-arity: the defects up to arity k store every prefix of
 # every bar term, of order k^3 slots (T1 at 32: 0.5 s and 68 MB; r11:
 # 1.2 s and 147 MB; both about three times that at 48)
 MAX_ARITY = 32
-# declared operators of one instance: the load expands the products at
-# the pivots in a dense (n^2 + 1 + n) x n array, 8 GiB at n = 1 024; 64
-# is End of the largest matrix instance (module dimension 8)
+# declared operators of one instance: the load tables only the product
+# rows with a sum at a pivot; 64 is End of the largest matrix instance
+# (module dimension 8), kept until the module view's join is measured
 MAX_ALGEBRA_DIM = 64
 # module dimension of a matrix instance, whose algebra is all of End(M)
 MAX_MATRIX_DIM = 8

@@ -11,8 +11,6 @@ canonical cocycle shape; its weights on all-even slots are +1.
 
 from __future__ import annotations
 
-import itertools
-
 from homotrace.dgcore import EndoAlgebra, Splitting
 from homotrace.errors import ShapeError
 from homotrace.glinalg import GradedMap, compose, supercommutator, supertrace
@@ -92,17 +90,10 @@ def transferred_cyclic_trace(chain: HochschildChain, f: AInfinityMorphism,
                              level: int):
     """Pull-back of the cyclic trace through the push-forward.  The cyclic
     trace reads only terms of tensor length 2*level + 1, and those come only
-    from partitions into that many blocks, so only those are pushed: one
-    per choice of 2*level cut points in range(1, k), generated lazily.
-    Cut points in lexicographic order give the block sizes in that order
-    too, the order of ``hochschild._compositions``, so sums keep their
-    order."""
-    def partitions(k: int):
-        for cuts in itertools.combinations(range(1, k), 2 * level):
-            ends = (0, *cuts, k)
-            yield tuple(b - a for a, b in zip(ends, ends[1:]))
-
-    return cyclic_trace(_push(chain, f, partitions), f.target, level)
+    from partitions into that many blocks, so only those are pushed
+    (``hochschild._push`` with that block count), in the full push's order,
+    so sums keep their order."""
+    return cyclic_trace(_push(chain, f, 2 * level + 1), f.target, level)
 
 
 def antisymmetrized_supertrace(ops: list[GradedMap], splitting: Splitting,

@@ -2,6 +2,7 @@
 that the package results are checked against.  None of these is used by
 the package itself."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from homotrace.glinalg import (GradedMap, GradedVectorSpace, bar_signs,
 from homotrace.hochschild import HochschildChain, cyclic_shift_term
 from homotrace.instances import t1_instance
 from homotrace.scalars import (EXACT, FLOAT, GaussianRational, encode_value,
-                               one_scalar, zero_scalar)
+                               one_scalar, times_sign, zero_scalar)
 from homotrace.serialize import instance_to_dict
 from homotrace.transfer import AInfinityMorphism, Slot, _elements
 
@@ -120,6 +121,44 @@ def stepwise_rotations(algebra, flats: tuple[int, ...]) -> list:
         out.append((flats, sign))
         flats, step = cyclic_shift_term(algebra, flats)
         sign *= step
+    return out
+
+
+@functools.cache
+def compositions(k: int) -> tuple[tuple[int, ...], ...]:
+    """The ordered partitions of k, by first part and then the rest."""
+    if k == 0:
+        return ((),)
+    return tuple((first,) + rest for first in range(1, k + 1)
+                 for rest in compositions(k - first))
+
+
+def enumerated_push(chain: HochschildChain, f: AInfinityMorphism,
+                    blocks: int | None = None) -> HochschildChain:
+    """The push-forward by enumeration: for each rotation of each term,
+    every ordered partition (``compositions``) into ``blocks`` blocks
+    (None: any number) whose leading block holds the first slot, each
+    expanded block by block over End(M0) from the start and ended at its
+    first zero block."""
+    out = HochschildChain.zero(f.target.algebra)
+    for flats, coeff in chain.terms.items():
+        k = len(flats)
+        for r, (rot, sign) in enumerate(stepwise_rotations(chain.algebra,
+                                                           flats)):
+            cc = times_sign(coeff, sign)
+            for comp in compositions(k):
+                if comp[0] <= r or blocks not in (None, len(comp)):
+                    continue
+                terms, pos = [((), cc)], 0
+                for size in comp:
+                    coords = f.coordinates(rot[pos:pos + size])
+                    pos += size
+                    terms = [(fl + (idx,), c * v) for fl, c in terms
+                             for idx, v in coords]
+                    if not terms:
+                        break
+                for fl, c in terms:
+                    out.add_term(fl, c)
     return out
 
 

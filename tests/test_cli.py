@@ -29,6 +29,7 @@ from homotrace.instances import (MAX_ALGEBRA_DIM, MAX_ARITY, MAX_CHAIN_SLOTS,
                                  matrix_instance, random_instance,
                                  t1_instance, to_float_instance,
                                  torus_instance)
+from homotrace.quadrature import DEFAULT_BUDGET
 from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, MAX_EXACT_EXPONENT,
                                decode_value, times_sign)
 from homotrace.serialize import (instance_from_dict, instance_to_dict,
@@ -544,6 +545,33 @@ def test_a_term_above_the_slot_cap_exits_2(tmp_path, capsys):
                 f"above the cap {MAX_CHAIN_SLOTS}"]
 
 
+def test_cyclic_level_2_of_a_term_at_the_slot_cap_exits_0_within_10_s(
+        tmp_path, capsys):
+    """``trace --cyclic 2`` on a T1 term of ``MAX_CHAIN_SLOTS`` slots, run
+    in a child process, exits 0 within 10 s (0.3-0.4 s measured).  The push
+    ends a partition's walk at its first zero block; walking every
+    partition, C(127, 4) = 10.3 million per rotation, had not finished
+    after 60 s."""
+    ipath, cpath = tmp_path / "t1.json", tmp_path / "long.json"
+    assert run(["gen", "--kind", "matrix", "--preset", "T1",
+                "-o", str(ipath)]) == 0
+    capsys.readouterr()
+    word = ["E[e2<-e1]"] + ["E[f<-e1]"] * (MAX_CHAIN_SLOTS - 1)
+    cpath.write_text(json.dumps({"format": "homotrace-chains/1", "chains": [
+        {"name": "long", "terms": [{"coeff": "1", "slots": word}]}]}))
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "homotrace.cli", "trace", "--instance",
+         str(ipath), "--chain", str(cpath), "--cyclic", "2", "--output",
+         "json"], env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 10
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)["results"][0]
+    assert (result["cyclic_level"], result["cyclic_value"]) == (2, "0")
+
+
 def test_max_arity_above_the_cap_exits_2(tmp_path, capsys):
     """``verify --max-arity`` above ``MAX_ARITY`` is refused while the
     command line is read, with one error line naming the cap; at the cap
@@ -926,6 +954,14 @@ def test_sign_flips_equal_the_products_they_replace(tmp_path, capsys,
         if isinstance(want, (complex, np.complexfloating)):
             assert struct.pack("<dd", got.real, got.imag) == struct.pack(
                 "<dd", want.real, want.imag), (x, sign)
+
+
+def test_quad_budget_defaults_to_the_library_budget():
+    """``verify`` and ``trace`` take their ``--quad-budget`` default from
+    ``quadrature.DEFAULT_BUDGET``, the default of the library calls."""
+    for argv in (["verify", "--instance", "i.json"],
+                 ["trace", "--instance", "i.json", "--chain", "c.json"]):
+        assert build_parser().parse_args(argv).quad_budget == DEFAULT_BUDGET
 
 
 def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):

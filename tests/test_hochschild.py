@@ -1,11 +1,14 @@
 """Chain complex identities: the differential, the cyclic structure, and the
 transferred push-forward as a chain map."""
 
+import functools
 import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,21 +16,23 @@ from hypothesis import strategies as st
 from homotrace.dgcore import EndoAlgebra, build_splitting_projector
 from homotrace.hochschild import (
     HochschildChain,
-    _compositions,
+    _push,
     _signed_rotations,
     chain_map_defect,
     cyclic_shift_term,
     hochschild_boundary,
     push_chain,
 )
-from homotrace.instances import random_instance, t1_instance, \
+from homotrace.instances import matrix_instance, random_instance, \
+    t1_instance, torus_instance, \
     to_float_instance
-from homotrace.scalars import DEFAULT_TOL
+from homotrace.scalars import DEFAULT_TOL, one_scalar
 from homotrace.serialize import instance_from_dict
 from homotrace.traces import trace_defect
 from homotrace.transfer import transferred_morphism
-from oracles import canonical_supertrace, cyclic_project, cyclic_shift, \
-    describe, expand, stepwise_rotations, t1_gaussian_dict
+from oracles import canonical_supertrace, compositions, cyclic_project, \
+    cyclic_shift, describe, enumerated_push, expand, stepwise_rotations, \
+    t1_gaussian_dict
 
 
 def random_term(rng, algebra, k):
@@ -362,11 +367,25 @@ def test_push_matches_rotation_sum_for_traces(t1, t1_morphism):
     assert checked >= 10
 
 
+def _partition_writer(algebra):
+    """A stand-in for the transferred morphism whose every component is
+    nonzero with the one coordinate (its word, 1), so each term that the
+    push-forward writes is the tuple of its partition's blocks."""
+    return types.SimpleNamespace(
+        bundle=types.SimpleNamespace(algebra=algebra),
+        target=types.SimpleNamespace(algebra=algebra),
+        coordinates=lambda word: [(word, 1)])
+
+
 @pytest.mark.parametrize("k", range(7))
-def test_compositions_are_every_ordered_partition_once(k):
-    """The ordered partitions of k are one cached tuple per k, equal to a
-    brute-force enumeration by cut points: every subset of the k - 1 gaps
-    between k units cuts them into one ordered partition."""
+def test_compositions_are_every_ordered_partition_once(t1, k):
+    """``_push`` walks each rotation of a k-slot term over every ordered
+    partition into a given number of blocks (or into any number) whose
+    leading block holds the first slot, once each, and writes them in
+    lexicographic order of their block sizes, rotation by rotation.  The
+    partitions are a brute-force enumeration by cut points: every subset
+    of the k - 1 gaps between k units cuts them into one ordered
+    partition; the oracle's ``compositions`` lists each of them once."""
     brute = set()
     for cuts in itertools.product((False, True), repeat=max(k - 1, 0)):
         parts, size = [], 1
@@ -376,10 +395,92 @@ def test_compositions_are_every_ordered_partition_once(k):
                 size = 0
             size += 1
         brute.add(tuple(parts + [size]) if k else ())
-    got = _compositions(k)
-    assert isinstance(got, tuple) and _compositions(k) is got
-    assert len(got) == len(set(got)) == len(brute)
-    assert set(got) == brute
+    assert len(compositions(k)) == len(brute) and set(compositions(k)) == brute
+    alg = t1.bundle.algebra
+    word = tuple(range(k))
+    for blocks in (None, 1, 3):
+        want = []
+        for r, (rot, _) in enumerate(_signed_rotations(alg, word)):
+            for comp in sorted(brute):
+                if comp[0] > r and blocks in (None, len(comp)):
+                    ends = list(itertools.accumulate(comp))
+                    want.append(tuple(rot[a:b]
+                                      for a, b in zip([0] + ends, ends)))
+        got = _push(HochschildChain.of(alg, word), _partition_writer(alg),
+                    blocks)
+        assert list(got.terms) == want, blocks
+
+
+_PUSH_INSTANCES = {
+    "T1": t1_instance,
+    "r7": lambda: random_instance(7, {0: 2, 1: 2}),
+    "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
+    "m32": lambda: matrix_instance({0: 3, 1: 2},
+                                   q_entries=[("d0_0", "d1_0", 1)]),
+    "T1f": lambda: to_float_instance(t1_instance()),
+    "r7f": lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
+    "torus1": lambda: torus_instance(1),
+}
+
+
+def _bits(x):
+    """An exact scalar as itself, a float one as its two doubles' bytes."""
+    return (x if isinstance(x, (Fraction, int))
+            else np.complex128(x).tobytes())
+
+
+@pytest.mark.parametrize("name", sorted(_PUSH_INSTANCES))
+def test_the_walk_is_the_enumerated_push(name):
+    """On seeded chains of two terms of 1 to 9 slots, mostly words of
+    nonzero components of arity <= 3 laid end to end, ``push_chain`` and
+    ``_push`` into 1, 3 and 5 blocks equal the push by enumeration of
+    every partition (``oracles.enumerated_push``): the same terms in the
+    same order, == over Q, bit for bit in floats.  Both ask for the same
+    components in the same first-read order, so a quadrature morphism
+    meets the same budget errors."""
+    inst = _PUSH_INSTANCES[name]()
+    alg, one = inst.bundle.algebra, one_scalar(inst.mode)
+    f = transferred_morphism(inst.bundle, inst.splitting)
+    pieces = [w for m in (1, 2, 3)
+              for w in itertools.product(range(alg.n_basis), repeat=m)
+              if f.coordinates(w)]
+    real = f.coordinates
+
+    def pushed(push, chain, blocks):
+        """The push and the words it read, in first-read order."""
+        reads = {}
+
+        def read(word):
+            reads.setdefault(word)
+            return real(word)
+
+        f.coordinates = read
+        try:
+            return push(chain, f, blocks), list(reads)
+        finally:
+            del f.coordinates
+
+    rng = random.Random(45)
+    nonzero = dict.fromkeys((None, 1, 3, 5), 0)
+    for _ in range(16):
+        chain = HochschildChain.zero(alg)
+        for _ in range(2):
+            length, word = rng.randint(1, 9), ()
+            while len(word) < length:
+                word += (rng.choice(pieces) if rng.random() < 0.9
+                         else (rng.randrange(alg.n_basis),))
+            chain.add_term(word[:length], rng.choice([1, -2, 3]) * one)
+        for blocks in nonzero:
+            walk = (lambda c, g, _: push_chain(c, g)) if blocks is None \
+                else _push
+            got, got_reads = pushed(walk, chain, blocks)
+            want, want_reads = pushed(enumerated_push, chain, blocks)
+            assert list(got.terms) == list(want.terms), (chain.terms, blocks)
+            assert [_bits(c) for c in got.terms.values()] == [
+                _bits(c) for c in want.terms.values()], (chain.terms, blocks)
+            assert got_reads == want_reads
+            nonzero[blocks] += bool(got.terms)
+    assert nonzero[None] >= 8 and nonzero[3] > 0, nonzero
 
 
 def test_float_chain_map_defect_reads_tol_none_as_the_session_tolerance():

@@ -30,6 +30,11 @@ underscore.  Sums and supertraces of maps go through its public kernels.
 A fifth keeps one exact map arithmetic: ``instances`` forms no matrix
 product (``@``), so the random closure multiplies operators with
 glinalg's ``compose`` and ``supercommutator``.
+
+A sixth keeps one walk over block partitions: in ``src/homotrace`` no
+module but ``hochschild`` names ``combinations`` or ``_compositions``, so
+the push-forward and the cyclic pull-back both go through
+``hochschild._push``.
 """
 
 import ast
@@ -289,6 +294,36 @@ def test_instances_forms_no_matrix_product():
         f"{stray} multiply matrices in instances or in the projector "
         "splitting: compose maps with glinalg.compose and "
         "glinalg.supercommutator, and keep the splitting's vectors sparse")
+
+
+def partition_enumerations(trees) -> list[tuple[str, int]]:
+    """(module file, line) of each name, attribute or import
+    ``combinations`` or ``_compositions`` in the package modules of
+    ``trees`` other than ``hochschild.py``."""
+    return sorted((path.name, line) for path, tree in trees
+                  if path.parent == PACKAGE and path.name != "hochschild.py"
+                  for ident, line, _ in _names(tree)
+                  if ident in ("combinations", "_compositions"))
+
+
+def test_only_hochschild_enumerates_block_partitions():
+    stray = partition_enumerations(_trees())
+    assert not stray, (
+        f"{stray} enumerate block partitions: push with "
+        "hochschild._push and a block count")
+
+
+def test_the_partition_scan_finds_a_stray_enumeration():
+    stray = ast.parse('"""Cuts with itertools.combinations."""\n'
+                      "import itertools\n"
+                      "from itertools import combinations\n\n"
+                      "def cuts(k, n):\n"
+                      "    return (itertools.combinations(range(1, k), n),\n"
+                      "            hochschild._compositions(k))\n")
+    assert partition_enumerations([(PACKAGE / "fake.py", stray),
+                                   (PACKAGE / "hochschild.py", stray),
+                                   (ROOT / "scripts" / "fake.py", stray)]) == [
+        ("fake.py", 3), ("fake.py", 6), ("fake.py", 7)]
 
 
 def test_the_benchmark_tracer_installs_and_uninstalls():
