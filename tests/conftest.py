@@ -1,11 +1,12 @@
 import pytest
 
-from homotrace import t1_instance, torus_instance, transferred_morphism
+from homotrace import transferred_morphism
+from oracles import instance
 
 
 @pytest.fixture(scope="session")
 def t1():
-    return t1_instance()
+    return instance("T1")
 
 
 @pytest.fixture(scope="session")
@@ -15,7 +16,7 @@ def t1_morphism(t1):
 
 @pytest.fixture(scope="session")
 def torus1():
-    return torus_instance(1)
+    return instance("torus1")
 
 
 @pytest.fixture(scope="session")

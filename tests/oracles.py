@@ -1,11 +1,22 @@
 """Test oracles: independent, deliberately plain reference computations
 that the package results are checked against.  None of these is used by
-the package itself."""
+the package itself.
+
+The module also holds the one instance registry of the tests
+(``REGISTRY``): each name maps to one constructor and to the tags that
+tests query.  An identity test parametrizes over ``names(...)``, a tag
+query, and reads an instance with ``instance`` (built once per session)
+or, when it counts, patches or mutates what a build or a first read does,
+with ``fresh``.  No other test module writes out the constructor of a
+registered instance (``tests/test_layout.py`` keeps it so), so a new
+instance is one registry line and runs every test its tags admit."""
 
 import functools
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -16,10 +27,12 @@ from homotrace.glinalg import (GradedMap, GradedVectorSpace, bar_signs,
                                compose, coo, densified, identity_matrix, join,
                                sparse_pivots, supercommutator, zeros_matrix)
 from homotrace.hochschild import HochschildChain, cyclic_shift_term
-from homotrace.instances import t1_instance
+from homotrace.instances import (Instance, matrix_instance, random_instance,
+                                 t1_instance, to_float_instance,
+                                 torus_instance)
 from homotrace.scalars import (EXACT, FLOAT, GaussianRational, encode_value,
                                one_scalar, times_sign, zero_scalar)
-from homotrace.serialize import instance_to_dict
+from homotrace.serialize import instance_from_dict, instance_to_dict
 from homotrace.transfer import AInfinityMorphism, Slot, _elements
 
 
@@ -110,6 +123,96 @@ def t1_gaussian_dict() -> dict:
     next(c for c in data["elements"][0][2] if c[0] == "E[e2<-e2]")[1] = {
         "re": "0", "im": "-1"}
     return data
+
+
+@dataclass(frozen=True)
+class Entry:
+    """A registered instance: its mode, its constructor (None for a float
+    copy, which is ``to_float_instance`` of its exact ``source``) and its
+    own tags.  ``tags`` adds the mode and, for a float copy, "copy"."""
+
+    mode: str
+    build: Callable[[], Instance] | None = None
+    source: str | None = None
+    own: tuple[str, ...] = ()
+
+    @property
+    def tags(self) -> frozenset:
+        return frozenset(self.own) | {self.mode} | (
+            {"copy"} if self.source else set())
+
+
+# The own tags: "gaussian", values in Q(i); "heavy", too costly or too
+# large for every identity test, so a test that reads it names it
+# (``names`` leaves it out unless asked).
+REGISTRY = {
+    "T1": Entry(EXACT, t1_instance),
+    "T1-gaussian": Entry(EXACT, lambda: instance_from_dict(t1_gaussian_dict()),
+                         own=("gaussian",)),
+    "r7": Entry(EXACT, lambda: random_instance(7, {0: 2, 1: 2})),
+    "r11": Entry(EXACT, lambda: random_instance(11, {0: 2, 1: 3, 2: 2})),
+    "m32": Entry(EXACT, lambda: matrix_instance(
+        {0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)])),
+    # cleared constants beyond int64, and no float copy
+    "r42": Entry(EXACT, lambda: random_instance(42, {0: 2, 1: 3, 2: 2}),
+                 own=("heavy",)),
+    # the algebra-dimension cap: End of an 8-dimensional module, Q = 0
+    "dim8": Entry(EXACT, lambda: matrix_instance({0: 3, 1: 3, 2: 2}),
+                  own=("heavy",)),
+    "T1f": Entry(FLOAT, source="T1"),
+    "r7f": Entry(FLOAT, source="r7"),
+    "r11f": Entry(FLOAT, source="r11", own=("heavy",)),
+    "m32f": Entry(FLOAT, source="m32", own=("heavy",)),
+    "torus1": Entry(FLOAT, lambda: torus_instance(1)),
+    "torus2": Entry(FLOAT, lambda: torus_instance(2), own=("heavy",)),
+}
+
+
+def names(*tags: str, without: tuple[str, ...] = ("heavy",)) -> list[str]:
+    """The registered names, in registry order, whose tags include every
+    one of ``tags`` and none of ``without``."""
+    return [name for name, e in REGISTRY.items()
+            if e.tags.issuperset(tags) and not e.tags.intersection(without)]
+
+
+def fresh(name: str) -> Instance:
+    """A new build of the registered instance (a float copy of a new build
+    of its source), for a test that counts, patches or mutates what a build
+    or a first read does, or that holds the instance by identity."""
+    entry = REGISTRY[name]
+    if entry.source is not None:
+        return to_float_instance(fresh(entry.source))
+    return entry.build()
+
+
+@functools.cache
+def instance(name: str) -> Instance:
+    """The registered instance, built once per session: for tests that only
+    read it."""
+    return fresh(name)
+
+
+def by_source(name: str) -> str:
+    """A parametrize id: a float copy by its source's name, any other entry
+    by its own."""
+    return REGISTRY[name].source or name
+
+
+def bits(x):
+    """An exact scalar as itself, a float one as its two doubles' bytes."""
+    return x if isinstance(x, (Fraction, int)) else np.complex128(x).tobytes()
+
+
+def inner_product(space: GradedVectorSpace, seed: int) -> dict:
+    """A seeded Hermitian positive-definite inner product A A^H + n I per
+    degree."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for d in space.degrees():
+        n = space.dim(d)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        out[d] = a @ a.conj().T + n * np.eye(n)
+    return out
 
 
 def stepwise_rotations(algebra, flats: tuple[int, ...]) -> list:
@@ -242,6 +345,14 @@ def unit_vector(a: DgAlgebra) -> np.ndarray:
     row n^2 of its table."""
     n = a.n_basis
     return a._dense_rows(n * n, n * n + 1)[0]
+
+
+def unit_chain(a: DgAlgebra) -> HochschildChain:
+    """The unit of ``a`` as a chain of one-slot terms."""
+    chain = HochschildChain.zero(a)
+    for i, c in enumerate(unit_vector(a)):
+        chain.add_term((i,), c)
+    return chain
 
 
 def expand(endo: EndoAlgebra, m: GradedMap) -> np.ndarray:

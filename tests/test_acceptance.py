@@ -31,12 +31,7 @@ from homotrace.hochschild import (
     cycle_basis,
     hochschild_boundary,
 )
-from homotrace.instances import (
-    random_instance,
-    t1_instance,
-    to_float_instance,
-    torus_instance,
-)
+from homotrace.instances import random_instance, to_float_instance
 from homotrace.scalars import EXACT
 from homotrace.traces import (
     antisymmetrized_supertrace,
@@ -55,7 +50,8 @@ from homotrace.transfer import (
     transfer_quadrature,
     transferred_morphism,
 )
-from oracles import describe, projected_supertrace, rho_vector, unit_vector
+from oracles import (describe, instance, projected_supertrace, rho_vector,
+                     unit_chain, unit_vector)
 
 RANDOM_DIMS = [{0: 2, 1: 2}, {0: 1, 1: 2, 2: 1}, {0: 2, 1: 1, 2: 1},
                {-1: 1, 0: 2, 1: 1}, {0: 3, 1: 1}]
@@ -69,7 +65,7 @@ def test_criterion_1_ainfinity_relations_exact():
     """T1 plus 20 seeded random exact instances: coherence defect exactly
     zero for all arities <= 4, >= 200 sampled tuples each, under 60 s."""
     start = time.time()
-    instances = [t1_instance()]
+    instances = [instance("T1")]
     for seed in range(1, 21):
         instances.append(random_instance(seed, RANDOM_DIMS[(seed - 1) % 5]))
     assert len(instances) == 21
@@ -95,8 +91,7 @@ def test_criterion_1_ainfinity_relations_exact():
 def test_criterion_2_quadrature_agrees_with_closed_form():
     """Float instances (module dimension <= 6): relative disagreement
     <= 1e-6 for arities 2 and 3 within the evaluation budget."""
-    insts = [to_float_instance(t1_instance()),
-             to_float_instance(random_instance(7, {0: 2, 1: 2})),
+    insts = [instance("T1f"), instance("r7f"),
              to_float_instance(random_instance(13, {0: 1, 1: 2, 2: 1}))]
     worst = 0.0
     checked = 0
@@ -127,9 +122,9 @@ def test_criterion_2_quadrature_agrees_with_closed_form():
 def test_criterion_3_trace_property():
     """Trace defect zero (exact) / <= 1e-8 (float) on >= 100 homogeneous
     chains per instance, tensor lengths <= 4."""
-    cases = [("T1", t1_instance(), None),
+    cases = [("T1", instance("T1"), None),
              ("random", random_instance(4, {0: 2, 1: 2}), None),
-             ("torus", torus_instance(1), 1e-8)]
+             ("torus", instance("torus1"), 1e-8)]
     for name, inst, tol in cases:
         f = transferred_morphism(inst.bundle, inst.splitting)
         alg = inst.bundle.algebra
@@ -155,9 +150,9 @@ def test_criterion_3_trace_property():
 def test_criterion_4_oracle_equivalence():
     """Transferred trace of every closed degree-0 basis operator equals the
     cohomological supertrace; the identity traces to the Euler number."""
-    cases = [("T1", t1_instance(), None, 1),
+    cases = [("T1", instance("T1"), None, 1),
              ("random", random_instance(9, {0: 2, 1: 2}), None, None),
-             ("torus", torus_instance(1), 1e-8, 0)]
+             ("torus", instance("torus1"), 1e-8, 0)]
     for name, inst, tol, chi in cases:
         f = transferred_morphism(inst.bundle, inst.splitting)
         alg = inst.bundle.algebra
@@ -177,10 +172,7 @@ def test_criterion_4_oracle_equivalence():
                 assert abs(complex(ups) - complex(ind)) <= tol
             checked += 1
         assert checked >= 1
-        ident = HochschildChain.zero(alg)
-        for i, c in enumerate(unit_vector(alg)):
-            ident.add_term((i,), c)
-        ups_id = transferred_trace(ident, f)
+        ups_id = transferred_trace(unit_chain(alg), f)
         theta1 = projected_supertrace(
             rho_vector(inst.bundle, unit_vector(alg)), inst.splitting)
         if tol is None:
@@ -196,7 +188,7 @@ def test_criterion_4_oracle_equivalence():
 def test_criterion_5_chain_map_property():
     """Push-forward commutes with the total differentials: lengths <= 4 on T1
     exactly, lengths <= 3 on the torus within 1e-8."""
-    t1 = t1_instance()
+    t1 = instance("T1")
     f1 = transferred_morphism(t1.bundle, t1.splitting)
     alg = t1.bundle.algebra
     rng = random.Random(23)
@@ -205,7 +197,7 @@ def test_criterion_5_chain_map_property():
         flats = tuple(rng.randrange(alg.n_basis) for _ in range(k))
         rep = chain_map_defect(HochschildChain.of(alg, flats), f1)
         assert rep.passed, describe(rep.defect)
-    tor = torus_instance(1)
+    tor = instance("torus1")
     ft = transferred_morphism(tor.bundle, tor.splitting)
     talg = tor.bundle.algebra
     for _ in range(15):
@@ -219,7 +211,7 @@ def test_criterion_5_chain_map_property():
 def test_criterion_6_homotopy_independence():
     """Four distinct valid splittings of T1 give identical transferred traces
     on >= 50 closed chains of length <= 3, exactly."""
-    t1 = t1_instance()
+    t1 = instance("T1")
     v, q = t1.bundle.space, t1.bundle.q
     alg = t1.bundle.algebra
     splittings = [t1.splitting] + [
@@ -244,7 +236,7 @@ def test_criterion_6_homotopy_independence():
 def test_criterion_7_boundary_stratum_limits():
     """Connection-form restrictions at gap eps and 1/eps match the merged and
     factorized forms within 1e-3 at eps = 1e-4, improving at first order."""
-    inst = to_float_instance(t1_instance())
+    inst = instance("T1f")
     alg = inst.bundle.algebra
     a1 = alg.flat_by_name("E[f<-e2]")
     a2 = alg.flat_by_name("E[e2<-f]")
@@ -338,7 +330,7 @@ def test_criterion_8_cyclic_trace_on_graded_boundaries():
 def test_criterion_8_cyclic_pullback_consistency():
     """The level-1 pulled-back trace on the identity triple equals the
     cyclic-signed cohomological supertrace, exactly."""
-    t1 = t1_instance()
+    t1 = instance("T1")
     f = transferred_morphism(t1.bundle, t1.splitting)
     alg = t1.bundle.algebra
     coh = cohomology(t1.bundle.space, t1.bundle.q)
@@ -363,7 +355,7 @@ def test_criterion_8_cyclic_pullback_consistency():
     "weight sum 6, which is incompatible with boundary vanishing (see the "
     "module docstring); the frozen cyclic-orbit normalization gives 3 * chi")
 def test_criterion_8_identity_triple_value_six():
-    t1 = t1_instance()
+    t1 = instance("T1")
     f = transferred_morphism(t1.bundle, t1.splitting)
     alg = t1.bundle.algebra
     ident = unit_vector(alg)

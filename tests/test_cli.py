@@ -26,17 +26,14 @@ from homotrace.errors import InputError
 from homotrace.glinalg import AMBIGUITY_BAND, GradedMap
 from homotrace.hochschild import HochschildChain
 from homotrace.instances import (MAX_ALGEBRA_DIM, MAX_ARITY, MAX_CHAIN_SLOTS,
-                                 matrix_instance, random_instance,
-                                 t1_instance, to_float_instance,
-                                 torus_instance)
+                                 random_instance)
 from homotrace.quadrature import DEFAULT_BUDGET
 from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, MAX_EXACT_EXPONENT,
                                decode_value, times_sign)
 from homotrace.serialize import (instance_from_dict, instance_to_dict,
                                  save_instance)
 from homotrace.transfer import ainfinity_defect, transfer_closed
-from oracles import float_cast
-from oracles import t1_gaussian_dict as _t1_gaussian_dict
+from oracles import float_cast, fresh, instance, names, t1_gaussian_dict
 
 
 def run(args):
@@ -809,12 +806,12 @@ def test_non_finite_scalar_exits_2(tmp_path, capsys, where, value):
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_cohomology_oracle_uses_its_own_splitting(t1, mode):
+def test_cohomology_oracle_uses_its_own_splitting(mode):
     """An instance whose splitting projects twice as far in degree 0 fails
     the oracle: the transferred trace reads that splitting, the oracle
     another one.  Doubling the harmonic rows of R in degree 0 doubles
     ``project`` there."""
-    inst = t1 if mode == "exact" else to_float_instance(t1)
+    inst = instance("T1" if mode == "exact" else "T1f")
     spectrum = dict(inst.splitting.spectrum)
     left, lam, right = spectrum[0]
     right = right.copy()
@@ -845,7 +842,7 @@ def test_float_closure_thresholds(tmp_path, capsys, eps, code, err):
     file: while the residuals stay within AMBIGUITY_BAND * tol the file
     loads but fails validation at tol (exit 1); beyond that bound the
     operators escape their span (exit 2)."""
-    data = instance_to_dict(to_float_instance(random_instance(7, {0: 2, 1: 2})))
+    data = instance_to_dict(instance("r7f"))
     b01 = next(op for op in data["algebra"] if op[0] == "b0_1")
     b01[2].append(["d0_0", "d0_1", eps])
     ipath = tmp_path / "r7f.json"
@@ -876,62 +873,59 @@ def _digest_chains(inst) -> dict:
     return {"format": "homotrace-chains/1", "chains": chains}
 
 
-@pytest.mark.parametrize("build, verify_digest, trace_digest", [
-    (t1_instance,
-     "6f0d8daa0590a7f425cdf72dd9a5b3940f113d24c0aeda7b2d4ac576d998b9d2",
-     "269818b18d2d4e581e98e29ad741b864a6cdc04d4ddc844e8db23b5d2592f636"),
-    (lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-     "1701af628bcb164318d5dcbb8320d045c5241f960fc7686155112c50717da494",
-     "4150b0aba47194a6cbcfe33a9dcce90fe4b0eaaf7f4b2a991b1ba5e7e562e65f"),
-    (lambda: matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]),
-     "c7bfa9956b501e288c23a6975b7a2053b3712b65bca6d2562d0321f2da076d10",
-     "b7381130cafe4d557dd4977bfd76b096aa95a4b78cd5bd0bd85d70725015f98e"),
-    (lambda: instance_from_dict(_t1_gaussian_dict()),
-     "6f0d8daa0590a7f425cdf72dd9a5b3940f113d24c0aeda7b2d4ac576d998b9d2",
-     "0849ba8f954174e5a39adc74a9cbd290b87454792112d9842660cb4e14e20194"),
-], ids=["T1", "r11", "m32", "T1-gaussian"])
-def test_exact_reports_are_unchanged(tmp_path, capsys, build, verify_digest,
-                                     trace_digest):
+# name -> the digests of its verify --seed 0 and trace --cyclic 1 reports
+EXACT_REPORTS = {
+    "T1": ("6f0d8daa0590a7f425cdf72dd9a5b3940f113d24c0aeda7b2d4ac576d998b9d2",
+           "269818b18d2d4e581e98e29ad741b864a6cdc04d4ddc844e8db23b5d2592f636"),
+    "r11": ("1701af628bcb164318d5dcbb8320d045c5241f960fc7686155112c50717da494",
+            "4150b0aba47194a6cbcfe33a9dcce90fe4b0eaaf7f4b2a991b1ba5e7e562e65f"),
+    "m32": ("c7bfa9956b501e288c23a6975b7a2053b3712b65bca6d2562d0321f2da076d10",
+            "b7381130cafe4d557dd4977bfd76b096aa95a4b78cd5bd0bd85d70725015f98e"),
+    "T1-gaussian": (
+        "6f0d8daa0590a7f425cdf72dd9a5b3940f113d24c0aeda7b2d4ac576d998b9d2",
+        "0849ba8f954174e5a39adc74a9cbd290b87454792112d9842660cb4e14e20194"),
+}
+
+# name -> the digests of its verify --seed 0, trace --cyclic 1 and trace
+# --method quadrature reports
+FLOAT_REPORTS = {
+    "T1f": ("5d3550c87ec8ba5de7df61589050802fc7a46c135425a50157b7ea23bc04a573",
+            "870013712e83aebb6e6906bded146a946344028a38dda2559e36d5d63a054552",
+            "1e5b453b64c80688ea7f622cdf65fae76604408845863b632a4fa35f77874464"),
+    "r7f": ("5fbe349b43b54245af831b7c8a6cbf1af7a1f66780dc9d4ff6ed753d8105c188",
+            "8b836f59eebcf5a4682df41f8e49d102b277436375366868fed48cb1446e1c8a",
+            "6063c7cff4ceb18573010796850c4b69d9fa23ccf22ac4eddf14dbae4848a416"),
+    "torus1": (
+        "9c034455f9301193681a168d0a61abb8ee5482737dff3d2b80258cdfc5dc4d91",
+        "e57a60bf1da80ade6b10575b21cb469c6459b10a29a0b7b17561467525b01864",
+        "3312aa5b88a0115a6517391d81333e8fb0b055dd645eed0d6ffb73b4a97e16a6"),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_REPORTS)
+def test_exact_reports_are_unchanged(tmp_path, capsys, name):
     """Golden digests of the exact ``verify --seed 0`` and ``trace --cyclic
     1`` JSON reports, taken before the load and ``validate_bundle`` shared
     one residual pass (T1-gaussian, over Q(i): before the transfer kept
     per-basis steps and tails)."""
-    assert _report_digests(tmp_path, capsys, build(), [["--cyclic", "1"]]) \
-        == [verify_digest, trace_digest]
+    assert _report_digests(tmp_path, capsys, instance(name), [
+        ["--cyclic", "1"]]) == list(EXACT_REPORTS[name])
 
 
-@pytest.mark.parametrize("build, digests", [
-    (lambda: to_float_instance(t1_instance()), (
-        "5d3550c87ec8ba5de7df61589050802fc7a46c135425a50157b7ea23bc04a573",
-        "870013712e83aebb6e6906bded146a946344028a38dda2559e36d5d63a054552",
-        "1e5b453b64c80688ea7f622cdf65fae76604408845863b632a4fa35f77874464")),
-    (lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})), (
-        "5fbe349b43b54245af831b7c8a6cbf1af7a1f66780dc9d4ff6ed753d8105c188",
-        "8b836f59eebcf5a4682df41f8e49d102b277436375366868fed48cb1446e1c8a",
-        "6063c7cff4ceb18573010796850c4b69d9fa23ccf22ac4eddf14dbae4848a416")),
-    (lambda: torus_instance(1), (
-        "9c034455f9301193681a168d0a61abb8ee5482737dff3d2b80258cdfc5dc4d91",
-        "e57a60bf1da80ade6b10575b21cb469c6459b10a29a0b7b17561467525b01864",
-        "3312aa5b88a0115a6517391d81333e8fb0b055dd645eed0d6ffb73b4a97e16a6")),
-], ids=["T1f", "r7f", "torus1"])
-def test_float_reports_are_unchanged(tmp_path, capsys, build, digests):
+@pytest.mark.parametrize("name", FLOAT_REPORTS)
+def test_float_reports_are_unchanged(tmp_path, capsys, name):
     """Golden digests of the float ``verify --seed 0``, ``trace --cyclic 1``
     and ``trace --method quadrature`` JSON reports, the float twin of
     ``test_exact_reports_are_unchanged``; taken while the algebra still
     stored a dense structure-constant tensor."""
-    assert _report_digests(tmp_path, capsys, build(), [
-        ["--cyclic", "1"], ["--method", "quadrature"]]) == list(digests)
+    assert _report_digests(tmp_path, capsys, instance(name), [
+        ["--cyclic", "1"], ["--method", "quadrature"]]) == list(
+            FLOAT_REPORTS[name])
 
 
-@pytest.mark.parametrize("build", [
-    t1_instance,
-    lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-    lambda: instance_from_dict(_t1_gaussian_dict()),
-    lambda: to_float_instance(t1_instance()),
-    lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
-], ids=["T1", "r11", "T1-gaussian", "T1f", "r7f"])
+@pytest.mark.parametrize("name", names(EXACT) + names("copy"))
 def test_sign_flips_equal_the_products_they_replace(tmp_path, capsys,
-                                                   monkeypatch, build):
+                                                   monkeypatch, name):
     """Every Koszul sign that ``times_sign`` applies in ``verify --seed 0``
     and ``trace --cyclic 1`` (the bar terms, the Hochschild boundary, the
     push-forward and the transferred trace) gives the product x * sign it
@@ -946,7 +940,7 @@ def test_sign_flips_equal_the_products_they_replace(tmp_path, capsys,
 
     for module in (dgcore, hochschild, traces):
         monkeypatch.setattr(module, "times_sign", recording)
-    _report_digests(tmp_path, capsys, build(), [["--cyclic", "1"]])
+    _report_digests(tmp_path, capsys, fresh(name), [["--cyclic", "1"]])
     assert {sign for _, sign, _ in seen} == {1, -1}
     for x, sign, got in seen:
         want = x * sign
@@ -969,7 +963,7 @@ def test_main_builds_its_parser_once(tmp_path, capsys, monkeypatch):
     argparse error (exit 2) the next ``gen``, ``verify`` and ``trace`` calls
     print the bytes that runs with a fresh parser print."""
     ipath, cpath = tmp_path / "t1.json", tmp_path / "c.json"
-    cpath.write_text(json.dumps(_digest_chains(t1_instance())))
+    cpath.write_text(json.dumps(_digest_chains(instance("T1"))))
     commands = [
         ["gen", "--kind", "matrix", "--preset", "T1", "-o", str(ipath)],
         ["verify", "--instance", str(ipath), "--max-arity", "3"],
@@ -1028,7 +1022,7 @@ def test_real_gaussian_trace_prints_a_rational(tmp_path, capsys):
     """An exact trace value over Q(i) with zero imaginary part prints as a
     rational string, whatever arithmetic produced it: on T1 with
     E[e2<-e2] scaled by i, the chain coefficient -i gives str = 1."""
-    data = _t1_gaussian_dict()
+    data = t1_gaussian_dict()
     minus_i = {"re": "0", "im": "-1"}
     ipath, cpath = tmp_path / "i.json", tmp_path / "c.json"
     ipath.write_text(json.dumps(data))
@@ -1061,7 +1055,7 @@ def test_verify_quadrature_check_compares_at_the_band(monkeypatch, off,
     monkeypatch.setattr("homotrace.cli.transfer_quadrature", quadrature)
     args = build_parser().parse_args(["verify", "--instance", "unused",
                                       "--seed", "5"])
-    inst = to_float_instance(random_instance(7, {0: 2, 1: 2}))
+    inst = instance("r7f")
     checks = {c["name"]: c["passed"] for c in _verify_checks(inst, args)}
     assert any(nonzero)
     assert checks["quadrature/agrees-with-closed-form"] is passed
@@ -1071,7 +1065,7 @@ def _r7f_failures(tmp_path, capsys) -> tuple[int, list[str]]:
     """The exit code and the FAIL lines of ``verify --max-arity 2`` on the
     float copy of random seed 7, whose checks all pass unpatched."""
     ipath = str(tmp_path / "r7f.json")
-    save_instance(to_float_instance(random_instance(7, {0: 2, 1: 2})), ipath)
+    save_instance(instance("r7f"), ipath)
     capsys.readouterr()
     rc = run(["verify", "--instance", ipath, "--max-arity", "2"])
     return rc, [line for line in capsys.readouterr().out.splitlines()
@@ -1136,7 +1130,7 @@ def test_trace_tolerance_reaches_the_quadrature(tmp_path, capsys):
     AMBIGUITY_BAND * tol, as in ``verify``: on the float copy of random
     seed 11, a tighter tolerance refines the integration, so every chain's
     error estimate falls."""
-    inst = to_float_instance(random_instance(11, {0: 2, 1: 3, 2: 2}))
+    inst = instance("r11f")
     ipath, cpath = str(tmp_path / "r11f.json"), tmp_path / "c.json"
     save_instance(inst, ipath)
     cpath.write_text(json.dumps(_digest_chains(inst)))
@@ -1185,13 +1179,9 @@ def test_degree_beyond_int64_is_bad_input(tmp_path, capsys, where, degree):
         assert err.startswith("input error:") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("build", [
-    t1_instance, lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-    lambda: matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]),
-    lambda: instance_from_dict(_t1_gaussian_dict()),
-], ids=["T1", "r11", "m32", "T1-gaussian"])
+@pytest.mark.parametrize("name", names(EXACT))
 def test_exact_kernel_results_carry_their_rows(tmp_path, capsys, monkeypatch,
-                                               build):
+                                               name):
     """Under ``verify --seed 0`` and ``trace --cyclic 1``, every exact map
     that ``compose``, ``scale``, ``+`` or ``-`` returns (other than one of
     its inputs, returned as it is) carries its ``sparse_rows``, equal to
@@ -1210,10 +1200,10 @@ def test_exact_kernel_results_carry_their_rows(tmp_path, capsys, monkeypatch,
     for module in (glinalg, dgcore, hochschild, traces, transfer):
         if getattr(module, "compose", None) is compose:
             monkeypatch.setattr(module, "compose", recording(compose))
-    for name in ("scale", "__add__", "__sub__"):
-        monkeypatch.setattr(GradedMap, name,
-                            recording(getattr(GradedMap, name)))
-    _report_digests(tmp_path, capsys, build(), [["--cyclic", "1"]])
+    for attr in ("scale", "__add__", "__sub__"):
+        monkeypatch.setattr(GradedMap, attr,
+                            recording(getattr(GradedMap, attr)))
+    _report_digests(tmp_path, capsys, fresh(name), [["--cyclic", "1"]])
     formed = [out for out, args in seen if out.mode == EXACT
               and not any(out is arg for arg in args)]
     assert len(formed) > 100

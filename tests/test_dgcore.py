@@ -41,15 +41,14 @@ from homotrace.glinalg import (
     supercommutator,
     zeros_matrix,
 )
-from homotrace.instances import matrix_instance, random_instance, \
-    t1_instance, to_float_instance, torus_instance
+from homotrace.instances import matrix_instance, random_instance
 from homotrace.scalars import (DEFAULT_TOL, EXACT, FLOAT, GaussianRational,
                                one_scalar, session_tol)
-from homotrace.serialize import instance_from_dict
 from oracles import (dense, dense_projector_splitting, densified,
                      endomorphism_tensor, entries, expand_all_rows,
-                     float_cast, make_algebra, matrix_from_rows, rho_vector,
-                     rows_of, t1_gaussian_dict, unit_vector)
+                     float_cast, fresh, inner_product, instance,
+                     make_algebra, matrix_from_rows, names, rho_vector,
+                     rows_of, unit_vector)
 
 
 def t1_space_q():
@@ -78,7 +77,7 @@ def test_algebra_size_is_the_sum_of_its_dims(t1, torus1):
     """``n_basis`` is the sum of the dims of the algebra's space, one per
     flat index, and 0 for End of the empty space."""
     for a in (t1.bundle.algebra, torus1.bundle.algebra,
-              random_instance(7, {0: 2, 1: 2}).bundle.algebra):
+              instance("r7").bundle.algebra):
         assert a.n_basis == sum(n for _, n in a.space.dims)
         assert a.n_basis == len(a.graded_index) > 0
     empty = endomorphism_algebra(GradedVectorSpace.make({}), EXACT).algebra
@@ -183,7 +182,7 @@ def test_associativity_checked_on_every_triple():
     """All 18 triples this constant breaks lie outside a seeded sample of
     4000 of m32's 15 625 triples; checking every triple catches it at the
     first of them."""
-    m32 = matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)])
+    m32 = instance("m32")
     a = m32.bundle.algebra
     # E[d0_2<-d1_0] E[d1_0<-d0_1] gains a spurious E[d0_1<-d0_0] term
     index = tuple(a.flat_by_name(x) for x in (
@@ -435,9 +434,10 @@ def _elimination_reference(space, q, rho):
     return out
 
 
-def _gaussian_t1():
-    """T1 with one operator of each degree scaled by a Gaussian rational."""
-    bundle = t1_instance().bundle
+def _scaled_t1():
+    """T1 with one operator of each degree scaled by a Gaussian rational
+    (its algebra left as T1's): operators over Q(i) in every degree."""
+    bundle = instance("T1").bundle
     rho = list(bundle.rho)
     for g, c in ((-1, GaussianRational(1, 2)), (0, GaussianRational(0, -3)),
                  (1, GaussianRational(Fraction(1, 2), 1))):
@@ -446,20 +446,13 @@ def _gaussian_t1():
     return dataclasses.replace(bundle, rho=tuple(rho))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: t1_instance().bundle,
-    lambda: random_instance(11, {0: 2, 1: 3, 2: 2}).bundle,
-    lambda: matrix_instance({0: 3, 1: 2},
-                            q_entries=[("d0_0", "d1_0", 1)]).bundle,
-    lambda: random_instance(42, {0: 2, 1: 3, 2: 2}).bundle,
-    _gaussian_t1,
-], ids=["T1", "r11", "m32", "r42", "T1-gaussian"])
-def test_exact_pivot_expansion_matches_elimination(build):
+@pytest.mark.parametrize("case", names(EXACT) + ["r42", "T1-scaled"])
+def test_exact_pivot_expansion_matches_elimination(case):
     """Exact constants, unit and differential read off pivot entries equal
     the per-degree elimination of every formed product, identity and {Q,
     op}, over Q and over Q(i): the expansion's entries are the nonzero
     entries of the elimination's rows, in index order."""
-    bundle = build()
+    bundle = _scaled_t1() if case == "T1-scaled" else instance(case).bundle
     (row, col), val = _expand_pivots(module_view(
         bundle.space, bundle.q, bundle.rho, EXACT), DEFAULT_TOL)
     want = _elimination_reference(bundle.space, bundle.q, bundle.rho)
@@ -471,24 +464,13 @@ def test_exact_pivot_expansion_matches_elimination(build):
     assert validate_bundle(loaded).ok
 
 
-@pytest.mark.parametrize("build", [
-    lambda: to_float_instance(t1_instance()),
-    lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
-    lambda: to_float_instance(random_instance(11, {0: 2, 1: 3, 2: 2})),
-    lambda: torus_instance(1),
-    lambda: torus_instance(2),
-    t1_instance,
-    lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-    lambda: matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]),
-    lambda: instance_from_dict(t1_gaussian_dict()),
-], ids=["T1f", "r7f", "r11f", "torus1", "torus2", "T1", "r11", "m32",
-        "T1-gaussian"])
-def test_expansion_of_nonzero_rows_keeps_every_entry(build):
+@pytest.mark.parametrize("name", names() + ["r11f", "torus2"])
+def test_expansion_of_nonzero_rows_keeps_every_entry(name):
     """The algebra read off the rows with a nonzero sum at the pivots is
     the one read off every row (``oracles.expand_all_rows``): the same
     indices, values and dtypes, float values bit for bit and exact ones
     of the same types."""
-    bundle = build().bundle
+    bundle = instance(name).bundle
     (row, col), val = bundle.algebra.entries
     (want_row, want_col), want = expand_all_rows(
         module_view(bundle.space, bundle.q, bundle.rho, bundle.mode),
@@ -509,7 +491,7 @@ def test_float_expansion_solves_only_rows_with_a_nonzero_pivot_sum(
     products P P = P and the identity) have a nonzero sum at the pivots,
     and the expansion passes only those to ``np.linalg.solve``; every row
     was solved before, 651 right-hand sides."""
-    bundle = torus_instance(2).bundle
+    bundle = instance("torus2").bundle
     view = module_view(bundle.space, bundle.q, bundle.rho, FLOAT)
     sizes, solve = [], np.linalg.solve
 
@@ -538,7 +520,7 @@ def test_exact_build_squares_q_twice(monkeypatch):
 
     monkeypatch.setattr(dgcore, "compose", counting)
     monkeypatch.setattr(instances, "compose", counting)
-    q = random_instance(11, {0: 2, 1: 3, 2: 2}).bundle.q
+    q = fresh("r11").bundle.q
     assert sum(f is q and g is q for f, g in calls) == 2
 
 
@@ -706,37 +688,21 @@ def _same_bits(a, b) -> bool:
     return True
 
 
-_SPLITTING_CASES = {
-    "T1": t1_instance,
-    "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-    "m32": lambda: matrix_instance({0: 3, 1: 2},
-                                   q_entries=[("d0_0", "d1_0", 1)]),
-    "T1f": lambda: to_float_instance(t1_instance()),
-    "r7f": lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
-    "torus1": lambda: torus_instance(1),
-}
-
-
 @pytest.mark.parametrize("case, option", [
-    *((c, seed) for c in ("T1", "r11", "m32") for seed in (None, 1, 2)),
-    *((c, ip) for c in ("T1f", "r7f", "torus1")
-      for ip in ("identity", "seeded"))])
+    *((c, seed) for c in names(EXACT) for seed in (None, 1, 2)),
+    *((c, ip) for c in names(FLOAT) for ip in ("identity", "seeded"))])
 def test_splitting_fields_read_off_spectrum_match_stored(case, option):
     """Every field the splitting reads off (kind, kappa, spectrum) is bit
     for bit what the builders stored before, for projector splittings at
     three shears and Hodge splittings under the identity and a seeded
     inner product; the projector's homotopy is kappa itself."""
-    bundle = _SPLITTING_CASES[case]().bundle
+    bundle = instance(case).bundle
     if bundle.mode == EXACT:
         s = build_splitting_projector(bundle.space, bundle.q, option)
     else:
-        rng = np.random.default_rng(0)
-        inner = {}
-        for d, n in bundle.space.dims:
-            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            inner[d] = a @ a.conj().T + n * np.eye(n)
-        s = build_splitting_hodge(bundle.space, bundle.q,
-                                  None if option == "identity" else inner)
+        inner = None if option == "identity" else inner_product(
+            bundle.space, 0)
+        s = build_splitting_hodge(bundle.space, bundle.q, inner)
     assert [f.name for f in dataclasses.fields(s)] == ["kind", "kappa",
                                                        "spectrum"]
     for name, want in _stored_fields_reference(s).items():
@@ -746,15 +712,13 @@ def test_splitting_fields_read_off_spectrum_match_stored(case, option):
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3])
-@pytest.mark.parametrize("case", ["T1", "r7", "r11", "m32", "T1-gaussian"])
+@pytest.mark.parametrize("case", names(EXACT))
 def test_projector_splitting_matches_the_dense_builder(case, seed):
     """The projector splitting built on sparse columns has the spectrum
     and kappa of the dense builder it replaced
     (``oracles.dense_projector_splitting``), entry for entry and type for
     type, unsheared and at three shears."""
-    bundle = (_gaussian_t1() if case == "T1-gaussian" else
-              random_instance(7, {0: 2, 1: 2}).bundle if case == "r7" else
-              _SPLITTING_CASES[case]().bundle)
+    bundle = instance(case).bundle
     got = build_splitting_projector(bundle.space, bundle.q, seed)
     want = dense_projector_splitting(bundle.space, bundle.q, seed)
     assert _same_bits(got.kappa, want.kappa)
@@ -766,23 +730,27 @@ def test_projector_splitting_matches_the_dense_builder(case, seed):
                                                       for v in y.flat]
 
 
+def _loaded_bundle(case: str):
+    """The registered instance's bundle, or, for "T1-scaled", the bundle
+    loaded from the operators of ``_scaled_t1`` (structure constants in
+    Q(i) in every degree)."""
+    if case != "T1-scaled":
+        return instance(case).bundle
+    b = _scaled_t1()
+    return algebra_from_operators(b.space, b.q, list(b.rho), [
+        f"b{k}" for k in range(len(b.rho))], EXACT)
+
+
 def _table_algebra(case: str):
-    if case == "r42":              # cleared constants beyond int64
-        return random_instance(42, {0: 2, 1: 3, 2: 2}).bundle.algebra
     if case == "End(T1)":
-        t1 = t1_instance().bundle
-        _, maps, names = matrix_units(t1.space, EXACT)
-        return algebra_from_operators(t1.space, t1.q, maps, names,
+        t1 = instance("T1").bundle
+        _, maps, labels = matrix_units(t1.space, EXACT)
+        return algebra_from_operators(t1.space, t1.q, maps, labels,
                                       EXACT).algebra
-    if case == "T1-gaussian":      # structure constants in Q(i)
-        b = _gaussian_t1()
-        return algebra_from_operators(b.space, b.q, list(b.rho), [
-            f"b{k}" for k in range(len(b.rho))], EXACT).algebra
-    return _SPLITTING_CASES[case]().bundle.algebra
+    return _loaded_bundle(case).algebra
 
 
-@pytest.mark.parametrize("case", ["T1", "r11", "m32", "End(T1)", "T1-gaussian",
-                                  "T1f", "r7f", "torus1"])
+@pytest.mark.parametrize("case", names() + ["End(T1)", "T1-scaled"])
 def test_algebra_tables_match_their_definitions(case):
     """The per-basis tables of a DgAlgebra equal the definitions they
     replace: the scan over the graded dims, the nonzero entries of each
@@ -819,8 +787,7 @@ def _same_entries(a, b) -> bool:
             == [row_b.tolist(), col_b.tolist(), vals_b.tolist(), vals_b.dtype])
 
 
-@pytest.mark.parametrize("case", ["T1", "r11", "m32", "T1-gaussian", "T1f",
-                                  "r7f", "torus1"])
+@pytest.mark.parametrize("case", names() + ["T1-scaled"])
 def test_entries_round_trip_through_dense_forms(case):
     """The dense forms read off an algebra's entries (``mul``, ``unit`` and
     ``differential``) give the same entries back: the dense oracle
@@ -831,17 +798,15 @@ def test_entries_round_trip_through_dense_forms(case):
                                       unit_vector(alg), alg.mode), alg)
 
 
-@pytest.mark.parametrize("case", ["T1", "r11", "m32", "torus2", "acyclic"])
+@pytest.mark.parametrize("case", names() + ["torus2", "acyclic"])
 def test_endomorphism_entries_match_closed_form_tensor(case):
     """End(M0)'s entries, built without a tensor, are the nonzero entries
     of the product tensor and unit that the pairwise closed form fills
     (``oracles.endomorphism_tensor``), in order, and its differential is
-    zero; over the M0 of T1, r11, m32, the float torus N=2 and a
-    zero-dimensional M0 (an acyclic complex)."""
-    inst = {"torus2": lambda: torus_instance(2, (Fraction(0), Fraction(1))),
-            "acyclic": lambda: matrix_instance(
-                {0: 1, 1: 1}, q_entries=[("d0_0", "d1_0", 1)]),
-            }.get(case, _SPLITTING_CASES.get(case))()
+    zero; over the M0 of each registered instance, the float torus N=2
+    and a zero-dimensional M0 (an acyclic complex)."""
+    inst = (matrix_instance({0: 1, 1: 1}, q_entries=[("d0_0", "d1_0", 1)])
+            if case == "acyclic" else instance(case))
     m0, mode = inst.splitting.m0, inst.mode
     assert (m0.total_dim == 0) == (case == "acyclic")
     alg = endomorphism_algebra(m0, mode).algebra
@@ -940,8 +905,7 @@ def _perturbed_algebras(a):
     return copies
 
 
-@pytest.mark.parametrize("case", ["T1", "r11", "m32", "T1-gaussian", "T1f",
-                                  "r7f", "torus1", "r42"])
+@pytest.mark.parametrize("case", names() + ["T1-scaled", "r42"])
 def test_algebra_axiom_join_matches_dict_oracle(case):
     """The join returns the dict oracle's (leibniz, associativity, unit)
     witnesses on each instance and on copies with one structure constant,
@@ -949,7 +913,7 @@ def test_algebra_axiom_join_matches_dict_oracle(case):
     raised by 1, every copy failing some law.  r42's cleared constants
     exceed int64, so its sums run on Python ints (only its
     structure-constant copy is checked: the oracle takes about 0.5 s
-    there); T1-gaussian's run on GaussianRationals."""
+    there); T1-gaussian's and T1-scaled's run on GaussianRationals."""
     alg = _table_algebra(case)
     tol = None if alg.mode == EXACT else DEFAULT_TOL
     copies = _perturbed_algebras(alg)[:1 if case == "r42" else None]
@@ -1009,18 +973,6 @@ def _dense_action_residuals(bundle):
     return out
 
 
-def _residual_bundle(case: str):
-    if case == "T1-gaussian":      # loaded, so its constants are in Q(i)
-        b = _gaussian_t1()
-        return algebra_from_operators(b.space, b.q, list(b.rho), [
-            f"b{k}" for k in range(len(b.rho))], EXACT)
-    if case == "r42":              # cleared constants beyond int64
-        return random_instance(42, {0: 2, 1: 3, 2: 2}).bundle
-    if case == "torus2":
-        return torus_instance(2, (Fraction(0), Fraction(1))).bundle
-    return _SPLITTING_CASES[case]().bundle
-
-
 def _raised_rho(bundle):
     """The bundle with the first nonzero stored entry of its first nonzero
     operator raised by 1."""
@@ -1035,8 +987,7 @@ def _raised_rho(bundle):
         bundle, rho=bundle.rho[:k] + (raised,) + bundle.rho[k + 1:])
 
 
-@pytest.mark.parametrize("case", ["T1", "r11", "m32", "r42", "T1-gaussian",
-                                  "T1f", "r7f", "torus1", "torus2"])
+@pytest.mark.parametrize("case", names() + ["T1-scaled", "r42", "torus2"])
 def test_action_residual_join_matches_dense_oracle(case):
     """The join gives the dense contraction's residuals on each instance and
     on copies with one structure constant, unit coordinate, differential
@@ -1044,10 +995,10 @@ def test_action_residual_join_matches_dense_oracle(case):
     copy failing some row: exact rows equal, float rows equal to round-off
     (NaN where the oracle has NaN), and ``_first_failure`` picks the same
     row, exactly or at both float thresholds.  r42's cleared constants
-    exceed int64, so its sums run on Python ints; T1-gaussian's run on
-    GaussianRationals."""
+    exceed int64, so its sums run on Python ints; T1-gaussian's and
+    T1-scaled's run on GaussianRationals."""
     first_row = dgcore._first_failure
-    bundle = _residual_bundle(case)
+    bundle = _loaded_bundle(case)
     copies = [dataclasses.replace(bundle, algebra=alg)
               for alg in _perturbed_algebras(bundle.algebra)]
     copies.append(_raised_rho(bundle))
@@ -1084,7 +1035,7 @@ def test_float_cohomology_reads_tol_none_as_the_session_tolerance():
     to rounding only.  ``cohomology`` and ``euler_characteristic`` with
     tol=None compare Q^2 to DEFAULT_TOL, as with that tolerance given,
     not exactly."""
-    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
+    inst = instance("r11")
     v, q = inst.bundle.space, inst.bundle.q.to_float()
     rng = np.random.default_rng(0)
     u = {d: np.linalg.qr(rng.standard_normal((n, n)))[0] for d, n in v.dims}
@@ -1097,21 +1048,13 @@ def test_float_cohomology_reads_tol_none_as_the_session_tolerance():
     assert euler_characteristic(v, qr) == euler_characteristic(v, q)
 
 
-@pytest.mark.parametrize("which", ["T1", "r11", "m32", "T1f", "r7f",
-                                   "torus1"])
-def test_projections_and_homotopy_keep_their_dense_values(t1, torus1, which):
+@pytest.mark.parametrize("which", names())
+def test_projections_and_homotopy_keep_their_dense_values(which):
     """pi0 (include after project) and the homotopy (L diag(1/lam) R after
     kappa) are formed by ``compose``: their blocks are those of the dense
     products l @ r and ((l * inv) @ r) @ k per degree, equal in exact
     mode and bit for bit in float mode, with the zero blocks left out."""
-    inst = {"T1": lambda: t1,
-            "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-            "m32": lambda: matrix_instance({0: 3, 1: 2},
-                                           q_entries=[("d0_0", "d1_0", 1)]),
-            "T1f": lambda: to_float_instance(t1),
-            "r7f": lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
-            "torus1": lambda: torus1}[which]()
-    s = inst.splitting
+    s = instance(which).splitting
     pi0 = {d: l[:, lam == 0] @ r[lam == 0]
            for d, (l, lam, r) in s.spectrum.items()}
     homotopy = {}

@@ -27,10 +27,10 @@ from fractions import Fraction
 import pytest
 
 from homotrace import cli
-from homotrace.instances import random_instance, to_float_instance
 from homotrace.scalars import EXACT
 from homotrace.serialize import chains_to_dict, instance_to_dict, \
     save_instance
+from oracles import instance
 
 SEED = 37
 FILES_PER_BASE = 200
@@ -96,11 +96,9 @@ def mutants(base: dict, rng: random.Random, count: int):
 
 
 @pytest.fixture(scope="module")
-def bases(t1, torus1):
-    return {"T1": instance_to_dict(t1),
-            "r7f": instance_to_dict(to_float_instance(
-                random_instance(7, {0: 2, 1: 2}))),
-            "torus1": instance_to_dict(torus1)}
+def bases():
+    return {name: instance_to_dict(instance(name))
+            for name in ("T1", "r7f", "torus1")}
 
 
 def test_verify_answers_every_mutated_instance(bases, tmp_path, capsys):
@@ -132,11 +130,11 @@ def _chains(inst, rng: random.Random) -> dict:
         for length in (1, 2, 3, 0)]) for c in range(2)])
 
 
-def test_trace_answers_every_mutated_chain_file(t1, tmp_path, capsys):
+def test_trace_answers_every_mutated_chain_file(tmp_path, capsys):
     rng = random.Random(SEED)
     codes = []
-    for label, inst in (("T1", t1), ("r7f", to_float_instance(
-            random_instance(7, {0: 2, 1: 2})))):
+    for label in ("T1", "r7f"):
+        inst = instance(label)
         path = tmp_path / f"{label}.json"
         save_instance(inst, str(path))
         for k, text in enumerate(mutants(_chains(inst, rng), rng,

@@ -31,8 +31,8 @@ from homotrace.glinalg import (
     zeros_matrix,
 )
 from homotrace.scalars import EXACT, FLOAT, GaussianRational, one_scalar
-from oracles import (densified, exact_product, first_row_rref,
-                     matrix_from_rows, rows_of)
+from oracles import (densified, exact_product, first_row_rref, fresh,
+                     instance, matrix_from_rows, names, rows_of)
 
 
 def space(dims):
@@ -849,34 +849,23 @@ def _recorded_rref_inputs(monkeypatch, run) -> list[np.ndarray]:
     return seen
 
 
-@pytest.mark.parametrize("name", ["T1", "r11", "m32"])
+@pytest.mark.parametrize("name", names(EXACT))
 def test_rref_on_the_pivot_blocks_of_a_load(monkeypatch, name):
-    """Every matrix that building T1, r11 or m32 hands the elimination, the
-    [m^T | 1] of ``sparse_pivots`` for each operator degree among them."""
-    from homotrace.instances import (matrix_instance, random_instance,
-                                     t1_instance)
-    build = {"T1": t1_instance,
-             "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-             "m32": lambda: matrix_instance(
-                 {0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)])}[name]
-    seen = _recorded_rref_inputs(monkeypatch, build)
+    """Every matrix that building an exact instance hands the elimination,
+    the [m^T | 1] of ``sparse_pivots`` for each operator degree among
+    them."""
+    seen = _recorded_rref_inputs(monkeypatch, lambda: fresh(name))
     assert len(seen) > 3
     for matrix in seen:
         assert_rref_is_the_first_row_rref(matrix)
 
 
-@pytest.mark.parametrize("name", ["T1", "r7", "r11", "m32"])
+@pytest.mark.parametrize("name", names(EXACT))
 def test_rref_on_the_boundary_matrix_of_the_cycle_basis(monkeypatch, name):
     """The boundary matrix of ``cycle_basis`` at length <= 3, handed over
     as sparse rows, reduces to the R and pivots of ``first_row_rref``."""
     from homotrace.hochschild import cycle_basis
-    from homotrace.instances import (matrix_instance, random_instance,
-                                     t1_instance)
-    inst = {"T1": t1_instance,
-            "r7": lambda: random_instance(7, {0: 2, 1: 2}),
-            "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-            "m32": lambda: matrix_instance(
-                {0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)])}[name]()
+    inst = instance(name)
     seen = _recorded_rref_inputs(
         monkeypatch, lambda: cycle_basis(inst.bundle.algebra, 3))
     assert len(seen) == 1

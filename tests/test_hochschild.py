@@ -1,14 +1,12 @@
 """Chain complex identities: the differential, the cyclic structure, and the
 transferred push-forward as a chain map."""
 
-import functools
 import itertools
 import math
 import random
 import types
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,16 +21,13 @@ from homotrace.hochschild import (
     hochschild_boundary,
     push_chain,
 )
-from homotrace.instances import matrix_instance, random_instance, \
-    t1_instance, torus_instance, \
-    to_float_instance
+from homotrace.instances import random_instance
 from homotrace.scalars import DEFAULT_TOL, one_scalar
-from homotrace.serialize import instance_from_dict
 from homotrace.traces import trace_defect
 from homotrace.transfer import transferred_morphism
-from oracles import canonical_supertrace, compositions, cyclic_project, \
-    cyclic_shift, describe, enumerated_push, expand, stepwise_rotations, \
-    t1_gaussian_dict
+from oracles import bits, canonical_supertrace, compositions, \
+    cyclic_project, cyclic_shift, describe, enumerated_push, expand, fresh, \
+    instance, names, stepwise_rotations
 
 
 def random_term(rng, algebra, k):
@@ -117,16 +112,12 @@ def test_cyclic_shift_order(t1):
         assert (2 * k) % steps == 0
 
 
-@pytest.mark.parametrize("build", [
-    t1_instance,
-    lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-    lambda: instance_from_dict(t1_gaussian_dict()),
-], ids=["T1", "r11", "T1-gaussian"])
-def test_signed_rotations_match_the_stepwise_signs(build):
+@pytest.mark.parametrize("name", ["T1", "T1-gaussian", "r11"])
+def test_signed_rotations_match_the_stepwise_signs(name):
     """The rotation signs read off one parity list are the products of the
     ``cyclic_shift_term`` signs, step by step, on every word of length at
     most 4."""
-    alg = build().bundle.algebra
+    alg = instance(name).bundle.algebra
     for k in range(1, 5):
         for flats in itertools.product(range(alg.n_basis), repeat=k):
             assert list(_signed_rotations(alg, flats)) == \
@@ -174,14 +165,12 @@ def test_degree_zero_symmetric_pair_is_cyclic_boundaryless(t1):
     assert cyclic_project(sym).is_zero()
 
 
-@pytest.mark.parametrize("build", [
-    t1_instance, lambda: to_float_instance(t1_instance()),
-    lambda: random_instance(11, {0: 2, 1: 3, 2: 2})], ids=["T1", "T1f", "r11"])
-def test_coordinates_are_the_nonzero_dense_coefficients(build):
+@pytest.mark.parametrize("name", names())
+def test_coordinates_are_the_nonzero_dense_coefficients(name):
     """``EndoAlgebra.coordinates`` of every component of arity <= 2 lists
     the nonzero entries of the dense expansion over the matrix units, in
     index order, with the same values of the same types."""
-    inst = build()
+    inst = instance(name)
     f = transferred_morphism(inst.bundle, inst.splitting)
     n = inst.bundle.algebra.n_basis
     for k in (1, 2):
@@ -257,7 +246,7 @@ def _short_chain_failures(inst, f, tol=None):
 
 
 def test_chain_map_float_random_instance():
-    inst = to_float_instance(random_instance(7, {0: 2, 1: 2}))
+    inst = instance("r7f")
     f = transferred_morphism(inst.bundle, inst.splitting)
     assert _short_chain_failures(inst, f, DEFAULT_TOL) == []
 
@@ -314,7 +303,7 @@ def test_push_expands_each_nonzero_word_once(monkeypatch):
     component's coordinates over End(M0) (``EndoAlgebra.coordinates``)
     only when it is nonzero, and each nonzero word at most once; the
     chains also read zero words."""
-    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
+    inst = fresh("r11")
     f = transferred_morphism(inst.bundle, inst.splitting)
     alg = inst.bundle.algebra
     rng = random.Random(0)
@@ -411,25 +400,7 @@ def test_compositions_are_every_ordered_partition_once(t1, k):
         assert list(got.terms) == want, blocks
 
 
-_PUSH_INSTANCES = {
-    "T1": t1_instance,
-    "r7": lambda: random_instance(7, {0: 2, 1: 2}),
-    "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-    "m32": lambda: matrix_instance({0: 3, 1: 2},
-                                   q_entries=[("d0_0", "d1_0", 1)]),
-    "T1f": lambda: to_float_instance(t1_instance()),
-    "r7f": lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
-    "torus1": lambda: torus_instance(1),
-}
-
-
-def _bits(x):
-    """An exact scalar as itself, a float one as its two doubles' bytes."""
-    return (x if isinstance(x, (Fraction, int))
-            else np.complex128(x).tobytes())
-
-
-@pytest.mark.parametrize("name", sorted(_PUSH_INSTANCES))
+@pytest.mark.parametrize("name", names())
 def test_the_walk_is_the_enumerated_push(name):
     """On seeded chains of two terms of 1 to 9 slots, mostly words of
     nonzero components of arity <= 3 laid end to end, ``push_chain`` and
@@ -438,7 +409,7 @@ def test_the_walk_is_the_enumerated_push(name):
     same order, == over Q, bit for bit in floats.  Both ask for the same
     components in the same first-read order, so a quadrature morphism
     meets the same budget errors."""
-    inst = _PUSH_INSTANCES[name]()
+    inst = instance(name)
     alg, one = inst.bundle.algebra, one_scalar(inst.mode)
     f = transferred_morphism(inst.bundle, inst.splitting)
     pieces = [w for m in (1, 2, 3)
@@ -476,8 +447,8 @@ def test_the_walk_is_the_enumerated_push(name):
             got, got_reads = pushed(walk, chain, blocks)
             want, want_reads = pushed(enumerated_push, chain, blocks)
             assert list(got.terms) == list(want.terms), (chain.terms, blocks)
-            assert [_bits(c) for c in got.terms.values()] == [
-                _bits(c) for c in want.terms.values()], (chain.terms, blocks)
+            assert [bits(c) for c in got.terms.values()] == [
+                bits(c) for c in want.terms.values()], (chain.terms, blocks)
             assert got_reads == want_reads
             nonzero[blocks] += bool(got.terms)
     assert nonzero[None] >= 8 and nonzero[3] > 0, nonzero
@@ -487,7 +458,7 @@ def test_float_chain_map_defect_reads_tol_none_as_the_session_tolerance():
     """On random seed 7 in float, arity-3 chains leave rounding-level
     defects (8.9e-16 at most); with tol=None the check compares them to
     DEFAULT_TOL, not exactly, and passes."""
-    inst = to_float_instance(random_instance(7, {0: 2, 1: 2}))
+    inst = instance("r7f")
     f = transferred_morphism(inst.bundle, inst.splitting)
     alg = inst.bundle.algebra
     rounded = 0
@@ -501,9 +472,9 @@ def test_float_chain_map_defect_reads_tol_none_as_the_session_tolerance():
 @pytest.mark.parametrize("terms", [
     {(0,): 1e-12, (1,): math.nan}, {(1,): math.nan, (0,): 1e-12}],
     ids=["nan-last", "nan-first"])
-def test_a_nan_coefficient_is_never_zero(t1, terms):
+def test_a_nan_coefficient_is_never_zero(terms):
     """The largest coefficient of a chain with a NaN is NaN, whatever the
     order of its terms, so the chain is not zero at any tolerance."""
-    chain = HochschildChain(to_float_instance(t1).bundle.algebra, terms)
+    chain = HochschildChain(instance("T1f").bundle.algebra, terms)
     assert math.isnan(chain.max_coeff())
     assert not chain.is_zero(1e-10)

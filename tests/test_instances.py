@@ -21,7 +21,6 @@ from homotrace.instances import (
     _random_generators,
     matrix_instance,
     random_instance,
-    t1_instance,
     to_float_instance,
     torus_element,
     torus_instance,
@@ -32,7 +31,7 @@ from homotrace.serialize import (instance_from_dict, instance_to_dict,
 from homotrace.traces import transferred_trace
 from homotrace.hochschild import HochschildChain
 from homotrace.transfer import transfer_quadrature, transferred_morphism
-from oracles import fraction_closure
+from oracles import REGISTRY, fraction_closure, fresh, instance, names
 
 
 def test_t1_shape(t1):
@@ -159,7 +158,7 @@ def _same_spectrum(s, t) -> bool:
         for x, y in zip(s.spectrum[d], t.spectrum[d]))
 
 
-@pytest.mark.parametrize("name", ["T1f", "r7f", "torus1"])
+@pytest.mark.parametrize("name", names(FLOAT))
 def test_float_entries_read_tol_none_as_the_session_tolerance(tmp_path,
                                                               name):
     """Every public float entry given tol=None builds what it builds with
@@ -167,13 +166,9 @@ def test_float_entries_read_tol_none_as_the_session_tolerance(tmp_path,
     and from a file (the same file and the same spectrum, entry for
     entry), the Hodge splitting, the algebra read off the operators, and
     each arity-2 quadrature component with its estimate."""
-    exact = {"T1f": t1_instance,
-             "r7f": lambda: random_instance(7, {0: 2, 1: 2})}.get(name)
-    if exact is None:
-        inst, rebuilt = torus_instance(1), torus_instance(1, tol=None)
-    else:
-        inst, rebuilt = to_float_instance(exact()), to_float_instance(
-            exact(), None)
+    inst, source = instance(name), REGISTRY[name].source
+    rebuilt = (torus_instance(inst.meta["truncation"], tol=None)
+               if source is None else to_float_instance(instance(source), None))
     data, path = instance_to_dict(inst), tmp_path / "f.json"
     save_instance(inst, str(path))
     for got in (rebuilt, instance_from_dict(data, None),
@@ -208,8 +203,8 @@ def test_torus_rejects_real_modulus():
         torus_instance(1, tau=2.0 + 0j)
 
 
-def test_float_conversion_validates(t1):
-    f = to_float_instance(t1)
+def test_float_conversion_validates():
+    f = instance("T1f")
     assert f.mode == "float"
     assert validate_bundle(f.bundle, 1e-10).ok
     assert f.splitting.kind == "laplacian"
@@ -304,3 +299,23 @@ def test_a_rejected_closure_candidate_forms_no_fraction(monkeypatch):
     rejected = [m for m, kept in decided if not kept]
     assert (len(decided), len(basis), len(rejected)) == (323, 17, 306)
     assert not any("blocks" in vars(m) for m in rejected)
+
+
+@pytest.mark.parametrize("name", names(without=()))
+def test_a_registered_instance_has_its_tags(name):
+    """Every registry entry builds an instance of its mode, over Q(i)
+    exactly when it is tagged "gaussian", and a float copy is
+    ``to_float_instance`` of its source.  The cached read is one object
+    per name; a fresh build is a new object with the same file."""
+    entry, inst = REGISTRY[name], instance(name)
+    assert inst.mode == entry.mode and entry.mode in entry.tags
+    values = [x for m in inst.bundle.rho for _, b in m.blocks for x in b.flat]
+    assert any(isinstance(x, GaussianRational) for x in values) == (
+        "gaussian" in entry.tags)
+    data = instance_to_dict(inst)
+    if entry.source is not None:
+        assert data == instance_to_dict(to_float_instance(
+            instance(entry.source)))
+    again = fresh(name)
+    assert instance(name) is inst and again is not inst
+    assert instance_to_dict(again) == data

@@ -35,6 +35,11 @@ A sixth keeps one walk over block partitions: in ``src/homotrace`` no
 module but ``hochschild`` names ``combinations`` or ``_compositions``, so
 the push-forward and the cyclic pull-back both go through
 ``hochschild._push``.
+
+A seventh keeps one instance registry in the tests: no test module but
+``tests/oracles.py`` writes out the constructor of an instance of its
+``REGISTRY``, directly or with the arguments of a parametrize row, except
+the tests of ``GENERATOR_TESTS``, whose subject is the generator itself.
 """
 
 import ast
@@ -349,3 +354,106 @@ def test_the_benchmark_tracer_installs_and_uninstalls():
     assert all(cls.__dict__[attr] is raw
                for (cls, attr), raw in methods.items())
     assert all(vars(mod)[name] is fn for (mod, name), fn in functions.items())
+
+
+# (test module, test) -> why it writes out a registered constructor
+GENERATOR_TESTS = {
+    ("test_instances.py", "test_random_instance_file_is_unchanged"):
+        "pins the files of random_instance itself at r11's and r7's seeds",
+    ("test_hochschild.py", "test_chain_map_exhaustive_short_chains"):
+        "walks the random_instance seeds on which the push-forward once "
+        "broke the A-infinity signs, seed 7 (r7's) among them",
+}
+
+
+def _call_key(call: ast.Call, bound: dict) -> tuple:
+    """A call as its function's name and arguments: a literal or a name
+    that ``bound`` binds as its value, anything else as its AST dump."""
+    def arg(node):
+        if isinstance(node, ast.Name) and node.id in bound:
+            return repr(bound[node.id])
+        try:
+            return repr(ast.literal_eval(node))
+        except (ValueError, TypeError, SyntaxError):
+            return ast.dump(node)
+
+    func = call.func
+    return (getattr(func, "id", None) or getattr(func, "attr", None),
+            tuple(map(arg, call.args)),
+            tuple(sorted((str(k.arg), arg(k.value)) for k in call.keywords)))
+
+
+def registered_constructors(tree) -> set[tuple]:
+    """The call keys of the constructors in the ``REGISTRY`` of the
+    oracles module ``tree``: a lambda's body, or a call with no argument
+    of a function named as the constructor."""
+    registry = next(node.value for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and getattr(node.targets[0], "id", None) == "REGISTRY")
+    return {_call_key(b.body if isinstance(b, ast.Lambda)
+                      else ast.Call(b, [], []), {})
+            for b in (e.args[1] for e in registry.values if len(e.args) > 1)}
+
+
+def _rows(top) -> list[dict]:
+    """{} and each literal row of each parametrize decorator of a
+    top-level definition, as a dict from argument name to value."""
+    rows = [{}]
+    for deco in getattr(top, "decorator_list", []):
+        if getattr(getattr(deco, "func", None), "attr", "") == "parametrize":
+            try:
+                argnames = ast.literal_eval(deco.args[0]).split(",")
+                values = ast.literal_eval(deco.args[1])
+            except (ValueError, TypeError, SyntaxError, AttributeError):
+                continue
+            rows += [dict(zip(map(str.strip, argnames),
+                              v if len(argnames) > 1 else [v])) for v in values]
+    return rows
+
+
+def registered_constructions(trees, registered) -> set[tuple[str, int, str]]:
+    """(test module, line, enclosing top-level definition) of each call in
+    the test modules of ``trees`` other than ``oracles.py`` whose key is in
+    ``registered``, with its arguments as written or as a parametrize row
+    of the enclosing test binds them."""
+    return {(path.name, node.lineno, getattr(top, "name", ""))
+            for path, tree in trees if path.name != "oracles.py"
+            for top in tree.body for row in _rows(top)
+            for node in ast.walk(top)
+            if isinstance(node, ast.Call) and _call_key(node, row) in registered}
+
+
+def test_only_the_registry_builds_a_registered_instance():
+    trees = [(path, ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted((ROOT / "tests").glob("*.py"))]
+    registered = registered_constructors(
+        next(tree for path, tree in trees if path.name == "oracles.py"))
+    assert ("random_instance", ("11", "{0: 2, 1: 3, 2: 2}"), ()) in registered
+    found = registered_constructions(trees, registered)
+    stray = sorted(x for x in found if x[::2] not in GENERATOR_TESTS)
+    assert not stray, (
+        f"{stray} build a registered instance: read it with "
+        "oracles.instance or oracles.fresh")
+    assert {x[::2] for x in found} == set(GENERATOR_TESTS)
+    assert all(reason.strip() for reason in GENERATOR_TESTS.values())
+
+
+def test_the_registry_scan_finds_a_stray_construction():
+    oracles = ast.parse(
+        "REGISTRY = {'T1': Entry(EXACT, t1_instance),\n"
+        "            'r7': Entry(EXACT, lambda: random_instance(7, {0: 2})),\n"
+        "            'T1f': Entry(FLOAT, source='T1')}\n")
+    registered = registered_constructors(oracles)
+    stray = ast.parse(
+        "def test_a():\n"
+        "    return instances.random_instance(7, {0: 2})\n\n"
+        "def test_b():\n"
+        "    return to_float_instance(t1_instance()), t1_instance(tol=1)\n\n"
+        "@pytest.mark.parametrize('seed, dims', [(7, {0: 2}), (5, {0: 2})])\n"
+        "def test_c(seed, dims):\n"
+        "    return random_instance(seed, dims), random_instance(7, {1: 2})\n")
+    assert registered_constructions(
+        [(ROOT / "tests" / "test_fake.py", stray),
+         (ROOT / "tests" / "oracles.py", stray)], registered) == {
+        ("test_fake.py", 2, "test_a"), ("test_fake.py", 5, "test_b"),
+        ("test_fake.py", 9, "test_c")}

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from homotrace.errors import QuadratureBudgetError, ShapeError
-from homotrace.instances import t1_instance, to_float_instance
 from homotrace.quadrature import integrate_interval
 from homotrace.transfer import transfer_quadrature
+from oracles import instance
 
 
 def _never(nodes):
@@ -83,6 +83,6 @@ def test_order_below_two_is_a_shape_error(order):
     never reaches numpy's Gauss-Legendre nodes."""
     with pytest.raises(ShapeError, match=f"order {order} "):
         integrate_interval(_never, rel_tol=1e-9, order=order)
-    t1f = to_float_instance(t1_instance())
+    t1f = instance("T1f")
     with pytest.raises(ShapeError, match=f"order {order} "):
         transfer_quadrature([8, 3], t1f.splitting, t1f.bundle, order=order)

@@ -12,10 +12,7 @@ import pytest
 from homotrace import cli, dgcore, glinalg, instances, serialize
 from homotrace.dgcore import validate_bundle
 from homotrace.errors import ClosureError, InputError
-from homotrace.hochschild import HochschildChain
-from homotrace.instances import matrix_instance, random_instance, \
-    to_float_instance, torus_instance
-from homotrace.scalars import DEFAULT_TOL
+from homotrace.scalars import DEFAULT_TOL, EXACT
 from homotrace.serialize import (
     instance_to_dict,
     load_chains,
@@ -24,17 +21,8 @@ from homotrace.serialize import (
 )
 from homotrace.traces import transferred_trace
 from homotrace.transfer import transferred_morphism
-from oracles import dense_triplets, make_algebra, t1_gaussian_dict, \
-    unit_vector
-
-
-_BUILT = {
-    "m32": lambda: matrix_instance({0: 3, 1: 2},
-                                   q_entries=[("d0_0", "d1_0", 1)]),
-    "dim8": lambda: matrix_instance({0: 3, 1: 3, 2: 2}),
-    "r7": lambda: random_instance(7, {0: 2, 1: 2}),
-    "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-}
+from oracles import (by_source, dense_triplets, fresh, instance, make_algebra,
+                     names, unit_chain, unit_vector)
 
 
 def _same_map(f, g) -> bool:
@@ -44,21 +32,14 @@ def _same_map(f, g) -> bool:
                     for (_, b), (_, c) in zip(f.blocks, g.blocks)))
 
 
-@pytest.mark.parametrize("which", ["T1", "m32", "dim8", "torus1", "torus2",
-                                   "r7", "r11", "T1f", "m32f", "r7f", "r11f"])
-def test_exact_round_trip(tmp_path, request, which):
+@pytest.mark.parametrize("which", names(without=()))
+def test_exact_round_trip(tmp_path, which):
     """A generated instance or float copy and the instance loaded from its
     file agree exactly (floats bit for bit): module, Q, operators, the
     algebra's entries (indices and values), unit, differential blocks,
     basis names and elements, since the generators, the float copy and
     the loader build an instance one way."""
-    def built(name):
-        if name in ("T1", "torus1", "torus2"):
-            return request.getfixturevalue(name.lower())
-        return _BUILT[name]()
-
-    inst = (to_float_instance(built(which[:-1])) if which.endswith("f")
-            else built(which))
+    inst = instance(which)
     path = tmp_path / "instance.json"
     save_instance(inst, str(path))
     loaded = load_instance(str(path))
@@ -98,11 +79,11 @@ def _assert_element_form(algebra, degree, terms) -> None:
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_hand_edited_element_loads_sorted_and_zero_free(tmp_path, t1, mode):
+def test_hand_edited_element_loads_sorted_and_zero_free(tmp_path, mode):
     """A file element that lists its coordinates out of index order and
     with a "0" value loads to its nonzero terms in index order, and saves
     without the zero."""
-    data = instance_to_dict(t1 if mode == "exact" else to_float_instance(t1))
+    data = instance_to_dict(instance("T1" if mode == "exact" else "T1f"))
     names = ["E[f<-f]", "E[e1<-e1]", "E[e2<-e1]", "E[e1<-e2]"]
     data["elements"].append(["X", 0, [[names[0], "3"], [names[1], "0"],
                                       [names[2], "-1/2"], [names[3], 0]]])
@@ -127,10 +108,7 @@ def test_float_round_trip(tmp_path, torus1):
     assert loaded.mode == "float"
     f = transferred_morphism(loaded.bundle, loaded.splitting)
     alg = loaded.bundle.algebra
-    ident = HochschildChain.zero(alg)
-    for i, c in enumerate(unit_vector(alg)):
-        ident.add_term((i,), c)
-    assert abs(complex(transferred_trace(ident, f))) <= 1e-10
+    assert abs(complex(transferred_trace(unit_chain(alg), f))) <= 1e-10
 
 
 def test_round_trip_preserves_elements(tmp_path, torus1):
@@ -143,7 +121,7 @@ def test_round_trip_preserves_elements(tmp_path, torus1):
 
 
 def test_random_instance_round_trip(tmp_path):
-    inst = random_instance(7, {0: 2, 1: 2})
+    inst = instance("r7")
     path = tmp_path / "r7.json"
     save_instance(inst, str(path))
     loaded = load_instance(str(path))
@@ -158,8 +136,7 @@ def test_float_random_round_trip(tmp_path):
     """A float file written from a random instance loads again, and each
     product has coefficients only in its own degree."""
     path = tmp_path / "r7f.json"
-    save_instance(to_float_instance(random_instance(7, {0: 2, 1: 2})),
-                  str(path))
+    save_instance(instance("r7f"), str(path))
     alg = load_instance(str(path)).bundle.algebra
     for i in range(alg.n_basis):
         for j in range(alg.n_basis):
@@ -170,20 +147,14 @@ def test_float_random_round_trip(tmp_path):
 
 
 
-@pytest.fixture(scope="module")
-def torus2():
-    return torus_instance(2, (Fraction(0), Fraction(1)))
-
-
-@pytest.mark.parametrize("which", ["T1", "r7", "torus2"])
-def test_float_load_keeps_the_constants(tmp_path, t1, torus2, which):
+@pytest.mark.parametrize("which", names("copy") + ["torus2"], ids=by_source)
+def test_float_load_keeps_the_constants(tmp_path, which):
     """Constants re-derived from a float file have the nonzero pattern of
     the instance it was written from and its values to DEFAULT_TOL
     relative to the largest: round-off adds no terms."""
-    source = {"T1": t1, "r7": random_instance(7, {0: 2, 1: 2}),
-              "torus2": torus2}[which]
+    source = instance(by_source(which))
     path = tmp_path / "f.json"
-    save_instance(to_float_instance(source), str(path))
+    save_instance(instance(which), str(path))
     got = load_instance(str(path)).bundle.algebra.mul
     want = source.bundle.algebra.mul.astype(complex)
     assert np.array_equal(got != 0, want != 0)
@@ -227,11 +198,12 @@ def _composes_inside_load(inst, path, monkeypatch) -> tuple[int, int]:
     return loaded.bundle.algebra.n_basis, calls
 
 
-def test_float_load_forms_no_product_per_pair(tmp_path, torus2, monkeypatch):
+def test_float_load_forms_no_product_per_pair(tmp_path, monkeypatch):
     """Loading the torus N=2 file composes fewer maps inside
     ``algebra_from_operators`` than the 25^2 products of its operators:
     the constants are read off pivot entries, not off formed products."""
-    n, calls = _composes_inside_load(torus2, tmp_path / "torus2.json",
+    n, calls = _composes_inside_load(instance("torus2"),
+                                     tmp_path / "torus2.json",
                                      monkeypatch)
     assert n == 25 and calls < 25 ** 2
 
@@ -240,33 +212,29 @@ def test_exact_load_forms_no_product_per_pair(tmp_path, monkeypatch):
     """The exact r11 file loads with fewer than 17^2 compositions inside
     ``algebra_from_operators``: exact constants are read off pivot entries
     too."""
-    n, calls = _composes_inside_load(random_instance(11, {0: 2, 1: 3, 2: 2}),
-                                     tmp_path / "r11.json", monkeypatch)
+    n, calls = _composes_inside_load(instance("r11"), tmp_path / "r11.json",
+                                     monkeypatch)
     assert n == 17 and calls < 17 ** 2
 
 
-@pytest.mark.parametrize("which", ["r11", "m32"])
+@pytest.mark.parametrize("which", names(EXACT))
 def test_exact_load_eliminates_once_per_degree(tmp_path, monkeypatch, which):
     """An exact load runs one elimination (``glinalg._echelon``) per
     algebra degree inside ``_expand_pivots``: the pivot entries and the
     inverse of their block are read off the same elimination."""
-    inst = (random_instance(11, {0: 2, 1: 3, 2: 2}) if which == "r11" else
-            matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]))
     loaded, calls = _calls_inside_load(
-        inst, tmp_path / "instance.json", monkeypatch,
+        fresh(which), tmp_path / "instance.json", monkeypatch,
         [(glinalg, "_echelon")], (dgcore, "_expand_pivots"))
     assert calls == len(loaded.bundle.algebra.space.dims) > 1
 
 
 @pytest.mark.parametrize("which", ["torus2", "r11"])
-def test_one_residual_pass_per_load(tmp_path, torus2, monkeypatch, which):
+def test_one_residual_pass_per_load(tmp_path, monkeypatch, which):
     """Loading the float torus N=2 file or the exact r11 file computes the
     action residuals once, and ``validate_bundle`` on the loaded bundle
     computes none."""
-    inst = torus2 if which == "torus2" else random_instance(
-        11, {0: 2, 1: 3, 2: 2})
     path = tmp_path / "instance.json"
-    save_instance(inst, str(path))
+    save_instance(instance(which), str(path))
     computed, compute = [], dgcore._action_residuals
 
     def counted(bundle):
@@ -287,8 +255,7 @@ def test_exact_load_clears_the_structure_constants_once(tmp_path,
     residuals, the axiom join and ``product_terms`` all read the algebra's
     integer view."""
     path = tmp_path / "m32.json"
-    save_instance(matrix_instance({0: 3, 1: 2},
-                                  q_entries=[("d0_0", "d1_0", 1)]), str(path))
+    save_instance(instance("m32"), str(path))
     shapes, clear = [], dgcore.clear_denominators
 
     def counted(t):
@@ -315,7 +282,7 @@ def test_exact_load_and_checks_never_form_the_tensor(tmp_path, monkeypatch):
     read the structure constants of the algebra and of End(M0) through
     their entries: none forms a dense (n, n, n) tensor ``mul``."""
     path = tmp_path / "r11.json"
-    save_instance(random_instance(11, {0: 2, 1: 3, 2: 2}), str(path))
+    save_instance(instance("r11"), str(path))
 
     def refused(algebra):
         raise AssertionError("a dense structure-constant tensor was formed")
@@ -333,8 +300,7 @@ def test_exact_load_clears_rho_and_q_once(tmp_path, monkeypatch):
     residuals read one view of rho and Q.  Entries are followed by object
     identity, since they stay alive through the load."""
     path = tmp_path / "m32.json"
-    save_instance(matrix_instance({0: 3, 1: 2},
-                                  q_entries=[("d0_0", "d1_0", 1)]), str(path))
+    save_instance(instance("m32"), str(path))
     seen, clear = [], dgcore.clear_denominators
 
     def counted(t):
@@ -372,8 +338,7 @@ def test_float_file_round_trip_keeps_verify_report(tmp_path, capsys, gen_args):
 def r11f_path(tmp_path_factory):
     """The file of `gen --kind random --seed 11 --dims 2,3,2 --mode float`."""
     path = tmp_path_factory.mktemp("r11f") / "r11f.json"
-    save_instance(to_float_instance(random_instance(11, {0: 2, 1: 3, 2: 2})),
-                  str(path))
+    save_instance(instance("r11f"), str(path))
     return str(path)
 
 
@@ -419,15 +384,15 @@ def test_rejects_broken_differential(tmp_path, t1):
         load_instance(str(path))
 
 
-def _t1_dict(t1, mode: str) -> dict:
-    data = instance_to_dict(t1 if mode == "exact" else to_float_instance(t1))
+def _t1_dict(mode: str) -> dict:
+    data = instance_to_dict(instance("T1" if mode == "exact" else "T1f"))
     data["elements"] = []
     return data
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_rejects_unclosed_algebra(tmp_path, t1, mode):
-    data = _t1_dict(t1, mode)
+def test_rejects_unclosed_algebra(tmp_path, mode):
+    data = _t1_dict(mode)
     # E[e2<-e1] E[e1<-e2] = E[e2<-e2], which is not declared
     data["algebra"] = [row for row in data["algebra"]
                        if row[0] in ("E[e2<-e1]", "E[e1<-e2]")]
@@ -439,8 +404,8 @@ def test_rejects_unclosed_algebra(tmp_path, t1, mode):
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_rejects_span_without_identity(tmp_path, t1, mode):
-    data = _t1_dict(t1, mode)
+def test_rejects_span_without_identity(tmp_path, mode):
+    data = _t1_dict(mode)
     # one idempotent on a 2-dimensional module
     data["module"], data["Q"] = [[0, 2, ["e1", "e2"]]], []
     data["algebra"] = [row for row in data["algebra"]
@@ -452,8 +417,8 @@ def test_rejects_span_without_identity(tmp_path, t1, mode):
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_rejects_span_not_closed_under_q(tmp_path, t1, mode):
-    data = _t1_dict(t1, mode)
+def test_rejects_span_not_closed_under_q(tmp_path, mode):
+    data = _t1_dict(mode)
     # orthogonal idempotents summing to the identity; {Q, E[e1<-e1]} =
     # E[f<-e1] has degree 1, where nothing is declared
     data["algebra"] = [row for row in data["algebra"]
@@ -466,8 +431,8 @@ def test_rejects_span_not_closed_under_q(tmp_path, t1, mode):
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_rejects_dependent_operators(tmp_path, t1, mode):
-    data = _t1_dict(t1, mode)
+def test_rejects_dependent_operators(tmp_path, mode):
+    data = _t1_dict(mode)
     _, deg, trips = data["algebra"][1]
     data["algebra"].append(["copy", deg, trips])
     path = tmp_path / "dependent.json"
@@ -508,19 +473,12 @@ def test_chain_with_unknown_slot(tmp_path, t1):
         load_chains(str(cpath), inst)
 
 
-@pytest.mark.parametrize("which", ["T1", "r11", "m32", "T1-gaussian", "T1f",
-                                   "r7f", "torus1", "torus2"])
-def test_writer_reads_only_stored_entries(tmp_path, t1, torus1, torus2,
-                                          monkeypatch, which):
+@pytest.mark.parametrize("which", names() + ["torus2"])
+def test_writer_reads_only_stored_entries(tmp_path, monkeypatch, which):
     """The file written from the stored blocks' nonzero entries has the
     bytes of the one written from every entry of every degree's dense
     block (``oracles.dense_triplets``)."""
-    inst = {"T1": lambda: t1, "r11": _BUILT["r11"], "m32": _BUILT["m32"],
-            "T1-gaussian": lambda: serialize.instance_from_dict(
-                t1_gaussian_dict()),
-            "T1f": lambda: to_float_instance(t1),
-            "r7f": lambda: to_float_instance(_BUILT["r7"]()),
-            "torus1": lambda: torus1, "torus2": lambda: torus2}[which]()
+    inst = instance(which)
     save_instance(inst, str(tmp_path / "stored.json"))
     monkeypatch.setattr(serialize, "_triplets", dense_triplets)
     save_instance(inst, str(tmp_path / "dense.json"))

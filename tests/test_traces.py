@@ -21,9 +21,6 @@ from homotrace.glinalg import (GradedMap, GradedVectorSpace, compose,
 from homotrace.hochschild import (HochschildChain, _signed_rotations,
                                   cycle_basis, hochschild_boundary,
                                   push_chain)
-from homotrace.instances import (matrix_instance, random_instance,
-                                 t1_instance, to_float_instance,
-                                 torus_instance)
 from homotrace.scalars import EXACT, FLOAT, one_scalar, session_tol
 from homotrace.traces import (
     antisymmetrized_supertrace,
@@ -34,8 +31,9 @@ from homotrace.traces import (
     transferred_trace,
 )
 from homotrace.transfer import transferred_morphism
-from oracles import (canonical_supertrace, cyclic_shift, projected_supertrace,
-                     rho_vector, unit_vector)
+from oracles import (bits, by_source, canonical_supertrace, cyclic_shift,
+                     fresh, instance, names, projected_supertrace, rho_vector,
+                     unit_chain, unit_vector)
 
 
 def test_supertrace_on_cohomology_identity(t1, torus1):
@@ -65,10 +63,7 @@ def test_canonical_supertrace_support():
     v = GradedVectorSpace.make({0: 2, 1: 1})
     endo = endomorphism_algebra(v, EXACT)
     alg = endo.algebra
-    ident = HochschildChain.zero(alg)
-    for i, c in enumerate(unit_vector(alg)):
-        ident.add_term((i,), c)
-    assert canonical_supertrace(ident, endo) == 1  # 2 - 1
+    assert canonical_supertrace(unit_chain(alg), endo) == 1  # 2 - 1
     two = HochschildChain.of(alg, (0, 1))
     assert canonical_supertrace(two, endo) == 0  # multi-slot terms ignored
 
@@ -76,11 +71,7 @@ def test_canonical_supertrace_support():
 def test_canonical_supertrace_balanced_space():
     v = GradedVectorSpace.make({0: 1, 1: 1})
     endo = endomorphism_algebra(v, EXACT)
-    alg = endo.algebra
-    ident = HochschildChain.zero(alg)
-    for i, c in enumerate(unit_vector(alg)):
-        ident.add_term((i,), c)
-    assert canonical_supertrace(ident, endo) == 0  # 1 - 1
+    assert canonical_supertrace(unit_chain(endo.algebra), endo) == 0  # 1 - 1
 
 
 def test_projected_supertrace(t1):
@@ -91,16 +82,9 @@ def test_projected_supertrace(t1):
 
 
 def test_transferred_trace_identity(t1, t1_morphism, torus1, torus_morphism):
-    alg = t1.bundle.algebra
-    ident = HochschildChain.zero(alg)
-    for i, c in enumerate(unit_vector(alg)):
-        ident.add_term((i,), c)
-    assert transferred_trace(ident, t1_morphism) == 1
-    talg = torus1.bundle.algebra
-    identT = HochschildChain.zero(talg)
-    for i, c in enumerate(unit_vector(talg)):
-        identT.add_term((i,), c)
-    assert abs(complex(transferred_trace(identT, torus_morphism))) <= 1e-10
+    assert transferred_trace(unit_chain(t1.bundle.algebra), t1_morphism) == 1
+    assert abs(complex(transferred_trace(unit_chain(torus1.bundle.algebra),
+                                         torus_morphism))) <= 1e-10
 
 
 def test_transferred_trace_oracle_equivalence(t1, t1_morphism):
@@ -118,14 +102,14 @@ def test_transferred_trace_oracle_equivalence(t1, t1_morphism):
         assert ups == ind
 
 
-@pytest.mark.parametrize("name", ["t1", "r11"])
-def test_transferred_trace_is_supertrace_of_full_push(t1, name):
+@pytest.mark.parametrize("name", [pytest.param("T1", id="t1"), "r11"])
+def test_transferred_trace_is_supertrace_of_full_push(name):
     """Pushing only the single-block partition gives the canonical
     supertrace of the full push-forward, on seeded chains of total degree 0."""
-    inst = t1 if name == "t1" else random_instance(11, {0: 2, 1: 3, 2: 2})
+    inst = instance(name)
     alg = inst.bundle.algebra
     f = transferred_morphism(inst.bundle, inst.splitting)
-    rng = random.Random(name)
+    rng = random.Random(name.lower())
     for _ in range(10):
         chain = HochschildChain.zero(alg)
         while len(chain.terms) < 4:
@@ -137,28 +121,13 @@ def test_transferred_trace_is_supertrace_of_full_push(t1, name):
         assert transferred_trace(chain, f) == full
 
 
-_INSTANCES = {
-    "T1": t1_instance,
-    "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-    "m32": lambda: matrix_instance({0: 3, 1: 2},
-                                   q_entries=[("d0_0", "d1_0", 1)]),
-    "T1f": lambda: to_float_instance(t1_instance()),
-    "r7f": lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
-}
-
-
-def _bits(x):
-    """An exact scalar as itself, a float one as its two doubles' bytes."""
-    return x if isinstance(x, (Fraction, int)) else np.complex128(x).tobytes()
-
-
-@pytest.mark.parametrize("name", sorted(_INSTANCES))
+@pytest.mark.parametrize("name", names(EXACT) + names("copy"))
 def test_supertrace_per_word_is_the_components(name):
     """On every word of arity <= 3 whose component has degree 0, the
     supertrace read off the stored prefix and tail equals the supertrace
     of the formed component: == over Q, bit for bit in floats.  It forms
-    no component."""
-    inst = _INSTANCES[name]()
+    no component.  (On the torus every such supertrace is 0.)"""
+    inst = instance(name)
     alg = inst.bundle.algebra
     f = transferred_morphism(inst.bundle, inst.splitting)
     formed = transferred_morphism(inst.bundle, inst.splitting)
@@ -168,7 +137,7 @@ def test_supertrace_per_word_is_the_components(name):
             if sum(alg.basis_degree(x) for x in word) != k - 1:
                 continue
             got, want = f.supertrace(word), formed.on_basis(word).supertrace()
-            assert _bits(got) == _bits(want), word
+            assert bits(got) == bits(want), word
             nonzero += bool(want)
     assert nonzero and not f._cache
 
@@ -178,7 +147,7 @@ def test_transferred_trace_forms_no_component(name):
     """A transferred trace on a fresh closed-form morphism leaves its
     component store empty and equals the sum of the formed components'
     supertraces (the push-forward's canonical supertrace)."""
-    inst = _INSTANCES[name]()
+    inst = instance(name)
     alg = inst.bundle.algebra
     f = transferred_morphism(inst.bundle, inst.splitting)
     formed = transferred_morphism(inst.bundle, inst.splitting)
@@ -212,7 +181,7 @@ def test_trace_vanishes_on_boundaries_exact(t1, t1_morphism):
 
 def test_trace_vanishes_on_boundaries_r11():
     """The exact benchmark instance, whose cohomology has odd components."""
-    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
+    inst = instance("r11")
     alg = inst.bundle.algebra
     f = transferred_morphism(inst.bundle, inst.splitting)
     rng = random.Random(11)
@@ -274,8 +243,7 @@ def test_transferred_trace_is_the_module_supertrace_on_cycles(
     """On every Hochschild cycle z of ``cycle_basis``, the transferred trace
     is sum c_w str rho(w) over the length-1 terms c_w w of z, exactly: the
     supertrace on M itself, which needs no splitting."""
-    inst = (random_instance(7, {0: 2, 1: 2}) if name == "r7"
-            else _INSTANCES[name]())
+    inst = instance(name)
     f = transferred_morphism(inst.bundle, inst.splitting)
     basis = cycle_basis(inst.bundle.algebra, max_len)
     assert all(hochschild_boundary(z).is_zero() for z in basis)
@@ -286,7 +254,9 @@ def test_transferred_trace_is_the_module_supertrace_on_cycles(
     assert (len(basis), sum(1 for t in traces if t)) == (cycles, nonzero)
 
 
-@pytest.mark.parametrize("name, cycles", [("T1", 71), ("r7", 55)])
+@pytest.mark.parametrize(
+    "name, cycles", [("T1f", 71), ("r7f", 55)],
+    ids=lambda v: by_source(v) if isinstance(v, str) else None)
 def test_float_transferred_trace_is_the_module_supertrace_on_cycles(
         name, cycles):
     """The float form of the identity above: on every cycle of the exact
@@ -294,9 +264,7 @@ def test_float_transferred_trace_is_the_module_supertrace_on_cycles(
     same basis, each coefficient as a double), the float transferred
     trace is within the session tolerance of the exact sum c_w str
     rho(w), relative to 1 + its magnitude."""
-    inst = (random_instance(7, {0: 2, 1: 2}) if name == "r7"
-            else _INSTANCES[name]())
-    fl = to_float_instance(inst)
+    inst, fl = instance(by_source(name)), instance(name)
     f = transferred_morphism(fl.bundle, fl.splitting)
     tol = session_tol(FLOAT, None)
     basis = cycle_basis(inst.bundle.algebra, 3)
@@ -309,9 +277,9 @@ def test_float_transferred_trace_is_the_module_supertrace_on_cycles(
         assert abs(got - want) <= tol * (1 + abs(want)), (z.terms, got, want)
 
 
-def test_cycle_basis_needs_an_exact_algebra(t1):
+def test_cycle_basis_needs_an_exact_algebra():
     with pytest.raises(ShapeError):
-        cycle_basis(to_float_instance(t1).bundle.algebra, 1)
+        cycle_basis(instance("T1f").bundle.algebra, 1)
 
 
 def test_cyclic_trace_level_zero_is_canonical(t1, t1_morphism):
@@ -423,19 +391,12 @@ def test_float_closedness_reads_tol_none_as_the_session_tolerance(torus1):
     assert rounded > 0
 
 
-FLOAT_BUILDS = {
-    "T1f": lambda: to_float_instance(t1_instance()),
-    "r7f": lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
-    "torus1": lambda: torus_instance(1),
-}
-
-
-@pytest.mark.parametrize("name", sorted(FLOAT_BUILDS))
+@pytest.mark.parametrize("name", names(FLOAT))
 def test_float_supertrace_of_a_product_keeps_the_composite_bits(name):
     """On seeded words of 1 to 4 operators of total degree 0, the float
     ``supertrace(*maps)`` is the supertrace of ``reduce(compose, maps)``:
     equal with ==, and of the same type."""
-    inst = FLOAT_BUILDS[name]()
+    inst = instance(name)
     rho, alg = inst.bundle.rho, inst.bundle.algebra
     rng = random.Random(3)
     seen = 0
@@ -459,9 +420,7 @@ def test_cyclic_pullback_is_the_full_push_at_its_length(name):
     the full push-forward's terms of length 3 and 5: == over Q, bit for
     bit in floats, so the partitions are pushed in the full push's
     order."""
-    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
-    if name == "r11f":
-        inst = to_float_instance(inst)
+    inst = instance(name)
     alg, one = inst.bundle.algebra, one_scalar(inst.mode)
     closed = [k for k in range(alg.n_basis)
               if alg.basis_degree(k) == 0 and not alg.differential_terms[k]]
@@ -481,7 +440,7 @@ def test_cyclic_pullback_is_the_full_push_at_its_length(name):
                 t: c for t, c in pushed.terms.items()
                 if len(t) == 2 * level + 1}), f.target, level)
             got = transferred_cyclic_trace(chain, f, level)
-            assert _bits(got) == _bits(want), (chain.terms, level)
+            assert bits(got) == bits(want), (chain.terms, level)
             nonzero += bool(want)
     assert nonzero >= 6
 
@@ -534,7 +493,7 @@ def test_a_long_term_reads_each_block_at_most_once():
     at levels 0 to 2: 24, 276 and 271 reads.  Every block after a zero
     one is skipped; walking every partition read them 24, 2 047 and 44 275
     times, at level 2 more often than that for 152 words."""
-    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
+    inst = fresh("r11")
     alg = inst.bundle.algebra
     closed = [k for k in range(alg.n_basis)
               if alg.basis_degree(k) == 0 and not alg.differential_terms[k]]

@@ -2,7 +2,6 @@
 coherence relations, almost-closedness."""
 
 import dataclasses
-import functools
 import gc
 import itertools
 import math
@@ -19,8 +18,8 @@ from homotrace import transfer
 from homotrace.dgcore import build_splitting_hodge, check_splitting
 from homotrace.errors import QuadratureBudgetError, ShapeError
 from homotrace.glinalg import GradedMap, bar_signs, compose, supercommutator
-from homotrace.instances import (matrix_instance, random_instance, t1_instance,
-                                 to_float_instance, torus_instance)
+from homotrace.instances import (matrix_instance, random_instance,
+                                 to_float_instance)
 from homotrace.quadrature import integrate_interval
 from homotrace.scalars import DEFAULT_TOL, EXACT, FLOAT, one_scalar
 from homotrace.transfer import (
@@ -35,7 +34,8 @@ from homotrace.transfer import (
     transfer_quadrature,
     transferred_morphism,
 )
-from oracles import (basis_slot, dense, termwise_defect, unit_vector, value,
+from oracles import (basis_slot, by_source, dense, fresh, inner_product,
+                     instance, names, termwise_defect, unit_vector, value,
                      zero_vec)
 
 
@@ -71,36 +71,12 @@ def test_propagator_generic_t_matches_series(t1):
     assert even.equals(s.pi0.to_float() + s.pi1.to_float().scale(complex(w)),
                        1e-14)
     assert odd.equals(s.kappa.to_float().scale(complex(-w)), 1e-14)
-    t1f = to_float_instance(t1_instance())
+    t1f = instance("T1f")
     evenf, oddf = propagator(t, t1f.splitting)
     # the Hodge Laplacian of T1 is the identity on the acyclic part
     assert evenf.equals(even, 1e-12)
     assert oddf.equals(compose(evenf, t1f.splitting.kappa.to_float()).scale(
         complex(-1)), 1e-12)
-
-
-_FLOAT_INSTANCES = {
-    "T1": lambda: to_float_instance(t1_instance()),
-    "r7": lambda: to_float_instance(random_instance(7, {0: 2, 1: 2})),
-    "torus1": lambda: torus_instance(1),
-}
-
-
-@functools.lru_cache(maxsize=None)
-def _float_instance(name):
-    return _FLOAT_INSTANCES[name]()
-
-
-def _inner_product(space, seed):
-    """A seeded Hermitian positive-definite inner product A A^H + n I per
-    degree."""
-    rng = np.random.default_rng(seed)
-    out = {}
-    for d in space.degrees():
-        n = space.dim(d)
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        out[d] = a @ a.conj().T + n * np.eye(n)
-    return out
 
 
 def _expm(a):
@@ -118,16 +94,16 @@ def _expm(a):
 
 
 @settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(sorted(_FLOAT_INSTANCES)),
+@given(name=st.sampled_from(names(FLOAT)),
        seed=st.integers(0, 2 ** 16),
        t=st.floats(0.05, 4.0))
 def test_heat_kernel_with_random_inner_product(name, seed, t):
     """P(0) = id, P(inf) = pi0 and P(t) = exp(-t {Q, kappa}) for Hodge
     splittings of seeded random inner products; the reference exponentiates
     {Q, kappa} itself, not the stored spectrum."""
-    inst = _float_instance(name)
+    inst = instance(name)
     space, q = inst.bundle.space, inst.bundle.q
-    s = build_splitting_hodge(space, q, _inner_product(space, seed))
+    s = build_splitting_hodge(space, q, inner_product(space, seed))
     assert check_splitting(space, q, s).ok
     cache = PropagatorCache(s)
     even, odd = cache.value(0.0)
@@ -148,9 +124,9 @@ def test_heat_kernel_with_random_inner_product(name, seed, t):
 def test_quadrature_matches_closed_form_with_inner_product():
     """Quadrature matches the closed form under a non-identity inner
     product, where Delta is not Hermitian in the module basis."""
-    t1f = _float_instance("T1")
+    t1f = instance("T1f")
     space = t1f.bundle.space
-    s = build_splitting_hodge(space, t1f.bundle.q, _inner_product(space, 0))
+    s = build_splitting_hodge(space, t1f.bundle.q, inner_product(space, 0))
     closed = transfer_closed([8, 2], s, t1f.bundle)
     assert closed.max_abs() > 1e-3
     quad, _ = transfer_quadrature([8, 2], s, t1f.bundle, budget=20000)
@@ -208,7 +184,7 @@ def _bit_for_bit(got, want):
 
 
 @pytest.mark.parametrize("name", ["T1", "r11", "T1f", "r7f"])
-def test_transfer_closed_is_eps_times_a_fresh_component(name, t1):
+def test_transfer_closed_is_eps_times_a_fresh_component(name):
     """On every basis word of arity <= 3, and on each with one element
     replaced by the two-term Slot 2 b - 3 b' (b' the next basis element of
     b's degree), ``transfer_closed`` equals eps times the components of a
@@ -216,12 +192,9 @@ def test_transfer_closed_is_eps_times_a_fresh_component(name, t1):
     entry for entry in floats, although its calls share one stored
     morphism.  On a basis word its blocks are read-only, and in floats
     they have the bytes of eps times the component, signed zeros too."""
-    inst = {"T1": lambda: t1,
-            "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-            "T1f": lambda: _float_instance("T1"),
-            "r7f": lambda: _float_instance("r7")}[name]()
+    inst = instance(name)
     s, b = inst.splitting, inst.bundle
-    alg, fresh, one = b.algebra, transferred_morphism(b, s), one_scalar(b.mode)
+    alg, f, one = b.algebra, transferred_morphism(b, s), one_scalar(b.mode)
     n, deg = alg.n_basis, alg.basis_degree
     partner = {x: y for x, y in zip(range(n), range(1, n))
                if deg(x) == deg(y)}
@@ -229,7 +202,7 @@ def test_transfer_closed_is_eps_times_a_fresh_component(name, t1):
     for k in (1, 2, 3):
         for word in itertools.product(range(n), repeat=k):
             eps = one * _sign([deg(x) for x in word])
-            want = fresh.on_basis(word[::-1]).scale(eps)
+            want = f.on_basis(word[::-1]).scale(eps)
             assert _bit_for_bit(transfer_closed(list(word), s, b),
                                 want), word
             i = next((i for i, x in enumerate(word) if x in partner), None)
@@ -237,7 +210,7 @@ def test_transfer_closed_is_eps_times_a_fresh_component(name, t1):
                 v = zero_vec(alg)
                 v[word[i]], v[partner[word[i]]] = 2 * one, -3 * one
                 other = word[:i] + (partner[word[i]],) + word[i + 1:]
-                want = want.scale(2 * one) + fresh.on_basis(
+                want = want.scale(2 * one) + f.on_basis(
                     other[::-1]).scale(eps * -3 * one)
                 inputs = list(word[:i]) + [Slot(deg(word[i]), v)] + list(
                     word[i + 1:])
@@ -251,7 +224,7 @@ def test_transfer_closed_interleaved_pairs_match_fresh_values(t1):
     rho doubled (same splitting, another bundle) return what a fresh
     morphism per pair gives: the copy gets its own values, 2^k times
     T1's."""
-    r11 = random_instance(11, {0: 2, 1: 3, 2: 2})
+    r11 = instance("r11")
     doubled = dataclasses.replace(t1.bundle, rho=tuple(
         r.scale(Fraction(2)) for r in t1.bundle.rho))
     pairs = [(t1.bundle, t1.splitting), (r11.bundle, r11.splitting),
@@ -278,7 +251,7 @@ def test_transfer_closed_keeps_one_pair(t1):
     """The store holds the last pair it was given and no other: a bundle
     no caller holds stays alive until a call on a second pair, then is
     freed."""
-    inst = t1_instance()
+    inst = fresh("T1")
     ref = weakref.ref(inst.bundle)
     transfer_closed([2, 7], inst.splitting, inst.bundle)
     del inst
@@ -320,16 +293,15 @@ def test_on_basis_is_chain_order_component(t1):
     """f_m(b_1, ..., b_m) = p rho(b_1) h ... h rho(b_m) i, with no sign, on
     every basis tuple of arity 1-3, against the plain left fold of that
     word.  Longest tuples come first, so the stored prefixes, steps and
-    tails are both filled by longer words and read by shorter ones.  Exact
-    instances (T1, r11, m32 and two more random ones) compare exactly;
+    tails are both filled by longer words and read by shorter ones.  The
+    registry's exact instances and two more random ones compare exactly;
     T1f, r7f and T1f under a seeded Hodge splitting at the session
     tolerance."""
-    t1f, r7f = _float_instance("T1"), _float_instance("r7")
+    t1f, r7f = instance("T1f"), instance("r7f")
     space = t1f.bundle.space
     hodge = build_splitting_hodge(space, t1f.bundle.q,
-                                  _inner_product(space, 0))
-    exact = [t1, random_instance(11, {0: 2, 1: 3, 2: 2}),
-             matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]),
+                                  inner_product(space, 0))
+    exact = [*map(instance, names(EXACT)),
              random_instance(3, {0: 2, 1: 1, 2: 1}),
              random_instance(9, {0: 2, 1: 2})]
     for inst, s, tol in [*((x, x.splitting, None) for x in exact),
@@ -353,7 +325,7 @@ def test_on_basis_miss_with_stored_prefix_is_one_compose(monkeypatch):
     the tail h rho(b_3) i is (by any pair ending in b_3), a miss on
     b_1 b_2 b_3 costs one compose when the prefix is nonzero and none when
     it is zero, and a hit none."""
-    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
+    inst = fresh("r11")
     f = transferred_morphism(inst.bundle, inst.splitting)
     n = inst.bundle.algebra.n_basis
     for pair in itertools.product(range(n), repeat=2):
@@ -401,7 +373,7 @@ def test_zero_words_and_components_share_one_map_per_degree():
     """Every zero word and component, whether a zero prefix word makes it
     zero without a compose or its compose cancels, is per degree one map
     for the words (on the module) and one for the components (on M0)."""
-    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
+    inst = instance("r11")
     f = transferred_morphism(inst.bundle, inst.splitting)
     n = inst.bundle.algebra.n_basis
     words = [w for k in (1, 2, 3)
@@ -423,7 +395,7 @@ def test_ainfinity_defect_composes_no_cut_with_a_zero_side(monkeypatch):
     stored, the only composes of ``ainfinity_defect`` are its cuts f(b_1
     .. b_i) f(b_(i+1) .. b_m) with two nonzero sides: one per such cut,
     and none for the cuts with a zero side, which the words include."""
-    inst = random_instance(11, {0: 2, 1: 3, 2: 2})
+    inst = fresh("r11")
     f = transferred_morphism(inst.bundle, inst.splitting)
     n = inst.bundle.algebra.n_basis
     rng = random.Random(0)
@@ -451,7 +423,7 @@ def test_ainfinity_defect_composes_no_cut_with_a_zero_side(monkeypatch):
 def test_transferred_morphism_rejects_methods_it_cannot_evaluate(t1):
     """An unknown method, or quadrature on an exact bundle, is refused
     instead of falling back to the closed form."""
-    t1f = _float_instance("T1")
+    t1f = instance("T1f")
     for inst, method in [(t1f, "bogus"), (t1, "bogus"), (t1, "quadrature")]:
         with pytest.raises(ShapeError):
             transferred_morphism(inst.bundle, inst.splitting, method=method)
@@ -461,7 +433,7 @@ def test_quadrature_morphism_matches_closed_on_basis():
     """The morphism's quadrature method agrees with its closed form to
     relative 1e-8 on every basis tuple of arity 2-3 of T1f whose closed
     value exceeds 1e-6, in chain order and without a sign."""
-    t1f = _float_instance("T1")
+    t1f = instance("T1f")
     closed = transferred_morphism(t1f.bundle, t1f.splitting)
     quad = transferred_morphism(t1f.bundle, t1f.splitting,
                                 method="quadrature", rel_tol=1e-9)
@@ -500,15 +472,12 @@ def _bits(m):
 
 
 @pytest.mark.parametrize("name", ["T1", "r11", "T1f", "r7f"])
-def test_ainfinity_defect_is_the_termwise_sum(name, t1):
+def test_ainfinity_defect_is_the_termwise_sum(name):
     """With one nonzero arity-2 component flipped, so that defects are not
     zero, the blockwise sum equals the termwise one (one map per term,
     ``oracles.termwise_defect``) on every word of arity <= 3: == over Q,
     the same bits in floats."""
-    inst = {"T1": lambda: t1,
-            "r11": lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-            "T1f": lambda: _float_instance("T1"),
-            "r7f": lambda: _float_instance("r7")}[name]()
+    inst = instance(name)
     f = transferred_morphism(inst.bundle, inst.splitting)
     n = inst.bundle.algebra.n_basis
     flipped = next(p for p in itertools.product(range(n), repeat=2)
@@ -548,12 +517,12 @@ def _slot_formula_defect(f, word):
 
 
 @pytest.mark.parametrize("name", ["T1", "r11"])
-def test_ainfinity_defect_matches_slot_formula(name, t1):
+def test_ainfinity_defect_matches_slot_formula(name):
     """With one nonzero arity-2 component flipped, so that the defect is
     not zero, the bar-term defect equals the slot-arithmetic reference on
     every basis word of length <= 3, exactly.  r11 has cohomology in odd
     degree.  A ``Slot`` input is refused."""
-    inst = t1 if name == "T1" else random_instance(11, {0: 2, 1: 3, 2: 2})
+    inst = instance(name)
     assert name == "T1" or any(d % 2 and n
                                for d, n in inst.splitting.m0.dims)
     f = transferred_morphism(inst.bundle, inst.splitting)
@@ -580,7 +549,7 @@ def test_arity_one_defect_is_projected_chain_defect(t1, t1_morphism):
 
 
 def test_quadrature_matches_closed_form_t1_float():
-    t1f = to_float_instance(t1_instance())
+    t1f = instance("T1f")
     alg = t1f.bundle.algebra
     checked = 0
     for k in (2, 3):
@@ -601,22 +570,18 @@ def test_quadrature_matches_closed_form_t1_float():
 
 
 @pytest.mark.parametrize("name, seed, arities, count", [
-    ("T1", None, (2, 3), 2),
-    ("r7", None, (2, 3, 4), 56),
-    ("T1", 0, (2, 3), 12),
-    ("T1", 1, (2, 3), 12),
+    ("T1f", None, (2, 3), 2),
+    ("r7f", None, (2, 3, 4), 56),
+    ("T1f", 0, (2, 3), 12),
+    ("T1f", 1, (2, 3), 12),
 ], ids=["T1f", "r7f", "T1f-inner-0", "T1f-inner-1"])
 def test_quadrature_matches_closed_form_on_every_nonzero_tuple(
         name, seed, arities, count):
     """Quadrature agrees with the closed form to relative 1e-8 on every
     basis tuple whose closed form exceeds 1e-6, for the instance's own
     splitting or the Hodge splitting of a seeded inner product."""
-    inst = _float_instance(name)
-    s = inst.splitting
-    if seed is not None:
-        space = inst.bundle.space
-        s = build_splitting_hodge(space, inst.bundle.q,
-                                  _inner_product(space, seed))
+    inst = instance(name)
+    s = _splitting(inst, seed)
     n = inst.bundle.algebra.n_basis
     checked = 0
     for k in arities:
@@ -634,7 +599,7 @@ def test_quadrature_matches_closed_form_on_every_nonzero_tuple(
 def test_quadrature_converges_on_t1_arity_four():
     """T1f's spectrum {0, 1} makes every heat weight a polynomial in the
     spectral chart, so (8, 7, 7, 3) converges within the default budget."""
-    t1f = _float_instance("T1")
+    t1f = instance("T1f")
     quad, _ = transfer_quadrature([8, 7, 7, 3], t1f.splitting, t1f.bundle,
                                   rel_tol=1e-9)
     closed = transfer_closed([8, 7, 7, 3], t1f.splitting, t1f.bundle)
@@ -649,7 +614,7 @@ def _splitting(inst, seed):
         return inst.splitting
     space = inst.bundle.space
     return build_splitting_hodge(space, inst.bundle.q,
-                                 _inner_product(space, seed))
+                                 inner_product(space, seed))
 
 
 def _nonzero_words(f, n, k):
@@ -664,12 +629,12 @@ def _nonzero_words(f, n, k):
             if f.on_basis(w + (b,)).max_abs() > 1e-6]
 
 
-@pytest.mark.parametrize("name", ["T1", "r7"])
+@pytest.mark.parametrize("name", names("copy"), ids=by_source)
 @pytest.mark.parametrize("seed", [None, 0])
 def test_quadrature_matches_closed_form_at_arity_five(name, seed):
     """Arity 5 agrees with the closed form to relative 1e-8 on seeded
     samples of the basis words whose closed form exceeds 1e-6."""
-    inst = _float_instance(name)
+    inst = instance(name)
     s = _splitting(inst, seed)
     nonzero = _nonzero_words(transferred_morphism(inst.bundle, s),
                              inst.bundle.algebra.n_basis, 5)
@@ -681,13 +646,13 @@ def test_quadrature_matches_closed_form_at_arity_five(name, seed):
         assert (quad - closed).max_abs() <= 1e-8 * closed.max_abs(), tup
 
 
-@pytest.mark.parametrize("name", ["T1", "r7"])
+@pytest.mark.parametrize("name", names("copy"), ids=by_source)
 @pytest.mark.parametrize("seed", [None, 0, 1])
 def test_quadrature_matches_closed_form_at_arities_six_to_eight(name, seed):
     """The gap integral factors into one integral per gap, so quadrature
     has no arity cap: arities 6, 7 and 8 agree with the closed form to
     relative 1e-8 on seeded samples of the nonzero basis words."""
-    inst = _float_instance(name)
+    inst = instance(name)
     s = _splitting(inst, seed)
     f = transferred_morphism(inst.bundle, s)
     rng = random.Random(0)
@@ -701,7 +666,7 @@ def test_quadrature_matches_closed_form_at_arities_six_to_eight(name, seed):
             assert (quad - closed).max_abs() <= 1e-8 * closed.max_abs(), tup
 
 
-@pytest.mark.parametrize("name", ["T1", "r7"])
+@pytest.mark.parametrize("name", names("copy"), ids=by_source)
 def test_factored_quadrature_is_the_gap_cube_integral(name):
     """The Fubini oracle.  A fixed tensor Gauss rule over the gap cube, in
     the chart t = -ln(1-sigma)/mu, integrates the top (all dt) component
@@ -709,7 +674,7 @@ def test_factored_quadrature_is_the_gap_cube_integral(name):
     T1f and r7f every lam/mu is 0 or 1, so the weights are constant and
     the rule is exact.  p (integral) i equals the factored quadrature on
     every nonzero basis tuple of arity 2-3."""
-    inst = _float_instance(name)
+    inst = instance(name)
     s, n = inst.splitting, inst.bundle.algebra.n_basis
     x, w = np.polynomial.legendre.leggauss(4)
     x, w = (x + 1.0) / 2.0, w / 2.0
@@ -730,7 +695,7 @@ def test_factored_quadrature_is_the_gap_cube_integral(name):
             quad, _ = transfer_quadrature(list(tup), s, inst.bundle)
             assert (cube - quad).max_abs() <= 1e-12 * quad.max_abs(), tup
             checked += 1
-    assert checked == {"T1": 2, "r7": 24}[name]
+    assert checked == {"T1f": 2, "r7f": 24}[name]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -741,7 +706,7 @@ def test_quadrature_error_bounds_the_distance_on_torus(seed):
     the reported estimate is positive and bounds the distance to the
     closed form, through ``transfer_quadrature`` and through the
     morphism's ``error_of``."""
-    torus = _float_instance("torus1")
+    torus = instance("torus1")
     s = _splitting(torus, seed)
     closed = transferred_morphism(torus.bundle, s)
     quad = transferred_morphism(torus.bundle, s, method="quadrature")
@@ -772,8 +737,8 @@ def test_quadrature_without_positive_eigenvalue_is_zero():
     assert quad.is_zero() and est == 0.0
 
 
-def test_quadrature_arity_one_exact(t1):
-    t1f = to_float_instance(t1_instance())
+def test_quadrature_arity_one_exact():
+    t1f = instance("T1f")
     val, est = transfer_quadrature([3], t1f.splitting, t1f.bundle)
     assert est == 0.0
     closed = transfer_closed([3], t1f.splitting, t1f.bundle)
@@ -784,9 +749,8 @@ def test_quadrature_budget_error_carries_best_estimate():
     """torus N=1 under a seeded inner product has eigenvalues 4.4 to 72,
     whose ratios are not integers, so its weights are not polynomials and
     a 60-evaluation budget runs out."""
-    torus = _float_instance("torus1")
-    space = torus.bundle.space
-    s = build_splitting_hodge(space, torus.bundle.q, _inner_product(space, 0))
+    torus = instance("torus1")
+    s = _splitting(torus, 0)
     tup = [1, 1]
     with pytest.raises(QuadratureBudgetError) as info:
         transfer_quadrature(tup, s, torus.bundle, rel_tol=1e-14, order=4,
@@ -812,14 +776,14 @@ def _has_zero_factor(s, bundle, word):
     return any(not a.blocks for a in factors)
 
 
-@pytest.mark.parametrize("name", ["T1", "r7", "torus1"])
+@pytest.mark.parametrize("name", names(FLOAT), ids=by_source)
 def test_quadrature_skips_the_gap_integral_when_a_factor_is_zero(
         name, monkeypatch):
     """On every word of arity 2-3 with a zero factor the component is what
     the integrated product gives, the zero map on M0 of degree sum deg + 1
     - k with estimate 0.0 (its norm bound is 0), and ``integrate_interval``
     is never called; every other word integrates G once."""
-    inst = _float_instance(name)
+    inst = instance(name)
     s, b = inst.splitting, inst.bundle
     calls = []
 
@@ -855,7 +819,7 @@ def test_zero_factor_component_keeps_the_rule_checks(kwargs, error, text):
     """A word with a zero factor still raises what ``integrate_interval``
     raises before its first evaluation, with the same text, and a budget
     error carries no best value."""
-    inst = _float_instance("torus1")
+    inst = instance("torus1")
     s, b = inst.splitting, inst.bundle
     assert _has_zero_factor(s, b, (1, 1))
     with pytest.raises(error) as direct:
@@ -872,9 +836,8 @@ def test_zero_factor_component_needs_no_convergent_gap_integral():
     within one cell, so a word without a zero factor raises a budget
     error; a word with one is exactly zero, estimate 0.0, under the same
     settings."""
-    inst = _float_instance("r7")
-    space, b = inst.bundle.space, inst.bundle
-    s = build_splitting_hodge(space, b.q, _inner_product(space, 1))
+    inst = instance("r7f")
+    s, b = _splitting(inst, 1), inst.bundle
     settings = {"rel_tol": 0.0, "budget": 24}
     assert not _has_zero_factor(s, b, (1, 0))
     with pytest.raises(QuadratureBudgetError, match="budget 24 exhausted"):
@@ -885,7 +848,7 @@ def test_zero_factor_component_needs_no_convergent_gap_integral():
 
 
 def test_almost_closed_second_order_rate():
-    t1f = to_float_instance(t1_instance())
+    t1f = instance("T1f")
     alg = t1f.bundle.algebra
     a = alg.flat_by_name("E[f<-e2]")
     b = alg.flat_by_name("E[e2<-f]")
@@ -929,7 +892,7 @@ def _stratum_diffs(inst, a1, a2, eps):
 
 
 def test_boundary_strata_arity_two():
-    t1f = to_float_instance(t1_instance())
+    t1f = instance("T1f")
     alg = t1f.bundle.algebra
     a1 = alg.flat_by_name("E[f<-e2]")
     a2 = alg.flat_by_name("E[e2<-f]")
@@ -942,7 +905,7 @@ def test_boundary_strata_arity_two():
 
 def test_boundary_strata_arity_three_merge():
     """At t1 -> 0 the dt2-coefficient matches the merged two-slot form."""
-    t1f = to_float_instance(t1_instance())
+    t1f = instance("T1f")
     alg = t1f.bundle.algebra
     tup = (alg.flat_by_name("E[e1<-e2]"), alg.flat_by_name("E[f<-e1]"),
            alg.flat_by_name("E[e2<-e1]"))
@@ -965,7 +928,7 @@ def test_boundary_strata_arity_three_merge():
 
 def test_boundary_strata_arity_three_split():
     """At t2 -> inf the dt1-coefficient factorizes through the projection."""
-    t1f = to_float_instance(t1_instance())
+    t1f = instance("T1f")
     alg = t1f.bundle.algebra
     tup = (alg.flat_by_name("E[f<-e2]"), alg.flat_by_name("E[e2<-e1]"),
            alg.flat_by_name("E[e2<-e2]"))
@@ -1000,7 +963,7 @@ def test_every_input_path_refuses_the_same_bad_slot(degree, flats):
     """A Slot mixing degrees, or one whose terms are off its declared
     degree (which would give a wrong sign eps), raises one ShapeError from
     every transfer input path alike."""
-    inst = _float_instance("T1")
+    inst = instance("T1f")
     s, b = inst.splitting, inst.bundle
     v = zero_vec(b.algebra)
     v[list(flats)] = 1.0
@@ -1034,7 +997,7 @@ def test_zero_components_are_the_stored_zero_for_either_sign():
     """Every arity-3 word of T1f with a zero component gives that stored
     component itself, for eps = 1 and eps = -1 alike: a map with no blocks
     and the component's degree."""
-    inst = to_float_instance(t1_instance())
+    inst = fresh("T1f")
     b, s = inst.bundle, inst.splitting
     alg = b.algebra
     signs = set()
@@ -1050,15 +1013,6 @@ def test_zero_components_are_the_stored_zero_for_either_sign():
     assert signs == {1, -1}
 
 
-_WORD_INSTANCES = {
-    "T1": t1_instance,
-    "r7": lambda: random_instance(7, {0: 2, 1: 2}),
-    "T1f": lambda: _float_instance("T1"),
-    "r7f": lambda: _float_instance("r7"),
-    "torus1": lambda: _float_instance("torus1"),
-}
-
-
 def _alike(got, want):
     """``_same``, with blocks of one dtype, each exact entry of the type of
     its match and each float block of the same bytes, so the sign of a
@@ -1070,7 +1024,7 @@ def _alike(got, want):
         for (_, x), (_, y) in zip(got.blocks, want.blocks))
 
 
-@pytest.mark.parametrize("name", sorted(_WORD_INSTANCES))
+@pytest.mark.parametrize("name", names())
 def test_a_basis_word_is_its_one_hot_slot_word(name):
     """On every word of arity <= 3, ``transfer_closed`` of the basis
     indices equals ``transfer_closed`` of the word with each index given as
@@ -1078,7 +1032,7 @@ def test_a_basis_word_is_its_one_hot_slot_word(name):
     in floats.  Where eps = 1 it is the stored component itself.  Both
     signs occur, and some component is nonzero (on T1f for either
     sign)."""
-    inst = _WORD_INSTANCES[name]()
+    inst = fresh(name)
     s, b = inst.splitting, inst.bundle
     alg, one = b.algebra, one_scalar(b.mode)
     slots = []
@@ -1103,7 +1057,7 @@ def test_a_basis_word_reads_no_element_list(monkeypatch):
     """A word of basis indices, as ints, bools or numpy integers and in
     any iterable, is read off the store: neither ``_elements`` nor
     ``_combination`` is called."""
-    inst = _float_instance("r7")
+    inst = instance("r7f")
     s, b = inst.splitting, inst.bundle
     want = [transfer_closed(w, s, b) for w in ([2, 5], [1], [5, 2, 6])]
 
@@ -1135,16 +1089,12 @@ def test_a_word_that_is_no_basis_word_raises_as_before(t1, inputs, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("build", [
-    t1_instance,
-    lambda: random_instance(11, {0: 2, 1: 3, 2: 2}),
-    lambda: matrix_instance({0: 3, 1: 2}, q_entries=[("d0_0", "d1_0", 1)]),
-], ids=["T1", "r11", "m32"])
-def test_cancelling_defect_terms_form_no_fraction(monkeypatch, build):
-    """On a valid instance every A-infinity defect is zero, and the one
-    ``combination`` that sums its terms forms, multiplies and adds no
+@pytest.mark.parametrize("name", names(EXACT, without=("heavy", "gaussian")))
+def test_cancelling_defect_terms_form_no_fraction(monkeypatch, name):
+    """On a valid instance over Q every A-infinity defect is zero, and the
+    one ``combination`` that sums its terms forms, multiplies and adds no
     Fraction: the terms cancel in integer arithmetic on their rows."""
-    inst = build()
+    inst = fresh(name)
     f = transferred_morphism(inst.bundle, inst.splitting)
     n, rng = inst.bundle.algebra.n_basis, random.Random(4)
     words = [tuple(rng.randrange(n) for _ in range(k))
